@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
-"""Benchmark the conv + max-over-time kernels: numba backend vs numpy fallback.
+"""Benchmark the conv + max-over-time kernels.
 
 Runs the forward and backward kernels on production-sized shapes (400-dim
 embeddings, 47-token documents) and on the desk-scale synthetic shapes, and
-reports per-call times for both backends. The first numba call compiles; it
-is timed separately and excluded from the steady-state numbers.
+reports per-call times on the full padded batch and on the batch after
+``model.trim_pad_windows`` drops its trailing all-pad windows.
 
 Usage:
-    python benchmarks/bench_kernels.py [--iters 20]
+    PYTHONPATH=src python benchmarks/bench_kernels.py [--iters 20]
 """
 
 import argparse
 import time
 
-import numpy as np
-
 from scnn import kernels
+from scnn.model import trim_pad_windows
 from scnn.rng import Rng
 
 CASES = [
@@ -24,19 +23,21 @@ CASES = [
     ("full  h=3 f=100", 50, 47, 400, 3, 100),
     ("full  h=5 f=400", 50, 47, 400, 5, 400),
 ]
+REAL_ROWS = 27  # the last 20 of 47 rows are pad
 
 
-def make_case(B, L, dim, h, f, dtype=np.float32):
+def make_case(B, L, dim, h, f):
     rng = Rng(0)
-    docs = rng.uniform(-1, 1, (B, L, dim)).astype(dtype)
-    docs[:, L - 20:, :] = 0.0  # realistic pad tail
-    W = rng.uniform(-0.3, 0.3, (h, dim, f)).astype(dtype)
-    b = rng.uniform(-0.1, 0.1, f).astype(dtype)
-    d_pooled = rng.uniform(-1, 1, (B, f)).astype(dtype)
+    docs = rng.uniform(-1, 1, (B, L, dim)).astype("float32")
+    docs[:, REAL_ROWS:, :] = 0.0
+    W = rng.uniform(-0.3, 0.3, (h, dim, f)).astype("float32")
+    b = rng.uniform(-0.1, 0.1, f).astype("float32")
+    d_pooled = rng.uniform(-1, 1, (B, f)).astype("float32")
     return docs, W, b, d_pooled
 
 
 def time_fn(fn, iters):
+    fn()  # warm caches and BLAS buffers
     start = time.perf_counter()
     for _ in range(iters):
         fn()
@@ -45,40 +46,15 @@ def time_fn(fn, iters):
 
 def bench_case(name, B, L, dim, h, f, iters):
     docs, W, b, d_pooled = make_case(B, L, dim, h, f)
-    rows = []
-
-    pooled_np, argmax_np = kernels.conv_pool_forward_np(docs, W, b)
-    fwd_np = time_fn(lambda: kernels.conv_pool_forward_np(docs, W, b), iters)
-    bwd_np = time_fn(
-        lambda: kernels.conv_pool_backward_np(docs, argmax_np, pooled_np, d_pooled, h),
-        iters,
-    )
-    rows.append(("numpy", fwd_np, bwd_np))
-
-    if kernels.HAVE_NUMBA:
-        t0 = time.perf_counter()
-        pooled_nb, argmax_nb = kernels.conv_pool_forward_nb(docs, W, b)
-        kernels.conv_pool_backward_nb(docs, argmax_nb, pooled_nb, d_pooled, h)
-        first_call = time.perf_counter() - t0
-
-        if not np.allclose(pooled_np, pooled_nb, rtol=1e-4, atol=1e-5):
-            raise AssertionError(f"{name}: backends disagree beyond float32 tolerance")
-
-        fwd_nb = time_fn(lambda: kernels.conv_pool_forward_nb(docs, W, b), iters)
-        bwd_nb = time_fn(
-            lambda: kernels.conv_pool_backward_nb(docs, argmax_nb, pooled_nb, d_pooled, h),
-            iters,
+    print(name)
+    for label, batch in (("full", docs), ("trimmed", trim_pad_windows(docs, h))):
+        pooled, argmax = kernels.conv_pool_forward(batch, W, b)
+        fwd = time_fn(lambda: kernels.conv_pool_forward(batch, W, b), iters)
+        bwd = time_fn(
+            lambda: kernels.conv_pool_backward(batch, argmax, pooled, d_pooled, h), iters
         )
-        rows.append(("numba", fwd_nb, bwd_nb))
-        print(f"{name}  (first numba call incl. compile/cache load: {first_call * 1e3:.1f} ms)")
-    else:
-        print(f"{name}  (numba unavailable)")
-
-    for backend, fwd, bwd in rows:
-        print(f"  {backend:5s}  forward {fwd * 1e3:8.3f} ms   backward {bwd * 1e3:8.3f} ms")
-    if len(rows) == 2:
-        print(f"  speedup forward {rows[0][1] / rows[1][1]:5.2f}x   "
-              f"backward {rows[0][2] / rows[1][2]:5.2f}x")
+        print(f"  {label:7s} L={batch.shape[1]:2d}  forward {fwd * 1e3:8.3f} ms"
+              f"   backward {bwd * 1e3:8.3f} ms")
     print()
 
 
@@ -86,7 +62,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--iters", type=int, default=20)
     args = parser.parse_args()
-    print(f"active backend: {kernels.BACKEND}\n")
     for case in CASES:
         bench_case(*case, iters=args.iters)
 

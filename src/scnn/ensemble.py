@@ -183,6 +183,26 @@ def save_ensemble(se: StackedEnsemble, manifest_path, model_paths: dict,
         raise
 
 
+_MEMBER_KEYS = ("path", "sha256", "trial_id", "cv_score")
+
+
+def _check_manifest(manifest_path, doc) -> None:
+    """DataError naming the file unless ``doc`` has the keys load_ensemble reads."""
+    if not isinstance(doc, dict):
+        raise DataError(f"{manifest_path}: manifest is not a JSON object")
+    missing = [key for key in ("K", "members") if key not in doc]
+    if missing:
+        raise DataError(f"{manifest_path}: manifest lacks {', '.join(missing)}")
+    if not isinstance(doc["members"], list) or not doc["members"]:
+        raise DataError(f"{manifest_path}: members must be a non-empty list")
+    for i, entry in enumerate(doc["members"]):
+        if not isinstance(entry, dict):
+            raise DataError(f"{manifest_path}: member {i} is not a JSON object")
+        missing = [key for key in _MEMBER_KEYS if key not in entry]
+        if missing:
+            raise DataError(f"{manifest_path}: member {i} lacks {', '.join(missing)}")
+
+
 def load_ensemble(manifest_path) -> StackedEnsemble:
     """Load member models, verifying file hashes; errors name the member."""
     try:
@@ -192,6 +212,7 @@ def load_ensemble(manifest_path) -> StackedEnsemble:
         raise DataError(f"cannot read manifest {manifest_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{manifest_path}: not valid JSON: {exc}") from exc
+    _check_manifest(manifest_path, doc)
     if doc.get("format_version", 0) > MANIFEST_FORMAT_VERSION:
         raise DataError(
             f"{manifest_path}: manifest format version {doc['format_version']} "

@@ -1,59 +1,23 @@
 """Convolution + max-over-time pooling kernels, the hot inner loops.
 
-Two interchangeable backends:
+Both kernels are plain numpy over BLAS, in the im2col formulation of
+Chellapilla et al. (2006), *High Performance Convolutional Neural Networks
+for Document Processing*: the forward is one GEMM of every window against
+the filter bank, and the backward is a GEMM over only the windows some
+filter selected. Both are deterministic run to run and keep the input dtype
+(float32 in training, float64 in the gradient checker).
 
-* ``numba``  — explicit loops compiled with ``@njit`` (default when numba
-  imports cleanly). Summation order is the written loop order.
-* ``numpy``  — a pure-numpy fallback using a strided im2col view and BLAS
-  matmul.
-
-Select with the environment variable ``SCNN_BACKEND=numba|numpy`` (read at
-import time). Both backends are deterministic run to run; because the numpy
-path sums through BLAS they may disagree with each other in the last float32
-bits, so cross-backend comparisons should use a tolerance, not equality.
-
-Both kernels accept float32 or float64 arrays and keep that dtype throughout
-(float64 is used by the gradient checker).
-
-``benchmarks/bench_kernels.py`` times the two backends against each other.
+``benchmarks/bench_kernels.py`` times them on desk and paper shapes.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on numba-less installs
-    numba = None
-    HAVE_NUMBA = False
+BACKEND = "numpy"  # the only backend; benchmark results report it
 
 
-def _resolve_backend() -> str:
-    choice = os.environ.get("SCNN_BACKEND", "").strip().lower()
-    if choice == "":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("SCNN_BACKEND=numba requested but numba is not importable")
-        return "numba"
-    raise RuntimeError(f"unknown SCNN_BACKEND {choice!r} (expected 'numba' or 'numpy')")
-
-
-BACKEND = _resolve_backend()
-
-
-# --------------------------------------------------------------------------
-# numpy backend
-# --------------------------------------------------------------------------
-
-def conv_pool_forward_np(docs: np.ndarray, W: np.ndarray, b: np.ndarray):
+def conv_pool_forward(docs: np.ndarray, W: np.ndarray, b: np.ndarray):
     """ReLU-activated valid 1-D convolution followed by max-over-time.
 
     docs: (B, L, dim), W: (h, dim, f), b: (f,).
@@ -64,108 +28,36 @@ def conv_pool_forward_np(docs: np.ndarray, W: np.ndarray, b: np.ndarray):
     h, _, f = W.shape
     P = L - h + 1
     wins = np.lib.stride_tricks.sliding_window_view(docs, (h, dim), axis=(1, 2))
-    wins = wins.reshape(B, P, h * dim)
-    z = wins @ W.reshape(h * dim, f) + b
-    act = np.maximum(z, 0.0)
-    argmax = act.argmax(axis=1).astype(np.int64)
+    z = wins.reshape(B * P, h * dim) @ W.reshape(h * dim, f)
+    z += b
+    act = np.maximum(z, 0, out=z).reshape(B, P, f)
+    argmax = act.argmax(axis=1)
     pooled = np.take_along_axis(act, argmax[:, None, :], axis=1)[:, 0, :]
-    return np.ascontiguousarray(pooled), argmax
+    return pooled, argmax
 
 
-def conv_pool_backward_np(docs, argmax, pooled, d_pooled, h: int):
+def conv_pool_backward(docs, argmax, pooled, d_pooled, h: int):
     """Gradients of the pooled outputs w.r.t. W and b.
 
     Gradient flows only through each filter's argmax window, and only where
     the pooled value is positive (the ReLU gate at the selected position).
+    Only the U distinct (document, position) windows that carry gradient
+    are gathered; dW is their rows' transpose times the (U, f) gradient
+    those windows receive.
     """
     B, L, dim = docs.shape
     f = argmax.shape[1]
-    dW = np.zeros((h, dim, f), dtype=docs.dtype)
-    db = np.zeros(f, dtype=docs.dtype)
-    gate = np.where(pooled > 0, d_pooled, 0).astype(docs.dtype)
-    offsets = np.arange(h)
-    for n in range(B):
-        g = gate[n]
-        if not g.any():
-            continue
-        rows = argmax[n][:, None] + offsets[None, :]   # (f, h)
-        gathered = docs[n][rows]                        # (f, h, dim)
-        dW += np.einsum("f,fhc->hcf", g, gathered)
-        db += g
-    return dW, db
-
-
-# --------------------------------------------------------------------------
-# numba backend
-# --------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _conv_pool_forward_nb(docs, W, b):
-        B, L, dim = docs.shape
-        h, _, f = W.shape
-        P = L - h + 1
-        pooled = np.empty((B, f), dtype=docs.dtype)
-        argmax = np.zeros((B, f), dtype=np.int64)
-        acc = np.empty(f, dtype=docs.dtype)
-        for n in range(B):
-            for j in range(f):
-                pooled[n, j] = -1.0  # below any ReLU output
-            for p in range(P):
-                for j in range(f):
-                    acc[j] = b[j]
-                for r in range(h):
-                    row = p + r
-                    for c in range(dim):
-                        x = docs[n, row, c]
-                        if x != 0.0:  # pad and OOV rows are all-zero
-                            for j in range(f):
-                                acc[j] += x * W[r, c, j]
-                for j in range(f):
-                    a = acc[j]
-                    if a < 0.0:
-                        a = 0.0
-                    if a > pooled[n, j]:
-                        pooled[n, j] = a
-                        argmax[n, j] = p
-        return pooled, argmax
-
-    @numba.njit(cache=True, nogil=True)
-    def _conv_pool_backward_nb(docs, argmax, pooled, d_pooled, h):
-        B, L, dim = docs.shape
-        f = argmax.shape[1]
-        dW = np.zeros((h, dim, f), dtype=docs.dtype)
-        db = np.zeros(f, dtype=docs.dtype)
-        for n in range(B):
-            for j in range(f):
-                if pooled[n, j] > 0.0:
-                    g = d_pooled[n, j]
-                    if g != 0.0:
-                        p = argmax[n, j]
-                        for r in range(h):
-                            row = p + r
-                            for c in range(dim):
-                                dW[r, c, j] += g * docs[n, row, c]
-                        db[j] += g
-        return dW, db
-
-    def conv_pool_forward_nb(docs, W, b):
-        return _conv_pool_forward_nb(docs, W, b)
-
-    def conv_pool_backward_nb(docs, argmax, pooled, d_pooled, h):
-        return _conv_pool_backward_nb(
-            docs, argmax, pooled, np.ascontiguousarray(d_pooled), h
-        )
-
-else:  # pragma: no cover
-    conv_pool_forward_nb = None
-    conv_pool_backward_nb = None
-
-
-if BACKEND == "numba":
-    conv_pool_forward = conv_pool_forward_nb
-    conv_pool_backward = conv_pool_backward_nb
-else:
-    conv_pool_forward = conv_pool_forward_np
-    conv_pool_backward = conv_pool_backward_np
+    gate = np.where(pooled > 0, d_pooled, 0).astype(docs.dtype, copy=False)
+    n_idx, j_idx = np.nonzero(gate)
+    windows, row = np.unique(n_idx * L + argmax[n_idx, j_idx], return_inverse=True)
+    # A window lies in one document, so each (window, filter) cell receives
+    # at most one gradient and plain assignment scatters without collisions.
+    G = np.zeros((len(windows), f), dtype=docs.dtype)
+    G[row, j_idx] = gate[n_idx, j_idx]
+    n_sel, p_sel = np.divmod(windows, L)
+    # One (dim, U) @ (U, f) product per window offset: the same sums as a
+    # single (h*dim, U) product, without holding all h*dim window columns.
+    dW = np.empty((h, dim, f), dtype=docs.dtype)
+    for r in range(h):
+        np.matmul(docs[n_sel, p_sel + r].T, G, out=dW[r])
+    return dW, gate.sum(axis=0)

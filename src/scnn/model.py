@@ -190,20 +190,36 @@ def build_model(hp: HyperParams, embedding_dim: int, seed: int,
 # forward / backward
 # --------------------------------------------------------------------------
 
+def trim_pad_windows(docs: np.ndarray, h_max: int) -> np.ndarray:
+    """The leading rows of a (B, L, dim) batch that convs of width <= h_max
+    need: up to the last row nonzero in any document, plus h_max more.
+
+    Every window past that last row is all-pad with value relu(b). The kept
+    rows still hold the first of them and argmax takes the lowest position,
+    so pooled values and argmaxes equal those of the full batch. The trim
+    never cuts below min(L, h_max) rows, so a filter wider than the batch is
+    still reported against the full length.
+    """
+    nonzero = np.flatnonzero(docs.any(axis=0).any(axis=1))  # 5x faster than axis=(0, 2)
+    r_max = int(nonzero[-1]) + 1 if len(nonzero) else 0
+    return docs[:, :min(docs.shape[1], r_max + h_max)]
+
+
 def forward_batch(model: ShallowCNN, docs: np.ndarray, training: bool = False,
                   rng: Rng = None, fixed_masks=None):
     """Full pipeline on a (B, L, dim) batch; returns (probs (B, 3), caches).
 
     ``fixed_masks`` replays previously captured dropout masks (used by the
     finite-difference gradient checker); otherwise training mode draws fresh
-    masks from ``rng``. Inference mode applies no dropout at all.
+    masks from ``rng``. Inference mode applies no dropout at all. The convs
+    and their caches see the batch after ``trim_pad_windows``.
     """
     if docs.ndim != 3 or docs.shape[2] != model.embedding_dim:
         raise ValueError(
             f"docs shape {docs.shape} does not match embedding_dim {model.embedding_dim}"
         )
-    docs = docs.astype(model.dtype, copy=False)
     hp = model.hp
+    docs = trim_pad_windows(docs.astype(model.dtype, copy=False), max(hp.filter_sizes))
     pooled_parts = []
     conv_caches = []
     for g in range(N_GROUPS):
@@ -247,12 +263,6 @@ def forward_batch(model: ShallowCNN, docs: np.ndarray, training: bool = False,
         "probs": probs,
     }
     return probs, caches
-
-
-def forward(model: ShallowCNN, doc: np.ndarray, training: bool = False, rng: Rng = None):
-    """Single-document wrapper around forward_batch; probs has shape (3,)."""
-    probs, caches = forward_batch(model, doc[None], training=training, rng=rng)
-    return probs[0], caches
 
 
 def backward_batch(model: ShallowCNN, caches: dict, gold) -> dict:

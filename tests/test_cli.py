@@ -200,6 +200,18 @@ class TestStackPredictEvaluate:
             "f1_1", "f1_2", "f1_3", "precision_m", "recall_m", "f1_m",
         }
 
+    def test_predict_manifest_without_members(self, corpus_dir, tmp_path, capsys):
+        manifest = tmp_path / "stack.json"
+        manifest.write_text(json.dumps({"format_version": 1, "K": 1}))
+        pred = tmp_path / "pred.tsv"
+        code = run_cli("predict", "--manifest", manifest, "--test", corpus_dir / "test.tsv",
+                       "--embeddings", f"godin={corpus_dir}/embeddings.txt", "--out", pred)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "stack.json" in err and "members" in err
+        assert "Traceback" not in err
+        assert not pred.exists()
+
     def test_predict_unlabeled_input(self, run_dir, corpus_dir, tmp_path):
         emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
         stacks = tmp_path / "stacks"

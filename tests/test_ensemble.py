@@ -290,3 +290,28 @@ class TestManifest:
         assert "advisory" in caplog.text
         scores = [fe.cv_score for fe in loaded.ranked_members]
         assert scores == sorted(scores, reverse=True)
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda doc: doc.pop("members"), "manifest lacks members"),
+        (lambda doc: doc.pop("K"), "manifest lacks K"),
+        (lambda doc: doc.update(members=[]), "members must be a non-empty list"),
+        (lambda doc: doc.update(members=[doc["members"][0], "t0_f1.scnn"]), "member 1 is not"),
+    ] + [
+        (lambda doc, key=key: doc["members"][2].pop(key), f"member 2 lacks {key}")
+        for key in ("path", "sha256", "trial_id", "cv_score")
+    ])
+    def test_missing_keys_named(self, tmp_path, toy_corpus, edit, named):
+        import json
+
+        _, manifest, _ = self._saved(tmp_path, toy_corpus)
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"stack.json: {named}"):
+            E.load_ensemble(manifest)
+
+    def test_non_object_manifest(self, tmp_path):
+        manifest = tmp_path / "stack.json"
+        manifest.write_text("[1, 2]")
+        with pytest.raises(DataError, match="stack.json: manifest is not a JSON object"):
+            E.load_ensemble(manifest)

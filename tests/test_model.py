@@ -115,9 +115,52 @@ class TestForward:
 
     def test_single_doc_wrapper(self):
         net, docs = self._net_and_docs()
-        probs, _ = M.forward(net, docs[0])
-        batch, _ = M.forward_batch(net, docs[:1])
-        np.testing.assert_array_equal(probs, batch[0])
+        probs, _ = M.forward_batch(net, docs[:1])
+        batch, _ = M.forward_batch(net, docs)
+        np.testing.assert_array_equal(probs[0], batch[0])
+
+
+@pytest.mark.parametrize("dim,hp", [
+    (16, toy_hp()),  # desk shape
+    (64, toy_hp(n_filters=48, n_dense_output=32, batch_size=50, filter_sizes=(3, 4, 5, 6, 7))),
+])
+def test_pad_trim_is_bitwise_exact(monkeypatch, dim, hp):
+    """Trimming trailing all-pad windows changes no probability or gradient bit."""
+    rng = Rng(4)
+    docs = rng.uniform(0, 1, (50, 47, dim)).astype(np.float32)
+    for n, length in enumerate(rng.integers(1, 13, 50)):  # 1..12 real rows, then pad
+        docs[n, length:] = 0
+    net = build_model(hp, dim, seed=3)
+    for g in range(M.N_GROUPS):
+        W, b = net.params[f"conv{g}_w"], net.params[f"conv{g}_b"]
+        b[:] = Rng(g).uniform(-0.5, 0.5, hp.n_filters)
+        # docs are >= 0, so filter 0 is negative on every real window and its
+        # max is the pad windows' relu(b) = 0.5: a trim one row short breaks it
+        W[:, :, 0], b[0] = -np.abs(W[:, :, 0]), 0.5
+    labels = Rng(5).integers(1, 4, 50)
+
+    def run():
+        probs, caches = M.forward_batch(net, docs, training=True, rng=Rng(6))
+        return probs, caches, M.backward_batch(net, caches, labels)
+
+    probs, caches, grads = run()
+    assert caches["conv"][0][0].shape[1] <= 12 + max(hp.filter_sizes) < 47
+    assert all((cache[2][:, 0] == 0.5).all() for cache in caches["conv"])
+    monkeypatch.setattr(M, "trim_pad_windows", lambda docs, h_max: docs)
+    full_probs, full_caches, full_grads = run()
+    assert full_caches["conv"][0][0].shape[1] == 47
+    np.testing.assert_array_equal(probs, full_probs)
+    for name in grads:
+        np.testing.assert_array_equal(grads[name], full_grads[name], err_msg=name)
+
+
+def test_pad_trim_keeps_width_error_and_zero_batch():
+    net = build_model(toy_hp(filter_sizes=(1, 2, 2, 2, 5)), 8, seed=0)
+    with pytest.raises(ValueError, match="filter width 5 exceeds document length 4"):
+        M.forward_batch(net, np.zeros((2, 4, 8), np.float32))
+    probs, caches = M.forward_batch(net, np.zeros((2, 47, 8), np.float32))
+    assert caches["conv"][0][0].shape[1] == 5
+    np.testing.assert_allclose(probs, 1 / 3, atol=1e-6)
 
 
 class TestPredictProba:
