@@ -4,14 +4,15 @@ Subcommands: synth, search, train, stack, predict, evaluate, gradcheck.
 Every randomized command requires an explicit --seed; re-running any command
 with identical inputs and seed produces byte-identical artifacts.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-Partial outputs are removed when a command fails.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
+4 internal error (any other exception, such as a search worker process that
+died; it prints ``internal error: <type>: <message>``). Partial outputs are
+removed when a command fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -23,6 +24,7 @@ import numpy as np
 from . import corpus, embeddings, metrics, search, synth
 from .ensemble import load_ensemble, save_ensemble, stack_top_k, stacked_predict_by_embedding
 from .errors import DataError, NumericError, ScnnError
+from .fileio import atomic_write, file_sha256
 from .gradcheck import TOLERANCE, run_gradcheck
 from .model import HyperParams, TrainSchedule, validate_hyperparams
 from .rng import Rng
@@ -66,26 +68,6 @@ class _Outputs:
                     os.remove(path)
             except OSError:  # best effort; never mask the original error
                 pass
-
-
-def _atomic_write(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def _file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _parse_embeddings_flag(spec: str) -> dict:
@@ -186,11 +168,11 @@ def _load_search_inputs(args, space_names):
         raise DataError(f"embedding tables disagree on dimension: {sorted(dims)}")
     info = {
         "train_file": os.path.basename(args.train),
-        "train_sha256": _file_sha256(args.train),
+        "train_sha256": file_sha256(args.train),
         "n_examples": len(examples),
         "embeddings": {
             name: {"file": os.path.basename(registry[name]),
-                   "sha256": _file_sha256(registry[name])}
+                   "sha256": file_sha256(registry[name])}
             for name in sorted(tables)
         },
     }
@@ -198,6 +180,8 @@ def _load_search_inputs(args, space_names):
 
 
 def _cmd_search(args, outputs: _Outputs) -> int:
+    if args.parallelism < 1:
+        raise UsageError(f"--parallelism must be >= 1, got {args.parallelism}")
     overrides = {}
     if args.config:
         try:
@@ -256,11 +240,9 @@ def _cmd_train(args, outputs: _Outputs) -> int:
 
     for i, member in enumerate(fe.members):
         save_model(member, os.path.join(out, f"fold{i}.scnn"))
-    _atomic_write(
-        os.path.join(out, "oof.tsv"),
-        search.format_oof_tsv([ex.id for ex in examples], labels,
-                              folds.fold_of, fe.oof_probs),
-    )
+    with atomic_write(os.path.join(out, "oof.tsv")) as fh:
+        fh.write(search.format_oof_tsv([ex.id for ex in examples], labels,
+                                       folds.fold_of, fe.oof_probs))
     result = {
         "cv_score": round(fe.cv_score, 6),
         "hp": hp.to_dict(),
@@ -268,8 +250,8 @@ def _cmd_train(args, outputs: _Outputs) -> int:
         "folds_k": args.folds,
         "n_examples": len(examples),
     }
-    _atomic_write(os.path.join(out, "result.json"),
-                  json.dumps(result, indent=2, sort_keys=True) + "\n")
+    with atomic_write(os.path.join(out, "result.json")) as fh:
+        fh.write(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(f"cv_score {fe.cv_score:.6f}")
     return 0
 
@@ -317,7 +299,8 @@ def _cmd_stack(args, outputs: _Outputs) -> int:
         test_docs = _embed_examples(test_examples, tables)
         test_labels = [ex.label for ex in test_examples]
         report = search.top_k_report(loaded, k_values, test_docs, test_labels)
-        _atomic_write(os.path.join(out, "report.csv"), report)
+        with atomic_write(os.path.join(out, "report.csv")) as fh:
+            fh.write(report)
         logger.info("wrote %s", os.path.join(out, "report.csv"))
     return 0
 
@@ -335,7 +318,8 @@ def _cmd_predict(args, outputs: _Outputs) -> int:
         for i, ex in enumerate(examples)
     ]
     outputs.claim_file(args.out)
-    _atomic_write(args.out, "".join(lines))
+    with atomic_write(args.out) as fh:
+        fh.write("".join(lines))
     logger.info("wrote %d predictions to %s", len(lines), args.out)
     return 0
 
@@ -385,7 +369,8 @@ def _cmd_evaluate(args, outputs: _Outputs) -> int:
     report = metrics.MetricsReport.from_confusion(cm).to_json_text()
     if args.out:
         outputs.claim_file(args.out)
-        _atomic_write(args.out, report)
+        with atomic_write(args.out) as fh:
+            fh.write(report)
         logger.info("wrote %s", args.out)
     else:
         sys.stdout.write(report)
@@ -432,7 +417,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="JSON file overriding search-space domains")
     p.add_argument("--unrestricted-space", action="store_true",
                    help="allow domains outside the standard search space")
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=int, default=1,
+                   help="processes that run trials, this one included "
+                        "(capped at the trial and CPU counts)")
     add_schedule(p)
     p.set_defaults(func=_cmd_search)
 
@@ -478,8 +465,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, stream=sys.stderr,
-                        format="%(levelname)s %(message)s")
+    logging.basicConfig(level=logging.INFO, stream=sys.stderr, format=search.LOG_FORMAT)
     parser = _build_parser()
     outputs = _Outputs()
     try:
@@ -503,6 +489,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         outputs.discard_all()
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        outputs.discard_all()
+        return 4
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ in probability space, accumulated in float64 in a fixed member order.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -22,6 +21,7 @@ import numpy as np
 from . import metrics
 from .corpus import FoldAssignment
 from .errors import DataError, NumericError
+from .fileio import atomic_write, file_sha256
 from .model import HyperParams, TrainSchedule, TrainedModel, build_model, load_model, train
 from .rng import Rng
 
@@ -137,14 +137,6 @@ def stacked_predict_by_embedding(se: StackedEnsemble, docs_by_name: dict) -> np.
 MANIFEST_FORMAT_VERSION = 1
 
 
-def file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def save_ensemble(se: StackedEnsemble, manifest_path, model_paths: dict,
                   fold_seed: int, space_descriptor: str) -> None:
     """Write the manifest; ``model_paths[trial_id]`` lists that trial's
@@ -171,36 +163,49 @@ def save_ensemble(se: StackedEnsemble, manifest_path, model_paths: dict,
         "fold_seed": fold_seed,
         "space_descriptor": space_descriptor,
     }
-    tmp = f"{manifest_path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, manifest_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(manifest_path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-_MEMBER_KEYS = ("path", "sha256", "trial_id", "cv_score")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# key -> (check, what the value must be); JSON true/false are not numbers here
+_MEMBER_TYPES = {
+    "path": (lambda v: isinstance(v, str), "a string"),
+    "sha256": (lambda v: isinstance(v, str), "a string"),
+    "trial_id": (_is_int, "an integer"),
+    "cv_score": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+}
 
 
 def _check_manifest(manifest_path, doc) -> None:
-    """DataError naming the file unless ``doc`` has the keys load_ensemble reads."""
+    """DataError naming the file (and the member) unless ``doc`` has every
+    key load_ensemble reads, each with the type it expects."""
     if not isinstance(doc, dict):
         raise DataError(f"{manifest_path}: manifest is not a JSON object")
     missing = [key for key in ("K", "members") if key not in doc]
     if missing:
         raise DataError(f"{manifest_path}: manifest lacks {', '.join(missing)}")
+    if not _is_int(doc["K"]) or doc["K"] < 1:
+        raise DataError(f"{manifest_path}: K must be a positive integer, got {doc['K']!r}")
+    if not _is_int(doc.get("format_version", 0)):
+        raise DataError(f"{manifest_path}: format_version must be an integer")
     if not isinstance(doc["members"], list) or not doc["members"]:
         raise DataError(f"{manifest_path}: members must be a non-empty list")
     for i, entry in enumerate(doc["members"]):
         if not isinstance(entry, dict):
             raise DataError(f"{manifest_path}: member {i} is not a JSON object")
-        missing = [key for key in _MEMBER_KEYS if key not in entry]
+        missing = [key for key in _MEMBER_TYPES if key not in entry]
         if missing:
             raise DataError(f"{manifest_path}: member {i} lacks {', '.join(missing)}")
+        for key, (ok, what) in _MEMBER_TYPES.items():
+            if not ok(entry[key]):
+                raise DataError(
+                    f"{manifest_path}: member {i} {key} must be {what}, got {entry[key]!r}"
+                )
 
 
 def load_ensemble(manifest_path) -> StackedEnsemble:
@@ -228,7 +233,7 @@ def load_ensemble(manifest_path) -> StackedEnsemble:
             raise DataError(f"{manifest_path}: missing member file {entry['path']}")
         if file_sha256(path) != entry["sha256"]:
             raise DataError(f"{manifest_path}: hash mismatch for member {entry['path']}")
-        tid = int(entry["trial_id"])
+        tid = entry["trial_id"]
         if tid not in by_trial:
             by_trial[tid] = {"models": [], "cv_score": float(entry["cv_score"])}
             trial_order.append(tid)
@@ -249,4 +254,4 @@ def load_ensemble(manifest_path) -> StackedEnsemble:
             "%s: member order does not match (-cv_score, trial_id) ranking; "
             "scores are advisory after load, reordering by score", manifest_path,
         )
-    return StackedEnsemble(ranked_members=ranked, k=int(doc["K"]))
+    return StackedEnsemble(ranked_members=ranked, k=doc["K"])

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these to exit codes: usage problems exit 1, DataError exits 2,
-NumericError exits 3.
+NumericError exits 3, and any other exception exits 4.
 """
 
 

@@ -10,7 +10,6 @@ inputs; only the tensors created here are trained.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import metrics, nn_core
 from .errors import DataError, NumericError
+from .fileio import atomic_write
 from .rng import Rng
 
 N_GROUPS = 5
@@ -462,20 +462,13 @@ def save_model(model, path) -> None:
         },
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MODEL_MAGIC)
-            fh.write(struct.pack("<II", MODEL_FORMAT_VERSION, len(blob)))
-            fh.write(blob)
-            code = _DTYPE_CODES[dtype_name]
-            for name in order:
-                fh.write(np.ascontiguousarray(net.params[name], dtype=code).tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, binary=True) as fh:
+        fh.write(MODEL_MAGIC)
+        fh.write(struct.pack("<II", MODEL_FORMAT_VERSION, len(blob)))
+        fh.write(blob)
+        code = _DTYPE_CODES[dtype_name]
+        for name in order:
+            fh.write(np.ascontiguousarray(net.params[name], dtype=code).tobytes())
 
 
 def load_model(path):

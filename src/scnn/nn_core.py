@@ -10,7 +10,7 @@ bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -153,9 +153,18 @@ def dropout(x: np.ndarray, keep_prob: float, rng: Rng = None, training: bool = F
 # Adam
 # --------------------------------------------------------------------------
 
+# Elements per pass of an Adam update: a pass's slices of p, g, m, v and its
+# two scratch buffers stay in cache, so each tensor is read and written once.
+ADAM_CHUNK = 1 << 15
+
+
 @dataclass
 class AdamState:
-    """First/second moment estimates per parameter tensor plus step count."""
+    """First/second moment estimates per parameter tensor plus step count.
+
+    ``scratch`` holds two ADAM_CHUNK-long buffers that every step reuses for
+    its intermediates instead of allocating parameter-sized temporaries.
+    """
 
     m: dict
     v: dict
@@ -163,6 +172,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+    scratch: tuple = field(default=None, repr=False)
 
     @classmethod
     def for_params(cls, params: dict, beta2: float, beta1: float = 0.9,
@@ -178,24 +188,57 @@ class AdamState:
         )
 
 
+def _adam_slices(p, g, m, v, scratch):
+    """(p, g, m, v, s, t) per ADAM_CHUNK slice; s and t are scratch views.
+    A tensor that fits in one slice keeps its shape."""
+    s_buf, t_buf = scratch
+    n = p.size
+    if n <= ADAM_CHUNK:
+        yield p, g, m, v, s_buf[:n].reshape(p.shape), t_buf[:n].reshape(p.shape)
+        return
+    p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+    for lo in range(0, n, ADAM_CHUNK):
+        hi = min(lo + ADAM_CHUNK, n)
+        yield p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], s_buf[:hi - lo], t_buf[:hi - lo]
+
+
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place on params and state."""
+    """One bias-corrected Adam update, in place on params and state.
+
+    m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+    p -= (lr/bc1)*m / (sqrt(v/bc2) + eps). Each tensor is updated one
+    ADAM_CHUNK slice at a time with the operations in this order, so the
+    result has the same bits as the formula evaluated with temporaries.
+    """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.t
+    b1, b2, eps = state.beta1, state.beta2, state.epsilon
+    step = lr / (1.0 - b1 ** state.t)
     bc2 = 1.0 - b2 ** state.t
     for name, p in params.items():
         g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
+        if g.shape != p.shape or g.dtype != p.dtype:
+            raise ValueError(f"gradient {g.shape} {g.dtype} does not match param "
+                             f"{p.shape} {p.dtype} for {name}")
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for tensor {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * np.square(g)
-        p -= (lr / bc1) * m / (np.sqrt(v / bc2) + state.epsilon)
+        m, v = state.m[name], state.v[name]
+        if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+            raise ValueError(f"parameter {name!r} and its moments must be C-contiguous")
+        if state.scratch is None or state.scratch[0].dtype != p.dtype:
+            state.scratch = (np.empty(ADAM_CHUNK, p.dtype), np.empty(ADAM_CHUNK, p.dtype))
+        for pc, gc, mc, vc, s, t in _adam_slices(p, g, m, v, state.scratch):
+            mc *= b1
+            np.multiply(1 - b1, gc, out=s)
+            mc += s
+            vc *= b2
+            np.square(gc, out=s)
+            np.multiply(1 - b2, s, out=s)
+            vc += s
+            np.divide(vc, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += eps
+            np.multiply(step, mc, out=t)
+            t /= s
+            pc -= t

@@ -1,10 +1,14 @@
 """Random hyperparameter search: sampling, trial execution, leaderboard.
 
 Each trial trains a full fold ensemble for one sampled configuration. Trials
-are independent, so they can run on a thread pool; every trial's random
-streams derive from (seed, trial_id) and configs are sampled up front from a
-dedicated substream, which makes the leaderboard and all trial artifacts
-byte-identical regardless of the worker count.
+are independent, so ``--parallelism n`` splits them over n processes: the
+calling process and n - 1 spawned workers, capped at the trial count and the
+CPU count. Trial j of the planned list runs on process j % n, and every
+process runs the same ``run_trial``; each worker gets the training inputs
+once, when it starts, and its BLAS is pinned to one thread. Every trial's
+random streams derive from (seed, trial_id) and configs are sampled up front
+from a dedicated substream, which makes the leaderboard and all trial
+artifacts byte-identical regardless of the process count.
 
 Run directory layout::
 
@@ -27,8 +31,9 @@ import io
 import json
 import logging
 import os
+import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -44,6 +49,7 @@ from .ensemble import (
     train_fold_ensemble,
 )
 from .errors import DataError, ScnnError
+from .fileio import atomic_write
 from .model import (
     DEFAULT_SEARCH_DOMAINS,
     HP_FIELDS,
@@ -266,6 +272,119 @@ def cv_score_from_oof(labels: np.ndarray, oof_probs: np.ndarray) -> float:
 # search driver
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class TrialInputs:
+    """Everything a trial reads besides its id and config; sent to each
+    worker process once."""
+
+    ids: Sequence[str]
+    labels: np.ndarray
+    docs_by_name: dict
+    folds: FoldAssignment
+    sched: TrainSchedule
+    seed: int
+    dtype: type
+    out_dir: Optional[str]
+    keep_models: bool
+
+
+def run_trial(inputs: TrialInputs, tid: int, hp: HyperParams) -> TrialRecord:
+    """Train trial ``tid``'s fold ensemble and, with an ``out_dir``, write its
+    fold models and oof.tsv. A training failure becomes a failed record."""
+    started = time.perf_counter()
+    try:
+        fe = train_fold_ensemble(
+            hp, inputs.docs_by_name[hp.word_embedding], inputs.labels, inputs.folds,
+            inputs.sched, Rng(inputs.seed).substream(tid), trial_id=tid,
+            dtype=inputs.dtype,
+        )
+    except (ScnnError, ValueError, ArithmeticError) as exc:
+        elapsed = time.perf_counter() - started
+        logger.warning("trial %d failed after %.1fs: %s", tid, elapsed, exc)
+        return TrialRecord(tid, hp, float("nan"), f"failed: {exc}", elapsed)
+    elapsed = time.perf_counter() - started
+    logger.info("trial %d done in %.1fs, cv_score %.6f", tid, elapsed, fe.cv_score)
+    cv = fe.cv_score
+    if inputs.out_dir is not None:
+        trial_dir = os.path.join(inputs.out_dir, "trials", str(tid))
+        os.makedirs(trial_dir, exist_ok=True)
+        for i, member in enumerate(fe.members):
+            save_model(member, os.path.join(trial_dir, f"fold{i}.scnn"))
+        with atomic_write(os.path.join(trial_dir, "oof.tsv")) as fh:
+            fh.write(format_oof_tsv(inputs.ids, inputs.labels, inputs.folds.fold_of,
+                                    fe.oof_probs))
+        if not inputs.keep_models:
+            fe = None
+    return TrialRecord(tid, hp, cv, "ok", elapsed, ensemble=fe)
+
+
+def process_count(parallelism: int, n_trials: int) -> int:
+    """Processes a search uses, the caller included: ``parallelism`` capped
+    at the trial count and the CPU count."""
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    return min(parallelism, n_trials, os.cpu_count() or 1)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+LOG_FORMAT = "%(levelname)s %(message)s"
+
+
+@contextmanager
+def single_thread_blas_env():
+    """Set the BLAS thread variables to 1 for processes started inside the
+    block, then restore this process's values. A worker reads them when it
+    imports numpy, which happens before any initializer runs."""
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+_worker_inputs: Optional[TrialInputs] = None  # set in each worker process
+
+
+def _init_worker(inputs: TrialInputs, log_level: int) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+    logging.basicConfig(level=log_level, stream=sys.stderr, format=LOG_FORMAT)
+
+
+def _run_worker_share(share) -> list:
+    return [run_trial(_worker_inputs, tid, hp) for tid, hp in share]
+
+
+def _run_trials(inputs: TrialInputs, planned: list, n_procs: int) -> list:
+    """Records of every planned trial. With ``n_procs`` > 1 the calling
+    process runs its own share while spawned workers run theirs."""
+    shares = [planned[w::n_procs] for w in range(n_procs)]
+    if n_procs == 1:
+        return [run_trial(inputs, tid, hp) for tid, hp in shares[0]]
+    # imported here: loading multiprocessing costs every other command
+    # ~0.07 s of start-up and ~1 MB of RSS
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        max_workers=n_procs - 1, mp_context=multiprocessing.get_context("spawn"),
+        initializer=_init_worker, initargs=(inputs, logger.getEffectiveLevel()),
+    )
+    with pool:
+        # workers start inside submit, one per share
+        with single_thread_blas_env():
+            futures = [pool.submit(_run_worker_share, share) for share in shares[1:]]
+        records = [run_trial(inputs, tid, hp) for tid, hp in shares[0]]
+        for future in futures:
+            records += future.result()
+    return records
+
+
 def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
                space: SearchSpace, n_trials: int, folds: FoldAssignment,
                sched: TrainSchedule, seed: int, parallelism: int = 1,
@@ -281,10 +400,10 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    n_procs = process_count(parallelism, n_trials)
     for name in space.domains["word_embedding"]:
         if name not in docs_by_name:
             raise DataError(f"no embedded documents for word_embedding={name!r}")
-    labels = np.asarray(labels, dtype=np.int64)
 
     sampler = Rng(seed).substream("sampler")
     seen: set = set()
@@ -292,43 +411,14 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
 
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "trials"), exist_ok=True)
-
-    def run_trial(tid: int, hp: HyperParams) -> TrialRecord:
-        started = time.perf_counter()
-        try:
-            fe = train_fold_ensemble(
-                hp, docs_by_name[hp.word_embedding], labels, folds, sched,
-                Rng(seed).substream(tid), trial_id=tid, dtype=dtype,
-            )
-        except (ScnnError, ValueError, ArithmeticError) as exc:
-            elapsed = time.perf_counter() - started
-            logger.warning("trial %d failed after %.1fs: %s", tid, elapsed, exc)
-            return TrialRecord(tid, hp, float("nan"), f"failed: {exc}", elapsed)
-        elapsed = time.perf_counter() - started
-        logger.info("trial %d done in %.1fs, cv_score %.6f", tid, elapsed, fe.cv_score)
-        cv = fe.cv_score
-        if out_dir is not None:
-            trial_dir = os.path.join(out_dir, "trials", str(tid))
-            os.makedirs(trial_dir, exist_ok=True)
-            for i, member in enumerate(fe.members):
-                save_model(member, os.path.join(trial_dir, f"fold{i}.scnn"))
-            with open(os.path.join(trial_dir, "oof.tsv"), "w", encoding="utf-8",
-                      newline="") as fh:
-                fh.write(format_oof_tsv(ids, labels, folds.fold_of, fe.oof_probs))
-            if not keep_models:
-                fe = None
-        return TrialRecord(tid, hp, cv, "ok", elapsed, ensemble=fe)
-
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            records = list(pool.map(lambda args: run_trial(*args), planned))
-    else:
-        records = [run_trial(tid, hp) for tid, hp in planned]
-
-    ranked = leaderboard_order(records)
+    inputs = TrialInputs(
+        ids=ids, labels=np.asarray(labels, dtype=np.int64),
+        docs_by_name=docs_by_name, folds=folds, sched=sched, seed=seed, dtype=dtype,
+        out_dir=out_dir, keep_models=keep_models,
+    )
+    ranked = leaderboard_order(_run_trials(inputs, planned, n_procs))
     if out_dir is not None:
-        with open(os.path.join(out_dir, "leaderboard.csv"), "w", encoding="utf-8",
-                  newline="") as fh:
+        with atomic_write(os.path.join(out_dir, "leaderboard.csv")) as fh:
             fh.write(format_leaderboard_csv(ranked))
         manifest = {
             "format_version": 1,
@@ -346,7 +436,7 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
             },
             "dataset": dataset_info or {},
         }
-        with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        with atomic_write(os.path.join(out_dir, "manifest.json")) as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return ranked

@@ -72,6 +72,40 @@ class TestUsageErrors:
         assert code == 1
 
 
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_parallelism_below_one(self, corpus_dir, tmp_path, capsys, bad):
+        out = tmp_path / "run"
+        code = run_cli("search", "--train", corpus_dir / "train.tsv",
+                       "--embeddings", f"godin={corpus_dir}/embeddings.txt",
+                       "--trials", 1, "--seed", 1, "--out", out, "--parallelism", bad)
+        assert code == 1
+        assert "--parallelism" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_4_and_discards(self, corpus_dir, tmp_path,
+                                                       capsys, monkeypatch):
+        import scnn.search
+
+        def boom(records):
+            raise RuntimeError("leaderboard writer broke")
+
+        # fails after the trials have written their files
+        monkeypatch.setattr(scnn.search, "format_leaderboard_csv", boom)
+        out = tmp_path / "run"
+        emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
+        code = run_cli("search", "--train", corpus_dir / "train.tsv",
+                       "--embeddings", emb, "--trials", 1, "--seed", 1, "--out", out,
+                       "--config", corpus_dir / "space.json", "--unrestricted-space",
+                       "--max-epochs", 1)
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "internal error: RuntimeError: leaderboard writer broke" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestDataErrors:
     def test_missing_train_file(self, corpus_dir, tmp_path):
         emb = f"godin={corpus_dir}/embeddings.txt"
@@ -209,6 +243,40 @@ class TestStackPredictEvaluate:
         err = capsys.readouterr().err
         assert code == 2
         assert "stack.json" in err and "members" in err
+        assert "Traceback" not in err
+        assert not pred.exists()
+
+    @pytest.mark.parametrize("where,key,value", [
+        ("top", "K", "3"),
+        ("top", "K", 0),
+        ("top", "K", True),
+        ("top", "format_version", "1"),
+        ("member", "trial_id", "x"),
+        ("member", "trial_id", 1.5),
+        ("member", "cv_score", "high"),
+        ("member", "cv_score", None),
+        ("member", "path", 5),
+        ("member", "path", ["fold0.scnn"]),
+        ("member", "sha256", None),
+    ])
+    def test_predict_manifest_value_types(self, run_dir, corpus_dir, tmp_path, capsys,
+                                          where, key, value):
+        stacks = tmp_path / "stacks"
+        assert run_cli("stack", "--run", run_dir, "--top-k", "1", "--out", stacks) == 0
+        manifest = stacks / "stack_top1.json"
+        doc = json.loads(manifest.read_text())
+        (doc if where == "top" else doc["members"][2])[key] = value
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        pred = tmp_path / "pred.tsv"
+        code = run_cli("predict", "--manifest", manifest, "--test", corpus_dir / "test.tsv",
+                       "--embeddings", f"godin={corpus_dir}/embeddings.txt,"
+                                       f"shin={corpus_dir}/embeddings.txt", "--out", pred)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "stack_top1.json" in err and key in err
+        if where == "member":
+            assert "member 2" in err
         assert "Traceback" not in err
         assert not pred.exists()
 

@@ -189,6 +189,46 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(params, {"w": np.ones(1)}, state, lr=0.0)
 
+    def test_gradient_dtype_must_match(self):
+        params, state = self._setup(np.float32)
+        with pytest.raises(ValueError, match="float64"):
+            adam_step(params, {"w": np.ones(1)}, state, lr=0.1)
+
+    @staticmethod
+    def _reference_step(params, grads, m_all, v_all, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+        """The update written with plain temporaries."""
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        for name, p in params.items():
+            g, m, v = grads[name], m_all[name], v_all[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * np.square(g)
+            p -= (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_reference(self, dtype):
+        rng = Rng(42)
+        # "conv" spans three ADAM_CHUNK slices, the last one partial
+        shapes = {"conv": (3, 160, 150), "dense": (40, 16), "b": (8,), "one": (1,)}
+        params = {k: rng.uniform(-1, 1, s).astype(dtype) for k, s in shapes.items()}
+        ref = {k: p.copy() for k, p in params.items()}
+        ref_m = {k: np.zeros_like(p) for k, p in params.items()}
+        ref_v = {k: np.zeros_like(p) for k, p in params.items()}
+        state = AdamState.for_params(params, beta2=0.999)
+        for step in range(1, 7):
+            grads = {k: rng.gen.normal(0, 10.0 ** (step % 3 - 1), s).astype(dtype)
+                     for k, s in shapes.items()}
+            lr = 0.01 / step
+            adam_step(params, grads, state, lr)
+            self._reference_step(ref, grads, ref_m, ref_v, step, lr)
+            for k in shapes:
+                assert params[k].dtype == dtype
+                np.testing.assert_array_equal(params[k], ref[k])
+                np.testing.assert_array_equal(state.m[k], ref_m[k])
+                np.testing.assert_array_equal(state.v[k], ref_v[k])
+
 
 def test_conv_group_forward_single_doc_shape():
     doc = Rng(0).uniform(-1, 1, (5, 3)).astype(np.float32)

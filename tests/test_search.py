@@ -1,5 +1,8 @@
+import concurrent.futures
 import json
+import os
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -249,6 +252,105 @@ class TestRunSearch:
             assert all(np.isnan(r.cv_score) for r in failed)
             # failures sort last
             assert records[-1] in failed
+
+
+class TestProcessCount:
+    """The process-count helper is pure: these tests start no processes."""
+
+    @pytest.mark.parametrize("parallelism,n_trials,cpus,expected", [
+        (1, 10, 8, 1),
+        (2, 10, 8, 2),
+        (4, 3, 8, 3),     # never more processes than trials
+        (1000, 99, 2, 2),  # never more processes than CPUs
+        (4, 10, None, 1),  # unknown CPU count runs serially
+    ])
+    def test_caps(self, monkeypatch, parallelism, n_trials, cpus, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert S.process_count(parallelism, n_trials) == expected
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_rejects_below_one(self, bad):
+        with pytest.raises(ValueError, match="parallelism"):
+            S.process_count(bad, 5)
+
+
+class _RecordingPool(ProcessPoolExecutor):
+    """Counts pools and records the BLAS variables each submit sees."""
+
+    started = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _RecordingPool.started.append(kwargs["max_workers"])
+
+    def submit(self, *args, **kwargs):
+        _RecordingPool.env_at_submit = {k: os.environ.get(k) for k in S.BLAS_THREAD_VARS}
+        return super().submit(*args, **kwargs)
+
+
+def _failing_lr_search(out_dir, parallelism):
+    """4 trials where trials 1 and 3 (lr 1e30) fail with a NaN."""
+    examples, docs, labels = synth_arrays(302, 60)
+    folds = stratified_kfold(examples, k=5, seed=302)
+    space = S.SearchSpace.from_dict(
+        {**synth.TOY_SPACE, "learning_rate": [0.01, 1e30]}, restricted=False
+    )
+    with np.errstate(all="ignore"):
+        return S.run_search(
+            [ex.id for ex in examples], labels, {"godin": docs, "shin": docs},
+            space, 4, folds, TrainSchedule(max_epochs=2), seed=3,
+            parallelism=parallelism, out_dir=str(out_dir), keep_models=True,
+        )
+
+
+def _tree_bytes(root):
+    return {
+        os.path.relpath(os.path.join(d, f), root): open(os.path.join(d, f), "rb").read()
+        for d, _, files in os.walk(root) for f in files
+    }
+
+
+class TestProcessPool:
+    def test_pool_matches_serial_bytes_and_failures(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # a pool even on one core
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        _RecordingPool.started.clear()
+        serial = _failing_lr_search(tmp_path / "p1", 1)
+        assert _RecordingPool.started == []
+        pooled = _failing_lr_search(tmp_path / "p2", 2)
+        assert _RecordingPool.started == [1]
+
+        assert [r.status.split(":")[0] for r in serial] == ["ok", "ok", "failed", "failed"]
+        for a, b in zip(serial, pooled):
+            assert (a.trial_id, a.hp, a.status) == (b.trial_id, b.hp, b.status)
+            assert a.cv_score == b.cv_score or (np.isnan(a.cv_score) and np.isnan(b.cv_score))
+            if a.ok:
+                np.testing.assert_array_equal(a.ensemble.oof_probs, b.ensemble.oof_probs)
+            else:
+                assert a.ensemble is None and b.ensemble is None
+        assert _tree_bytes(tmp_path / "p1") == _tree_bytes(tmp_path / "p2")
+        assert not [p for p in _tree_bytes(tmp_path / "p2") if p.endswith(".tmp")]
+
+    def test_environment_restored_after_pool_starts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        before = dict(os.environ)
+        _failing_lr_search(tmp_path / "run", 2)
+        assert _RecordingPool.env_at_submit == dict.fromkeys(S.BLAS_THREAD_VARS, "1")
+        assert dict(os.environ) == before
+
+    def test_environment_restored_on_error(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        with pytest.raises(RuntimeError):
+            with S.single_thread_blas_env():
+                assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+                raise RuntimeError("spawn failed")
+        assert dict(os.environ) == before
 
 
 def test_full_trial_budget_produces_dense_records():
