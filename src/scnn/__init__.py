@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .corpus import Example, FoldAssignment, TokenSeq, parse_dataset, stratified_kfold, tokenize
-from .embeddings import EmbeddingTable, load_embeddings, lookup_doc
+from .embeddings import EmbeddingTable, load_embeddings
 from .ensemble import FoldEnsemble, StackedEnsemble, stack_top_k, train_fold_ensemble
 from .errors import DataError, NumericError, ScnnError
 from .model import HyperParams, ShallowCNN, TrainSchedule, build_model, load_model, save_model, train
@@ -14,7 +14,7 @@ __all__ = [
     "DataError", "EmbeddingTable", "Example", "FoldAssignment", "FoldEnsemble",
     "HyperParams", "NumericError", "Rng", "ScnnError", "SearchSpace",
     "ShallowCNN", "StackedEnsemble", "TokenSeq", "TrainSchedule",
-    "build_model", "load_embeddings", "load_model", "lookup_doc",
+    "build_model", "load_embeddings", "load_model",
     "parse_dataset", "run_search", "sample_config", "save_model",
     "stack_top_k", "stratified_kfold", "tokenize", "train",
     "train_fold_ensemble",

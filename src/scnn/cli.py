@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import corpus, embeddings, metrics, search, synth
-from .ensemble import load_ensemble, save_ensemble, stack_top_k, stacked_predict_by_embedding
+from .ensemble import load_ensemble, save_ensemble, stack_top_k, stacked_predict
 from .errors import DataError, NumericError, ScnnError
 from .fileio import atomic_write, file_sha256
 from .gradcheck import TOLERANCE, run_gradcheck
@@ -265,11 +265,7 @@ def _cmd_stack(args, outputs: _Outputs) -> int:
         raise DataError(
             f"--top-k {max(k_values)} exceeds {len(records)} successful trials"
         )
-    try:
-        with open(os.path.join(args.run, "manifest.json"), encoding="utf-8") as fh:
-            run_manifest = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read run manifest: {exc}") from exc
+    run_manifest = search.load_run_manifest(args.run)
 
     want_report = args.test is not None
     needed = records if want_report else records[:max(k_values)]
@@ -311,7 +307,7 @@ def _cmd_predict(args, outputs: _Outputs) -> int:
     examples = corpus.parse_dataset(args.test, labeled=_sniff_labeled(args.test))
     tables = _load_tables(registry, {fe.hp.word_embedding for fe in se.ranked_members})
     docs_by_name = _embed_examples(examples, tables)
-    probs = stacked_predict_by_embedding(se, docs_by_name)
+    probs = stacked_predict(se, docs_by_name)
     labels = metrics.argmax_labels(probs)
     lines = [
         f"{ex.id}\t{labels[i]}\t{probs[i, 0]:.6f}\t{probs[i, 1]:.6f}\t{probs[i, 2]:.6f}\n"

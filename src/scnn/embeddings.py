@@ -25,17 +25,6 @@ class EmbeddingTable:
     vectors: np.ndarray = field(repr=False)  # (len(vocab), dim) float32
 
 
-@dataclass
-class DocMatrix:
-    """One document as a (length x dim) float32 matrix.
-
-    Rows for PAD positions and out-of-vocabulary tokens are exactly zero.
-    """
-
-    values: np.ndarray
-    real_length: int
-
-
 def load_embeddings(path, name: str) -> EmbeddingTable:
     """Parse a word2vec text file; errors carry the offending line number."""
     try:
@@ -95,25 +84,21 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
             fh.write(word + " " + " ".join(str(v) for v in row) + "\n")
 
 
-def lookup_doc(table: EmbeddingTable, seq: TokenSeq) -> DocMatrix:
-    """Map a token sequence onto its embedding rows.
-
-    Unknown tokens and PAD positions get the zero vector, so they contribute
-    nothing to convolution sums.
-    """
-    out = np.zeros((len(seq.tokens), table.dim), dtype=np.float32)
-    for i in range(seq.real_length):
-        row = table.vocab.get(seq.tokens[i])
-        if row is not None:
-            out[i] = table.vectors[row]
-    return DocMatrix(out, seq.real_length)
-
-
 def lookup_docs(table: EmbeddingTable, seqs: Sequence[TokenSeq]) -> np.ndarray:
-    """Stack lookup_doc over a corpus into one (N, L, dim) float32 array."""
+    """Map token sequences onto their embedding rows: one (N, L, dim) float32
+    array, the documents' shared length L taken from the first.
+
+    Unknown tokens and positions >= real_length (PAD, even when the vocab
+    has a PAD entry) get the zero vector, so they contribute nothing to
+    convolution sums. Every position is gathered at once from the table
+    with a zero row put in front; those positions index that row.
+    """
     if not seqs:
         return np.zeros((0, 0, table.dim), dtype=np.float32)
-    out = np.zeros((len(seqs), len(seqs[0].tokens), table.dim), dtype=np.float32)
+    ids = np.zeros((len(seqs), len(seqs[0].tokens)), dtype=np.int32)
     for n, seq in enumerate(seqs):
-        out[n] = lookup_doc(table, seq).values
-    return out
+        ids[n, :seq.real_length] = [table.vocab.get(tok, -1) + 1
+                                    for tok in seq.tokens[:seq.real_length]]
+    rows = np.zeros((len(table.vectors) + 1, table.dim), dtype=np.float32)
+    rows[1:] = table.vectors
+    return rows[ids]

@@ -21,7 +21,7 @@ import numpy as np
 from . import metrics
 from .corpus import FoldAssignment
 from .errors import DataError, NumericError
-from .fileio import atomic_write, file_sha256
+from .fileio import atomic_write, check_fields, file_sha256, is_int
 from .model import HyperParams, TrainSchedule, TrainedModel, build_model, load_model, train
 from .rng import Rng
 
@@ -46,7 +46,7 @@ class StackedEnsemble:
 
 def train_fold_ensemble(hp: HyperParams, docs: np.ndarray, labels: np.ndarray,
                         folds: FoldAssignment, sched: TrainSchedule, rng: Rng,
-                        trial_id: int = 0, dtype=np.float32) -> FoldEnsemble:
+                        trial_id: int = 0) -> FoldEnsemble:
     """Train one model per fold; dev set = the held-out fold.
 
     Each member's init and training streams derive from ``rng`` and its fold
@@ -64,7 +64,7 @@ def train_fold_ensemble(hp: HyperParams, docs: np.ndarray, labels: np.ndarray,
         held_out = np.flatnonzero(fold_of == i)
         train_idx = np.flatnonzero(fold_of != i)
         fold_seed = rng.derive_seed("fold", i)
-        net = build_model(hp, docs.shape[2], seed=fold_seed, dtype=dtype)
+        net = build_model(hp, docs.shape[2], seed=fold_seed)
         try:
             trained = train(
                 net, docs[train_idx], labels[train_idx],
@@ -77,10 +77,9 @@ def train_fold_ensemble(hp: HyperParams, docs: np.ndarray, labels: np.ndarray,
             raise NumericError(f"fold {i}: {exc}") from exc
         members.append(trained)
         oof[held_out] = trained.predict_proba(docs[held_out]).astype(np.float64)
-    pred = metrics.argmax_labels(oof)
-    cv_score = metrics.micro_prf_12(metrics.confusion(labels, pred))[2]
     return FoldEnsemble(hp=hp, members=members, oof_probs=oof,
-                        cv_score=float(cv_score), trial_id=trial_id, folds=folds)
+                        cv_score=metrics.micro_f1_12(labels, oof), trial_id=trial_id,
+                        folds=folds)
 
 
 def ensemble_predict(fe: FoldEnsemble, docs: np.ndarray) -> np.ndarray:
@@ -103,21 +102,13 @@ def stack_top_k(trials: Sequence[FoldEnsemble], k: int) -> StackedEnsemble:
     return StackedEnsemble(ranked_members=ranked[:k], k=k)
 
 
-def stacked_predict(se: StackedEnsemble, docs: np.ndarray) -> np.ndarray:
+def stacked_predict(se: StackedEnsemble, docs_by_name: dict) -> np.ndarray:
     """Mean over the K member ensembles' predictions, in rank order.
 
-    Because every sub-ensemble has the same member count, this equals the
-    flat mean over all underlying models.
+    ``docs_by_name`` maps each member's word_embedding name to the documents
+    embedded with that table. Because every sub-ensemble has the same member
+    count, this equals the flat mean over all underlying models.
     """
-    acc = np.zeros((len(docs), 3), dtype=np.float64)
-    for fe in se.ranked_members:
-        acc += ensemble_predict(fe, docs)
-    return acc / len(se.ranked_members)
-
-
-def stacked_predict_by_embedding(se: StackedEnsemble, docs_by_name: dict) -> np.ndarray:
-    """stacked_predict for ensembles whose members use different embedding
-    tables; ``docs_by_name`` maps each word_embedding name to its documents."""
     first = docs_by_name[se.ranked_members[0].hp.word_embedding]
     acc = np.zeros((len(first), 3), dtype=np.float64)
     for fe in se.ranked_members:
@@ -168,16 +159,12 @@ def save_ensemble(se: StackedEnsemble, manifest_path, model_paths: dict,
         fh.write("\n")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# key -> (check, what the value must be); JSON true/false are not numbers here
+# key -> (check, what the value must be)
 _MEMBER_TYPES = {
     "path": (lambda v: isinstance(v, str), "a string"),
     "sha256": (lambda v: isinstance(v, str), "a string"),
-    "trial_id": (_is_int, "an integer"),
-    "cv_score": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "trial_id": (is_int, "an integer"),
+    "cv_score": (lambda v: is_int(v) or isinstance(v, float), "a number"),
 }
 
 
@@ -189,23 +176,14 @@ def _check_manifest(manifest_path, doc) -> None:
     missing = [key for key in ("K", "members") if key not in doc]
     if missing:
         raise DataError(f"{manifest_path}: manifest lacks {', '.join(missing)}")
-    if not _is_int(doc["K"]) or doc["K"] < 1:
+    if not is_int(doc["K"]) or doc["K"] < 1:
         raise DataError(f"{manifest_path}: K must be a positive integer, got {doc['K']!r}")
-    if not _is_int(doc.get("format_version", 0)):
+    if not is_int(doc.get("format_version", 0)):
         raise DataError(f"{manifest_path}: format_version must be an integer")
     if not isinstance(doc["members"], list) or not doc["members"]:
         raise DataError(f"{manifest_path}: members must be a non-empty list")
     for i, entry in enumerate(doc["members"]):
-        if not isinstance(entry, dict):
-            raise DataError(f"{manifest_path}: member {i} is not a JSON object")
-        missing = [key for key in _MEMBER_TYPES if key not in entry]
-        if missing:
-            raise DataError(f"{manifest_path}: member {i} lacks {', '.join(missing)}")
-        for key, (ok, what) in _MEMBER_TYPES.items():
-            if not ok(entry[key]):
-                raise DataError(
-                    f"{manifest_path}: member {i} {key} must be {what}, got {entry[key]!r}"
-                )
+        check_fields(manifest_path, f"member {i}", entry, _MEMBER_TYPES)
 
 
 def load_ensemble(manifest_path) -> StackedEnsemble:

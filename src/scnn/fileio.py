@@ -3,7 +3,8 @@
 ``atomic_write`` makes a file appear whole or not at all: the content goes
 to ``<path>.tmp``, which replaces ``path`` only after a clean write and is
 removed on any error. ``file_sha256`` is the content hash stored in stack
-manifests and run manifests.
+manifests and run manifests. ``check_fields`` is the readers' one check
+of a JSON object's keys and value types.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import os
 from contextlib import contextmanager
+
+from .errors import DataError
 
 
 @contextmanager
@@ -30,6 +33,25 @@ def atomic_write(path, binary: bool = False):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def is_int(value) -> bool:
+    """True for an integer; JSON true and false are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_fields(path, what: str, doc, types: dict) -> None:
+    """DataError naming ``path`` and ``what`` unless ``doc`` is a JSON object
+    with every key of ``types`` (key -> (check, what the value must be)),
+    each value passing its check."""
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: {what} is not a JSON object")
+    missing = [key for key in types if key not in doc]
+    if missing:
+        raise DataError(f"{path}: {what} lacks {', '.join(missing)}")
+    for key, (ok, must) in types.items():
+        if not ok(doc[key]):
+            raise DataError(f"{path}: {what} {key} must be {must}, got {doc[key]!r}")
 
 
 def file_sha256(path) -> str:

@@ -33,10 +33,8 @@ TOLERANCE = 1e-4
 
 def loss_with_masks(model: ShallowCNN, docs, labels, masks) -> float:
     """Mean cross-entropy with dropout masks held fixed (inference if None)."""
-    if masks is None:
-        probs, _ = model_mod.forward_batch(model, docs, training=False)
-    else:
-        probs, _ = model_mod.forward_batch(model, docs, training=True, fixed_masks=masks)
+    probs, _ = model_mod.forward_batch(model, docs, training=masks is not None,
+                                       fixed_masks=masks)
     return nn_core.cross_entropy(probs, labels)
 
 
@@ -70,11 +68,8 @@ def relative_errors(analytic: dict, numeric: dict) -> dict:
 
 def check_model(model: ShallowCNN, docs, labels, masks, step: float = 1e-5) -> float:
     """Max error between analytic and finite-difference gradients."""
-    probs, caches = (
-        model_mod.forward_batch(model, docs, training=True, fixed_masks=masks)
-        if masks is not None
-        else model_mod.forward_batch(model, docs, training=False)
-    )
+    _, caches = model_mod.forward_batch(model, docs, training=masks is not None,
+                                        fixed_masks=masks)
     analytic = model_mod.backward_batch(model, caches, labels)
     numeric = finite_difference_gradients(model, docs, labels, masks, step)
     errs = relative_errors(analytic, numeric)

@@ -75,6 +75,12 @@ def micro_prf_12(cm: np.ndarray):
     return precision, recall, f1_from_pr(precision, recall)
 
 
+def micro_f1_12(gold, probs: np.ndarray) -> float:
+    """Micro-F1 over classes 1 and 2 of the argmax predictions of ``probs``:
+    the dev, cv and test score of training, search and stacking."""
+    return float(micro_prf_12(confusion(gold, argmax_labels(probs)))[2])
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     precision: dict  # class -> value

@@ -16,9 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import metrics, nn_core
+from . import kernels, metrics, nn_core
 from .errors import DataError, NumericError
-from .fileio import atomic_write
+from .fileio import atomic_write, check_fields, is_int
 from .rng import Rng
 
 N_GROUPS = 5
@@ -120,12 +120,14 @@ def validate_hyperparams(hp: HyperParams, restricted: bool = True) -> list:
 # model container
 # --------------------------------------------------------------------------
 
-def _tensor_order(hp: HyperParams) -> list:
-    names = []
-    for g in range(N_GROUPS):
-        names += [f"conv{g}_w", f"conv{g}_b"]
-    names += ["dense_w", "dense_b", "out_w", "out_b"]
-    return names
+def param_shapes(hp: HyperParams, embedding_dim: int) -> list:
+    """(name, shape) of every trained tensor, in declared (file) order."""
+    f, nd = hp.n_filters, hp.n_dense_output
+    shapes = []
+    for g, h in enumerate(hp.filter_sizes):
+        shapes += [(f"conv{g}_w", (h, embedding_dim, f)), (f"conv{g}_b", (f,))]
+    return shapes + [("dense_w", (N_GROUPS * f, nd)), ("dense_b", (nd,)),
+                     ("out_w", (nd, N_CLASSES)), ("out_b", (N_CLASSES,))]
 
 
 @dataclass
@@ -143,9 +145,6 @@ class ShallowCNN:
     def copy_params(self) -> dict:
         return {k: v.copy() for k, v in self.params.items()}
 
-    def predict_proba(self, docs: np.ndarray) -> np.ndarray:
-        return predict_proba(self, docs)
-
 
 def param_count(hp: HyperParams, embedding_dim: int) -> int:
     """Closed-form parameter count of the architecture."""
@@ -161,7 +160,8 @@ def build_model(hp: HyperParams, embedding_dim: int, seed: int,
     """Xavier-initialized weights, zero biases, deterministic in ``seed``.
 
     Groups sharing a width still get independent weights: all draws come
-    sequentially from one seed-derived stream in declared tensor order.
+    sequentially from one seed-derived stream in declared tensor order. A
+    weight's fan-in is the product of all but its last dimension.
     """
     problems = validate_hyperparams(hp, restricted=False)
     if problems:
@@ -170,18 +170,13 @@ def build_model(hp: HyperParams, embedding_dim: int, seed: int,
         raise ValueError(f"embedding_dim must be >= 1, got {embedding_dim}")
     dtype = np.dtype(dtype)
     rng = Rng(seed).substream("init")
-    f, nd = hp.n_filters, hp.n_dense_output
     params = {}
-    for g, h in enumerate(hp.filter_sizes):
-        params[f"conv{g}_w"] = nn_core.xavier_init(
-            h * embedding_dim, f, (h, embedding_dim, f), rng, dtype
-        )
-        params[f"conv{g}_b"] = np.zeros(f, dtype=dtype)
-    pooled = N_GROUPS * f
-    params["dense_w"] = nn_core.xavier_init(pooled, nd, (pooled, nd), rng, dtype)
-    params["dense_b"] = np.zeros(nd, dtype=dtype)
-    params["out_w"] = nn_core.xavier_init(nd, N_CLASSES, (nd, N_CLASSES), rng, dtype)
-    params["out_b"] = np.zeros(N_CLASSES, dtype=dtype)
+    for name, shape in param_shapes(hp, embedding_dim):
+        if name.endswith("_w"):
+            fan_in = int(np.prod(shape[:-1]))
+            params[name] = nn_core.xavier_init(fan_in, shape[-1], shape, rng, dtype)
+        else:
+            params[name] = np.zeros(shape, dtype=dtype)
     return ShallowCNN(hp=hp, embedding_dim=embedding_dim, params=params,
                       init_seed=int(seed), dtype=dtype)
 
@@ -196,9 +191,7 @@ def trim_pad_windows(docs: np.ndarray, h_max: int) -> np.ndarray:
 
     Every window past that last row is all-pad with value relu(b). The kept
     rows still hold the first of them and argmax takes the lowest position,
-    so pooled values and argmaxes equal those of the full batch. The trim
-    never cuts below min(L, h_max) rows, so a filter wider than the batch is
-    still reported against the full length.
+    so pooled values and argmaxes equal those of the full batch.
     """
     nonzero = np.flatnonzero(docs.any(axis=0).any(axis=1))  # 5x faster than axis=(0, 2)
     r_max = int(nonzero[-1]) + 1 if len(nonzero) else 0
@@ -212,45 +205,41 @@ def forward_batch(model: ShallowCNN, docs: np.ndarray, training: bool = False,
     ``fixed_masks`` replays previously captured dropout masks (used by the
     finite-difference gradient checker); otherwise training mode draws fresh
     masks from ``rng``. Inference mode applies no dropout at all. The convs
-    and their caches see the batch after ``trim_pad_windows``.
+    and their caches, one (docs, argmax, pooled, h) per group, see the batch
+    after ``trim_pad_windows``.
     """
     if docs.ndim != 3 or docs.shape[2] != model.embedding_dim:
         raise ValueError(
             f"docs shape {docs.shape} does not match embedding_dim {model.embedding_dim}"
         )
     hp = model.hp
-    docs = trim_pad_windows(docs.astype(model.dtype, copy=False), max(hp.filter_sizes))
+    h_max = max(hp.filter_sizes)
+    if h_max > docs.shape[1]:
+        raise ValueError(f"filter width {h_max} exceeds document length {docs.shape[1]}")
+    docs = trim_pad_windows(docs.astype(model.dtype, copy=False), h_max)
     pooled_parts = []
     conv_caches = []
-    for g in range(N_GROUPS):
-        pooled, cache = nn_core.conv_group_forward(
+    for g, h in enumerate(hp.filter_sizes):
+        pooled, argmax = kernels.conv_pool_forward(
             docs, model.params[f"conv{g}_w"], model.params[f"conv{g}_b"]
         )
         pooled_parts.append(pooled)
-        conv_caches.append(cache)
+        conv_caches.append((docs, argmax, pooled, h))
     feat = np.concatenate(pooled_parts, axis=1)
 
-    if training:
+    def drop(x, i):
+        if not training:
+            return x, None
         if fixed_masks is not None:
-            mask1, mask2 = fixed_masks
-            h0 = feat * mask1
-        else:
-            h0, mask1 = nn_core.dropout(feat, hp.keep_prob, rng, training=True)
-    else:
-        h0, mask1 = feat, None
+            return x * fixed_masks[i], fixed_masks[i]
+        return nn_core.dropout(x, hp.keep_prob, rng)
 
+    h0, mask1 = drop(feat, 0)
     h1, dense_cache = nn_core.dense_forward(
         h0, model.params["dense_w"], model.params["dense_b"], "relu"
     )
 
-    if training:
-        if fixed_masks is not None:
-            h2 = h1 * mask2
-        else:
-            h2, mask2 = nn_core.dropout(h1, hp.keep_prob, rng, training=True)
-    else:
-        h2, mask2 = h1, None
-
+    h2, mask2 = drop(h1, 1)
     logits, out_cache = nn_core.dense_forward(
         h2, model.params["out_w"], model.params["out_b"], "identity"
     )
@@ -279,7 +268,10 @@ def backward_batch(model: ShallowCNN, caches: dict, gold) -> dict:
     grads = {"dense_w": d_dense_w, "dense_b": d_dense_b,
              "out_w": d_out_w, "out_b": d_out_b}
     for g, d_pooled in enumerate(np.split(dfeat, N_GROUPS, axis=1)):
-        dW, db = nn_core.conv_group_backward(caches["conv"][g], d_pooled)
+        docs, argmax, pooled, h = caches["conv"][g]
+        dW, db = kernels.conv_pool_backward(
+            docs, argmax, pooled, d_pooled.astype(docs.dtype, copy=False), h
+        )
         grads[f"conv{g}_w"] = dW
         grads[f"conv{g}_b"] = db
     return grads
@@ -325,12 +317,6 @@ class TrainedModel:
 
     def predict_proba(self, docs: np.ndarray) -> np.ndarray:
         return predict_proba(self.weights, docs)
-
-
-def _dev_micro_f1(model: ShallowCNN, dev_docs, dev_labels) -> float:
-    probs = predict_proba(model, dev_docs)
-    pred = metrics.argmax_labels(probs)
-    return metrics.micro_prf_12(metrics.confusion(dev_labels, pred))[2]
 
 
 def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
@@ -385,7 +371,7 @@ def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
         if dev_scorer is not None:
             dev_score = float(dev_scorer(model))
         else:
-            dev_score = _dev_micro_f1(model, dev_docs, dev_labels)
+            dev_score = metrics.micro_f1_12(dev_labels, predict_proba(model, dev_docs))
         history.append((train_loss, dev_score, lr))
 
         if dev_score > best_score:
@@ -437,6 +423,20 @@ def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
 MODEL_MAGIC = b"SCNN"
 MODEL_FORMAT_VERSION = 1
 _DTYPE_CODES = {"float32": "<f4", "float64": "<f8"}
+# key -> (check, what the value must be), for each header value load_model reads
+_HEADER_TYPES = {
+    "hp": (lambda v: isinstance(v, dict), "an object"),
+    "dtype": (lambda v: v in tuple(_DTYPE_CODES), " or ".join(_DTYPE_CODES)),
+    "tensors": (lambda v: isinstance(v, list), "a list"),
+    "embedding_dim": (lambda v: is_int(v) and v >= 1, "a positive integer"),
+    "init_seed": (is_int, "an integer"),
+}
+_META_TYPES = {
+    "best_dev_score": (lambda v: is_int(v) or isinstance(v, float), "a number"),
+    "epochs_run": (is_int, "an integer"),
+    "restart_count": (is_int, "an integer"),
+    "history": (lambda v: isinstance(v, list), "a list"),
+}
 
 
 def save_model(model, path) -> None:
@@ -446,7 +446,7 @@ def save_model(model, path) -> None:
     dtype_name = net.dtype.name
     if dtype_name not in _DTYPE_CODES:
         raise ValueError(f"unsupported dtype {dtype_name}")
-    order = _tensor_order(net.hp)
+    order = [name for name, _ in param_shapes(net.hp, net.embedding_dim)]
     header = {
         "format_version": MODEL_FORMAT_VERSION,
         "hp": net.hp.to_dict(),
@@ -471,8 +471,38 @@ def save_model(model, path) -> None:
             fh.write(np.ascontiguousarray(net.params[name], dtype=code).tobytes())
 
 
+def _check_header(path, header) -> tuple:
+    """(hp, param_shapes) of a model header; DataError naming the file (and
+    the tensor) unless every field load_model reads is present and valid and
+    the tensor table matches the hyperparameters exactly."""
+    check_fields(path, "model header", header, _HEADER_TYPES)
+    if header.get("train_meta") is not None:
+        check_fields(path, "train_meta", header["train_meta"], _META_TYPES)
+    try:
+        hp = HyperParams.from_dict(header["hp"])
+        problems = validate_hyperparams(hp, restricted=False)
+    except (DataError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad hyperparameters: {exc}") from exc
+    if problems:
+        raise DataError(f"{path}: bad hyperparameters: {'; '.join(problems)}")
+    want = param_shapes(hp, header["embedding_dim"])
+    got = header["tensors"]
+    for i, (name, shape) in enumerate(want):
+        entry = got[i] if i < len(got) else None
+        if entry != [name, list(shape)]:
+            raise DataError(f"{path}: tensor table entry {i} is {entry!r}, "
+                            f"the hyperparameters need {name} {list(shape)}")
+    if len(got) != len(want):
+        raise DataError(f"{path}: tensor table has {len(got) - len(want)} extra entries")
+    return hp, want
+
+
 def load_model(path):
-    """Inverse of save_model; returns a TrainedModel when metadata is present."""
+    """Inverse of save_model; returns a TrainedModel when metadata is present.
+
+    The header must declare exactly the tensors ``param_shapes`` gives for
+    its hyperparameters, names, order and shapes; anything else is a
+    DataError naming the file."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -497,12 +527,12 @@ def load_model(path):
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: corrupt model header: {exc}") from exc
-        hp = HyperParams.from_dict(header["hp"])
+        hp, shapes = _check_header(path, header)
         code = _DTYPE_CODES[header["dtype"]]
         itemsize = np.dtype(code).itemsize
         params = {}
-        for name, shape in header["tensors"]:
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        for name, shape in shapes:
+            count = int(np.prod(shape, dtype=np.int64))
             raw = fh.read(count * itemsize)
             if len(raw) < count * itemsize:
                 raise DataError(f"{path}: truncated model file (tensor {name})")
@@ -511,9 +541,9 @@ def load_model(path):
             raise DataError(f"{path}: trailing bytes after declared tensors")
     net = ShallowCNN(
         hp=hp,
-        embedding_dim=int(header["embedding_dim"]),
+        embedding_dim=header["embedding_dim"],
         params=params,
-        init_seed=int(header["init_seed"]),
+        init_seed=header["init_seed"],
         dtype=np.dtype(header["dtype"]),
     )
     meta = header.get("train_meta")

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import NumericError
 from .rng import Rng
 
@@ -28,47 +27,11 @@ def xavier_init(fan_in: int, fan_out: int, shape, rng: Rng, dtype=np.float32) ->
 
 
 # --------------------------------------------------------------------------
-# convolution group (shared-width filter bank) + max-over-time pooling
-# --------------------------------------------------------------------------
-
-def conv_group_forward(doc: np.ndarray, W: np.ndarray, b: np.ndarray):
-    """ReLU conv over the document rows, then per-filter max over positions.
-
-    ``doc`` is (L, dim) for one document or (B, L, dim) for a batch; W is
-    (h, dim, f), b is (f,). Returns (pooled, cache); pooled is (f,) or (B, f)
-    matching the input rank. Ties in the max take the lowest position.
-    """
-    single = doc.ndim == 2
-    docs = doc[None] if single else doc
-    h, wdim, f = W.shape
-    if docs.ndim != 3 or docs.shape[2] != wdim:
-        raise ValueError(f"doc shape {doc.shape} does not match filter dim {wdim}")
-    if b.shape != (f,):
-        raise ValueError(f"bias shape {b.shape} does not match filter count {f}")
-    if h > docs.shape[1]:
-        raise ValueError(f"filter width {h} exceeds document length {docs.shape[1]}")
-    pooled, argmax = kernels.conv_pool_forward(docs, W, b)
-    cache = (docs, argmax, pooled, h)
-    return (pooled[0] if single else pooled), cache
-
-
-def conv_group_backward(cache, d_pooled: np.ndarray):
-    """Gradients (dW, db) for a conv group from the pooled-output gradient.
-
-    Max-over-time routes gradient only to each filter's argmax position;
-    the ReLU gate zeroes it where the selected pre-activation was <= 0.
-    """
-    docs, argmax, pooled, h = cache
-    d = d_pooled[None] if d_pooled.ndim == 1 else d_pooled
-    return kernels.conv_pool_backward(docs, argmax, pooled, d.astype(docs.dtype, copy=False), h)
-
-
-# --------------------------------------------------------------------------
 # dense layers
 # --------------------------------------------------------------------------
 
 def dense_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray, activation: str = "identity"):
-    """y = act(x @ W + b) with act in {relu, identity}; x is (n,) or (B, n)."""
+    """y = act(x @ W + b) with act in {relu, identity}; x is (B, n)."""
     if activation not in ("relu", "identity"):
         raise ValueError(f"unknown activation {activation!r}")
     if x.shape[-1] != W.shape[0] or b.shape != (W.shape[1],):
@@ -82,12 +45,8 @@ def dense_backward(cache, dy: np.ndarray):
     """Returns (dx, dW, db) for the cached dense forward."""
     x, z, W, activation = cache
     dz = dy * (z > 0) if activation == "relu" else dy
-    if x.ndim == 1:
-        dW = np.outer(x, dz)
-        db = dz.copy()
-    else:
-        dW = x.T @ dz
-        db = dz.sum(axis=0)
+    dW = x.T @ dz
+    db = dz.sum(axis=0)
     dx = dz @ W.T
     return dx, dW.astype(x.dtype, copy=False), db.astype(x.dtype, copy=False)
 
@@ -105,43 +64,40 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(p: np.ndarray, gold) -> float:
-    """Mean negative log-probability of the gold class (labels in 1..3).
+def cross_entropy(probs: np.ndarray, gold) -> float:
+    """Mean negative log-probability of the gold class over a (B, 3) batch
+    (labels in 1..3).
 
     p_gold is clamped at 1e-12 so a zero probability yields a large finite
     loss instead of -inf.
     """
-    probs = p[None] if p.ndim == 1 else p
-    labels = np.atleast_1d(np.asarray(gold, dtype=np.int64))
+    labels = np.asarray(gold, dtype=np.int64)
     picked = probs[np.arange(len(labels)), labels - 1]
     return float(-np.log(np.maximum(picked, 1e-12)).mean())
 
 
 def softmax_cross_entropy_backward(probs: np.ndarray, gold) -> np.ndarray:
     """d(mean cross-entropy)/d(logits) = (p - onehot) / batch_size."""
-    labels = np.atleast_1d(np.asarray(gold, dtype=np.int64))
-    p = probs[None] if probs.ndim == 1 else probs
-    grad = p.astype(p.dtype, copy=True)
+    labels = np.asarray(gold, dtype=np.int64)
+    grad = probs.copy()
     grad[np.arange(len(labels)), labels - 1] -= 1
     grad /= len(labels)
-    return grad[0] if probs.ndim == 1 else grad
+    return grad
 
 
 # --------------------------------------------------------------------------
 # dropout
 # --------------------------------------------------------------------------
 
-def dropout(x: np.ndarray, keep_prob: float, rng: Rng = None, training: bool = False):
-    """Inverted dropout: kept entries are scaled by 1/keep_prob.
+def dropout(x: np.ndarray, keep_prob: float, rng: Rng):
+    """Inverted dropout for training: kept entries are scaled by 1/keep_prob.
 
     Returns (y, mask) where mask already includes the scaling (entries are 0
-    or 1/keep_prob); backward is a multiply by the same mask. At inference y
-    is x itself, untouched, with mask None.
+    or 1/keep_prob); backward is a multiply by the same mask. Inference
+    applies no dropout and never calls this.
     """
     if not 0 < keep_prob <= 1:
         raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    if not training:
-        return x, None
     if keep_prob == 1.0:
         return x, np.ones_like(x)
     mask = (rng.random(x.shape) < keep_prob).astype(x.dtype)

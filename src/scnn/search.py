@@ -44,12 +44,13 @@ from .corpus import FoldAssignment
 from .ensemble import (
     FoldEnsemble,
     ensemble_predict,
+    rank_key,
     stack_top_k,
-    stacked_predict_by_embedding,
+    stacked_predict,
     train_fold_ensemble,
 )
 from .errors import DataError, ScnnError
-from .fileio import atomic_write
+from .fileio import atomic_write, check_fields, is_int
 from .model import (
     DEFAULT_SEARCH_DOMAINS,
     HP_FIELDS,
@@ -215,6 +216,7 @@ def _hp_from_csv(row: dict) -> HyperParams:
 
 
 def parse_leaderboard_csv(text: str) -> list:
+    """TrialRecords of a leaderboard; a DataError names the bad line."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames != LEADERBOARD_HEADER:
         raise DataError(
@@ -223,13 +225,16 @@ def parse_leaderboard_csv(text: str) -> list:
     records = []
     for row in reader:
         status = row["status"]
-        records.append(TrialRecord(
-            trial_id=int(row["trial_id"]),
-            hp=_hp_from_csv(row),
-            cv_score=float(row["cv_score"]) if status == "ok" else float("nan"),
-            status=status,
-            wall_time=0.0,
-        ))
+        try:  # a short row reads None for its missing fields
+            records.append(TrialRecord(
+                trial_id=int(row["trial_id"]),
+                hp=_hp_from_csv(row),
+                cv_score=float(row["cv_score"]) if status == "ok" else float("nan"),
+                status=status,
+                wall_time=0.0,
+            ))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed row at line {reader.line_num}: {exc}") from None
     return records
 
 
@@ -251,21 +256,23 @@ def format_oof_tsv(ids: Sequence[str], labels: np.ndarray,
 def parse_oof_tsv(path):
     """Returns (ids, labels, folds, probs) from a trial's oof.tsv."""
     ids, labels, folds, probs = [], [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 6:
-                raise DataError(f"{path}: expected 6 fields at line {lineno}")
-            ids.append(parts[0])
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read out-of-fold predictions {path}: {exc}") from exc
+    for lineno, line in enumerate(lines, 1):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 6:
+            raise DataError(f"{path}: expected 6 fields at line {lineno}")
+        try:
             folds.append(int(parts[1]))
             labels.append(int(parts[2]))
             probs.append([float(v) for v in parts[3:6]])
+        except ValueError:
+            raise DataError(f"{path}: malformed number at line {lineno}") from None
+        ids.append(parts[0])
     return ids, np.asarray(labels, dtype=np.int64), folds, np.asarray(probs)
-
-
-def cv_score_from_oof(labels: np.ndarray, oof_probs: np.ndarray) -> float:
-    pred = metrics.argmax_labels(oof_probs)
-    return float(metrics.micro_prf_12(metrics.confusion(labels, pred))[2])
 
 
 # --------------------------------------------------------------------------
@@ -283,7 +290,6 @@ class TrialInputs:
     folds: FoldAssignment
     sched: TrainSchedule
     seed: int
-    dtype: type
     out_dir: Optional[str]
     keep_models: bool
 
@@ -296,7 +302,6 @@ def run_trial(inputs: TrialInputs, tid: int, hp: HyperParams) -> TrialRecord:
         fe = train_fold_ensemble(
             hp, inputs.docs_by_name[hp.word_embedding], inputs.labels, inputs.folds,
             inputs.sched, Rng(inputs.seed).substream(tid), trial_id=tid,
-            dtype=inputs.dtype,
         )
     except (ScnnError, ValueError, ArithmeticError) as exc:
         elapsed = time.perf_counter() - started
@@ -388,7 +393,7 @@ def _run_trials(inputs: TrialInputs, planned: list, n_procs: int) -> list:
 def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
                space: SearchSpace, n_trials: int, folds: FoldAssignment,
                sched: TrainSchedule, seed: int, parallelism: int = 1,
-               out_dir=None, keep_models: bool = False, dtype=np.float32,
+               out_dir=None, keep_models: bool = False,
                dataset_info: Optional[dict] = None) -> list:
     """Sample ``n_trials`` distinct configs and train a fold ensemble each.
 
@@ -413,7 +418,7 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
         os.makedirs(os.path.join(out_dir, "trials"), exist_ok=True)
     inputs = TrialInputs(
         ids=ids, labels=np.asarray(labels, dtype=np.int64),
-        docs_by_name=docs_by_name, folds=folds, sched=sched, seed=seed, dtype=dtype,
+        docs_by_name=docs_by_name, folds=folds, sched=sched, seed=seed,
         out_dir=out_dir, keep_models=keep_models,
     )
     ranked = leaderboard_order(_run_trials(inputs, planned, n_procs))
@@ -453,7 +458,7 @@ def load_trial_ensemble(run_dir, record: TrialRecord, k: int) -> FoldEnsemble:
             raise DataError(f"missing model file {path} for trial {record.trial_id}")
         members.append(load_model(path))
     _, labels, _, oof = parse_oof_tsv(os.path.join(trial_dir, "oof.tsv"))
-    recomputed = cv_score_from_oof(labels, oof)
+    recomputed = metrics.micro_f1_12(labels, oof)
     if abs(recomputed - record.cv_score) > 1e-6:
         raise DataError(
             f"trial {record.trial_id}: leaderboard cv_score {record.cv_score:.6f} "
@@ -467,9 +472,37 @@ def load_leaderboard(run_dir) -> list:
     path = os.path.join(run_dir, "leaderboard.csv")
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            return parse_leaderboard_csv(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read leaderboard {path}: {exc}") from exc
+    try:
+        return parse_leaderboard_csv(text)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+# key -> (check, what the value must be), for the run-manifest values that
+# stacking reads
+_RUN_MANIFEST_TYPES = {
+    "folds_k": (lambda v: is_int(v) and v >= 1, "a positive integer"),
+    "fold_seed": (is_int, "an integer"),
+    "space_descriptor": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def load_run_manifest(run_dir) -> dict:
+    """A run directory's manifest.json; DataError naming the file unless it
+    holds every value stacking reads, each of the expected type."""
+    path = os.path.join(run_dir, "manifest.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read run manifest {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    check_fields(path, "run manifest", doc, _RUN_MANIFEST_TYPES)
+    return doc
 
 
 # --------------------------------------------------------------------------
@@ -483,14 +516,9 @@ def top_k_report(trials: Sequence[FoldEnsemble], k_values: Sequence[int],
     Mirrors the three ranking curves: individual CV score, individual test
     score, and stacked-top-K test score.
     """
-    test_labels = np.asarray(test_labels, dtype=np.int64)
-    ranked = sorted(trials, key=lambda fe: (-fe.cv_score, fe.trial_id))
+    ranked = sorted(trials, key=rank_key)
     if k_values and max(k_values) > len(ranked):
         raise ValueError(f"top-k {max(k_values)} exceeds trial count {len(ranked)}")
-
-    def test_score(probs: np.ndarray) -> float:
-        pred = metrics.argmax_labels(probs)
-        return metrics.micro_prf_12(metrics.confusion(test_labels, pred))[2]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -498,9 +526,9 @@ def top_k_report(trials: Sequence[FoldEnsemble], k_values: Sequence[int],
     for fe in ranked:
         probs = ensemble_predict(fe, test_docs_by_name[fe.hp.word_embedding])
         writer.writerow(["individual", fe.trial_id, f"{fe.cv_score:.6f}",
-                         f"{test_score(probs):.6f}"])
+                         f"{metrics.micro_f1_12(test_labels, probs):.6f}"])
     for k in sorted(k_values):
         se = stack_top_k(ranked, k)
-        probs = stacked_predict_by_embedding(se, test_docs_by_name)
-        writer.writerow(["stacked", k, "", f"{test_score(probs):.6f}"])
+        probs = stacked_predict(se, test_docs_by_name)
+        writer.writerow(["stacked", k, "", f"{metrics.micro_f1_12(test_labels, probs):.6f}"])
     return buf.getvalue()

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,18 @@ def synth_arrays(seed: int, n_train: int, n_test: int = 0, dim: int = 16):
     test_docs = embeddings.lookup_docs(table, corpus.to_token_seqs(test_ex))
     test_labels = np.asarray([ex.label for ex in test_ex], dtype=np.int64)
     return train_ex, docs, labels, test_ex, test_docs, test_labels
+
+
+def rewrite_model_header(src, dst, edit) -> None:
+    """Copy the model file ``src`` to ``dst`` with ``edit(header)`` applied
+    to its JSON header; the tensor bytes are kept as they are."""
+    raw = src.read_bytes()
+    _, header_len = struct.unpack("<II", raw[4:12])
+    header = json.loads(raw[12:12 + header_len])
+    edit(header)
+    blob = json.dumps(header).encode()
+    dst.write_bytes(raw[:4] + struct.pack("<II", 1, len(blob)) + blob
+                    + raw[12 + header_len:])
 
 
 @pytest.fixture(scope="session")

@@ -206,12 +206,12 @@ def test_06_ensemble_algebra_randomized():
             # singleton stack == best trial
             top1 = E.stack_top_k(trials, 1)
             np.testing.assert_array_equal(
-                E.stacked_predict(top1, docs),
+                E.stacked_predict(top1, {"godin": docs}),
                 E.ensemble_predict(top1.ranked_members[0], docs),
             )
 
             # mean-of-means == flat mean over all underlying models
-            stacked = E.stacked_predict(se, docs)
+            stacked = E.stacked_predict(se, {"godin": docs})
             flat = np.mean([m.predict_proba(docs)
                             for fe in se.ranked_members for m in fe.members], axis=0)
             assert np.abs(stacked - flat).max() <= 1e-6
@@ -222,7 +222,7 @@ def test_06_ensemble_algebra_randomized():
                                      cv_score=0.5, trial_id=i) for i in range(3)]
             ce = E.stack_top_k(clones, 3)
             np.testing.assert_allclose(
-                E.stacked_predict(ce, docs),
+                E.stacked_predict(ce, {"godin": docs}),
                 E.ensemble_predict(clones[0], docs), atol=1e-12,
             )
 
@@ -288,7 +288,7 @@ def test_08_statistical_suites():
 
         # inverted dropout preserves the mean within 2% at 10^4 samples
         ones = np.ones(10_000, dtype=np.float64)
-        dropped, _ = dropout(ones, 0.5, Rng(802), training=True)
+        dropped, _ = dropout(ones, 0.5, Rng(802))
         assert abs(dropped.mean() - 1.0) <= 0.02
 
         # sampler per-field uniformity: chi-square at significance 0.01
@@ -379,8 +379,8 @@ def test_10_format_round_trips(tmp_path):
         E.save_ensemble(se, tmp_path / "stack.json", model_paths,
                         fold_seed=1, space_descriptor="d")
         loaded = E.load_ensemble(tmp_path / "stack.json")
-        np.testing.assert_array_equal(E.stacked_predict(loaded, docs[:9]),
-                                      E.stacked_predict(se, docs[:9]))
+        np.testing.assert_array_equal(E.stacked_predict(loaded, {"godin": docs[:9]}),
+                                      E.stacked_predict(se, {"godin": docs[:9]}))
 
         # dataset TSV: byte round trip
         examples = [Example("a", "some tweet text", 1), Example("b", "another", 3)]

@@ -4,14 +4,22 @@ The desk-scale end-to-end pipeline lives in test_acceptance.py; these tests
 exercise the command surface with the smallest corpora that still train.
 """
 
+import hashlib
 import json
+import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from conftest import rewrite_model_header
 from scnn.cli import main
+
+
+def _replace_in(path, old, new, count):
+    path.write_text(path.read_text().replace(old, new, count))
 
 
 def run_cli(*args):
@@ -280,6 +288,59 @@ class TestStackPredictEvaluate:
         assert "Traceback" not in err
         assert not pred.exists()
 
+    @pytest.mark.parametrize("edit,named", [
+        (lambda h: h.update(dtype="float16"), "float16"),
+        (lambda h: h["tensors"][0][1].reverse(), "conv0_w"),
+    ] + [
+        (lambda h, key=key: h.pop(key), key)
+        for key in ("hp", "dtype", "tensors", "embedding_dim", "init_seed")
+    ], ids=["dtype-float16", "conv0_w-transposed", "no-hp", "no-dtype", "no-tensors",
+            "no-embedding_dim", "no-init_seed"])
+    def test_predict_bad_model_header(self, run_dir, corpus_dir, tmp_path, capsys,
+                                      edit, named):
+        stacks = tmp_path / "stacks"
+        assert run_cli("stack", "--run", run_dir, "--top-k", "1", "--out", stacks) == 0
+        manifest = stacks / "stack_top1.json"
+        doc = json.loads(manifest.read_text())
+        member = doc["members"][0]
+        model = tmp_path / "edited.scnn"
+        rewrite_model_header(stacks / member["path"], model, edit)
+        member["path"] = os.path.relpath(model, stacks)
+        member["sha256"] = hashlib.sha256(model.read_bytes()).hexdigest()
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        pred = tmp_path / "pred.tsv"
+        code = run_cli("predict", "--manifest", manifest, "--test", corpus_dir / "test.tsv",
+                       "--embeddings", f"godin={corpus_dir}/embeddings.txt,"
+                                       f"shin={corpus_dir}/embeddings.txt", "--out", pred)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "edited.scnn" in err and named in err
+        assert "Traceback" not in err
+        assert not pred.exists()
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda run: _replace_in(run / "trials" / "0" / "oof.tsv", "\t", "\tx", 1),
+         "oof.tsv: malformed number at line 1"),
+        (lambda run: (run / "trials" / "0" / "oof.tsv").unlink(), "oof.tsv"),
+        (lambda run: _replace_in(run / "manifest.json", '"folds_k"', '"k"', 1),
+         "manifest.json: run manifest lacks folds_k"),
+        (lambda run: _replace_in(run / "leaderboard.csv", "\n", "\nx", 1),
+         "leaderboard.csv: malformed row at line 2"),
+    ], ids=["oof-fold", "oof-missing", "manifest-folds-k", "leaderboard-trial-id"])
+    def test_stack_bad_run_directory(self, run_dir, tmp_path, capsys, edit, named):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        edit(run)
+        capsys.readouterr()
+        out = tmp_path / "stacks"
+        code = run_cli("stack", "--run", run, "--top-k", "3", "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_predict_unlabeled_input(self, run_dir, corpus_dir, tmp_path):
         emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
         stacks = tmp_path / "stacks"
@@ -338,10 +399,13 @@ class TestGradcheckCommand:
 
 
 def test_module_entry_point(corpus_dir):
-    # `python -m scnn` works for subprocess callers
+    # `python -m scnn` works for subprocess callers, from this source tree
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "scnn", "gradcheck", "--seed", "3", "--cases", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "max relative gradient error" in proc.stdout

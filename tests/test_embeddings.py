@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scnn.corpus import PAD, pad_or_truncate
-from scnn.embeddings import load_embeddings, lookup_doc, lookup_docs, write_embeddings
+from scnn.embeddings import load_embeddings, lookup_docs, write_embeddings
 from scnn.errors import DataError
 
 
@@ -78,38 +78,47 @@ def test_write_round_trip_random_values(tmp_path):
     assert again.vocab == table.vocab
 
 
+def _lookup_one(table, tokens):
+    """lookup_docs on a batch of one document; returns its (47, dim) rows."""
+    return lookup_docs(table, [pad_or_truncate(tokens)])[0]
+
+
 class TestLookup:
     def test_present_and_pad(self, small_table):
-        seq = pad_or_truncate(["apple"])
-        doc = lookup_doc(small_table, seq)
-        assert doc.values.shape == (47, 3)
-        np.testing.assert_array_equal(doc.values[0], [1, 0, 0])
-        assert np.abs(doc.values[1:]).max() == 0
-        assert doc.real_length == 1
+        doc = _lookup_one(small_table, ["apple"])
+        assert doc.shape == (47, 3) and doc.dtype == np.float32
+        np.testing.assert_array_equal(doc[0], [1, 0, 0])
+        assert np.abs(doc[1:]).max() == 0
 
     def test_all_oov_zero(self, small_table):
-        doc = lookup_doc(small_table, pad_or_truncate(["kumquat", "lychee"]))
-        assert np.abs(doc.values).max() == 0
+        assert np.abs(_lookup_one(small_table, ["kumquat", "lychee"])).max() == 0
 
     def test_row_order(self, small_table):
-        doc = lookup_doc(small_table, pad_or_truncate(["banana", "apple"]))
-        np.testing.assert_array_equal(doc.values[0], [0, 1, 0])
-        np.testing.assert_array_equal(doc.values[1], [1, 0, 0])
+        doc = _lookup_one(small_table, ["banana", "apple"])
+        np.testing.assert_array_equal(doc[0], [0, 1, 0])
+        np.testing.assert_array_equal(doc[1], [1, 0, 0])
 
     def test_shape_independent_of_real_length(self, small_table):
         for toks in ([], ["apple"] * 47, ["x"] * 60):
-            assert lookup_doc(small_table, pad_or_truncate(toks)).values.shape == (47, 3)
+            assert _lookup_one(small_table, toks).shape == (47, 3)
 
     def test_pad_rows_zero_even_if_pad_in_vocab(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text(f"1 2\n{PAD} 9 9\n", encoding="utf-8")
         table = load_embeddings(path, "weird")
-        doc = lookup_doc(table, pad_or_truncate(["oov"]))
-        assert np.abs(doc.values).max() == 0
+        assert np.abs(_lookup_one(table, ["oov"])).max() == 0
+        assert np.abs(lookup_docs(table, [pad_or_truncate([])])).max() == 0
 
     def test_lookup_docs_stacks(self, small_table):
-        seqs = [pad_or_truncate(["apple"]), pad_or_truncate(["banana"])]
+        docs = [["apple"], ["banana", "kumquat", "apple"], [], ["banana"] * 50]
+        seqs = [pad_or_truncate(toks) for toks in docs]
         arr = lookup_docs(small_table, seqs)
-        assert arr.shape == (2, 47, 3)
-        np.testing.assert_array_equal(arr[0], lookup_doc(small_table, seqs[0]).values)
-        np.testing.assert_array_equal(arr[1], lookup_doc(small_table, seqs[1]).values)
+        assert arr.shape == (4, 47, 3) and arr.dtype == np.float32
+        # reference: one row at a time, zero unless a known real token
+        want = np.zeros((4, 47, 3), np.float32)
+        for n, seq in enumerate(seqs):
+            for i, tok in enumerate(seq.tokens[:seq.real_length]):
+                if tok in small_table.vocab:
+                    want[n, i] = small_table.vectors[small_table.vocab[tok]]
+        np.testing.assert_array_equal(arr, want)
+        assert lookup_docs(small_table, []).shape == (0, 0, 3)

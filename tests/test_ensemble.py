@@ -33,6 +33,7 @@ def _rand_probs(rng, n):
 
 
 DOCS = np.zeros((4, 1, 1), dtype=np.float32)  # stubs ignore content
+DOCS_BY_NAME = {"godin": DOCS}  # toy_hp's word_embedding
 
 
 class TestEnsemblePredict:
@@ -78,7 +79,7 @@ class TestStackTopK:
                   for i, s in enumerate([0.4, 0.9, 0.6])]
         se = E.stack_top_k(trials, 1)
         np.testing.assert_array_equal(
-            E.stacked_predict(se, DOCS), E.ensemble_predict(trials[1], DOCS)
+            E.stacked_predict(se, DOCS_BY_NAME), E.ensemble_predict(trials[1], DOCS)
         )
 
 
@@ -91,7 +92,7 @@ class TestStackedPredict:
             for i in range(4)
         ]
         se = E.stack_top_k(trials, 3)
-        stacked = E.stacked_predict(se, DOCS)
+        stacked = E.stacked_predict(se, DOCS_BY_NAME)
         flat = np.mean(
             [m.predict_proba(DOCS) for fe in se.ranked_members for m in fe.members],
             axis=0,
@@ -103,7 +104,7 @@ class TestStackedPredict:
         trials = [_stub_fe(members, cv_score=0.5, trial_id=i) for i in range(3)]
         se = E.stack_top_k(trials, 3)
         np.testing.assert_allclose(
-            E.stacked_predict(se, DOCS), E.ensemble_predict(trials[0], DOCS), atol=1e-12
+            E.stacked_predict(se, DOCS_BY_NAME), E.ensemble_predict(trials[0], DOCS), atol=1e-12
         )
 
     def test_top20_of_5_model_ensembles_averages_100_models(self):
@@ -119,7 +120,7 @@ class TestStackedPredict:
                       for fe in se.ranked_members for m in fe.members]
         assert len(underlying) == 100
         np.testing.assert_allclose(
-            E.stacked_predict(se, DOCS), np.mean(underlying, axis=0), atol=1e-6
+            E.stacked_predict(se, DOCS_BY_NAME), np.mean(underlying, axis=0), atol=1e-6
         )
 
 
@@ -152,7 +153,7 @@ def test_ranking_properties(scores, k, perm_seed):
         fe.trial_id for fe in se.ranked_members
     ]
     np.testing.assert_allclose(
-        E.stacked_predict(se2, DOCS), E.stacked_predict(se, DOCS), atol=1e-6
+        E.stacked_predict(se2, DOCS_BY_NAME), E.stacked_predict(se, DOCS_BY_NAME), atol=1e-6
     )
 
 
@@ -257,7 +258,8 @@ class TestManifest:
             fe.trial_id for fe in se.ranked_members
         ]
         np.testing.assert_array_equal(
-            E.stacked_predict(loaded, docs[:7]), E.stacked_predict(se, docs[:7])
+            E.stacked_predict(loaded, {"godin": docs[:7]}),
+            E.stacked_predict(se, {"godin": docs[:7]}),
         )
 
     def test_missing_member_named(self, tmp_path, toy_corpus):

@@ -20,9 +20,9 @@ from scnn.rng import Rng
 
 
 def test_single_linear_layer_softmax():
-    # x=[1], one weight, identity activation, 2-way softmax: analytic
-    # gradient matches central differences to 1e-6 in float64.
-    x = np.array([1.0])
+    # a batch of one x=[1], one weight, identity activation, 2-way softmax:
+    # analytic gradient matches central differences to 1e-6 in float64.
+    x = np.array([[1.0]])
     W = np.array([[0.3, -0.2]])
     b = np.array([0.1, 0.0])
     gold = [1]

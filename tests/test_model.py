@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import toy_hp
+from conftest import rewrite_model_header, toy_hp
 from scnn import model as M
+from scnn import nn_core
 from scnn.errors import DataError, NumericError
 from scnn.model import HyperParams, TrainSchedule, build_model, load_model, save_model
 from scnn.rng import Rng
@@ -48,6 +49,18 @@ class TestBuildModel:
         for g, h in enumerate(hp.filter_sizes):
             assert net.params[f"conv{g}_w"].shape == (h, 16, 100)
             assert net.params[f"conv{g}_b"].shape == (100,)
+
+    def test_allocated_from_param_shapes(self):
+        hp = toy_hp(filter_sizes=(3, 4, 5, 6, 7))
+        net = build_model(hp, 16, seed=5)
+        assert [(n, p.shape) for n, p in net.params.items()] == M.param_shapes(hp, 16)
+        # weights draw in declared order from one stream, fan-in = all but the last dim
+        rng = Rng(5).substream("init")
+        for name, shape in M.param_shapes(hp, 16):
+            if name.endswith("_w"):
+                fan_in = int(np.prod(shape[:-1]))
+                want = nn_core.xavier_init(fan_in, shape[-1], shape, rng)
+                np.testing.assert_array_equal(net.params[name], want, err_msg=name)
 
     def test_param_count_closed_form(self):
         hp = toy_hp()
@@ -332,6 +345,28 @@ class TestSaveLoad:
         path.write_bytes(raw)
         with pytest.raises(DataError, match="version 99"):
             load_model(path)
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda h: h["tensors"].reverse(), "entry 0 is ['out_b', [3]]"),
+        (lambda h: h["tensors"][3].__setitem__(0, "conv9_b"), "need conv1_b"),
+        (lambda h: h["tensors"][10][1].reverse(), "need dense_w [40, 16]"),
+        (lambda h: h["tensors"].pop(), "entry 13 is None"),
+        (lambda h: h["tensors"].append(["extra", [1]]), "1 extra entries"),
+        (lambda h: h["hp"].update(n_filters=9), "need conv0_w [1, 8, 9]"),
+        (lambda h: h["hp"].update(keep_prob="high"), "bad hyperparameters"),
+        (lambda h: h["hp"].pop("adam_b2"), "missing keys ['adam_b2']"),
+        (lambda h: h.update(dtype=["float32"]), "dtype must be float32 or float64"),
+        (lambda h: h.update(embedding_dim="8"), "embedding_dim must be a positive integer"),
+        (lambda h: h.update(train_meta={"history": []}), "train_meta lacks best_dev_score"),
+        (lambda h: h.update(train_meta=[]), "train_meta is not a JSON object"),
+    ])
+    def test_header_rejected(self, tmp_path, edit, named):
+        path = tmp_path / "m.scnn"
+        save_model(build_model(toy_hp(), 8, seed=0), path)
+        rewrite_model_header(path, path, edit)
+        with pytest.raises(DataError, match="m.scnn: ") as info:
+            load_model(path)
+        assert named in str(info.value)
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "m.scnn"
