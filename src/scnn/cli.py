@@ -24,7 +24,7 @@ import numpy as np
 from . import corpus, embeddings, metrics, search, synth
 from .ensemble import load_ensemble, save_ensemble, stack_top_k, stacked_predict
 from .errors import DataError, NumericError, ScnnError
-from .fileio import atomic_write, file_sha256
+from .fileio import atomic_write, file_sha256, utf8_checked
 from .gradcheck import TOLERANCE, run_gradcheck
 from .model import HyperParams, TrainSchedule, validate_hyperparams
 from .rng import Rng
@@ -130,7 +130,7 @@ def _sniff_labeled(path) -> bool:
         fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    with fh:
+    with fh, utf8_checked(path):
         for line in fh:
             line = line.rstrip("\n")
             if not line:
@@ -185,7 +185,7 @@ def _cmd_search(args, outputs: _Outputs) -> int:
     overrides = {}
     if args.config:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8") as fh, utf8_checked(args.config):
                 overrides = json.load(fh)
         except OSError as exc:
             raise DataError(f"cannot read config {args.config}: {exc}") from exc
@@ -212,7 +212,7 @@ def _cmd_search(args, outputs: _Outputs) -> int:
 
 def _cmd_train(args, outputs: _Outputs) -> int:
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8") as fh, utf8_checked(args.config):
             hp = HyperParams.from_dict(json.load(fh))
     except OSError as exc:
         raise DataError(f"cannot read config {args.config}: {exc}") from exc
@@ -234,12 +234,8 @@ def _cmd_train(args, outputs: _Outputs) -> int:
     out = outputs.claim_dir(args.out)
     fe = train_fold_ensemble(
         hp, docs, labels, folds, _schedule_from_args(args),
-        Rng(args.seed).substream(0), trial_id=0,
+        Rng(args.seed).substream(0), trial_id=0, on_member=search.member_saver(out),
     )
-    from .model import save_model
-
-    for i, member in enumerate(fe.members):
-        save_model(member, os.path.join(out, f"fold{i}.scnn"))
     with atomic_write(os.path.join(out, "oof.tsv")) as fh:
         fh.write(search.format_oof_tsv([ex.id for ex in examples], labels,
                                        folds.fold_of, fe.oof_probs))
@@ -327,7 +323,7 @@ def _parse_predictions(path) -> dict:
         fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read predictions {path}: {exc}") from exc
-    with fh:
+    with fh, utf8_checked(path):
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DataError
+from .fileio import utf8_checked
 from .rng import Rng
 
 CLASSES = (1, 2, 3)
@@ -113,7 +114,7 @@ def parse_dataset(path, labeled: bool = True) -> list:
         fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    with fh:
+    with fh, utf8_checked(path):
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:

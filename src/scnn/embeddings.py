@@ -15,6 +15,7 @@ import numpy as np
 
 from .corpus import TokenSeq
 from .errors import DataError
+from .fileio import utf8_checked
 
 
 @dataclass
@@ -31,7 +32,7 @@ def load_embeddings(path, name: str) -> EmbeddingTable:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read embeddings {path}: {exc}") from exc
-    with fh:
+    with fh, utf8_checked(path):
         header = fh.readline()
         parts = header.split()
         if len(parts) != 2:

@@ -6,6 +6,10 @@ and the out-of-fold predictions give a CV score to rank trials by. A stacked
 ensemble averages the top K fold ensembles ranked by that score (descending,
 ties broken by ascending trial id). All averaging is plain arithmetic mean
 in probability space, accumulated in float64 in a fixed member order.
+
+A member is a TrainedModel in memory or a ModelFile on disk. A ModelFile is
+loaded only while ensemble_predict uses it, so predicting with a stack of
+any size holds one member's tensors at a time.
 """
 
 from __future__ import annotations
@@ -21,17 +25,34 @@ import numpy as np
 from . import metrics
 from .corpus import FoldAssignment
 from .errors import DataError, NumericError
-from .fileio import atomic_write, check_fields, file_sha256, is_int
-from .model import HyperParams, TrainSchedule, TrainedModel, build_model, load_model, train
+from .fileio import atomic_write, check_fields, file_sha256, is_int, utf8_checked
+from .model import (
+    HyperParams,
+    TrainSchedule,
+    TrainedModel,
+    build_model,
+    load_model,
+    load_model_hp,
+    train,
+)
 from .rng import Rng
 
 logger = logging.getLogger(__name__)
 
 
+@dataclass(frozen=True)
+class ModelFile:
+    """A member model on disk; ``sha256``, when given, is checked over the
+    bytes loaded."""
+
+    path: str
+    sha256: Optional[str] = None
+
+
 @dataclass
 class FoldEnsemble:
     hp: HyperParams
-    members: list = field(repr=False)  # k TrainedModels, fold order
+    members: list = field(repr=False)  # k TrainedModels or ModelFiles, fold order
     oof_probs: Optional[np.ndarray] = field(default=None, repr=False)
     cv_score: float = float("nan")
     trial_id: int = 0
@@ -46,13 +67,16 @@ class StackedEnsemble:
 
 def train_fold_ensemble(hp: HyperParams, docs: np.ndarray, labels: np.ndarray,
                         folds: FoldAssignment, sched: TrainSchedule, rng: Rng,
-                        trial_id: int = 0) -> FoldEnsemble:
+                        trial_id: int = 0, on_member=None) -> FoldEnsemble:
     """Train one model per fold; dev set = the held-out fold.
 
     Each member's init and training streams derive from ``rng`` and its fold
     index, so the whole ensemble replays bit-identically. Out-of-fold
     predictions cover every example exactly once; cv_score is their micro-F1
-    over classes 1 and 2.
+    over classes 1 and 2. With ``on_member`` given, ``on_member(i, trained)``
+    runs once fold i's out-of-fold rows are computed and returns what the
+    ensemble keeps in place of the model (a ModelFile, say); while a fold
+    trains, the only other model held is then the previous fold's.
     """
     labels = np.asarray(labels, dtype=np.int64)
     fold_of = np.asarray(folds.fold_of, dtype=np.int64)
@@ -75,19 +99,42 @@ def train_fold_ensemble(hp: HyperParams, docs: np.ndarray, labels: np.ndarray,
             raise type(exc)(f"fold {i}: {exc}") from exc
         except NumericError as exc:
             raise NumericError(f"fold {i}: {exc}") from exc
-        members.append(trained)
         oof[held_out] = trained.predict_proba(docs[held_out]).astype(np.float64)
+        members.append(trained if on_member is None else on_member(i, trained))
+        # fold i's model is released when fold i + 1's training returns, not
+        # before: freed sooner, whether glibc hands its arrays back to the OS
+        # depends on the heap layout, and a 3-trial paper-shape search then
+        # faulted in up to 7x the pages (benchmarks/BENCH_streaming.json)
     return FoldEnsemble(hp=hp, members=members, oof_probs=oof,
                         cv_score=metrics.micro_f1_12(labels, oof), trial_id=trial_id,
                         folds=folds)
 
 
+def mean_probs(parts: list) -> np.ndarray:
+    """Mean of (N, 3) probability arrays, summed in float64 in list order."""
+    acc = np.zeros((len(parts[0]), 3), dtype=np.float64)
+    for part in parts:
+        acc += part
+    return acc / len(parts)
+
+
+def _member_probs(fe: FoldEnsemble, member, docs: np.ndarray) -> np.ndarray:
+    """One member's probabilities; a ModelFile is loaded for this call only."""
+    if isinstance(member, ModelFile):
+        path = member.path
+        member = load_model(path, member.sha256)
+        if not isinstance(member, TrainedModel):  # saved without training metadata
+            member = TrainedModel(weights=member, best_dev_score=float("nan"),
+                                  epochs_run=0, restart_count=0, history=[])
+        if member.weights.hp != fe.hp:
+            raise DataError(f"{path}: hyperparameters differ from those of "
+                            f"trial {fe.trial_id}")
+    return member.predict_proba(docs)
+
+
 def ensemble_predict(fe: FoldEnsemble, docs: np.ndarray) -> np.ndarray:
     """Mean of the members' probabilities, in fixed member order."""
-    acc = np.zeros((len(docs), 3), dtype=np.float64)
-    for member in fe.members:
-        acc += member.predict_proba(docs)
-    return acc / len(fe.members)
+    return mean_probs([_member_probs(fe, member, docs) for member in fe.members])
 
 
 def rank_key(fe: FoldEnsemble):
@@ -109,11 +156,8 @@ def stacked_predict(se: StackedEnsemble, docs_by_name: dict) -> np.ndarray:
     embedded with that table. Because every sub-ensemble has the same member
     count, this equals the flat mean over all underlying models.
     """
-    first = docs_by_name[se.ranked_members[0].hp.word_embedding]
-    acc = np.zeros((len(first), 3), dtype=np.float64)
-    for fe in se.ranked_members:
-        acc += ensemble_predict(fe, docs_by_name[fe.hp.word_embedding])
-    return acc / len(se.ranked_members)
+    return mean_probs([ensemble_predict(fe, docs_by_name[fe.hp.word_embedding])
+                       for fe in se.ranked_members])
 
 
 # --------------------------------------------------------------------------
@@ -187,9 +231,12 @@ def _check_manifest(manifest_path, doc) -> None:
 
 
 def load_ensemble(manifest_path) -> StackedEnsemble:
-    """Load member models, verifying file hashes; errors name the member."""
+    """The stack a manifest lists, each member a ModelFile that
+    ensemble_predict loads and checks against its sha256 when it uses it.
+    Only the first member file of each trial is read here, for its
+    hyperparameters; errors name the file and the member."""
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
+        with open(manifest_path, encoding="utf-8") as fh, utf8_checked(manifest_path):
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read manifest {manifest_path}: {exc}") from exc
@@ -209,24 +256,14 @@ def load_ensemble(manifest_path) -> StackedEnsemble:
         path = os.path.join(manifest_dir, entry["path"])
         if not os.path.exists(path):
             raise DataError(f"{manifest_path}: missing member file {entry['path']}")
-        if file_sha256(path) != entry["sha256"]:
-            raise DataError(f"{manifest_path}: hash mismatch for member {entry['path']}")
         tid = entry["trial_id"]
         if tid not in by_trial:
-            by_trial[tid] = {"models": [], "cv_score": float(entry["cv_score"])}
+            by_trial[tid] = FoldEnsemble(hp=load_model_hp(path), members=[],
+                                         cv_score=float(entry["cv_score"]), trial_id=tid)
             trial_order.append(tid)
-        loaded = load_model(path)
-        if not isinstance(loaded, TrainedModel):
-            loaded = TrainedModel(weights=loaded, best_dev_score=float("nan"),
-                                  epochs_run=0, restart_count=0, history=[])
-        by_trial[tid]["models"].append(loaded)
+        by_trial[tid].members.append(ModelFile(path, entry["sha256"]))
 
-    ensembles = [
-        FoldEnsemble(hp=info["models"][0].weights.hp, members=info["models"],
-                     cv_score=info["cv_score"], trial_id=tid)
-        for tid, info in by_trial.items()
-    ]
-    ranked = sorted(ensembles, key=rank_key)
+    ranked = sorted(by_trial.values(), key=rank_key)
     if [fe.trial_id for fe in ranked] != trial_order:
         logger.warning(
             "%s: member order does not match (-cv_score, trial_id) ranking; "

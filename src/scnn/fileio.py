@@ -4,7 +4,8 @@
 to ``<path>.tmp``, which replaces ``path`` only after a clean write and is
 removed on any error. ``file_sha256`` is the content hash stored in stack
 manifests and run manifests. ``check_fields`` is the readers' one check
-of a JSON object's keys and value types.
+of a JSON object's keys and value types, and ``utf8_checked`` their one
+error for a text file that does not decode.
 """
 
 from __future__ import annotations
@@ -60,3 +61,23 @@ def file_sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+@contextmanager
+def utf8_checked(path):
+    """Turn a UnicodeDecodeError from reading the text file ``path`` inside
+    the block into a DataError naming the file and its first line that is
+    not UTF-8. No UTF-8 sequence holds a newline byte, so a file decodes
+    exactly when each of its lines does."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        where = ""
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    where = f" at line {lineno}: {exc.reason}"
+                    break
+        raise DataError(f"{path}: not UTF-8 text{where}") from None

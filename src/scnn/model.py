@@ -9,7 +9,10 @@ inputs; only the tensors created here are trained.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -435,7 +438,8 @@ _META_TYPES = {
     "best_dev_score": (lambda v: is_int(v) or isinstance(v, float), "a number"),
     "epochs_run": (is_int, "an integer"),
     "restart_count": (is_int, "an integer"),
-    "history": (lambda v: isinstance(v, list), "a list"),
+    "history": (lambda v: isinstance(v, list) and all(isinstance(r, list) for r in v),
+                "a list of lists"),
 }
 
 
@@ -497,48 +501,82 @@ def _check_header(path, header) -> tuple:
     return hp, want
 
 
-def load_model(path):
-    """Inverse of save_model; returns a TrainedModel when metadata is present.
+def _read_header(fh, path, size: int, digest) -> tuple:
+    """(header, hp, param_shapes) of the open model file ``fh``, which holds
+    ``size`` bytes; the bytes read go into ``digest`` when it is given."""
+    def read(n: int) -> bytes:
+        raw = fh.read(n)
+        if digest is not None:
+            digest.update(raw)
+        return raw
 
-    The header must declare exactly the tensors ``param_shapes`` gives for
-    its hyperparameters, names, order and shapes; anything else is a
-    DataError naming the file."""
+    if read(4) != MODEL_MAGIC:
+        raise DataError(f"{path}: not a model file")
+    head = read(8)
+    if len(head) < 8:
+        raise DataError(f"{path}: truncated model file")
+    version, header_len = struct.unpack("<II", head)
+    if version > MODEL_FORMAT_VERSION:
+        raise DataError(
+            f"{path}: model format version {version} is newer than "
+            f"supported version {MODEL_FORMAT_VERSION}"
+        )
+    if 12 + header_len > size:  # before read() allocates header_len bytes
+        raise DataError(f"{path}: truncated model file")
+    try:
+        header = json.loads(read(header_len).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: corrupt model header: {exc}") from exc
+    hp, shapes = _check_header(path, header)
+    return header, hp, shapes
+
+
+def _open_model(path):
+    """(binary handle, size in bytes) of a model file; DataError if unreadable."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read model {path}: {exc}") from exc
+    return fh, os.fstat(fh.fileno()).st_size
+
+
+def load_model_hp(path) -> HyperParams:
+    """The hyperparameters of a model file, from its checked header alone."""
+    fh, size = _open_model(path)
     with fh:
-        magic = fh.read(4)
-        if magic != MODEL_MAGIC:
-            raise DataError(f"{path}: not a model file")
-        head = fh.read(8)
-        if len(head) < 8:
-            raise DataError(f"{path}: truncated model file")
-        version, header_len = struct.unpack("<II", head)
-        if version > MODEL_FORMAT_VERSION:
-            raise DataError(
-                f"{path}: model format version {version} is newer than "
-                f"supported version {MODEL_FORMAT_VERSION}"
-            )
-        blob = fh.read(header_len)
-        if len(blob) < header_len:
-            raise DataError(f"{path}: truncated model file")
-        try:
-            header = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataError(f"{path}: corrupt model header: {exc}") from exc
-        hp, shapes = _check_header(path, header)
-        code = _DTYPE_CODES[header["dtype"]]
-        itemsize = np.dtype(code).itemsize
+        return _read_header(fh, path, size, None)[1]
+
+
+def load_model(path, sha256: Optional[str] = None):
+    """Inverse of save_model; returns a TrainedModel when metadata is present.
+
+    The file is read once, each tensor straight into its array. The header
+    must declare exactly the tensors ``param_shapes`` gives for its
+    hyperparameters, names, order and shapes. With ``sha256`` given, the
+    bytes read must have that hex digest. Anything else is a DataError
+    naming the file."""
+    digest = hashlib.sha256() if sha256 is not None else None
+    fh, size = _open_model(path)
+    with fh:
+        header, hp, shapes = _read_header(fh, path, size, digest)
+        dtype = np.dtype(_DTYPE_CODES[header["dtype"]])
         params = {}
         for name, shape in shapes:
-            count = int(np.prod(shape, dtype=np.int64))
-            raw = fh.read(count * itemsize)
-            if len(raw) < count * itemsize:
+            # the size check comes first so a bad header allocates nothing;
+            # the read check catches a file that shrinks while it is read
+            if fh.tell() + dtype.itemsize * math.prod(shape) > size:
                 raise DataError(f"{path}: truncated model file (tensor {name})")
-            params[name] = np.frombuffer(raw, dtype=code).reshape(shape).copy()
+            tensor = np.empty(shape, dtype=dtype)
+            raw = memoryview(tensor).cast("B")
+            if fh.readinto(raw) < len(raw):
+                raise DataError(f"{path}: truncated model file (tensor {name})")
+            if digest is not None:
+                digest.update(raw)
+            params[name] = tensor
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after declared tensors")
+    if digest is not None and digest.hexdigest() != sha256:
+        raise DataError(f"hash mismatch for member {path}")
     net = ShallowCNN(
         hp=hp,
         embedding_dim=header["embedding_dim"],

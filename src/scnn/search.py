@@ -31,6 +31,7 @@ import io
 import json
 import logging
 import os
+import shutil
 import sys
 import time
 from contextlib import contextmanager
@@ -43,10 +44,11 @@ from . import metrics
 from .corpus import FoldAssignment
 from .ensemble import (
     FoldEnsemble,
+    ModelFile,
     ensemble_predict,
+    mean_probs,
     rank_key,
     stack_top_k,
-    stacked_predict,
     train_fold_ensemble,
 )
 from .errors import DataError, ScnnError
@@ -294,32 +296,51 @@ class TrialInputs:
     keep_models: bool
 
 
+def member_saver(out_dir):
+    """An ``on_member`` for train_fold_ensemble that saves fold i as
+    ``<out_dir>/fold<i>.scnn`` and keeps a ModelFile of it."""
+    os.makedirs(out_dir, exist_ok=True)
+
+    def on_member(i: int, trained) -> ModelFile:
+        path = os.path.join(out_dir, f"fold{i}.scnn")
+        save_model(trained, path)
+        return ModelFile(path)
+    return on_member
+
+
 def run_trial(inputs: TrialInputs, tid: int, hp: HyperParams) -> TrialRecord:
-    """Train trial ``tid``'s fold ensemble and, with an ``out_dir``, write its
-    fold models and oof.tsv. A training failure becomes a failed record."""
+    """Train trial ``tid``'s fold ensemble. With an ``out_dir``, each fold
+    model is written once it is trained, then its oof.tsv; a trial that
+    fails leaves no ``trials/<tid>/``. A training failure becomes a failed
+    record."""
     started = time.perf_counter()
+    trial_dir = on_member = None
+    if inputs.out_dir is not None:
+        trial_dir = os.path.join(inputs.out_dir, "trials", str(tid))
+        on_member = member_saver(trial_dir)
     try:
         fe = train_fold_ensemble(
             hp, inputs.docs_by_name[hp.word_embedding], inputs.labels, inputs.folds,
             inputs.sched, Rng(inputs.seed).substream(tid), trial_id=tid,
+            on_member=on_member,
         )
-    except (ScnnError, ValueError, ArithmeticError) as exc:
+        if trial_dir is not None:
+            with atomic_write(os.path.join(trial_dir, "oof.tsv")) as fh:
+                fh.write(format_oof_tsv(inputs.ids, inputs.labels, inputs.folds.fold_of,
+                                        fe.oof_probs))
+    except BaseException as exc:
+        if trial_dir is not None:
+            shutil.rmtree(trial_dir, ignore_errors=True)
+        if not isinstance(exc, (ScnnError, ValueError, ArithmeticError)):
+            raise
         elapsed = time.perf_counter() - started
         logger.warning("trial %d failed after %.1fs: %s", tid, elapsed, exc)
         return TrialRecord(tid, hp, float("nan"), f"failed: {exc}", elapsed)
     elapsed = time.perf_counter() - started
     logger.info("trial %d done in %.1fs, cv_score %.6f", tid, elapsed, fe.cv_score)
     cv = fe.cv_score
-    if inputs.out_dir is not None:
-        trial_dir = os.path.join(inputs.out_dir, "trials", str(tid))
-        os.makedirs(trial_dir, exist_ok=True)
-        for i, member in enumerate(fe.members):
-            save_model(member, os.path.join(trial_dir, f"fold{i}.scnn"))
-        with atomic_write(os.path.join(trial_dir, "oof.tsv")) as fh:
-            fh.write(format_oof_tsv(inputs.ids, inputs.labels, inputs.folds.fold_of,
-                                    fe.oof_probs))
-        if not inputs.keep_models:
-            fe = None
+    if trial_dir is not None and not inputs.keep_models:
+        fe = None
     return TrialRecord(tid, hp, cv, "ok", elapsed, ensemble=fe)
 
 
@@ -398,10 +419,12 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
     """Sample ``n_trials`` distinct configs and train a fold ensemble each.
 
     Returns TrialRecords in leaderboard order. With ``out_dir`` set, writes
-    the run directory described in the module docstring; unless
-    ``keep_models`` is true, trained models are dropped from memory once
-    their files are on disk. A failed trial is recorded on the leaderboard
-    and the search continues.
+    the run directory described in the module docstring, saving each model
+    as soon as it is trained, so a process holds at most one trained model
+    besides the one in training; ``keep_models`` keeps each trial's
+    FoldEnsemble (of ModelFiles) on its record. Without ``out_dir``, records keep their ensembles in
+    memory. A failed trial is recorded on the leaderboard and the search
+    continues.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -449,14 +472,16 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
 
 def load_trial_ensemble(run_dir, record: TrialRecord, k: int) -> FoldEnsemble:
     """Rebuild one trial's FoldEnsemble from its saved artifacts, checking
-    that the stored cv score matches the out-of-fold predictions."""
+    that the stored cv score matches the out-of-fold predictions. Each fold
+    model is loaded once to validate it; the ensemble keeps ModelFiles."""
     trial_dir = os.path.join(run_dir, "trials", str(record.trial_id))
     members = []
     for i in range(k):
         path = os.path.join(trial_dir, f"fold{i}.scnn")
         if not os.path.exists(path):
             raise DataError(f"missing model file {path} for trial {record.trial_id}")
-        members.append(load_model(path))
+        load_model(path)
+        members.append(ModelFile(path))
     _, labels, _, oof = parse_oof_tsv(os.path.join(trial_dir, "oof.tsv"))
     recomputed = metrics.micro_f1_12(labels, oof)
     if abs(recomputed - record.cv_score) > 1e-6:
@@ -523,12 +548,13 @@ def top_k_report(trials: Sequence[FoldEnsemble], k_values: Sequence[int],
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["series", "key", "cv_score", "test_micro_f1_12"])
+    probs = {}  # each trial predicts once; stacked rows average these
     for fe in ranked:
-        probs = ensemble_predict(fe, test_docs_by_name[fe.hp.word_embedding])
+        probs[fe.trial_id] = ensemble_predict(fe, test_docs_by_name[fe.hp.word_embedding])
         writer.writerow(["individual", fe.trial_id, f"{fe.cv_score:.6f}",
-                         f"{metrics.micro_f1_12(test_labels, probs):.6f}"])
+                         f"{metrics.micro_f1_12(test_labels, probs[fe.trial_id]):.6f}"])
     for k in sorted(k_values):
         se = stack_top_k(ranked, k)
-        probs = stacked_predict(se, test_docs_by_name)
-        writer.writerow(["stacked", k, "", f"{metrics.micro_f1_12(test_labels, probs):.6f}"])
+        stacked = mean_probs([probs[fe.trial_id] for fe in se.ranked_members])
+        writer.writerow(["stacked", k, "", f"{metrics.micro_f1_12(test_labels, stacked):.6f}"])
     return buf.getvalue()

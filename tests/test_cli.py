@@ -141,6 +141,55 @@ class TestDataErrors:
         assert not out.exists()
 
 
+def _second_line_not_utf8(src, dst):
+    """``src``'s bytes with a 0xff byte ending the second line, at ``dst``."""
+    lines = src.read_bytes().split(b"\n")
+    lines[1] += b"\xff"
+    dst.write_bytes(b"\n".join(lines))
+    return dst
+
+
+@pytest.mark.parametrize("case", [
+    "evaluate-gold", "evaluate-pred", "predict-test", "predict-manifest",
+    "search-config", "search-train", "search-embeddings", "train-config",
+])
+def test_not_utf8_input_exits_2(run_dir, corpus_dir, tmp_path, capsys, case):
+    command, what = case.split("-")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "adam_b2": 0.999, "n_dense_output": 8, "keep_prob": 0.9, "batch_size": 25,
+        "learning_rate": 0.001, "word_embedding": "godin", "n_filters": 4,
+        "filter_sizes": [1, 2, 2, 2, 3]} if command == "train" else {"n_filters": [4]},
+        indent=1))
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("te0000\t1\t1.0\t0.0\t0.0\nte0001\t1\t1.0\t0.0\t0.0\n")
+    if command == "predict":
+        assert run_cli("stack", "--run", run_dir, "--top-k", "1",
+                       "--out", tmp_path / "stacks") == 0
+    files = {"gold": corpus_dir / "test.tsv", "pred": pred, "test": corpus_dir / "test.tsv",
+             "manifest": tmp_path / "stacks" / "stack_top1.json", "config": config,
+             "train": corpus_dir / "train.tsv", "embeddings": corpus_dir / "embeddings.txt"}
+    files[what] = _second_line_not_utf8(files[what], tmp_path / f"bad-{what}")
+    emb = f"godin={files['embeddings']},shin={files['embeddings']}"
+    out = tmp_path / "out"
+    argv = {
+        "evaluate": ["--gold", files["gold"], "--pred", files["pred"]],
+        "predict": ["--manifest", files["manifest"], "--test", files["test"],
+                    "--embeddings", emb],
+        "search": ["--train", files["train"], "--embeddings", emb, "--trials", 1,
+                   "--seed", 1, "--config", files["config"], "--unrestricted-space"],
+        "train": ["--train", files["train"], "--embeddings", emb, "--seed", 1,
+                  "--config", files["config"], "--unrestricted-space"],
+    }[command]
+    capsys.readouterr()
+    code = run_cli(command, *argv, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"bad-{what}: not UTF-8 text at line 2" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestTrainCommand:
     def test_train_single_config(self, tmp_path, corpus_dir):
         hp = {
@@ -316,6 +365,30 @@ class TestStackPredictEvaluate:
         err = capsys.readouterr().err
         assert code == 2, err
         assert "edited.scnn" in err and named in err
+        assert "Traceback" not in err
+        assert not pred.exists()
+
+    def test_predict_flipped_last_member(self, run_dir, corpus_dir, tmp_path, capsys):
+        # members are checked when used: the first 14 predict before this fails
+        stacks = tmp_path / "stacks"
+        assert run_cli("stack", "--run", run_dir, "--top-k", "3", "--out", stacks) == 0
+        manifest = stacks / "stack_top3.json"
+        doc = json.loads(manifest.read_text())
+        member = doc["members"][-1]
+        raw = bytearray((stacks / member["path"]).read_bytes())
+        raw[-5] ^= 0x10  # a tensor byte
+        flipped = tmp_path / "flipped.scnn"
+        flipped.write_bytes(raw)
+        member["path"] = os.path.relpath(flipped, stacks)
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        pred = tmp_path / "pred.tsv"
+        code = run_cli("predict", "--manifest", manifest, "--test", corpus_dir / "test.tsv",
+                       "--embeddings", f"godin={corpus_dir}/embeddings.txt,"
+                                       f"shin={corpus_dir}/embeddings.txt", "--out", pred)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "hash mismatch for member" in err and "flipped.scnn" in err
         assert "Traceback" not in err
         assert not pred.exists()
 

@@ -270,13 +270,15 @@ class TestManifest:
             E.load_ensemble(manifest)
 
     def test_hash_mismatch_named(self, tmp_path, toy_corpus):
-        se, manifest, _ = self._saved(tmp_path, toy_corpus)
+        # the hash is checked over the bytes loaded, when the member is used
+        se, manifest, docs = self._saved(tmp_path, toy_corpus)
         victim = tmp_path / "t1_f0.scnn"
         raw = bytearray(victim.read_bytes())
         raw[-1] ^= 0xFF
         victim.write_bytes(raw)
-        with pytest.raises(DataError, match="t1_f0.scnn"):
-            E.load_ensemble(manifest)
+        loaded = E.load_ensemble(manifest)
+        with pytest.raises(DataError, match="hash mismatch for member .*t1_f0.scnn"):
+            E.stacked_predict(loaded, {"godin": docs[:7]})
 
     def test_edited_scores_warn_and_reorder(self, tmp_path, toy_corpus, caplog):
         import json
@@ -317,3 +319,67 @@ class TestManifest:
         manifest.write_text("[1, 2]")
         with pytest.raises(DataError, match="stack.json: manifest is not a JSON object"):
             E.load_ensemble(manifest)
+
+
+class TestStreaming:
+    """A manifest-loaded stack keeps ModelFiles; ensemble_predict loads each
+    member just before it predicts with it and drops it afterwards."""
+
+    def _saved_stack(self, tmp_path, k=3, folds=5):
+        from scnn.model import TrainedModel, build_model, save_model
+
+        trials, model_paths = [], {}
+        for tid in range(k):
+            members, paths = [], []
+            for fold in range(folds):
+                tm = TrainedModel(build_model(toy_hp(), 16, seed=10 * tid + fold),
+                                  0.5, 1, 0, [])
+                path = tmp_path / f"t{tid}_f{fold}.scnn"
+                save_model(tm, path)
+                members.append(tm)
+                paths.append(str(path))
+            trials.append(E.FoldEnsemble(hp=toy_hp(), members=members,
+                                         cv_score=0.9 - tid / 10, trial_id=tid))
+            model_paths[tid] = paths
+        se = E.stack_top_k(trials, k)
+        manifest = tmp_path / "stack.json"
+        E.save_ensemble(se, manifest, model_paths, fold_seed=7, space_descriptor="abc")
+        return se, manifest
+
+    def test_one_member_alive_and_bit_exact(self, tmp_path, toy_corpus, monkeypatch):
+        import weakref
+
+        _, docs, _ = toy_corpus
+        se, manifest = self._saved_stack(tmp_path)
+        loaded = E.load_ensemble(manifest)
+        assert all(isinstance(m, E.ModelFile)
+                   for fe in loaded.ranked_members for m in fe.members)
+        real_load = E.load_model
+        refs, most_alive = [], []
+
+        def tracking_load(path, sha256=None):
+            loaded_model = real_load(path, sha256)
+            refs.append(weakref.ref(loaded_model.weights))
+            most_alive.append(sum(ref() is not None for ref in refs))
+            return loaded_model
+
+        monkeypatch.setattr(E, "load_model", tracking_load)
+        streamed = E.stacked_predict(loaded, {"godin": docs})
+        assert len(refs) == 15 and max(most_alive) == 1
+        assert all(ref() is None for ref in refs)
+        np.testing.assert_array_equal(streamed, E.stacked_predict(se, {"godin": docs}))
+
+    def test_changed_hyperparameters_rejected(self, tmp_path, toy_corpus):
+        from scnn.model import TrainedModel, build_model, save_model
+
+        _, docs, _ = toy_corpus
+        _, manifest = self._saved_stack(tmp_path, k=1, folds=2)
+        loaded = E.load_ensemble(manifest)
+        # fold 1 is replaced after the stack is loaded; its manifest hash is
+        # not checked, to reach the hyperparameter check
+        save_model(TrainedModel(build_model(toy_hp(keep_prob=0.5), 16, seed=0),
+                                0.5, 1, 0, []), tmp_path / "t0_f1.scnn")
+        fe = loaded.ranked_members[0]
+        fe.members[1] = E.ModelFile(fe.members[1].path)
+        with pytest.raises(DataError, match="t0_f1.scnn: hyperparameters differ"):
+            E.ensemble_predict(fe, docs)

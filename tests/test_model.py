@@ -1,10 +1,19 @@
+import hashlib
+import json
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rewrite_model_header, toy_hp
 from scnn import model as M
 from scnn import nn_core
 from scnn.errors import DataError, NumericError
+from scnn.fileio import file_sha256
 from scnn.model import HyperParams, TrainSchedule, build_model, load_model, save_model
 from scnn.rng import Rng
 
@@ -359,6 +368,9 @@ class TestSaveLoad:
         (lambda h: h.update(embedding_dim="8"), "embedding_dim must be a positive integer"),
         (lambda h: h.update(train_meta={"history": []}), "train_meta lacks best_dev_score"),
         (lambda h: h.update(train_meta=[]), "train_meta is not a JSON object"),
+        (lambda h: h.update(train_meta={"best_dev_score": 0.5, "epochs_run": 1,
+                                        "restart_count": 0, "history": [1]}),
+         "history must be a list of lists"),
     ])
     def test_header_rejected(self, tmp_path, edit, named):
         path = tmp_path / "m.scnn"
@@ -375,6 +387,95 @@ class TestSaveLoad:
         path.write_bytes(raw[: len(raw) - 10])
         with pytest.raises(DataError, match="truncated"):
             load_model(path)
+
+    def test_digest_is_file_sha256(self, tmp_path, toy_corpus):
+        path = tmp_path / "m.scnn"
+        save_model(self._trained(toy_corpus), path)
+        digest = file_sha256(path)
+        again = load_model(path, digest)
+        np.testing.assert_array_equal(again.weights.params["out_w"],
+                                      load_model(path).weights.params["out_w"])
+        wrong = format(int(digest, 16) ^ 1, "064x")
+        with pytest.raises(DataError, match="hash mismatch for member .*m.scnn"):
+            load_model(path, wrong)
+
+    def test_header_only_read(self, tmp_path):
+        path = tmp_path / "m.scnn"
+        save_model(build_model(toy_hp(), 8, seed=0), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-10])  # the tensors are not read
+        assert M.load_model_hp(path) == toy_hp()
+
+
+# --------------------------------------------------------------------------
+# fuzzing the loader: truncations, byte flips and deleted header keys
+# --------------------------------------------------------------------------
+
+def _model_bytes() -> bytes:
+    net = build_model(toy_hp(n_filters=3, n_dense_output=4), 4, seed=5)
+    tm = M.TrainedModel(net, 0.5, 2, 1, [(1.0, 0.25, 0.01), (0.5, 0.5, 0.005)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.scnn")
+        save_model(tm, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+MODEL_BYTES = _model_bytes()
+HEADER_END = 12 + struct.unpack("<II", MODEL_BYTES[4:12])[1]
+HEADER = json.loads(MODEL_BYTES[12:HEADER_END])
+HEADER_KEYS = ([(key,) for key in HEADER]
+               + [(outer, key) for outer in ("hp", "train_meta") for key in HEADER[outer]])
+
+
+def _without(keys) -> bytes:
+    header = json.loads(MODEL_BYTES[12:HEADER_END])
+    target = header
+    for key in keys[:-1]:
+        target = target[key]
+    del target[keys[-1]]
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return MODEL_BYTES[:4] + struct.pack("<II", 1, len(blob)) + blob + MODEL_BYTES[HEADER_END:]
+
+
+def _flipped(at: int, mask: int) -> bytes:
+    raw = bytearray(MODEL_BYTES)
+    raw[at] ^= mask
+    return bytes(raw)
+
+
+EDITS = st.one_of(
+    st.builds(lambda n: ("truncate", n, MODEL_BYTES[:n]),
+              st.integers(0, len(MODEL_BYTES) - 1)),
+    st.builds(lambda at, mask: ("flip", at, _flipped(at, mask)),
+              st.integers(0, len(MODEL_BYTES) - 1), st.integers(1, 255)),
+    st.builds(lambda keys: ("delete", keys, _without(keys)), st.sampled_from(HEADER_KEYS)),
+)
+
+
+def test_unedited_model_loads(tmp_path):
+    path = tmp_path / "m.scnn"
+    path.write_bytes(MODEL_BYTES)
+    again = load_model(path, hashlib.sha256(MODEL_BYTES).hexdigest())
+    assert again.history == [(1.0, 0.25, 0.01), (0.5, 0.5, 0.005)]
+    assert len(HEADER_KEYS) == 7 + 8 + 4  # top level, hp, train_meta
+
+
+@given(edit=EDITS)
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_model_raises_only_data_error(tmp_path_factory, edit):
+    kind, where, raw = edit
+    path = tmp_path_factory.getbasetemp() / "fuzzed.scnn"
+    path.write_bytes(raw)
+    try:
+        load_model(path)  # without a digest an edit may still load
+    except DataError:
+        pass
+    digest = hashlib.sha256(MODEL_BYTES).hexdigest()
+    with pytest.raises(DataError) as info:
+        load_model(path, digest)
+    if kind == "flip" and where >= HEADER_END:
+        assert "hash mismatch" in str(info.value)
 
 
 def test_non_finite_loss_aborts(toy_corpus):

@@ -9,6 +9,7 @@ import pytest
 from scipy import stats
 
 from conftest import synth_arrays, toy_hp
+from scnn import metrics
 from scnn import search as S
 from scnn import synth
 from scnn.corpus import stratified_kfold
@@ -328,6 +329,9 @@ class TestProcessPool:
                 np.testing.assert_array_equal(a.ensemble.oof_probs, b.ensemble.oof_probs)
             else:
                 assert a.ensemble is None and b.ensemble is None
+        for run in ("p1", "p2"):  # failed trials leave no trials/<id>/
+            assert sorted(os.listdir(tmp_path / run / "trials")) == sorted(
+                str(r.trial_id) for r in serial if r.ok)
         assert _tree_bytes(tmp_path / "p1") == _tree_bytes(tmp_path / "p2")
         assert not [p for p in _tree_bytes(tmp_path / "p2") if p.endswith(".tmp")]
 
@@ -404,3 +408,95 @@ class TestTopKReport:
         with pytest.raises(ValueError):
             S.top_k_report(ensembles, [99], {"godin": test_docs, "shin": test_docs},
                            test_labels)
+
+
+class TestStreamingSearch:
+    """With an out_dir, each fold model is saved once it is trained and the
+    search keeps ModelFiles, not tensors."""
+
+    def _search(self, out_dir, n_trials=2):
+        examples, docs, labels = synth_arrays(303, 60)
+        folds = stratified_kfold(examples, k=5, seed=303)
+        space = S.SearchSpace.from_dict(synth.TOY_SPACE, restricted=False)
+        return S.run_search(
+            [ex.id for ex in examples], labels, {"godin": docs, "shin": docs},
+            space, n_trials, folds, TrainSchedule(max_epochs=2), seed=5,
+            out_dir=str(out_dir), keep_models=True,
+        )
+
+    def test_one_trained_model_alive(self, tmp_path, monkeypatch):
+        import weakref
+
+        from scnn import ensemble as E
+
+        real_build, real_train, real_save = E.build_model, E.train, S.save_model
+        refs, alive_in_training, alive_at_save = [], [], []
+
+        def alive():
+            return sum(ref() is not None for ref in refs)
+
+        def tracking_build(*args, **kwargs):
+            net = real_build(*args, **kwargs)
+            refs.append(weakref.ref(net))
+            return net
+
+        def counting_train(*args, **kwargs):
+            alive_in_training.append(alive())
+            return real_train(*args, **kwargs)
+
+        def counting_save(model, path):
+            alive_at_save.append(alive())
+            real_save(model, path)
+
+        monkeypatch.setattr(E, "build_model", tracking_build)
+        monkeypatch.setattr(E, "train", counting_train)
+        monkeypatch.setattr(S, "save_model", counting_save)
+        records = self._search(tmp_path / "run")
+        # a fold trains beside at most the previous fold's model, and each
+        # model is saved with no other alive
+        assert alive_in_training == [1, 2, 2, 2, 2] * 2
+        assert alive_at_save == [1] * 10
+        for r in records:
+            assert [m.path for m in r.ensemble.members] == [
+                str(tmp_path / "run" / "trials" / str(r.trial_id) / f"fold{i}.scnn")
+                for i in range(5)]
+
+    def test_failure_after_saved_folds_removes_trial_dir(self, tmp_path, monkeypatch):
+        from scnn import ensemble as E
+        from scnn.errors import NumericError
+
+        real_train = E.train
+        calls = []
+
+        def failing_third_fold(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:  # trial 0 fold 2: folds 0 and 1 are on disk
+                raise NumericError("non-finite loss")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(E, "train", failing_third_fold)
+        records = self._search(tmp_path / "run")
+        failed = [r for r in records if not r.ok]
+        assert [r.trial_id for r in failed] == [0]
+        assert "fold 2: non-finite loss" in failed[0].status
+        assert os.listdir(tmp_path / "run" / "trials") == ["1"]
+
+    def test_report_predicts_each_trial_once(self, small_run, monkeypatch):
+        from scnn import ensemble as E
+
+        records, _, _, _, test_docs, test_labels = small_run
+        ensembles = [r.ensemble for r in records if r.ok]
+        docs_by_name = {"godin": test_docs, "shin": test_docs}
+        calls = Counter()
+
+        def counting_predict(fe, docs):
+            calls[fe.trial_id] += 1
+            return E.ensemble_predict(fe, docs)
+
+        monkeypatch.setattr(S, "ensemble_predict", counting_predict)
+        text = S.top_k_report(ensembles, [1, 2, 3], docs_by_name, test_labels)
+        assert set(calls.values()) == {1} and len(calls) == len(ensembles)
+        for line in text.splitlines()[-3:]:  # the stacked rows
+            k = int(line.split(",")[1])
+            probs = E.stacked_predict(E.stack_top_k(ensembles, k), docs_by_name)
+            assert line.split(",")[3] == f"{metrics.micro_f1_12(test_labels, probs):.6f}"
