@@ -24,7 +24,7 @@ import numpy as np
 from . import corpus, embeddings, metrics, search, synth
 from .ensemble import load_ensemble, save_ensemble, stack_top_k, stacked_predict
 from .errors import DataError, NumericError, ScnnError
-from .fileio import atomic_write, file_sha256, utf8_checked
+from .fileio import atomic_write, file_sha256, open_text, read_json
 from .gradcheck import TOLERANCE, run_gradcheck
 from .model import HyperParams, TrainSchedule, validate_hyperparams
 from .rng import Rng
@@ -126,11 +126,7 @@ def _schedule_from_args(args) -> TrainSchedule:
 
 def _sniff_labeled(path) -> bool:
     """A dataset line has 3 tab-separated fields when labeled, 2 otherwise."""
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    with fh, utf8_checked(path):
+    with open_text(path, "dataset") as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line:
@@ -182,15 +178,7 @@ def _load_search_inputs(args, space_names):
 def _cmd_search(args, outputs: _Outputs) -> int:
     if args.parallelism < 1:
         raise UsageError(f"--parallelism must be >= 1, got {args.parallelism}")
-    overrides = {}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh, utf8_checked(args.config):
-                overrides = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{args.config}: not valid JSON: {exc}") from exc
+    overrides = read_json(args.config, "config") if args.config else {}
     space = search.SearchSpace.from_dict(overrides, restricted=not args.unrestricted_space)
     examples, docs_by_name, info = _load_search_inputs(
         args, space.domains["word_embedding"]
@@ -211,13 +199,7 @@ def _cmd_search(args, outputs: _Outputs) -> int:
 
 
 def _cmd_train(args, outputs: _Outputs) -> int:
-    try:
-        with open(args.config, encoding="utf-8") as fh, utf8_checked(args.config):
-            hp = HyperParams.from_dict(json.load(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{args.config}: not valid JSON: {exc}") from exc
+    hp = HyperParams.from_dict(read_json(args.config, "config"))
     problems = validate_hyperparams(hp, restricted=not args.unrestricted_space)
     if problems:
         raise DataError("invalid hyperparameters: " + "; ".join(problems))
@@ -319,11 +301,7 @@ def _cmd_predict(args, outputs: _Outputs) -> int:
 def _parse_predictions(path) -> dict:
     """Predictions TSV -> {id: predicted label}."""
     preds = {}
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read predictions {path}: {exc}") from exc
-    with fh, utf8_checked(path):
+    with open_text(path, "predictions") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:

@@ -1,6 +1,6 @@
 """Tweet dataset parsing, tokenization, padding, and stratified CV folds.
 
-Dataset files are UTF-8 TSV, one tweet per line, LF endings:
+Dataset files are UTF-8 TSV, one tweet per line; only LF ends a line:
 
     labeled    id<TAB>label<TAB>text      label in {1, 2, 3}
     unlabeled  id<TAB>text
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DataError
-from .fileio import utf8_checked
+from .fileio import open_text
 from .rng import Rng
 
 CLASSES = (1, 2, 3)
@@ -110,11 +110,7 @@ def parse_dataset(path, labeled: bool = True) -> list:
     examples = []
     seen_ids = set()
     expected = 3 if labeled else 2
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    with fh, utf8_checked(path):
+    with open_text(path, "dataset") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import TokenSeq
 from .errors import DataError
-from .fileio import utf8_checked
+from .fileio import open_text
 
 
 @dataclass
@@ -28,11 +28,7 @@ class EmbeddingTable:
 
 def load_embeddings(path, name: str) -> EmbeddingTable:
     """Parse a word2vec text file; errors carry the offending line number."""
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read embeddings {path}: {exc}") from exc
-    with fh, utf8_checked(path):
+    with open_text(path, "embeddings") as fh:
         header = fh.readline()
         parts = header.split()
         if len(parts) != 2:

@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics
 from .corpus import FoldAssignment
 from .errors import DataError, NumericError
-from .fileio import atomic_write, check_fields, file_sha256, is_int, utf8_checked
+from .fileio import atomic_write, check_fields, file_sha256, is_int, read_json
 from .model import (
     HyperParams,
     TrainSchedule,
@@ -34,6 +34,7 @@ from .model import (
     load_model,
     load_model_hp,
     train,
+    train_buffers,
 )
 from .rng import Rng
 
@@ -56,7 +57,6 @@ class FoldEnsemble:
     oof_probs: Optional[np.ndarray] = field(default=None, repr=False)
     cv_score: float = float("nan")
     trial_id: int = 0
-    folds: Optional[FoldAssignment] = None
 
 
 @dataclass
@@ -82,18 +82,19 @@ def train_fold_ensemble(hp: HyperParams, docs: np.ndarray, labels: np.ndarray,
     fold_of = np.asarray(folds.fold_of, dtype=np.int64)
     if len(fold_of) != len(docs):
         raise ValueError(f"fold assignment covers {len(fold_of)} examples, got {len(docs)}")
-    members = []
+    members, buffers = [], None
     oof = np.zeros((len(docs), 3), dtype=np.float64)
     for i in range(folds.k):
         held_out = np.flatnonzero(fold_of == i)
         train_idx = np.flatnonzero(fold_of != i)
         fold_seed = rng.derive_seed("fold", i)
         net = build_model(hp, docs.shape[2], seed=fold_seed)
+        buffers = buffers or train_buffers(net)
         try:
             trained = train(
                 net, docs[train_idx], labels[train_idx],
                 docs[held_out], labels[held_out],
-                sched, Rng(fold_seed).substream("train"),
+                sched, Rng(fold_seed).substream("train"), buffers=buffers,
             )
         except (DataError, ValueError, ArithmeticError) as exc:
             raise type(exc)(f"fold {i}: {exc}") from exc
@@ -106,8 +107,7 @@ def train_fold_ensemble(hp: HyperParams, docs: np.ndarray, labels: np.ndarray,
         # depends on the heap layout, and a 3-trial paper-shape search then
         # faulted in up to 7x the pages (benchmarks/BENCH_streaming.json)
     return FoldEnsemble(hp=hp, members=members, oof_probs=oof,
-                        cv_score=metrics.micro_f1_12(labels, oof), trial_id=trial_id,
-                        folds=folds)
+                        cv_score=metrics.micro_f1_12(labels, oof), trial_id=trial_id)
 
 
 def mean_probs(parts: list) -> np.ndarray:
@@ -235,13 +235,7 @@ def load_ensemble(manifest_path) -> StackedEnsemble:
     ensemble_predict loads and checks against its sha256 when it uses it.
     Only the first member file of each trial is read here, for its
     hyperparameters; errors name the file and the member."""
-    try:
-        with open(manifest_path, encoding="utf-8") as fh, utf8_checked(manifest_path):
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{manifest_path}: not valid JSON: {exc}") from exc
+    doc = read_json(manifest_path, "manifest")
     _check_manifest(manifest_path, doc)
     if doc.get("format_version", 0) > MANIFEST_FORMAT_VERSION:
         raise DataError(

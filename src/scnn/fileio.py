@@ -4,13 +4,15 @@
 to ``<path>.tmp``, which replaces ``path`` only after a clean write and is
 removed on any error. ``file_sha256`` is the content hash stored in stack
 manifests and run manifests. ``check_fields`` is the readers' one check
-of a JSON object's keys and value types, and ``utf8_checked`` their one
-error for a text file that does not decode.
+of a JSON object's keys and value types, ``open_text`` (only LF ends a line,
+as every writer here writes) their one way to open a text file, and
+``utf8_checked`` their one error for a text file that does not decode.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from contextlib import contextmanager
 
@@ -61,6 +63,28 @@ def file_sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+@contextmanager
+def open_text(path, what: str):
+    """A UTF-8 handle on the text file ``path`` in which only LF ends a line,
+    so line numbers agree with ``utf8_checked``'s; DataError "cannot read
+    <what> <path>" if it does not open."""
+    try:
+        fh = open(path, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    with fh, utf8_checked(path):
+        yield fh
+
+
+def read_json(path, what: str):
+    """The JSON document in ``path``; DataError naming the file if it is unreadable."""
+    try:
+        with open_text(path, what) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
 
 
 @contextmanager

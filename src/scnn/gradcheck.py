@@ -40,22 +40,17 @@ def loss_with_masks(model: ShallowCNN, docs, labels, masks) -> float:
 
 def finite_difference_gradients(model: ShallowCNN, docs, labels, masks,
                                 step: float = 1e-5) -> dict:
-    """Central-difference gradient of every parameter entry."""
-    grads = {}
-    for name, p in model.params.items():
-        g = np.zeros_like(p)
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for i in range(flat_p.size):
-            saved = flat_p[i]
-            flat_p[i] = saved + step
-            hi = loss_with_masks(model, docs, labels, masks)
-            flat_p[i] = saved - step
-            lo = loss_with_masks(model, docs, labels, masks)
-            flat_p[i] = saved
-            flat_g[i] = (hi - lo) / (2.0 * step)
-        grads[name] = g
-    return grads
+    """Central-difference gradient of every parameter entry, by name."""
+    p, g = model.arena, np.zeros_like(model.arena)
+    for i in range(p.size):
+        saved = p[i]
+        p[i] = saved + step
+        hi = loss_with_masks(model, docs, labels, masks)
+        p[i] = saved - step
+        lo = loss_with_masks(model, docs, labels, masks)
+        p[i] = saved
+        g[i] = (hi - lo) / (2.0 * step)
+    return model_mod.arena_views(g, model.shapes)
 
 
 def relative_errors(analytic: dict, numeric: dict) -> dict:

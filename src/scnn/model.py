@@ -5,6 +5,10 @@ each with ``n_filters`` filters) over the document's embedding rows,
 max-over-time pooling, dropout, a ReLU dense layer of ``n_dense_output``
 units, dropout again, and a 3-way softmax output. Embeddings are frozen
 inputs; only the tensors created here are trained.
+
+A model's trained tensors lie back to back in one flat buffer, its arena,
+in ``param_shapes`` order (the model file's order). Gradients, Adam moments
+and the best-weights snapshot are arenas of the same layout.
 """
 
 from __future__ import annotations
@@ -133,29 +137,42 @@ def param_shapes(hp: HyperParams, embedding_dim: int) -> list:
                      ("out_w", (nd, N_CLASSES)), ("out_b", (N_CLASSES,))]
 
 
+def arena_size(shapes) -> int:
+    """Elements of an arena holding the tensors of a ``param_shapes`` list."""
+    return sum(math.prod(shape) for _, shape in shapes)
+
+
+def arena_views(arena: np.ndarray, shapes) -> dict:
+    """name -> its view of the flat ``arena``, the ``shapes`` lying back to back."""
+    if arena.shape != (arena_size(shapes),):
+        raise ValueError(f"arena of shape {arena.shape} does not hold the "
+                         f"{arena_size(shapes)} elements of the tensors")
+    views, lo = {}, 0
+    for name, shape in shapes:
+        hi = lo + math.prod(shape)
+        views[name] = arena[lo:hi].reshape(shape)
+        lo = hi
+    return views
+
+
 @dataclass
 class ShallowCNN:
+    """A model: its hyperparameters and its arena, every trained tensor in
+    one flat buffer; ``params[name]`` is that tensor's view into it."""
+
     hp: HyperParams
     embedding_dim: int
-    params: dict = field(repr=False)
+    arena: np.ndarray = field(repr=False)
     init_seed: int
-    dtype: np.dtype = np.dtype(np.float32)
+    params: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.params = arena_views(self.arena, self.shapes)
 
     @property
-    def pooled_width(self) -> int:
-        return N_GROUPS * self.hp.n_filters
+    def shapes(self) -> list:
+        return param_shapes(self.hp, self.embedding_dim)
 
-    def copy_params(self) -> dict:
-        return {k: v.copy() for k, v in self.params.items()}
-
-
-def param_count(hp: HyperParams, embedding_dim: int) -> int:
-    """Closed-form parameter count of the architecture."""
-    f, nd = hp.n_filters, hp.n_dense_output
-    conv = sum(h * embedding_dim * f + f for h in hp.filter_sizes)
-    dense = N_GROUPS * f * nd + nd
-    out = nd * N_CLASSES + N_CLASSES
-    return conv + dense + out
 
 
 def build_model(hp: HyperParams, embedding_dim: int, seed: int,
@@ -171,17 +188,15 @@ def build_model(hp: HyperParams, embedding_dim: int, seed: int,
         raise ValueError("invalid hyperparameters: " + "; ".join(problems))
     if embedding_dim < 1:
         raise ValueError(f"embedding_dim must be >= 1, got {embedding_dim}")
-    dtype = np.dtype(dtype)
+    shapes = param_shapes(hp, embedding_dim)
+    arena = np.zeros(arena_size(shapes), dtype=dtype)
+    net = ShallowCNN(hp=hp, embedding_dim=embedding_dim, arena=arena, init_seed=int(seed))
     rng = Rng(seed).substream("init")
-    params = {}
-    for name, shape in param_shapes(hp, embedding_dim):
+    for name, shape in shapes:
         if name.endswith("_w"):
             fan_in = int(np.prod(shape[:-1]))
-            params[name] = nn_core.xavier_init(fan_in, shape[-1], shape, rng, dtype)
-        else:
-            params[name] = np.zeros(shape, dtype=dtype)
-    return ShallowCNN(hp=hp, embedding_dim=embedding_dim, params=params,
-                      init_seed=int(seed), dtype=dtype)
+            net.params[name][...] = nn_core.xavier_init(fan_in, shape[-1], shape, rng, dtype)
+    return net
 
 
 # --------------------------------------------------------------------------
@@ -219,7 +234,7 @@ def forward_batch(model: ShallowCNN, docs: np.ndarray, training: bool = False,
     h_max = max(hp.filter_sizes)
     if h_max > docs.shape[1]:
         raise ValueError(f"filter width {h_max} exceeds document length {docs.shape[1]}")
-    docs = trim_pad_windows(docs.astype(model.dtype, copy=False), h_max)
+    docs = trim_pad_windows(docs.astype(model.arena.dtype, copy=False), h_max)
     pooled_parts = []
     conv_caches = []
     for g, h in enumerate(hp.filter_sizes):
@@ -257,26 +272,28 @@ def forward_batch(model: ShallowCNN, docs: np.ndarray, training: bool = False,
     return probs, caches
 
 
-def backward_batch(model: ShallowCNN, caches: dict, gold) -> dict:
-    """Exact gradients of the mean batch cross-entropy for every parameter."""
+def backward_batch(model: ShallowCNN, caches: dict, gold, out: Optional[dict] = None) -> dict:
+    """Exact gradients of the mean batch cross-entropy for every parameter,
+    name -> array. They are written into ``out``, the ``arena_views`` of a
+    gradient arena, when it is given, else into a fresh arena."""
     if not caches or "probs" not in caches:
         raise ValueError("backward requires the caches of a forward pass")
+    grads = out if out is not None else arena_views(np.empty_like(model.arena), model.shapes)
     mask1, mask2 = caches["masks"]
     dlogits = nn_core.softmax_cross_entropy_backward(caches["probs"], gold)
-    dh2, d_out_w, d_out_b = nn_core.dense_backward(caches["out"], dlogits)
+    dh2 = nn_core.dense_backward(caches["out"], dlogits, out=(grads["out_w"], grads["out_b"]))[0]
     dh1 = dh2 * mask2 if mask2 is not None else dh2
-    dh0, d_dense_w, d_dense_b = nn_core.dense_backward(caches["dense"], dh1)
+    dh0 = nn_core.dense_backward(caches["dense"], dh1,
+                                 out=(grads["dense_w"], grads["dense_b"]))[0]
     dfeat = dh0 * mask1 if mask1 is not None else dh0
 
-    grads = {"dense_w": d_dense_w, "dense_b": d_dense_b,
-             "out_w": d_out_w, "out_b": d_out_b}
-    for g, d_pooled in enumerate(np.split(dfeat, N_GROUPS, axis=1)):
-        docs, argmax, pooled, h = caches["conv"][g]
+    f = model.hp.n_filters
+    for g, (docs, argmax, pooled, h) in enumerate(caches["conv"]):
         dW, db = kernels.conv_pool_backward(
-            docs, argmax, pooled, d_pooled.astype(docs.dtype, copy=False), h
+            docs, argmax, pooled, dfeat[:, g * f:(g + 1) * f].astype(docs.dtype, copy=False), h
         )
-        grads[f"conv{g}_w"] = dW
-        grads[f"conv{g}_b"] = db
+        np.copyto(grads[f"conv{g}_w"], dW)
+        np.copyto(grads[f"conv{g}_b"], db)
     return grads
 
 
@@ -286,7 +303,7 @@ _PREDICT_CHUNK = 512
 def predict_proba(model: ShallowCNN, docs: np.ndarray) -> np.ndarray:
     """Inference-mode probabilities, one row per document; rows sum to 1."""
     n = len(docs)
-    out = np.zeros((n, N_CLASSES), dtype=model.dtype)
+    out = np.zeros((n, N_CLASSES), dtype=model.arena.dtype)
     for start in range(0, n, _PREDICT_CHUNK):
         chunk = docs[start:start + _PREDICT_CHUNK]
         out[start:start + len(chunk)] = forward_batch(model, chunk, training=False)[0]
@@ -322,14 +339,23 @@ class TrainedModel:
         return predict_proba(self.weights, docs)
 
 
+def train_buffers(model: ShallowCNN) -> tuple:
+    """(gradient arena, best-weights arena, AdamState) for train(); the folds
+    of a trial share one set, so its pages are faulted in once per trial."""
+    return (np.empty_like(model.arena), np.empty_like(model.arena),
+            nn_core.AdamState.for_arena(model.arena, model.shapes, beta2=model.hp.adam_b2))
+
+
 def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
           dev_docs: np.ndarray, dev_labels: np.ndarray, sched: TrainSchedule,
-          rng: Rng, dev_scorer: Optional[Callable] = None,
-          callback: Optional[Callable] = None) -> TrainedModel:
+          rng: Rng, dev_scorer: Optional[Callable] = None, callback: Optional[Callable] = None,
+          buffers: Optional[tuple] = None) -> TrainedModel:
     """Mini-batch Adam with per-epoch dev scoring and annealing restarts.
 
-    Epoch shuffles come from ``rng.substream("shuffle", epoch)`` and dropout
-    from ``rng.substream("dropout")``, so identical inputs and seeds replay
+    ``buffers`` come from ``train_buffers`` for a model of the same
+    hyperparameters, or are made for this call. Epoch shuffles come from
+    ``rng.substream("shuffle", epoch)`` and dropout from
+    ``rng.substream("dropout")``, so identical inputs and seeds replay
     bit-identically. ``dev_scorer(model)`` overrides the dev metric (test
     hook); ``callback(epoch, model, record)`` fires after each epoch, after
     any restart processing.
@@ -342,10 +368,12 @@ def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
     train_labels = np.asarray(train_labels, dtype=np.int64)
 
     lr = model.hp.learning_rate
-    opt = nn_core.AdamState.for_params(model.params, beta2=model.hp.adam_b2)
+    grads, best, opt = buffers if buffers is not None else train_buffers(model)
+    grad_views = arena_views(grads, model.shapes)
+    opt.reset()
     drop_rng = rng.substream("dropout")
     best_score = -np.inf
-    best_params = model.copy_params()
+    np.copyto(best, model.arena)
     stagnation = 0
     restart_count = 0
     history = []
@@ -366,8 +394,8 @@ def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
                     f"non-finite training loss {loss} at epoch {epoch}, "
                     f"batch starting {start}, lr {lr}"
                 )
-            grads = backward_batch(model, caches, train_labels[batch])
-            nn_core.adam_step(model.params, grads, opt, lr)
+            backward_batch(model, caches, train_labels[batch], grad_views)
+            nn_core.adam_step(model.arena, grads, opt, lr)
             loss_total += loss * len(batch)
         train_loss = loss_total / n
 
@@ -379,7 +407,7 @@ def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
 
         if dev_score > best_score:
             best_score = dev_score
-            best_params = model.copy_params()
+            np.copyto(best, model.arena)
             stagnation = 0
         else:
             stagnation += 1
@@ -388,8 +416,8 @@ def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
         stop = False
         if stagnation >= sched.patience:
             if restart_count < sched.restarts_allowed:
-                model.params = {k: v.copy() for k, v in best_params.items()}
-                opt = nn_core.AdamState.for_params(model.params, beta2=model.hp.adam_b2)
+                np.copyto(model.arena, best)
+                opt.reset()
                 lr *= sched.lr_decay
                 restart_count += 1
                 stagnation = 0
@@ -405,7 +433,8 @@ def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
         if stop:
             break
 
-    model.params = best_params
+    if stagnation:  # else the arena holds the best weights already
+        np.copyto(model.arena, best)
     return TrainedModel(
         weights=model,
         best_dev_score=float(best_score),
@@ -421,7 +450,8 @@ def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
 #
 # Binary, little-endian: magic "SCNN", u32 format version, u32 header
 # length, JSON header (hp, dims, seed, dtype, tensor table, optional
-# training metadata), then the raw tensors row-major in declared order.
+# training metadata), then the raw tensors row-major in declared order:
+# the model's arena, byte for byte.
 
 MODEL_MAGIC = b"SCNN"
 MODEL_FORMAT_VERSION = 1
@@ -447,17 +477,16 @@ def save_model(model, path) -> None:
     """Write a ShallowCNN or TrainedModel; round trips bit-exactly."""
     trained = model if isinstance(model, TrainedModel) else None
     net = trained.weights if trained else model
-    dtype_name = net.dtype.name
+    dtype_name = net.arena.dtype.name
     if dtype_name not in _DTYPE_CODES:
         raise ValueError(f"unsupported dtype {dtype_name}")
-    order = [name for name, _ in param_shapes(net.hp, net.embedding_dim)]
     header = {
         "format_version": MODEL_FORMAT_VERSION,
         "hp": net.hp.to_dict(),
         "embedding_dim": net.embedding_dim,
         "init_seed": net.init_seed,
         "dtype": dtype_name,
-        "tensors": [[name, list(net.params[name].shape)] for name in order],
+        "tensors": [[name, list(shape)] for name, shape in net.shapes],
         "train_meta": None if trained is None else {
             "best_dev_score": trained.best_dev_score,
             "epochs_run": trained.epochs_run,
@@ -470,9 +499,8 @@ def save_model(model, path) -> None:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<II", MODEL_FORMAT_VERSION, len(blob)))
         fh.write(blob)
-        code = _DTYPE_CODES[dtype_name]
-        for name in order:
-            fh.write(np.ascontiguousarray(net.params[name], dtype=code).tobytes())
+        arena = np.ascontiguousarray(net.arena, dtype=_DTYPE_CODES[dtype_name])
+        fh.write(memoryview(arena).cast("B"))
 
 
 def _check_header(path, header) -> tuple:
@@ -550,9 +578,9 @@ def load_model_hp(path) -> HyperParams:
 def load_model(path, sha256: Optional[str] = None):
     """Inverse of save_model; returns a TrainedModel when metadata is present.
 
-    The file is read once, each tensor straight into its array. The header
-    must declare exactly the tensors ``param_shapes`` gives for its
-    hyperparameters, names, order and shapes. With ``sha256`` given, the
+    The file is read once, its tensors with one read into the model's arena.
+    The header must declare exactly the tensors ``param_shapes`` gives for
+    its hyperparameters, names, order and shapes. With ``sha256`` given, the
     bytes read must have that hex digest. Anything else is a DataError
     naming the file."""
     digest = hashlib.sha256() if sha256 is not None else None
@@ -560,30 +588,25 @@ def load_model(path, sha256: Optional[str] = None):
     with fh:
         header, hp, shapes = _read_header(fh, path, size, digest)
         dtype = np.dtype(_DTYPE_CODES[header["dtype"]])
-        params = {}
-        for name, shape in shapes:
-            # the size check comes first so a bad header allocates nothing;
-            # the read check catches a file that shrinks while it is read
-            if fh.tell() + dtype.itemsize * math.prod(shape) > size:
-                raise DataError(f"{path}: truncated model file (tensor {name})")
-            tensor = np.empty(shape, dtype=dtype)
-            raw = memoryview(tensor).cast("B")
-            if fh.readinto(raw) < len(raw):
-                raise DataError(f"{path}: truncated model file (tensor {name})")
-            if digest is not None:
-                digest.update(raw)
-            params[name] = tensor
+        n = arena_size(shapes)
+        # the size check comes first so a bad header allocates nothing;
+        # the read check catches a file that shrinks while it is read
+        present = (size - fh.tell()) // dtype.itemsize
+        if present < n:
+            raise DataError(f"{path}: truncated model file "
+                            f"(tensor {nn_core.tensor_at(shapes, present)})")
+        arena = np.empty(n, dtype=dtype)
+        raw = memoryview(arena).cast("B")
+        if fh.readinto(raw) < len(raw):
+            raise DataError(f"{path}: truncated model file")
+        if digest is not None:
+            digest.update(raw)
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after declared tensors")
     if digest is not None and digest.hexdigest() != sha256:
         raise DataError(f"hash mismatch for member {path}")
-    net = ShallowCNN(
-        hp=hp,
-        embedding_dim=header["embedding_dim"],
-        params=params,
-        init_seed=header["init_seed"],
-        dtype=np.dtype(header["dtype"]),
-    )
+    net = ShallowCNN(hp=hp, embedding_dim=header["embedding_dim"], arena=arena,
+                     init_seed=header["init_seed"])
     meta = header.get("train_meta")
     if meta is None:
         return net

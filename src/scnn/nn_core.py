@@ -1,10 +1,10 @@
 """Numerical primitives: init, layer forward/backward, dropout, loss, Adam.
 
-All functions are pure in their inputs plus an explicit Rng; randomness never
-comes from hidden global state. Parameters and activations are float32 by
-default; passing float64 arrays flows float64 end to end (used by the
-gradient checker). Reductions keep a fixed order so repeated runs are
-bit-identical.
+Randomness comes from an explicit Rng, never hidden global state; functions
+write only to buffers passed in (``out=``, Adam's flat buffers). Parameters
+and activations are float32 by default; passing float64 arrays flows float64
+end to end (used by the gradient checker). Reductions keep a fixed order so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -41,14 +41,16 @@ def dense_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray, activation: str =
     return y, (x, z, W, activation)
 
 
-def dense_backward(cache, dy: np.ndarray):
-    """Returns (dx, dW, db) for the cached dense forward."""
+def dense_backward(cache, dy: np.ndarray, out=None):
+    """Returns (dx, dW, db) for the cached dense forward. With ``out`` a
+    (dW, db) pair of buffers, the weight gradients are written into them."""
     x, z, W, activation = cache
     dz = dy * (z > 0) if activation == "relu" else dy
-    dW = x.T @ dz
-    db = dz.sum(axis=0)
-    dx = dz @ W.T
-    return dx, dW.astype(x.dtype, copy=False), db.astype(x.dtype, copy=False)
+    dW, db = out if out is not None else (np.empty(W.shape, x.dtype),
+                                          np.empty(W.shape[1], x.dtype))
+    np.matmul(x.T, dz, out=dW)
+    np.sum(dz, axis=0, out=db)
+    return dz @ W.T, dW, db
 
 
 # --------------------------------------------------------------------------
@@ -110,91 +112,93 @@ def dropout(x: np.ndarray, keep_prob: float, rng: Rng):
 # --------------------------------------------------------------------------
 
 # Elements per pass of an Adam update: a pass's slices of p, g, m, v and its
-# two scratch buffers stay in cache, so each tensor is read and written once.
+# two scratch buffers stay in cache, so each element is read and written once.
 ADAM_CHUNK = 1 << 15
+
+
+def tensor_at(layout, index: int) -> str:
+    """The name of the tensor of ``layout`` (``param_shapes``) holding flat element ``index``."""
+    ends = np.cumsum([math.prod(shape) for _, shape in layout])
+    return layout[int(np.searchsorted(ends, index, side="right"))][0]
 
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per parameter tensor plus step count.
+    """Adam's moment estimates of a flat parameter buffer and its step count.
 
-    ``scratch`` holds two ADAM_CHUNK-long buffers that every step reuses for
-    its intermediates instead of allocating parameter-sized temporaries.
+    ``layout`` is the buffer's (name, shape) table, which names the tensor of
+    a non-finite gradient; ``scratch`` holds two buffers of up to ADAM_CHUNK
+    elements that every step reuses for its intermediates.
     """
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
+    layout: list
+    scratch: tuple = field(repr=False)
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    scratch: tuple = field(default=None, repr=False)
 
     @classmethod
-    def for_params(cls, params: dict, beta2: float, beta1: float = 0.9,
-                   epsilon: float = 1e-8) -> "AdamState":
+    def for_arena(cls, params: np.ndarray, layout, beta2: float, beta1: float = 0.9,
+                  epsilon: float = 1e-8) -> "AdamState":
+        """Zero moments for the flat buffer ``params`` laid out as ``layout``."""
         if not (0 < beta1 < 1 and 0 < beta2 < 1):
             raise ValueError("beta1 and beta2 must be in (0, 1)")
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-        )
+        n = min(ADAM_CHUNK, params.size)
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), layout=list(layout),
+                   scratch=(np.empty(n, params.dtype), np.empty(n, params.dtype)),
+                   beta1=beta1, beta2=beta2, epsilon=epsilon)
+
+    def reset(self) -> None:
+        """Zero the moments and the step count, as at an annealing restart."""
+        self.m.fill(0)
+        self.v.fill(0)
+        self.t = 0
 
 
-def _adam_slices(p, g, m, v, scratch):
-    """(p, g, m, v, s, t) per ADAM_CHUNK slice; s and t are scratch views.
-    A tensor that fits in one slice keeps its shape."""
-    s_buf, t_buf = scratch
-    n = p.size
-    if n <= ADAM_CHUNK:
-        yield p, g, m, v, s_buf[:n].reshape(p.shape), t_buf[:n].reshape(p.shape)
-        return
-    p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-    for lo in range(0, n, ADAM_CHUNK):
-        hi = min(lo + ADAM_CHUNK, n)
-        yield p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], s_buf[:hi - lo], t_buf[:hi - lo]
-
-
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place on params and state.
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update, in place on the flat ``params`` and state.
 
     m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
-    p -= (lr/bc1)*m / (sqrt(v/bc2) + eps). Each tensor is updated one
+    p -= (lr/bc1)*m / (sqrt(v/bc2) + eps). The buffers are updated one
     ADAM_CHUNK slice at a time with the operations in this order, so the
     result has the same bits as the formula evaluated with temporaries.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
+    m, v = state.m, state.v
+    for what, a in (("gradient", grads), ("first moment", m), ("second moment", v)):
+        if a.shape != params.shape or a.dtype != params.dtype:
+            raise ValueError(f"{what} {a.shape} {a.dtype} does not match parameters "
+                             f"{params.shape} {params.dtype}")
+    if not all(a.ndim == 1 and a.flags.c_contiguous for a in (params, grads, m, v)):
+        raise ValueError("parameters, gradients and moments must be flat C-contiguous buffers")
+    finite = np.isfinite(grads)
+    if not finite.all():
+        name = tensor_at(state.layout, int(np.argmin(finite)))
+        raise NumericError(f"non-finite gradient for tensor {name!r}")
     state.t += 1
     b1, b2, eps = state.beta1, state.beta2, state.epsilon
     step = lr / (1.0 - b1 ** state.t)
     bc2 = 1.0 - b2 ** state.t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape or g.dtype != p.dtype:
-            raise ValueError(f"gradient {g.shape} {g.dtype} does not match param "
-                             f"{p.shape} {p.dtype} for {name}")
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for tensor {name!r}")
-        m, v = state.m[name], state.v[name]
-        if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
-            raise ValueError(f"parameter {name!r} and its moments must be C-contiguous")
-        if state.scratch is None or state.scratch[0].dtype != p.dtype:
-            state.scratch = (np.empty(ADAM_CHUNK, p.dtype), np.empty(ADAM_CHUNK, p.dtype))
-        for pc, gc, mc, vc, s, t in _adam_slices(p, g, m, v, state.scratch):
-            mc *= b1
-            np.multiply(1 - b1, gc, out=s)
-            mc += s
-            vc *= b2
-            np.square(gc, out=s)
-            np.multiply(1 - b2, s, out=s)
-            vc += s
-            np.divide(vc, bc2, out=s)
-            np.sqrt(s, out=s)
-            s += eps
-            np.multiply(step, mc, out=t)
-            t /= s
-            pc -= t
+    s_buf, t_buf = state.scratch
+    n = params.size
+    for lo in range(0, n, ADAM_CHUNK):
+        hi = min(lo + ADAM_CHUNK, n)
+        pc, gc, mc, vc = params[lo:hi], grads[lo:hi], m[lo:hi], v[lo:hi]
+        s, t = s_buf[:hi - lo], t_buf[:hi - lo]
+        mc *= b1
+        np.multiply(1 - b1, gc, out=s)
+        mc += s
+        vc *= b2
+        np.square(gc, out=s)
+        np.multiply(1 - b2, s, out=s)
+        vc += s
+        np.divide(vc, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += eps
+        np.multiply(step, mc, out=t)
+        t /= s
+        pc -= t

@@ -52,7 +52,7 @@ from .ensemble import (
     train_fold_ensemble,
 )
 from .errors import DataError, ScnnError
-from .fileio import atomic_write, check_fields, is_int
+from .fileio import atomic_write, check_fields, is_int, open_text, read_json
 from .model import (
     DEFAULT_SEARCH_DOMAINS,
     HP_FIELDS,
@@ -258,11 +258,8 @@ def format_oof_tsv(ids: Sequence[str], labels: np.ndarray,
 def parse_oof_tsv(path):
     """Returns (ids, labels, folds, probs) from a trial's oof.tsv."""
     ids, labels, folds, probs = [], [], [], []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read out-of-fold predictions {path}: {exc}") from exc
+    with open_text(path, "out-of-fold predictions") as fh:
+        lines = fh.readlines()
     for lineno, line in enumerate(lines, 1):
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 6:
@@ -495,11 +492,8 @@ def load_trial_ensemble(run_dir, record: TrialRecord, k: int) -> FoldEnsemble:
 
 def load_leaderboard(run_dir) -> list:
     path = os.path.join(run_dir, "leaderboard.csv")
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read leaderboard {path}: {exc}") from exc
+    with open_text(path, "leaderboard") as fh:
+        text = fh.read()
     try:
         return parse_leaderboard_csv(text)
     except DataError as exc:
@@ -519,13 +513,7 @@ def load_run_manifest(run_dir) -> dict:
     """A run directory's manifest.json; DataError naming the file unless it
     holds every value stacking reads, each of the expected type."""
     path = os.path.join(run_dir, "manifest.json")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read run manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path, "run manifest")
     check_fields(path, "run manifest", doc, _RUN_MANIFEST_TYPES)
     return doc
 

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import rewrite_model_header
 from scnn.cli import main
+from scnn.errors import DataError
 
 
 def _replace_in(path, old, new, count):
@@ -450,6 +451,31 @@ class TestStackPredictEvaluate:
         pred.write_text("te0000\t1\t1.0\t0.0\t0.0\n")
         assert run_cli("evaluate", "--gold", corpus_dir / "test.tsv",
                        "--pred", pred) == 2
+
+    def test_evaluate_only_lf_ends_a_line(self, tmp_path, corpus_dir, capsys):
+        rows = [line.split("\t") for line in
+                (corpus_dir / "test.tsv").read_text().strip().split("\n")]
+        lines = [f"{r[0]}\t{r[1]}\t0.333333\t0.333333\t0.333333" for r in rows]
+        gold, pred = tmp_path / "gold.tsv", tmp_path / "pred.tsv"
+        gold.write_bytes((corpus_dir / "test.tsv").read_bytes().replace(b"\n", b"\r\n"))
+        pred.write_bytes("".join(line + "\r\n" for line in lines).encode())
+        assert run_cli("evaluate", "--gold", gold, "--pred", pred) == 0
+        pred.write_bytes(("\r".join(lines) + "\n").encode())
+        capsys.readouterr()
+        assert run_cli("evaluate", "--gold", gold, "--pred", pred) == 2
+        assert "pred.tsv: expected 5 fields at line 1" in capsys.readouterr().err
+
+    def test_sniff_labeled_only_lf_ends_a_line(self, tmp_path):
+        from scnn.cli import _sniff_labeled
+
+        path = tmp_path / "d.tsv"
+        path.write_bytes(b"a\tx y\r\nb\tz\r\n")
+        assert _sniff_labeled(path) is False
+        path.write_bytes(b"a\t1\tx y\r\n")
+        assert _sniff_labeled(path) is True
+        path.write_bytes(b"a\tx\rb\t1\ty\n")
+        with pytest.raises(DataError, match="first data line has 4 fields"):
+            _sniff_labeled(path)
 
 
 class TestGradcheckCommand:

@@ -121,6 +121,31 @@ class TestParseDataset:
         path.write_text("b\t1\tx\na\t2\ty\n", encoding="utf-8")
         assert [ex.id for ex in parse_dataset(path)] == ["b", "a"]
 
+    # Only LF ends a line, as in write_dataset and fileio.utf8_checked.
+    def test_cr_inside_text_kept(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_bytes(b"a\t1\tx\ry z\nb\t2\tw\n")
+        assert parse_dataset(path) == [Example("a", "x\ry z", 1), Example("b", "w", 2)]
+        assert tokenize("x\ry z") == ["x", "y", "z"]
+
+    def test_bare_cr_does_not_end_a_line(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_bytes(b"a\t1\tx\rb\t1\ty\n")
+        with pytest.raises(DataError, match="fields at line 1, got 5"):
+            parse_dataset(path)
+
+    def test_crlf_file_parses_as_before(self, tmp_path):
+        # the CR stays at the end of the last field, where tokenize drops it
+        path = tmp_path / "d.tsv"
+        path.write_bytes(b"a\t1\tx y\r\nb\t2\tz\r\n")
+        assert parse_dataset(path) == [Example("a", "x y\r", 1), Example("b", "z\r", 2)]
+        path.write_bytes(b"a\tx y\r\nb\tz\r\n")
+        assert parse_dataset(path, labeled=False) == [Example("a", "x y\r"),
+                                                      Example("b", "z\r")]
+        path.write_bytes(b"a\t1\tx\r\nb\t7\ty\r\n")
+        with pytest.raises(DataError, match="label out of range at line 2"):
+            parse_dataset(path)
+
 
 class TestWriteDataset:
     def test_round_trip(self, tmp_path):

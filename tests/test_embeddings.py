@@ -40,6 +40,14 @@ class TestLoad:
         with pytest.raises(DataError, match="non-numeric component at line 2"):
             load_embeddings(path, "x")
 
+    def test_only_lf_ends_a_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"2 2\r\napple 1 0\r\nbanana 0 1\r\n")
+        assert list(load_embeddings(path, "x").vocab) == ["apple", "banana"]
+        path.write_bytes(b"2 2\napple 1 0\rbanana 0 1\n")
+        with pytest.raises(DataError, match="expected 2 components at line 2"):
+            load_embeddings(path, "x")
+
     def test_header_count_mismatch(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("3 2\napple 1 0\nbanana 0 1\n", encoding="utf-8")

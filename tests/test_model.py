@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import rewrite_model_header, toy_hp
 from scnn import model as M
-from scnn import nn_core
+from scnn import kernels, nn_core
 from scnn.errors import DataError, NumericError
 from scnn.fileio import file_sha256
 from scnn.model import HyperParams, TrainSchedule, build_model, load_model, save_model
@@ -52,7 +53,6 @@ class TestBuildModel:
     def test_architecture_arithmetic(self):
         hp = toy_hp(n_filters=100, n_dense_output=300, filter_sizes=(1, 2, 3, 4, 5))
         net = build_model(hp, 16, seed=0)
-        assert net.pooled_width == 500
         assert net.params["dense_w"].shape == (500, 300)
         assert net.params["out_w"].shape == (300, 3)
         for g, h in enumerate(hp.filter_sizes):
@@ -73,9 +73,11 @@ class TestBuildModel:
 
     def test_param_count_closed_form(self):
         hp = toy_hp()
-        net = build_model(hp, 16, seed=1)
-        total = sum(p.size for p in net.params.values())
-        assert total == M.param_count(hp, 16)
+        f, nd = hp.n_filters, hp.n_dense_output
+        closed = (sum(h * 16 * f + f for h in hp.filter_sizes)
+                  + M.N_GROUPS * f * nd + nd + nd * M.N_CLASSES + M.N_CLASSES)
+        assert sum(math.prod(shape) for _, shape in M.param_shapes(hp, 16)) == closed
+        assert build_model(hp, 16, seed=1).arena.size == closed
 
     def test_deterministic_in_seed(self):
         a = build_model(toy_hp(), 8, seed=42)
@@ -301,6 +303,123 @@ class TestTrainSchedule:
         with pytest.raises(ValueError, match="dev"):
             M.train(net, docs, np.array([1, 2, 3, 1]), docs[:0], np.array([]),
                     TrainSchedule(), Rng(0))
+
+
+def assert_arena_views(net):
+    """Every params[name] is the view of net.arena at its param_shapes offset."""
+    assert net.arena.ndim == 1 and net.arena.flags.c_contiguous
+    assert list(net.params) == [name for name, _ in net.shapes]
+    offset = 0
+    for name, shape in net.shapes:
+        p = net.params[name]
+        assert p.shape == shape and p.dtype == net.arena.dtype, name
+        assert p.ctypes.data == net.arena.ctypes.data + offset * net.arena.itemsize, name
+        assert np.shares_memory(p, net.arena), name
+        offset += math.prod(shape)
+    assert offset == net.arena.size
+
+
+class TestArena:
+    def test_views_after_build(self):
+        for dtype in (np.float32, np.float64):
+            net = build_model(toy_hp(filter_sizes=(3, 4, 5, 6, 7)), 8, seed=2, dtype=dtype)
+            assert_arena_views(net)
+            net.params["dense_b"][:] = 7  # a write through a view lands in the arena
+            assert (net.arena == 7).sum() == net.params["dense_b"].size
+
+    def test_views_after_load(self, tmp_path):
+        net = build_model(toy_hp(), 8, seed=3, dtype=np.float64)
+        save_model(net, tmp_path / "m.scnn")
+        again = load_model(tmp_path / "m.scnn")
+        assert_arena_views(again)
+        assert again.arena.dtype == np.float64
+        np.testing.assert_array_equal(again.arena, net.arena)
+
+    def test_views_after_train_with_restarts(self):
+        docs = Rng(10).uniform(-1, 1, (20, 12, 8)).astype(np.float32)
+        labels = np.asarray(Rng(11).integers(1, 4, 20))
+        net = build_model(toy_hp(batch_size=8), 8, seed=3)
+        arena = net.arena
+        seen = []
+
+        def check(epoch, m, rec):
+            assert m.arena is arena
+            assert_arena_views(m)
+            seen.append(rec["restarted"])
+
+        scores = iter([1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
+        tm = M.train(net, docs, labels, docs[:2], labels[:2],
+                     TrainSchedule(max_epochs=30, patience=2), Rng(4).substream("train"),
+                     dev_scorer=lambda m: next(scores), callback=check)
+        assert seen.count(True) == 2 == tm.restart_count
+        assert tm.weights is net and net.arena is arena
+        assert_arena_views(tm.weights)
+
+    def test_shared_buffers_train_like_fresh_ones(self):
+        docs = Rng(10).uniform(-1, 1, (20, 12, 8)).astype(np.float32)
+        labels = np.asarray(Rng(11).integers(1, 4, 20))
+        sched = TrainSchedule(max_epochs=6, patience=2)
+
+        def fit(seed, buffers=None, scores=None):
+            net = build_model(toy_hp(batch_size=8), 8, seed=seed)
+            return M.train(net, docs, labels, docs[:2], labels[:2], sched,
+                           Rng(seed).substream("train"), buffers=buffers,
+                           dev_scorer=None if scores is None else (lambda m: next(scores)))
+
+        shared = M.train_buffers(build_model(toy_hp(batch_size=8), 8, seed=0))
+        # the first run leaves moments, step count and snapshot behind, after a restart
+        first = fit(1, shared, iter([1.0, 0.5, 0.5, 0.5, 0.5, 0.5]))
+        assert first.restart_count >= 1 and shared[2].t > 0
+        again, fresh = fit(2, shared), fit(2)
+        assert again.history == fresh.history
+        np.testing.assert_array_equal(again.weights.arena, fresh.weights.arena)
+
+    def test_saved_tensor_bytes_are_the_arena(self, tmp_path):
+        for dtype in (np.float32, np.float64):
+            net = build_model(toy_hp(), 8, seed=4, dtype=dtype)
+            save_model(net, tmp_path / "m.scnn")
+            raw = (tmp_path / "m.scnn").read_bytes()
+            (header_len,) = struct.unpack("<I", raw[8:12])
+            assert raw[12 + header_len:] == net.arena.astype(
+                {np.float32: "<f4", np.float64: "<f8"}[dtype]).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_into_arena_bitwise_equal_fresh(self, dtype):
+        hp = toy_hp(filter_sizes=(1, 2, 2, 3, 4))
+        net = build_model(hp, 8, seed=5, dtype=dtype)
+        net.params["dense_b"][:] = 0.1  # some ReLU units active
+        docs = Rng(6).uniform(-1, 1, (9, 12, 8)).astype(dtype)
+        labels = np.asarray(Rng(7).integers(1, 4, 9))
+        _, caches = M.forward_batch(net, docs, training=True, rng=Rng(8))
+        grads = np.full_like(net.arena, np.nan)
+        views = M.arena_views(grads, net.shapes)
+        assert M.backward_batch(net, caches, labels, views) is views
+        # the same gradients, each in a freshly allocated array
+        fresh = {}
+        mask1, mask2 = caches["masks"]
+        dz_out = nn_core.softmax_cross_entropy_backward(caches["probs"], labels)
+        x_out, _, W_out, _ = caches["out"]
+        fresh["out_w"], fresh["out_b"] = x_out.T @ dz_out, dz_out.sum(axis=0)
+        x_d, z_d, W_d, _ = caches["dense"]
+        dz_d = (dz_out @ W_out.T) * mask2 * (z_d > 0)
+        fresh["dense_w"], fresh["dense_b"] = x_d.T @ dz_d, dz_d.sum(axis=0)
+        dfeat = (dz_d @ W_d.T) * mask1
+        for g, d_pooled in enumerate(np.split(dfeat, M.N_GROUPS, axis=1)):
+            fresh[f"conv{g}_w"], fresh[f"conv{g}_b"] = kernels.conv_pool_backward(
+                *caches["conv"][g][:3], d_pooled, caches["conv"][g][3])
+        for name, _ in net.shapes:
+            assert views[name].dtype == dtype
+            np.testing.assert_array_equal(views[name], fresh[name], err_msg=name)
+        # without ``out`` the gradients land in a fresh arena of the same layout
+        again = M.backward_batch(net, caches, labels)
+        for name in fresh:
+            np.testing.assert_array_equal(again[name], fresh[name], err_msg=name)
+
+    def test_arena_must_match_layout(self):
+        net = build_model(toy_hp(), 8, seed=0)
+        for arena in (net.arena[:-1], net.arena.reshape(1, -1)):
+            with pytest.raises(ValueError, match="does not hold"):
+                M.ShallowCNN(net.hp, 8, arena, 0)
 
 
 class TestSaveLoad:

@@ -5,6 +5,7 @@ import pytest
 
 from scnn.errors import NumericError
 from scnn.nn_core import (
+    ADAM_CHUNK,
     AdamState,
     adam_step,
     cross_entropy,
@@ -142,55 +143,80 @@ class TestDropout:
 
 
 class TestAdam:
-    def _setup(self, dtype=np.float64):
-        params = {"w": np.zeros(1, dtype=dtype)}
-        state = AdamState.for_params(params, beta2=0.999)
+    def _setup(self, dtype=np.float64, layout=(("w", (1,)),)):
+        params = np.zeros(sum(math.prod(shape) for _, shape in layout), dtype=dtype)
+        state = AdamState.for_arena(params, layout, beta2=0.999)
         return params, state
 
     def test_single_step_hand_computed(self):
         params, state = self._setup()
-        adam_step(params, {"w": np.ones(1)}, state, lr=0.001)
+        adam_step(params, np.ones(1), state, lr=0.001)
         # m_hat = v_hat = 1 after one step -> theta = -lr / (1 + eps)
         expected = -0.001 / (1.0 + 1e-8)
-        assert abs(params["w"][0] - expected) < 1e-12
+        assert abs(params[0] - expected) < 1e-12
         assert state.t == 1
 
     def test_zero_gradient_no_move(self):
         params, state = self._setup()
-        params["w"][0] = 0.7
-        adam_step(params, {"w": np.zeros(1)}, state, lr=0.1)
-        assert params["w"][0] == 0.7
+        params[0] = 0.7
+        adam_step(params, np.zeros(1), state, lr=0.1)
+        assert params[0] == 0.7
 
     def test_deterministic_on_copies(self):
         import copy
 
         params1, state1 = self._setup()
-        params2, state2 = copy.deepcopy(params1), copy.deepcopy(state1)
-        g = {"w": np.array([0.3])}
+        params2, state2 = params1.copy(), copy.deepcopy(state1)
+        g = np.array([0.3])
         for _ in range(5):
             adam_step(params1, g, state1, lr=0.01)
             adam_step(params2, g, state2, lr=0.01)
-        np.testing.assert_array_equal(params1["w"], params2["w"])
-        np.testing.assert_array_equal(state1.m["w"], state2.m["w"])
+        np.testing.assert_array_equal(params1, params2)
+        np.testing.assert_array_equal(state1.m, state2.m)
+
+    def test_reset_zeroes_moments_and_step(self):
+        params, state = self._setup()
+        adam_step(params, np.ones(1), state, lr=0.1)
+        state.reset()
+        assert state.t == 0 and not state.m.any() and not state.v.any()
+        fresh, fresh_state = self._setup()
+        fresh[:] = params
+        adam_step(params, np.ones(1), state, lr=0.1)
+        adam_step(fresh, np.ones(1), fresh_state, lr=0.1)
+        np.testing.assert_array_equal(params, fresh)
 
     def test_non_finite_gradient_named(self):
-        params, state = self._setup()
-        with pytest.raises(NumericError, match="'w'"):
-            adam_step(params, {"w": np.array([np.inf])}, state, lr=0.1)
+        layout = (("a", (2,)), ("w", (2, 3)), ("b", (1,)))
+        params, state = self._setup(layout=layout)
+        for index, name in ((0, "a"), (2, "w"), (7, "w"), (8, "b")):
+            g = np.zeros(9)
+            g[index] = np.inf if index % 2 else np.nan
+            with pytest.raises(NumericError, match=f"'{name}'"):
+                adam_step(params, g, state, lr=0.1)
+        assert state.t == 0 and not params.any()
 
     def test_bad_lr(self):
         params, state = self._setup()
         with pytest.raises(ValueError):
-            adam_step(params, {"w": np.ones(1)}, state, lr=0.0)
+            adam_step(params, np.ones(1), state, lr=0.0)
 
     def test_gradient_dtype_must_match(self):
         params, state = self._setup(np.float32)
         with pytest.raises(ValueError, match="float64"):
-            adam_step(params, {"w": np.ones(1)}, state, lr=0.1)
+            adam_step(params, np.ones(1), state, lr=0.1)
+
+    def test_buffers_must_be_flat_and_contiguous(self):
+        params, state = self._setup(layout=(("w", (2, 2)),))
+        with pytest.raises(ValueError, match=r"gradient \(2, 2\)"):
+            adam_step(params, np.ones((2, 2)), state, lr=0.1)
+        strided = np.zeros(8)[::2]
+        state = AdamState.for_arena(strided, [("w", (4,))], beta2=0.999)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            adam_step(strided, np.ones(4), state, lr=0.1)
 
     @staticmethod
     def _reference_step(params, grads, m_all, v_all, t, lr, b1=0.9, b2=0.999, eps=1e-8):
-        """The update written with plain temporaries."""
+        """The update written per tensor with plain temporaries."""
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
         for name, p in params.items():
@@ -204,21 +230,23 @@ class TestAdam:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bitwise_equal_to_reference(self, dtype):
         rng = Rng(42)
-        # "conv" spans three ADAM_CHUNK slices, the last one partial
-        shapes = {"conv": (3, 160, 150), "dense": (40, 16), "b": (8,), "one": (1,)}
-        params = {k: rng.uniform(-1, 1, s).astype(dtype) for k, s in shapes.items()}
-        ref = {k: p.copy() for k, p in params.items()}
-        ref_m = {k: np.zeros_like(p) for k, p in params.items()}
-        ref_v = {k: np.zeros_like(p) for k, p in params.items()}
-        state = AdamState.for_params(params, beta2=0.999)
+        # the flat buffer spans three ADAM_CHUNK slices, the last one partial,
+        # whose ends fall inside "conv"
+        layout = [("conv", (3, 160, 150)), ("dense", (40, 16)), ("b", (8,)), ("one", (1,))]
+        assert 2 * ADAM_CHUNK < sum(math.prod(s) for _, s in layout) < 3 * ADAM_CHUNK
+        ref = {k: rng.uniform(-1, 1, s).astype(dtype) for k, s in layout}
+        ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
+        ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
+        params = np.concatenate([p.reshape(-1) for p in ref.values()])
+        state = AdamState.for_arena(params, layout, beta2=0.999)
         for step in range(1, 7):
             grads = {k: rng.gen.normal(0, 10.0 ** (step % 3 - 1), s).astype(dtype)
-                     for k, s in shapes.items()}
+                     for k, s in layout}
             lr = 0.01 / step
-            adam_step(params, grads, state, lr)
+            adam_step(params, np.concatenate([g.reshape(-1) for g in grads.values()]),
+                      state, lr)
             self._reference_step(ref, grads, ref_m, ref_v, step, lr)
-            for k in shapes:
-                assert params[k].dtype == dtype
-                np.testing.assert_array_equal(params[k], ref[k])
-                np.testing.assert_array_equal(state.m[k], ref_m[k])
-                np.testing.assert_array_equal(state.v[k], ref_v[k])
+            assert params.dtype == dtype
+            for flat, want in ((params, ref), (state.m, ref_m), (state.v, ref_v)):
+                np.testing.assert_array_equal(
+                    flat, np.concatenate([a.reshape(-1) for a in want.values()]))

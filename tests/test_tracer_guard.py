@@ -1,0 +1,52 @@
+"""The benchmark's tracer still wraps every function it names.
+
+perfbench/tracer.py wraps ``scnn`` functions where their callers look them
+up and counts some of them from their arguments, so a renamed function or a
+changed call breaks every traced benchmark run. This runs it on a tiny
+search, stack and predict and checks that each wrapped name is entered.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+EMB = "godin=corpus/embeddings.txt,shin=corpus/embeddings.txt"
+
+
+def _run(argv, cwd, spans=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    cmd = ([sys.executable, "-m", "scnn"] if spans is None
+           else [sys.executable, str(TRACER), str(spans), "--"])
+    proc = subprocess.run(cmd + argv, cwd=cwd, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, f"{argv[0]}: {proc.stderr[-2000:]}"
+
+
+def test_tracer_enters_every_target(tmp_path):
+    sys.path.insert(0, str(TRACER.parent))
+    try:
+        import tracer
+    finally:
+        sys.path.remove(str(TRACER.parent))
+    _run(["synth", "--out", "corpus", "--seed", "3", "--train-size", "40",
+          "--test-size", "20"], tmp_path)
+    steps = [
+        ["search", "--train", "corpus/train.tsv", "--embeddings", EMB, "--trials", "1",
+         "--folds", "2", "--seed", "5", "--out", "run", "--config", "corpus/space.json",
+         "--unrestricted-space", "--max-epochs", "2", "--parallelism", "1"],
+        ["stack", "--run", "run", "--top-k", "1", "--out", "stacks",
+         "--test", "corpus/test.tsv", "--embeddings", EMB],
+        ["predict", "--manifest", "stacks/stack_top1.json", "--test", "corpus/test.tsv",
+         "--embeddings", EMB, "--out", "predictions.tsv"],
+    ]
+    entered = set()
+    for i, argv in enumerate(steps):
+        spans = tmp_path / f"spans{i}.json"
+        _run(argv, tmp_path, spans)
+        entered |= set(json.loads(spans.read_text())["entered"])
+    assert sorted(set(tracer.TARGET_NAMES) - entered) == []
