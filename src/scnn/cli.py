@@ -388,8 +388,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--unrestricted-space", action="store_true",
                    help="allow domains outside the standard search space")
     p.add_argument("--parallelism", type=int, default=1,
-                   help="processes that run trials, this one included "
-                        "(capped at the trial and CPU counts)")
+                   help="processes that train folds, this one included "
+                        "(capped at trials x folds and the usable CPUs)")
     add_schedule(p)
     p.set_defaults(func=_cmd_search)
 

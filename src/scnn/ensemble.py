@@ -28,13 +28,13 @@ from .errors import DataError, NumericError
 from .fileio import atomic_write, check_fields, file_sha256, is_int, read_json
 from .model import (
     HyperParams,
+    SharedBuffers,
     TrainSchedule,
     TrainedModel,
     build_model,
     load_model,
     load_model_hp,
     train,
-    train_buffers,
 )
 from .rng import Rng
 
@@ -67,47 +67,58 @@ class StackedEnsemble:
 
 def train_fold_ensemble(hp: HyperParams, docs: np.ndarray, labels: np.ndarray,
                         folds: FoldAssignment, sched: TrainSchedule, rng: Rng,
-                        trial_id: int = 0, on_member=None) -> FoldEnsemble:
+                        trial_id: int = 0, on_member=None, fold_ids=None,
+                        buffers: Optional[SharedBuffers] = None) -> FoldEnsemble:
     """Train one model per fold; dev set = the held-out fold.
 
     Each member's init and training streams derive from ``rng`` and its fold
-    index, so the whole ensemble replays bit-identically. Out-of-fold
-    predictions cover every example exactly once; cv_score is their micro-F1
-    over classes 1 and 2. With ``on_member`` given, ``on_member(i, trained)``
-    runs once fold i's out-of-fold rows are computed and returns what the
-    ensemble keeps in place of the model (a ModelFile, say); while a fold
-    trains, the only other model held is then the previous fold's.
+    index, so the whole ensemble replays bit-identically, and so does any
+    fold trained alone. ``fold_ids`` (default: all, in order) picks the folds
+    to train; the ensemble then holds their members and their out-of-fold
+    rows, zeros elsewhere. Out-of-fold rows are the held-out fold's dev
+    probabilities at the best epoch. cv_score is the micro-F1 over classes 1
+    and 2 of the out-of-fold predictions once every fold is trained, else
+    NaN. ``buffers`` carries training buffers across calls. With
+    ``on_member`` given, ``on_member(i, trained)`` runs once fold i's
+    out-of-fold rows are computed and returns what the ensemble keeps in
+    place of the model (a ModelFile, say); while a fold trains, the only
+    other model held is then the previous fold's.
     """
     labels = np.asarray(labels, dtype=np.int64)
     fold_of = np.asarray(folds.fold_of, dtype=np.int64)
     if len(fold_of) != len(docs):
         raise ValueError(f"fold assignment covers {len(fold_of)} examples, got {len(docs)}")
-    members, buffers = [], None
+    fold_ids = range(folds.k) if fold_ids is None else fold_ids
+    buffers = SharedBuffers() if buffers is None else buffers
+    members = []
     oof = np.zeros((len(docs), 3), dtype=np.float64)
-    for i in range(folds.k):
+    for i in fold_ids:
         held_out = np.flatnonzero(fold_of == i)
         train_idx = np.flatnonzero(fold_of != i)
         fold_seed = rng.derive_seed("fold", i)
         net = build_model(hp, docs.shape[2], seed=fold_seed)
-        buffers = buffers or train_buffers(net)
         try:
             trained = train(
                 net, docs[train_idx], labels[train_idx],
                 docs[held_out], labels[held_out],
-                sched, Rng(fold_seed).substream("train"), buffers=buffers,
+                sched, Rng(fold_seed).substream("train"), buffers=buffers.for_model(net),
             )
         except (DataError, ValueError, ArithmeticError) as exc:
             raise type(exc)(f"fold {i}: {exc}") from exc
         except NumericError as exc:
             raise NumericError(f"fold {i}: {exc}") from exc
-        oof[held_out] = trained.predict_proba(docs[held_out]).astype(np.float64)
+        probs = trained.dev_probs
+        if probs is None:
+            probs = trained.predict_proba(docs[held_out])
+        oof[held_out] = probs.astype(np.float64)
         members.append(trained if on_member is None else on_member(i, trained))
         # fold i's model is released when fold i + 1's training returns, not
         # before: freed sooner, whether glibc hands its arrays back to the OS
         # depends on the heap layout, and a 3-trial paper-shape search then
         # faulted in up to 7x the pages (benchmarks/BENCH_streaming.json)
-    return FoldEnsemble(hp=hp, members=members, oof_probs=oof,
-                        cv_score=metrics.micro_f1_12(labels, oof), trial_id=trial_id)
+    cv = metrics.micro_f1_12(labels, oof) if len(members) == folds.k else float("nan")
+    return FoldEnsemble(hp=hp, members=members, oof_probs=oof, cv_score=cv,
+                        trial_id=trial_id)
 
 
 def mean_probs(parts: list) -> np.ndarray:

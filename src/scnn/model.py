@@ -334,16 +334,36 @@ class TrainedModel:
     epochs_run: int
     restart_count: int
     history: list  # per epoch: (train_loss, dev_score, lr)
+    # the best epoch's dev-set probabilities, which equal predict_proba on
+    # the dev set bit for bit; None when a dev_scorer replaced them or no
+    # epoch improved. Not saved.
+    dev_probs: Optional[np.ndarray] = field(default=None, repr=False)
 
     def predict_proba(self, docs: np.ndarray) -> np.ndarray:
         return predict_proba(self.weights, docs)
 
 
 def train_buffers(model: ShallowCNN) -> tuple:
-    """(gradient arena, best-weights arena, AdamState) for train(); the folds
-    of a trial share one set, so its pages are faulted in once per trial."""
+    """(gradient arena, best-weights arena, AdamState) for train()."""
     return (np.empty_like(model.arena), np.empty_like(model.arena),
             nn_core.AdamState.for_arena(model.arena, model.shapes, beta2=model.hp.adam_b2))
+
+
+class SharedBuffers:
+    """One set of training buffers for consecutive train() calls, made anew
+    only when a model's tensor layout or dtype differs from the last one's,
+    so its pages are faulted in once per run of same-shaped models."""
+
+    def __init__(self):
+        self._key = self._set = None
+
+    def for_model(self, model: ShallowCNN) -> tuple:
+        key = (model.shapes, model.arena.dtype)
+        if key != self._key:
+            self._set = None  # the old set is freed before the new one is made
+            self._key, self._set = key, train_buffers(model)
+        self._set[2].beta2 = model.hp.adam_b2
+        return self._set
 
 
 def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
@@ -352,13 +372,14 @@ def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
           buffers: Optional[tuple] = None) -> TrainedModel:
     """Mini-batch Adam with per-epoch dev scoring and annealing restarts.
 
-    ``buffers`` come from ``train_buffers`` for a model of the same
-    hyperparameters, or are made for this call. Epoch shuffles come from
-    ``rng.substream("shuffle", epoch)`` and dropout from
-    ``rng.substream("dropout")``, so identical inputs and seeds replay
-    bit-identically. ``dev_scorer(model)`` overrides the dev metric (test
-    hook); ``callback(epoch, model, record)`` fires after each epoch, after
-    any restart processing.
+    ``buffers`` come from ``train_buffers`` or ``SharedBuffers.for_model``
+    for a model of the same hyperparameters, or are made for this call.
+    Epoch shuffles come from ``rng.substream("shuffle", epoch)`` and dropout
+    from ``rng.substream("dropout")``, so identical inputs and seeds replay
+    bit-identically. The result keeps the best epoch's dev probabilities.
+    ``dev_scorer(model)`` overrides the dev metric (test hook);
+    ``callback(epoch, model, record)`` fires after each epoch, after any
+    restart processing.
     """
     n = len(train_docs)
     if n == 0:
@@ -373,6 +394,7 @@ def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
     opt.reset()
     drop_rng = rng.substream("dropout")
     best_score = -np.inf
+    best_probs = None
     np.copyto(best, model.arena)
     stagnation = 0
     restart_count = 0
@@ -399,14 +421,17 @@ def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
             loss_total += loss * len(batch)
         train_loss = loss_total / n
 
+        dev_probs = None
         if dev_scorer is not None:
             dev_score = float(dev_scorer(model))
         else:
-            dev_score = metrics.micro_f1_12(dev_labels, predict_proba(model, dev_docs))
+            dev_probs = predict_proba(model, dev_docs)
+            dev_score = metrics.micro_f1_12(dev_labels, dev_probs)
         history.append((train_loss, dev_score, lr))
 
         if dev_score > best_score:
             best_score = dev_score
+            best_probs = dev_probs
             np.copyto(best, model.arena)
             stagnation = 0
         else:
@@ -441,6 +466,7 @@ def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
         epochs_run=epoch,
         restart_count=restart_count,
         history=history,
+        dev_probs=best_probs,
     )
 
 

@@ -1,14 +1,24 @@
 """Random hyperparameter search: sampling, trial execution, leaderboard.
 
-Each trial trains a full fold ensemble for one sampled configuration. Trials
-are independent, so ``--parallelism n`` splits them over n processes: the
-calling process and n - 1 spawned workers, capped at the trial count and the
-CPU count. Trial j of the planned list runs on process j % n, and every
-process runs the same ``run_trial``; each worker gets the training inputs
-once, when it starts, and its BLAS is pinned to one thread. Every trial's
-random streams derive from (seed, trial_id) and configs are sampled up front
-from a dedicated substream, which makes the leaderboard and all trial
-artifacts byte-identical regardless of the process count.
+Each trial trains a full fold ensemble for one sampled configuration, and
+each of its folds trains independently of the others. With one process a
+unit is a whole trial, its folds in order. ``--parallelism n`` spreads
+single-fold units over n processes: the calling process and n - 1 spawned
+workers, capped at the unit count and the CPUs this process may use. The
+units are planned longest first by n_filters x sum(filter_sizes), and unit j
+runs on process j % n, so the caller takes the longest unit of each round.
+A fixed plan keeps the work each process does the same from run to run.
+Each worker gets the training inputs once, with its share, through the
+pool's queue, so the caller starts its first unit at once. A worker's BLAS
+is pinned to one thread, and it keeps one set of training buffers for
+consecutive units of one shape. The caller merges each trial's out-of-fold
+rows in fold order and writes its oof.tsv.
+
+Every fold's random streams derive from (seed, trial_id, fold) and configs
+are sampled up front from a dedicated substream, which makes the
+leaderboard and all trial artifacts byte-identical regardless of the
+process count, as long as BLAS gives the same bits on one thread as on
+several (true at desk shape, not at paper shape with OpenBLAS).
 
 Run directory layout::
 
@@ -18,9 +28,10 @@ Run directory layout::
       trials/<id>/fold0..fold{k-1}.scnn
       trials/<id>/oof.tsv  out-of-fold predictions (id, fold, gold, p1..p3)
 
-Wall-clock timings are logged, not stored: every artifact in the run
-directory is required to be bit-reproducible, so the leaderboard's
-wall_time_s column is left empty.
+Wall-clock timings are logged, not stored: the caller logs one line per
+trial with its cv score, the summed seconds of its units and the pids that
+ran them. Every artifact in the run directory is required to be
+bit-reproducible, so the leaderboard's wall_time_s column is left empty.
 """
 
 from __future__ import annotations
@@ -57,6 +68,7 @@ from .model import (
     DEFAULT_SEARCH_DOMAINS,
     HP_FIELDS,
     HyperParams,
+    SharedBuffers,
     TrainSchedule,
     load_model,
     save_model,
@@ -305,48 +317,104 @@ def member_saver(out_dir):
     return on_member
 
 
-def run_trial(inputs: TrialInputs, tid: int, hp: HyperParams) -> TrialRecord:
-    """Train trial ``tid``'s fold ensemble. With an ``out_dir``, each fold
-    model is written once it is trained, then its oof.tsv; a trial that
-    fails leaves no ``trials/<tid>/``. A training failure becomes a failed
-    record."""
+def _trial_dir(inputs: TrialInputs, tid: int) -> Optional[str]:
+    if inputs.out_dir is None:
+        return None
+    return os.path.join(inputs.out_dir, "trials", str(tid))
+
+
+@dataclass
+class UnitResult:
+    """One unit's outcome: the unit is some folds of one trial."""
+
+    trial_id: int
+    folds: tuple
+    ensemble: Optional[FoldEnsemble]  # those folds' members and out-of-fold rows
+    error: Optional[str]  # the failing fold's message
+    seconds: float
+    pid: int
+
+
+def run_unit(inputs: TrialInputs, tid: int, hp: HyperParams, folds,
+             buffers: SharedBuffers) -> UnitResult:
+    """Train folds ``folds`` of trial ``tid`` in order, in ``buffers``. With
+    an ``out_dir``, each fold model is written to trials/<tid>/ once it is
+    trained. A training failure ends the unit and is reported, not raised."""
     started = time.perf_counter()
-    trial_dir = on_member = None
-    if inputs.out_dir is not None:
-        trial_dir = os.path.join(inputs.out_dir, "trials", str(tid))
-        on_member = member_saver(trial_dir)
+    trial_dir = _trial_dir(inputs, tid)
+    fe = error = None
     try:
         fe = train_fold_ensemble(
             hp, inputs.docs_by_name[hp.word_embedding], inputs.labels, inputs.folds,
             inputs.sched, Rng(inputs.seed).substream(tid), trial_id=tid,
-            on_member=on_member,
+            on_member=None if trial_dir is None else member_saver(trial_dir),
+            fold_ids=folds, buffers=buffers,
         )
-        if trial_dir is not None:
-            with atomic_write(os.path.join(trial_dir, "oof.tsv")) as fh:
-                fh.write(format_oof_tsv(inputs.ids, inputs.labels, inputs.folds.fold_of,
-                                        fe.oof_probs))
-    except BaseException as exc:
+    except (ScnnError, ValueError, ArithmeticError) as exc:
+        error = str(exc)
+    except BaseException:
         if trial_dir is not None:
             shutil.rmtree(trial_dir, ignore_errors=True)
-        if not isinstance(exc, (ScnnError, ValueError, ArithmeticError)):
+        raise
+    return UnitResult(tid, tuple(folds), fe, error, time.perf_counter() - started, os.getpid())
+
+
+def finish_trial(inputs: TrialInputs, tid: int, hp: HyperParams, units: list) -> TrialRecord:
+    """Trial ``tid``'s record from the results of its units, which cover
+    each fold once. The out-of-fold rows are merged in fold order and, with
+    an ``out_dir``, written to oof.tsv. When a fold failed, trials/<tid>/ is
+    removed and the status is the lowest failing fold's message, as a serial
+    run that stops at that fold reports it."""
+    units = sorted(units, key=lambda u: u.folds)
+    seconds = sum(u.seconds for u in units)
+    pids = ",".join(str(pid) for pid in sorted({u.pid for u in units}))
+    trial_dir = _trial_dir(inputs, tid)
+    failed = [u.error for u in units if u.error is not None]
+    if failed:
+        if trial_dir is not None:
+            shutil.rmtree(trial_dir, ignore_errors=True)
+        logger.warning("trial %d failed (%.1fs of units on pids %s): %s",
+                       tid, seconds, pids, failed[0])
+        return TrialRecord(tid, hp, float("nan"), f"failed: {failed[0]}", seconds)
+    fold_of = np.asarray(inputs.folds.fold_of)
+    oof = np.zeros((len(fold_of), 3), dtype=np.float64)
+    members = []
+    for u in units:
+        rows = np.isin(fold_of, u.folds)
+        oof[rows] = u.ensemble.oof_probs[rows]
+        members += u.ensemble.members
+    fe = FoldEnsemble(hp=hp, members=members, oof_probs=oof,
+                      cv_score=metrics.micro_f1_12(inputs.labels, oof), trial_id=tid)
+    if trial_dir is not None:
+        try:
+            with atomic_write(os.path.join(trial_dir, "oof.tsv")) as fh:
+                fh.write(format_oof_tsv(inputs.ids, inputs.labels, inputs.folds.fold_of, oof))
+        except BaseException:
+            shutil.rmtree(trial_dir, ignore_errors=True)
             raise
-        elapsed = time.perf_counter() - started
-        logger.warning("trial %d failed after %.1fs: %s", tid, elapsed, exc)
-        return TrialRecord(tid, hp, float("nan"), f"failed: {exc}", elapsed)
-    elapsed = time.perf_counter() - started
-    logger.info("trial %d done in %.1fs, cv_score %.6f", tid, elapsed, fe.cv_score)
-    cv = fe.cv_score
-    if trial_dir is not None and not inputs.keep_models:
-        fe = None
-    return TrialRecord(tid, hp, cv, "ok", elapsed, ensemble=fe)
+    logger.info("trial %d cv_score %.6f (%.1fs of units on pids %s)",
+                tid, fe.cv_score, seconds, pids)
+    keep = trial_dir is None or inputs.keep_models
+    return TrialRecord(tid, hp, fe.cv_score, "ok", seconds, ensemble=fe if keep else None)
 
 
-def process_count(parallelism: int, n_trials: int) -> int:
+def plan_units(planned: list, k: int) -> list:
+    """(trial id, hp, fold) of every fold of every planned trial, longest
+    first by n_filters x sum(filter_sizes), ties by (trial, fold)."""
+    units = [(tid, hp, i) for tid, hp in planned for i in range(k)]
+    return sorted(units, key=lambda u: (-u[1].n_filters * sum(u[1].filter_sizes), u[0], u[2]))
+
+
+def process_count(parallelism: int, n_units: int) -> int:
     """Processes a search uses, the caller included: ``parallelism`` capped
-    at the trial count and the CPU count."""
+    at the unit count and the CPUs this process may run on."""
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    return min(parallelism, n_trials, os.cpu_count() or 1)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this OS
+        cpus = os.cpu_count() or 1
+    return min(parallelism, n_units, cpus)
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -370,42 +438,53 @@ def single_thread_blas_env():
                 os.environ[name] = value
 
 
-_worker_inputs: Optional[TrialInputs] = None  # set in each worker process
+def _run_units(inputs: TrialInputs, units: list) -> list:
+    """Results of ``units``, (trial id, hp, folds) each, run in turn in one
+    set of training buffers."""
+    buffers = SharedBuffers()
+    return [run_unit(inputs, tid, hp, folds, buffers) for tid, hp, folds in units]
 
 
-def _init_worker(inputs: TrialInputs, log_level: int) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
+def _init_worker(log_level: int) -> None:
     logging.basicConfig(level=log_level, stream=sys.stderr, format=LOG_FORMAT)
 
 
-def _run_worker_share(share) -> list:
-    return [run_trial(_worker_inputs, tid, hp) for tid, hp in share]
-
-
 def _run_trials(inputs: TrialInputs, planned: list, n_procs: int) -> list:
-    """Records of every planned trial. With ``n_procs`` > 1 the calling
-    process runs its own share while spawned workers run theirs."""
-    shares = [planned[w::n_procs] for w in range(n_procs)]
+    """Records of every planned trial. One process runs each trial as one
+    unit of all its folds. With ``n_procs`` > 1, unit j of the single-fold
+    plan runs on process j % n_procs: the calling process runs share 0,
+    starting at once, while spawned workers run the others."""
+    k = inputs.folds.k
     if n_procs == 1:
-        return [run_trial(inputs, tid, hp) for tid, hp in shares[0]]
+        buffers = SharedBuffers()
+        return [finish_trial(inputs, tid, hp, [run_unit(inputs, tid, hp, range(k), buffers)])
+                for tid, hp in planned]
     # imported here: loading multiprocessing costs every other command
     # ~0.07 s of start-up and ~1 MB of RSS
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    units = [(tid, hp, (i,)) for tid, hp, i in plan_units(planned, k)]
+    shares = [units[w::n_procs] for w in range(n_procs)]
     pool = ProcessPoolExecutor(
         max_workers=n_procs - 1, mp_context=multiprocessing.get_context("spawn"),
-        initializer=_init_worker, initargs=(inputs, logger.getEffectiveLevel()),
+        initializer=_init_worker, initargs=(logger.getEffectiveLevel(),),
     )
     with pool:
-        # workers start inside submit, one per share
+        # a worker starts inside submit; the inputs go with its share through
+        # the pool's queue, written by a background thread. Passed as
+        # initargs, spawn would write them into the child's pipe inside
+        # submit, which blocks until the child has imported numpy, and for
+        # good if the child dies first.
         with single_thread_blas_env():
-            futures = [pool.submit(_run_worker_share, share) for share in shares[1:]]
-        records = [run_trial(inputs, tid, hp) for tid, hp in shares[0]]
+            futures = [pool.submit(_run_units, inputs, share) for share in shares[1:]]
+        results = _run_units(inputs, shares[0])
         for future in futures:
-            records += future.result()
-    return records
+            results += future.result()
+    by_trial = {tid: [] for tid, _ in planned}
+    for result in results:
+        by_trial[result.trial_id].append(result)
+    return [finish_trial(inputs, tid, hp, by_trial[tid]) for tid, hp in planned]
 
 
 def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
@@ -425,7 +504,7 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    n_procs = process_count(parallelism, n_trials)
+    n_procs = process_count(parallelism, n_trials * folds.k)
     for name in space.domains["word_embedding"]:
         if name not in docs_by_name:
             raise DataError(f"no embedded documents for word_embedding={name!r}")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from scnn import ensemble as E
 from scnn import metrics
 from scnn.corpus import FoldAssignment, stratified_kfold
 from scnn.errors import DataError
-from scnn.model import TrainSchedule
+from scnn.model import SharedBuffers, TrainSchedule
 from scnn.rng import Rng
 
 
@@ -201,6 +203,37 @@ class TestTrainFoldEnsemble:
         )
         assert fe2.cv_score == fe.cv_score
         np.testing.assert_array_equal(fe2.oof_probs, fe.oof_probs)
+
+    def test_fold_subsets_match_the_whole(self, trained):
+        fe, docs, labels, folds = trained
+        fold_of = np.asarray(folds.fold_of)
+        buffers = SharedBuffers()
+        for subset in ([3], [0, 4]):
+            part = E.train_fold_ensemble(
+                toy_hp(batch_size=20), docs, labels, folds,
+                TrainSchedule(max_epochs=8, patience=3), Rng(7).substream(0), trial_id=0,
+                fold_ids=subset, buffers=buffers,
+            )
+            assert np.isnan(part.cv_score) and len(part.members) == len(subset)
+            rows = np.isin(fold_of, subset)
+            np.testing.assert_array_equal(part.oof_probs[rows], fe.oof_probs[rows])
+            assert not part.oof_probs[~rows].any()
+            for i, member in zip(subset, part.members):
+                np.testing.assert_array_equal(member.weights.arena, fe.members[i].weights.arena)
+
+    def test_predicts_held_out_fold_without_dev_probs(self, trained, monkeypatch):
+        fe, docs, labels, folds = trained
+        real_train = E.train
+
+        def without_dev_probs(*args, **kwargs):
+            return replace(real_train(*args, **kwargs), dev_probs=None)
+
+        monkeypatch.setattr(E, "train", without_dev_probs)
+        again = E.train_fold_ensemble(
+            toy_hp(batch_size=20), docs, labels, folds,
+            TrainSchedule(max_epochs=8, patience=3), Rng(7).substream(0), trial_id=0,
+        )
+        np.testing.assert_array_equal(again.oof_probs, fe.oof_probs)
 
     def test_separable_corpus_scores_high(self, trained):
         fe, *_ = trained

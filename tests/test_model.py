@@ -374,6 +374,29 @@ class TestArena:
         assert again.history == fresh.history
         np.testing.assert_array_equal(again.weights.arena, fresh.weights.arena)
 
+    def test_dev_probs_are_the_best_epochs_predictions(self):
+        docs = Rng(10).uniform(-1, 1, (20, 12, 8)).astype(np.float32)
+        labels = np.asarray(Rng(11).integers(1, 4, 20))
+        sched = TrainSchedule(max_epochs=6, patience=2)
+        scores, best_epoch_probs = [], []
+
+        def watch(epoch, model, record):
+            # an improving epoch restarts nothing, so the model is that epoch's
+            if record["dev_score"] > max(scores, default=-1.0):
+                best_epoch_probs[:] = [M.predict_proba(model, docs[:6])]
+            scores.append(record["dev_score"])
+
+        net = build_model(toy_hp(batch_size=8), 8, seed=3)
+        tm = M.train(net, docs, labels, docs[:6], labels[:6], sched,
+                     Rng(3).substream("train"), callback=watch)
+        assert tm.dev_probs is not None
+        np.testing.assert_array_equal(tm.dev_probs, tm.predict_proba(docs[:6]))
+        np.testing.assert_array_equal(tm.dev_probs, best_epoch_probs[0])
+        scored = M.train(build_model(toy_hp(batch_size=8), 8, seed=3), docs, labels,
+                         docs[:6], labels[:6], sched, Rng(3).substream("train"),
+                         dev_scorer=lambda m: 0.5)
+        assert scored.dev_probs is None
+
     def test_saved_tensor_bytes_are_the_arena(self, tmp_path):
         for dtype in (np.float32, np.float64):
             net = build_model(toy_hp(), 8, seed=4, dtype=dtype)

@@ -1,8 +1,12 @@
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from conftest import synth_arrays, toy_hp
 from scnn import metrics
 from scnn import search as S
 from scnn import synth
-from scnn.corpus import stratified_kfold
+from scnn.corpus import FoldAssignment, stratified_kfold
 from scnn.errors import DataError
 from scnn.model import DEFAULT_SEARCH_DOMAINS, HP_FIELDS, TrainSchedule
 from scnn.rng import Rng
@@ -255,19 +259,59 @@ class TestRunSearch:
             assert records[-1] in failed
 
 
+class TestPlanUnits:
+    """The unit plan is pure: these tests train nothing."""
+
+    def test_longest_first_ties_by_trial_and_fold(self):
+        sizes = {0: (4, (1, 2, 2, 2, 3)), 1: (8, (1, 2, 3, 4, 5)),
+                 2: (4, (1, 2, 3, 4, 5)), 3: (6, (1, 2, 2, 2, 3))}  # costs 40, 120, 60, 60
+        planned = [(tid, toy_hp(n_filters=f, filter_sizes=widths))
+                   for tid, (f, widths) in sizes.items()]
+        units = S.plan_units(planned, 3)
+        assert [(tid, fold) for tid, _, fold in units] == [
+            (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2),
+            (3, 0), (3, 1), (3, 2), (0, 0), (0, 1), (0, 2)]
+        assert all(hp == dict(planned)[tid] for tid, hp, _ in units)
+
+    @pytest.mark.parametrize("n_trials,k", [(1, 5), (3, 5), (7, 2)])
+    def test_covers_every_fold_of_every_trial_once(self, n_trials, k):
+        space = S.SearchSpace.from_dict(synth.TOY_SPACE, restricted=False)
+        sampler = Rng(9).substream("sampler")
+        planned = [(tid, S.sample_config(space, sampler, set())) for tid in range(n_trials)]
+        units = S.plan_units(planned, k)
+        assert Counter((tid, fold) for tid, _, fold in units) == Counter(
+            (tid, fold) for tid in range(n_trials) for fold in range(k))
+        costs = [hp.n_filters * sum(hp.filter_sizes) for _, hp, _ in units]
+        assert costs == sorted(costs, reverse=True)
+
+
+def _cpus(monkeypatch, n):
+    """Make ``n`` CPUs usable by this process, whichever way it counts them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
 class TestProcessCount:
     """The process-count helper is pure: these tests start no processes."""
 
-    @pytest.mark.parametrize("parallelism,n_trials,cpus,expected", [
+    @pytest.mark.parametrize("parallelism,n_units,cpus,expected", [
         (1, 10, 8, 1),
         (2, 10, 8, 2),
-        (4, 3, 8, 3),     # never more processes than trials
+        (4, 3, 8, 3),     # never more processes than units
         (1000, 99, 2, 2),  # never more processes than CPUs
         (4, 10, None, 1),  # unknown CPU count runs serially
     ])
-    def test_caps(self, monkeypatch, parallelism, n_trials, cpus, expected):
+    def test_caps(self, monkeypatch, parallelism, n_units, cpus, expected):
+        # without affinity masks the CPU count is the cap
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert S.process_count(parallelism, n_trials) == expected
+        assert S.process_count(parallelism, n_units) == expected
+
+    @pytest.mark.parametrize("usable,expected", [({3}, 1), ({0, 5}, 2), (set(range(8)), 4)])
+    def test_affinity_caps_below_cpu_count(self, monkeypatch, usable, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
+        assert S.process_count(4, 15) == expected
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_rejects_below_one(self, bad):
@@ -311,9 +355,20 @@ def _tree_bytes(root):
     }
 
 
+def _one_trial_search(out_dir, parallelism, edit_folds=lambda folds: folds):
+    examples, docs, labels = synth_arrays(304, 60)
+    folds = edit_folds(stratified_kfold(examples, k=5, seed=304))
+    space = S.SearchSpace.from_dict(synth.TOY_SPACE, restricted=False)
+    return S.run_search(
+        [ex.id for ex in examples], labels, {"godin": docs, "shin": docs},
+        space, 1, folds, TrainSchedule(max_epochs=2), seed=4,
+        parallelism=parallelism, out_dir=str(out_dir), keep_models=True,
+    )
+
+
 class TestProcessPool:
     def test_pool_matches_serial_bytes_and_failures(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # a pool even on one core
+        _cpus(monkeypatch, 4)  # a pool even on one core
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         _RecordingPool.started.clear()
         serial = _failing_lr_search(tmp_path / "p1", 1)
@@ -335,8 +390,66 @@ class TestProcessPool:
         assert _tree_bytes(tmp_path / "p1") == _tree_bytes(tmp_path / "p2")
         assert not [p for p in _tree_bytes(tmp_path / "p2") if p.endswith(".tmp")]
 
+    def test_one_trial_uses_two_processes(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 4)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        _RecordingPool.started.clear()
+        runs = {p: _one_trial_search(tmp_path / f"p{p}", p) for p in (1, 2)}
+        assert _RecordingPool.started == [1]  # five fold units, one worker
+        (serial,), (pooled,) = runs[1], runs[2]
+        assert serial.ok and (serial.trial_id, serial.hp, serial.status, serial.cv_score) == (
+            pooled.trial_id, pooled.hp, pooled.status, pooled.cv_score)
+        np.testing.assert_array_equal(serial.ensemble.oof_probs, pooled.ensemble.oof_probs)
+        assert [m.path for m in pooled.ensemble.members] == [
+            str(tmp_path / "p2" / "trials" / "0" / f"fold{i}.scnn") for i in range(5)]
+        assert _tree_bytes(tmp_path / "p1") == _tree_bytes(tmp_path / "p2")
+
+    def test_middle_fold_failing_in_a_worker_reports_as_serial(self, tmp_path, monkeypatch):
+        _cpus(monkeypatch, 4)
+        # folds 1 and 2 hold no example, so their dev sets are empty; at
+        # parallelism 2 the worker runs units 1 and 3 (folds 1 and 3)
+        empty = lambda folds: FoldAssignment(
+            tuple(0 if f in (1, 2) else f for f in folds.fold_of), folds.k, folds.seed)
+        runs = {p: _one_trial_search(tmp_path / f"p{p}", p, empty) for p in (1, 2)}
+        for (record,) in runs.values():
+            assert record.status == "failed: fold 1: empty dev set"
+            assert np.isnan(record.cv_score) and record.ensemble is None
+        for p in (1, 2):
+            assert os.listdir(tmp_path / f"p{p}" / "trials") == []
+        assert _tree_bytes(tmp_path / "p1") == _tree_bytes(tmp_path / "p2")
+
+    def test_worker_dying_at_start_fails_the_search(self, tmp_path):
+        # a worker whose interpreter cannot start dies before reading anything;
+        # the search must fail with BrokenProcessPool, not wait on it for good
+        script = textwrap.dedent(f"""
+            import os, sys
+            sys.path[:0] = [{str(Path(__file__).parent)!r},
+                            {str(Path(__file__).parent.parent / "src")!r}]
+            from concurrent.futures.process import BrokenProcessPool
+            from conftest import synth_arrays
+            from scnn import search as S, synth
+            from scnn.corpus import stratified_kfold
+            from scnn.model import TrainSchedule
+
+            examples, docs, labels = synth_arrays(306, 600)  # ~1.8 MB of documents
+            os.sched_getaffinity, os.cpu_count = (lambda pid: {{0, 1}}), (lambda: 2)
+            os.environ["PYTHONHOME"] = os.path.join({str(tmp_path)!r}, "missing")
+            try:
+                S.run_search([ex.id for ex in examples], labels,
+                             {{"godin": docs, "shin": docs}},
+                             S.SearchSpace.from_dict(synth.TOY_SPACE, restricted=False),
+                             2, stratified_kfold(examples, k=5, seed=306),
+                             TrainSchedule(max_epochs=1), seed=1, parallelism=2)
+            except BrokenProcessPool:
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
     def test_environment_restored_after_pool_starts(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        _cpus(monkeypatch, 4)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -355,6 +468,32 @@ class TestProcessPool:
                 assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
                 raise RuntimeError("spawn failed")
         assert dict(os.environ) == before
+
+
+class TestUnits:
+    def test_consecutive_units_of_one_shape_share_buffers(self, monkeypatch):
+        from scnn import model as M
+
+        examples, docs, labels = synth_arrays(305, 60)
+        inputs = S.TrialInputs(
+            ids=[ex.id for ex in examples], labels=labels,
+            docs_by_name={"godin": docs, "shin": docs},
+            folds=stratified_kfold(examples, k=5, seed=305),
+            sched=TrainSchedule(max_epochs=2), seed=6, out_dir=None, keep_models=False,
+        )
+        hp = toy_hp(batch_size=20)
+        units = [(0, hp, (0,)), (0, hp, (3,)),
+                 (1, toy_hp(batch_size=20, adam_b2=0.9, keep_prob=0.5), (2,)),  # same shapes
+                 (2, toy_hp(batch_size=20, n_filters=3), (1,))]
+        made = []
+        real = M.train_buffers
+        monkeypatch.setattr(M, "train_buffers", lambda model: made.append(1) or real(model))
+        shared = S._run_units(inputs, units)
+        assert len(made) == 2  # one set for the first three units, one for the last
+        for unit, result in zip(units, shared):
+            (alone,) = S._run_units(inputs, [unit])
+            assert result.error is None and result.folds == unit[2]
+            np.testing.assert_array_equal(result.ensemble.oof_probs, alone.ensemble.oof_probs)
 
 
 def test_full_trial_budget_produces_dense_records():
