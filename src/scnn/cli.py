@@ -22,7 +22,8 @@ import sys
 import numpy as np
 
 from . import corpus, embeddings, metrics, search, synth
-from .ensemble import load_ensemble, save_ensemble, stack_top_k, stacked_predict
+from .ensemble import (load_ensemble, save_ensemble, stack_top_k, stacked_predict,
+                       train_fold_ensemble)
 from .errors import DataError, NumericError, ScnnError
 from .fileio import atomic_write, file_sha256, open_text, read_json
 from .gradcheck import TOLERANCE, run_gradcheck
@@ -176,8 +177,6 @@ def _load_search_inputs(args, space_names):
 
 
 def _cmd_search(args, outputs: _Outputs) -> int:
-    if args.parallelism < 1:
-        raise UsageError(f"--parallelism must be >= 1, got {args.parallelism}")
     overrides = read_json(args.config, "config") if args.config else {}
     space = search.SearchSpace.from_dict(overrides, restricted=not args.unrestricted_space)
     examples, docs_by_name, info = _load_search_inputs(
@@ -190,9 +189,8 @@ def _cmd_search(args, outputs: _Outputs) -> int:
     outputs.claim_dir(os.path.join(args.out, "trials"))
     search.run_search(
         [ex.id for ex in examples], [ex.label for ex in examples], docs_by_name,
-        space, args.trials, folds, _schedule_from_args(args), args.seed,
-        parallelism=args.parallelism, out_dir=args.out,
-        dataset_info=info,
+        space, args.trials, folds, _schedule_from_args(args), args.seed, args.out,
+        parallelism=args.parallelism, dataset_info=info,
     )
     logger.info("search complete: %s", os.path.join(args.out, "leaderboard.csv"))
     return 0
@@ -210,8 +208,6 @@ def _cmd_train(args, outputs: _Outputs) -> int:
     docs = _embed_examples(examples, tables)[hp.word_embedding]
     labels = np.asarray([ex.label for ex in examples], dtype=np.int64)
     folds = corpus.stratified_kfold(examples, k=args.folds, seed=args.seed)
-
-    from .ensemble import train_fold_ensemble
 
     out = outputs.claim_dir(args.out)
     fe = train_fold_ensemble(
@@ -350,7 +346,7 @@ def _cmd_evaluate(args, outputs: _Outputs) -> int:
 def _cmd_gradcheck(args, outputs: _Outputs) -> int:
     err = run_gradcheck(args.seed, cases=args.cases, step=args.step)
     print(f"max relative gradient error: {err:.6e}")
-    if err > TOLERANCE:
+    if not err <= TOLERANCE:  # a NaN error fails
         print(f"FAIL: exceeds tolerance {TOLERANCE:.0e}", file=sys.stderr)
         return 3
     return 0
@@ -360,34 +356,46 @@ def _cmd_gradcheck(args, outputs: _Outputs) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
+def _bounded(kind, low, strict=False):
+    """An argparse type: a ``kind`` number above ``low`` (``strict``) or at
+    least ``low``. Any other value is a usage error naming the flag."""
+    def parse(text):
+        value = kind(text)
+        if not (value > low if strict else value >= low):  # NaN fails too
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}")
+        return value
+    parse.__name__ = kind.__name__  # argparse says "invalid int value: 'x'"
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="scnn", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_schedule(p):
-        p.add_argument("--max-epochs", type=int, default=30)
-        p.add_argument("--patience", type=int, default=2)
+        p.add_argument("--max-epochs", type=_bounded(int, 1), default=30)
+        p.add_argument("--patience", type=_bounded(int, 1), default=2)
 
     p = sub.add_parser("synth", help="write the deterministic synthetic corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--train-size", type=int, default=600)
-    p.add_argument("--test-size", type=int, default=300)
-    p.add_argument("--dim", type=int, default=16)
+    p.add_argument("--train-size", type=_bounded(int, 0), default=600)
+    p.add_argument("--test-size", type=_bounded(int, 0), default=300)
+    p.add_argument("--dim", type=_bounded(int, 4), default=16)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("search", help="random hyperparameter search")
     p.add_argument("--train", required=True)
     p.add_argument("--embeddings", required=True, metavar="name=path[,name=path]")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--trials", type=_bounded(int, 1), required=True)
+    p.add_argument("--folds", type=_bounded(int, 2), default=5)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON file overriding search-space domains")
     p.add_argument("--unrestricted-space", action="store_true",
                    help="allow domains outside the standard search space")
-    p.add_argument("--parallelism", type=int, default=1,
+    p.add_argument("--parallelism", type=_bounded(int, 1), default=1,
                    help="processes that train folds, this one included "
                         "(capped at trials x folds and the usable CPUs)")
     add_schedule(p)
@@ -397,7 +405,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--config", required=True, help="JSON with the 8 hp fields")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_bounded(int, 2), default=5)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--unrestricted-space", action="store_true")
@@ -427,15 +435,15 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient self-check")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--cases", type=int, default=25)
-    p.add_argument("--step", type=float, default=1e-5)
+    p.add_argument("--cases", type=_bounded(int, 1), default=25)
+    p.add_argument("--step", type=_bounded(float, 0.0, strict=True), default=1e-5)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, stream=sys.stderr, format=search.LOG_FORMAT)
+    logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(message)s")
     parser = _build_parser()
     outputs = _Outputs()
     try:

@@ -62,7 +62,6 @@ class FoldEnsemble:
 @dataclass
 class StackedEnsemble:
     ranked_members: list  # FoldEnsembles, descending cv_score / ascending trial_id
-    k: int
 
 
 def train_fold_ensemble(hp: HyperParams, docs: np.ndarray, labels: np.ndarray,
@@ -107,15 +106,13 @@ def train_fold_ensemble(hp: HyperParams, docs: np.ndarray, labels: np.ndarray,
             raise type(exc)(f"fold {i}: {exc}") from exc
         except NumericError as exc:
             raise NumericError(f"fold {i}: {exc}") from exc
-        probs = trained.dev_probs
-        if probs is None:
-            probs = trained.predict_proba(docs[held_out])
-        oof[held_out] = probs.astype(np.float64)
+        oof[held_out] = trained.dev_probs.astype(np.float64)
         members.append(trained if on_member is None else on_member(i, trained))
-        # fold i's model is released when fold i + 1's training returns, not
-        # before: freed sooner, whether glibc hands its arrays back to the OS
-        # depends on the heap layout, and a 3-trial paper-shape search then
-        # faulted in up to 7x the pages (benchmarks/BENCH_streaming.json)
+        # with several folds in one call (scnn train), fold i's model is
+        # released when fold i + 1's training returns, not before: freed
+        # sooner, whether glibc hands its arrays back to the OS depends on
+        # the heap layout, and a 3-trial paper-shape search then faulted in
+        # up to 7x the pages (benchmarks/BENCH_streaming.json)
     cv = metrics.micro_f1_12(labels, oof) if len(members) == folds.k else float("nan")
     return FoldEnsemble(hp=hp, members=members, oof_probs=oof, cv_score=cv,
                         trial_id=trial_id)
@@ -157,7 +154,7 @@ def stack_top_k(trials: Sequence[FoldEnsemble], k: int) -> StackedEnsemble:
     if not 1 <= k <= len(trials):
         raise ValueError(f"k must be in 1..{len(trials)}, got {k}")
     ranked = sorted(trials, key=rank_key)
-    return StackedEnsemble(ranked_members=ranked[:k], k=k)
+    return StackedEnsemble(ranked_members=ranked[:k])
 
 
 def stacked_predict(se: StackedEnsemble, docs_by_name: dict) -> np.ndarray:
@@ -204,7 +201,7 @@ def save_ensemble(se: StackedEnsemble, manifest_path, model_paths: dict,
             })
     doc = {
         "format_version": MANIFEST_FORMAT_VERSION,
-        "K": se.k,
+        "K": len(se.ranked_members),
         "members": members,
         "fold_seed": fold_seed,
         "space_descriptor": space_descriptor,
@@ -268,10 +265,15 @@ def load_ensemble(manifest_path) -> StackedEnsemble:
             trial_order.append(tid)
         by_trial[tid].members.append(ModelFile(path, entry["sha256"]))
 
+    counts = sorted({len(fe.members) for fe in by_trial.values()})
+    if len(by_trial) != doc["K"] or len(counts) > 1:  # stacked_predict assumes both
+        raise DataError(f"{manifest_path}: K is {doc['K']}, but the members form "
+                        f"{len(by_trial)} trials of {counts} members; a stack needs "
+                        f"K trials of one member count")
     ranked = sorted(by_trial.values(), key=rank_key)
     if [fe.trial_id for fe in ranked] != trial_order:
         logger.warning(
             "%s: member order does not match (-cv_score, trial_id) ranking; "
             "scores are advisory after load, reordering by score", manifest_path,
         )
-    return StackedEnsemble(ranked_members=ranked, k=doc["K"])
+    return StackedEnsemble(ranked_members=ranked)

@@ -326,6 +326,12 @@ class TrainSchedule:
     restarts_allowed: int = 2
     lr_decay: float = 0.5
 
+    def __post_init__(self):
+        if not (self.max_epochs >= 1 and self.patience >= 1 and self.restarts_allowed >= 0
+                and 0 < self.lr_decay <= 1):
+            raise ValueError(f"{self}: needs max_epochs and patience >= 1, "
+                             f"restarts_allowed >= 0 and lr_decay in (0, 1]")
+
 
 @dataclass
 class TrainedModel:
@@ -335,8 +341,7 @@ class TrainedModel:
     restart_count: int
     history: list  # per epoch: (train_loss, dev_score, lr)
     # the best epoch's dev-set probabilities, which equal predict_proba on
-    # the dev set bit for bit; None when a dev_scorer replaced them or no
-    # epoch improved. Not saved.
+    # the dev set bit for bit; None when a dev_scorer replaced them. Not saved.
     dev_probs: Optional[np.ndarray] = field(default=None, repr=False)
 
     def predict_proba(self, docs: np.ndarray) -> np.ndarray:

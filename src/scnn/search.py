@@ -1,18 +1,16 @@
 """Random hyperparameter search: sampling, trial execution, leaderboard.
 
-Each trial trains a full fold ensemble for one sampled configuration, and
-each of its folds trains independently of the others. With one process a
-unit is a whole trial, its folds in order. ``--parallelism n`` spreads
-single-fold units over n processes: the calling process and n - 1 spawned
-workers, capped at the unit count and the CPUs this process may use. The
-units are planned longest first by n_filters x sum(filter_sizes), and unit j
-runs on process j % n, so the caller takes the longest unit of each round.
-A fixed plan keeps the work each process does the same from run to run.
-Each worker gets the training inputs once, with its share, through the
-pool's queue, so the caller starts its first unit at once. A worker's BLAS
-is pinned to one thread, and it keeps one set of training buffers for
-consecutive units of one shape. The caller merges each trial's out-of-fold
-rows in fold order and writes its oof.tsv.
+Each trial trains a fold ensemble for one sampled configuration, one unit
+per fold. The units are planned longest first by n_filters x
+sum(filter_sizes), ties by (trial, fold), and unit j runs on process j % n:
+the calling process, which takes the longest unit of each round and starts
+at once, and n - 1 spawned workers (``--parallelism n``, capped at the unit
+count and the CPUs this process may use; n = 1 starts no pool). A fixed plan
+keeps each process's work the same from run to run. A worker gets the
+training inputs once, with its share, through the pool's queue, and pins
+its BLAS to one thread. Each process keeps one set of training buffers for
+consecutive units of one shape. A unit saves its fold model and returns its
+held-out rows; once a trial's last unit is in, the caller writes its oof.tsv.
 
 Every fold's random streams derive from (seed, trial_id, fold) and configs
 are sampled up front from a dedicated substream, which makes the
@@ -43,9 +41,8 @@ import json
 import logging
 import os
 import shutil
-import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -175,8 +172,6 @@ class TrialRecord:
     hp: HyperParams
     cv_score: float  # NaN when the trial failed
     status: str      # "ok" or "failed: <reason>"
-    wall_time: float
-    ensemble: Optional[FoldEnsemble] = None
 
     @property
     def ok(self) -> bool:
@@ -245,7 +240,6 @@ def parse_leaderboard_csv(text: str) -> list:
                 hp=_hp_from_csv(row),
                 cv_score=float(row["cv_score"]) if status == "ok" else float("nan"),
                 status=status,
-                wall_time=0.0,
             ))
         except (AttributeError, TypeError, ValueError) as exc:
             raise DataError(f"malformed row at line {reader.line_num}: {exc}") from None
@@ -301,8 +295,7 @@ class TrialInputs:
     folds: FoldAssignment
     sched: TrainSchedule
     seed: int
-    out_dir: Optional[str]
-    keep_models: bool
+    out_dir: str
 
 
 def member_saver(out_dir):
@@ -317,85 +310,73 @@ def member_saver(out_dir):
     return on_member
 
 
-def _trial_dir(inputs: TrialInputs, tid: int) -> Optional[str]:
-    if inputs.out_dir is None:
-        return None
+def _trial_dir(inputs: TrialInputs, tid: int) -> str:
     return os.path.join(inputs.out_dir, "trials", str(tid))
 
 
 @dataclass
 class UnitResult:
-    """One unit's outcome: the unit is some folds of one trial."""
+    """One unit's outcome: the unit is one fold of one trial."""
 
     trial_id: int
-    folds: tuple
-    ensemble: Optional[FoldEnsemble]  # those folds' members and out-of-fold rows
-    error: Optional[str]  # the failing fold's message
+    fold: int
+    oof_rows: Optional[np.ndarray]  # the held-out rows' probabilities, in example order
+    error: Optional[str]  # the fold's message when it failed
     seconds: float
     pid: int
 
 
-def run_unit(inputs: TrialInputs, tid: int, hp: HyperParams, folds,
+def run_unit(inputs: TrialInputs, tid: int, hp: HyperParams, fold: int,
              buffers: SharedBuffers) -> UnitResult:
-    """Train folds ``folds`` of trial ``tid`` in order, in ``buffers``. With
-    an ``out_dir``, each fold model is written to trials/<tid>/ once it is
-    trained. A training failure ends the unit and is reported, not raised."""
+    """Train fold ``fold`` of trial ``tid`` in ``buffers`` and write its model
+    to trials/<tid>/. A training failure is reported, not raised."""
     started = time.perf_counter()
     trial_dir = _trial_dir(inputs, tid)
-    fe = error = None
+    rows = error = None
     try:
         fe = train_fold_ensemble(
             hp, inputs.docs_by_name[hp.word_embedding], inputs.labels, inputs.folds,
             inputs.sched, Rng(inputs.seed).substream(tid), trial_id=tid,
-            on_member=None if trial_dir is None else member_saver(trial_dir),
-            fold_ids=folds, buffers=buffers,
+            on_member=member_saver(trial_dir), fold_ids=(fold,), buffers=buffers,
         )
+        rows = fe.oof_probs[np.asarray(inputs.folds.fold_of) == fold]
     except (ScnnError, ValueError, ArithmeticError) as exc:
         error = str(exc)
     except BaseException:
-        if trial_dir is not None:
-            shutil.rmtree(trial_dir, ignore_errors=True)
+        shutil.rmtree(trial_dir, ignore_errors=True)
         raise
-    return UnitResult(tid, tuple(folds), fe, error, time.perf_counter() - started, os.getpid())
+    return UnitResult(tid, fold, rows, error, time.perf_counter() - started, os.getpid())
 
 
 def finish_trial(inputs: TrialInputs, tid: int, hp: HyperParams, units: list) -> TrialRecord:
-    """Trial ``tid``'s record from the results of its units, which cover
-    each fold once. The out-of-fold rows are merged in fold order and, with
-    an ``out_dir``, written to oof.tsv. When a fold failed, trials/<tid>/ is
-    removed and the status is the lowest failing fold's message, as a serial
-    run that stops at that fold reports it."""
-    units = sorted(units, key=lambda u: u.folds)
+    """Trial ``tid``'s record from the results of its units, one per fold.
+    The out-of-fold rows are merged in fold order and written to oof.tsv.
+    When a fold failed, trials/<tid>/ is removed and the status is the
+    lowest failing fold's message."""
+    units = sorted(units, key=lambda u: u.fold)
     seconds = sum(u.seconds for u in units)
     pids = ",".join(str(pid) for pid in sorted({u.pid for u in units}))
     trial_dir = _trial_dir(inputs, tid)
     failed = [u.error for u in units if u.error is not None]
     if failed:
-        if trial_dir is not None:
-            shutil.rmtree(trial_dir, ignore_errors=True)
+        shutil.rmtree(trial_dir, ignore_errors=True)
         logger.warning("trial %d failed (%.1fs of units on pids %s): %s",
                        tid, seconds, pids, failed[0])
-        return TrialRecord(tid, hp, float("nan"), f"failed: {failed[0]}", seconds)
+        return TrialRecord(tid, hp, float("nan"), f"failed: {failed[0]}")
     fold_of = np.asarray(inputs.folds.fold_of)
     oof = np.zeros((len(fold_of), 3), dtype=np.float64)
-    members = []
     for u in units:
-        rows = np.isin(fold_of, u.folds)
-        oof[rows] = u.ensemble.oof_probs[rows]
-        members += u.ensemble.members
-    fe = FoldEnsemble(hp=hp, members=members, oof_probs=oof,
-                      cv_score=metrics.micro_f1_12(inputs.labels, oof), trial_id=tid)
-    if trial_dir is not None:
-        try:
-            with atomic_write(os.path.join(trial_dir, "oof.tsv")) as fh:
-                fh.write(format_oof_tsv(inputs.ids, inputs.labels, inputs.folds.fold_of, oof))
-        except BaseException:
-            shutil.rmtree(trial_dir, ignore_errors=True)
-            raise
+        oof[fold_of == u.fold] = u.oof_rows
+    cv_score = metrics.micro_f1_12(inputs.labels, oof)
+    try:
+        with atomic_write(os.path.join(trial_dir, "oof.tsv")) as fh:
+            fh.write(format_oof_tsv(inputs.ids, inputs.labels, inputs.folds.fold_of, oof))
+    except BaseException:
+        shutil.rmtree(trial_dir, ignore_errors=True)
+        raise
     logger.info("trial %d cv_score %.6f (%.1fs of units on pids %s)",
-                tid, fe.cv_score, seconds, pids)
-    keep = trial_dir is None or inputs.keep_models
-    return TrialRecord(tid, hp, fe.cv_score, "ok", seconds, ensemble=fe if keep else None)
+                tid, cv_score, seconds, pids)
+    return TrialRecord(tid, hp, cv_score, "ok")
 
 
 def plan_units(planned: list, k: int) -> list:
@@ -418,14 +399,13 @@ def process_count(parallelism: int, n_units: int) -> int:
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-LOG_FORMAT = "%(levelname)s %(message)s"
 
 
 @contextmanager
 def single_thread_blas_env():
     """Set the BLAS thread variables to 1 for processes started inside the
     block, then restore this process's values. A worker reads them when it
-    imports numpy, which happens before any initializer runs."""
+    imports numpy, before it runs any task."""
     saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
@@ -439,68 +419,74 @@ def single_thread_blas_env():
 
 
 def _run_units(inputs: TrialInputs, units: list) -> list:
-    """Results of ``units``, (trial id, hp, folds) each, run in turn in one
-    set of training buffers."""
+    """Results of ``units``, (trial id, hp, fold) each, run in turn in one
+    set of training buffers: a worker's share."""
     buffers = SharedBuffers()
-    return [run_unit(inputs, tid, hp, folds, buffers) for tid, hp, folds in units]
+    return [run_unit(inputs, tid, hp, fold, buffers) for tid, hp, fold in units]
 
 
-def _init_worker(log_level: int) -> None:
-    logging.basicConfig(level=log_level, stream=sys.stderr, format=LOG_FORMAT)
-
-
-def _run_trials(inputs: TrialInputs, planned: list, n_procs: int) -> list:
-    """Records of every planned trial. One process runs each trial as one
-    unit of all its folds. With ``n_procs`` > 1, unit j of the single-fold
-    plan runs on process j % n_procs: the calling process runs share 0,
-    starting at once, while spawned workers run the others."""
-    k = inputs.folds.k
-    if n_procs == 1:
-        buffers = SharedBuffers()
-        return [finish_trial(inputs, tid, hp, [run_unit(inputs, tid, hp, range(k), buffers)])
-                for tid, hp in planned]
+def _submit_shares(stack: ExitStack, inputs: TrialInputs, shares: list) -> list:
+    """Futures of ``shares``, one spawned worker each, on a pool that
+    ``stack`` shuts down. No shares start no pool."""
+    if not shares:
+        return []
     # imported here: loading multiprocessing costs every other command
     # ~0.07 s of start-up and ~1 MB of RSS
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    units = [(tid, hp, (i,)) for tid, hp, i in plan_units(planned, k)]
+    pool = stack.enter_context(ProcessPoolExecutor(
+        max_workers=len(shares), mp_context=multiprocessing.get_context("spawn")))
+    # a worker starts inside submit; the inputs go with its share through
+    # the pool's queue, written by a background thread. Passed as initargs,
+    # spawn would write them into the child's pipe inside submit, which
+    # blocks until the child has imported numpy, and for good if the child
+    # dies first.
+    with single_thread_blas_env():
+        return [pool.submit(_run_units, inputs, share) for share in shares]
+
+
+def _run_trials(inputs: TrialInputs, planned: list, n_procs: int) -> list:
+    """Records of every planned trial, in trial order. Unit j of the plan
+    runs on process j % n_procs: the calling process runs share 0, starting
+    at once, while spawned workers run the others. A trial is finished as
+    soon as its last unit's result is in."""
+    k = inputs.folds.k
+    units = plan_units(planned, k)
     shares = [units[w::n_procs] for w in range(n_procs)]
-    pool = ProcessPoolExecutor(
-        max_workers=n_procs - 1, mp_context=multiprocessing.get_context("spawn"),
-        initializer=_init_worker, initargs=(logger.getEffectiveLevel(),),
-    )
-    with pool:
-        # a worker starts inside submit; the inputs go with its share through
-        # the pool's queue, written by a background thread. Passed as
-        # initargs, spawn would write them into the child's pipe inside
-        # submit, which blocks until the child has imported numpy, and for
-        # good if the child dies first.
-        with single_thread_blas_env():
-            futures = [pool.submit(_run_units, inputs, share) for share in shares[1:]]
-        results = _run_units(inputs, shares[0])
+    hp_of = dict(planned)
+    pending = {tid: [] for tid, _ in planned}
+    records = {}
+
+    def collect(result: UnitResult) -> None:
+        tid = result.trial_id
+        pending[tid].append(result)
+        if len(pending[tid]) == k:
+            records[tid] = finish_trial(inputs, tid, hp_of[tid], pending.pop(tid))
+
+    with ExitStack() as stack:
+        futures = _submit_shares(stack, inputs, shares[1:])
+        buffers = SharedBuffers()
+        for tid, hp, fold in shares[0]:
+            collect(run_unit(inputs, tid, hp, fold, buffers))
         for future in futures:
-            results += future.result()
-    by_trial = {tid: [] for tid, _ in planned}
-    for result in results:
-        by_trial[result.trial_id].append(result)
-    return [finish_trial(inputs, tid, hp, by_trial[tid]) for tid, hp in planned]
+            for result in future.result():
+                collect(result)
+    return [records[tid] for tid, _ in planned]
 
 
 def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
                space: SearchSpace, n_trials: int, folds: FoldAssignment,
-               sched: TrainSchedule, seed: int, parallelism: int = 1,
-               out_dir=None, keep_models: bool = False,
+               sched: TrainSchedule, seed: int, out_dir, parallelism: int = 1,
                dataset_info: Optional[dict] = None) -> list:
-    """Sample ``n_trials`` distinct configs and train a fold ensemble each.
+    """Sample ``n_trials`` distinct configs, train a fold ensemble each and
+    write the run directory described in the module docstring to
+    ``out_dir``. Each fold model is saved as soon as it is trained, so a
+    process holds one trained model at a time.
 
-    Returns TrialRecords in leaderboard order. With ``out_dir`` set, writes
-    the run directory described in the module docstring, saving each model
-    as soon as it is trained, so a process holds at most one trained model
-    besides the one in training; ``keep_models`` keeps each trial's
-    FoldEnsemble (of ModelFiles) on its record. Without ``out_dir``, records keep their ensembles in
-    memory. A failed trial is recorded on the leaderboard and the search
-    continues.
+    Returns TrialRecords in leaderboard order; a trial's ensemble is read
+    back with load_trial_ensemble. A failed trial is recorded on the
+    leaderboard and the search continues.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -513,36 +499,34 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
     seen: set = set()
     planned = [(tid, sample_config(space, sampler, seen)) for tid in range(n_trials)]
 
-    if out_dir is not None:
-        os.makedirs(os.path.join(out_dir, "trials"), exist_ok=True)
+    os.makedirs(os.path.join(out_dir, "trials"), exist_ok=True)
     inputs = TrialInputs(
         ids=ids, labels=np.asarray(labels, dtype=np.int64),
         docs_by_name=docs_by_name, folds=folds, sched=sched, seed=seed,
-        out_dir=out_dir, keep_models=keep_models,
+        out_dir=out_dir,
     )
     ranked = leaderboard_order(_run_trials(inputs, planned, n_procs))
-    if out_dir is not None:
-        with atomic_write(os.path.join(out_dir, "leaderboard.csv")) as fh:
-            fh.write(format_leaderboard_csv(ranked))
-        manifest = {
-            "format_version": 1,
-            "seed": seed,
-            "n_trials": n_trials,
-            "folds_k": folds.k,
-            "fold_seed": folds.seed,
-            "space": space.to_jsonable(),
-            "space_descriptor": space.descriptor(),
-            "schedule": {
-                "max_epochs": sched.max_epochs,
-                "patience": sched.patience,
-                "restarts_allowed": sched.restarts_allowed,
-                "lr_decay": sched.lr_decay,
-            },
-            "dataset": dataset_info or {},
-        }
-        with atomic_write(os.path.join(out_dir, "manifest.json")) as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with atomic_write(os.path.join(out_dir, "leaderboard.csv")) as fh:
+        fh.write(format_leaderboard_csv(ranked))
+    manifest = {
+        "format_version": 1,
+        "seed": seed,
+        "n_trials": n_trials,
+        "folds_k": folds.k,
+        "fold_seed": folds.seed,
+        "space": space.to_jsonable(),
+        "space_descriptor": space.descriptor(),
+        "schedule": {
+            "max_epochs": sched.max_epochs,
+            "patience": sched.patience,
+            "restarts_allowed": sched.restarts_allowed,
+            "lr_decay": sched.lr_decay,
+        },
+        "dataset": dataset_info or {},
+    }
+    with atomic_write(os.path.join(out_dir, "manifest.json")) as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return ranked
 
 

@@ -81,6 +81,31 @@ class TestUsageErrors:
         assert code == 1
 
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("search", "--trials", 0), ("search", "--folds", 1),
+        ("search", "--max-epochs", 0), ("search", "--max-epochs", -3),
+        ("search", "--patience", 0), ("train", "--folds", 1),
+        ("train", "--max-epochs", 0), ("train", "--patience", 0),
+        ("synth", "--dim", 0), ("synth", "--dim", 3), ("synth", "--train-size", -1),
+        ("synth", "--test-size", -1), ("gradcheck", "--cases", 0),
+        ("gradcheck", "--step", 0), ("gradcheck", "--step", -0.5),
+        ("gradcheck", "--step", "nan"),
+    ])
+    def test_out_of_range_value(self, corpus_dir, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        train = ["--train", corpus_dir / "train.tsv", "--seed", 1, "--out", out,
+                 "--embeddings", f"godin={corpus_dir}/embeddings.txt"]
+        argv = {
+            "search": ["search", "--trials", 1] + train,
+            "train": ["train", "--config", corpus_dir / "space.json"] + train,
+            "synth": ["synth", "--out", out, "--seed", 1],
+            "gradcheck": ["gradcheck", "--seed", 1],
+        }[command]
+        assert run_cli(*argv, flag, value) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [0, -2])
     def test_parallelism_below_one(self, corpus_dir, tmp_path, capsys, bad):
         out = tmp_path / "run"

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,20 +219,6 @@ class TestTrainFoldEnsemble:
             for i, member in zip(subset, part.members):
                 np.testing.assert_array_equal(member.weights.arena, fe.members[i].weights.arena)
 
-    def test_predicts_held_out_fold_without_dev_probs(self, trained, monkeypatch):
-        fe, docs, labels, folds = trained
-        real_train = E.train
-
-        def without_dev_probs(*args, **kwargs):
-            return replace(real_train(*args, **kwargs), dev_probs=None)
-
-        monkeypatch.setattr(E, "train", without_dev_probs)
-        again = E.train_fold_ensemble(
-            toy_hp(batch_size=20), docs, labels, folds,
-            TrainSchedule(max_epochs=8, patience=3), Rng(7).substream(0), trial_id=0,
-        )
-        np.testing.assert_array_equal(again.oof_probs, fe.oof_probs)
-
     def test_separable_corpus_scores_high(self, trained):
         fe, *_ = trained
         assert fe.cv_score >= 0.9
@@ -284,9 +268,12 @@ class TestManifest:
         return se, manifest, docs
 
     def test_round_trip_predictions_bit_exact(self, tmp_path, toy_corpus):
+        import json
+
         se, manifest, docs = self._saved(tmp_path, toy_corpus)
         loaded = E.load_ensemble(manifest)
-        assert loaded.k == se.k
+        assert len(loaded.ranked_members) == len(se.ranked_members) == 2
+        assert json.loads(manifest.read_text())["K"] == 2
         assert [fe.trial_id for fe in loaded.ranked_members] == [
             fe.trial_id for fe in se.ranked_members
         ]
@@ -338,6 +325,23 @@ class TestManifest:
         for key in ("path", "sha256", "trial_id", "cv_score")
     ])
     def test_missing_keys_named(self, tmp_path, toy_corpus, edit, named):
+        import json
+
+        _, manifest, _ = self._saved(tmp_path, toy_corpus)
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"stack.json: {named}"):
+            E.load_ensemble(manifest)
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda doc: doc.update(K=7), "K is 7, but the members form 2 trials"),
+        (lambda doc: doc.update(K=1), "K is 1, but the members form 2 trials"),
+        # the second trial keeps one of its two members
+        (lambda doc: doc["members"].pop(),
+         r"K is 2, but the members form 2 trials of \[1, 2\] members"),
+    ])
+    def test_k_and_member_counts_checked(self, tmp_path, toy_corpus, edit, named):
         import json
 
         _, manifest, _ = self._saved(tmp_path, toy_corpus)

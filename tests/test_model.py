@@ -228,6 +228,15 @@ class TestTrainSchedule:
         )
         return tm, events
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_epochs", 0), ("max_epochs", -3), ("patience", 0),
+        ("restarts_allowed", -1), ("lr_decay", 0.0), ("lr_decay", 1.5),
+        ("lr_decay", float("nan")),
+    ])
+    def test_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}={value}"):
+            TrainSchedule(**{field: value})
+
     def test_flat_scores_trace(self):
         # flat dev scores with patience 2: restarts after epochs 3 and 5,
         # stop at epoch 7, lr halved at each restart

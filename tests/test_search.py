@@ -100,9 +100,9 @@ class TestSampleConfig:
 class TestLeaderboardCsv:
     def _records(self):
         return [
-            S.TrialRecord(0, toy_hp(), 0.75, "ok", 1.0),
-            S.TrialRecord(1, toy_hp(n_filters=4), float("nan"), "failed: boom", 0.5),
-            S.TrialRecord(2, toy_hp(), 0.9, "ok", 2.0),
+            S.TrialRecord(0, toy_hp(), 0.75, "ok"),
+            S.TrialRecord(1, toy_hp(n_filters=4), float("nan"), "failed: boom"),
+            S.TrialRecord(2, toy_hp(), 0.9, "ok"),
         ]
 
     def test_round_trip_and_order(self):
@@ -140,9 +140,13 @@ def small_run(tmp_path_factory):
     records = S.run_search(
         [ex.id for ex in examples], labels, {"godin": docs, "shin": docs},
         space, 4, folds, TrainSchedule(max_epochs=4, patience=2), seed=11,
-        out_dir=str(out), keep_models=True,
+        out_dir=str(out),
     )
     return records, out, docs, labels, test_docs, test_labels
+
+
+def _ensembles(records, run_dir):
+    return [S.load_trial_ensemble(str(run_dir), r, k=5) for r in records if r.ok]
 
 
 class TestRunSearch:
@@ -209,7 +213,7 @@ class TestRunSearch:
         with pytest.raises(DataError, match="does not match"):
             S.load_trial_ensemble(str(clone), rec, k=5)
 
-    def test_parallelism_independent(self, small_run):
+    def test_parallelism_independent(self, small_run, tmp_path):
         records, out, docs, labels, *_ = small_run
         examples, docs2, labels2 = synth_arrays(300, 80)
         folds = stratified_kfold(examples, k=5, seed=300)
@@ -217,12 +221,12 @@ class TestRunSearch:
         par = S.run_search(
             [ex.id for ex in examples], labels2, {"godin": docs2, "shin": docs2},
             space, 4, folds, TrainSchedule(max_epochs=4, patience=2), seed=11,
-            parallelism=4, keep_models=True,
+            out_dir=str(tmp_path / "p4"), parallelism=4,
         )
         for a, b in zip(records, par):
             assert a.trial_id == b.trial_id and a.hp == b.hp
             assert a.cv_score == b.cv_score
-            np.testing.assert_array_equal(a.ensemble.oof_probs, b.ensemble.oof_probs)
+        assert _tree_bytes(tmp_path / "p4") == _tree_bytes(out)
 
     def test_failed_trial_recorded_and_search_continues(self, small_run, tmp_path):
         examples, docs, labels = synth_arrays(301, 60)
@@ -235,7 +239,8 @@ class TestRunSearch:
         )
         with pytest.raises(DataError):
             S.run_search([ex.id for ex in examples], labels, {"godin": docs},
-                         space, 2, folds, TrainSchedule(max_epochs=2), seed=0)
+                         space, 2, folds, TrainSchedule(max_epochs=2), seed=0,
+                         out_dir=str(tmp_path))
 
     def test_trial_failure_status(self, tmp_path):
         # force a mid-training numeric failure via an absurd learning rate
@@ -248,7 +253,7 @@ class TestRunSearch:
             records = S.run_search(
                 [ex.id for ex in examples], labels, {"godin": docs, "shin": docs},
                 space, 2, folds, TrainSchedule(max_epochs=2), seed=3,
-                keep_models=True,
+                out_dir=str(tmp_path),
             )
         assert len(records) == 2
         statuses = {r.status.split(":")[0] for r in records}
@@ -344,7 +349,7 @@ def _failing_lr_search(out_dir, parallelism):
         return S.run_search(
             [ex.id for ex in examples], labels, {"godin": docs, "shin": docs},
             space, 4, folds, TrainSchedule(max_epochs=2), seed=3,
-            parallelism=parallelism, out_dir=str(out_dir), keep_models=True,
+            parallelism=parallelism, out_dir=str(out_dir),
         )
 
 
@@ -362,7 +367,7 @@ def _one_trial_search(out_dir, parallelism, edit_folds=lambda folds: folds):
     return S.run_search(
         [ex.id for ex in examples], labels, {"godin": docs, "shin": docs},
         space, 1, folds, TrainSchedule(max_epochs=2), seed=4,
-        parallelism=parallelism, out_dir=str(out_dir), keep_models=True,
+        parallelism=parallelism, out_dir=str(out_dir),
     )
 
 
@@ -380,10 +385,6 @@ class TestProcessPool:
         for a, b in zip(serial, pooled):
             assert (a.trial_id, a.hp, a.status) == (b.trial_id, b.hp, b.status)
             assert a.cv_score == b.cv_score or (np.isnan(a.cv_score) and np.isnan(b.cv_score))
-            if a.ok:
-                np.testing.assert_array_equal(a.ensemble.oof_probs, b.ensemble.oof_probs)
-            else:
-                assert a.ensemble is None and b.ensemble is None
         for run in ("p1", "p2"):  # failed trials leave no trials/<id>/
             assert sorted(os.listdir(tmp_path / run / "trials")) == sorted(
                 str(r.trial_id) for r in serial if r.ok)
@@ -399,9 +400,8 @@ class TestProcessPool:
         (serial,), (pooled,) = runs[1], runs[2]
         assert serial.ok and (serial.trial_id, serial.hp, serial.status, serial.cv_score) == (
             pooled.trial_id, pooled.hp, pooled.status, pooled.cv_score)
-        np.testing.assert_array_equal(serial.ensemble.oof_probs, pooled.ensemble.oof_probs)
-        assert [m.path for m in pooled.ensemble.members] == [
-            str(tmp_path / "p2" / "trials" / "0" / f"fold{i}.scnn") for i in range(5)]
+        assert sorted(os.listdir(tmp_path / "p2" / "trials" / "0")) == [
+            f"fold{i}.scnn" for i in range(5)] + ["oof.tsv"]
         assert _tree_bytes(tmp_path / "p1") == _tree_bytes(tmp_path / "p2")
 
     def test_middle_fold_failing_in_a_worker_reports_as_serial(self, tmp_path, monkeypatch):
@@ -413,7 +413,7 @@ class TestProcessPool:
         runs = {p: _one_trial_search(tmp_path / f"p{p}", p, empty) for p in (1, 2)}
         for (record,) in runs.values():
             assert record.status == "failed: fold 1: empty dev set"
-            assert np.isnan(record.cv_score) and record.ensemble is None
+            assert np.isnan(record.cv_score)
         for p in (1, 2):
             assert os.listdir(tmp_path / f"p{p}" / "trials") == []
         assert _tree_bytes(tmp_path / "p1") == _tree_bytes(tmp_path / "p2")
@@ -439,7 +439,8 @@ class TestProcessPool:
                              {{"godin": docs, "shin": docs}},
                              S.SearchSpace.from_dict(synth.TOY_SPACE, restricted=False),
                              2, stratified_kfold(examples, k=5, seed=306),
-                             TrainSchedule(max_epochs=1), seed=1, parallelism=2)
+                             TrainSchedule(max_epochs=1), seed=1,
+                             out_dir=os.path.join({str(tmp_path)!r}, "run"), parallelism=2)
             except BrokenProcessPool:
                 sys.exit(0)
             sys.exit(1)
@@ -471,32 +472,37 @@ class TestProcessPool:
 
 
 class TestUnits:
-    def test_consecutive_units_of_one_shape_share_buffers(self, monkeypatch):
+    def test_consecutive_units_of_one_shape_share_buffers(self, tmp_path, monkeypatch):
         from scnn import model as M
 
         examples, docs, labels = synth_arrays(305, 60)
+        folds = stratified_kfold(examples, k=5, seed=305)
         inputs = S.TrialInputs(
             ids=[ex.id for ex in examples], labels=labels,
-            docs_by_name={"godin": docs, "shin": docs},
-            folds=stratified_kfold(examples, k=5, seed=305),
-            sched=TrainSchedule(max_epochs=2), seed=6, out_dir=None, keep_models=False,
+            docs_by_name={"godin": docs, "shin": docs}, folds=folds,
+            sched=TrainSchedule(max_epochs=2), seed=6, out_dir=str(tmp_path),
         )
         hp = toy_hp(batch_size=20)
-        units = [(0, hp, (0,)), (0, hp, (3,)),
-                 (1, toy_hp(batch_size=20, adam_b2=0.9, keep_prob=0.5), (2,)),  # same shapes
-                 (2, toy_hp(batch_size=20, n_filters=3), (1,))]
+        units = [(0, hp, 0), (0, hp, 3),
+                 (1, toy_hp(batch_size=20, adam_b2=0.9, keep_prob=0.5), 2),  # same shapes
+                 (2, toy_hp(batch_size=20, n_filters=3), 1)]
         made = []
         real = M.train_buffers
         monkeypatch.setattr(M, "train_buffers", lambda model: made.append(1) or real(model))
         shared = S._run_units(inputs, units)
         assert len(made) == 2  # one set for the first three units, one for the last
-        for unit, result in zip(units, shared):
-            (alone,) = S._run_units(inputs, [unit])
-            assert result.error is None and result.folds == unit[2]
-            np.testing.assert_array_equal(result.ensemble.oof_probs, alone.ensemble.oof_probs)
+        for (tid, _, fold), result in zip(units, shared):
+            model = tmp_path / "trials" / str(tid) / f"fold{fold}.scnn"
+            saved = model.read_bytes()
+            (alone,) = S._run_units(inputs, [(tid, _, fold)])
+            assert result.error is None and result.fold == fold
+            # a unit returns only its held-out rows
+            assert len(result.oof_rows) == folds.fold_of.count(fold)
+            np.testing.assert_array_equal(result.oof_rows, alone.oof_rows)
+            assert model.read_bytes() == saved
 
 
-def test_full_trial_budget_produces_dense_records():
+def test_full_trial_budget_produces_dense_records(tmp_path):
     # the production run trains 99 ensembles; ids must be unique and dense
     examples, docs, labels = synth_arrays(500, 60)
     folds = stratified_kfold(examples, k=5, seed=500)
@@ -516,7 +522,7 @@ def test_full_trial_budget_produces_dense_records():
     assert space.size() == 192
     records = S.run_search(
         [ex.id for ex in examples], labels, {"godin": docs, "shin": docs},
-        space, 99, folds, TrainSchedule(max_epochs=1), seed=77,
+        space, 99, folds, TrainSchedule(max_epochs=1), seed=77, out_dir=str(tmp_path),
     )
     assert len(records) == 99
     assert sorted(r.trial_id for r in records) == list(range(99))
@@ -526,7 +532,7 @@ def test_full_trial_budget_produces_dense_records():
 class TestTopKReport:
     def test_report_shape_and_k1(self, small_run):
         records, out, docs, labels, test_docs, test_labels = small_run
-        ensembles = [r.ensemble for r in records if r.ok]
+        ensembles = _ensembles(records, out)
         text = S.top_k_report(ensembles, [1, 3], {"godin": test_docs, "shin": test_docs},
                               test_labels)
         lines = text.strip().split("\n")
@@ -542,16 +548,16 @@ class TestTopKReport:
         assert k1[3] == best_individual[3]
 
     def test_k_exceeds_trials(self, small_run):
-        records, *_ , test_docs, test_labels = small_run
-        ensembles = [r.ensemble for r in records if r.ok]
+        records, out, *_ , test_docs, test_labels = small_run
+        ensembles = _ensembles(records, out)
         with pytest.raises(ValueError):
             S.top_k_report(ensembles, [99], {"godin": test_docs, "shin": test_docs},
                            test_labels)
 
 
 class TestStreamingSearch:
-    """With an out_dir, each fold model is saved once it is trained and the
-    search keeps ModelFiles, not tensors."""
+    """Each fold is one unit, in plan order at every process count; its
+    model is saved once it is trained and freed before the next unit."""
 
     def _search(self, out_dir, n_trials=2):
         examples, docs, labels = synth_arrays(303, 60)
@@ -560,8 +566,12 @@ class TestStreamingSearch:
         return S.run_search(
             [ex.id for ex in examples], labels, {"godin": docs, "shin": docs},
             space, n_trials, folds, TrainSchedule(max_epochs=2), seed=5,
-            out_dir=str(out_dir), keep_models=True,
+            out_dir=str(out_dir),
         )
+
+    @staticmethod
+    def _plan(records):
+        return S.plan_units(sorted((r.trial_id, r.hp) for r in records), 5)
 
     def test_one_trained_model_alive(self, tmp_path, monkeypatch):
         import weakref
@@ -591,14 +601,50 @@ class TestStreamingSearch:
         monkeypatch.setattr(E, "train", counting_train)
         monkeypatch.setattr(S, "save_model", counting_save)
         records = self._search(tmp_path / "run")
-        # a fold trains beside at most the previous fold's model, and each
-        # model is saved with no other alive
-        assert alive_in_training == [1, 2, 2, 2, 2] * 2
+        # every fold trains and is saved with no other model alive
+        assert alive_in_training == [1] * 10
         assert alive_at_save == [1] * 10
         for r in records:
-            assert [m.path for m in r.ensemble.members] == [
-                str(tmp_path / "run" / "trials" / str(r.trial_id) / f"fold{i}.scnn")
-                for i in range(5)]
+            assert sorted(os.listdir(tmp_path / "run" / "trials" / str(r.trial_id))) == [
+                f"fold{i}.scnn" for i in range(5)] + ["oof.tsv"]
+
+    def test_units_run_in_plan_order(self, tmp_path, monkeypatch):
+        real_run_unit = S.run_unit
+        seen = []
+
+        def recording_run_unit(inputs, tid, hp, fold, buffers):
+            seen.append((tid, fold))
+            return real_run_unit(inputs, tid, hp, fold, buffers)
+
+        monkeypatch.setattr(S, "run_unit", recording_run_unit)
+        records = self._search(tmp_path / "run", n_trials=3)
+        assert seen == [(tid, fold) for tid, _, fold in self._plan(records)]
+
+    def test_each_trial_logged_before_the_next_starts(self, tmp_path, monkeypatch, caplog):
+        import logging
+
+        events = []
+        real_run_unit = S.run_unit
+
+        def recording_run_unit(inputs, tid, hp, fold, buffers):
+            events.append(f"unit {tid}")
+            return real_run_unit(inputs, tid, hp, fold, buffers)
+
+        class Recorder(logging.Handler):
+            def emit(self, record):
+                events.append(record.getMessage().split(" cv_score")[0])
+
+        monkeypatch.setattr(S, "run_unit", recording_run_unit)
+        caplog.set_level(logging.INFO, logger=S.logger.name)
+        handler = Recorder()
+        S.logger.addHandler(handler)
+        try:
+            records = self._search(tmp_path / "run")
+        finally:
+            S.logger.removeHandler(handler)
+        first, second = [tid for tid, _, fold in self._plan(records) if fold == 0]
+        assert events == [f"unit {first}"] * 5 + [f"trial {first}"] + [
+            f"unit {second}"] * 5 + [f"trial {second}"]
 
     def test_failure_after_saved_folds_removes_trial_dir(self, tmp_path, monkeypatch):
         from scnn import ensemble as E
@@ -609,22 +655,24 @@ class TestStreamingSearch:
 
         def failing_third_fold(*args, **kwargs):
             calls.append(1)
-            if len(calls) == 3:  # trial 0 fold 2: folds 0 and 1 are on disk
+            if len(calls) == 3:  # the first trial's fold 2: folds 0 and 1 are on disk
                 raise NumericError("non-finite loss")
             return real_train(*args, **kwargs)
 
         monkeypatch.setattr(E, "train", failing_third_fold)
         records = self._search(tmp_path / "run")
+        first, second = dict.fromkeys(tid for tid, _, _ in self._plan(records))
         failed = [r for r in records if not r.ok]
-        assert [r.trial_id for r in failed] == [0]
+        assert [r.trial_id for r in failed] == [first]
         assert "fold 2: non-finite loss" in failed[0].status
-        assert os.listdir(tmp_path / "run" / "trials") == ["1"]
+        assert len(calls) == 10  # the failing trial's later folds still train
+        assert os.listdir(tmp_path / "run" / "trials") == [str(second)]
 
     def test_report_predicts_each_trial_once(self, small_run, monkeypatch):
         from scnn import ensemble as E
 
-        records, _, _, _, test_docs, test_labels = small_run
-        ensembles = [r.ensemble for r in records if r.ok]
+        records, out, _, _, test_docs, test_labels = small_run
+        ensembles = _ensembles(records, out)
         docs_by_name = {"godin": test_docs, "shin": test_docs}
         calls = Counter()
 
