@@ -155,14 +155,41 @@ def _cmd_synth(args, outputs: _Outputs) -> int:
     return 0
 
 
-def _load_search_inputs(args, space_names):
+def _read_config(path, parse):
+    """``parse`` of the JSON document in the config file ``path``; a
+    DataError it raises is prefixed with the path."""
+    doc = read_json(path, "config")
+    try:
+        return parse(doc)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _read_train(args, registry: dict, names):
+    """(examples, folds, name -> documents) of the labeled training file
+    ``args.train``, split into ``args.folds`` folds and embedded with the
+    ``registry`` table of each of ``names``. A file with no examples, or a
+    class with fewer than k, is a DataError naming the file."""
     examples = corpus.parse_dataset(args.train, labeled=True)
-    registry = _parse_embeddings_flag(args.embeddings)
-    tables = _load_tables(registry, space_names)
-    docs_by_name = _embed_examples(examples, tables)
+    if not examples:
+        raise DataError(f"{args.train}: no examples")
+    try:
+        folds = corpus.stratified_kfold(examples, k=args.folds, seed=args.seed)
+    except DataError as exc:
+        raise DataError(f"{args.train}: {exc}") from None
+    tables = _load_tables(registry, names)
     dims = {t.dim for t in tables.values()}
     if len(dims) > 1:
         raise DataError(f"embedding tables disagree on dimension: {sorted(dims)}")
+    return examples, folds, _embed_examples(examples, tables)
+
+
+def _cmd_search(args, outputs: _Outputs) -> int:
+    restricted = not args.unrestricted_space
+    space = (_read_config(args.config, lambda doc: search.SearchSpace.from_dict(doc, restricted))
+             if args.config else search.SearchSpace.default())
+    registry = _parse_embeddings_flag(args.embeddings)
+    examples, folds, docs_by_name = _read_train(args, registry, space.domains["word_embedding"])
     info = {
         "train_file": os.path.basename(args.train),
         "train_sha256": file_sha256(args.train),
@@ -170,19 +197,9 @@ def _load_search_inputs(args, space_names):
         "embeddings": {
             name: {"file": os.path.basename(registry[name]),
                    "sha256": file_sha256(registry[name])}
-            for name in sorted(tables)
+            for name in sorted(docs_by_name)
         },
     }
-    return examples, docs_by_name, info
-
-
-def _cmd_search(args, outputs: _Outputs) -> int:
-    overrides = read_json(args.config, "config") if args.config else {}
-    space = search.SearchSpace.from_dict(overrides, restricted=not args.unrestricted_space)
-    examples, docs_by_name, info = _load_search_inputs(
-        args, space.domains["word_embedding"]
-    )
-    folds = corpus.stratified_kfold(examples, k=args.folds, seed=args.seed)
     outputs.claim_dir(args.out)
     outputs.claim_file(os.path.join(args.out, "leaderboard.csv"))
     outputs.claim_file(os.path.join(args.out, "manifest.json"))
@@ -197,17 +214,15 @@ def _cmd_search(args, outputs: _Outputs) -> int:
 
 
 def _cmd_train(args, outputs: _Outputs) -> int:
-    hp = HyperParams.from_dict(read_json(args.config, "config"))
+    hp = _read_config(args.config, HyperParams.from_dict)
     problems = validate_hyperparams(hp, restricted=not args.unrestricted_space)
     if problems:
-        raise DataError("invalid hyperparameters: " + "; ".join(problems))
+        raise DataError(f"{args.config}: invalid hyperparameters: " + "; ".join(problems))
 
-    examples = corpus.parse_dataset(args.train, labeled=True)
-    registry = _parse_embeddings_flag(args.embeddings)
-    tables = _load_tables(registry, [hp.word_embedding])
-    docs = _embed_examples(examples, tables)[hp.word_embedding]
+    examples, folds, docs_by_name = _read_train(
+        args, _parse_embeddings_flag(args.embeddings), [hp.word_embedding])
+    docs = docs_by_name[hp.word_embedding]
     labels = np.asarray([ex.label for ex in examples], dtype=np.int64)
-    folds = corpus.stratified_kfold(examples, k=args.folds, seed=args.seed)
 
     out = outputs.claim_dir(args.out)
     fe = train_fold_ensemble(
@@ -247,18 +262,10 @@ def _cmd_stack(args, outputs: _Outputs) -> int:
               for r in needed]
 
     out = outputs.claim_dir(args.out)
-    model_paths = {
-        fe.trial_id: [
-            os.path.join(args.run, "trials", str(fe.trial_id), f"fold{i}.scnn")
-            for i in range(run_manifest["folds_k"])
-        ]
-        for fe in loaded
-    }
     for k in k_values:
         se = stack_top_k(loaded, k)
         manifest_path = os.path.join(out, f"stack_top{k}.json")
-        save_ensemble(se, manifest_path, model_paths,
-                      fold_seed=run_manifest["fold_seed"],
+        save_ensemble(se, manifest_path, fold_seed=run_manifest["fold_seed"],
                       space_descriptor=run_manifest["space_descriptor"])
         logger.info("wrote %s", manifest_path)
 

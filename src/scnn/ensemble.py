@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics
 from .corpus import FoldAssignment
 from .errors import DataError, NumericError
-from .fileio import atomic_write, check_fields, file_sha256, is_int, read_json
+from .fileio import atomic_write, check_fields, file_sha256, is_int, is_number, read_json
 from .model import (
     HyperParams,
     SharedBuffers,
@@ -180,22 +180,17 @@ def stacked_predict(se: StackedEnsemble, docs_by_name: dict) -> np.ndarray:
 MANIFEST_FORMAT_VERSION = 1
 
 
-def save_ensemble(se: StackedEnsemble, manifest_path, model_paths: dict,
-                  fold_seed: int, space_descriptor: str) -> None:
-    """Write the manifest; ``model_paths[trial_id]`` lists that trial's
-    member model files (fold order), which must already exist on disk."""
+def save_ensemble(se: StackedEnsemble, manifest_path, fold_seed: int,
+                  space_descriptor: str) -> None:
+    """Write the manifest of ``se``, whose members are ModelFiles (fold
+    order); each entry takes its member's path and the file's sha256."""
     manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
     members = []
     for fe in se.ranked_members:
-        paths = model_paths[fe.trial_id]
-        if len(paths) != len(fe.members):
-            raise ValueError(
-                f"trial {fe.trial_id}: {len(paths)} paths for {len(fe.members)} members"
-            )
-        for p in paths:
+        for member in fe.members:
             members.append({
-                "path": os.path.relpath(os.path.abspath(p), manifest_dir),
-                "sha256": file_sha256(p),
+                "path": os.path.relpath(os.path.abspath(member.path), manifest_dir),
+                "sha256": file_sha256(member.path),
                 "trial_id": fe.trial_id,
                 "cv_score": round(fe.cv_score, 6),
             })
@@ -216,7 +211,7 @@ _MEMBER_TYPES = {
     "path": (lambda v: isinstance(v, str), "a string"),
     "sha256": (lambda v: isinstance(v, str), "a string"),
     "trial_id": (is_int, "an integer"),
-    "cv_score": (lambda v: is_int(v) or isinstance(v, float), "a number"),
+    "cv_score": (is_number, "a number"),
 }
 
 
@@ -235,7 +230,7 @@ def _check_manifest(manifest_path, doc) -> None:
     if not isinstance(doc["members"], list) or not doc["members"]:
         raise DataError(f"{manifest_path}: members must be a non-empty list")
     for i, entry in enumerate(doc["members"]):
-        check_fields(manifest_path, f"member {i}", entry, _MEMBER_TYPES)
+        check_fields(f"{manifest_path}: member {i}", entry, _MEMBER_TYPES)
 
 
 def load_ensemble(manifest_path) -> StackedEnsemble:

@@ -4,9 +4,11 @@
 to ``<path>.tmp``, which replaces ``path`` only after a clean write and is
 removed on any error. ``file_sha256`` is the content hash stored in stack
 manifests and run manifests. ``check_fields`` is the readers' one check
-of a JSON object's keys and value types, ``open_text`` (only LF ends a line,
-as every writer here writes) their one way to open a text file, and
-``utf8_checked`` their one error for a text file that does not decode.
+of a JSON object's keys and value types, and ``is_int`` and ``is_number``
+(neither takes JSON true or false) are the type checks its rules share.
+``open_text`` (only LF ends a line, as every writer here writes) is the
+readers' one way to open a text file, and ``utf8_checked`` their one error
+for a text file that does not decode.
 """
 
 from __future__ import annotations
@@ -43,18 +45,23 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_fields(path, what: str, doc, types: dict) -> None:
-    """DataError naming ``path`` and ``what`` unless ``doc`` is a JSON object
-    with every key of ``types`` (key -> (check, what the value must be)),
-    each value passing its check."""
+def is_number(value) -> bool:
+    """True for an integer or a float; JSON true and false are not numbers here."""
+    return is_int(value) or isinstance(value, float)
+
+
+def check_fields(what: str, doc, types: dict) -> None:
+    """DataError starting with ``what`` (``<path>: <what>`` for a file)
+    unless ``doc`` is a JSON object with every key of ``types`` (key ->
+    (check, what the value must be)), each value passing its check."""
     if not isinstance(doc, dict):
-        raise DataError(f"{path}: {what} is not a JSON object")
+        raise DataError(f"{what} is not a JSON object")
     missing = [key for key in types if key not in doc]
     if missing:
-        raise DataError(f"{path}: {what} lacks {', '.join(missing)}")
+        raise DataError(f"{what} lacks {', '.join(missing)}")
     for key, (ok, must) in types.items():
         if not ok(doc[key]):
-            raise DataError(f"{path}: {what} {key} must be {must}, got {doc[key]!r}")
+            raise DataError(f"{what} {key} must be {must}, got {doc[key]!r}")
 
 
 def file_sha256(path) -> str:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels, metrics, nn_core
 from .errors import DataError, NumericError
-from .fileio import atomic_write, check_fields, is_int
+from .fileio import atomic_write, check_fields, is_int, is_number
 from .rng import Rng
 
 N_GROUPS = 5
@@ -54,6 +54,26 @@ DEFAULT_SEARCH_DOMAINS = {
 HP_FIELDS = tuple(DEFAULT_SEARCH_DOMAINS)
 
 
+def _positive_int(v) -> bool:
+    return is_int(v) and v >= 1
+
+
+# field -> (check, what the value must be): every hyperparameter's type and
+# range, for each reader and writer of one (configs, leaderboards, headers)
+HP_RULES = {
+    "adam_b2": (lambda v: is_number(v) and 0 < v < 1, "a number in (0, 1)"),
+    "n_dense_output": (_positive_int, "a positive integer"),
+    "keep_prob": (lambda v: is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "batch_size": (_positive_int, "a positive integer"),
+    "learning_rate": (lambda v: is_number(v) and 0 < v < math.inf, "a positive finite number"),
+    "word_embedding": (lambda v: isinstance(v, str) and v != "", "a non-empty name"),
+    "n_filters": (_positive_int, "a positive integer"),
+    "filter_sizes": (lambda v: isinstance(v, (list, tuple)) and len(v) == N_GROUPS
+                     and all(_positive_int(w) for w in v),
+                     f"exactly {N_GROUPS} positive integers"),
+}
+
+
 @dataclass(frozen=True)
 class HyperParams:
     adam_b2: float
@@ -71,56 +91,38 @@ class HyperParams:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "HyperParams":
-        unknown = sorted(set(d) - set(HP_FIELDS))
-        missing = sorted(set(HP_FIELDS) - set(d))
-        if unknown or missing:
-            raise DataError(
-                f"bad hyperparameter config: unknown keys {unknown}, missing keys {missing}"
-            )
-        kw = dict(d)
-        try:
-            kw["filter_sizes"] = tuple(int(v) for v in d["filter_sizes"])
-        except TypeError:
-            raise DataError("filter_sizes must be a list of integers") from None
-        return cls(**kw)
+    def from_dict(cls, d) -> "HyperParams":
+        """The hyperparameters of the JSON object ``d``; DataError unless its
+        keys are exactly HP_FIELDS and each value passes its HP_RULES rule."""
+        if isinstance(d, dict) and set(d) != set(HP_FIELDS):
+            raise DataError(f"bad hyperparameter config: unknown keys "
+                            f"{sorted(set(d) - set(HP_FIELDS))}, missing keys "
+                            f"{sorted(set(HP_FIELDS) - set(d))}")
+        check_fields("hp", d, HP_RULES)
+        return cls(**{**d, "filter_sizes": tuple(d["filter_sizes"])})
+
+
+def hp_problem(name: str, value, restricted: bool) -> Optional[str]:
+    """What is wrong with ``value`` for the field ``name``, or None: it breaks
+    the field's HP_RULES rule, or, when ``restricted``, it is not in the
+    field's standard search domain."""
+    ok, must = HP_RULES[name]
+    if not ok(value):
+        return f"{name}={value!r} must be {must}"
+    if restricted and value not in DEFAULT_SEARCH_DOMAINS[name]:
+        return f"{name}={value!r} not in {DEFAULT_SEARCH_DOMAINS[name]}"
+    return None
 
 
 def validate_hyperparams(hp: HyperParams, restricted: bool = True) -> list:
     """Returns a list of errors, one per offending field (empty if valid).
 
-    ``restricted`` checks membership in the standard search domains; with
-    ``restricted=False`` (the --unrestricted-space mode) only structural
-    sanity is enforced. The group count stays fixed at 5 either way.
+    Every field must pass its HP_RULES rule; ``restricted`` also requires
+    membership in the standard search domains (``restricted=False`` is the
+    --unrestricted-space mode). The group count stays fixed at 5 either way.
     """
-    errors = []
-    if restricted:
-        for name in HP_FIELDS:
-            value = getattr(hp, name)
-            if value not in DEFAULT_SEARCH_DOMAINS[name]:
-                errors.append(f"{name}={value!r} not in {DEFAULT_SEARCH_DOMAINS[name]}")
-        return errors
-    if not 0 < hp.adam_b2 < 1:
-        errors.append(f"adam_b2={hp.adam_b2!r} must be in (0, 1)")
-    if not (isinstance(hp.n_dense_output, int) and hp.n_dense_output >= 1):
-        errors.append(f"n_dense_output={hp.n_dense_output!r} must be a positive integer")
-    if not 0 < hp.keep_prob <= 1:
-        errors.append(f"keep_prob={hp.keep_prob!r} must be in (0, 1]")
-    if not (isinstance(hp.batch_size, int) and hp.batch_size >= 1):
-        errors.append(f"batch_size={hp.batch_size!r} must be a positive integer")
-    if not hp.learning_rate > 0:
-        errors.append(f"learning_rate={hp.learning_rate!r} must be positive")
-    if not (isinstance(hp.word_embedding, str) and hp.word_embedding):
-        errors.append(f"word_embedding={hp.word_embedding!r} must be a non-empty name")
-    if not (isinstance(hp.n_filters, int) and hp.n_filters >= 1):
-        errors.append(f"n_filters={hp.n_filters!r} must be a positive integer")
-    if len(hp.filter_sizes) != N_GROUPS or any(
-        not (isinstance(w, int) and w >= 1) for w in hp.filter_sizes
-    ):
-        errors.append(
-            f"filter_sizes={hp.filter_sizes!r} must be exactly {N_GROUPS} positive integers"
-        )
-    return errors
+    problems = (hp_problem(name, getattr(hp, name), restricted) for name in HP_FIELDS)
+    return [p for p in problems if p]
 
 
 # --------------------------------------------------------------------------
@@ -496,7 +498,7 @@ _HEADER_TYPES = {
     "init_seed": (is_int, "an integer"),
 }
 _META_TYPES = {
-    "best_dev_score": (lambda v: is_int(v) or isinstance(v, float), "a number"),
+    "best_dev_score": (is_number, "a number"),
     "epochs_run": (is_int, "an integer"),
     "restart_count": (is_int, "an integer"),
     "history": (lambda v: isinstance(v, list) and all(isinstance(r, list) for r in v),
@@ -538,16 +540,13 @@ def _check_header(path, header) -> tuple:
     """(hp, param_shapes) of a model header; DataError naming the file (and
     the tensor) unless every field load_model reads is present and valid and
     the tensor table matches the hyperparameters exactly."""
-    check_fields(path, "model header", header, _HEADER_TYPES)
+    check_fields(f"{path}: model header", header, _HEADER_TYPES)
     if header.get("train_meta") is not None:
-        check_fields(path, "train_meta", header["train_meta"], _META_TYPES)
+        check_fields(f"{path}: train_meta", header["train_meta"], _META_TYPES)
     try:
         hp = HyperParams.from_dict(header["hp"])
-        problems = validate_hyperparams(hp, restricted=False)
-    except (DataError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: bad hyperparameters: {exc}") from exc
-    if problems:
-        raise DataError(f"{path}: bad hyperparameters: {'; '.join(problems)}")
+    except DataError as exc:
+        raise DataError(f"{path}: bad hyperparameters: {exc}") from None
     want = param_shapes(hp, header["embedding_dim"])
     got = header["tensors"]
     for i, (name, shape) in enumerate(want):

@@ -43,7 +43,7 @@ import os
 import shutil
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,19 +67,13 @@ from .model import (
     HyperParams,
     SharedBuffers,
     TrainSchedule,
+    hp_problem,
     load_model,
     save_model,
-    validate_hyperparams,
 )
 from .rng import Rng
 
 logger = logging.getLogger(__name__)
-
-_PROBE_HP = HyperParams(
-    adam_b2=0.999, n_dense_output=100, keep_prob=0.5, batch_size=50,
-    learning_rate=0.001, word_embedding="godin", n_filters=100,
-    filter_sizes=(1, 2, 3, 4, 5),
-)
 
 
 @dataclass(frozen=True)
@@ -95,8 +89,10 @@ class SearchSpace:
     @classmethod
     def from_dict(cls, overrides: dict, restricted: bool = True) -> "SearchSpace":
         """Build a space from per-field value lists; unlisted fields keep
-        their default domains. ``restricted`` additionally requires every
-        value to belong to the standard domain."""
+        their default domains. Every value must pass its field's HP_RULES
+        rule, and with ``restricted`` belong to the standard domain."""
+        if not isinstance(overrides, dict):
+            raise DataError("search space is not a JSON object")
         unknown = sorted(set(overrides) - set(HP_FIELDS))
         if unknown:
             raise DataError(f"unknown search-space fields: {unknown}")
@@ -104,21 +100,14 @@ class SearchSpace:
         for name, values in overrides.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise DataError(f"search-space field {name} must be a non-empty list")
-            if name == "filter_sizes":
-                values = [tuple(int(w) for w in v) for v in values]
-            elif name in ("n_dense_output", "batch_size", "n_filters"):
-                values = [int(v) for v in values]
+            values = tuple(tuple(v) if isinstance(v, list) else v for v in values)
+            for v in values:
+                problem = hp_problem(name, v, restricted)
+                if problem:
+                    raise DataError(f"search-space value rejected: {problem}")
             if len(set(values)) != len(values):
                 raise DataError(f"search-space field {name} has duplicate values")
-            for v in values:
-                probe = replace(_PROBE_HP, **{name: v})
-                problems = [
-                    p for p in validate_hyperparams(probe, restricted=restricted)
-                    if p.startswith(f"{name}=")
-                ]
-                if problems:
-                    raise DataError(f"search-space value rejected: {problems[0]}")
-            domains[name] = tuple(values)
+            domains[name] = values
         return cls(domains=domains)
 
     def size(self) -> int:
@@ -128,14 +117,8 @@ class SearchSpace:
         return n
 
     def to_jsonable(self) -> dict:
-        out = {}
-        for name in HP_FIELDS:
-            values = self.domains[name]
-            if name == "filter_sizes":
-                out[name] = [list(v) for v in values]
-            else:
-                out[name] = list(values)
-        return out
+        return {name: [list(v) if isinstance(v, tuple) else v for v in self.domains[name]]
+                for name in HP_FIELDS}
 
     def descriptor(self) -> str:
         canon = json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
@@ -190,14 +173,9 @@ LEADERBOARD_HEADER = ["trial_id", "cv_score", "status", "wall_time_s"] + list(HP
 
 
 def _hp_csv_cells(hp: HyperParams) -> list:
-    cells = []
-    for name in HP_FIELDS:
-        value = getattr(hp, name)
-        if name == "filter_sizes":
-            cells.append("-".join(str(w) for w in value))
-        else:
-            cells.append(repr(value) if isinstance(value, float) else str(value))
-    return cells
+    """One cell per field; filter_sizes reads like 1-2-3-4-5."""
+    return ["-".join(map(str, v)) if isinstance(v, tuple) else str(v)
+            for v in (getattr(hp, name) for name in HP_FIELDS)]
 
 
 def format_leaderboard_csv(records: Sequence[TrialRecord]) -> str:
@@ -212,16 +190,13 @@ def format_leaderboard_csv(records: Sequence[TrialRecord]) -> str:
 
 
 def _hp_from_csv(row: dict) -> HyperParams:
-    return HyperParams(
-        adam_b2=float(row["adam_b2"]),
-        n_dense_output=int(row["n_dense_output"]),
-        keep_prob=float(row["keep_prob"]),
-        batch_size=int(row["batch_size"]),
-        learning_rate=float(row["learning_rate"]),
-        word_embedding=row["word_embedding"],
-        n_filters=int(row["n_filters"]),
-        filter_sizes=tuple(int(w) for w in row["filter_sizes"].split("-")),
-    )
+    """The checked hyperparameters of a row; each cell is parsed as the kind
+    (float, int, str or widths) of its field's standard domain."""
+    d = {}
+    for name in HP_FIELDS:
+        kind = type(DEFAULT_SEARCH_DOMAINS[name][0])
+        d[name] = [int(w) for w in row[name].split("-")] if kind is tuple else kind(row[name])
+    return HyperParams.from_dict(d)
 
 
 def parse_leaderboard_csv(text: str) -> list:
@@ -241,7 +216,7 @@ def parse_leaderboard_csv(text: str) -> list:
                 cv_score=float(row["cv_score"]) if status == "ok" else float("nan"),
                 status=status,
             ))
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, DataError) as exc:
             raise DataError(f"malformed row at line {reader.line_num}: {exc}") from None
     return records
 
@@ -577,7 +552,7 @@ def load_run_manifest(run_dir) -> dict:
     holds every value stacking reads, each of the expected type."""
     path = os.path.join(run_dir, "manifest.json")
     doc = read_json(path, "run manifest")
-    check_fields(path, "run manifest", doc, _RUN_MANIFEST_TYPES)
+    check_fields(f"{path}: run manifest", doc, _RUN_MANIFEST_TYPES)
     return doc
 
 

@@ -12,6 +12,7 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -361,7 +362,7 @@ def test_10_format_round_trips(tmp_path):
 
         # ensemble manifest: identical stacked predictions after reload
         trials = []
-        model_paths = {}
+        on_disk = []
         for tid in range(2):
             members = []
             paths = []
@@ -374,9 +375,9 @@ def test_10_format_round_trips(tmp_path):
                 paths.append(str(path))
             trials.append(E.FoldEnsemble(hp=toy_hp(), members=members,
                                          cv_score=0.6 + tid / 10, trial_id=tid))
-            model_paths[tid] = paths
+            on_disk.append(replace(trials[-1], members=[E.ModelFile(p) for p in paths]))
         se = E.stack_top_k(trials, 2)
-        E.save_ensemble(se, tmp_path / "stack.json", model_paths,
+        E.save_ensemble(E.stack_top_k(on_disk, 2), tmp_path / "stack.json",
                         fold_seed=1, space_descriptor="d")
         loaded = E.load_ensemble(tmp_path / "stack.json")
         np.testing.assert_array_equal(E.stacked_predict(loaded, {"godin": docs[:9]}),

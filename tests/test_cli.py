@@ -23,9 +23,23 @@ def _replace_in(path, old, new, count):
     path.write_text(path.read_text().replace(old, new, count))
 
 
+def _set_cell(path, line, column, value):
+    """Set one comma-separated cell of the text file ``path`` (1-based line)."""
+    lines = path.read_text().split("\n")
+    cells = lines[line - 1].split(",")
+    cells[column] = value
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines))
+
+
 def run_cli(*args):
     """In-process invocation; returns (exit_code)."""
     return main([str(a) for a in args])
+
+
+_TRAIN_HP = {"adam_b2": 0.999, "n_dense_output": 8, "keep_prob": 0.9, "batch_size": 25,
+             "learning_rate": 0.001, "word_embedding": "godin", "n_filters": 4,
+             "filter_sizes": [1, 2, 2, 2, 3]}
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +179,61 @@ class TestDataErrors:
                        "--out", out, "--config", space)
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,lines,named", [
+        ("search", 0, "small.tsv: no examples"),
+        ("train", 0, "small.tsv: no examples"),
+        ("search", 6, "small.tsv: class 1 has 2 examples, fewer than k=5"),
+    ], ids=["search-empty", "train-empty", "search-class-below-k"])
+    def test_too_few_training_examples(self, corpus_dir, tmp_path, capsys, command,
+                                       lines, named):
+        train = tmp_path / "small.tsv"
+        train.write_text("".join((corpus_dir / "train.tsv").read_text()
+                                 .splitlines(keepends=True)[:lines]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_TRAIN_HP))
+        argv = {"search": ["--trials", 1, "--config", corpus_dir / "space.json"],
+                "train": ["--config", config]}[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run_cli(command, "--train", train, "--embeddings",
+                       f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt",
+                       "--seed", 1, "--unrestricted-space", "--out", out, *argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert named in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command,config,named", [
+    ("search", {"n_filters": ["x"]}, "n_filters='x' must be a positive integer"),
+    ("search", {"filter_sizes": [5]}, "filter_sizes=5 must be exactly 5 positive integers"),
+    ("search", {"filter_sizes": [[1, "a", 2, 2, 3]]}, "filter_sizes=(1, 'a', 2, 2, 3)"),
+    ("search", {"adam_b2": ["x"]}, "adam_b2='x' must be a number in (0, 1)"),
+    ("search", {"n_filters": [4.7]}, "n_filters=4.7 must be a positive integer"),
+    ("train", {**_TRAIN_HP, "n_filters": True}, "n_filters must be a positive integer"),
+    ("train", {**_TRAIN_HP, "keep_prob": "x"}, "keep_prob must be a number in (0, 1]"),
+    ("train", {**_TRAIN_HP, "filter_sizes": [1, "a", 2, 2, 3]}, "got [1, 'a', 2, 2, 3]"),
+    ("train", {**_TRAIN_HP, "filter_sizes": [1.5, 2, 2, 2, 3]}, "got [1.5, 2, 2, 2, 3]"),
+    ("train", {**_TRAIN_HP, "learning_rate": float("inf")}, "a positive finite number"),
+], ids=["search-n_filters-str", "search-filter_sizes-flat", "search-filter_sizes-str",
+        "search-adam_b2-str", "search-n_filters-float", "train-n_filters-bool",
+        "train-keep_prob-str", "train-filter_sizes-str", "train-filter_sizes-float",
+        "train-learning_rate-inf"])
+def test_malformed_hp_config_exits_2(corpus_dir, tmp_path, capsys, command, config, named):
+    path = tmp_path / "bad-config.json"
+    path.write_text(json.dumps(config))
+    argv = {"search": ["--trials", 1], "train": []}[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = run_cli(command, "--train", corpus_dir / "train.tsv", "--embeddings",
+                   f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt",
+                   "--seed", 1, "--config", path, "--unrestricted-space", "--out", out, *argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"{path}: " in err and named in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def _second_line_not_utf8(src, dst):
@@ -426,7 +495,10 @@ class TestStackPredictEvaluate:
          "manifest.json: run manifest lacks folds_k"),
         (lambda run: _replace_in(run / "leaderboard.csv", "\n", "\nx", 1),
          "leaderboard.csv: malformed row at line 2"),
-    ], ids=["oof-fold", "oof-missing", "manifest-folds-k", "leaderboard-trial-id"])
+        (lambda run: _set_cell(run / "leaderboard.csv", 3, 4, "7.0"),
+         "leaderboard.csv: malformed row at line 3: hp adam_b2 must be a number in (0, 1)"),
+    ], ids=["oof-fold", "oof-missing", "manifest-folds-k", "leaderboard-trial-id",
+            "leaderboard-adam_b2"])
     def test_stack_bad_run_directory(self, run_dir, tmp_path, capsys, edit, named):
         run = tmp_path / "run"
         shutil.copytree(run_dir, run)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,7 +250,7 @@ class TestManifest:
 
         _, docs, labels = toy_corpus
         trials = []
-        model_paths = {}
+        on_disk = []
         for tid in range(3):
             members = []
             paths = []
@@ -261,10 +263,11 @@ class TestManifest:
                 paths.append(str(path))
             trials.append(E.FoldEnsemble(hp=toy_hp(), members=members,
                                          cv_score=0.5 + tid / 10, trial_id=tid))
-            model_paths[tid] = paths
+            on_disk.append(replace(trials[-1], members=[E.ModelFile(p) for p in paths]))
         se = E.stack_top_k(trials, 2)
         manifest = tmp_path / "stack.json"
-        E.save_ensemble(se, manifest, model_paths, fold_seed=7, space_descriptor="abc")
+        E.save_ensemble(E.stack_top_k(on_disk, 2), manifest, fold_seed=7,
+                        space_descriptor="abc")
         return se, manifest, docs
 
     def test_round_trip_predictions_bit_exact(self, tmp_path, toy_corpus):
@@ -365,7 +368,7 @@ class TestStreaming:
     def _saved_stack(self, tmp_path, k=3, folds=5):
         from scnn.model import TrainedModel, build_model, save_model
 
-        trials, model_paths = [], {}
+        trials, on_disk = [], []
         for tid in range(k):
             members, paths = [], []
             for fold in range(folds):
@@ -377,10 +380,11 @@ class TestStreaming:
                 paths.append(str(path))
             trials.append(E.FoldEnsemble(hp=toy_hp(), members=members,
                                          cv_score=0.9 - tid / 10, trial_id=tid))
-            model_paths[tid] = paths
+            on_disk.append(replace(trials[-1], members=[E.ModelFile(p) for p in paths]))
         se = E.stack_top_k(trials, k)
         manifest = tmp_path / "stack.json"
-        E.save_ensemble(se, manifest, model_paths, fold_seed=7, space_descriptor="abc")
+        E.save_ensemble(E.stack_top_k(on_disk, k), manifest, fold_seed=7,
+                        space_descriptor="abc")
         return se, manifest
 
     def test_one_member_alive_and_bit_exact(self, tmp_path, toy_corpus, monkeypatch):

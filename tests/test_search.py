@@ -18,7 +18,7 @@ from scnn import search as S
 from scnn import synth
 from scnn.corpus import FoldAssignment, stratified_kfold
 from scnn.errors import DataError
-from scnn.model import DEFAULT_SEARCH_DOMAINS, HP_FIELDS, TrainSchedule
+from scnn.model import DEFAULT_SEARCH_DOMAINS, HP_FIELDS, HyperParams, TrainSchedule
 from scnn.rng import Rng
 
 
@@ -32,6 +32,12 @@ class TestSearchSpace:
         assert a == b
         c = S.SearchSpace.from_dict({"batch_size": [50]}).descriptor()
         assert c != a
+
+    def test_descriptors_golden(self):
+        assert S.SearchSpace.default().descriptor() == (
+            "b59dc7d0e98d39459cffdb55c1a26bf34c239c3978d469c21b95ff7faf2d28bd")
+        assert S.SearchSpace.from_dict(synth.TOY_SPACE, restricted=False).descriptor() == (
+            "7c82381ece0a41d87fcacff2710f86837c1e523792c63df2558124cdc5ed5260")
 
     def test_override_subsets_default(self):
         space = S.SearchSpace.from_dict({"learning_rate": [0.001]})
@@ -49,6 +55,11 @@ class TestSearchSpace:
     def test_unknown_field(self):
         with pytest.raises(DataError, match="unknown"):
             S.SearchSpace.from_dict({"bogus": [1]})
+
+    @pytest.mark.parametrize("doc", [5, [["n_filters", [4]]], None])
+    def test_non_object_rejected(self, doc):
+        with pytest.raises(DataError, match="search space is not a JSON object"):
+            S.SearchSpace.from_dict(doc, restricted=False)
 
     def test_duplicates_rejected(self):
         with pytest.raises(DataError, match="duplicate"):
@@ -120,6 +131,38 @@ class TestLeaderboardCsv:
         text = S.format_leaderboard_csv(self._records())
         for line in text.strip().split("\n")[1:]:
             assert line.split(",")[3] == ""
+
+    def test_golden_text(self):
+        records = [
+            S.TrialRecord(3, HyperParams(0.9, 200, 0.5, 100, 0.001, "shin", 300,
+                                         (2, 3, 4, 5, 6)), 0.8125, "ok"),
+            S.TrialRecord(1, HyperParams(0.999, 16, 0.9, 10, 1e-05, "godin", 8,
+                                         (1, 2, 2, 2, 3)),
+                          float("nan"), 'failed: fold 0: bad "x", y\nz'),
+            S.TrialRecord(0, HyperParams(0.999, 400, 0.4, 150, 0.0001, "godin", 100,
+                                         (4, 5, 5, 5, 6)), 1 / 3, "ok"),
+            S.TrialRecord(2, HyperParams(0.9, 8, 0.8, 50, 0.001, "godin", 4,
+                                         (1, 2, 3, 4, 5)), 1 / 3, "ok"),
+        ]
+        assert S.format_leaderboard_csv(records) == (
+            "trial_id,cv_score,status,wall_time_s,adam_b2,n_dense_output,keep_prob,"
+            "batch_size,learning_rate,word_embedding,n_filters,filter_sizes\n"
+            "3,0.812500,ok,,0.9,200,0.5,100,0.001,shin,300,2-3-4-5-6\n"
+            "0,0.333333,ok,,0.999,400,0.4,150,0.0001,godin,100,4-5-5-5-6\n"
+            "2,0.333333,ok,,0.9,8,0.8,50,0.001,godin,4,1-2-3-4-5\n"
+            '1,,"failed: fold 0: bad ""x"", y z",,0.999,16,0.9,10,1e-05,godin,8,1-2-2-2-3\n'
+        )
+
+    def test_sampled_points_round_trip(self):
+        rng = Rng(9).substream("sampler")
+        records = [S.TrialRecord(i, S.sample_config(S.SearchSpace.default(), rng, None),
+                                 0.5, "ok") for i in range(200)]
+        text = S.format_leaderboard_csv(records)
+        back = S.parse_leaderboard_csv(text)
+        assert [r.hp for r in back] == [r.hp for r in records]
+        assert S.format_leaderboard_csv(back) == text
+        for r in records:
+            assert HyperParams.from_dict(r.hp.to_dict()) == r.hp
 
     def test_bad_header_rejected(self):
         with pytest.raises(DataError):
