@@ -22,13 +22,11 @@ import sys
 import numpy as np
 
 from . import corpus, embeddings, metrics, search, synth
-from .ensemble import (load_ensemble, save_ensemble, stack_top_k, stacked_predict,
-                       train_fold_ensemble)
+from .ensemble import load_ensemble, save_ensemble, stack_top_k, stacked_predict
 from .errors import DataError, NumericError, ScnnError
 from .fileio import atomic_write, file_sha256, open_text, read_json
 from .gradcheck import TOLERANCE, run_gradcheck
-from .model import HyperParams, TrainSchedule, validate_hyperparams
-from .rng import Rng
+from .model import HyperParams, SharedBuffers, TrainSchedule, validate_hyperparams
 
 logger = logging.getLogger(__name__)
 
@@ -165,14 +163,21 @@ def _read_config(path, parse):
         raise DataError(f"{path}: {exc}") from None
 
 
+def _read_labeled(path) -> list:
+    """The examples of the labeled file ``path``, which trains or scores; a
+    file with none is a DataError naming it."""
+    examples = corpus.parse_dataset(path, labeled=True)
+    if not examples:
+        raise DataError(f"{path}: no examples")
+    return examples
+
+
 def _read_train(args, registry: dict, names):
     """(examples, folds, name -> documents) of the labeled training file
     ``args.train``, split into ``args.folds`` folds and embedded with the
     ``registry`` table of each of ``names``. A file with no examples, or a
     class with fewer than k, is a DataError naming the file."""
-    examples = corpus.parse_dataset(args.train, labeled=True)
-    if not examples:
-        raise DataError(f"{args.train}: no examples")
+    examples = _read_labeled(args.train)
     try:
         folds = corpus.stratified_kfold(examples, k=args.folds, seed=args.seed)
     except DataError as exc:
@@ -221,19 +226,19 @@ def _cmd_train(args, outputs: _Outputs) -> int:
 
     examples, folds, docs_by_name = _read_train(
         args, _parse_embeddings_flag(args.embeddings), [hp.word_embedding])
-    docs = docs_by_name[hp.word_embedding]
-    labels = np.asarray([ex.label for ex in examples], dtype=np.int64)
-
     out = outputs.claim_dir(args.out)
-    fe = train_fold_ensemble(
-        hp, docs, labels, folds, _schedule_from_args(args),
-        Rng(args.seed).substream(0), trial_id=0, on_member=search.member_saver(out),
+    inputs = search.TrialInputs(
+        ids=[ex.id for ex in examples],
+        labels=np.asarray([ex.label for ex in examples], dtype=np.int64),
+        docs_by_name=docs_by_name, folds=folds, sched=_schedule_from_args(args),
+        seed=args.seed, out_dir=out,
     )
-    with atomic_write(os.path.join(out, "oof.tsv")) as fh:
-        fh.write(search.format_oof_tsv([ex.id for ex in examples], labels,
-                                       folds.fold_of, fe.oof_probs))
+    # trial 0 of a search with this config and seed, in --out itself
+    buffers = SharedBuffers()
+    rows = [search.train_unit(inputs, 0, hp, fold, buffers, out) for fold in range(folds.k)]
+    cv_score = search.write_oof(inputs, out, rows)
     result = {
-        "cv_score": round(fe.cv_score, 6),
+        "cv_score": round(cv_score, 6),
         "hp": hp.to_dict(),
         "seed": args.seed,
         "folds_k": args.folds,
@@ -241,7 +246,7 @@ def _cmd_train(args, outputs: _Outputs) -> int:
     }
     with atomic_write(os.path.join(out, "result.json")) as fh:
         fh.write(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print(f"cv_score {fe.cv_score:.6f}")
+    print(f"cv_score {cv_score:.6f}")
     return 0
 
 
@@ -257,6 +262,8 @@ def _cmd_stack(args, outputs: _Outputs) -> int:
     run_manifest = search.load_run_manifest(args.run)
 
     want_report = args.test is not None
+    if want_report:
+        test_examples = _read_labeled(args.test)
     needed = records if want_report else records[:max(k_values)]
     loaded = [search.load_trial_ensemble(args.run, r, run_manifest["folds_k"])
               for r in needed]
@@ -270,7 +277,6 @@ def _cmd_stack(args, outputs: _Outputs) -> int:
         logger.info("wrote %s", manifest_path)
 
     if want_report:
-        test_examples = corpus.parse_dataset(args.test, labeled=True)
         registry = _parse_embeddings_flag(args.embeddings)
         tables = _load_tables(registry, {fe.hp.word_embedding for fe in loaded})
         test_docs = _embed_examples(test_examples, tables)
@@ -327,7 +333,7 @@ def _parse_predictions(path) -> dict:
 
 
 def _cmd_evaluate(args, outputs: _Outputs) -> int:
-    gold = corpus.parse_dataset(args.gold, labeled=True)
+    gold = _read_labeled(args.gold)
     preds = _parse_predictions(args.pred)
     gold_ids = {ex.id for ex in gold}
     missing = sorted(gold_ids - set(preds))

@@ -8,6 +8,7 @@ pure, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -39,6 +40,10 @@ def load_embeddings(path, name: str) -> EmbeddingTable:
             raise DataError(f"{path}: non-integer header fields {header!r}") from None
         if vocab_size < 0 or dim < 1:
             raise DataError(f"{path}: invalid header values {vocab_size} {dim}")
+        size = os.fstat(fh.fileno()).st_size
+        if vocab_size * (2 * dim + 2) > size:  # before the table is allocated
+            raise DataError(f"{path}: header promises {vocab_size} words of {dim} "
+                            f"components, more than its {size} bytes can hold")
 
         vocab: dict = {}
         vectors = np.empty((vocab_size, dim), dtype=np.float32)

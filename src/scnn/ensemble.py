@@ -1,11 +1,13 @@
 """Fold ensembles (5 models from 5-fold CV) and top-K stacked ensembles.
 
-A fold ensemble trains one model per fold, each validated on its held-out
-fold; averaging the five probability outputs gives the ensemble prediction,
-and the out-of-fold predictions give a CV score to rank trials by. A stacked
-ensemble averages the top K fold ensembles ranked by that score (descending,
-ties broken by ascending trial id). All averaging is plain arithmetic mean
-in probability space, accumulated in float64 in a fixed member order.
+A fold ensemble is one model per fold, each validated on its held-out fold;
+train_fold_ensemble trains one fold. Averaging the five probability outputs
+gives the ensemble prediction. The folds' held-out rows, merged by
+search.write_oof, are the out-of-fold predictions, whose CV score ranks the
+trials. A stacked ensemble averages the top K fold ensembles ranked by that
+score (descending, ties broken by ascending trial id). All averaging is
+plain arithmetic mean in probability space, accumulated in float64 in a
+fixed member order.
 
 A member is a TrainedModel in memory or a ModelFile on disk. A ModelFile is
 loaded only while ensemble_predict uses it, so predicting with a stack of
@@ -22,7 +24,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import metrics
 from .corpus import FoldAssignment
 from .errors import DataError, NumericError
 from .fileio import atomic_write, check_fields, file_sha256, is_int, is_number, read_json
@@ -54,7 +55,6 @@ class ModelFile:
 class FoldEnsemble:
     hp: HyperParams
     members: list = field(repr=False)  # k TrainedModels or ModelFiles, fold order
-    oof_probs: Optional[np.ndarray] = field(default=None, repr=False)
     cv_score: float = float("nan")
     trial_id: int = 0
 
@@ -65,57 +65,33 @@ class StackedEnsemble:
 
 
 def train_fold_ensemble(hp: HyperParams, docs: np.ndarray, labels: np.ndarray,
-                        folds: FoldAssignment, sched: TrainSchedule, rng: Rng,
-                        trial_id: int = 0, on_member=None, fold_ids=None,
-                        buffers: Optional[SharedBuffers] = None) -> FoldEnsemble:
-    """Train one model per fold; dev set = the held-out fold.
+                        folds: FoldAssignment, fold: int, sched: TrainSchedule, rng: Rng,
+                        buffers: SharedBuffers) -> TrainedModel:
+    """Train fold ``fold`` of a fold ensemble: one model, with the held-out
+    fold as its dev set, in the training buffers ``buffers`` carries.
 
-    Each member's init and training streams derive from ``rng`` and its fold
-    index, so the whole ensemble replays bit-identically, and so does any
-    fold trained alone. ``fold_ids`` (default: all, in order) picks the folds
-    to train; the ensemble then holds their members and their out-of-fold
-    rows, zeros elsewhere. Out-of-fold rows are the held-out fold's dev
-    probabilities at the best epoch. cv_score is the micro-F1 over classes 1
-    and 2 of the out-of-fold predictions once every fold is trained, else
-    NaN. ``buffers`` carries training buffers across calls. With
-    ``on_member`` given, ``on_member(i, trained)`` runs once fold i's
-    out-of-fold rows are computed and returns what the ensemble keeps in
-    place of the model (a ModelFile, say); while a fold trains, the only
-    other model held is then the previous fold's.
+    The model's init and training streams derive from ``rng`` and the fold
+    index, so each fold replays bit-identically, alone or after others. Its
+    dev_probs, the held-out fold's probabilities at the best epoch, are that
+    fold's out-of-fold rows, in example order.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     fold_of = np.asarray(folds.fold_of, dtype=np.int64)
     if len(fold_of) != len(docs):
         raise ValueError(f"fold assignment covers {len(fold_of)} examples, got {len(docs)}")
-    fold_ids = range(folds.k) if fold_ids is None else fold_ids
-    buffers = SharedBuffers() if buffers is None else buffers
-    members = []
-    oof = np.zeros((len(docs), 3), dtype=np.float64)
-    for i in fold_ids:
-        held_out = np.flatnonzero(fold_of == i)
-        train_idx = np.flatnonzero(fold_of != i)
-        fold_seed = rng.derive_seed("fold", i)
-        net = build_model(hp, docs.shape[2], seed=fold_seed)
-        try:
-            trained = train(
-                net, docs[train_idx], labels[train_idx],
-                docs[held_out], labels[held_out],
-                sched, Rng(fold_seed).substream("train"), buffers=buffers.for_model(net),
-            )
-        except (DataError, ValueError, ArithmeticError) as exc:
-            raise type(exc)(f"fold {i}: {exc}") from exc
-        except NumericError as exc:
-            raise NumericError(f"fold {i}: {exc}") from exc
-        oof[held_out] = trained.dev_probs.astype(np.float64)
-        members.append(trained if on_member is None else on_member(i, trained))
-        # with several folds in one call (scnn train), fold i's model is
-        # released when fold i + 1's training returns, not before: freed
-        # sooner, whether glibc hands its arrays back to the OS depends on
-        # the heap layout, and a 3-trial paper-shape search then faulted in
-        # up to 7x the pages (benchmarks/BENCH_streaming.json)
-    cv = metrics.micro_f1_12(labels, oof) if len(members) == folds.k else float("nan")
-    return FoldEnsemble(hp=hp, members=members, oof_probs=oof, cv_score=cv,
-                        trial_id=trial_id)
+    labels = np.asarray(labels, dtype=np.int64)
+    held_out = np.flatnonzero(fold_of == fold)
+    train_idx = np.flatnonzero(fold_of != fold)
+    fold_seed = rng.derive_seed("fold", fold)
+    net = build_model(hp, docs.shape[2], seed=fold_seed)
+    try:
+        return train(
+            net, docs[train_idx], labels[train_idx], docs[held_out], labels[held_out],
+            sched, Rng(fold_seed).substream("train"), buffers=buffers.for_model(net),
+        )
+    except (DataError, ValueError, ArithmeticError) as exc:
+        raise type(exc)(f"fold {fold}: {exc}") from exc
+    except NumericError as exc:
+        raise NumericError(f"fold {fold}: {exc}") from exc
 
 
 def mean_probs(parts: list) -> np.ndarray:

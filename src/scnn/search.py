@@ -9,8 +9,10 @@ count and the CPUs this process may use; n = 1 starts no pool). A fixed plan
 keeps each process's work the same from run to run. A worker gets the
 training inputs once, with its share, through the pool's queue, and pins
 its BLAS to one thread. Each process keeps one set of training buffers for
-consecutive units of one shape. A unit saves its fold model and returns its
-held-out rows; once a trial's last unit is in, the caller writes its oof.tsv.
+consecutive units of one shape. A unit (train_unit) saves its fold model
+and returns its held-out rows; once a trial's last unit is in, the caller
+merges the rows and writes its oof.tsv (write_oof). ``scnn train`` runs the
+same two functions on the k folds of one config, serially, into its --out.
 
 Every fold's random streams derive from (seed, trial_id, fold) and configs
 are sampled up front from a dedicated substream, which makes the
@@ -273,16 +275,30 @@ class TrialInputs:
     out_dir: str
 
 
-def member_saver(out_dir):
-    """An ``on_member`` for train_fold_ensemble that saves fold i as
-    ``<out_dir>/fold<i>.scnn`` and keeps a ModelFile of it."""
-    os.makedirs(out_dir, exist_ok=True)
+def train_unit(inputs: TrialInputs, tid: int, hp: HyperParams, fold: int,
+               buffers: SharedBuffers, trial_dir: str) -> np.ndarray:
+    """Train fold ``fold`` of trial ``tid`` in ``buffers``, save it as
+    ``<trial_dir>/fold<fold>.scnn`` and return its held-out rows'
+    probabilities as float64, in example order. Errors are raised."""
+    trained = train_fold_ensemble(
+        hp, inputs.docs_by_name[hp.word_embedding], inputs.labels, inputs.folds, fold,
+        inputs.sched, Rng(inputs.seed).substream(tid), buffers,
+    )
+    os.makedirs(trial_dir, exist_ok=True)
+    save_model(trained, os.path.join(trial_dir, f"fold{fold}.scnn"))
+    return trained.dev_probs.astype(np.float64)
 
-    def on_member(i: int, trained) -> ModelFile:
-        path = os.path.join(out_dir, f"fold{i}.scnn")
-        save_model(trained, path)
-        return ModelFile(path)
-    return on_member
+
+def write_oof(inputs: TrialInputs, trial_dir: str, rows: list) -> float:
+    """Merge the held-out rows of every fold (``rows[i]`` is fold i's) into
+    ``<trial_dir>/oof.tsv`` and return their cv score."""
+    fold_of = np.asarray(inputs.folds.fold_of)
+    oof = np.zeros((len(fold_of), 3), dtype=np.float64)
+    for fold, fold_rows in enumerate(rows):
+        oof[fold_of == fold] = fold_rows
+    with atomic_write(os.path.join(trial_dir, "oof.tsv")) as fh:
+        fh.write(format_oof_tsv(inputs.ids, inputs.labels, inputs.folds.fold_of, oof))
+    return metrics.micro_f1_12(inputs.labels, oof)
 
 
 def _trial_dir(inputs: TrialInputs, tid: int) -> str:
@@ -303,18 +319,13 @@ class UnitResult:
 
 def run_unit(inputs: TrialInputs, tid: int, hp: HyperParams, fold: int,
              buffers: SharedBuffers) -> UnitResult:
-    """Train fold ``fold`` of trial ``tid`` in ``buffers`` and write its model
-    to trials/<tid>/. A training failure is reported, not raised."""
+    """train_unit into trials/<tid>/; a training failure is reported, not
+    raised."""
     started = time.perf_counter()
     trial_dir = _trial_dir(inputs, tid)
     rows = error = None
     try:
-        fe = train_fold_ensemble(
-            hp, inputs.docs_by_name[hp.word_embedding], inputs.labels, inputs.folds,
-            inputs.sched, Rng(inputs.seed).substream(tid), trial_id=tid,
-            on_member=member_saver(trial_dir), fold_ids=(fold,), buffers=buffers,
-        )
-        rows = fe.oof_probs[np.asarray(inputs.folds.fold_of) == fold]
+        rows = train_unit(inputs, tid, hp, fold, buffers, trial_dir)
     except (ScnnError, ValueError, ArithmeticError) as exc:
         error = str(exc)
     except BaseException:
@@ -324,10 +335,10 @@ def run_unit(inputs: TrialInputs, tid: int, hp: HyperParams, fold: int,
 
 
 def finish_trial(inputs: TrialInputs, tid: int, hp: HyperParams, units: list) -> TrialRecord:
-    """Trial ``tid``'s record from the results of its units, one per fold.
-    The out-of-fold rows are merged in fold order and written to oof.tsv.
-    When a fold failed, trials/<tid>/ is removed and the status is the
-    lowest failing fold's message."""
+    """Trial ``tid``'s record from the results of its units, one per fold,
+    whose rows write_oof merges into oof.tsv. When a fold failed,
+    trials/<tid>/ is removed and the status is the lowest failing fold's
+    message."""
     units = sorted(units, key=lambda u: u.fold)
     seconds = sum(u.seconds for u in units)
     pids = ",".join(str(pid) for pid in sorted({u.pid for u in units}))
@@ -338,14 +349,8 @@ def finish_trial(inputs: TrialInputs, tid: int, hp: HyperParams, units: list) ->
         logger.warning("trial %d failed (%.1fs of units on pids %s): %s",
                        tid, seconds, pids, failed[0])
         return TrialRecord(tid, hp, float("nan"), f"failed: {failed[0]}")
-    fold_of = np.asarray(inputs.folds.fold_of)
-    oof = np.zeros((len(fold_of), 3), dtype=np.float64)
-    for u in units:
-        oof[fold_of == u.fold] = u.oof_rows
-    cv_score = metrics.micro_f1_12(inputs.labels, oof)
     try:
-        with atomic_write(os.path.join(trial_dir, "oof.tsv")) as fh:
-            fh.write(format_oof_tsv(inputs.ids, inputs.labels, inputs.folds.fold_of, oof))
+        cv_score = write_oof(inputs, trial_dir, [u.oof_rows for u in units])
     except BaseException:
         shutil.rmtree(trial_dir, ignore_errors=True)
         raise
@@ -524,8 +529,8 @@ def load_trial_ensemble(run_dir, record: TrialRecord, k: int) -> FoldEnsemble:
             f"trial {record.trial_id}: leaderboard cv_score {record.cv_score:.6f} "
             f"does not match out-of-fold predictions ({recomputed:.6f})"
         )
-    return FoldEnsemble(hp=record.hp, members=members, oof_probs=oof,
-                        cv_score=recomputed, trial_id=record.trial_id)
+    return FoldEnsemble(hp=record.hp, members=members, cv_score=recomputed,
+                        trial_id=record.trial_id)
 
 
 def load_leaderboard(run_dir) -> list:

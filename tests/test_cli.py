@@ -204,6 +204,22 @@ class TestDataErrors:
         assert named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["stack", "evaluate"])
+    def test_empty_scoring_file_exits_2(self, run_dir, corpus_dir, tmp_path, capsys, command):
+        # a score over no examples is no score
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        out = tmp_path / "out"
+        argv = {"stack": ["--run", run_dir, "--top-k", 1, "--test", empty, "--embeddings",
+                          f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"],
+                "evaluate": ["--gold", empty, "--pred", empty]}[command]
+        capsys.readouterr()
+        code = run_cli(command, "--out", out, *argv)
+        captured = capsys.readouterr()
+        assert code == 2, captured.err
+        assert f"{empty}: no examples" in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 @pytest.mark.parametrize("command,config,named", [
     ("search", {"n_filters": ["x"]}, "n_filters='x' must be a positive integer"),
@@ -305,6 +321,30 @@ class TestTrainCommand:
             assert (out / f"fold{fold}.scnn").exists()
         result = json.loads((out / "result.json").read_text())
         assert 0.0 <= result["cv_score"] <= 1.0
+
+    def test_train_equals_trial_0_of_a_search(self, tmp_path):
+        # one-point space, one trial, same seed: the search's trial 0 trains
+        # the config train trains, with the same fold code
+        assert run_cli("synth", "--out", tmp_path / "c", "--seed", 11,
+                       "--train-size", 200, "--test-size", 0) == 0
+        config, space = tmp_path / "hp.json", tmp_path / "space.json"
+        config.write_text(json.dumps(_TRAIN_HP))
+        space.write_text(json.dumps({name: [v] for name, v in _TRAIN_HP.items()}))
+        common = ["--train", tmp_path / "c" / "train.tsv", "--embeddings",
+                  f"godin={tmp_path}/c/embeddings.txt", "--seed", 3,
+                  "--unrestricted-space", "--max-epochs", 4]
+        assert run_cli("train", "--config", config, "--out", tmp_path / "one", *common) == 0
+        names = [f"fold{i}.scnn" for i in range(5)] + ["oof.tsv"]
+        trained = {name: (tmp_path / "one" / name).read_bytes() for name in names}
+        cv_score = json.loads((tmp_path / "one" / "result.json").read_text())["cv_score"]
+        for parallelism in (1, 2):
+            run = tmp_path / f"run{parallelism}"
+            assert run_cli("search", "--config", space, "--trials", 1, "--out", run,
+                           "--parallelism", parallelism, *common) == 0
+            assert {name: (run / "trials" / "0" / name).read_bytes()
+                    for name in names} == trained
+            row = (run / "leaderboard.csv").read_text().splitlines()[1].split(",")
+            assert (row[0], float(row[1])) == ("0", cv_score)
 
     def test_numeric_failure_exits_3(self, tmp_path, corpus_dir):
         hp = {

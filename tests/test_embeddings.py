@@ -54,6 +54,16 @@ class TestLoad:
         with pytest.raises(DataError, match="promises 3"):
             load_embeddings(path, "x")
 
+    def test_header_beyond_file_size(self, tmp_path):
+        # 1e9 words of 400 components would be a 1.46 TiB table; refused
+        # from the file size before anything is allocated
+        path = tmp_path / "emb.txt"
+        path.write_text("1000000000 400\napple " + " ".join(["0"] * 400) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            load_embeddings(path, "x")
+        assert str(exc.value).startswith(f"{path}: header promises 1000000000 words")
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("hello\n", encoding="utf-8")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import toy_hp
 from scnn import ensemble as E
 from scnn import metrics
+from scnn import search as S
 from scnn.corpus import FoldAssignment, stratified_kfold
 from scnn.errors import DataError
 from scnn.model import SharedBuffers, TrainSchedule
@@ -161,87 +162,89 @@ def test_ranking_properties(scores, k, perm_seed):
 
 # real fold-ensemble training
 
+def _train_folds(hp, docs, labels, folds, sched, seed, order=None):
+    """Every fold of trial 0, in fold order, trained in ``order`` (default:
+    fold order) in one set of training buffers."""
+    buffers = SharedBuffers()
+    order = range(folds.k) if order is None else order
+    models = {fold: E.train_fold_ensemble(hp, docs, labels, folds, fold, sched,
+                                          Rng(seed).substream(0), buffers)
+              for fold in order}
+    return [models[fold] for fold in range(folds.k)]
+
+
+def _cv_score(examples, labels, folds, models, out_dir):
+    """search.write_oof's cv score of ``models``' held-out rows."""
+    inputs = S.TrialInputs(ids=[ex.id for ex in examples], labels=labels, docs_by_name={},
+                           folds=folds, sched=TrainSchedule(), seed=0, out_dir=str(out_dir))
+    return S.write_oof(inputs, str(out_dir), [m.dev_probs.astype(np.float64) for m in models])
+
+
 @pytest.fixture(scope="module")
 def trained():
     from conftest import synth_arrays
 
     examples, docs, labels = synth_arrays(77, 100)
     folds = stratified_kfold(examples, k=5, seed=7)
-    fe = E.train_fold_ensemble(
-        toy_hp(batch_size=20), docs, labels, folds,
-        TrainSchedule(max_epochs=8, patience=3), Rng(7).substream(0), trial_id=0,
-    )
-    return fe, docs, labels, folds
+    models = _train_folds(toy_hp(batch_size=20), docs, labels, folds,
+                          TrainSchedule(max_epochs=8, patience=3), 7)
+    return models, examples, docs, labels, folds
 
 
 class TestTrainFoldEnsemble:
     def test_member_count_and_oof_coverage(self, trained):
-        fe, docs, labels, folds = trained
-        assert len(fe.members) == 5
-        assert fe.oof_probs.shape == (len(docs), 3)
-        np.testing.assert_allclose(fe.oof_probs.sum(axis=1), 1.0, atol=1e-6)
+        models, _, docs, _, folds = trained
+        fold_of = np.asarray(folds.fold_of)
+        assert len(models) == 5
+        assert sum(len(m.dev_probs) for m in models) == len(docs)
+        for i, m in enumerate(models):
+            assert m.dev_probs.shape == ((fold_of == i).sum(), 3)
+            np.testing.assert_allclose(m.dev_probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_oof_from_held_out_member_only(self, trained):
-        fe, docs, labels, folds = trained
+        models, _, docs, _, folds = trained
         fold_of = np.asarray(folds.fold_of)
-        for i in range(5):
+        for i, m in enumerate(models):
             held = np.flatnonzero(fold_of == i)
-            member_probs = fe.members[i].predict_proba(docs[held]).astype(np.float64)
-            np.testing.assert_array_equal(fe.oof_probs[held], member_probs)
+            np.testing.assert_array_equal(m.dev_probs, m.predict_proba(docs[held]))
 
-    def test_cv_score_recomputable(self, trained):
-        fe, docs, labels, folds = trained
-        pred = metrics.argmax_labels(fe.oof_probs)
-        again = metrics.micro_prf_12(metrics.confusion(labels, pred))[2]
-        assert fe.cv_score == again
+    def test_cv_score_recomputable(self, trained, tmp_path):
+        models, examples, _, labels, folds = trained
+        cv = _cv_score(examples, labels, folds, models, tmp_path)
+        ids, gold, fold_col, oof = S.parse_oof_tsv(tmp_path / "oof.tsv")
+        assert ids == [ex.id for ex in examples] and fold_col == list(folds.fold_of)
+        for i, m in enumerate(models):
+            np.testing.assert_array_equal(oof[np.asarray(fold_col) == i], m.dev_probs)
+        again = metrics.micro_prf_12(metrics.confusion(gold, metrics.argmax_labels(oof)))[2]
+        assert cv == again
 
     def test_deterministic(self, trained):
-        fe, docs, labels, folds = trained
-        fe2 = E.train_fold_ensemble(
-            toy_hp(batch_size=20), docs, labels, folds,
-            TrainSchedule(max_epochs=8, patience=3), Rng(7).substream(0), trial_id=0,
-        )
-        assert fe2.cv_score == fe.cv_score
-        np.testing.assert_array_equal(fe2.oof_probs, fe.oof_probs)
+        models, _, docs, labels, folds = trained
+        # each fold replays bitwise, also when the folds train in reverse order
+        again = _train_folds(toy_hp(batch_size=20), docs, labels, folds,
+                             TrainSchedule(max_epochs=8, patience=3), 7, order=[4, 3, 2, 1, 0])
+        for m, m2 in zip(models, again):
+            np.testing.assert_array_equal(m2.dev_probs, m.dev_probs)
+            np.testing.assert_array_equal(m2.weights.arena, m.weights.arena)
 
-    def test_fold_subsets_match_the_whole(self, trained):
-        fe, docs, labels, folds = trained
-        fold_of = np.asarray(folds.fold_of)
-        buffers = SharedBuffers()
-        for subset in ([3], [0, 4]):
-            part = E.train_fold_ensemble(
-                toy_hp(batch_size=20), docs, labels, folds,
-                TrainSchedule(max_epochs=8, patience=3), Rng(7).substream(0), trial_id=0,
-                fold_ids=subset, buffers=buffers,
-            )
-            assert np.isnan(part.cv_score) and len(part.members) == len(subset)
-            rows = np.isin(fold_of, subset)
-            np.testing.assert_array_equal(part.oof_probs[rows], fe.oof_probs[rows])
-            assert not part.oof_probs[~rows].any()
-            for i, member in zip(subset, part.members):
-                np.testing.assert_array_equal(member.weights.arena, fe.members[i].weights.arena)
+    def test_separable_corpus_scores_high(self, trained, tmp_path):
+        models, examples, _, labels, folds = trained
+        assert _cv_score(examples, labels, folds, models, tmp_path) >= 0.9
 
-    def test_separable_corpus_scores_high(self, trained):
-        fe, *_ = trained
-        assert fe.cv_score >= 0.9
-
-    def test_full_desk_scale_corpus(self):
+    def test_full_desk_scale_corpus(self, tmp_path):
         from conftest import synth_arrays
 
         examples, docs, labels = synth_arrays(42, 600)
         folds = stratified_kfold(examples, k=5, seed=42)
-        fe = E.train_fold_ensemble(
-            toy_hp(batch_size=50), docs, labels, folds,
-            TrainSchedule(), Rng(42).substream(0), trial_id=0,
-        )
-        assert fe.cv_score >= 0.9
+        models = _train_folds(toy_hp(batch_size=50), docs, labels, folds, TrainSchedule(), 42)
+        assert _cv_score(examples, labels, folds, models, tmp_path) >= 0.9
 
     def test_fold_mismatch_rejected(self, trained):
-        fe, docs, labels, folds = trained
+        _, _, docs, labels, folds = trained
         bad = FoldAssignment(folds.fold_of[:-1], folds.k, folds.seed)
         with pytest.raises(ValueError):
-            E.train_fold_ensemble(toy_hp(), docs, labels, bad,
-                                  TrainSchedule(), Rng(0))
+            E.train_fold_ensemble(toy_hp(), docs, labels, bad, 0,
+                                  TrainSchedule(), Rng(0), SharedBuffers())
 
 
 class TestManifest:

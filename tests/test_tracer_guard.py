@@ -3,7 +3,8 @@
 perfbench/tracer.py wraps ``scnn`` functions where their callers look them
 up and counts some of them from their arguments, so a renamed function or a
 changed call breaks every traced benchmark run. This runs it on a tiny
-search, stack and predict and checks that each wrapped name is entered.
+search, stack, predict and train and checks that each wrapped name is
+entered, and that train enters the fold code the search trials run.
 """
 
 import json
@@ -35,6 +36,9 @@ def test_tracer_enters_every_target(tmp_path):
         sys.path.remove(str(TRACER.parent))
     _run(["synth", "--out", "corpus", "--seed", "3", "--train-size", "40",
           "--test-size", "20"], tmp_path)
+    hp = {name: values[0] for name, values in
+          json.loads((tmp_path / "corpus" / "space.json").read_text()).items()}
+    (tmp_path / "hp.json").write_text(json.dumps(hp))
     steps = [
         ["search", "--train", "corpus/train.tsv", "--embeddings", EMB, "--trials", "1",
          "--folds", "2", "--seed", "5", "--out", "run", "--config", "corpus/space.json",
@@ -43,10 +47,15 @@ def test_tracer_enters_every_target(tmp_path):
          "--test", "corpus/test.tsv", "--embeddings", EMB],
         ["predict", "--manifest", "stacks/stack_top1.json", "--test", "corpus/test.tsv",
          "--embeddings", EMB, "--out", "predictions.tsv"],
+        ["train", "--train", "corpus/train.tsv", "--embeddings", EMB, "--config", "hp.json",
+         "--folds", "2", "--seed", "5", "--out", "one", "--unrestricted-space",
+         "--max-epochs", "2"],
     ]
-    entered = set()
+    entered = []
     for i, argv in enumerate(steps):
         spans = tmp_path / f"spans{i}.json"
         _run(argv, tmp_path, spans)
-        entered |= set(json.loads(spans.read_text())["entered"])
-    assert sorted(set(tracer.TARGET_NAMES) - entered) == []
+        entered.append(set(json.loads(spans.read_text())["entered"]))
+    assert sorted(set(tracer.TARGET_NAMES) - set().union(*entered)) == []
+    # train trains and saves its folds through the functions search's units call
+    assert {"scnn.search.train_fold_ensemble", "scnn.search.save_model"} <= entered[-1]
