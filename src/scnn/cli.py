@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import corpus, embeddings, metrics, search, synth
-from .ensemble import load_ensemble, save_ensemble, stack_top_k, stacked_predict
+from .ensemble import load_ensemble, rank, save_ensemble, stack_top_k, stacked_predict
 from .errors import DataError, NumericError, ScnnError
 from .fileio import atomic_write, file_sha256, open_text, read_json
 from .gradcheck import TOLERANCE, run_gradcheck
@@ -252,7 +252,7 @@ def _cmd_train(args, outputs: _Outputs) -> int:
 
 def _cmd_stack(args, outputs: _Outputs) -> int:
     k_values = _parse_top_k(args.top_k)
-    records = [r for r in search.load_leaderboard(args.run) if r.ok]
+    records = rank(r for r in search.load_leaderboard(args.run) if r.ok)
     if not records:
         raise DataError(f"{args.run}: leaderboard has no successful trials")
     if max(k_values) > len(records):
@@ -264,21 +264,24 @@ def _cmd_stack(args, outputs: _Outputs) -> int:
     want_report = args.test is not None
     if want_report:
         test_examples = _read_labeled(args.test)
-    needed = records if want_report else records[:max(k_values)]
+    # the leaderboard's scores are rounded, so trials tied there with the
+    # max(K)-th are loaded too and ranked by their recomputed scores
+    cut = records[max(k_values) - 1].cv_score
+    needed = records if want_report else [r for r in records if r.cv_score >= cut]
     loaded = [search.load_trial_ensemble(args.run, r, run_manifest["folds_k"])
               for r in needed]
 
     out = outputs.claim_dir(args.out)
     for k in k_values:
-        se = stack_top_k(loaded, k)
         manifest_path = os.path.join(out, f"stack_top{k}.json")
-        save_ensemble(se, manifest_path, fold_seed=run_manifest["fold_seed"],
+        save_ensemble(stack_top_k(loaded, k), manifest_path,
+                      fold_seed=run_manifest["fold_seed"],
                       space_descriptor=run_manifest["space_descriptor"])
         logger.info("wrote %s", manifest_path)
 
     if want_report:
         registry = _parse_embeddings_flag(args.embeddings)
-        tables = _load_tables(registry, {fe.hp.word_embedding for fe in loaded})
+        tables = _load_tables(registry, {trial.hp.word_embedding for trial in loaded})
         test_docs = _embed_examples(test_examples, tables)
         test_labels = [ex.label for ex in test_examples]
         report = search.top_k_report(loaded, k_values, test_docs, test_labels)
@@ -290,11 +293,11 @@ def _cmd_stack(args, outputs: _Outputs) -> int:
 
 def _cmd_predict(args, outputs: _Outputs) -> int:
     registry = _parse_embeddings_flag(args.embeddings)
-    se = load_ensemble(args.manifest)
+    stack = load_ensemble(args.manifest)
     examples = corpus.parse_dataset(args.test, labeled=_sniff_labeled(args.test))
-    tables = _load_tables(registry, {fe.hp.word_embedding for fe in se.ranked_members})
+    tables = _load_tables(registry, {trial.hp.word_embedding for trial in stack})
     docs_by_name = _embed_examples(examples, tables)
-    probs = stacked_predict(se, docs_by_name)
+    probs = stacked_predict(stack, docs_by_name)
     labels = metrics.argmax_labels(probs)
     lines = [
         f"{ex.id}\t{labels[i]}\t{probs[i, 0]:.6f}\t{probs[i, 1]:.6f}\t{probs[i, 2]:.6f}\n"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DataError
-from .fileio import open_text
+from .fileio import atomic_write, open_text
 from .rng import Rng
 
 CLASSES = (1, 2, 3)
@@ -160,7 +160,7 @@ def write_dataset(examples: Sequence[Example], path) -> None:
             lines.append(f"{ex.id}\t{ex.text}\n")
         else:
             lines.append(f"{ex.id}\t{ex.label}\t{ex.text}\n")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.writelines(lines)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import TokenSeq
 from .errors import DataError
-from .fileio import open_text
+from .fileio import atomic_write, open_text
 
 
 @dataclass
@@ -79,7 +79,7 @@ def load_embeddings(path, name: str) -> EmbeddingTable:
 def write_embeddings(table: EmbeddingTable, path) -> None:
     """Serialize in the same text format, value-exact at float32 precision."""
     words = sorted(table.vocab, key=table.vocab.get)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{len(words)} {table.dim}\n")
         for word in words:
             row = table.vectors[table.vocab[word]]

@@ -1,17 +1,17 @@
-"""Fold ensembles (5 models from 5-fold CV) and top-K stacked ensembles.
+"""Trials (one model per fold of k-fold CV), their one ranking, top-K stacks.
 
-A fold ensemble is one model per fold, each validated on its held-out fold;
-train_fold_ensemble trains one fold. Averaging the five probability outputs
-gives the ensemble prediction. The folds' held-out rows, merged by
-search.write_oof, are the out-of-fold predictions, whose CV score ranks the
-trials. A stacked ensemble averages the top K fold ensembles ranked by that
-score (descending, ties broken by ascending trial id). All averaging is
-plain arithmetic mean in probability space, accumulated in float64 in a
-fixed member order.
+A Trial holds a search trial's id, hyperparameters, CV score and status
+and, once loaded, its members: one model per fold, each validated on its
+held-out fold (train_fold_ensemble trains one). Its prediction is the mean
+of its members'. The CV score of the merged held-out rows (search.write_oof)
+ranks the trials, and rank is the one order: descending score, ties by
+ascending trial id, failed trials last. A stack is a list of the top K
+trials in that order and predicts the mean of theirs. All means are plain
+arithmetic in probability space, summed in float64 in a fixed order.
 
-A member is a TrainedModel in memory or a ModelFile on disk. A ModelFile is
-loaded only while ensemble_predict uses it, so predicting with a stack of
-any size holds one member's tensors at a time.
+A member is anything with predict_proba(docs), or a ModelFile on disk that
+is loaded only while ensemble_predict uses it, so predicting with a stack
+of any size holds one member's tensors at a time.
 """
 
 from __future__ import annotations
@@ -52,16 +52,24 @@ class ModelFile:
 
 
 @dataclass
-class FoldEnsemble:
+class Trial:
+    """One search trial. A leaderboard row has no members; a loaded trial
+    has one per fold, in fold order."""
+
+    trial_id: int
     hp: HyperParams
-    members: list = field(repr=False)  # k TrainedModels or ModelFiles, fold order
-    cv_score: float = float("nan")
-    trial_id: int = 0
+    cv_score: float  # NaN when the trial failed
+    status: str = "ok"  # or "failed: <reason>"
+    members: list = field(default_factory=list, repr=False)
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok"
 
 
-@dataclass
-class StackedEnsemble:
-    ranked_members: list  # FoldEnsembles, descending cv_score / ascending trial_id
+def rank(trials) -> list:
+    """Descending cv_score, ties by ascending trial id; failed trials last."""
+    return sorted(trials, key=lambda t: (-t.cv_score if t.ok else float("inf"), t.trial_id))
 
 
 def train_fold_ensemble(hp: HyperParams, docs: np.ndarray, labels: np.ndarray,
@@ -102,46 +110,45 @@ def mean_probs(parts: list) -> np.ndarray:
     return acc / len(parts)
 
 
-def _member_probs(fe: FoldEnsemble, member, docs: np.ndarray) -> np.ndarray:
-    """One member's probabilities; a ModelFile is loaded for this call only."""
+def _member_probs(trial: Trial, member, docs: np.ndarray) -> np.ndarray:
+    """One member's probabilities. A ModelFile is loaded for this call only
+    and must match the trial's hyperparameters and the documents' dimension."""
     if isinstance(member, ModelFile):
         path = member.path
         member = load_model(path, member.sha256)
         if not isinstance(member, TrainedModel):  # saved without training metadata
             member = TrainedModel(weights=member, best_dev_score=float("nan"),
                                   epochs_run=0, restart_count=0, history=[])
-        if member.weights.hp != fe.hp:
+        if member.weights.hp != trial.hp:
             raise DataError(f"{path}: hyperparameters differ from those of "
-                            f"trial {fe.trial_id}")
+                            f"trial {trial.trial_id}")
+        if member.weights.embedding_dim != docs.shape[2]:
+            raise DataError(f"{path}: takes {member.weights.embedding_dim}-dim embeddings, "
+                            f"the {trial.hp.word_embedding} table has {docs.shape[2]}")
     return member.predict_proba(docs)
 
 
-def ensemble_predict(fe: FoldEnsemble, docs: np.ndarray) -> np.ndarray:
+def ensemble_predict(trial: Trial, docs: np.ndarray) -> np.ndarray:
     """Mean of the members' probabilities, in fixed member order."""
-    return mean_probs([_member_probs(fe, member, docs) for member in fe.members])
+    return mean_probs([_member_probs(trial, member, docs) for member in trial.members])
 
 
-def rank_key(fe: FoldEnsemble):
-    return (-fe.cv_score, fe.trial_id)
-
-
-def stack_top_k(trials: Sequence[FoldEnsemble], k: int) -> StackedEnsemble:
-    """The K best fold ensembles by (-cv_score, trial_id)."""
+def stack_top_k(trials: Sequence[Trial], k: int) -> list:
+    """The stack of the K best trials, in rank order."""
     if not 1 <= k <= len(trials):
         raise ValueError(f"k must be in 1..{len(trials)}, got {k}")
-    ranked = sorted(trials, key=rank_key)
-    return StackedEnsemble(ranked_members=ranked[:k])
+    return rank(trials)[:k]
 
 
-def stacked_predict(se: StackedEnsemble, docs_by_name: dict) -> np.ndarray:
-    """Mean over the K member ensembles' predictions, in rank order.
+def stacked_predict(stack: Sequence[Trial], docs_by_name: dict) -> np.ndarray:
+    """Mean over the stack's trials' predictions, in rank order.
 
-    ``docs_by_name`` maps each member's word_embedding name to the documents
-    embedded with that table. Because every sub-ensemble has the same member
+    ``docs_by_name`` maps each trial's word_embedding name to the documents
+    embedded with that table. Because every trial has the same member
     count, this equals the flat mean over all underlying models.
     """
-    return mean_probs([ensemble_predict(fe, docs_by_name[fe.hp.word_embedding])
-                       for fe in se.ranked_members])
+    return mean_probs([ensemble_predict(trial, docs_by_name[trial.hp.word_embedding])
+                       for trial in stack])
 
 
 # --------------------------------------------------------------------------
@@ -156,23 +163,23 @@ def stacked_predict(se: StackedEnsemble, docs_by_name: dict) -> np.ndarray:
 MANIFEST_FORMAT_VERSION = 1
 
 
-def save_ensemble(se: StackedEnsemble, manifest_path, fold_seed: int,
+def save_ensemble(stack: Sequence[Trial], manifest_path, fold_seed: int,
                   space_descriptor: str) -> None:
-    """Write the manifest of ``se``, whose members are ModelFiles (fold
-    order); each entry takes its member's path and the file's sha256."""
+    """Write the manifest of ``stack``, whose trials' members are ModelFiles
+    (fold order); each entry takes its member's path and the file's sha256."""
     manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
     members = []
-    for fe in se.ranked_members:
-        for member in fe.members:
+    for trial in stack:
+        for member in trial.members:
             members.append({
                 "path": os.path.relpath(os.path.abspath(member.path), manifest_dir),
                 "sha256": file_sha256(member.path),
-                "trial_id": fe.trial_id,
-                "cv_score": round(fe.cv_score, 6),
+                "trial_id": trial.trial_id,
+                "cv_score": round(trial.cv_score, 6),
             })
     doc = {
         "format_version": MANIFEST_FORMAT_VERSION,
-        "K": len(se.ranked_members),
+        "K": len(stack),
         "members": members,
         "fold_seed": fold_seed,
         "space_descriptor": space_descriptor,
@@ -209,10 +216,10 @@ def _check_manifest(manifest_path, doc) -> None:
         check_fields(f"{manifest_path}: member {i}", entry, _MEMBER_TYPES)
 
 
-def load_ensemble(manifest_path) -> StackedEnsemble:
-    """The stack a manifest lists, each member a ModelFile that
-    ensemble_predict loads and checks against its sha256 when it uses it.
-    Only the first member file of each trial is read here, for its
+def load_ensemble(manifest_path) -> list:
+    """The stack a manifest lists, in rank order, each member a ModelFile
+    that ensemble_predict loads and checks against its sha256 when it uses
+    it. Only the first member file of each trial is read here, for its
     hyperparameters; errors name the file and the member."""
     doc = read_json(manifest_path, "manifest")
     _check_manifest(manifest_path, doc)
@@ -223,28 +230,25 @@ def load_ensemble(manifest_path) -> StackedEnsemble:
         )
     manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
 
-    by_trial: dict = {}
-    trial_order = []
+    by_trial: dict = {}  # in manifest order
     for entry in doc["members"]:
         path = os.path.join(manifest_dir, entry["path"])
         if not os.path.exists(path):
             raise DataError(f"{manifest_path}: missing member file {entry['path']}")
         tid = entry["trial_id"]
         if tid not in by_trial:
-            by_trial[tid] = FoldEnsemble(hp=load_model_hp(path), members=[],
-                                         cv_score=float(entry["cv_score"]), trial_id=tid)
-            trial_order.append(tid)
+            by_trial[tid] = Trial(tid, load_model_hp(path), float(entry["cv_score"]))
         by_trial[tid].members.append(ModelFile(path, entry["sha256"]))
 
-    counts = sorted({len(fe.members) for fe in by_trial.values()})
+    counts = sorted({len(trial.members) for trial in by_trial.values()})
     if len(by_trial) != doc["K"] or len(counts) > 1:  # stacked_predict assumes both
         raise DataError(f"{manifest_path}: K is {doc['K']}, but the members form "
                         f"{len(by_trial)} trials of {counts} members; a stack needs "
                         f"K trials of one member count")
-    ranked = sorted(by_trial.values(), key=rank_key)
-    if [fe.trial_id for fe in ranked] != trial_order:
+    ranked = rank(by_trial.values())
+    if [trial.trial_id for trial in ranked] != list(by_trial):
         logger.warning(
             "%s: member order does not match (-cv_score, trial_id) ranking; "
             "scores are advisory after load, reordering by score", manifest_path,
         )
-    return StackedEnsemble(ranked_members=ranked)
+    return ranked

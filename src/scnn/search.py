@@ -14,6 +14,10 @@ and returns its held-out rows; once a trial's last unit is in, the caller
 merges the rows and writes its oof.tsv (write_oof). ``scnn train`` runs the
 same two functions on the k folds of one config, serially, into its --out.
 
+A leaderboard row is an ensemble.Trial without members; load_trial_ensemble
+adds its fold models. ensemble.rank orders the leaderboard, the report and
+every stack, a plain list of Trials.
+
 Every fold's random streams derive from (seed, trial_id, fold) and configs
 are sampled up front from a dedicated substream, which makes the
 leaderboard and all trial artifacts byte-identical regardless of the
@@ -45,7 +49,7 @@ import os
 import shutil
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,12 +57,11 @@ import numpy as np
 from . import metrics
 from .corpus import FoldAssignment
 from .ensemble import (
-    FoldEnsemble,
     ModelFile,
+    Trial,
     ensemble_predict,
     mean_probs,
-    rank_key,
-    stack_top_k,
+    rank,
     train_fold_ensemble,
 )
 from .errors import DataError, ScnnError
@@ -151,26 +154,6 @@ def sample_config(space: SearchSpace, rng: Rng, seen: Optional[set]) -> HyperPar
 # trials and leaderboard
 # --------------------------------------------------------------------------
 
-@dataclass
-class TrialRecord:
-    trial_id: int
-    hp: HyperParams
-    cv_score: float  # NaN when the trial failed
-    status: str      # "ok" or "failed: <reason>"
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-
-def leaderboard_order(records: Sequence[TrialRecord]) -> list:
-    """Descending cv_score, ties by ascending trial id; failures sink last."""
-    def key(r: TrialRecord):
-        score = r.cv_score if r.ok else float("-inf")
-        return (-score, r.trial_id)
-    return sorted(records, key=key)
-
-
 LEADERBOARD_HEADER = ["trial_id", "cv_score", "status", "wall_time_s"] + list(HP_FIELDS)
 
 
@@ -180,11 +163,11 @@ def _hp_csv_cells(hp: HyperParams) -> list:
             for v in (getattr(hp, name) for name in HP_FIELDS)]
 
 
-def format_leaderboard_csv(records: Sequence[TrialRecord]) -> str:
+def format_leaderboard_csv(records: Sequence[Trial]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(LEADERBOARD_HEADER)
-    for r in leaderboard_order(records):
+    for r in rank(records):
         status = r.status.replace("\n", " ").replace("\r", " ")
         cv = f"{r.cv_score:.6f}" if r.ok else ""
         writer.writerow([r.trial_id, cv, status, ""] + _hp_csv_cells(r.hp))
@@ -202,25 +185,32 @@ def _hp_from_csv(row: dict) -> HyperParams:
 
 
 def parse_leaderboard_csv(text: str) -> list:
-    """TrialRecords of a leaderboard; a DataError names the bad line."""
+    """The Trials (without members) of a leaderboard, in file order; a
+    DataError names the bad line. Trial ids must be distinct, and an ok
+    row's cv_score must lie in [0, 1]."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames != LEADERBOARD_HEADER:
         raise DataError(
             f"leaderboard header {reader.fieldnames} != expected {LEADERBOARD_HEADER}"
         )
-    records = []
+    records = {}
     for row in reader:
         status = row["status"]
         try:  # a short row reads None for its missing fields
-            records.append(TrialRecord(
+            record = Trial(
                 trial_id=int(row["trial_id"]),
                 hp=_hp_from_csv(row),
                 cv_score=float(row["cv_score"]) if status == "ok" else float("nan"),
                 status=status,
-            ))
+            )
+            if record.trial_id in records:
+                raise ValueError(f"duplicate trial {record.trial_id}")
+            if record.ok and not 0 <= record.cv_score <= 1:  # NaN fails too
+                raise ValueError(f"cv_score {row['cv_score']} is not in [0, 1]")
         except (AttributeError, TypeError, ValueError, DataError) as exc:
             raise DataError(f"malformed row at line {reader.line_num}: {exc}") from None
-    return records
+        records[record.trial_id] = record
+    return list(records.values())
 
 
 # --------------------------------------------------------------------------
@@ -334,7 +324,7 @@ def run_unit(inputs: TrialInputs, tid: int, hp: HyperParams, fold: int,
     return UnitResult(tid, fold, rows, error, time.perf_counter() - started, os.getpid())
 
 
-def finish_trial(inputs: TrialInputs, tid: int, hp: HyperParams, units: list) -> TrialRecord:
+def finish_trial(inputs: TrialInputs, tid: int, hp: HyperParams, units: list) -> Trial:
     """Trial ``tid``'s record from the results of its units, one per fold,
     whose rows write_oof merges into oof.tsv. When a fold failed,
     trials/<tid>/ is removed and the status is the lowest failing fold's
@@ -348,7 +338,7 @@ def finish_trial(inputs: TrialInputs, tid: int, hp: HyperParams, units: list) ->
         shutil.rmtree(trial_dir, ignore_errors=True)
         logger.warning("trial %d failed (%.1fs of units on pids %s): %s",
                        tid, seconds, pids, failed[0])
-        return TrialRecord(tid, hp, float("nan"), f"failed: {failed[0]}")
+        return Trial(tid, hp, float("nan"), f"failed: {failed[0]}")
     try:
         cv_score = write_oof(inputs, trial_dir, [u.oof_rows for u in units])
     except BaseException:
@@ -356,7 +346,7 @@ def finish_trial(inputs: TrialInputs, tid: int, hp: HyperParams, units: list) ->
         raise
     logger.info("trial %d cv_score %.6f (%.1fs of units on pids %s)",
                 tid, cv_score, seconds, pids)
-    return TrialRecord(tid, hp, cv_score, "ok")
+    return Trial(tid, hp, cv_score)
 
 
 def plan_units(planned: list, k: int) -> list:
@@ -464,8 +454,8 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
     ``out_dir``. Each fold model is saved as soon as it is trained, so a
     process holds one trained model at a time.
 
-    Returns TrialRecords in leaderboard order; a trial's ensemble is read
-    back with load_trial_ensemble. A failed trial is recorded on the
+    Returns the Trials, without members, in rank order; a trial's members
+    are read back with load_trial_ensemble. A failed trial is recorded on the
     leaderboard and the search continues.
     """
     if n_trials < 1:
@@ -485,7 +475,7 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
         docs_by_name=docs_by_name, folds=folds, sched=sched, seed=seed,
         out_dir=out_dir,
     )
-    ranked = leaderboard_order(_run_trials(inputs, planned, n_procs))
+    ranked = rank(_run_trials(inputs, planned, n_procs))
     with atomic_write(os.path.join(out_dir, "leaderboard.csv")) as fh:
         fh.write(format_leaderboard_csv(ranked))
     manifest = {
@@ -510,10 +500,11 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
     return ranked
 
 
-def load_trial_ensemble(run_dir, record: TrialRecord, k: int) -> FoldEnsemble:
-    """Rebuild one trial's FoldEnsemble from its saved artifacts, checking
-    that the stored cv score matches the out-of-fold predictions. Each fold
-    model is loaded once to validate it; the ensemble keeps ModelFiles."""
+def load_trial_ensemble(run_dir, record: Trial, k: int) -> Trial:
+    """The leaderboard row ``record`` with its k fold models as ModelFile
+    members and its cv score recomputed from the out-of-fold predictions,
+    which must match the stored one. Each fold model is loaded once to
+    validate it."""
     trial_dir = os.path.join(run_dir, "trials", str(record.trial_id))
     members = []
     for i in range(k):
@@ -524,13 +515,12 @@ def load_trial_ensemble(run_dir, record: TrialRecord, k: int) -> FoldEnsemble:
         members.append(ModelFile(path))
     _, labels, _, oof = parse_oof_tsv(os.path.join(trial_dir, "oof.tsv"))
     recomputed = metrics.micro_f1_12(labels, oof)
-    if abs(recomputed - record.cv_score) > 1e-6:
+    if not abs(recomputed - record.cv_score) <= 1e-6:  # a NaN score fails too
         raise DataError(
             f"trial {record.trial_id}: leaderboard cv_score {record.cv_score:.6f} "
             f"does not match out-of-fold predictions ({recomputed:.6f})"
         )
-    return FoldEnsemble(hp=record.hp, members=members, cv_score=recomputed,
-                        trial_id=record.trial_id)
+    return replace(record, cv_score=recomputed, members=members)
 
 
 def load_leaderboard(run_dir) -> list:
@@ -565,27 +555,26 @@ def load_run_manifest(run_dir) -> dict:
 # top-K report
 # --------------------------------------------------------------------------
 
-def top_k_report(trials: Sequence[FoldEnsemble], k_values: Sequence[int],
+def top_k_report(trials: Sequence[Trial], k_values: Sequence[int],
                  test_docs_by_name: dict, test_labels: np.ndarray) -> str:
     """CSV with one row per trial (cv and test score) and one per stacked K.
 
     Mirrors the three ranking curves: individual CV score, individual test
     score, and stacked-top-K test score.
     """
-    ranked = sorted(trials, key=rank_key)
+    ranked = rank(trials)
     if k_values and max(k_values) > len(ranked):
         raise ValueError(f"top-k {max(k_values)} exceeds trial count {len(ranked)}")
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["series", "key", "cv_score", "test_micro_f1_12"])
-    probs = {}  # each trial predicts once; stacked rows average these
-    for fe in ranked:
-        probs[fe.trial_id] = ensemble_predict(fe, test_docs_by_name[fe.hp.word_embedding])
-        writer.writerow(["individual", fe.trial_id, f"{fe.cv_score:.6f}",
-                         f"{metrics.micro_f1_12(test_labels, probs[fe.trial_id]):.6f}"])
+    probs = []  # each trial predicts once, in rank order; stacked rows average these
+    for trial in ranked:
+        probs.append(ensemble_predict(trial, test_docs_by_name[trial.hp.word_embedding]))
+        writer.writerow(["individual", trial.trial_id, f"{trial.cv_score:.6f}",
+                         f"{metrics.micro_f1_12(test_labels, probs[-1]):.6f}"])
     for k in sorted(k_values):
-        se = stack_top_k(ranked, k)
-        stacked = mean_probs([probs[fe.trial_id] for fe in se.ranked_members])
+        stacked = mean_probs(probs[:k])
         writer.writerow(["stacked", k, "", f"{metrics.micro_f1_12(test_labels, stacked):.6f}"])
     return buf.getvalue()

@@ -15,6 +15,7 @@ import numpy as np
 
 from .corpus import Example, write_dataset
 from .embeddings import EmbeddingTable, write_embeddings
+from .fileio import atomic_write
 from .rng import Rng
 
 MARKERS = {1: "markerone", 2: "markertwo", 3: "markerthree"}
@@ -82,7 +83,7 @@ def write_synth_corpus(out_dir, seed: int, n_train: int = 600, n_test: int = 300
     write_dataset(make_examples(rng.substream("train"), n_train, "tr"), paths["train"])
     write_dataset(make_examples(rng.substream("test"), n_test, "te"), paths["test"])
     write_embeddings(make_embedding_table(rng, dim), paths["embeddings"])
-    with open(paths["space"], "w", encoding="utf-8") as fh:
+    with atomic_write(paths["space"]) as fh:
         json.dump(TOY_SPACE, fh, indent=2)
         fh.write("\n")
     return paths

@@ -180,8 +180,8 @@ def _random_fe(rng, trial_id, n_docs, n_members=5, cv_score=None):
         raw = rng.uniform(0.01, 1.0, (n_docs, 3))
         members.append(_Stub(raw / raw.sum(axis=1, keepdims=True)))
     score = cv_score if cv_score is not None else float(rng.random())
-    return E.FoldEnsemble(hp=toy_hp(), members=members, cv_score=score,
-                          trial_id=trial_id)
+    return E.Trial(hp=toy_hp(), members=members, cv_score=score,
+                   trial_id=trial_id)
 
 
 def test_06_ensemble_algebra_randomized():
@@ -196,31 +196,31 @@ def test_06_ensemble_algebra_randomized():
             se = E.stack_top_k(trials, k)
 
             # ordering respects (-cv_score, trial_id); prefix monotonicity
-            keys = [(-fe.cv_score, fe.trial_id) for fe in se.ranked_members]
+            keys = [(-fe.cv_score, fe.trial_id) for fe in se]
             assert keys == sorted(keys)
             if k < n_trials:
                 bigger = E.stack_top_k(trials, k + 1)
-                assert [f.trial_id for f in bigger.ranked_members[:k]] == [
-                    f.trial_id for f in se.ranked_members
+                assert [f.trial_id for f in bigger[:k]] == [
+                    f.trial_id for f in se
                 ]
 
             # singleton stack == best trial
             top1 = E.stack_top_k(trials, 1)
             np.testing.assert_array_equal(
                 E.stacked_predict(top1, {"godin": docs}),
-                E.ensemble_predict(top1.ranked_members[0], docs),
+                E.ensemble_predict(top1[0], docs),
             )
 
             # mean-of-means == flat mean over all underlying models
             stacked = E.stacked_predict(se, {"godin": docs})
             flat = np.mean([m.predict_proba(docs)
-                            for fe in se.ranked_members for m in fe.members], axis=0)
+                            for fe in se for m in fe.members], axis=0)
             assert np.abs(stacked - flat).max() <= 1e-6
 
             # identical members collapse to one member's prediction
-            clone_members = se.ranked_members[0].members
-            clones = [E.FoldEnsemble(hp=toy_hp(), members=clone_members,
-                                     cv_score=0.5, trial_id=i) for i in range(3)]
+            clone_members = se[0].members
+            clones = [E.Trial(hp=toy_hp(), members=clone_members,
+                              cv_score=0.5, trial_id=i) for i in range(3)]
             ce = E.stack_top_k(clones, 3)
             np.testing.assert_allclose(
                 E.stacked_predict(ce, {"godin": docs}),
@@ -228,9 +228,9 @@ def test_06_ensemble_algebra_randomized():
             )
 
             # ties broken by ascending trial_id
-            tied = [E.FoldEnsemble(hp=toy_hp(), members=clone_members,
-                                   cv_score=0.7, trial_id=t) for t in (5, 3)]
-            assert [fe.trial_id for fe in E.stack_top_k(tied, 2).ranked_members] == [3, 5]
+            tied = [E.Trial(hp=toy_hp(), members=clone_members,
+                            cv_score=0.7, trial_id=t) for t in (5, 3)]
+            assert [fe.trial_id for fe in E.stack_top_k(tied, 2)] == [3, 5]
 
 
 # --------------------------------------------------------------------------
@@ -373,8 +373,8 @@ def test_10_format_round_trips(tmp_path):
                 save_model(fold_tm, path)
                 members.append(fold_tm)
                 paths.append(str(path))
-            trials.append(E.FoldEnsemble(hp=toy_hp(), members=members,
-                                         cv_score=0.6 + tid / 10, trial_id=tid))
+            trials.append(E.Trial(hp=toy_hp(), members=members,
+                                  cv_score=0.6 + tid / 10, trial_id=tid))
             on_disk.append(replace(trials[-1], members=[E.ModelFile(p) for p in paths]))
         se = E.stack_top_k(trials, 2)
         E.save_ensemble(E.stack_top_k(on_disk, 2), tmp_path / "stack.json",

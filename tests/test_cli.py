@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,13 @@ def _set_cell(path, line, column, value):
     cells = lines[line - 1].split(",")
     cells[column] = value
     lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines))
+
+
+def _duplicate_line(path, line):
+    """Repeat one line of the text file ``path`` (1-based) right after itself."""
+    lines = path.read_text().split("\n")
+    lines.insert(line, lines[line - 1])
     path.write_text("\n".join(lines))
 
 
@@ -537,8 +545,15 @@ class TestStackPredictEvaluate:
          "leaderboard.csv: malformed row at line 2"),
         (lambda run: _set_cell(run / "leaderboard.csv", 3, 4, "7.0"),
          "leaderboard.csv: malformed row at line 3: hp adam_b2 must be a number in (0, 1)"),
+        (lambda run: _duplicate_line(run / "leaderboard.csv", 2),
+         "leaderboard.csv: malformed row at line 3: duplicate trial"),
+    ] + [
+        (lambda run, score=score: _set_cell(run / "leaderboard.csv", 2, 1, score),
+         f"leaderboard.csv: malformed row at line 2: cv_score {score} is not in [0, 1]")
+        for score in ("nan", "inf", "-1", "1e309")
     ], ids=["oof-fold", "oof-missing", "manifest-folds-k", "leaderboard-trial-id",
-            "leaderboard-adam_b2"])
+            "leaderboard-adam_b2", "leaderboard-duplicate", "cv-nan", "cv-inf", "cv-minus-1",
+            "cv-1e309"])
     def test_stack_bad_run_directory(self, run_dir, tmp_path, capsys, edit, named):
         run = tmp_path / "run"
         shutil.copytree(run_dir, run)
@@ -549,6 +564,75 @@ class TestStackPredictEvaluate:
         err = capsys.readouterr().err
         assert code == 2, err
         assert named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("with_test", [False, True], ids=["manifest", "report"])
+    def test_stack_ranks_leaderboard_rows_itself(self, run_dir, corpus_dir, tmp_path,
+                                                 with_test):
+        emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
+        extra = ["--test", corpus_dir / "test.tsv", "--embeddings", emb] if with_test else []
+        for name in ("clean", "swapped"):
+            run = tmp_path / name / "run"
+            shutil.copytree(run_dir, run)
+            if name == "swapped":  # the best trial's row moves below the second's
+                board = run / "leaderboard.csv"
+                lines = board.read_text().split("\n")
+                assert float(lines[1].split(",")[1]) > float(lines[2].split(",")[1])
+                lines[1], lines[2] = lines[2], lines[1]
+                board.write_text("\n".join(lines))
+            assert run_cli("stack", "--run", run, "--top-k", 1,
+                           "--out", tmp_path / name / "stacks", *extra) == 0
+        # the runs sit at the same place relative to their stacks, so the
+        # manifests' member paths are equal too
+        for out in ["stack_top1.json"] + (["report.csv"] if with_test else []):
+            assert ((tmp_path / "swapped" / "stacks" / out).read_bytes()
+                    == (tmp_path / "clean" / "stacks" / out).read_bytes())
+
+    def test_stack_loads_trials_tied_at_the_cut(self, run_dir, tmp_path, monkeypatch):
+        import scnn.search
+
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        board = run / "leaderboard.csv"
+        rows = [line.split(",") for line in board.read_text().split("\n")[1:3]]
+        scores = {int(row[0]): float(row[1]) for row in rows}
+        # the second row ties the first there, as two scores rounded to 6
+        # decimals may; the spy hands the loader each trial's true score
+        _set_cell(board, 3, 1, rows[0][1])
+        real = scnn.search.load_trial_ensemble
+        loaded = []
+
+        def spy(run_dir, record, k):
+            loaded.append(record.trial_id)
+            return real(run_dir, replace(record, cv_score=scores[record.trial_id]), k)
+
+        monkeypatch.setattr(scnn.search, "load_trial_ensemble", spy)
+        assert run_cli("stack", "--run", run, "--top-k", 1, "--out", tmp_path / "s") == 0
+        assert sorted(loaded) == sorted(scores)
+        doc = json.loads((tmp_path / "s" / "stack_top1.json").read_text())
+        assert {m["trial_id"] for m in doc["members"]} == {int(rows[0][0])}
+
+    @pytest.mark.parametrize("command", ["predict", "stack"])
+    def test_embedding_dimension_mismatch_exits_2(self, run_dir, corpus_dir, tmp_path,
+                                                  capsys, command):
+        small = tmp_path / "dim8"
+        assert run_cli("synth", "--out", small, "--seed", 7, "--dim", 8,
+                       "--train-size", 0, "--test-size", 0) == 0
+        emb8 = f"godin={small}/embeddings.txt,shin={small}/embeddings.txt"
+        test = ["--test", corpus_dir / "test.tsv", "--embeddings", emb8]
+        out = tmp_path / "out"
+        if command == "predict":
+            stacks = tmp_path / "stacks"
+            assert run_cli("stack", "--run", run_dir, "--top-k", 1, "--out", stacks) == 0
+            argv = ["predict", "--manifest", stacks / "stack_top1.json", *test, "--out", out]
+        else:
+            argv = ["stack", "--run", run_dir, "--top-k", 1, "--out", out, *test]
+        capsys.readouterr()
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert ".scnn: takes 16-dim embeddings, the " in err and " table has 8" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scnn.corpus import PAD, pad_or_truncate
-from scnn.embeddings import load_embeddings, lookup_docs, write_embeddings
+from scnn.embeddings import EmbeddingTable, load_embeddings, lookup_docs, write_embeddings
 from scnn.errors import DataError
 
 
@@ -77,6 +77,20 @@ def test_write_round_trip_value_exact(tmp_path, small_table):
     again = load_embeddings(out, small_table.name)
     assert again.vocab == small_table.vocab
     np.testing.assert_array_equal(again.vectors, small_table.vectors)
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, small_table):
+    path = tmp_path / "out.txt"
+    write_embeddings(small_table, path)
+    before = path.read_bytes()
+    # one word past the end of the vectors: the IndexError comes after the
+    # earlier words' lines are written
+    vocab = dict(small_table.vocab, cherry=len(small_table.vocab))
+    broken = EmbeddingTable("toy", small_table.dim, vocab, small_table.vectors)
+    with pytest.raises(IndexError):
+        write_embeddings(broken, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt", "out.txt"]
 
 
 def test_write_round_trip_random_values(tmp_path):

@@ -26,8 +26,8 @@ class StubPredictor:
 
 
 def _stub_fe(probs_list, cv_score=0.5, trial_id=0):
-    return E.FoldEnsemble(hp=toy_hp(), members=[StubPredictor(p) for p in probs_list],
-                          cv_score=cv_score, trial_id=trial_id)
+    return E.Trial(hp=toy_hp(), members=[StubPredictor(p) for p in probs_list],
+                   cv_score=cv_score, trial_id=trial_id)
 
 
 def _rand_probs(rng, n):
@@ -62,13 +62,13 @@ class TestStackTopK:
         trials = [_stub_fe([_rand_probs(Rng(i), 4)], cv_score=s, trial_id=i)
                   for i, s in enumerate([0.7, 0.9, 0.8])]
         se = E.stack_top_k(trials, 2)
-        assert [fe.trial_id for fe in se.ranked_members] == [1, 2]
+        assert [fe.trial_id for fe in se] == [1, 2]
 
     def test_tie_break_by_trial_id(self):
         trials = [_stub_fe([_rand_probs(Rng(9), 4)], cv_score=0.8, trial_id=5),
                   _stub_fe([_rand_probs(Rng(8), 4)], cv_score=0.8, trial_id=3)]
         se = E.stack_top_k(trials, 2)
-        assert [fe.trial_id for fe in se.ranked_members] == [3, 5]
+        assert [fe.trial_id for fe in se] == [3, 5]
 
     def test_k_range(self):
         trials = [_stub_fe([_rand_probs(Rng(0), 4)])]
@@ -97,7 +97,7 @@ class TestStackedPredict:
         se = E.stack_top_k(trials, 3)
         stacked = E.stacked_predict(se, DOCS_BY_NAME)
         flat = np.mean(
-            [m.predict_proba(DOCS) for fe in se.ranked_members for m in fe.members],
+            [m.predict_proba(DOCS) for fe in se for m in fe.members],
             axis=0,
         )
         np.testing.assert_allclose(stacked, flat, atol=1e-6)
@@ -120,7 +120,7 @@ class TestStackedPredict:
         ]
         se = E.stack_top_k(trials, 20)
         underlying = [m.predict_proba(DOCS)
-                      for fe in se.ranked_members for m in fe.members]
+                      for fe in se for m in fe.members]
         assert len(underlying) == 100
         np.testing.assert_allclose(
             E.stacked_predict(se, DOCS_BY_NAME), np.mean(underlying, axis=0), atol=1e-6
@@ -140,20 +140,20 @@ def test_ranking_properties(scores, k, perm_seed):
               for i, s in enumerate(scores)]
     k = min(k, len(trials))
     se = E.stack_top_k(trials, k)
-    keys = [(-fe.cv_score, fe.trial_id) for fe in se.ranked_members]
+    keys = [(-fe.cv_score, fe.trial_id) for fe in se]
     assert keys == sorted(keys)
     # prefix monotonicity
     if k < len(trials):
         bigger = E.stack_top_k(trials, k + 1)
-        assert [fe.trial_id for fe in bigger.ranked_members[:k]] == [
-            fe.trial_id for fe in se.ranked_members
+        assert [fe.trial_id for fe in bigger[:k]] == [
+            fe.trial_id for fe in se
         ]
     # permutation invariance of membership and predictions
     perm = Rng(perm_seed).permutation(len(trials))
     shuffled = [trials[i] for i in perm]
     se2 = E.stack_top_k(shuffled, k)
-    assert [fe.trial_id for fe in se2.ranked_members] == [
-        fe.trial_id for fe in se.ranked_members
+    assert [fe.trial_id for fe in se2] == [
+        fe.trial_id for fe in se
     ]
     np.testing.assert_allclose(
         E.stacked_predict(se2, DOCS_BY_NAME), E.stacked_predict(se, DOCS_BY_NAME), atol=1e-6
@@ -264,8 +264,8 @@ class TestManifest:
                 save_model(tm, path)
                 members.append(tm)
                 paths.append(str(path))
-            trials.append(E.FoldEnsemble(hp=toy_hp(), members=members,
-                                         cv_score=0.5 + tid / 10, trial_id=tid))
+            trials.append(E.Trial(hp=toy_hp(), members=members,
+                                  cv_score=0.5 + tid / 10, trial_id=tid))
             on_disk.append(replace(trials[-1], members=[E.ModelFile(p) for p in paths]))
         se = E.stack_top_k(trials, 2)
         manifest = tmp_path / "stack.json"
@@ -278,10 +278,10 @@ class TestManifest:
 
         se, manifest, docs = self._saved(tmp_path, toy_corpus)
         loaded = E.load_ensemble(manifest)
-        assert len(loaded.ranked_members) == len(se.ranked_members) == 2
+        assert len(loaded) == len(se) == 2
         assert json.loads(manifest.read_text())["K"] == 2
-        assert [fe.trial_id for fe in loaded.ranked_members] == [
-            fe.trial_id for fe in se.ranked_members
+        assert [fe.trial_id for fe in loaded] == [
+            fe.trial_id for fe in se
         ]
         np.testing.assert_array_equal(
             E.stacked_predict(loaded, {"godin": docs[:7]}),
@@ -318,7 +318,7 @@ class TestManifest:
         with caplog.at_level(logging.WARNING):
             loaded = E.load_ensemble(manifest)
         assert "advisory" in caplog.text
-        scores = [fe.cv_score for fe in loaded.ranked_members]
+        scores = [fe.cv_score for fe in loaded]
         assert scores == sorted(scores, reverse=True)
 
     @pytest.mark.parametrize("edit,named", [
@@ -381,8 +381,8 @@ class TestStreaming:
                 save_model(tm, path)
                 members.append(tm)
                 paths.append(str(path))
-            trials.append(E.FoldEnsemble(hp=toy_hp(), members=members,
-                                         cv_score=0.9 - tid / 10, trial_id=tid))
+            trials.append(E.Trial(hp=toy_hp(), members=members,
+                                  cv_score=0.9 - tid / 10, trial_id=tid))
             on_disk.append(replace(trials[-1], members=[E.ModelFile(p) for p in paths]))
         se = E.stack_top_k(trials, k)
         manifest = tmp_path / "stack.json"
@@ -397,7 +397,7 @@ class TestStreaming:
         se, manifest = self._saved_stack(tmp_path)
         loaded = E.load_ensemble(manifest)
         assert all(isinstance(m, E.ModelFile)
-                   for fe in loaded.ranked_members for m in fe.members)
+                   for fe in loaded for m in fe.members)
         real_load = E.load_model
         refs, most_alive = [], []
 
@@ -423,7 +423,7 @@ class TestStreaming:
         # not checked, to reach the hyperparameter check
         save_model(TrainedModel(build_model(toy_hp(keep_prob=0.5), 16, seed=0),
                                 0.5, 1, 0, []), tmp_path / "t0_f1.scnn")
-        fe = loaded.ranked_members[0]
+        fe = loaded[0]
         fe.members[1] = E.ModelFile(fe.members[1].path)
         with pytest.raises(DataError, match="t0_f1.scnn: hyperparameters differ"):
             E.ensemble_predict(fe, docs)

@@ -111,9 +111,9 @@ class TestSampleConfig:
 class TestLeaderboardCsv:
     def _records(self):
         return [
-            S.TrialRecord(0, toy_hp(), 0.75, "ok"),
-            S.TrialRecord(1, toy_hp(n_filters=4), float("nan"), "failed: boom"),
-            S.TrialRecord(2, toy_hp(), 0.9, "ok"),
+            S.Trial(0, toy_hp(), 0.75, "ok"),
+            S.Trial(1, toy_hp(n_filters=4), float("nan"), "failed: boom"),
+            S.Trial(2, toy_hp(), 0.9, "ok"),
         ]
 
     def test_round_trip_and_order(self):
@@ -134,14 +134,14 @@ class TestLeaderboardCsv:
 
     def test_golden_text(self):
         records = [
-            S.TrialRecord(3, HyperParams(0.9, 200, 0.5, 100, 0.001, "shin", 300,
+            S.Trial(3, HyperParams(0.9, 200, 0.5, 100, 0.001, "shin", 300,
                                          (2, 3, 4, 5, 6)), 0.8125, "ok"),
-            S.TrialRecord(1, HyperParams(0.999, 16, 0.9, 10, 1e-05, "godin", 8,
+            S.Trial(1, HyperParams(0.999, 16, 0.9, 10, 1e-05, "godin", 8,
                                          (1, 2, 2, 2, 3)),
                           float("nan"), 'failed: fold 0: bad "x", y\nz'),
-            S.TrialRecord(0, HyperParams(0.999, 400, 0.4, 150, 0.0001, "godin", 100,
+            S.Trial(0, HyperParams(0.999, 400, 0.4, 150, 0.0001, "godin", 100,
                                          (4, 5, 5, 5, 6)), 1 / 3, "ok"),
-            S.TrialRecord(2, HyperParams(0.9, 8, 0.8, 50, 0.001, "godin", 4,
+            S.Trial(2, HyperParams(0.9, 8, 0.8, 50, 0.001, "godin", 4,
                                          (1, 2, 3, 4, 5)), 1 / 3, "ok"),
         ]
         assert S.format_leaderboard_csv(records) == (
@@ -155,8 +155,8 @@ class TestLeaderboardCsv:
 
     def test_sampled_points_round_trip(self):
         rng = Rng(9).substream("sampler")
-        records = [S.TrialRecord(i, S.sample_config(S.SearchSpace.default(), rng, None),
-                                 0.5, "ok") for i in range(200)]
+        records = [S.Trial(i, S.sample_config(S.SearchSpace.default(), rng, None),
+                           0.5, "ok") for i in range(200)]
         text = S.format_leaderboard_csv(records)
         back = S.parse_leaderboard_csv(text)
         assert [r.hp for r in back] == [r.hp for r in records]
