@@ -23,7 +23,7 @@ import numpy as np
 
 from . import corpus, embeddings, metrics, search, synth
 from .ensemble import load_ensemble, rank, save_ensemble, stack_top_k, stacked_predict
-from .errors import DataError, NumericError, ScnnError
+from .errors import DataError, NumericError
 from .fileio import atomic_write, file_sha256, open_text, read_json
 from .gradcheck import TOLERANCE, run_gradcheck
 from .model import HyperParams, SharedBuffers, TrainSchedule, validate_hyperparams
@@ -252,6 +252,7 @@ def _cmd_train(args, outputs: _Outputs) -> int:
 
 def _cmd_stack(args, outputs: _Outputs) -> int:
     k_values = _parse_top_k(args.top_k)
+    run_manifest = search.load_run_manifest(args.run)
     records = rank(r for r in search.load_leaderboard(args.run) if r.ok)
     if not records:
         raise DataError(f"{args.run}: leaderboard has no successful trials")
@@ -259,15 +260,17 @@ def _cmd_stack(args, outputs: _Outputs) -> int:
         raise DataError(
             f"--top-k {max(k_values)} exceeds {len(records)} successful trials"
         )
-    run_manifest = search.load_run_manifest(args.run)
 
     want_report = args.test is not None
     if want_report:
         test_examples = _read_labeled(args.test)
     # the leaderboard's scores are rounded, so trials tied there with the
-    # max(K)-th are loaded too and ranked by their recomputed scores
+    # max(K)-th are loaded too and ranked by their recomputed scores; the
+    # score of every other ok row is checked against its oof.tsv as well
     cut = records[max(k_values) - 1].cv_score
     needed = records if want_report else [r for r in records if r.cv_score >= cut]
+    for r in records[len(needed):]:
+        search.checked_cv_score(args.run, r)
     loaded = [search.load_trial_ensemble(args.run, r, run_manifest["folds_k"])
               for r in needed]
 
@@ -479,10 +482,6 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         outputs.discard_all()
         return 3
-    except ScnnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        outputs.discard_all()
-        return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         outputs.discard_all()

@@ -1,4 +1,4 @@
-"""Tweet dataset parsing, tokenization, padding, and stratified CV folds.
+"""Tweet dataset parsing, tokenization, and stratified CV folds.
 
 Dataset files are UTF-8 TSV, one tweet per line; only LF ends a line:
 
@@ -7,6 +7,10 @@ Dataset files are UTF-8 TSV, one tweet per line; only LF ends a line:
 
 Text may contain any character except TAB and LF. Class meanings: 1 =
 personal intake, 2 = possible intake, 3 = no intake.
+
+A tweet's document is its token list, as ``tokenize`` returns it; there is
+no pad token. embeddings.lookup_docs keeps the first DOC_LEN tokens and
+turns them into rows.
 """
 
 from __future__ import annotations
@@ -22,10 +26,6 @@ from .rng import Rng
 CLASSES = (1, 2, 3)
 DOC_LEN = 47
 
-# Reserved padding token. The tokenizer lowercases everything, so no real
-# token can ever equal this uppercase string.
-PAD = "<PAD>"
-
 _PUNCT = frozenset(string.punctuation)
 _KEEP_WHOLE_PREFIXES = ("@", "#", "http://", "https://", "www.")
 
@@ -37,14 +37,6 @@ class Example:
     id: str
     text: str
     label: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class TokenSeq:
-    """Fixed-length token sequence; positions >= real_length are PAD."""
-
-    tokens: tuple
-    real_length: int
 
 
 @dataclass(frozen=True)
@@ -81,24 +73,9 @@ def tokenize(text: str) -> list:
     return tokens
 
 
-def pad_or_truncate(tokens: Sequence[str], length: int = DOC_LEN) -> TokenSeq:
-    """Clip to ``length`` tokens or right-pad with PAD up to it.
-
-    Idempotent: trailing PAD in the input does not count toward real_length.
-    """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    toks = list(tokens[:length])
-    n = len(toks)
-    while n > 0 and toks[n - 1] == PAD:
-        n -= 1
-    if PAD in toks[:n]:
-        raise ValueError("PAD token inside the real token span")
-    return TokenSeq(tuple(toks[:n]) + (PAD,) * (length - n), n)
-
-
-def to_token_seqs(examples: Sequence[Example], length: int = DOC_LEN) -> list:
-    return [pad_or_truncate(tokenize(ex.text), length) for ex in examples]
+def to_token_seqs(examples: Sequence[Example]) -> list:
+    """Each example's document: the token list of its text."""
+    return [tokenize(ex.text) for ex in examples]
 
 
 def parse_dataset(path, labeled: bool = True) -> list:

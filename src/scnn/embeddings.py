@@ -3,7 +3,8 @@
 Only the word2vec *text* format is supported: a header line
 ``<vocab_size> <dim>`` followed by one ``word v1 ... v_dim`` line per word.
 Vectors are stored as float32. Tables are immutable after load; lookups are
-pure, so everything here is safe to share across threads.
+pure, so everything here is safe to share across threads. A document is a
+tweet's token list (corpus.to_token_seqs); lookup_docs writes its rows.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import TokenSeq
+from .corpus import DOC_LEN
 from .errors import DataError
 from .fileio import atomic_write, open_text
 
@@ -86,21 +87,17 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
             fh.write(word + " " + " ".join(str(v) for v in row) + "\n")
 
 
-def lookup_docs(table: EmbeddingTable, seqs: Sequence[TokenSeq]) -> np.ndarray:
-    """Map token sequences onto their embedding rows: one (N, L, dim) float32
-    array, the documents' shared length L taken from the first.
-
-    Unknown tokens and positions >= real_length (PAD, even when the vocab
-    has a PAD entry) get the zero vector, so they contribute nothing to
-    convolution sums. Every position is gathered at once from the table
-    with a zero row put in front; those positions index that row.
-    """
-    if not seqs:
-        return np.zeros((0, 0, table.dim), dtype=np.float32)
-    ids = np.zeros((len(seqs), len(seqs[0].tokens)), dtype=np.int32)
-    for n, seq in enumerate(seqs):
-        ids[n, :seq.real_length] = [table.vocab.get(tok, -1) + 1
-                                    for tok in seq.tokens[:seq.real_length]]
-    rows = np.zeros((len(table.vectors) + 1, table.dim), dtype=np.float32)
-    rows[1:] = table.vectors
-    return rows[ids]
+def lookup_docs(table: EmbeddingTable, seqs: Sequence[list]) -> np.ndarray:
+    """Embed token lists as one (N, DOC_LEN, dim) float32 array: row i of
+    document n is the vector of its token i. Tokens past DOC_LEN are cut;
+    unknown tokens and positions past the document are zero rows, so they
+    add nothing to convolution sums. Known rows are gathered from
+    ``table.vectors`` directly; the table is never copied."""
+    ids = np.full((len(seqs), DOC_LEN), -1, dtype=np.intp)
+    for n, tokens in enumerate(seqs):
+        row = [table.vocab.get(tok, -1) for tok in tokens[:DOC_LEN]]
+        ids[n, :len(row)] = row
+    docs = np.zeros((len(seqs), DOC_LEN, table.dim), dtype=np.float32)
+    known = ids >= 0
+    docs[known] = table.vectors[ids[known]]
+    return docs

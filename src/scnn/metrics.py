@@ -17,13 +17,9 @@ from .errors import DataError
 CLASSES = (1, 2, 3)
 
 
-def argmax_label(probs) -> int:
-    """Class (1-based) with the highest probability; ties take the lowest."""
-    return int(np.argmax(probs)) + 1
-
-
 def argmax_labels(probs: np.ndarray) -> np.ndarray:
-    """Row-wise argmax_label over an (n, 3) probability matrix."""
+    """Each row's class (1-based) with the highest probability, over an
+    (n, 3) probability matrix; ties take the lowest."""
     if len(probs) == 0:
         return np.zeros(0, dtype=np.int64)
     return np.argmax(probs, axis=1).astype(np.int64) + 1

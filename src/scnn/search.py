@@ -186,8 +186,9 @@ def _hp_from_csv(row: dict) -> HyperParams:
 
 def parse_leaderboard_csv(text: str) -> list:
     """The Trials (without members) of a leaderboard, in file order; a
-    DataError names the bad line. Trial ids must be distinct, and an ok
-    row's cv_score must lie in [0, 1]."""
+    DataError names the bad line. Trial ids must be distinct, a status must
+    be ok or start with "failed: ", and an ok row's cv_score must lie in
+    [0, 1]."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames != LEADERBOARD_HEADER:
         raise DataError(
@@ -205,6 +206,8 @@ def parse_leaderboard_csv(text: str) -> list:
             )
             if record.trial_id in records:
                 raise ValueError(f"duplicate trial {record.trial_id}")
+            if not (record.ok or status.startswith("failed: ")):
+                raise ValueError(f"status {status!r} is neither ok nor failed: <reason>")
             if record.ok and not 0 <= record.cv_score <= 1:  # NaN fails too
                 raise ValueError(f"cv_score {row['cv_score']} is not in [0, 1]")
         except (AttributeError, TypeError, ValueError, DataError) as exc:
@@ -500,11 +503,26 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
     return ranked
 
 
+def checked_cv_score(run_dir, record: Trial) -> float:
+    """The cv score of leaderboard row ``record`` recomputed from its
+    trial's oof.tsv; DataError naming both files unless the row's score
+    matches it."""
+    path = os.path.join(run_dir, "trials", str(record.trial_id), "oof.tsv")
+    _, labels, _, oof = parse_oof_tsv(path)
+    recomputed = metrics.micro_f1_12(labels, oof)
+    if not abs(recomputed - record.cv_score) <= 1e-6:  # a NaN score fails too
+        raise DataError(
+            f"{os.path.join(run_dir, 'leaderboard.csv')}: trial {record.trial_id}'s "
+            f"cv_score {record.cv_score:.6f} does not match the {recomputed:.6f} "
+            f"of its out-of-fold predictions in {path}"
+        )
+    return recomputed
+
+
 def load_trial_ensemble(run_dir, record: Trial, k: int) -> Trial:
     """The leaderboard row ``record`` with its k fold models as ModelFile
-    members and its cv score recomputed from the out-of-fold predictions,
-    which must match the stored one. Each fold model is loaded once to
-    validate it."""
+    members and its cv score from checked_cv_score. Each fold model is
+    loaded once to validate it."""
     trial_dir = os.path.join(run_dir, "trials", str(record.trial_id))
     members = []
     for i in range(k):
@@ -513,29 +531,33 @@ def load_trial_ensemble(run_dir, record: Trial, k: int) -> Trial:
             raise DataError(f"missing model file {path} for trial {record.trial_id}")
         load_model(path)
         members.append(ModelFile(path))
-    _, labels, _, oof = parse_oof_tsv(os.path.join(trial_dir, "oof.tsv"))
-    recomputed = metrics.micro_f1_12(labels, oof)
-    if not abs(recomputed - record.cv_score) <= 1e-6:  # a NaN score fails too
-        raise DataError(
-            f"trial {record.trial_id}: leaderboard cv_score {record.cv_score:.6f} "
-            f"does not match out-of-fold predictions ({recomputed:.6f})"
-        )
-    return replace(record, cv_score=recomputed, members=members)
+    return replace(record, cv_score=checked_cv_score(run_dir, record), members=members)
 
 
 def load_leaderboard(run_dir) -> list:
+    """The rows of a run directory's leaderboard.csv (parse_leaderboard_csv);
+    DataError naming the file unless its trial ids are exactly 0 to
+    n_trials - 1 of the run's manifest.json."""
+    n_trials = load_run_manifest(run_dir)["n_trials"]
     path = os.path.join(run_dir, "leaderboard.csv")
     with open_text(path, "leaderboard") as fh:
         text = fh.read()
     try:
-        return parse_leaderboard_csv(text)
+        records = parse_leaderboard_csv(text)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    want, ids = set(range(n_trials)), {r.trial_id for r in records}
+    if ids != want:
+        raise DataError(f"{path}: trial ids must be 0 to {n_trials - 1} (manifest.json's "
+                        f"n_trials); missing {sorted(want - ids)}, "
+                        f"unexpected {sorted(ids - want)}")
+    return records
 
 
 # key -> (check, what the value must be), for the run-manifest values that
 # stacking reads
 _RUN_MANIFEST_TYPES = {
+    "n_trials": (lambda v: is_int(v) and v >= 1, "a positive integer"),
     "folds_k": (lambda v: is_int(v) and v >= 1, "a positive integer"),
     "fold_seed": (is_int, "an integer"),
     "space_descriptor": (lambda v: isinstance(v, str), "a string"),

@@ -40,6 +40,13 @@ def _duplicate_line(path, line):
     path.write_text("\n".join(lines))
 
 
+def _delete_line(path, line):
+    """Remove one line of the text file ``path`` (1-based)."""
+    lines = path.read_text().split("\n")
+    del lines[line - 1]
+    path.write_text("\n".join(lines))
+
+
 def run_cli(*args):
     """In-process invocation; returns (exit_code)."""
     return main([str(a) for a in args])
@@ -551,16 +558,29 @@ class TestStackPredictEvaluate:
         (lambda run, score=score: _set_cell(run / "leaderboard.csv", 2, 1, score),
          f"leaderboard.csv: malformed row at line 2: cv_score {score} is not in [0, 1]")
         for score in ("nan", "inf", "-1", "1e309")
+    ] + [
+        # line 2 holds trial 0, the best; each edit used to stack trial 2
+        (lambda run: _delete_line(run / "leaderboard.csv", 2),
+         "leaderboard.csv: trial ids must be 0 to 2 (manifest.json's n_trials); "
+         "missing [0], unexpected []"),
+        (lambda run: _set_cell(run / "leaderboard.csv", 2, 1, "0.100000"),
+         "leaderboard.csv: trial 0's cv_score 0.100000 does not match the 0.457627 "
+         "of its out-of-fold predictions in "),
+        (lambda run: _set_cell(run / "leaderboard.csv", 2, 2, "okay"),
+         "leaderboard.csv: malformed row at line 2: status 'okay' is neither ok nor "
+         "failed: <reason>"),
     ], ids=["oof-fold", "oof-missing", "manifest-folds-k", "leaderboard-trial-id",
             "leaderboard-adam_b2", "leaderboard-duplicate", "cv-nan", "cv-inf", "cv-minus-1",
-            "cv-1e309"])
+            "cv-1e309", "leaderboard-missing-trial", "leaderboard-cv-score",
+            "leaderboard-status"])
     def test_stack_bad_run_directory(self, run_dir, tmp_path, capsys, edit, named):
+        # every row is checked, not only the top trial that --top-k 1 loads
         run = tmp_path / "run"
         shutil.copytree(run_dir, run)
         edit(run)
         capsys.readouterr()
         out = tmp_path / "stacks"
-        code = run_cli("stack", "--run", run, "--top-k", "3", "--out", out)
+        code = run_cli("stack", "--run", run, "--top-k", "1", "--out", out)
         err = capsys.readouterr().err
         assert code == 2, err
         assert named in err
@@ -718,14 +738,23 @@ class TestGradcheckCommand:
         assert run_cli("gradcheck", "--seed", 7, "--cases", 1) == 3
 
 
-def test_module_entry_point(corpus_dir):
-    # `python -m scnn` works for subprocess callers, from this source tree
+def _run_python(*args):
+    """A fresh interpreter that imports scnn from this source tree."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "scnn", "gradcheck", "--seed", "3", "--cases", "1"],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point(corpus_dir):
+    # `python -m scnn` works for subprocess callers, from this source tree
+    proc = _run_python("-m", "scnn", "gradcheck", "--seed", "3", "--cases", "1")
     assert proc.returncode == 0, proc.stderr
     assert "max relative gradient error" in proc.stdout
+
+
+def test_import_scnn_loads_nothing():
+    # the package re-exports nothing, so importing it loads no submodule
+    proc = _run_python("-c", "import scnn, sys; assert 'numpy' not in sys.modules, "
+                             "sorted(m for m in sys.modules if m.startswith('scnn'))")
+    assert proc.returncode == 0, proc.stderr

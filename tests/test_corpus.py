@@ -5,12 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scnn.corpus import (
-    DOC_LEN,
-    PAD,
     Example,
     parse_dataset,
-    pad_or_truncate,
     stratified_kfold,
+    to_token_seqs,
     tokenize,
     write_dataset,
 )
@@ -42,44 +40,13 @@ class TestTokenize:
         out = tokenize(text)
         assert out == tokenize(text)
         assert all(out)
-        assert PAD not in out  # lowercase output can't collide with PAD
 
 
-class TestPadOrTruncate:
-    def test_exact_length_identity(self):
-        toks = [f"w{i}" for i in range(47)]
-        seq = pad_or_truncate(toks)
-        assert list(seq.tokens) == toks and seq.real_length == 47
-
-    def test_pads_short(self):
-        seq = pad_or_truncate(["a", "b", "c"])
-        assert seq.real_length == 3
-        assert list(seq.tokens[:3]) == ["a", "b", "c"]
-        assert set(seq.tokens[3:]) == {PAD} and len(seq.tokens) == DOC_LEN
-
-    def test_truncates_long(self):
-        toks = [f"w{i}" for i in range(50)]
-        seq = pad_or_truncate(toks)
-        assert list(seq.tokens) == toks[:47] and seq.real_length == 47
-
-    def test_idempotent(self):
-        once = pad_or_truncate(["x", "y"])
-        twice = pad_or_truncate(once.tokens)
-        assert twice == once
-
-    def test_interior_pad_rejected(self):
-        with pytest.raises(ValueError):
-            pad_or_truncate(["a", PAD, "b"])
-
-    def test_bad_length(self):
-        with pytest.raises(ValueError):
-            pad_or_truncate(["a"], length=0)
-
-    @given(st.lists(st.text(alphabet="abc", min_size=1), max_size=60))
-    @settings(max_examples=200)
-    def test_idempotence_property(self, toks):
-        once = pad_or_truncate(toks)
-        assert pad_or_truncate(once.tokens) == once
+def test_to_token_seqs_is_the_token_lists():
+    # a document keeps every token; lookup_docs cuts it at DOC_LEN
+    long_text = " ".join(f"w{i}" for i in range(60))
+    examples = [Example("a", "Took 2 Advil!"), Example("b", ""), Example("c", long_text)]
+    assert to_token_seqs(examples) == [["took", "2", "advil", "!"], [], long_text.split()]
 
 
 class TestParseDataset:

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from scnn.corpus import PAD, pad_or_truncate
+from scnn.corpus import DOC_LEN
 from scnn.embeddings import EmbeddingTable, load_embeddings, lookup_docs, write_embeddings
 from scnn.errors import DataError
 
@@ -112,7 +114,7 @@ def test_write_round_trip_random_values(tmp_path):
 
 def _lookup_one(table, tokens):
     """lookup_docs on a batch of one document; returns its (47, dim) rows."""
-    return lookup_docs(table, [pad_or_truncate(tokens)])[0]
+    return lookup_docs(table, [tokens])[0]
 
 
 class TestLookup:
@@ -134,23 +136,50 @@ class TestLookup:
         for toks in ([], ["apple"] * 47, ["x"] * 60):
             assert _lookup_one(small_table, toks).shape == (47, 3)
 
-    def test_pad_rows_zero_even_if_pad_in_vocab(self, tmp_path):
+    def test_truncates_long(self, tmp_path):
+        # a 60-token document of known words keeps its first 47 tokens' rows
+        words = [f"w{i}" for i in range(60)]
         path = tmp_path / "emb.txt"
-        path.write_text(f"1 2\n{PAD} 9 9\n", encoding="utf-8")
+        path.write_text("60 2\n" + "".join(f"{w} {i} {-i}\n" for i, w in enumerate(words)),
+                        encoding="utf-8")
+        table = load_embeddings(path, "long")
+        doc = _lookup_one(table, words)
+        assert doc.shape == (DOC_LEN, 2)
+        np.testing.assert_array_equal(doc, table.vectors[:DOC_LEN])
+
+    def test_pad_rows_zero_even_if_pad_in_vocab(self, tmp_path):
+        # "<PAD>" is an ordinary word: only the positions past a document
+        # are zero rows, and no token stands for them
+        path = tmp_path / "emb.txt"
+        path.write_text("1 2\n<PAD> 9 9\n", encoding="utf-8")
         table = load_embeddings(path, "weird")
         assert np.abs(_lookup_one(table, ["oov"])).max() == 0
-        assert np.abs(lookup_docs(table, [pad_or_truncate([])])).max() == 0
+        assert np.abs(_lookup_one(table, [])).max() == 0
 
     def test_lookup_docs_stacks(self, small_table):
         docs = [["apple"], ["banana", "kumquat", "apple"], [], ["banana"] * 50]
-        seqs = [pad_or_truncate(toks) for toks in docs]
-        arr = lookup_docs(small_table, seqs)
+        arr = lookup_docs(small_table, docs)
         assert arr.shape == (4, 47, 3) and arr.dtype == np.float32
-        # reference: one row at a time, zero unless a known real token
+        # reference: one row at a time, zero unless a known token
         want = np.zeros((4, 47, 3), np.float32)
-        for n, seq in enumerate(seqs):
-            for i, tok in enumerate(seq.tokens[:seq.real_length]):
+        for n, tokens in enumerate(docs):
+            for i, tok in enumerate(tokens[:47]):
                 if tok in small_table.vocab:
                     want[n, i] = small_table.vectors[small_table.vocab[tok]]
         np.testing.assert_array_equal(arr, want)
-        assert lookup_docs(small_table, []).shape == (0, 0, 3)
+        assert lookup_docs(small_table, []).shape == (0, 47, 3)
+
+    def test_does_not_copy_the_table(self):
+        # 50k words of 64 dims: 12.8 MB of vectors against 120 KB of rows
+        vectors = np.arange(50_000 * 64, dtype=np.float32).reshape(50_000, 64)
+        table = EmbeddingTable("big", 64, {f"w{i}": i for i in range(50_000)}, vectors)
+        docs = [[f"w{7 * n + i}" for i in range(5)] + ["oov"] for n in range(10)]
+        tracemalloc.start()
+        try:
+            arr = lookup_docs(table, docs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < vectors.nbytes / 4
+        np.testing.assert_array_equal(arr[3, :5], vectors[21:26])
+        assert np.abs(arr[:, 5:]).max() == 0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scnn.errors import DataError
 from scnn.metrics import (
     MetricsReport,
-    argmax_label,
     argmax_labels,
     confusion,
     f1_from_pr,
@@ -22,11 +21,11 @@ CM = np.array([[2, 1, 0], [0, 2, 1], [1, 0, 3]], dtype=np.int64)
 
 class TestArgmaxLabel:
     def test_plain(self):
-        assert argmax_label([0.2, 0.5, 0.3]) == 2
+        assert argmax_labels(np.array([[0.2, 0.5, 0.3]])).tolist() == [2]
 
     def test_tie_lowest(self):
-        assert argmax_label([0.4, 0.4, 0.2]) == 1
-        assert argmax_label([1 / 3, 1 / 3, 1 / 3]) == 1
+        assert argmax_labels(np.array([[0.4, 0.4, 0.2]])).tolist() == [1]
+        assert argmax_labels(np.array([[1 / 3, 1 / 3, 1 / 3]])).tolist() == [1]
 
     def test_batch(self):
         out = argmax_labels(np.array([[0.2, 0.5, 0.3], [0.9, 0.05, 0.05]]))
