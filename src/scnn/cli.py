@@ -18,13 +18,14 @@ import logging
 import os
 import shutil
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import corpus, embeddings, metrics, search, synth
 from .ensemble import load_ensemble, rank, save_ensemble, stack_top_k, stacked_predict
 from .errors import DataError, NumericError
-from .fileio import atomic_write, file_sha256, open_text, read_json
+from .fileio import atomic_write, file_sha256, read_json, read_tsv
 from .gradcheck import TOLERANCE, run_gradcheck
 from .model import HyperParams, SharedBuffers, TrainSchedule, validate_hyperparams
 
@@ -91,9 +92,13 @@ def _parse_top_k(spec: str) -> list:
     return values
 
 
-def _load_tables(registry: dict, names) -> dict:
-    tables = {}
+def _embed(examples, registry: dict, names) -> dict:
+    """name -> the documents of ``examples`` embedded with the ``registry``
+    table of each of ``names``. Names that alias one file share one load of
+    it and one embedding."""
+    seqs = corpus.to_token_seqs(examples)
     by_path = {}
+    docs_by_name = {}
     for name in sorted(set(names)):
         if name not in registry:
             raise DataError(
@@ -101,42 +106,15 @@ def _load_tables(registry: dict, names) -> dict:
                 f"(have: {', '.join(sorted(registry)) or 'none'})"
             )
         path = os.path.abspath(registry[name])
-        if path not in by_path:  # names may alias one file; load it once
-            by_path[path] = embeddings.load_embeddings(registry[name], name)
-        tables[name] = by_path[path]
-    return tables
-
-
-def _embed_examples(examples, tables: dict) -> dict:
-    seqs = corpus.to_token_seqs(examples)
-    by_path = {}
-    docs_by_name = {}
-    for name, table in tables.items():
-        key = id(table)
-        if key not in by_path:
-            by_path[key] = embeddings.lookup_docs(table, seqs)
-        docs_by_name[name] = by_path[key]
+        if path not in by_path:
+            table = embeddings.load_embeddings(registry[name], name)
+            by_path[path] = embeddings.lookup_docs(table, seqs)
+        docs_by_name[name] = by_path[path]
     return docs_by_name
 
 
 def _schedule_from_args(args) -> TrainSchedule:
     return TrainSchedule(max_epochs=args.max_epochs, patience=args.patience)
-
-
-def _sniff_labeled(path) -> bool:
-    """A dataset line has 3 tab-separated fields when labeled, 2 otherwise."""
-    with open_text(path, "dataset") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            n = len(line.split("\t"))
-            if n == 3:
-                return True
-            if n == 2:
-                return False
-            raise DataError(f"{path}: first data line has {n} fields, expected 2 or 3")
-    return False
 
 
 # --------------------------------------------------------------------------
@@ -165,10 +143,13 @@ def _read_config(path, parse):
 
 def _read_labeled(path) -> list:
     """The examples of the labeled file ``path``, which trains or scores; a
-    file with none is a DataError naming it."""
-    examples = corpus.parse_dataset(path, labeled=True)
+    file with none, or without labels, is a DataError naming it."""
+    examples = corpus.parse_dataset(path)
     if not examples:
         raise DataError(f"{path}: no examples")
+    if examples[0].label is None:
+        raise DataError(f"{path}: no labels (its lines are id<TAB>text, "
+                        f"not id<TAB>label<TAB>text)")
     return examples
 
 
@@ -182,11 +163,11 @@ def _read_train(args, registry: dict, names):
         folds = corpus.stratified_kfold(examples, k=args.folds, seed=args.seed)
     except DataError as exc:
         raise DataError(f"{args.train}: {exc}") from None
-    tables = _load_tables(registry, names)
-    dims = {t.dim for t in tables.values()}
+    docs_by_name = _embed(examples, registry, names)
+    dims = {docs.shape[2] for docs in docs_by_name.values()}
     if len(dims) > 1:
         raise DataError(f"embedding tables disagree on dimension: {sorted(dims)}")
-    return examples, folds, _embed_examples(examples, tables)
+    return examples, folds, docs_by_name
 
 
 def _cmd_search(args, outputs: _Outputs) -> int:
@@ -253,7 +234,9 @@ def _cmd_train(args, outputs: _Outputs) -> int:
 def _cmd_stack(args, outputs: _Outputs) -> int:
     k_values = _parse_top_k(args.top_k)
     run_manifest = search.load_run_manifest(args.run)
-    records = rank(r for r in search.load_leaderboard(args.run) if r.ok)
+    # ranked by the scores of their oof.tsv, which the leaderboard rounds
+    records = rank(replace(r, cv_score=search.checked_cv_score(args.run, run_manifest, r))
+                   for r in search.load_leaderboard(args.run) if r.ok)
     if not records:
         raise DataError(f"{args.run}: leaderboard has no successful trials")
     if max(k_values) > len(records):
@@ -264,15 +247,8 @@ def _cmd_stack(args, outputs: _Outputs) -> int:
     want_report = args.test is not None
     if want_report:
         test_examples = _read_labeled(args.test)
-    # the leaderboard's scores are rounded, so trials tied there with the
-    # max(K)-th are loaded too and ranked by their recomputed scores; the
-    # score of every other ok row is checked against its oof.tsv as well
-    cut = records[max(k_values) - 1].cv_score
-    needed = records if want_report else [r for r in records if r.cv_score >= cut]
-    for r in records[len(needed):]:
-        search.checked_cv_score(args.run, r)
     loaded = [search.load_trial_ensemble(args.run, r, run_manifest["folds_k"])
-              for r in needed]
+              for r in (records if want_report else records[:max(k_values)])]
 
     out = outputs.claim_dir(args.out)
     for k in k_values:
@@ -283,9 +259,8 @@ def _cmd_stack(args, outputs: _Outputs) -> int:
         logger.info("wrote %s", manifest_path)
 
     if want_report:
-        registry = _parse_embeddings_flag(args.embeddings)
-        tables = _load_tables(registry, {trial.hp.word_embedding for trial in loaded})
-        test_docs = _embed_examples(test_examples, tables)
+        test_docs = _embed(test_examples, _parse_embeddings_flag(args.embeddings),
+                           [trial.hp.word_embedding for trial in loaded])
         test_labels = [ex.label for ex in test_examples]
         report = search.top_k_report(loaded, k_values, test_docs, test_labels)
         with atomic_write(os.path.join(out, "report.csv")) as fh:
@@ -297,9 +272,8 @@ def _cmd_stack(args, outputs: _Outputs) -> int:
 def _cmd_predict(args, outputs: _Outputs) -> int:
     registry = _parse_embeddings_flag(args.embeddings)
     stack = load_ensemble(args.manifest)
-    examples = corpus.parse_dataset(args.test, labeled=_sniff_labeled(args.test))
-    tables = _load_tables(registry, {trial.hp.word_embedding for trial in stack})
-    docs_by_name = _embed_examples(examples, tables)
+    examples = corpus.parse_dataset(args.test)
+    docs_by_name = _embed(examples, registry, [trial.hp.word_embedding for trial in stack])
     probs = stacked_predict(stack, docs_by_name)
     labels = metrics.argmax_labels(probs)
     lines = [
@@ -316,25 +290,17 @@ def _cmd_predict(args, outputs: _Outputs) -> int:
 def _parse_predictions(path) -> dict:
     """Predictions TSV -> {id: predicted label}."""
     preds = {}
-    with open_text(path, "predictions") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise DataError(f"{path}: expected 5 fields at line {lineno}")
-            ex_id, label = parts[0], parts[1]
-            if ex_id in preds:
-                raise DataError(f"{path}: duplicate id {ex_id!r} at line {lineno}")
-            try:
-                label = int(label)
-                [float(v) for v in parts[2:5]]
-            except ValueError:
-                raise DataError(f"{path}: malformed row at line {lineno}") from None
-            if label not in corpus.CLASSES:
-                raise DataError(f"{path}: label out of range at line {lineno}")
-            preds[ex_id] = label
+    for lineno, (ex_id, label, *probs) in read_tsv(path, "predictions", (5,)):
+        if ex_id in preds:
+            raise DataError(f"{path}: duplicate id {ex_id!r} at line {lineno}")
+        try:
+            label = int(label)
+            [float(v) for v in probs]
+        except ValueError:
+            raise DataError(f"{path}: malformed row at line {lineno}") from None
+        if label not in corpus.CLASSES:
+            raise DataError(f"{path}: label out of range at line {lineno}")
+        preds[ex_id] = label
     return preds
 
 
@@ -346,7 +312,7 @@ def _cmd_evaluate(args, outputs: _Outputs) -> int:
     extra = sorted(set(preds) - gold_ids)
     if missing or extra:
         raise DataError(
-            f"id mismatch between gold and predictions: "
+            f"{args.pred}: ids do not match those of {args.gold}: "
             f"{len(missing)} missing (e.g. {missing[:3]}), "
             f"{len(extra)} extra (e.g. {extra[:3]})"
         )

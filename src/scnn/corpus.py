@@ -1,12 +1,14 @@
 """Tweet dataset parsing, tokenization, and stratified CV folds.
 
-Dataset files are UTF-8 TSV, one tweet per line; only LF ends a line:
+Dataset files are UTF-8 TSV, one tweet per line; only LF ends a line and
+blank lines are skipped (fileio.read_tsv):
 
     labeled    id<TAB>label<TAB>text      label in {1, 2, 3}
     unlabeled  id<TAB>text
 
-Text may contain any character except TAB and LF. Class meanings: 1 =
-personal intake, 2 = possible intake, 3 = no intake.
+The first line's field count makes the file labeled or unlabeled, and every
+line must have that count. Text may contain any character except TAB and
+LF. Class meanings: 1 = personal intake, 2 = possible intake, 3 = no intake.
 
 A tweet's document is its token list, as ``tokenize`` returns it; there is
 no pad token. embeddings.lookup_docs keeps the first DOC_LEN tokens and
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DataError
-from .fileio import atomic_write, open_text
+from .fileio import atomic_write, read_tsv
 from .rng import Rng
 
 CLASSES = (1, 2, 3)
@@ -78,44 +80,31 @@ def to_token_seqs(examples: Sequence[Example]) -> list:
     return [tokenize(ex.text) for ex in examples]
 
 
-def parse_dataset(path, labeled: bool = True) -> list:
-    """Read a dataset TSV; returns Examples in file order.
+def parse_dataset(path) -> list:
+    """Read a dataset TSV; returns Examples in file order. The first line's
+    field count says whether the file is labeled (3) or unlabeled (2).
 
     Raises DataError (with the 1-based line number) for a wrong field count,
     a label outside {1,2,3}, or a duplicate id.
     """
     examples = []
     seen_ids = set()
-    expected = 3 if labeled else 2
-    with open_text(path, "dataset") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != expected:
-                raise DataError(
-                    f"{path}: expected {expected} tab-separated fields "
-                    f"at line {lineno}, got {len(parts)}"
-                )
-            ex_id = parts[0]
-            if not ex_id:
-                raise DataError(f"{path}: empty id at line {lineno}")
-            if ex_id in seen_ids:
-                raise DataError(f"{path}: duplicate id {ex_id!r} at line {lineno}")
-            seen_ids.add(ex_id)
-            if labeled:
-                try:
-                    label = int(parts[1])
-                except ValueError:
-                    raise DataError(
-                        f"{path}: invalid label {parts[1]!r} at line {lineno}"
-                    ) from None
-                if label not in CLASSES:
-                    raise DataError(f"{path}: label out of range at line {lineno}")
-                examples.append(Example(ex_id, parts[2], label))
-            else:
-                examples.append(Example(ex_id, parts[1]))
+    for lineno, fields in read_tsv(path, "dataset", (2, 3)):
+        ex_id = fields[0]
+        if not ex_id:
+            raise DataError(f"{path}: empty id at line {lineno}")
+        if ex_id in seen_ids:
+            raise DataError(f"{path}: duplicate id {ex_id!r} at line {lineno}")
+        seen_ids.add(ex_id)
+        label = None
+        if len(fields) == 3:
+            try:
+                label = int(fields[1])
+            except ValueError:
+                raise DataError(f"{path}: invalid label {fields[1]!r} at line {lineno}") from None
+            if label not in CLASSES:
+                raise DataError(f"{path}: label out of range at line {lineno}")
+        examples.append(Example(ex_id, fields[-1], label))
     return examples
 
 

@@ -8,7 +8,9 @@ of a JSON object's keys and value types, and ``is_int`` and ``is_number``
 (neither takes JSON true or false) are the type checks its rules share.
 ``open_text`` (only LF ends a line, as every writer here writes) is the
 readers' one way to open a text file, and ``utf8_checked`` their one error
-for a text file that does not decode.
+for a text file that does not decode. ``read_tsv`` is the one reader of
+tab-separated rows (datasets, predictions, out-of-fold predictions): it
+skips blank lines and holds every line to the field count of the first.
 """
 
 from __future__ import annotations
@@ -83,6 +85,26 @@ def open_text(path, what: str):
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
     with fh, utf8_checked(path):
         yield fh
+
+
+def read_tsv(path, what: str, widths):
+    """Yield (line number, fields) for each non-empty line of the
+    tab-separated text file ``path``, opened with open_text. The first line
+    has one of the field counts ``widths`` and every other line the same;
+    otherwise DataError "<path>: expected N tab-separated fields at line L,
+    got M"."""
+    want = widths
+    with open_text(path, what) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) not in want:
+                raise DataError(f"{path}: expected {' or '.join(map(str, want))} tab-separated "
+                                f"fields at line {lineno}, got {len(fields)}")
+            want = (len(fields),)
+            yield lineno, fields
 
 
 def read_json(path, what: str):

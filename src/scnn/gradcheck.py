@@ -1,8 +1,9 @@
 """Finite-difference verification of the analytic gradients.
 
 The oracle only ever calls the forward pass: central differences
-(f(p+h) - f(p-h)) / 2h of the mean cross-entropy, computed in float64 with
-the dropout masks frozen so the loss is a deterministic function of the
+(f(p+h) - f(p-h)) / 2h of the mean cross-entropy, computed in float64. Every
+pass draws its dropout masks from a fresh copy of one stream, so each probe
+sees the same masks and the loss is a deterministic function of the
 parameters. Error is measured as |a - b| / max(|a|, |b|, 1e-3), which reads
 as relative error for ordinary gradient magnitudes and as absolute error
 near zero (where finite-difference noise would otherwise dominate the
@@ -10,6 +11,8 @@ ratio).
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -31,23 +34,23 @@ TINY_LEN = 12
 TOLERANCE = 1e-4
 
 
-def loss_with_masks(model: ShallowCNN, docs, labels, masks) -> float:
-    """Mean cross-entropy with dropout masks held fixed (inference if None)."""
-    probs, _ = model_mod.forward_batch(model, docs, training=masks is not None,
-                                       fixed_masks=masks)
-    return nn_core.cross_entropy(probs, labels)
+def replay_forward(model: ShallowCNN, docs, dropout: Optional[Rng]):
+    """forward_batch with the masks of a fresh copy of the stream ``dropout``
+    (``substream()`` with no parts restarts it), or inference if None."""
+    return model_mod.forward_batch(model, docs, training=dropout is not None,
+                                   rng=None if dropout is None else dropout.substream())
 
 
-def finite_difference_gradients(model: ShallowCNN, docs, labels, masks,
+def finite_difference_gradients(model: ShallowCNN, docs, labels, dropout: Optional[Rng],
                                 step: float = 1e-5) -> dict:
     """Central-difference gradient of every parameter entry, by name."""
     p, g = model.arena, np.zeros_like(model.arena)
     for i in range(p.size):
         saved = p[i]
         p[i] = saved + step
-        hi = loss_with_masks(model, docs, labels, masks)
+        hi = nn_core.cross_entropy(replay_forward(model, docs, dropout)[0], labels)
         p[i] = saved - step
-        lo = loss_with_masks(model, docs, labels, masks)
+        lo = nn_core.cross_entropy(replay_forward(model, docs, dropout)[0], labels)
         p[i] = saved
         g[i] = (hi - lo) / (2.0 * step)
     return model_mod.arena_views(g, model.shapes)
@@ -61,18 +64,19 @@ def relative_errors(analytic: dict, numeric: dict) -> dict:
     return out
 
 
-def check_model(model: ShallowCNN, docs, labels, masks, step: float = 1e-5) -> float:
+def check_model(model: ShallowCNN, docs, labels, dropout: Optional[Rng],
+                step: float = 1e-5) -> float:
     """Max error between analytic and finite-difference gradients."""
-    _, caches = model_mod.forward_batch(model, docs, training=masks is not None,
-                                        fixed_masks=masks)
+    _, caches = replay_forward(model, docs, dropout)
     analytic = model_mod.backward_batch(model, caches, labels)
-    numeric = finite_difference_gradients(model, docs, labels, masks, step)
+    numeric = finite_difference_gradients(model, docs, labels, dropout, step)
     errs = relative_errors(analytic, numeric)
     return max(float(e.max()) for e in errs.values())
 
 
 def _tiny_case(case_rng: Rng):
-    """One random (hyperparams, inputs) pair on the tiny float64 model."""
+    """One random (hyperparams, inputs) pair on the tiny float64 model, and
+    the unused stream its dropout masks are drawn from."""
     keep_prob = float(case_rng.gen.choice([0.4, 0.5, 0.6, 0.7, 0.8, 0.9]))
     hp = HyperParams(adam_b2=0.999, keep_prob=keep_prob, **TINY_ARCH)
     net = build_model(hp, TINY_DIM, seed=case_rng.derive_seed("init"), dtype=np.float64)
@@ -88,11 +92,7 @@ def _tiny_case(case_rng: Rng):
     docs = case_rng.uniform(-1.0, 1.0, (batch, TINY_LEN, TINY_DIM))
     docs[:, TINY_LEN - 2:, :] = 0.0  # trailing pad rows
     labels = np.asarray(case_rng.integers(1, 4, batch), dtype=np.int64)
-    # capture real dropout masks once, then freeze them for the probes
-    _, caches = model_mod.forward_batch(
-        net, docs, training=True, rng=case_rng.substream("dropout")
-    )
-    return net, docs, labels, caches["masks"]
+    return net, docs, labels, case_rng.substream("dropout")
 
 
 def run_gradcheck(seed: int, cases: int = 25, step: float = 1e-5) -> float:
@@ -100,6 +100,6 @@ def run_gradcheck(seed: int, cases: int = 25, step: float = 1e-5) -> float:
     worst = 0.0
     root = Rng(seed)
     for i in range(cases):
-        net, docs, labels, masks = _tiny_case(root.substream("case", i))
-        worst = max(worst, check_model(net, docs, labels, masks, step))
+        net, docs, labels, dropout = _tiny_case(root.substream("case", i))
+        worst = max(worst, check_model(net, docs, labels, dropout, step))
     return worst

@@ -197,7 +197,7 @@ def build_model(hp: HyperParams, embedding_dim: int, seed: int,
     for name, shape in shapes:
         if name.endswith("_w"):
             fan_in = int(np.prod(shape[:-1]))
-            net.params[name][...] = nn_core.xavier_init(fan_in, shape[-1], shape, rng, dtype)
+            net.params[name][...] = nn_core.xavier_init(fan_in, shape[-1], shape, rng)
     return net
 
 
@@ -219,12 +219,11 @@ def trim_pad_windows(docs: np.ndarray, h_max: int) -> np.ndarray:
 
 
 def forward_batch(model: ShallowCNN, docs: np.ndarray, training: bool = False,
-                  rng: Rng = None, fixed_masks=None):
+                  rng: Rng = None):
     """Full pipeline on a (B, L, dim) batch; returns (probs (B, 3), caches).
 
-    ``fixed_masks`` replays previously captured dropout masks (used by the
-    finite-difference gradient checker); otherwise training mode draws fresh
-    masks from ``rng``. Inference mode applies no dropout at all. The convs
+    Training mode draws its dropout masks from ``rng``, first the features'
+    and then the dense layer's; inference mode applies no dropout. The convs
     and their caches, one (docs, argmax, pooled, h) per group, see the batch
     after ``trim_pad_windows``.
     """
@@ -247,19 +246,15 @@ def forward_batch(model: ShallowCNN, docs: np.ndarray, training: bool = False,
         conv_caches.append((docs, argmax, pooled, h))
     feat = np.concatenate(pooled_parts, axis=1)
 
-    def drop(x, i):
-        if not training:
-            return x, None
-        if fixed_masks is not None:
-            return x * fixed_masks[i], fixed_masks[i]
-        return nn_core.dropout(x, hp.keep_prob, rng)
+    def drop(x):
+        return nn_core.dropout(x, hp.keep_prob, rng) if training else (x, None)
 
-    h0, mask1 = drop(feat, 0)
+    h0, mask1 = drop(feat)
     h1, dense_cache = nn_core.dense_forward(
         h0, model.params["dense_w"], model.params["dense_b"], "relu"
     )
 
-    h2, mask2 = drop(h1, 1)
+    h2, mask2 = drop(h1)
     logits, out_cache = nn_core.dense_forward(
         h2, model.params["out_w"], model.params["out_b"], "identity"
     )

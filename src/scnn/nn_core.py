@@ -18,12 +18,13 @@ from .errors import NumericError
 from .rng import Rng
 
 
-def xavier_init(fan_in: int, fan_out: int, shape, rng: Rng, dtype=np.float32) -> np.ndarray:
-    """Uniform init on [-b, b] with b = sqrt(6 / (fan_in + fan_out))."""
+def xavier_init(fan_in: int, fan_out: int, shape, rng: Rng) -> np.ndarray:
+    """Uniform float64 draws on [-b, b] with b = sqrt(6 / (fan_in + fan_out));
+    the caller casts them on assignment into its parameter buffer."""
     if fan_in < 1 or fan_out < 1:
         raise ValueError(f"fan_in and fan_out must be >= 1, got {fan_in}, {fan_out}")
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, shape).astype(dtype)
+    return rng.uniform(-bound, bound, shape)
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,10 @@ same two functions on the k folds of one config, serially, into its --out.
 
 A leaderboard row is an ensemble.Trial without members; load_trial_ensemble
 adds its fold models. ensemble.rank orders the leaderboard, the report and
-every stack, a plain list of Trials.
+every stack, a plain list of Trials. Stacking ranks the rows by
+checked_cv_score, each row's score recomputed from its oof.tsv (read with
+fileio.read_tsv, as every tab-separated file is), which also checks the
+file against the fold split of the run's manifest.json.
 
 Every fold's random streams derive from (seed, trial_id, fold) and configs
 are sampled up front from a dedicated substream, which makes the
@@ -55,7 +58,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import metrics
-from .corpus import FoldAssignment
+from .corpus import CLASSES, Example, FoldAssignment, stratified_kfold
 from .ensemble import (
     ModelFile,
     Trial,
@@ -65,7 +68,7 @@ from .ensemble import (
     train_fold_ensemble,
 )
 from .errors import DataError, ScnnError
-from .fileio import atomic_write, check_fields, is_int, open_text, read_json
+from .fileio import atomic_write, check_fields, is_int, open_text, read_json, read_tsv
 from .model import (
     DEFAULT_SEARCH_DOMAINS,
     HP_FIELDS,
@@ -126,8 +129,13 @@ class SearchSpace:
                 for name in HP_FIELDS}
 
     def descriptor(self) -> str:
-        canon = json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        return space_descriptor(self.to_jsonable())
+
+
+def space_descriptor(space: dict) -> str:
+    """The sha256 of a space's canonical JSON (its to_jsonable form)."""
+    canon = json.dumps(space, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def sample_config(space: SearchSpace, rng: Rng, seen: Optional[set]) -> HyperParams:
@@ -232,21 +240,21 @@ def format_oof_tsv(ids: Sequence[str], labels: np.ndarray,
 
 
 def parse_oof_tsv(path):
-    """Returns (ids, labels, folds, probs) from a trial's oof.tsv."""
+    """Returns (ids, labels, folds, probs) from a trial's oof.tsv; a
+    DataError names the file and the line of a malformed number or a gold
+    label outside {1,2,3}."""
     ids, labels, folds, probs = [], [], [], []
-    with open_text(path, "out-of-fold predictions") as fh:
-        lines = fh.readlines()
-    for lineno, line in enumerate(lines, 1):
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 6:
-            raise DataError(f"{path}: expected 6 fields at line {lineno}")
+    for lineno, fields in read_tsv(path, "out-of-fold predictions", (6,)):
         try:
-            folds.append(int(parts[1]))
-            labels.append(int(parts[2]))
-            probs.append([float(v) for v in parts[3:6]])
+            folds.append(int(fields[1]))
+            label = int(fields[2])
+            probs.append([float(v) for v in fields[3:6]])
         except ValueError:
             raise DataError(f"{path}: malformed number at line {lineno}") from None
-        ids.append(parts[0])
+        if label not in CLASSES:
+            raise DataError(f"{path}: label out of range at line {lineno}")
+        labels.append(label)
+        ids.append(fields[0])
     return ids, np.asarray(labels, dtype=np.int64), folds, np.asarray(probs)
 
 
@@ -503,12 +511,14 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
     return ranked
 
 
-def checked_cv_score(run_dir, record: Trial) -> float:
+def checked_cv_score(run_dir, manifest: dict, record: Trial) -> float:
     """The cv score of leaderboard row ``record`` recomputed from its
-    trial's oof.tsv; DataError naming both files unless the row's score
-    matches it."""
+    trial's oof.tsv. DataError naming the files unless the row's score
+    matches it and the file's fold column is the split that folds_k and
+    fold_seed of the run ``manifest`` make of its labels."""
     path = os.path.join(run_dir, "trials", str(record.trial_id), "oof.tsv")
-    _, labels, _, oof = parse_oof_tsv(path)
+    manifest_path = os.path.join(run_dir, "manifest.json")
+    ids, labels, folds, oof = parse_oof_tsv(path)
     recomputed = metrics.micro_f1_12(labels, oof)
     if not abs(recomputed - record.cv_score) <= 1e-6:  # a NaN score fails too
         raise DataError(
@@ -516,22 +526,34 @@ def checked_cv_score(run_dir, record: Trial) -> float:
             f"cv_score {record.cv_score:.6f} does not match the {recomputed:.6f} "
             f"of its out-of-fold predictions in {path}"
         )
+    try:
+        split = stratified_kfold([Example(i, "", int(g)) for i, g in zip(ids, labels)],
+                                 manifest["folds_k"], manifest["fold_seed"])
+    except DataError as exc:  # a class with fewer rows than folds_k
+        raise DataError(f"{path}: {exc} ({manifest_path}'s folds_k)") from None
+    if list(split.fold_of) != folds:
+        raise DataError(f"{path}: the fold column is not the split that folds_k and "
+                        f"fold_seed of {manifest_path} make of its labels")
     return recomputed
 
 
 def load_trial_ensemble(run_dir, record: Trial, k: int) -> Trial:
     """The leaderboard row ``record`` with its k fold models as ModelFile
-    members and its cv score from checked_cv_score. Each fold model is
-    loaded once to validate it."""
+    members. Each fold model is loaded once to validate it, and its
+    hyperparameters must be the row's."""
     trial_dir = os.path.join(run_dir, "trials", str(record.trial_id))
     members = []
     for i in range(k):
         path = os.path.join(trial_dir, f"fold{i}.scnn")
         if not os.path.exists(path):
             raise DataError(f"missing model file {path} for trial {record.trial_id}")
-        load_model(path)
+        loaded = load_model(path)
+        if getattr(loaded, "weights", loaded).hp != record.hp:
+            raise DataError(f"{os.path.join(run_dir, 'leaderboard.csv')}: trial "
+                            f"{record.trial_id}'s hyperparameters differ from those of {path}")
+        del loaded  # before the next fold's load: one model alive at a time
         members.append(ModelFile(path))
-    return replace(record, cv_score=checked_cv_score(run_dir, record), members=members)
+    return replace(record, members=members)
 
 
 def load_leaderboard(run_dir) -> list:
@@ -548,9 +570,9 @@ def load_leaderboard(run_dir) -> list:
         raise DataError(f"{path}: {exc}") from None
     want, ids = set(range(n_trials)), {r.trial_id for r in records}
     if ids != want:
-        raise DataError(f"{path}: trial ids must be 0 to {n_trials - 1} (manifest.json's "
-                        f"n_trials); missing {sorted(want - ids)}, "
-                        f"unexpected {sorted(ids - want)}")
+        raise DataError(f"{path}: trial ids must be 0 to {n_trials - 1} (the n_trials of "
+                        f"{os.path.join(run_dir, 'manifest.json')}); missing "
+                        f"{sorted(want - ids)}, unexpected {sorted(ids - want)}")
     return records
 
 
@@ -558,18 +580,22 @@ def load_leaderboard(run_dir) -> list:
 # stacking reads
 _RUN_MANIFEST_TYPES = {
     "n_trials": (lambda v: is_int(v) and v >= 1, "a positive integer"),
-    "folds_k": (lambda v: is_int(v) and v >= 1, "a positive integer"),
+    "folds_k": (lambda v: is_int(v) and v >= 2, "an integer >= 2"),
     "fold_seed": (is_int, "an integer"),
+    "space": (lambda v: isinstance(v, dict), "a JSON object"),
     "space_descriptor": (lambda v: isinstance(v, str), "a string"),
 }
 
 
 def load_run_manifest(run_dir) -> dict:
     """A run directory's manifest.json; DataError naming the file unless it
-    holds every value stacking reads, each of the expected type."""
+    holds every value stacking reads, each of the expected type, and its
+    space_descriptor is the hash of its space."""
     path = os.path.join(run_dir, "manifest.json")
     doc = read_json(path, "run manifest")
     check_fields(f"{path}: run manifest", doc, _RUN_MANIFEST_TYPES)
+    if space_descriptor(doc["space"]) != doc["space_descriptor"]:
+        raise DataError(f"{path}: run manifest space_descriptor is not the hash of its space")
     return doc
 
 

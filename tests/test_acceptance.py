@@ -283,7 +283,7 @@ def test_08_statistical_suites():
         from scnn.nn_core import dropout, xavier_init
 
         # Xavier: sample variance within 5% of b^2/3
-        samples = xavier_init(100, 100, (100_000,), Rng(801), dtype=np.float64)
+        samples = xavier_init(100, 100, (100_000,), Rng(801))
         target = (6.0 / 200.0) / 3.0
         assert abs(samples.var() - target) <= 0.05 * target
 

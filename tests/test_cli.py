@@ -10,26 +10,24 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import rewrite_model_header
 from scnn.cli import main
-from scnn.errors import DataError
 
 
 def _replace_in(path, old, new, count):
     path.write_text(path.read_text().replace(old, new, count))
 
 
-def _set_cell(path, line, column, value):
-    """Set one comma-separated cell of the text file ``path`` (1-based line)."""
+def _set_cell(path, line, column, value, sep=","):
+    """Set one ``sep``-separated cell of the text file ``path`` (1-based line)."""
     lines = path.read_text().split("\n")
-    cells = lines[line - 1].split(",")
+    cells = lines[line - 1].split(sep)
     cells[column] = value
-    lines[line - 1] = ",".join(cells)
+    lines[line - 1] = sep.join(cells)
     path.write_text("\n".join(lines))
 
 
@@ -546,6 +544,8 @@ class TestStackPredictEvaluate:
         (lambda run: _replace_in(run / "trials" / "0" / "oof.tsv", "\t", "\tx", 1),
          "oof.tsv: malformed number at line 1"),
         (lambda run: (run / "trials" / "0" / "oof.tsv").unlink(), "oof.tsv"),
+        (lambda run: _set_cell(run / "trials" / "0" / "oof.tsv", 1, 2, "7", sep="\t"),
+         "oof.tsv: label out of range at line 1"),
         (lambda run: _replace_in(run / "manifest.json", '"folds_k"', '"k"', 1),
          "manifest.json: run manifest lacks folds_k"),
         (lambda run: _replace_in(run / "leaderboard.csv", "\n", "\nx", 1),
@@ -561,15 +561,14 @@ class TestStackPredictEvaluate:
     ] + [
         # line 2 holds trial 0, the best; each edit used to stack trial 2
         (lambda run: _delete_line(run / "leaderboard.csv", 2),
-         "leaderboard.csv: trial ids must be 0 to 2 (manifest.json's n_trials); "
-         "missing [0], unexpected []"),
+         "leaderboard.csv: trial ids must be 0 to 2 (the n_trials of "),
         (lambda run: _set_cell(run / "leaderboard.csv", 2, 1, "0.100000"),
          "leaderboard.csv: trial 0's cv_score 0.100000 does not match the 0.457627 "
          "of its out-of-fold predictions in "),
         (lambda run: _set_cell(run / "leaderboard.csv", 2, 2, "okay"),
          "leaderboard.csv: malformed row at line 2: status 'okay' is neither ok nor "
          "failed: <reason>"),
-    ], ids=["oof-fold", "oof-missing", "manifest-folds-k", "leaderboard-trial-id",
+    ], ids=["oof-fold", "oof-missing", "oof-label", "manifest-folds-k", "leaderboard-trial-id",
             "leaderboard-adam_b2", "leaderboard-duplicate", "cv-nan", "cv-inf", "cv-minus-1",
             "cv-1e309", "leaderboard-missing-trial", "leaderboard-cv-score",
             "leaderboard-status"])
@@ -609,29 +608,17 @@ class TestStackPredictEvaluate:
             assert ((tmp_path / "swapped" / "stacks" / out).read_bytes()
                     == (tmp_path / "clean" / "stacks" / out).read_bytes())
 
-    def test_stack_loads_trials_tied_at_the_cut(self, run_dir, tmp_path, monkeypatch):
+    def test_stack_ranks_by_unrounded_scores(self, run_dir, tmp_path, monkeypatch):
         import scnn.search
 
-        run = tmp_path / "run"
-        shutil.copytree(run_dir, run)
-        board = run / "leaderboard.csv"
-        rows = [line.split(",") for line in board.read_text().split("\n")[1:3]]
-        scores = {int(row[0]): float(row[1]) for row in rows}
-        # the second row ties the first there, as two scores rounded to 6
-        # decimals may; the spy hands the loader each trial's true score
-        _set_cell(board, 3, 1, rows[0][1])
-        real = scnn.search.load_trial_ensemble
-        loaded = []
-
-        def spy(run_dir, record, k):
-            loaded.append(record.trial_id)
-            return real(run_dir, replace(record, cv_score=scores[record.trial_id]), k)
-
-        monkeypatch.setattr(scnn.search, "load_trial_ensemble", spy)
-        assert run_cli("stack", "--run", run, "--top-k", 1, "--out", tmp_path / "s") == 0
-        assert sorted(loaded) == sorted(scores)
+        # trials 0 and 1 tie at 6 decimals; trial 1's true score is higher,
+        # so neither the tie-break by id nor the rounded scores would pick it
+        scores = {0: 0.4000001, 1: 0.4000004, 2: 0.3}
+        monkeypatch.setattr(scnn.search, "checked_cv_score",
+                            lambda run, manifest, record: scores[record.trial_id])
+        assert run_cli("stack", "--run", run_dir, "--top-k", 1, "--out", tmp_path / "s") == 0
         doc = json.loads((tmp_path / "s" / "stack_top1.json").read_text())
-        assert {m["trial_id"] for m in doc["members"]} == {int(rows[0][0])}
+        assert {(m["trial_id"], m["cv_score"]) for m in doc["members"]} == {(1, 0.4)}
 
     @pytest.mark.parametrize("command", ["predict", "stack"])
     def test_embedding_dimension_mismatch_exits_2(self, run_dir, corpus_dir, tmp_path,
@@ -704,19 +691,8 @@ class TestStackPredictEvaluate:
         pred.write_bytes(("\r".join(lines) + "\n").encode())
         capsys.readouterr()
         assert run_cli("evaluate", "--gold", gold, "--pred", pred) == 2
-        assert "pred.tsv: expected 5 fields at line 1" in capsys.readouterr().err
-
-    def test_sniff_labeled_only_lf_ends_a_line(self, tmp_path):
-        from scnn.cli import _sniff_labeled
-
-        path = tmp_path / "d.tsv"
-        path.write_bytes(b"a\tx y\r\nb\tz\r\n")
-        assert _sniff_labeled(path) is False
-        path.write_bytes(b"a\t1\tx y\r\n")
-        assert _sniff_labeled(path) is True
-        path.write_bytes(b"a\tx\rb\t1\ty\n")
-        with pytest.raises(DataError, match="first data line has 4 fields"):
-            _sniff_labeled(path)
+        assert ("pred.tsv: expected 5 tab-separated fields at line 1, got "
+                in capsys.readouterr().err)
 
 
 class TestGradcheckCommand:

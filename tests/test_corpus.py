@@ -58,8 +58,18 @@ class TestParseDataset:
     def test_unlabeled(self, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_text("t9\ttook my meds\n", encoding="utf-8")
-        (ex,) = parse_dataset(path, labeled=False)
+        (ex,) = parse_dataset(path)
         assert ex == Example("t9", "took my meds") and ex.label is None
+
+    def test_first_line_decides_labeled(self, tmp_path):
+        # a 3-field line in an unlabeled file is an error, not a label
+        path = tmp_path / "d.tsv"
+        path.write_text("\na\tx\nb\t1\ty\n", encoding="utf-8")
+        with pytest.raises(DataError, match="expected 2 tab-separated fields at line 3, got 3"):
+            parse_dataset(path)
+        path.write_text("a\t1\tx\n\nb\ty\n", encoding="utf-8")
+        with pytest.raises(DataError, match="expected 3 tab-separated fields at line 3, got 2"):
+            parse_dataset(path)
 
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "d.tsv"
@@ -107,8 +117,7 @@ class TestParseDataset:
         path.write_bytes(b"a\t1\tx y\r\nb\t2\tz\r\n")
         assert parse_dataset(path) == [Example("a", "x y\r", 1), Example("b", "z\r", 2)]
         path.write_bytes(b"a\tx y\r\nb\tz\r\n")
-        assert parse_dataset(path, labeled=False) == [Example("a", "x y\r"),
-                                                      Example("b", "z\r")]
+        assert parse_dataset(path) == [Example("a", "x y\r"), Example("b", "z\r")]
         path.write_bytes(b"a\t1\tx\r\nb\t7\ty\r\n")
         with pytest.raises(DataError, match="label out of range at line 2"):
             parse_dataset(path)
@@ -125,7 +134,7 @@ class TestWriteDataset:
         examples = [Example("a", "hello"), Example("b", "bye")]
         path = tmp_path / "d.tsv"
         write_dataset(examples, path)
-        assert parse_dataset(path, labeled=False) == examples
+        assert parse_dataset(path) == examples
 
     def test_byte_round_trip(self, tmp_path):
         src = tmp_path / "src.tsv"

@@ -13,6 +13,7 @@ from scnn.gradcheck import (
     check_model,
     finite_difference_gradients,
     relative_errors,
+    replay_forward,
     run_gradcheck,
     _tiny_case,
 )
@@ -64,35 +65,42 @@ def test_zero_learning_signal_zero_gradients():
 
 
 def test_full_model_gradients_one_case():
-    net, docs, labels, masks = _tiny_case(Rng(5).substream("case", 0))
-    assert check_model(net, docs, labels, masks) < TOLERANCE
+    net, docs, labels, dropout = _tiny_case(Rng(5).substream("case", 0))
+    assert check_model(net, docs, labels, dropout) < TOLERANCE
 
 
 def test_full_model_gradients_inference_mode():
-    # no dropout path: masks None exercises the plain pipeline
+    # no dropout path: no stream exercises the plain pipeline
     net, docs, labels, _ = _tiny_case(Rng(6).substream("case", 1))
     assert check_model(net, docs, labels, None) < TOLERANCE
 
 
 def test_single_doc_toy_case():
-    net, docs, labels, masks = _tiny_case(Rng(8).substream("case", 2))
-    assert check_model(net, docs[:1], labels[:1],
-                       (masks[0][:1], masks[1][:1])) < TOLERANCE
+    net, docs, labels, dropout = _tiny_case(Rng(8).substream("case", 2))
+    assert check_model(net, docs[:1], labels[:1], dropout) < TOLERANCE
+
+
+def test_replayed_stream_draws_the_same_masks():
+    net, docs, _, dropout = _tiny_case(Rng(12).substream("case", 6))
+    first, second = (replay_forward(net, docs, dropout)[1]["masks"] for _ in range(2))
+    for a, b in zip(first, second):
+        assert a is not None and np.any(a == 0)
+        np.testing.assert_array_equal(a, b)
 
 
 def test_dropout_backward_uses_stored_mask():
-    net, docs, labels, masks = _tiny_case(Rng(9).substream("case", 3))
-    probs, caches = M.forward_batch(net, docs, training=True, fixed_masks=masks)
+    net, docs, labels, dropout = _tiny_case(Rng(9).substream("case", 3))
+    probs, caches = M.forward_batch(net, docs, training=True, rng=dropout.substream())
     grads = M.backward_batch(net, caches, labels)
-    numeric = finite_difference_gradients(net, docs, labels, masks)
+    numeric = finite_difference_gradients(net, docs, labels, dropout)
     errs = relative_errors(grads, numeric)
     assert max(float(e.max()) for e in errs.values()) < TOLERANCE
 
 
 def test_inactive_filters_get_zero_gradient():
     # a filter with no positive pooled output anywhere gets no gradient
-    net, docs, labels, masks = _tiny_case(Rng(10).substream("case", 4))
-    _, caches = M.forward_batch(net, docs, training=True, fixed_masks=masks)
+    net, docs, labels, dropout = _tiny_case(Rng(10).substream("case", 4))
+    _, caches = M.forward_batch(net, docs, training=True, rng=dropout)
     grads = M.backward_batch(net, caches, labels)
     docs3, argmax, pooled, h = caches["conv"][4]  # width-3 group
     dW = grads["conv4_w"]

@@ -68,7 +68,7 @@ class TestBuildModel:
         for name, shape in M.param_shapes(hp, 16):
             if name.endswith("_w"):
                 fan_in = int(np.prod(shape[:-1]))
-                want = nn_core.xavier_init(fan_in, shape[-1], shape, rng)
+                want = nn_core.xavier_init(fan_in, shape[-1], shape, rng).astype(np.float32)
                 np.testing.assert_array_equal(net.params[name], want, err_msg=name)
 
     def test_param_count_closed_form(self):

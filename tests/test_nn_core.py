@@ -24,11 +24,11 @@ class TestXavier:
         t = xavier_init(2, 1, (1000,), Rng(0))
         bound = math.sqrt(6.0 / 3.0)
         assert np.abs(t).max() <= bound
-        assert t.dtype == np.float32
+        assert t.dtype == np.float64  # build_model casts on assignment
 
     def test_variance_matches_uniform_closed_form(self):
         # var of U(-b, b) is b^2/3 = (6/200)/3 = 0.01 for fan 100+100
-        t = xavier_init(100, 100, (100_000,), Rng(1), dtype=np.float64)
+        t = xavier_init(100, 100, (100_000,), Rng(1))
         assert abs(t.var() - 0.01) < 0.0005  # within 5%
 
     def test_deterministic(self):

@@ -233,9 +233,9 @@ class TestRunSearch:
 
     def test_cv_scores_recomputable_from_oof(self, small_run):
         records, out, *_ = small_run
+        manifest = S.load_run_manifest(str(out))
         for r in records:
-            fe = S.load_trial_ensemble(str(out), r, k=5)
-            assert abs(fe.cv_score - r.cv_score) <= 1e-6
+            assert abs(S.checked_cv_score(str(out), manifest, r) - r.cv_score) <= 1e-6
 
     def test_tampered_oof_detected(self, small_run, tmp_path):
         records, out, *_ = small_run
@@ -254,7 +254,16 @@ class TestRunSearch:
         loaded = S.parse_leaderboard_csv((clone / "leaderboard.csv").read_text())
         rec = next(r for r in loaded if r.trial_id == records[0].trial_id)
         with pytest.raises(DataError, match="does not match"):
-            S.load_trial_ensemble(str(clone), rec, k=5)
+            S.checked_cv_score(str(clone), S.load_run_manifest(str(clone)), rec)
+
+    def test_oof_fold_column_checked_against_the_manifest(self, small_run):
+        records, out, *_ = small_run
+        manifest = S.load_run_manifest(str(out))
+        with pytest.raises(DataError, match="oof.tsv: the fold column is not the split"):
+            S.checked_cv_score(str(out), {**manifest, "fold_seed": manifest["fold_seed"] + 1},
+                               records[0])
+        with pytest.raises(DataError, match="fewer than k=99"):
+            S.checked_cv_score(str(out), {**manifest, "folds_k": 99}, records[0])
 
     def test_parallelism_independent(self, small_run, tmp_path):
         records, out, docs, labels, *_ = small_run
@@ -730,3 +739,18 @@ class TestStreamingSearch:
             k = int(line.split(",")[1])
             probs = E.stacked_predict(E.stack_top_k(ensembles, k), docs_by_name)
             assert line.split(",")[3] == f"{metrics.micro_f1_12(test_labels, probs):.6f}"
+
+
+def test_oof_gold_label_out_of_range_named(tmp_path):
+    path = tmp_path / "oof.tsv"
+    path.write_text("a\t0\t1\t0.2\t0.3\t0.5\n\nb\t1\t7\t0.2\t0.3\t0.5\n")
+    with pytest.raises(DataError, match=r"oof.tsv: label out of range at line 3"):
+        S.parse_oof_tsv(path)
+
+
+def test_oof_blank_lines_skipped(tmp_path):
+    path = tmp_path / "oof.tsv"
+    path.write_text("a\t0\t1\t0.2\t0.3\t0.5\n\nb\t1\t3\t0.25\t0.25\t0.5\n\n")
+    ids, labels, folds, probs = S.parse_oof_tsv(path)
+    assert ids == ["a", "b"] and labels.tolist() == [1, 3] and folds == [0, 1]
+    assert probs.tolist() == [[0.2, 0.3, 0.5], [0.25, 0.25, 0.5]]
