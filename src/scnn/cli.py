@@ -18,12 +18,11 @@ import logging
 import os
 import shutil
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import corpus, embeddings, metrics, search, synth
-from .ensemble import load_ensemble, rank, save_ensemble, stack_top_k, stacked_predict
+from .ensemble import load_ensemble, save_ensemble, stack_top_k, stacked_predict
 from .errors import DataError, NumericError
 from .fileio import atomic_write, file_sha256, read_json, read_tsv
 from .gradcheck import TOLERANCE, run_gradcheck
@@ -160,7 +159,8 @@ def _read_train(args, registry: dict, names):
     class with fewer than k, is a DataError naming the file."""
     examples = _read_labeled(args.train)
     try:
-        folds = corpus.stratified_kfold(examples, k=args.folds, seed=args.seed)
+        folds = corpus.stratified_kfold([ex.label for ex in examples], k=args.folds,
+                                        seed=args.seed)
     except DataError as exc:
         raise DataError(f"{args.train}: {exc}") from None
     docs_by_name = _embed(examples, registry, names)
@@ -233,10 +233,7 @@ def _cmd_train(args, outputs: _Outputs) -> int:
 
 def _cmd_stack(args, outputs: _Outputs) -> int:
     k_values = _parse_top_k(args.top_k)
-    run_manifest = search.load_run_manifest(args.run)
-    # ranked by the scores of their oof.tsv, which the leaderboard rounds
-    records = rank(replace(r, cv_score=search.checked_cv_score(args.run, run_manifest, r))
-                   for r in search.load_leaderboard(args.run) if r.ok)
+    run_manifest, records = search.load_run(args.run)
     if not records:
         raise DataError(f"{args.run}: leaderboard has no successful trials")
     if max(k_values) > len(records):
@@ -274,7 +271,10 @@ def _cmd_predict(args, outputs: _Outputs) -> int:
     stack = load_ensemble(args.manifest)
     examples = corpus.parse_dataset(args.test)
     docs_by_name = _embed(examples, registry, [trial.hp.word_embedding for trial in stack])
-    probs = stacked_predict(stack, docs_by_name)
+    try:  # a member's error names the manifest that lists it
+        probs = stacked_predict(stack, docs_by_name)
+    except DataError as exc:
+        raise DataError(f"{args.manifest}: {exc}") from None
     labels = metrics.argmax_labels(probs)
     lines = [
         f"{ex.id}\t{labels[i]}\t{probs[i, 0]:.6f}\t{probs[i, 1]:.6f}\t{probs[i, 2]:.6f}\n"
@@ -288,18 +288,25 @@ def _cmd_predict(args, outputs: _Outputs) -> int:
 
 
 def _parse_predictions(path) -> dict:
-    """Predictions TSV -> {id: predicted label}."""
+    """Predictions TSV -> {id: predicted label}. Each of p1..p3 must be a
+    number in [0, 1], and the label's no lower than the other two (6-decimal
+    rounding can make ties)."""
     preds = {}
     for lineno, (ex_id, label, *probs) in read_tsv(path, "predictions", (5,)):
         if ex_id in preds:
             raise DataError(f"{path}: duplicate id {ex_id!r} at line {lineno}")
         try:
             label = int(label)
-            [float(v) for v in probs]
+            probs = [float(v) for v in probs]
         except ValueError:
             raise DataError(f"{path}: malformed row at line {lineno}") from None
         if label not in corpus.CLASSES:
             raise DataError(f"{path}: label out of range at line {lineno}")
+        if not all(0 <= p <= 1 for p in probs):  # NaN fails too
+            raise DataError(f"{path}: probability outside [0, 1] at line {lineno}")
+        if probs[label - 1] < max(probs):
+            raise DataError(f"{path}: label {label} is not the most probable class "
+                            f"at line {lineno}")
         preds[ex_id] = label
     return preds
 

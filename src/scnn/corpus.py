@@ -130,8 +130,9 @@ def write_dataset(examples: Sequence[Example], path) -> None:
         fh.writelines(lines)
 
 
-def stratified_kfold(examples: Sequence[Example], k: int = 5, seed: int = 0) -> FoldAssignment:
-    """Deterministic stratified k-fold assignment.
+def stratified_kfold(labels: Sequence[int], k: int = 5, seed: int = 0) -> FoldAssignment:
+    """Deterministic stratified k-fold assignment of the examples with gold
+    ``labels``.
 
     Within each class, indices are shuffled by a seed-derived substream and
     dealt round-robin to folds, so per-class per-fold counts differ by at
@@ -140,12 +141,10 @@ def stratified_kfold(examples: Sequence[Example], k: int = 5, seed: int = 0) -> 
     if k < 2:
         raise ValueError("k must be >= 2")
     by_class: dict = {}
-    for idx, ex in enumerate(examples):
-        if ex.label is None:
-            raise DataError(f"example {ex.id!r} has no label; folds need labels")
-        by_class.setdefault(ex.label, []).append(idx)
+    for idx, label in enumerate(labels):
+        by_class.setdefault(label, []).append(idx)
 
-    fold_of = [0] * len(examples)
+    fold_of = [0] * len(labels)
     for label in sorted(by_class):
         indices = by_class[label]
         if len(indices) < k:

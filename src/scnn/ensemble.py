@@ -11,7 +11,10 @@ arithmetic in probability space, summed in float64 in a fixed order.
 
 A member is anything with predict_proba(docs), or a ModelFile on disk that
 is loaded only while ensemble_predict uses it, so predicting with a stack
-of any size holds one member's tensors at a time.
+of any size holds one member's tensors at a time. save_ensemble writes a
+stack's JSON manifest; load_ensemble checks it and each member with
+fileio.check_fields tables, as search.load_run checks a run manifest, so
+format_version is a required integer no newer than the supported one.
 """
 
 from __future__ import annotations
@@ -189,7 +192,13 @@ def save_ensemble(stack: Sequence[Trial], manifest_path, fold_seed: int,
         fh.write("\n")
 
 
-# key -> (check, what the value must be)
+# key -> (check, what the value must be), for the manifest and each member
+_MANIFEST_TYPES = {
+    "format_version": (lambda v: is_int(v) and v <= MANIFEST_FORMAT_VERSION,
+                       f"an integer <= {MANIFEST_FORMAT_VERSION}"),
+    "K": (lambda v: is_int(v) and v >= 1, "a positive integer"),
+    "members": (lambda v: isinstance(v, list) and len(v) > 0, "a non-empty list"),
+}
 _MEMBER_TYPES = {
     "path": (lambda v: isinstance(v, str), "a string"),
     "sha256": (lambda v: isinstance(v, str), "a string"),
@@ -198,36 +207,15 @@ _MEMBER_TYPES = {
 }
 
 
-def _check_manifest(manifest_path, doc) -> None:
-    """DataError naming the file (and the member) unless ``doc`` has every
-    key load_ensemble reads, each with the type it expects."""
-    if not isinstance(doc, dict):
-        raise DataError(f"{manifest_path}: manifest is not a JSON object")
-    missing = [key for key in ("K", "members") if key not in doc]
-    if missing:
-        raise DataError(f"{manifest_path}: manifest lacks {', '.join(missing)}")
-    if not is_int(doc["K"]) or doc["K"] < 1:
-        raise DataError(f"{manifest_path}: K must be a positive integer, got {doc['K']!r}")
-    if not is_int(doc.get("format_version", 0)):
-        raise DataError(f"{manifest_path}: format_version must be an integer")
-    if not isinstance(doc["members"], list) or not doc["members"]:
-        raise DataError(f"{manifest_path}: members must be a non-empty list")
-    for i, entry in enumerate(doc["members"]):
-        check_fields(f"{manifest_path}: member {i}", entry, _MEMBER_TYPES)
-
-
 def load_ensemble(manifest_path) -> list:
     """The stack a manifest lists, in rank order, each member a ModelFile
     that ensemble_predict loads and checks against its sha256 when it uses
     it. Only the first member file of each trial is read here, for its
     hyperparameters; errors name the file and the member."""
     doc = read_json(manifest_path, "manifest")
-    _check_manifest(manifest_path, doc)
-    if doc.get("format_version", 0) > MANIFEST_FORMAT_VERSION:
-        raise DataError(
-            f"{manifest_path}: manifest format version {doc['format_version']} "
-            f"is newer than supported version {MANIFEST_FORMAT_VERSION}"
-        )
+    check_fields(f"{manifest_path}: manifest", doc, _MANIFEST_TYPES)
+    for i, entry in enumerate(doc["members"]):
+        check_fields(f"{manifest_path}: member {i}", entry, _MEMBER_TYPES)
     manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
 
     by_trial: dict = {}  # in manifest order

@@ -16,10 +16,12 @@ same two functions on the k folds of one config, serially, into its --out.
 
 A leaderboard row is an ensemble.Trial without members; load_trial_ensemble
 adds its fold models. ensemble.rank orders the leaderboard, the report and
-every stack, a plain list of Trials. Stacking ranks the rows by
-checked_cv_score, each row's score recomputed from its oof.tsv (read with
-fileio.read_tsv, as every tab-separated file is), which also checks the
-file against the fold split of the run's manifest.json.
+every stack, a plain list of Trials. Stacking reads a run through load_run:
+manifest.json and leaderboard.csv once each, then each ok row's oof.tsv
+(fileio.read_tsv, as every tab-separated file), whose recomputed score ranks
+the row. The manifest's fold split is built once and checked against the
+lowest ok trial's fold column; every other oof.tsv must hold the same ids,
+labels and folds, as write_oof writes them for every trial.
 
 Every fold's random streams derive from (seed, trial_id, fold) and configs
 are sampled up front from a dedicated substream, which makes the
@@ -58,7 +60,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import metrics
-from .corpus import CLASSES, Example, FoldAssignment, stratified_kfold
+from .corpus import CLASSES, FoldAssignment, stratified_kfold
 from .ensemble import (
     ModelFile,
     Trial,
@@ -163,6 +165,7 @@ def sample_config(space: SearchSpace, rng: Rng, seen: Optional[set]) -> HyperPar
 # --------------------------------------------------------------------------
 
 LEADERBOARD_HEADER = ["trial_id", "cv_score", "status", "wall_time_s"] + list(HP_FIELDS)
+RUN_FORMAT_VERSION = 1  # the format_version of a run's manifest.json
 
 
 def _hp_csv_cells(hp: HyperParams) -> list:
@@ -490,7 +493,7 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
     with atomic_write(os.path.join(out_dir, "leaderboard.csv")) as fh:
         fh.write(format_leaderboard_csv(ranked))
     manifest = {
-        "format_version": 1,
+        "format_version": RUN_FORMAT_VERSION,
         "seed": seed,
         "n_trials": n_trials,
         "folds_k": folds.k,
@@ -509,32 +512,6 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return ranked
-
-
-def checked_cv_score(run_dir, manifest: dict, record: Trial) -> float:
-    """The cv score of leaderboard row ``record`` recomputed from its
-    trial's oof.tsv. DataError naming the files unless the row's score
-    matches it and the file's fold column is the split that folds_k and
-    fold_seed of the run ``manifest`` make of its labels."""
-    path = os.path.join(run_dir, "trials", str(record.trial_id), "oof.tsv")
-    manifest_path = os.path.join(run_dir, "manifest.json")
-    ids, labels, folds, oof = parse_oof_tsv(path)
-    recomputed = metrics.micro_f1_12(labels, oof)
-    if not abs(recomputed - record.cv_score) <= 1e-6:  # a NaN score fails too
-        raise DataError(
-            f"{os.path.join(run_dir, 'leaderboard.csv')}: trial {record.trial_id}'s "
-            f"cv_score {record.cv_score:.6f} does not match the {recomputed:.6f} "
-            f"of its out-of-fold predictions in {path}"
-        )
-    try:
-        split = stratified_kfold([Example(i, "", int(g)) for i, g in zip(ids, labels)],
-                                 manifest["folds_k"], manifest["fold_seed"])
-    except DataError as exc:  # a class with fewer rows than folds_k
-        raise DataError(f"{path}: {exc} ({manifest_path}'s folds_k)") from None
-    if list(split.fold_of) != folds:
-        raise DataError(f"{path}: the fold column is not the split that folds_k and "
-                        f"fold_seed of {manifest_path} make of its labels")
-    return recomputed
 
 
 def load_trial_ensemble(run_dir, record: Trial, k: int) -> Trial:
@@ -556,29 +533,11 @@ def load_trial_ensemble(run_dir, record: Trial, k: int) -> Trial:
     return replace(record, members=members)
 
 
-def load_leaderboard(run_dir) -> list:
-    """The rows of a run directory's leaderboard.csv (parse_leaderboard_csv);
-    DataError naming the file unless its trial ids are exactly 0 to
-    n_trials - 1 of the run's manifest.json."""
-    n_trials = load_run_manifest(run_dir)["n_trials"]
-    path = os.path.join(run_dir, "leaderboard.csv")
-    with open_text(path, "leaderboard") as fh:
-        text = fh.read()
-    try:
-        records = parse_leaderboard_csv(text)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    want, ids = set(range(n_trials)), {r.trial_id for r in records}
-    if ids != want:
-        raise DataError(f"{path}: trial ids must be 0 to {n_trials - 1} (the n_trials of "
-                        f"{os.path.join(run_dir, 'manifest.json')}); missing "
-                        f"{sorted(want - ids)}, unexpected {sorted(ids - want)}")
-    return records
-
-
 # key -> (check, what the value must be), for the run-manifest values that
 # stacking reads
 _RUN_MANIFEST_TYPES = {
+    "format_version": (lambda v: is_int(v) and v <= RUN_FORMAT_VERSION,
+                       f"an integer <= {RUN_FORMAT_VERSION}"),
     "n_trials": (lambda v: is_int(v) and v >= 1, "a positive integer"),
     "folds_k": (lambda v: is_int(v) and v >= 2, "an integer >= 2"),
     "fold_seed": (is_int, "an integer"),
@@ -587,16 +546,58 @@ _RUN_MANIFEST_TYPES = {
 }
 
 
-def load_run_manifest(run_dir) -> dict:
-    """A run directory's manifest.json; DataError naming the file unless it
-    holds every value stacking reads, each of the expected type, and its
-    space_descriptor is the hash of its space."""
-    path = os.path.join(run_dir, "manifest.json")
-    doc = read_json(path, "run manifest")
-    check_fields(f"{path}: run manifest", doc, _RUN_MANIFEST_TYPES)
-    if space_descriptor(doc["space"]) != doc["space_descriptor"]:
-        raise DataError(f"{path}: run manifest space_descriptor is not the hash of its space")
-    return doc
+def load_run(run_dir) -> tuple:
+    """(manifest, trials): a run directory's manifest.json, and the ok rows
+    of its leaderboard.csv, each scored from its oof.tsv, in rank order.
+    DataError naming the file unless the manifest holds every value stacking
+    reads, with space_descriptor the hash of its space; the trial ids are 0
+    to n_trials - 1; each ok row's score is its oof.tsv's within 1e-6; the
+    lowest ok trial's fold column is the split folds_k and fold_seed make
+    of its labels; and every ok trial's ids, labels and folds are the same.
+    """
+    manifest_path = os.path.join(run_dir, "manifest.json")
+    board_path = os.path.join(run_dir, "leaderboard.csv")
+    manifest = read_json(manifest_path, "run manifest")
+    check_fields(f"{manifest_path}: run manifest", manifest, _RUN_MANIFEST_TYPES)
+    if space_descriptor(manifest["space"]) != manifest["space_descriptor"]:
+        raise DataError(f"{manifest_path}: run manifest space_descriptor is not the hash "
+                        f"of its space")
+    with open_text(board_path, "leaderboard") as fh:
+        text = fh.read()
+    try:
+        records = parse_leaderboard_csv(text)
+    except DataError as exc:
+        raise DataError(f"{board_path}: {exc}") from None
+    n_trials = manifest["n_trials"]
+    want, ids = set(range(n_trials)), {r.trial_id for r in records}
+    if ids != want:
+        raise DataError(f"{board_path}: trial ids must be 0 to {n_trials - 1} (the n_trials of "
+                        f"{manifest_path}); missing {sorted(want - ids)}, unexpected "
+                        f"{sorted(ids - want)}")
+
+    trials, first = [], None  # the lowest ok trial's oof.tsv and its columns
+    for record in sorted((r for r in records if r.ok), key=lambda r: r.trial_id):
+        path = os.path.join(run_dir, "trials", str(record.trial_id), "oof.tsv")
+        ex_ids, labels, folds, oof = parse_oof_tsv(path)
+        score = metrics.micro_f1_12(labels, oof)
+        if not abs(score - record.cv_score) <= 1e-6:  # a NaN score fails too
+            raise DataError(f"{board_path}: trial {record.trial_id}'s cv_score "
+                            f"{record.cv_score:.6f} does not match the {score:.6f} of its "
+                            f"out-of-fold predictions in {path}")
+        columns = (ex_ids, labels.tolist(), folds)
+        if first is None:
+            try:
+                split = stratified_kfold(labels, manifest["folds_k"], manifest["fold_seed"])
+            except DataError as exc:  # a class with fewer rows than folds_k
+                raise DataError(f"{path}: {exc} ({manifest_path}'s folds_k)") from None
+            if list(split.fold_of) != folds:
+                raise DataError(f"{path}: the fold column is not the split that folds_k and "
+                                f"fold_seed of {manifest_path} make of its labels")
+            first = (path, columns)
+        elif columns != first[1]:
+            raise DataError(f"{path}: its ids, labels or folds differ from those of {first[0]}")
+        trials.append(replace(record, cv_score=score))
+    return manifest, rank(trials)
 
 
 # --------------------------------------------------------------------------

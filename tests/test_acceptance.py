@@ -252,7 +252,8 @@ def test_07_fold_stratification():
             k = int(rng.integers(2, 7))
             counts = {c: int(rng.integers(k, 80)) for c in (1, 2, 3)}
             examples = _fake_examples(counts)
-            fa = stratified_kfold(examples, k=k, seed=int(rng.integers(0, 2 ** 31)))
+            fa = stratified_kfold([ex.label for ex in examples], k=k,
+                                  seed=int(rng.integers(0, 2 ** 31)))
             per = {c: Counter({f: 0 for f in range(k)}) for c in counts}
             for ex, fold in zip(examples, fa.fold_of):
                 per[ex.label][fold] += 1
@@ -263,7 +264,7 @@ def test_07_fold_stratification():
 
         # published training-set class distribution over 5 folds
         examples = _fake_examples({1: 1847, 2: 3027, 3: 4789})
-        fa = stratified_kfold(examples, k=5, seed=1)
+        fa = stratified_kfold([ex.label for ex in examples], k=5, seed=1)
         per = {c: Counter() for c in (1, 2, 3)}
         for ex, fold in zip(examples, fa.fold_of):
             per[ex.label][fold] += 1

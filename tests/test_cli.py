@@ -7,15 +7,17 @@ exercise the command surface with the smallest corpora that still train.
 import hashlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import rewrite_model_header
-from scnn.cli import main
+from scnn.cli import _build_parser, main
 
 
 def _replace_in(path, old, new, count):
@@ -548,6 +550,9 @@ class TestStackPredictEvaluate:
          "oof.tsv: label out of range at line 1"),
         (lambda run: _replace_in(run / "manifest.json", '"folds_k"', '"k"', 1),
          "manifest.json: run manifest lacks folds_k"),
+        (lambda run: _replace_in(run / "manifest.json", '"format_version": 1',
+                                 '"format_version": 2', 1),
+         "manifest.json: run manifest format_version must be an integer <= 1, got 2"),
         (lambda run: _replace_in(run / "leaderboard.csv", "\n", "\nx", 1),
          "leaderboard.csv: malformed row at line 2"),
         (lambda run: _set_cell(run / "leaderboard.csv", 3, 4, "7.0"),
@@ -568,7 +573,8 @@ class TestStackPredictEvaluate:
         (lambda run: _set_cell(run / "leaderboard.csv", 2, 2, "okay"),
          "leaderboard.csv: malformed row at line 2: status 'okay' is neither ok nor "
          "failed: <reason>"),
-    ], ids=["oof-fold", "oof-missing", "oof-label", "manifest-folds-k", "leaderboard-trial-id",
+    ], ids=["oof-fold", "oof-missing", "oof-label", "manifest-folds-k",
+            "manifest-format-version", "leaderboard-trial-id",
             "leaderboard-adam_b2", "leaderboard-duplicate", "cv-nan", "cv-inf", "cv-minus-1",
             "cv-1e309", "leaderboard-missing-trial", "leaderboard-cv-score",
             "leaderboard-status"])
@@ -614,11 +620,50 @@ class TestStackPredictEvaluate:
         # trials 0 and 1 tie at 6 decimals; trial 1's true score is higher,
         # so neither the tie-break by id nor the rounded scores would pick it
         scores = {0: 0.4000001, 1: 0.4000004, 2: 0.3}
-        monkeypatch.setattr(scnn.search, "checked_cv_score",
-                            lambda run, manifest, record: scores[record.trial_id])
-        assert run_cli("stack", "--run", run_dir, "--top-k", 1, "--out", tmp_path / "s") == 0
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        board = run / "leaderboard.csv"
+        for line, row in enumerate(board.read_text().split("\n")[1:4], 2):
+            _set_cell(board, line, 1, f"{scores[int(row.split(',')[0])]:.6f}")
+        # stack scores each trial's oof.tsv, known here by its probabilities
+        by_probs = {scnn.search.parse_oof_tsv(run / "trials" / str(tid) / "oof.tsv")[3]
+                    .tobytes(): score for tid, score in scores.items()}
+        monkeypatch.setattr(scnn.search.metrics, "micro_f1_12",
+                            lambda labels, probs: by_probs[probs.tobytes()])
+        assert run_cli("stack", "--run", run, "--top-k", 1, "--out", tmp_path / "s") == 0
         doc = json.loads((tmp_path / "s" / "stack_top1.json").read_text())
         assert {(m["trial_id"], m["cv_score"]) for m in doc["members"]} == {(1, 0.4)}
+
+    def test_stack_builds_the_fold_split_once(self, run_dir, tmp_path, monkeypatch):
+        import scnn.search
+
+        real, calls = scnn.search.stratified_kfold, []
+        monkeypatch.setattr(scnn.search, "stratified_kfold",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        assert run_cli("stack", "--run", run_dir, "--top-k", 3, "--out", tmp_path / "s") == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("column", [0, 2], ids=["id", "label"])
+    def test_stack_oof_columns_differ_between_trials(self, run_dir, tmp_path, capsys, column):
+        # swap two rows' cells in trial 1's oof.tsv: both rows have the same
+        # predicted class and different gold labels, so its score stays
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        oof = run / "trials" / "1" / "oof.tsv"
+        rows = [line.split("\t") for line in oof.read_text().splitlines()]
+        pred = [int(np.argmax([float(p) for p in row[3:]])) for row in rows]
+        i, j = next((i, j) for i in range(len(rows)) for j in range(i)
+                    if pred[i] == pred[j] and rows[i][2] != rows[j][2])
+        rows[i][column], rows[j][column] = rows[j][column], rows[i][column]
+        oof.write_text("".join("\t".join(row) + "\n" for row in rows))
+        capsys.readouterr()
+        out = tmp_path / "stacks"
+        code = run_cli("stack", "--run", run, "--top-k", 1, "--out", out)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert (f"{oof}: its ids, labels or folds differ from those of "
+                f"{run / 'trials' / '0' / 'oof.tsv'}") in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "stack"])
     def test_embedding_dimension_mismatch_exits_2(self, run_dir, corpus_dir, tmp_path,
@@ -673,6 +718,25 @@ class TestStackPredictEvaluate:
                        "--pred", pred, "--out", out) == 0
         report = json.loads(out.read_text())
         assert all(v == 1.0 for v in report.values())
+
+    @pytest.mark.parametrize("probs,problem", [
+        ("nan\t0.0\t0.0", "probability outside [0, 1]"),
+        ("inf\t0.0\t0.0", "probability outside [0, 1]"),
+        ("1.000001\t0.0\t0.0", "probability outside [0, 1]"),
+        ("0.6\t-0.1\t0.5", "probability outside [0, 1]"),
+        ("0.4\t0.400001\t0.2", "label 1 is not the most probable class"),
+    ], ids=["nan", "inf", "above-1", "negative", "not-argmax"])
+    def test_evaluate_checks_probabilities(self, tmp_path, corpus_dir, capsys, probs,
+                                           problem):
+        ids = [line.split("\t")[0] for line in
+               (corpus_dir / "test.tsv").read_text().strip().split("\n")]
+        pred = tmp_path / "pred.tsv"
+        lines = [f"{ex_id}\t3\t0.0\t0.0\t1.0\n" for ex_id in ids]
+        lines[1] = f"{ids[1]}\t1\t{probs}\n"
+        pred.write_text("".join(lines))
+        capsys.readouterr()
+        assert run_cli("evaluate", "--gold", corpus_dir / "test.tsv", "--pred", pred) == 2
+        assert f"{pred}: {problem} at line 2" in capsys.readouterr().err
 
     def test_evaluate_id_mismatch(self, tmp_path, corpus_dir):
         pred = tmp_path / "short.tsv"
@@ -734,3 +798,17 @@ def test_import_scnn_loads_nothing():
     proc = _run_python("-c", "import scnn, sys; assert 'numpy' not in sys.modules, "
                              "sorted(m for m in sys.modules if m.startswith('scnn'))")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_walkthrough_parses():
+    # a flag renamed or removed in the CLI fails here instead of going stale
+    # in the README's CLI walkthrough
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI walkthrough", 1)[1].split("```bash\n", 1)[1].split("```")[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["scnn"]]
+    assert {argv[0] for argv in commands} == {"synth", "search", "stack", "predict",
+                                              "evaluate", "gradcheck"}
+    for argv in commands:
+        _build_parser().parse_args(argv)

@@ -9,7 +9,9 @@ a hostile value), runs the command in-process through cli.main, and checks:
 - the exit code is 0 or 2, and nothing prints a traceback;
 - on exit 2, the message names the mutated file and no output is left;
 - on exit 0 after a mutation of the run directory, stack writes the clean
-  run's bytes: a change that alters what it stacks must be refused.
+  run's bytes, and after a mutation of the stack manifest, predict writes
+  the clean predictions: a change that alters what is stacked or predicted
+  with must be refused.
 """
 
 import contextlib
@@ -37,6 +39,7 @@ TARGETS = {
     "oof1": ("run/trials/1/oof.tsv", "stack"),
     "run_manifest": ("run/manifest.json", "stack"),
     "predict_input": ("test.tsv", "predict"),
+    "stack_top2": ("stacks_report/stack_top2.json", "predict"),
     "predictions": ("pred.tsv", "evaluate"),
     "gold": ("gold.tsv", "evaluate"),
 }
@@ -135,7 +138,7 @@ def _run(clean: Path, ws: Path, target: str, with_test: bool) -> tuple:
                 "--out", out, *extra]
     elif command == "predict":
         out = ws / "out.tsv"
-        argv = ["predict", "--manifest", clean / "stacks_report/stack_top2.json",
+        argv = ["predict", "--manifest", ws / "stacks_report/stack_top2.json",
                 "--test", ws / "test.tsv", "--embeddings", emb, "--out", out]
     else:
         out = ws / "metrics.json"
@@ -151,6 +154,7 @@ def _replace(old: bytes, new: bytes) -> Mutation:
 @given(target=st.sampled_from(sorted(TARGETS)), with_test=st.booleans(), mutation=MUTATIONS)
 # Pinned: each of these once exited without naming the file, or exited 0
 # with other stack bytes. oof.tsv's third cell is the first row's gold label.
+# An edited member sha256 named only the member file, not the manifest.
 @example(target="oof0", with_test=False, mutation=Mutation("cell", 2, value=b"-1"))
 @example(target="gold", with_test=False, mutation=Mutation("truncate", 9))
 @example(target="leaderboard", with_test=True, mutation=_replace(b",godin,", b",shin,"))
@@ -164,11 +168,14 @@ def _replace(old: bytes, new: bytes) -> Mutation:
          mutation=_replace(b'"folds_k": 2,', b'"folds_k": 1,'))
 @example(target="run_manifest", with_test=False,
          mutation=_replace(b'"n_trials": 2,', b'"n_trials": 3,'))
+@example(target="stack_top2", with_test=False,
+         mutation=_replace(b'"sha256": "', b'"sha256": "0'))
 def test_one_corrupted_file_exits_0_or_2_and_names_it(clean, target, with_test, mutation):
     rel, command = TARGETS[target]
     with tempfile.TemporaryDirectory() as tmp:
         ws = Path(tmp)
         shutil.copytree(clean / "run", ws / "run")
+        shutil.copytree(clean / "stacks_report", ws / "stacks_report")
         for copied in ("test.tsv", "pred.tsv", "gold.tsv"):
             shutil.copy(clean / copied, ws / copied)
         (ws / rel).write_bytes(mutation((clean / rel).read_bytes(), Path(rel).suffix))
@@ -184,3 +191,5 @@ def test_one_corrupted_file_exits_0_or_2_and_names_it(clean, target, with_test, 
             assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in want.iterdir())
             for path in want.iterdir():
                 assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+        elif target == "stack_top2":
+            assert out.read_bytes() == (clean / "pred.tsv").read_bytes()

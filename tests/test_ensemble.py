@@ -185,7 +185,7 @@ def trained():
     from conftest import synth_arrays
 
     examples, docs, labels = synth_arrays(77, 100)
-    folds = stratified_kfold(examples, k=5, seed=7)
+    folds = stratified_kfold([ex.label for ex in examples], k=5, seed=7)
     models = _train_folds(toy_hp(batch_size=20), docs, labels, folds,
                           TrainSchedule(max_epochs=8, patience=3), 7)
     return models, examples, docs, labels, folds
@@ -235,7 +235,7 @@ class TestTrainFoldEnsemble:
         from conftest import synth_arrays
 
         examples, docs, labels = synth_arrays(42, 600)
-        folds = stratified_kfold(examples, k=5, seed=42)
+        folds = stratified_kfold([ex.label for ex in examples], k=5, seed=42)
         models = _train_folds(toy_hp(batch_size=50), docs, labels, folds, TrainSchedule(), 42)
         assert _cv_score(examples, labels, folds, models, tmp_path) >= 0.9
 
@@ -324,7 +324,10 @@ class TestManifest:
     @pytest.mark.parametrize("edit,named", [
         (lambda doc: doc.pop("members"), "manifest lacks members"),
         (lambda doc: doc.pop("K"), "manifest lacks K"),
-        (lambda doc: doc.update(members=[]), "members must be a non-empty list"),
+        (lambda doc: doc.update(members=[]), "manifest members must be a non-empty list"),
+        (lambda doc: doc.pop("format_version"), "manifest lacks format_version"),
+        (lambda doc: doc.update(format_version=2),
+         "manifest format_version must be an integer <= 1, got 2"),
         (lambda doc: doc.update(members=[doc["members"][0], "t0_f1.scnn"]), "member 1 is not"),
     ] + [
         (lambda doc, key=key: doc["members"][2].pop(key), f"member 2 lacks {key}")

@@ -177,7 +177,7 @@ class TestLeaderboardCsv:
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     examples, docs, labels, test_ex, test_docs, test_labels = synth_arrays(300, 80, 40)
-    folds = stratified_kfold(examples, k=5, seed=300)
+    folds = stratified_kfold([ex.label for ex in examples], k=5, seed=300)
     space = S.SearchSpace.from_dict(synth.TOY_SPACE, restricted=False)
     out = tmp_path_factory.mktemp("run")
     records = S.run_search(
@@ -226,16 +226,16 @@ class TestRunSearch:
 
     def test_leaderboard_matches_records(self, small_run):
         records, out, *_ = small_run
-        back = S.load_leaderboard(str(out))
-        assert [r.trial_id for r in back] == [r.trial_id for r in records]
-        for a, b in zip(back, records):
-            assert abs(a.cv_score - round(b.cv_score, 6)) < 1e-9
+        _, back = S.load_run(str(out))
+        assert [r.trial_id for r in back] == [r.trial_id for r in records if r.ok]
+        assert [r.hp for r in back] == [r.hp for r in records if r.ok]
 
     def test_cv_scores_recomputable_from_oof(self, small_run):
         records, out, *_ = small_run
-        manifest = S.load_run_manifest(str(out))
-        for r in records:
-            assert abs(S.checked_cv_score(str(out), manifest, r) - r.cv_score) <= 1e-6
+        manifest, back = S.load_run(str(out))
+        assert manifest["n_trials"] == len(records)
+        for a, b in zip(back, records):
+            assert abs(a.cv_score - b.cv_score) <= 1e-6
 
     def test_tampered_oof_detected(self, small_run, tmp_path):
         records, out, *_ = small_run
@@ -251,24 +251,27 @@ class TestRunSearch:
         flipped[(current + 1) % 3] = "1.0"  # force a different prediction
         lines[0] = "\t".join(parts[:3] + flipped) + "\n"
         oof.write_text("".join(lines))
-        loaded = S.parse_leaderboard_csv((clone / "leaderboard.csv").read_text())
-        rec = next(r for r in loaded if r.trial_id == records[0].trial_id)
         with pytest.raises(DataError, match="does not match"):
-            S.checked_cv_score(str(clone), S.load_run_manifest(str(clone)), rec)
+            S.load_run(str(clone))
 
-    def test_oof_fold_column_checked_against_the_manifest(self, small_run):
-        records, out, *_ = small_run
-        manifest = S.load_run_manifest(str(out))
-        with pytest.raises(DataError, match="oof.tsv: the fold column is not the split"):
-            S.checked_cv_score(str(out), {**manifest, "fold_seed": manifest["fold_seed"] + 1},
-                               records[0])
-        with pytest.raises(DataError, match="fewer than k=99"):
-            S.checked_cv_score(str(out), {**manifest, "folds_k": 99}, records[0])
+    def test_oof_fold_column_checked_against_the_manifest(self, small_run, tmp_path):
+        _, out, *_ = small_run
+        import shutil
+
+        for key, shift, named in [("fold_seed", 1, "oof.tsv: the fold column is not the split"),
+                                  ("folds_k", 94, "fewer than k=99")]:
+            clone = tmp_path / key
+            shutil.copytree(out, clone)
+            doc = json.loads((clone / "manifest.json").read_text())
+            doc[key] += shift
+            (clone / "manifest.json").write_text(json.dumps(doc))
+            with pytest.raises(DataError, match=named):
+                S.load_run(str(clone))
 
     def test_parallelism_independent(self, small_run, tmp_path):
         records, out, docs, labels, *_ = small_run
         examples, docs2, labels2 = synth_arrays(300, 80)
-        folds = stratified_kfold(examples, k=5, seed=300)
+        folds = stratified_kfold([ex.label for ex in examples], k=5, seed=300)
         space = S.SearchSpace.from_dict(synth.TOY_SPACE, restricted=False)
         par = S.run_search(
             [ex.id for ex in examples], labels2, {"godin": docs2, "shin": docs2},
@@ -282,7 +285,7 @@ class TestRunSearch:
 
     def test_failed_trial_recorded_and_search_continues(self, small_run, tmp_path):
         examples, docs, labels = synth_arrays(301, 60)
-        folds = stratified_kfold(examples, k=5, seed=301)
+        folds = stratified_kfold([ex.label for ex in examples], k=5, seed=301)
         # batch_size larger than any fold's training split still works, but an
         # embedding name with no docs fails the trial at lookup time
         space = S.SearchSpace.from_dict(
@@ -297,7 +300,7 @@ class TestRunSearch:
     def test_trial_failure_status(self, tmp_path):
         # force a mid-training numeric failure via an absurd learning rate
         examples, docs, labels = synth_arrays(302, 60)
-        folds = stratified_kfold(examples, k=5, seed=302)
+        folds = stratified_kfold([ex.label for ex in examples], k=5, seed=302)
         space = S.SearchSpace.from_dict(
             {**synth.TOY_SPACE, "learning_rate": [1e30]}, restricted=False
         )
@@ -393,7 +396,7 @@ class _RecordingPool(ProcessPoolExecutor):
 def _failing_lr_search(out_dir, parallelism):
     """4 trials where trials 1 and 3 (lr 1e30) fail with a NaN."""
     examples, docs, labels = synth_arrays(302, 60)
-    folds = stratified_kfold(examples, k=5, seed=302)
+    folds = stratified_kfold([ex.label for ex in examples], k=5, seed=302)
     space = S.SearchSpace.from_dict(
         {**synth.TOY_SPACE, "learning_rate": [0.01, 1e30]}, restricted=False
     )
@@ -414,7 +417,7 @@ def _tree_bytes(root):
 
 def _one_trial_search(out_dir, parallelism, edit_folds=lambda folds: folds):
     examples, docs, labels = synth_arrays(304, 60)
-    folds = edit_folds(stratified_kfold(examples, k=5, seed=304))
+    folds = edit_folds(stratified_kfold(labels, k=5, seed=304))
     space = S.SearchSpace.from_dict(synth.TOY_SPACE, restricted=False)
     return S.run_search(
         [ex.id for ex in examples], labels, {"godin": docs, "shin": docs},
@@ -490,7 +493,7 @@ class TestProcessPool:
                 S.run_search([ex.id for ex in examples], labels,
                              {{"godin": docs, "shin": docs}},
                              S.SearchSpace.from_dict(synth.TOY_SPACE, restricted=False),
-                             2, stratified_kfold(examples, k=5, seed=306),
+                             2, stratified_kfold(labels, k=5, seed=306),
                              TrainSchedule(max_epochs=1), seed=1,
                              out_dir=os.path.join({str(tmp_path)!r}, "run"), parallelism=2)
             except BrokenProcessPool:
@@ -528,7 +531,7 @@ class TestUnits:
         from scnn import model as M
 
         examples, docs, labels = synth_arrays(305, 60)
-        folds = stratified_kfold(examples, k=5, seed=305)
+        folds = stratified_kfold([ex.label for ex in examples], k=5, seed=305)
         inputs = S.TrialInputs(
             ids=[ex.id for ex in examples], labels=labels,
             docs_by_name={"godin": docs, "shin": docs}, folds=folds,
@@ -557,7 +560,7 @@ class TestUnits:
 def test_full_trial_budget_produces_dense_records(tmp_path):
     # the production run trains 99 ensembles; ids must be unique and dense
     examples, docs, labels = synth_arrays(500, 60)
-    folds = stratified_kfold(examples, k=5, seed=500)
+    folds = stratified_kfold([ex.label for ex in examples], k=5, seed=500)
     space = S.SearchSpace.from_dict(
         {
             "adam_b2": [0.9, 0.999],
@@ -613,7 +616,7 @@ class TestStreamingSearch:
 
     def _search(self, out_dir, n_trials=2):
         examples, docs, labels = synth_arrays(303, 60)
-        folds = stratified_kfold(examples, k=5, seed=303)
+        folds = stratified_kfold([ex.label for ex in examples], k=5, seed=303)
         space = S.SearchSpace.from_dict(synth.TOY_SPACE, restricted=False)
         return S.run_search(
             [ex.id for ex in examples], labels, {"godin": docs, "shin": docs},
