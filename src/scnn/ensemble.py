@@ -211,7 +211,7 @@ def load_ensemble(manifest_path) -> list:
     """The stack a manifest lists, in rank order, each member a ModelFile
     that ensemble_predict loads and checks against its sha256 when it uses
     it. Only the first member file of each trial is read here, for its
-    hyperparameters; errors name the file and the member."""
+    hyperparameters; errors name the manifest, and the member or its file."""
     doc = read_json(manifest_path, "manifest")
     check_fields(f"{manifest_path}: manifest", doc, _MANIFEST_TYPES)
     for i, entry in enumerate(doc["members"]):
@@ -225,7 +225,11 @@ def load_ensemble(manifest_path) -> list:
             raise DataError(f"{manifest_path}: missing member file {entry['path']}")
         tid = entry["trial_id"]
         if tid not in by_trial:
-            by_trial[tid] = Trial(tid, load_model_hp(path), float(entry["cv_score"]))
+            try:  # the error names the manifest that lists the member
+                hp = load_model_hp(path)
+            except DataError as exc:
+                raise DataError(f"{manifest_path}: {exc}") from None
+            by_trial[tid] = Trial(tid, hp, float(entry["cv_score"]))
         by_trial[tid].members.append(ModelFile(path, entry["sha256"]))
 
     counts = sorted({len(trial.members) for trial in by_trial.values()})

@@ -518,6 +518,25 @@ class TestStackPredictEvaluate:
         assert "Traceback" not in err
         assert not pred.exists()
 
+    def test_predict_member_not_a_model_file(self, run_dir, corpus_dir, tmp_path, capsys):
+        # the first member's header is read while the manifest loads
+        stacks = tmp_path / "stacks"
+        assert run_cli("stack", "--run", run_dir, "--top-k", "3", "--out", stacks) == 0
+        manifest = stacks / "stack_top3.json"
+        doc = json.loads(manifest.read_text())
+        doc["members"][0]["path"] = os.path.relpath(run_dir / "manifest.json", stacks)
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        pred = tmp_path / "pred.tsv"
+        code = run_cli("predict", "--manifest", manifest, "--test", corpus_dir / "test.tsv",
+                       "--embeddings", f"godin={corpus_dir}/embeddings.txt,"
+                                       f"shin={corpus_dir}/embeddings.txt", "--out", pred)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"{manifest}: " in err and "run/manifest.json: " in err
+        assert "Traceback" not in err
+        assert not pred.exists()
+
     def test_predict_flipped_last_member(self, run_dir, corpus_dir, tmp_path, capsys):
         # members are checked when used: the first 14 predict before this fails
         stacks = tmp_path / "stacks"

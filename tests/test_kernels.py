@@ -1,12 +1,19 @@
 """Kernel tests against brute-force loop references for the forward and
 the backward."""
 
+import contextlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scnn import kernels
+from scnn import kernels, synth
+from scnn.cli import _build_parser
+from scnn.model import DEFAULT_SEARCH_DOMAINS
 from scnn.rng import Rng
 
 
@@ -101,6 +108,17 @@ class TestForward:
         assert (argmax == 0).all()
         assert pooled.shape == (3, 5)
 
+    def test_ragged_path_matches_bruteforce(self, name, fwd, bwd):
+        docs, W, b = _random_case(4, B=13, dim=64, h=4, f=64, dtype=np.float64, pad_rows=0)
+        for n, length in enumerate([0, 2, 6]):  # an empty document and two short ones
+            docs[n, length:] = 0
+        assert takes_ragged_path(docs, W)
+        pooled, argmax = fwd(docs, W, b)
+        for n in range(len(docs)):
+            exp_pool, exp_arg = conv_pool_bruteforce(docs[n], W, b)
+            np.testing.assert_allclose(pooled[n], exp_pool, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(argmax[n], exp_arg)
+
 
 @pytest.mark.parametrize("name,fwd,bwd", BACKENDS, ids=lambda v: v if isinstance(v, str) else "")
 class TestBackward:
@@ -189,3 +207,135 @@ def test_backward_matches_bruteforce(case):
 
 def test_backend_selection_matches_env():
     assert kernels.BACKEND == "numpy"
+
+
+def takes_ragged_path(docs, W):
+    """Whether conv_pool_forward computes only the live windows: each
+    document's windows up to its last word."""
+    h, dim, f = W.shape
+    P = docs.shape[1] - h + 1
+    real = [np.flatnonzero(doc.any(axis=1)) for doc in docs]
+    rows = sum(min(int(r[-1]) + 1, P) for r in real if len(r))
+    return (h * dim * f >= kernels.RAGGED_MIN_WINDOW_COST and rows >= 2
+            and rows * h * dim * f > kernels.SMALL_GEMM_MAX)
+
+
+@contextlib.contextmanager
+def ragged_threshold(value):
+    """Run the forward with RAGGED_MIN_WINDOW_COST set to ``value``: 0 takes
+    the ragged path at every shape, infinity the full one."""
+    saved = kernels.RAGGED_MIN_WINDOW_COST
+    kernels.RAGGED_MIN_WINDOW_COST = value
+    try:
+        yield
+    finally:
+        kernels.RAGGED_MIN_WINDOW_COST = saved
+
+
+def both_paths(docs, W, b):
+    with ragged_threshold(float("inf")):
+        full = kernels.conv_pool_forward(docs, W, b)
+    with ragged_threshold(0):
+        ragged = kernels.conv_pool_forward(docs, W, b)
+    return full, ragged
+
+
+@st.composite
+def ragged_cases(draw, dtypes=(np.float32,), dims=(400,), filters=(100, 200, 300, 400)):
+    """A padded (B, 47, dim) batch with drawn document lengths 0-47, some
+    interior all-zero rows (unknown tokens), and a filter bank."""
+    L = 47
+    dtype = draw(st.sampled_from(dtypes))
+    dim, f = draw(st.sampled_from(dims)), draw(st.sampled_from(filters))
+    h = draw(st.integers(1, 7))
+    lengths = draw(st.lists(st.integers(0, L), min_size=1, max_size=6))
+    kind = draw(st.sampled_from(["random", "empty_doc", "no_pad_window", "one_doc"]))
+    if kind == "empty_doc":
+        lengths[0] = 0
+    elif kind == "no_pad_window":
+        lengths[0] = L
+    elif kind == "one_doc":
+        lengths = lengths[:1]
+    rng = Rng(draw(st.integers(0, 2**32 - 1)))
+    docs = rng.uniform(-1, 1, (len(lengths), L, dim)).astype(dtype)
+    for n, length in enumerate(lengths):
+        docs[n, length:] = 0
+        if length and draw(st.booleans()):
+            docs[n, draw(st.integers(0, length - 1))] = 0  # an unknown token
+    W = rng.uniform(-0.3, 0.3, (h, dim, f)).astype(dtype)
+    b = rng.uniform(-0.1, 0.1, f).astype(dtype)
+    return docs, W, b
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ragged_cases())
+def test_ragged_path_matches_full_bits(case):
+    """At 400-dim float32 shapes the ragged forward gives the full forward's
+    bits, at the default BLAS threading here and (below) at one thread."""
+    docs, W, b = case
+    (full_pool, full_arg), (ragged_pool, ragged_arg) = both_paths(docs, W, b)
+    assert ragged_pool.dtype == full_pool.dtype and ragged_arg.dtype == full_arg.dtype
+    assert ragged_pool.tobytes() == full_pool.tobytes()
+    np.testing.assert_array_equal(ragged_arg, full_arg)
+
+
+def test_ragged_path_matches_full_bits_at_one_blas_thread():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    test = f"{__file__}::test_ragged_path_matches_full_bits"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ragged_cases(dtypes=(np.float32, np.float64), dims=(16, 64, 400), filters=(100, 256, 400)))
+def test_ragged_path_matches_full_within_tolerance(case):
+    """At other shapes a GEMM row's last bits can depend on the rows beside
+    it (float64 (3, 47, 400), h = 6, f = 100 is one), so the two paths agree
+    to the brute-force forward test's tolerance."""
+    docs, W, b = case
+    (full_pool, full_arg), (ragged_pool, ragged_arg) = both_paths(docs, W, b)
+    tol = 1e-5 if docs.dtype == np.float32 else 1e-12
+    np.testing.assert_allclose(ragged_pool, full_pool, rtol=tol, atol=tol)
+    np.testing.assert_array_equal(ragged_arg, full_arg)
+
+
+def test_one_live_window_keeps_the_full_bits():
+    # numpy computes a one-row product as a GEMV, which rounds differently
+    docs, W, b = _random_case(6, B=1, L=47, dim=400, h=7, f=400, pad_rows=46)
+    assert 7 * 400 * 400 > kernels.SMALL_GEMM_MAX and not takes_ragged_path(docs, W)
+    (full_pool, full_arg), (ragged_pool, ragged_arg) = both_paths(docs, W, b)
+    assert ragged_pool.tobytes() == full_pool.tobytes()
+    np.testing.assert_array_equal(ragged_arg, full_arg)
+
+
+def test_ragged_path_takes_the_first_nan_like_argmax():
+    # an embeddings file may hold "nan"; argmax takes a column's first NaN
+    docs, W, b = _random_case(5, L=12, dim=400, h=2, f=100, pad_rows=3)
+    docs[1, 4, 0] = np.nan  # in windows 3 and 4 of document 1
+    assert takes_ragged_path(docs, W)
+    (full_pool, full_arg), (ragged_pool, ragged_arg) = both_paths(docs, W, b)
+    assert (ragged_arg[1] == 3).all() and np.isnan(ragged_pool[1]).all()
+    np.testing.assert_array_equal(ragged_arg, full_arg)
+    assert ragged_pool.tobytes() == full_pool.tobytes()
+
+
+def test_threshold_splits_desk_and_paper_shapes():
+    """Every conv of the synth desk space takes the full path, and every conv
+    of the default search domains at 400 dims the ragged one."""
+    desk_dim = _build_parser().parse_args(["synth", "--out", "x", "--seed", "1"]).dim
+    desk = [h * desk_dim * f for f in synth.TOY_SPACE["n_filters"]
+            for sizes in synth.TOY_SPACE["filter_sizes"] for h in sizes]
+    paper = [h * 400 * f for f in DEFAULT_SEARCH_DOMAINS["n_filters"]
+             for sizes in DEFAULT_SEARCH_DOMAINS["filter_sizes"] for h in sizes]
+    assert max(desk) < kernels.RAGGED_MIN_WINDOW_COST <= min(paper)
+
+
+def test_bench_kernels_smoke():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    proc = subprocess.run([sys.executable, os.path.join(root, "benchmarks", "bench_kernels.py"),
+                           "--iters", "1"], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().split("\n")
+    assert lines and all("computed" in line and "ragged" in line for line in lines)
