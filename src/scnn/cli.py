@@ -324,7 +324,7 @@ def _cmd_evaluate(args, outputs: _Outputs) -> int:
             f"{len(extra)} extra (e.g. {extra[:3]})"
         )
     cm = metrics.confusion([ex.label for ex in gold], [preds[ex.id] for ex in gold])
-    report = metrics.MetricsReport.from_confusion(cm).to_json_text()
+    report = metrics.report_json(cm)
     if args.out:
         outputs.claim_file(args.out)
         with atomic_write(args.out) as fh:

@@ -9,12 +9,13 @@ ascending trial id, failed trials last. A stack is a list of the top K
 trials in that order and predicts the mean of theirs. All means are plain
 arithmetic in probability space, summed in float64 in a fixed order.
 
-A member is anything with predict_proba(docs), or a ModelFile on disk that
-is loaded only while ensemble_predict uses it, so predicting with a stack
-of any size holds one member's tensors at a time. save_ensemble writes a
-stack's JSON manifest; load_ensemble checks it and each member with
-fileio.check_fields tables, as search.load_run checks a run manifest, so
-format_version is a required integer no newer than the supported one.
+A member is a ModelFile on disk, loaded only while ensemble_predict uses
+it, so predicting with a stack of any size holds one member's tensors at a
+time; tests may pass any object with predict_proba(docs) instead.
+save_ensemble writes a stack's JSON manifest; load_ensemble checks it and
+each member with fileio.check_fields tables, as search.load_run checks a
+run manifest, so format_version is a required integer no newer than the
+supported one.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import model
 from .corpus import FoldAssignment
 from .errors import DataError, NumericError
 from .fileio import atomic_write, check_fields, file_sha256, is_int, is_number, read_json
@@ -116,19 +118,16 @@ def mean_probs(parts: list) -> np.ndarray:
 def _member_probs(trial: Trial, member, docs: np.ndarray) -> np.ndarray:
     """One member's probabilities. A ModelFile is loaded for this call only
     and must match the trial's hyperparameters and the documents' dimension."""
-    if isinstance(member, ModelFile):
-        path = member.path
-        member = load_model(path, member.sha256)
-        if not isinstance(member, TrainedModel):  # saved without training metadata
-            member = TrainedModel(weights=member, best_dev_score=float("nan"),
-                                  epochs_run=0, restart_count=0, history=[])
-        if member.weights.hp != trial.hp:
-            raise DataError(f"{path}: hyperparameters differ from those of "
-                            f"trial {trial.trial_id}")
-        if member.weights.embedding_dim != docs.shape[2]:
-            raise DataError(f"{path}: takes {member.weights.embedding_dim}-dim embeddings, "
-                            f"the {trial.hp.word_embedding} table has {docs.shape[2]}")
-    return member.predict_proba(docs)
+    if not isinstance(member, ModelFile):
+        return member.predict_proba(docs)
+    net = load_model(member.path, member.sha256)
+    if net.hp != trial.hp:
+        raise DataError(f"{member.path}: hyperparameters differ from those of "
+                        f"trial {trial.trial_id}")
+    if net.embedding_dim != docs.shape[2]:
+        raise DataError(f"{member.path}: takes {net.embedding_dim}-dim embeddings, "
+                        f"the {trial.hp.word_embedding} table has {docs.shape[2]}")
+    return model.predict_proba(net, docs)
 
 
 def ensemble_predict(trial: Trial, docs: np.ndarray) -> np.ndarray:
@@ -220,7 +219,7 @@ def load_ensemble(manifest_path) -> list:
 
     by_trial: dict = {}  # in manifest order
     for entry in doc["members"]:
-        path = os.path.join(manifest_dir, entry["path"])
+        path = os.path.normpath(os.path.join(manifest_dir, entry["path"]))
         if not os.path.exists(path):
             raise DataError(f"{manifest_path}: missing member file {entry['path']}")
         tid = entry["trial_id"]

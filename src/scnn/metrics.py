@@ -8,8 +8,6 @@ ratios are reported as 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError
@@ -77,36 +75,13 @@ def micro_f1_12(gold, probs: np.ndarray) -> float:
     return float(micro_prf_12(confusion(gold, argmax_labels(probs)))[2])
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    precision: dict  # class -> value
-    recall: dict
-    f1: dict
-    precision_m: float
-    recall_m: float
-    f1_m: float
-
-    @classmethod
-    def from_confusion(cls, cm: np.ndarray) -> "MetricsReport":
-        per = per_class_prf(cm)
-        pm, rm, fm = micro_prf_12(cm)
-        return cls(
-            precision={c: per[c][0] for c in CLASSES},
-            recall={c: per[c][1] for c in CLASSES},
-            f1={c: per[c][2] for c in CLASSES},
-            precision_m=pm,
-            recall_m=rm,
-            f1_m=fm,
-        )
-
-    def to_json_text(self) -> str:
-        """Fixed key order, 6-decimal values; byte-stable for equal inputs."""
-        pairs = []
-        for stem in ("precision", "recall", "f1"):
-            for c in CLASSES:
-                pairs.append((f"{stem}_{c}", getattr(self, stem)[c]))
-        pairs += [("precision_m", self.precision_m),
-                  ("recall_m", self.recall_m),
-                  ("f1_m", self.f1_m)]
-        body = ",\n".join(f'  "{k}": {v:.6f}' for k, v in pairs)
-        return "{\n" + body + "\n}\n"
+def report_json(cm: np.ndarray) -> str:
+    """The evaluate report of a confusion matrix: per-class precision,
+    recall and F1, then the class-1/2 micro averages, in a fixed key order
+    with 6-decimal values, so equal inputs give equal bytes."""
+    per = per_class_prf(cm)
+    pairs = [(f"{stem}_{c}", per[c][i])
+             for i, stem in enumerate(("precision", "recall", "f1")) for c in CLASSES]
+    pairs += zip(("precision_m", "recall_m", "f1_m"), micro_prf_12(cm))
+    body = ",\n".join(f'  "{k}": {v:.6f}' for k, v in pairs)
+    return "{\n" + body + "\n}\n"

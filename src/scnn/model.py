@@ -311,27 +311,30 @@ def predict_proba(model: ShallowCNN, docs: np.ndarray) -> np.ndarray:
 # training with early stopping and annealing restarts
 # --------------------------------------------------------------------------
 
+RESTARTS_ALLOWED = 2
+LR_DECAY = 0.5
+
+
 @dataclass(frozen=True)
 class TrainSchedule:
     """Early-stopping policy: on ``patience`` epochs without dev improvement,
-    restore the best weights, halve the learning rate, and reset the Adam
-    moments; after ``restarts_allowed`` such events, the next stagnation
-    stops training. The dev metric is micro-F1 over classes 1 and 2."""
+    restore the best weights, multiply the learning rate by LR_DECAY, and
+    reset the Adam moments; after RESTARTS_ALLOWED such events, the next
+    stagnation stops training. The dev metric is micro-F1 over classes 1
+    and 2."""
 
     max_epochs: int = 30
     patience: int = 2
-    restarts_allowed: int = 2
-    lr_decay: float = 0.5
 
     def __post_init__(self):
-        if not (self.max_epochs >= 1 and self.patience >= 1 and self.restarts_allowed >= 0
-                and 0 < self.lr_decay <= 1):
-            raise ValueError(f"{self}: needs max_epochs and patience >= 1, "
-                             f"restarts_allowed >= 0 and lr_decay in (0, 1]")
+        if not (self.max_epochs >= 1 and self.patience >= 1):
+            raise ValueError(f"{self}: needs max_epochs and patience >= 1")
 
 
 @dataclass
 class TrainedModel:
+    """train()'s result, and what save_model writes."""
+
     weights: ShallowCNN
     best_dev_score: float
     epochs_run: int
@@ -340,9 +343,6 @@ class TrainedModel:
     # the best epoch's dev-set probabilities, which equal predict_proba on
     # the dev set bit for bit; None when a dev_scorer replaced them. Not saved.
     dev_probs: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def predict_proba(self, docs: np.ndarray) -> np.ndarray:
-        return predict_proba(self.weights, docs)
 
 
 def train_buffers(model: ShallowCNN) -> tuple:
@@ -442,10 +442,10 @@ def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
         restarted = False
         stop = False
         if stagnation >= sched.patience:
-            if restart_count < sched.restarts_allowed:
+            if restart_count < RESTARTS_ALLOWED:
                 np.copyto(model.arena, best)
                 opt.reset()
-                lr *= sched.lr_decay
+                lr *= LR_DECAY
                 restart_count += 1
                 stagnation = 0
                 restarted = True
@@ -477,17 +477,17 @@ def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
 # --------------------------------------------------------------------------
 #
 # Binary, little-endian: magic "SCNN", u32 format version, u32 header
-# length, JSON header (hp, dims, seed, dtype, tensor table, optional
-# training metadata), then the raw tensors row-major in declared order:
-# the model's arena, byte for byte.
+# length, JSON header (hp, dims, seed, dtype "float32", tensor table,
+# training metadata), then the raw float32 tensors row-major in declared
+# order: the model's arena, byte for byte.
 
 MODEL_MAGIC = b"SCNN"
 MODEL_FORMAT_VERSION = 1
-_DTYPE_CODES = {"float32": "<f4", "float64": "<f8"}
-# key -> (check, what the value must be), for each header value load_model reads
+_TENSOR_DTYPE = np.dtype("<f4")  # float32, the one dtype a model file holds
+# key -> (check, what the value must be), for each header value load_model checks
 _HEADER_TYPES = {
     "hp": (lambda v: isinstance(v, dict), "an object"),
-    "dtype": (lambda v: v in tuple(_DTYPE_CODES), " or ".join(_DTYPE_CODES)),
+    "dtype": (lambda v: v == "float32", "float32"),
     "tensors": (lambda v: isinstance(v, list), "a list"),
     "embedding_dim": (lambda v: is_int(v) and v >= 1, "a positive integer"),
     "init_seed": (is_int, "an integer"),
@@ -501,21 +501,21 @@ _META_TYPES = {
 }
 
 
-def save_model(model, path) -> None:
-    """Write a ShallowCNN or TrainedModel; round trips bit-exactly."""
-    trained = model if isinstance(model, TrainedModel) else None
-    net = trained.weights if trained else model
-    dtype_name = net.arena.dtype.name
-    if dtype_name not in _DTYPE_CODES:
-        raise ValueError(f"unsupported dtype {dtype_name}")
+def save_model(trained: TrainedModel, path) -> None:
+    """Write a trained float32 model: its weights and training metadata.
+    load_model of the file returns the weights bit for bit; ValueError for
+    an arena of any other dtype."""
+    net = trained.weights
+    if net.arena.dtype != np.float32:
+        raise ValueError(f"model files hold float32 weights, not {net.arena.dtype}")
     header = {
         "format_version": MODEL_FORMAT_VERSION,
         "hp": net.hp.to_dict(),
         "embedding_dim": net.embedding_dim,
         "init_seed": net.init_seed,
-        "dtype": dtype_name,
+        "dtype": "float32",
         "tensors": [[name, list(shape)] for name, shape in net.shapes],
-        "train_meta": None if trained is None else {
+        "train_meta": {
             "best_dev_score": trained.best_dev_score,
             "epochs_run": trained.epochs_run,
             "restart_count": trained.restart_count,
@@ -527,8 +527,7 @@ def save_model(model, path) -> None:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<II", MODEL_FORMAT_VERSION, len(blob)))
         fh.write(blob)
-        arena = np.ascontiguousarray(net.arena, dtype=_DTYPE_CODES[dtype_name])
-        fh.write(memoryview(arena).cast("B"))
+        fh.write(memoryview(np.ascontiguousarray(net.arena, dtype=_TENSOR_DTYPE)).cast("B"))
 
 
 def _check_header(path, header) -> tuple:
@@ -536,8 +535,7 @@ def _check_header(path, header) -> tuple:
     the tensor) unless every field load_model reads is present and valid and
     the tensor table matches the hyperparameters exactly."""
     check_fields(f"{path}: model header", header, _HEADER_TYPES)
-    if header.get("train_meta") is not None:
-        check_fields(f"{path}: train_meta", header["train_meta"], _META_TYPES)
+    check_fields(f"{path}: train_meta", header.get("train_meta"), _META_TYPES)
     try:
         hp = HyperParams.from_dict(header["hp"])
     except DataError as exc:
@@ -600,27 +598,27 @@ def load_model_hp(path) -> HyperParams:
         return _read_header(fh, path, size, None)[1]
 
 
-def load_model(path, sha256: Optional[str] = None):
-    """Inverse of save_model; returns a TrainedModel when metadata is present.
+def load_model(path, sha256: Optional[str] = None) -> ShallowCNN:
+    """The model a save_model file holds, bit for bit.
 
     The file is read once, its tensors with one read into the model's arena.
-    The header must declare exactly the tensors ``param_shapes`` gives for
-    its hyperparameters, names, order and shapes. With ``sha256`` given, the
-    bytes read must have that hex digest. Anything else is a DataError
-    naming the file."""
+    The header must say dtype float32, carry a train_meta object whose
+    fields are checked (and not returned), and declare exactly the tensors
+    ``param_shapes`` gives for its hyperparameters, names, order and shapes.
+    With ``sha256`` given, the bytes read must have that hex digest.
+    Anything else is a DataError naming the file."""
     digest = hashlib.sha256() if sha256 is not None else None
     fh, size = _open_model(path)
     with fh:
         header, hp, shapes = _read_header(fh, path, size, digest)
-        dtype = np.dtype(_DTYPE_CODES[header["dtype"]])
         n = arena_size(shapes)
         # the size check comes first so a bad header allocates nothing;
         # the read check catches a file that shrinks while it is read
-        present = (size - fh.tell()) // dtype.itemsize
+        present = (size - fh.tell()) // _TENSOR_DTYPE.itemsize
         if present < n:
             raise DataError(f"{path}: truncated model file "
                             f"(tensor {nn_core.tensor_at(shapes, present)})")
-        arena = np.empty(n, dtype=dtype)
+        arena = np.empty(n, dtype=_TENSOR_DTYPE)
         raw = memoryview(arena).cast("B")
         if fh.readinto(raw) < len(raw):
             raise DataError(f"{path}: truncated model file")
@@ -630,15 +628,5 @@ def load_model(path, sha256: Optional[str] = None):
             raise DataError(f"{path}: trailing bytes after declared tensors")
     if digest is not None and digest.hexdigest() != sha256:
         raise DataError(f"hash mismatch for member {path}")
-    net = ShallowCNN(hp=hp, embedding_dim=header["embedding_dim"], arena=arena,
-                     init_seed=header["init_seed"])
-    meta = header.get("train_meta")
-    if meta is None:
-        return net
-    return TrainedModel(
-        weights=net,
-        best_dev_score=meta["best_dev_score"],
-        epochs_run=meta["epochs_run"],
-        restart_count=meta["restart_count"],
-        history=[tuple(row) for row in meta["history"]],
-    )
+    return ShallowCNN(hp=hp, embedding_dim=header["embedding_dim"], arena=arena,
+                      init_seed=header["init_seed"])

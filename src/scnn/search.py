@@ -74,6 +74,8 @@ from .fileio import atomic_write, check_fields, is_int, open_text, read_json, re
 from .model import (
     DEFAULT_SEARCH_DOMAINS,
     HP_FIELDS,
+    LR_DECAY,
+    RESTARTS_ALLOWED,
     HyperParams,
     SharedBuffers,
     TrainSchedule,
@@ -503,8 +505,8 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
         "schedule": {
             "max_epochs": sched.max_epochs,
             "patience": sched.patience,
-            "restarts_allowed": sched.restarts_allowed,
-            "lr_decay": sched.lr_decay,
+            "restarts_allowed": RESTARTS_ALLOWED,
+            "lr_decay": LR_DECAY,
         },
         "dataset": dataset_info or {},
     }
@@ -525,7 +527,7 @@ def load_trial_ensemble(run_dir, record: Trial, k: int) -> Trial:
         if not os.path.exists(path):
             raise DataError(f"missing model file {path} for trial {record.trial_id}")
         loaded = load_model(path)
-        if getattr(loaded, "weights", loaded).hp != record.hp:
+        if loaded.hp != record.hp:
             raise DataError(f"{os.path.join(run_dir, 'leaderboard.csv')}: trial "
                             f"{record.trial_id}'s hyperparameters differ from those of {path}")
         del loaded  # before the next fold's load: one model alive at a time

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from scnn import corpus, embeddings, synth
+from scnn import model as M
 from scnn.model import HyperParams
 from scnn.rng import Rng
 
@@ -41,16 +42,34 @@ def synth_arrays(seed: int, n_train: int, n_test: int = 0, dim: int = 16):
     return train_ex, docs, labels, test_ex, test_docs, test_labels
 
 
-def rewrite_model_header(src, dst, edit) -> None:
-    """Copy the model file ``src`` to ``dst`` with ``edit(header)`` applied
-    to its JSON header; the tensor bytes are kept as they are."""
-    raw = src.read_bytes()
+def save_net(net, path) -> None:
+    """Save the model ``net`` as a trained one with no epochs run."""
+    M.save_model(M.TrainedModel(net, 0.0, 0, 0, []), path)
+
+
+class NetMember:
+    """An in-memory stack member: the probabilities of the model ``net``."""
+
+    def __init__(self, net):
+        self.net = net
+
+    def predict_proba(self, docs):
+        return M.predict_proba(self.net, docs)
+
+
+def edit_model_header(raw: bytes, edit) -> bytes:
+    """The model file bytes ``raw`` with ``edit(header)`` applied to their
+    JSON header; the tensor bytes are kept as they are."""
     _, header_len = struct.unpack("<II", raw[4:12])
     header = json.loads(raw[12:12 + header_len])
     edit(header)
     blob = json.dumps(header).encode()
-    dst.write_bytes(raw[:4] + struct.pack("<II", 1, len(blob)) + blob
-                    + raw[12 + header_len:])
+    return raw[:4] + struct.pack("<II", 1, len(blob)) + blob + raw[12 + header_len:]
+
+
+def rewrite_model_header(src, dst, edit) -> None:
+    """Copy the model file ``src`` to ``dst`` with ``edit(header)`` applied."""
+    dst.write_bytes(edit_model_header(src.read_bytes(), edit))
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import synth_arrays, toy_hp
+from conftest import NetMember, save_net, synth_arrays, toy_hp
 from scnn import ensemble as E
 from scnn import metrics, model as M, search as S
 from scnn.corpus import Example, parse_dataset, stratified_kfold, write_dataset
@@ -80,7 +80,7 @@ def test_03_overfit_separable_corpus():
         tm = M.train(net, docs, labels, docs, labels,
                      TrainSchedule(max_epochs=200, patience=10 ** 9),
                      Rng(5).substream("train"))
-        pred = metrics.argmax_labels(tm.predict_proba(docs))
+        pred = metrics.argmax_labels(M.predict_proba(tm.weights, docs))
         accuracy = float((pred == labels).mean())
         elapsed = time.monotonic() - start
         assert tm.epochs_run <= 200
@@ -356,10 +356,10 @@ def test_10_format_round_trips(tmp_path):
         save_model(tm, tmp_path / "m.scnn")
         again = load_model(tmp_path / "m.scnn")
         for name in tm.weights.params:
-            np.testing.assert_array_equal(again.weights.params[name],
-                                          tm.weights.params[name])
-        assert again.weights.hp == tm.weights.hp
-        assert again.history == tm.history
+            np.testing.assert_array_equal(again.params[name], tm.weights.params[name])
+        assert again.hp == tm.weights.hp
+        save_model(replace(tm, weights=again), tmp_path / "m2.scnn")  # same metadata
+        assert (tmp_path / "m2.scnn").read_bytes() == (tmp_path / "m.scnn").read_bytes()
 
         # ensemble manifest: identical stacked predictions after reload
         trials = []
@@ -369,10 +369,9 @@ def test_10_format_round_trips(tmp_path):
             paths = []
             for fold in range(2):
                 fold_net = build_model(toy_hp(), 16, seed=10 * tid + fold)
-                fold_tm = M.TrainedModel(fold_net, 0.5, 1, 0, [])
                 path = tmp_path / f"t{tid}f{fold}.scnn"
-                save_model(fold_tm, path)
-                members.append(fold_tm)
+                save_net(fold_net, path)
+                members.append(NetMember(fold_net))
                 paths.append(str(path))
             trials.append(E.Trial(hp=toy_hp(), members=members,
                                   cv_score=0.6 + tid / 10, trial_id=tid))

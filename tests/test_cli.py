@@ -489,12 +489,15 @@ class TestStackPredictEvaluate:
 
     @pytest.mark.parametrize("edit,named", [
         (lambda h: h.update(dtype="float16"), "float16"),
+        (lambda h: h.update(dtype="float64"), "float64"),
+        (lambda h: h.update(train_meta=None), "train_meta"),
         (lambda h: h["tensors"][0][1].reverse(), "conv0_w"),
     ] + [
         (lambda h, key=key: h.pop(key), key)
-        for key in ("hp", "dtype", "tensors", "embedding_dim", "init_seed")
-    ], ids=["dtype-float16", "conv0_w-transposed", "no-hp", "no-dtype", "no-tensors",
-            "no-embedding_dim", "no-init_seed"])
+        for key in ("hp", "dtype", "tensors", "embedding_dim", "init_seed", "train_meta")
+    ], ids=["dtype-float16", "dtype-float64", "train_meta-null", "conv0_w-transposed",
+            "no-hp", "no-dtype", "no-tensors", "no-embedding_dim", "no-init_seed",
+            "no-train_meta"])
     def test_predict_bad_model_header(self, run_dir, corpus_dir, tmp_path, capsys,
                                       edit, named):
         stacks = tmp_path / "stacks"

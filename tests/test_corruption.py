@@ -3,8 +3,9 @@
 A clean tiny run is built once: a synthetic corpus (40 training and 20 test
 tweets), a 2-trial search with 2 folds, its stacks, predictions and gold.
 Each example mutates one file that stack, predict or evaluate reads
-(truncate it, drop, duplicate or swap lines, flip a byte, or set a cell to
-a hostile value), runs the command in-process through cli.main, and checks:
+(truncate it, drop, duplicate or swap lines, flip a byte, set a cell to a
+hostile value, or set a model file's header key), runs the command
+in-process through cli.main, and checks:
 
 - the exit code is 0 or 2, and nothing prints a traceback;
 - on exit 2, the message names the mutated file and no output is left;
@@ -16,6 +17,7 @@ a hostile value), runs the command in-process through cli.main, and checks:
 
 import contextlib
 import io
+import json
 import re
 import shutil
 import tempfile
@@ -26,12 +28,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import edit_model_header
 from scnn.cli import main
 
 EMB_FLAG = "godin={0}/embeddings.txt,shin={0}/embeddings.txt"
 HOSTILE = (b"nan", b"inf", b"-1", b"1e309", b"true")
-# what separates the cells of each kind of file
-CELL = {".csv": rb"[^,\n]+", ".tsv": rb"[^\t\n]+", ".json": rb"[^\s,:\[\]{}]+"}
+# what separates the cells of each kind of file; a model file's are the
+# scalar values of its JSON header
+CELL = {".csv": rb"[^,\n]+", ".tsv": rb"[^\t\n]+", ".json": rb"[^\s,:\[\]{}]+",
+        ".scnn": rb'(?<=":)[^,:\[\]{}"]+'}
 # target -> (the file, relative to a workspace; the command that reads it)
 TARGETS = {
     "leaderboard": ("run/leaderboard.csv", "stack"),
@@ -40,6 +45,7 @@ TARGETS = {
     "run_manifest": ("run/manifest.json", "stack"),
     "predict_input": ("test.tsv", "predict"),
     "stack_top2": ("stacks_report/stack_top2.json", "predict"),
+    "fold0": ("run/trials/0/fold0.scnn", "predict"),
     "predictions": ("pred.tsv", "evaluate"),
     "gold": ("gold.tsv", "evaluate"),
 }
@@ -81,10 +87,11 @@ def clean(tmp_path_factory):
 class Mutation:
     """One change to a file: ``a`` and ``b`` pick a line, a byte or a cell
     (modulo their count), ``mask`` is XORed into a flipped byte, and
-    ``value`` replaces a cell, or the first ``old`` (kind "replace", which
-    the pinned examples use)."""
+    ``value`` replaces a cell, or the first ``old`` (kind "replace"), or is
+    the JSON value a model file's header key ``old`` is set to (kind
+    "header"). The pinned examples use the last two."""
 
-    kind: str  # truncate, drop, duplicate, swap, flip, cell or replace
+    kind: str  # truncate, drop, duplicate, swap, flip, cell, replace or header
     a: int = 0
     b: int = 0
     mask: int = 1
@@ -97,6 +104,9 @@ class Mutation:
         if self.kind == "replace":
             assert self.old in data, self.old
             return data.replace(self.old, self.value, 1)
+        if self.kind == "header":
+            return edit_model_header(
+                data, lambda h: h.update({self.old.decode(): json.loads(self.value)}))
         if self.kind == "truncate":
             return data[:a % len(data)]
         if self.kind == "flip":
@@ -155,6 +165,9 @@ def _replace(old: bytes, new: bytes) -> Mutation:
 # Pinned: each of these once exited without naming the file, or exited 0
 # with other stack bytes. oof.tsv's third cell is the first row's gold label.
 # An edited member sha256 named only the member file, not the manifest.
+# A stacked member file's errors named it as stacks_report/../run/...: a
+# tensor byte flip, and header edits to the float64 dtype and the null
+# train_meta that a model file no longer allows.
 @example(target="oof0", with_test=False, mutation=Mutation("cell", 2, value=b"-1"))
 @example(target="gold", with_test=False, mutation=Mutation("truncate", 9))
 @example(target="leaderboard", with_test=True, mutation=_replace(b",godin,", b",shin,"))
@@ -170,6 +183,11 @@ def _replace(old: bytes, new: bytes) -> Mutation:
          mutation=_replace(b'"n_trials": 2,', b'"n_trials": 3,'))
 @example(target="stack_top2", with_test=False,
          mutation=_replace(b'"sha256": "', b'"sha256": "0'))
+@example(target="fold0", with_test=False, mutation=Mutation("flip", -1, mask=0x80))
+@example(target="fold0", with_test=False,
+         mutation=Mutation("header", old=b"dtype", value=b'"float64"'))
+@example(target="fold0", with_test=False,
+         mutation=Mutation("header", old=b"train_meta", value=b"null"))
 def test_one_corrupted_file_exits_0_or_2_and_names_it(clean, target, with_test, mutation):
     rel, command = TARGETS[target]
     with tempfile.TemporaryDirectory() as tmp:

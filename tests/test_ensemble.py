@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import toy_hp
+from conftest import NetMember, save_net, toy_hp
 from scnn import ensemble as E
 from scnn import metrics
 from scnn import search as S
 from scnn.corpus import FoldAssignment, stratified_kfold
 from scnn.errors import DataError
-from scnn.model import SharedBuffers, TrainSchedule
+from scnn.model import SharedBuffers, TrainSchedule, predict_proba
 from scnn.rng import Rng
 
 
 class StubPredictor:
-    """Duck-typed stand-in for a TrainedModel: fixed probability matrix."""
+    """Duck-typed stand-in for a stacked member: fixed probability matrix."""
 
     def __init__(self, probs):
         self.probs = np.asarray(probs, dtype=np.float64)
@@ -206,7 +206,7 @@ class TestTrainFoldEnsemble:
         fold_of = np.asarray(folds.fold_of)
         for i, m in enumerate(models):
             held = np.flatnonzero(fold_of == i)
-            np.testing.assert_array_equal(m.dev_probs, m.predict_proba(docs[held]))
+            np.testing.assert_array_equal(m.dev_probs, predict_proba(m.weights, docs[held]))
 
     def test_cv_score_recomputable(self, trained, tmp_path):
         models, examples, _, labels, folds = trained
@@ -249,7 +249,7 @@ class TestTrainFoldEnsemble:
 
 class TestManifest:
     def _saved(self, tmp_path, toy_corpus):
-        from scnn.model import build_model, save_model, TrainedModel
+        from scnn.model import build_model
 
         _, docs, labels = toy_corpus
         trials = []
@@ -259,10 +259,9 @@ class TestManifest:
             paths = []
             for fold in range(2):
                 net = build_model(toy_hp(), 16, seed=100 * tid + fold)
-                tm = TrainedModel(net, 0.5, 1, 0, [(1.0, 0.5, 0.01)])
                 path = tmp_path / f"t{tid}_f{fold}.scnn"
-                save_model(tm, path)
-                members.append(tm)
+                save_net(net, path)
+                members.append(NetMember(net))
                 paths.append(str(path))
             trials.append(E.Trial(hp=toy_hp(), members=members,
                                   cv_score=0.5 + tid / 10, trial_id=tid))
@@ -372,17 +371,16 @@ class TestStreaming:
     member just before it predicts with it and drops it afterwards."""
 
     def _saved_stack(self, tmp_path, k=3, folds=5):
-        from scnn.model import TrainedModel, build_model, save_model
+        from scnn.model import build_model
 
         trials, on_disk = [], []
         for tid in range(k):
             members, paths = [], []
             for fold in range(folds):
-                tm = TrainedModel(build_model(toy_hp(), 16, seed=10 * tid + fold),
-                                  0.5, 1, 0, [])
+                net = build_model(toy_hp(), 16, seed=10 * tid + fold)
                 path = tmp_path / f"t{tid}_f{fold}.scnn"
-                save_model(tm, path)
-                members.append(tm)
+                save_net(net, path)
+                members.append(NetMember(net))
                 paths.append(str(path))
             trials.append(E.Trial(hp=toy_hp(), members=members,
                                   cv_score=0.9 - tid / 10, trial_id=tid))
@@ -406,7 +404,7 @@ class TestStreaming:
 
         def tracking_load(path, sha256=None):
             loaded_model = real_load(path, sha256)
-            refs.append(weakref.ref(loaded_model.weights))
+            refs.append(weakref.ref(loaded_model))
             most_alive.append(sum(ref() is not None for ref in refs))
             return loaded_model
 
@@ -417,15 +415,14 @@ class TestStreaming:
         np.testing.assert_array_equal(streamed, E.stacked_predict(se, {"godin": docs}))
 
     def test_changed_hyperparameters_rejected(self, tmp_path, toy_corpus):
-        from scnn.model import TrainedModel, build_model, save_model
+        from scnn.model import build_model
 
         _, docs, _ = toy_corpus
         _, manifest = self._saved_stack(tmp_path, k=1, folds=2)
         loaded = E.load_ensemble(manifest)
         # fold 1 is replaced after the stack is loaded; its manifest hash is
         # not checked, to reach the hyperparameter check
-        save_model(TrainedModel(build_model(toy_hp(keep_prob=0.5), 16, seed=0),
-                                0.5, 1, 0, []), tmp_path / "t0_f1.scnn")
+        save_net(build_model(toy_hp(keep_prob=0.5), 16, seed=0), tmp_path / "t0_f1.scnn")
         fe = loaded[0]
         fe.members[1] = E.ModelFile(fe.members[1].path)
         with pytest.raises(DataError, match="t0_f1.scnn: hyperparameters differ"):

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from scnn.errors import DataError
 from scnn.metrics import (
-    MetricsReport,
     argmax_labels,
     confusion,
     f1_from_pr,
     micro_prf_12,
     per_class_prf,
+    report_json,
 )
 
 # gold-major example matrix used by several hand computations
@@ -117,13 +117,11 @@ class TestMicro12:
 
 class TestReport:
     def test_harmonic_identity_everywhere(self):
-        report = MetricsReport.from_confusion(CM)
-        for c in (1, 2, 3):
-            assert abs(report.f1[c] - f1_from_pr(report.precision[c], report.recall[c])) < 1e-9
-        assert abs(report.f1_m - f1_from_pr(report.precision_m, report.recall_m)) < 1e-9
+        for p, r, f1 in [*per_class_prf(CM).values(), micro_prf_12(CM)]:
+            assert abs(f1 - f1_from_pr(p, r)) < 1e-9
 
     def test_json_keys_and_format(self):
-        text = MetricsReport.from_confusion(CM).to_json_text()
+        text = report_json(CM)
         parsed = json.loads(text)
         assert list(parsed) == [
             "precision_1", "precision_2", "precision_3",
@@ -132,15 +130,17 @@ class TestReport:
             "precision_m", "recall_m", "f1_m",
         ]
         assert '"f1_m": 0.666667' in text
+        assert text.endswith("\n}\n")
 
     @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
                     min_size=1, max_size=80))
     @settings(max_examples=150)
     def test_values_in_range_and_consistent(self, pairs):
         cm = confusion([g for g, _ in pairs], [p for _, p in pairs])
-        report = MetricsReport.from_confusion(cm)
-        values = (list(report.precision.values()) + list(report.recall.values())
-                  + list(report.f1.values())
-                  + [report.precision_m, report.recall_m, report.f1_m])
-        assert all(0.0 <= v <= 1.0 for v in values)
-        assert abs(report.f1_m - f1_from_pr(report.precision_m, report.recall_m)) < 1e-9
+        parsed = json.loads(report_json(cm))
+        per = per_class_prf(cm)
+        want = {f"{stem}_{c}": per[c][i]
+                for i, stem in enumerate(("precision", "recall", "f1")) for c in (1, 2, 3)}
+        want.update(zip(("precision_m", "recall_m", "f1_m"), micro_prf_12(cm)))
+        assert parsed == {key: float(f"{v:.6f}") for key, v in want.items()}
+        assert all(0.0 <= v <= 1.0 for v in parsed.values())
