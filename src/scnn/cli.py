@@ -21,12 +21,14 @@ import sys
 
 import numpy as np
 
-from . import corpus, embeddings, metrics, search, synth
+from . import corpus, embeddings, metrics
 from .ensemble import load_ensemble, save_ensemble, stack_top_k, stacked_predict
 from .errors import DataError, NumericError
 from .fileio import atomic_write, file_sha256, read_json, read_tsv
-from .gradcheck import TOLERANCE, run_gradcheck
 from .model import HyperParams, SharedBuffers, TrainSchedule, validate_hyperparams
+
+# search, synth and gradcheck are imported by the commands that use them, so
+# that predict and evaluate do not load them.
 
 logger = logging.getLogger(__name__)
 
@@ -121,6 +123,7 @@ def _schedule_from_args(args) -> TrainSchedule:
 # --------------------------------------------------------------------------
 
 def _cmd_synth(args, outputs: _Outputs) -> int:
+    from . import synth
     outputs.claim_dir(args.out)
     paths = synth.write_synth_corpus(
         args.out, args.seed, n_train=args.train_size, n_test=args.test_size,
@@ -171,6 +174,7 @@ def _read_train(args, registry: dict, names):
 
 
 def _cmd_search(args, outputs: _Outputs) -> int:
+    from . import search
     restricted = not args.unrestricted_space
     space = (_read_config(args.config, lambda doc: search.SearchSpace.from_dict(doc, restricted))
              if args.config else search.SearchSpace.default())
@@ -200,6 +204,7 @@ def _cmd_search(args, outputs: _Outputs) -> int:
 
 
 def _cmd_train(args, outputs: _Outputs) -> int:
+    from . import search
     hp = _read_config(args.config, HyperParams.from_dict)
     problems = validate_hyperparams(hp, restricted=not args.unrestricted_space)
     if problems:
@@ -232,6 +237,7 @@ def _cmd_train(args, outputs: _Outputs) -> int:
 
 
 def _cmd_stack(args, outputs: _Outputs) -> int:
+    from . import search
     k_values = _parse_top_k(args.top_k)
     run_manifest, records = search.load_run(args.run)
     if not records:
@@ -336,10 +342,11 @@ def _cmd_evaluate(args, outputs: _Outputs) -> int:
 
 
 def _cmd_gradcheck(args, outputs: _Outputs) -> int:
-    err = run_gradcheck(args.seed, cases=args.cases, step=args.step)
+    from . import gradcheck
+    err = gradcheck.run_gradcheck(args.seed, cases=args.cases, step=args.step)
     print(f"max relative gradient error: {err:.6e}")
-    if not err <= TOLERANCE:  # a NaN error fails
-        print(f"FAIL: exceeds tolerance {TOLERANCE:.0e}", file=sys.stderr)
+    if not err <= gradcheck.TOLERANCE:  # a NaN error fails
+        print(f"FAIL: exceeds tolerance {gradcheck.TOLERANCE:.0e}", file=sys.stderr)
         return 3
     return 0
 

@@ -1,15 +1,23 @@
 """Convolution + max-over-time pooling kernels, the hot inner loops.
 
-Both kernels are plain numpy over BLAS, in the im2col formulation of
-Chellapilla et al. (2006), *High Performance Convolutional Neural Networks
-for Document Processing*. The forward is one GEMM of windows against the
-filter bank. At small per-window cost (every desk shape) that GEMM takes
-every window. From ``RAGGED_MIN_WINDOW_COST`` up (every 400-dim shape) it
-takes only the windows that touch a document's words, and every later
-window, all pad, gets the value ``relu(b)`` without a product. The backward
-is a GEMM over only the windows some filter selected. Both are
-deterministic run to run and keep the input dtype (float32 in training,
-float64 in the gradient checker).
+Both kernels are plain numpy over BLAS. The forward has three paths:
+
+- **full**: one GEMM of every window against the filter bank, in the
+  im2col formulation of Chellapilla et al. (2006), *High Performance
+  Convolutional Neural Networks for Document Processing*. Every desk shape
+  takes it.
+- **ragged**: from ``RAGGED_MIN_WINDOW_COST`` up (every 400-dim shape), the
+  GEMM takes only the windows that touch a document's words.
+- **projection**: at the same shapes, a batch whose rows repeat enough
+  (``PROJECTION_MIN_WINDOWS_PER_ROW``). A width-h conv is linear in its
+  window, so each distinct row of the batch goes through each offset's
+  filters once, and a window sums h of those projected rows.
+
+On the last two, every window after a document's last word, all pad, gets
+the value ``relu(b)`` without a product. The backward is a GEMM over only
+the windows some filter selected. Both kernels are deterministic run to run
+and keep the input dtype (float32 in training, float64 in the gradient
+checker).
 
 ``benchmarks/bench_kernels.py`` times them on desk and paper shapes.
 """
@@ -32,6 +40,16 @@ RAGGED_MIN_WINDOW_COST = 2 ** 14
 # differ from those of the GEMM a whole batch takes, so a ragged product
 # that small runs the full path instead.
 SMALL_GEMM_MAX = 100 ** 3
+# From RAGGED_MIN_WINDOW_COST up, a batch with at least this many live
+# windows per distinct row takes the projection instead of the ragged GEMM.
+# On a 2-core VM, in batches of 50 tweet-length documents whose words come
+# from uniform vocabularies (h = 3 to 7, f = 100 or 400), the projection
+# is level with the ragged GEMM at h = 3, f = 100 and 5-17% faster at
+# f = 400 from 1.35 to 1.55 windows per row, and up to 12% slower at 1.16.
+# benchmarks/bench_kernels.py prints both paths beside the batch's V and
+# live windows; synth's batches have ~13 windows per row, Zipf tweet-like
+# ones ~1.7 and all-distinct ones 1.0.
+PROJECTION_MIN_WINDOWS_PER_ROW = 1.5
 
 
 def conv_pool_forward(docs: np.ndarray, W: np.ndarray, b: np.ndarray):
@@ -42,29 +60,52 @@ def conv_pool_forward(docs: np.ndarray, W: np.ndarray, b: np.ndarray):
     lowest window position. The ragged path gives the full path's bits
     wherever BLAS computes a GEMM row's value independently of the other
     rows in the product, as OpenBLAS does at 400-dim float32 shapes. At
-    some float64 shapes on two BLAS threads the last bits differ.
+    some float64 shapes on two BLAS threads the last bits differ. The
+    projection sums each window in another order, so its last bits differ
+    from both.
     """
     B, L, dim = docs.shape
     h, _, f = W.shape
     P = L - h + 1
     wins = np.lib.stride_tricks.sliding_window_view(docs, (h, dim), axis=(1, 2))
     W2 = W.reshape(h * dim, f)
-    live = None
+    live = projected = None
     if h * dim * f >= RAGGED_MIN_WINDOW_COST:
-        # Window p is live when a nonzero row sits at or after p; every
-        # window after a document's last word is all pad.
-        real = docs.any(axis=2)
-        live = np.logical_or.accumulate(real[:, ::-1], axis=1)[:, ::-1][:, :P]
-        n_live = np.count_nonzero(live)
-        if n_live < 2 or n_live * h * dim * f <= SMALL_GEMM_MAX:
-            live = None  # another BLAS kernel, whose last bits differ
+        keys = _row_keys(docs)
+        # a nonzero key marks a word; rows with key 0 are pad or, rarely, words
+        real = keys != 0
+        n_live = np.count_nonzero(_live_windows(real, P))
+        if n_live >= PROJECTION_MIN_WINDOWS_PER_ROW * _n_distinct(keys):
+            _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+            ids = ids.reshape(B, L)
+            distinct = docs[np.divmod(first, L)]
+            # no NaN or inf (an embeddings file may hold them), and every row
+            # equal to its distinct row
+            if np.isfinite(distinct).all() and _rows_equal(docs, distinct, ids):
+                projected = np.matmul(distinct, W)  # (h, V, f)
+                live = _live_windows(distinct.any(axis=1)[ids], P)
+        if projected is None:
+            real[~real] = docs[~real].any(axis=1)  # scan the rows with key 0
+            live = _live_windows(real, P)
+            n_live = np.count_nonzero(live)
+            if n_live < 2 or n_live * h * dim * f <= SMALL_GEMM_MAX:
+                live = None  # another BLAS kernel, whose last bits differ
     if live is None:
         z = wins.reshape(B * P, h * dim) @ W2
         z += b
         act = np.maximum(z, 0, out=z).reshape(B, P, f)
         argmax = act.argmax(axis=1)
     else:
-        z = wins[live].reshape(-1, h * dim) @ W2
+        if projected is None:
+            z = wins[live].reshape(-1, h * dim) @ W2
+        else:
+            # window (n, p) sums row ids[n, p + r] of the projection through
+            # offset r, for r = 0 .. h - 1
+            n_idx, p_idx = np.nonzero(live)
+            flat, start = ids.ravel(), n_idx * L + p_idx
+            z = projected[0].take(flat[start], axis=0)
+            for r in range(1, h):
+                z += projected[r].take(flat[start + r], axis=0)
         z += b
         act = np.empty((B, P, f), dtype=z.dtype)
         # an all-pad window's value: relu(b), or NaN where W holds inf or NaN
@@ -73,6 +114,36 @@ def conv_pool_forward(docs: np.ndarray, W: np.ndarray, b: np.ndarray):
         argmax = _first_max(act)
     pooled = np.take_along_axis(act, argmax[:, None, :], axis=1)[:, 0, :]
     return pooled, argmax
+
+
+def _row_keys(docs: np.ndarray) -> np.ndarray:
+    """(B, L) keys, one per row: the dot product of its first 32 entries with
+    fixed weights in [1, 2). A row of zeros has key 0. Unequal rows rarely
+    share a key, unless they differ only after their first 32 entries; the
+    row check then sends their batch to the ragged path. Reading one or two
+    cache lines of a row makes the key ~5x cheaper than reading all of it."""
+    head = docs[..., :32]
+    return head @ (1 + np.arange(head.shape[2]) * 0.6180339887498949 % 1).astype(docs.dtype)
+
+
+def _n_distinct(keys: np.ndarray) -> int:
+    """How many distinct values ``keys`` holds. A sort, because a plain
+    ``np.unique`` imports numpy.ma (~1 MB) the first time it runs."""
+    keys = np.sort(keys, axis=None)
+    return int(keys.size and 1 + np.count_nonzero(keys[1:] != keys[:-1]))
+
+
+def _rows_equal(docs: np.ndarray, distinct: np.ndarray, ids: np.ndarray) -> bool:
+    """Whether every row docs[n, i] equals distinct[ids[n, i]], compared
+    eight documents at a time so that each block stays in cache."""
+    return all(np.array_equal(distinct[ids[s:s + 8]], docs[s:s + 8])
+               for s in range(0, len(docs), 8))
+
+
+def _live_windows(real: np.ndarray, P: int) -> np.ndarray:
+    """(B, P) bool from the (B, L) mask of nonzero rows: window p is live
+    when a nonzero row sits at or after p. Every later window is all pad."""
+    return np.logical_or.accumulate(real[:, ::-1], axis=1)[:, ::-1][:, :P]
 
 
 def _first_max(act: np.ndarray) -> np.ndarray:

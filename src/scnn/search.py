@@ -27,7 +27,10 @@ Every fold's random streams derive from (seed, trial_id, fold) and configs
 are sampled up front from a dedicated substream, which makes the
 leaderboard and all trial artifacts byte-identical regardless of the
 process count, as long as BLAS gives the same bits on one thread as on
-several (true at desk shape, not at paper shape with OpenBLAS).
+several (true at desk shape, not at paper shape with OpenBLAS). At 400
+dims the conv forward picks its path, and so its last bits, by the distinct
+rows of each batch (kernels.py); the seed fixes the batches, so reruns
+still repeat byte for byte.
 
 Run directory layout::
 

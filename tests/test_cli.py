@@ -794,9 +794,9 @@ class TestGradcheckCommand:
         assert run_cli("gradcheck") == 1
 
     def test_failure_exits_numeric(self, monkeypatch):
-        import scnn.cli
+        import scnn.gradcheck
 
-        monkeypatch.setattr(scnn.cli, "run_gradcheck", lambda *a, **k: 1.0)
+        monkeypatch.setattr(scnn.gradcheck, "run_gradcheck", lambda *a, **k: 1.0)
         assert run_cli("gradcheck", "--seed", 7, "--cases", 1) == 3
 
 
@@ -813,6 +813,13 @@ def test_module_entry_point(corpus_dir):
     proc = _run_python("-m", "scnn", "gradcheck", "--seed", "3", "--cases", "1")
     assert proc.returncode == 0, proc.stderr
     assert "max relative gradient error" in proc.stdout
+
+
+def test_cli_loads_search_synth_and_gradcheck_only_when_used():
+    # predict and evaluate start without them
+    proc = _run_python("-c", "import sys, scnn.cli; print(sorted(m for m in sys.modules "
+                             "if m in ('scnn.search', 'scnn.synth', 'scnn.gradcheck')))")
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stdout + proc.stderr
 
 
 def test_import_scnn_loads_nothing():

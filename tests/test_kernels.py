@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from scnn import kernels, synth
 from scnn.cli import _build_parser
-from scnn.model import DEFAULT_SEARCH_DOMAINS
+from scnn.gradcheck import TINY_ARCH, TOLERANCE, check_model
+from scnn.model import DEFAULT_SEARCH_DOMAINS, HyperParams, build_model
 from scnn.rng import Rng
 
 
@@ -210,34 +211,53 @@ def test_backend_selection_matches_env():
 
 
 def takes_ragged_path(docs, W):
-    """Whether conv_pool_forward computes only the live windows: each
-    document's windows up to its last word."""
+    """Whether conv_pool_forward GEMMs only the live windows (each
+    document's windows up to its last word) of a batch whose rows have
+    distinct keys."""
     h, dim, f = W.shape
     P = docs.shape[1] - h + 1
     real = [np.flatnonzero(doc.any(axis=1)) for doc in docs]
     rows = sum(min(int(r[-1]) + 1, P) for r in real if len(r))
+    distinct = len(np.unique(docs.reshape(-1, dim), axis=0))
     return (h * dim * f >= kernels.RAGGED_MIN_WINDOW_COST and rows >= 2
-            and rows * h * dim * f > kernels.SMALL_GEMM_MAX)
+            and rows * h * dim * f > kernels.SMALL_GEMM_MAX
+            and rows < kernels.PROJECTION_MIN_WINDOWS_PER_ROW * distinct)
+
+
+# (RAGGED_MIN_WINDOW_COST, SMALL_GEMM_MAX, PROJECTION_MIN_WINDOWS_PER_ROW) that
+# force each forward path at every shape. The ragged path keeps its fallback
+# to the full path for products that BLAS computes with another kernel.
+FORCED = {
+    "full": (float("inf"), kernels.SMALL_GEMM_MAX, kernels.PROJECTION_MIN_WINDOWS_PER_ROW),
+    "ragged": (0, kernels.SMALL_GEMM_MAX, float("inf")),
+    "projection": (0, kernels.SMALL_GEMM_MAX, 0),
+}
 
 
 @contextlib.contextmanager
-def ragged_threshold(value):
-    """Run the forward with RAGGED_MIN_WINDOW_COST set to ``value``: 0 takes
-    the ragged path at every shape, infinity the full one."""
-    saved = kernels.RAGGED_MIN_WINDOW_COST
-    kernels.RAGGED_MIN_WINDOW_COST = value
+def forced_path(path):
+    """Run the forward on one path: "full" computes every window, "ragged"
+    GEMMs each document's windows up to its last word, and "projection" sums
+    those windows from the projected distinct rows (where every row checks
+    out against its distinct row and has a finite key)."""
+    names = ("RAGGED_MIN_WINDOW_COST", "SMALL_GEMM_MAX", "PROJECTION_MIN_WINDOWS_PER_ROW")
+    saved = [getattr(kernels, name) for name in names]
+    for name, value in zip(names, FORCED[path]):
+        setattr(kernels, name, value)
     try:
         yield
     finally:
-        kernels.RAGGED_MIN_WINDOW_COST = saved
+        for name, value in zip(names, saved):
+            setattr(kernels, name, value)
+
+
+def forward_on(path, docs, W, b):
+    with forced_path(path):
+        return kernels.conv_pool_forward(docs, W, b)
 
 
 def both_paths(docs, W, b):
-    with ragged_threshold(float("inf")):
-        full = kernels.conv_pool_forward(docs, W, b)
-    with ragged_threshold(0):
-        ragged = kernels.conv_pool_forward(docs, W, b)
-    return full, ragged
+    return forward_on("full", docs, W, b), forward_on("ragged", docs, W, b)
 
 
 @st.composite
@@ -320,6 +340,229 @@ def test_ragged_path_takes_the_first_nan_like_argmax():
     assert ragged_pool.tobytes() == full_pool.tobytes()
 
 
+def conv_pool_reference(doc, W, b):
+    """Every window of one (L, dim) document as its own float64 product:
+    (act (P, f), pooled (f,)). Fast enough at 400 dims, unlike the loops."""
+    h, dim, f = W.shape
+    wins = np.lib.stride_tricks.sliding_window_view(doc.astype(np.float64), (h, dim))
+    act = np.maximum(wins.reshape(-1, h * dim) @ W.reshape(h * dim, f).astype(np.float64)
+                     + b.astype(np.float64), 0)
+    return act, act.max(axis=0)
+
+
+def word_batch(rng, lengths, table, dtype=np.float32, L=47):
+    """A (B, L, dim) batch whose documents draw their words from the rows of
+    ``table``; a zero row of the table is an unknown token."""
+    docs = np.zeros((len(lengths), L, table.shape[1]), dtype=dtype)
+    for n, length in enumerate(lengths):
+        docs[n, :length] = table[rng.integers(0, len(table), length)]
+    return docs
+
+
+@st.composite
+def projection_cases(draw):
+    """A padded (B, 47, 400) batch of words from a small table (so words
+    repeat), with drawn lengths 0-47, and a filter bank."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    f, h = draw(st.sampled_from([100, 400])), draw(st.integers(1, 7))
+    lengths = draw(st.lists(st.integers(0, 47), min_size=1, max_size=6))
+    kind = draw(st.sampled_from(["random", "empty_doc", "one_doc"]))
+    if kind == "empty_doc":
+        lengths[0] = 0
+    elif kind == "one_doc":
+        lengths = lengths[:1]
+    rng = Rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.uniform(-1, 1, (draw(st.integers(1, 40)), 400))
+    if draw(st.booleans()):
+        table[0] = 0  # an unknown token, inside documents
+    docs = word_batch(rng, lengths, table, dtype)
+    W = rng.uniform(-0.3, 0.3, (h, 400, f)).astype(dtype)
+    b = rng.uniform(-0.1, 0.1, f).astype(dtype)
+    return docs, W, b
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(projection_cases())
+def test_projection_matches_bruteforce(case):
+    docs, W, b = case
+    pooled, argmax = forward_on("projection", docs, W, b)
+    assert pooled.dtype == docs.dtype and argmax.shape == pooled.shape
+    tol = 1e-5 if docs.dtype == np.float32 else 1e-12
+    cols = np.arange(W.shape[2])
+    for n, doc in enumerate(docs):
+        act, exp_pool = conv_pool_reference(doc, W, b)
+        np.testing.assert_allclose(pooled[n], exp_pool, rtol=tol, atol=tol)
+        # the chosen window attains the max (exact ties are tested below)
+        np.testing.assert_allclose(act[argmax[n], cols], exp_pool, rtol=tol, atol=tol)
+
+
+def paper_word_case(B=6):
+    """A 400-dim float32 batch of 8-12 words each from 12 words, which takes
+    the projection at the default rule."""
+    rng = Rng(0)
+    table = rng.uniform(-1, 1, (12, 400))
+    docs = word_batch(rng, rng.integers(8, 13, B), table)
+    W = rng.uniform(-0.3, 0.3, (5, 400, 100)).astype(np.float32)
+    b = rng.uniform(-0.1, 0.1, 100).astype(np.float32)
+    return docs, W, b
+
+
+@contextlib.contextmanager
+def rows_checked(monkeypatch):
+    """Record what each call of the kernel's row check returned."""
+    results = []
+    check = kernels._rows_equal
+
+    def spy(docs, distinct, ids):
+        results.append((len(distinct), check(docs, distinct, ids)))
+        return results[-1][1]
+
+    monkeypatch.setattr(kernels, "_rows_equal", spy)
+    yield results
+
+
+def key_of_first_row(keys, docs):
+    """``keys`` with docs[0, 0]'s key given to a row of the last document
+    that differs from docs[0, 0]."""
+    keys = keys.copy()
+    i = np.flatnonzero((docs[-1] != docs[0, 0]).any(axis=1))[0]
+    keys[-1, i] = keys[0, 0]
+    return keys
+
+
+@pytest.mark.parametrize("collide", ["every_row", "last_word_with_pad", "one_row_late"])
+def test_forced_key_collision_gives_the_ragged_bits(monkeypatch, collide):
+    docs, W, b = paper_word_case(B=12)
+    last = docs[0, docs[0].any(axis=1).nonzero()[0][-1]].copy()
+    for n, length in enumerate(docs.any(axis=2).sum(axis=1)):
+        docs[n, length - 1] = last  # every document ends with one word
+    ragged_pool, ragged_arg = forward_on("ragged", docs, W, b)
+    keys = kernels._row_keys
+    if collide == "every_row":
+        monkeypatch.setattr(kernels, "_row_keys", lambda d: np.ones(d.shape[:2], d.dtype))
+    elif collide == "last_word_with_pad":  # only the rows tell them apart
+        monkeypatch.setattr(kernels, "_row_keys",
+                            lambda d: np.where((d == last).all(axis=2), 0, keys(d)))
+    else:  # in the last block of documents the row check compares
+        monkeypatch.setattr(kernels, "_row_keys", lambda d: key_of_first_row(keys(d), d))
+    with rows_checked(monkeypatch) as checks:
+        pooled, argmax = kernels.conv_pool_forward(docs, W, b)
+    assert [ok for _, ok in checks] == [False]  # the check caught the collision
+    assert pooled.tobytes() == ragged_pool.tobytes()
+    np.testing.assert_array_equal(argmax, ragged_arg)
+
+
+@pytest.mark.parametrize("column", [7, 300])  # inside and past the key's entries
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_row_takes_the_ragged_path(monkeypatch, value, column):
+    # an embeddings file may hold "nan" or "inf"
+    docs, W, b = paper_word_case()
+    docs[1, 3, column] = value
+    ragged_pool, ragged_arg = forward_on("ragged", docs, W, b)
+    with rows_checked(monkeypatch) as checks:
+        pooled, argmax = kernels.conv_pool_forward(docs, W, b)
+    assert checks == []
+    assert pooled.tobytes() == ragged_pool.tobytes()
+    np.testing.assert_array_equal(argmax, ragged_arg)
+
+
+def test_words_sharing_a_vector_are_one_distinct_row(monkeypatch):
+    _, W, b = paper_word_case()
+    rng = Rng(4)
+    table = rng.uniform(-1, 1, (3, 400))
+    table[2] = table[1]  # two words with one vector
+    docs = word_batch(rng, [9, 12, 10, 8, 11, 9], table)
+    with rows_checked(monkeypatch) as checks:
+        pooled, argmax = kernels.conv_pool_forward(docs, W, b)
+    assert checks == [(3, True)]  # the pad row and two vectors
+    for n, doc in enumerate(docs):
+        np.testing.assert_allclose(pooled[n], conv_pool_reference(doc, W, b)[1],
+                                   rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("pad", [True, False])
+def test_word_with_a_zero_key(monkeypatch, pad):
+    """A word whose first 32 entries are zero has a pad row's key. Beside
+    pad rows the check fails; in a batch without pad it is one distinct row."""
+    rng = Rng(6)
+    table = rng.uniform(-1, 1, (4, 400))
+    table[0, :32] = 0
+    docs = word_batch(rng, [12, 12], table, L=12 + pad)
+    docs[:, 9:12] = table[0]  # every document's last window of words holds only it
+    W = rng.uniform(-0.3, 0.3, (3, 400, 100)).astype(np.float32)
+    b = rng.uniform(-0.1, 0.1, 100).astype(np.float32)
+    with rows_checked(monkeypatch) as checks:
+        pooled, _ = kernels.conv_pool_forward(docs, W, b)
+    assert [ok for _, ok in checks] == [not pad]
+    for n, doc in enumerate(docs):
+        np.testing.assert_allclose(pooled[n], conv_pool_reference(doc, W, b)[1],
+                                   rtol=1e-5, atol=1e-5)
+
+
+def test_projection_ties_take_the_first_position():
+    rng = Rng(3)
+    a, c = rng.uniform(-1, 1, (2, 400))
+    docs = np.zeros((3, 12, 400), dtype=np.float32)
+    docs[0] = a  # every window equal
+    docs[1] = [a, c] * 6  # windows 0, 2, 4, ... equal, and 1, 3, 5, ...
+    docs[2, :4] = c
+    W = rng.uniform(-0.3, 0.3, (2, 400, 100)).astype(np.float32)
+    b = rng.uniform(-0.1, 0.1, 100).astype(np.float32)
+    _, argmax = forward_on("projection", docs, W, b)
+    assert (argmax[0] == 0).all()
+    act, _ = conv_pool_reference(docs[1], W, b)
+    np.testing.assert_array_equal(argmax[1], np.where(act[1] > act[0], 1, 0))
+
+
+RERUN = """
+import hashlib, numpy as np
+from scnn import kernels
+from scnn.rng import Rng
+rng = Rng(11)
+table = rng.uniform(-1, 1, (30, 400))
+docs = np.zeros((100, 19, 400), dtype=np.float32)
+for n, length in enumerate(rng.integers(6, 13, 100)):
+    docs[n, :length] = table[rng.integers(0, 30, length)]
+digest = hashlib.sha256()
+for h, f in ((3, 100), (5, 400), (7, 400)):
+    W = rng.uniform(-0.3, 0.3, (h, 400, f)).astype(np.float32)
+    b = rng.uniform(-0.1, 0.1, f).astype(np.float32)
+    for out in kernels.conv_pool_forward(docs, W, b):
+        digest.update(out.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_projection_reruns_give_the_same_bits():
+    """A predict-sized batch of repeated words, run twice in fresh processes
+    at the default BLAS threading and twice at one thread."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    one = {**env, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+    def run(env):
+        proc = subprocess.run([sys.executable, "-c", RERUN], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    for env in (env, one):
+        assert run(env) == run(env)
+
+
+def test_projection_gradients_match_finite_differences():
+    rng = Rng(5)
+    net = build_model(HyperParams(adam_b2=0.999, keep_prob=0.7, **TINY_ARCH), 8, seed=3,
+                      dtype=np.float64)
+    for name, p in net.params.items():
+        if name.endswith("_b"):  # keep ReLU kinks off the pad windows
+            p[:] = rng.uniform(0.05, 0.3, p.shape) * np.where(rng.random(p.shape) < 0.5, -1, 1)
+    docs = word_batch(rng, [9, 4, 7], rng.uniform(-1, 1, (3, 8)), np.float64, L=12)
+    labels = np.array([1, 3, 2])
+    with forced_path("projection"):
+        assert check_model(net, docs, labels, rng.substream("dropout")) <= TOLERANCE
+
+
 def test_threshold_splits_desk_and_paper_shapes():
     """Every conv of the synth desk space takes the full path, and every conv
     of the default search domains at 400 dims the ragged one."""
@@ -338,4 +581,5 @@ def test_bench_kernels_smoke():
                            "--iters", "1"], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().split("\n")
-    assert lines and all("computed" in line and "ragged" in line for line in lines)
+    assert lines and all("computed" in line and "ragged" in line and "projection" in line
+                         for line in lines)
