@@ -13,6 +13,8 @@ removed when a command fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import logging
 import os
@@ -272,6 +274,43 @@ def _cmd_stack(args, outputs: _Outputs) -> int:
     return 0
 
 
+def _openblas_threads():
+    """(get, set) of numpy's OpenBLAS thread count, or None where numpy's
+    build does not export them under these names."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get, set_count = (lib.scipy_openblas_get_num_threads64_,
+                          lib.scipy_openblas_set_num_threads64_)
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_count.argtypes, set_count.restype = [ctypes.c_int], None
+    return get, set_count
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """BLAS on one thread inside the block, whatever the environment says,
+    and the caller's count again after it, so one process can run commands
+    in turn. A no-op where the thread count cannot be set."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_count = threads
+    before = get()
+    set_count(1)
+    try:
+        yield
+    finally:
+        set_count(before)
+
+
+# One BLAS thread computes the same bits whatever OPENBLAS_NUM_THREADS says,
+# and leaves the second core to hash each member's file while the member
+# predicts (model.load_model).
+@_one_blas_thread()
 def _cmd_predict(args, outputs: _Outputs) -> int:
     registry = _parse_embeddings_flag(args.embeddings)
     stack = load_ensemble(args.manifest)

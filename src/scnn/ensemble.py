@@ -11,7 +11,9 @@ arithmetic in probability space, summed in float64 in a fixed order.
 
 A member is a ModelFile on disk, loaded only while ensemble_predict uses
 it, so predicting with a stack of any size holds one member's tensors at a
-time; tests may pass any object with predict_proba(docs) instead.
+time; tests may pass any object with predict_proba(docs) instead. A
+member's sha256 is checked on a second thread while the member predicts,
+and its probabilities count only once the digest matches.
 save_ensemble writes a stack's JSON manifest; load_ensemble checks it and
 each member with fileio.check_fields tables, as search.load_run checks a
 run manifest, so format_version is a required integer no newer than the
@@ -117,17 +119,21 @@ def mean_probs(parts: list) -> np.ndarray:
 
 def _member_probs(trial: Trial, member, docs: np.ndarray) -> np.ndarray:
     """One member's probabilities. A ModelFile is loaded for this call only
-    and must match the trial's hyperparameters and the documents' dimension."""
+    and must match the trial's hyperparameters and the documents' dimension;
+    it predicts while load_model checks its sha256."""
     if not isinstance(member, ModelFile):
         return member.predict_proba(docs)
-    net = load_model(member.path, member.sha256)
-    if net.hp != trial.hp:
-        raise DataError(f"{member.path}: hyperparameters differ from those of "
-                        f"trial {trial.trial_id}")
-    if net.embedding_dim != docs.shape[2]:
-        raise DataError(f"{member.path}: takes {net.embedding_dim}-dim embeddings, "
-                        f"the {trial.hp.word_embedding} table has {docs.shape[2]}")
-    return model.predict_proba(net, docs)
+
+    def checked_probs(net):
+        if net.hp != trial.hp:
+            raise DataError(f"{member.path}: hyperparameters differ from those of "
+                            f"trial {trial.trial_id}")
+        if net.embedding_dim != docs.shape[2]:
+            raise DataError(f"{member.path}: takes {net.embedding_dim}-dim embeddings, "
+                            f"the {trial.hp.word_embedding} table has {docs.shape[2]}")
+        return model.predict_proba(net, docs)
+
+    return load_model(member.path, member.sha256, then=checked_probs)
 
 
 def ensemble_predict(trial: Trial, docs: np.ndarray) -> np.ndarray:

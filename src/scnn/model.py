@@ -18,6 +18,8 @@ import json
 import math
 import os
 import struct
+import threading
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -598,14 +600,23 @@ def load_model_hp(path) -> HyperParams:
         return _read_header(fh, path, size, None)[1]
 
 
-def load_model(path, sha256: Optional[str] = None) -> ShallowCNN:
-    """The model a save_model file holds, bit for bit.
+def _loaded(net: ShallowCNN) -> ShallowCNN:
+    return net
+
+
+def load_model(path, sha256: Optional[str] = None, then: Callable = _loaded):
+    """``then(model)`` of the model a save_model file holds, bit for bit;
+    by default the model itself.
 
     The file is read once, its tensors with one read into the model's arena.
     The header must say dtype float32, carry a train_meta object whose
     fields are checked (and not returned), and declare exactly the tensors
     ``param_shapes`` gives for its hyperparameters, names, order and shapes.
-    With ``sha256`` given, the bytes read must have that hex digest.
+    With ``sha256`` given, the bytes read must have that hex digest. The
+    arena's bytes are hashed on a second thread while ``then`` runs, and
+    nothing of ``then`` counts before the digest matches: on a mismatch its
+    result, its warnings and any exception it raised give way to the hash
+    mismatch; on a match its warnings are shown and its exception raised.
     Anything else is a DataError naming the file."""
     digest = hashlib.sha256() if sha256 is not None else None
     fh, size = _open_model(path)
@@ -622,11 +633,27 @@ def load_model(path, sha256: Optional[str] = None) -> ShallowCNN:
         raw = memoryview(arena).cast("B")
         if fh.readinto(raw) < len(raw):
             raise DataError(f"{path}: truncated model file")
-        if digest is not None:
-            digest.update(raw)
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after declared tensors")
-    if digest is not None and digest.hexdigest() != sha256:
+    net = ShallowCNN(hp=hp, embedding_dim=header["embedding_dim"], arena=arena,
+                     init_seed=header["init_seed"])
+    if digest is None:
+        return then(net)
+    # hashlib releases the GIL on large buffers, so the two overlap
+    hasher = threading.Thread(target=digest.update, args=(raw,), name="scnn-sha256")
+    hasher.start()
+    failure = None
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            result = then(net)
+    except Exception as exc:
+        failure = exc
+    finally:
+        hasher.join()  # when interrupted too, so no thread outlives the call
+    if digest.hexdigest() != sha256:
         raise DataError(f"hash mismatch for member {path}")
-    return ShallowCNN(hp=hp, embedding_dim=header["embedding_dim"], arena=arena,
-                      init_seed=header["init_seed"])
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    if failure is not None:
+        raise failure
+    return result

@@ -16,8 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import rewrite_model_header
+from conftest import rewrite_model_header, save_net
+from scnn import cli
 from scnn.cli import _build_parser, main
+from scnn.ensemble import ModelFile, Trial, save_ensemble
+from scnn.model import HyperParams, build_model
 
 
 def _replace_in(path, old, new, count):
@@ -564,6 +567,67 @@ class TestStackPredictEvaluate:
         assert "Traceback" not in err
         assert not pred.exists()
 
+    @pytest.mark.parametrize("value,unchecked", [
+        (np.inf, "RuntimeWarning: invalid value encountered in subtract"),
+        (np.nan, "numeric failure: "),
+    ], ids=["forward-warns", "forward-raises"])
+    def test_predict_reports_only_the_hash_mismatch(self, run_dir, corpus_dir, tmp_path,
+                                                    value, unchecked):
+        # a member predicts while its sha256 is checked; on a mismatch what
+        # its forward on the edited weights printed or raised is not reported
+        stacks = tmp_path / "stacks"
+        assert run_cli("stack", "--run", run_dir, "--top-k", "1", "--out", stacks) == 0
+        manifest = stacks / "stack_top1.json"
+        doc = json.loads(manifest.read_text())
+        member = doc["members"][-1]
+        raw = (stacks / member["path"]).read_bytes()
+        edited = tmp_path / "edited.scnn"
+        edited.write_bytes(raw[:-4] + np.float32(value).tobytes())  # out_b[2]
+        member["path"] = os.path.relpath(edited, stacks)
+        emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
+        argv = ["-m", "scnn", "predict", "--manifest", str(manifest),
+                "--test", str(corpus_dir / "test.tsv"), "--embeddings", emb,
+                "--out", str(tmp_path / "pred.tsv")]
+
+        member["sha256"] = hashlib.sha256(edited.read_bytes()).hexdigest()
+        manifest.write_text(json.dumps(doc))
+        proc = _run_python(*argv)  # the digest matches: the forward's output shows
+        assert unchecked in proc.stderr, proc.stderr
+        (tmp_path / "pred.tsv").unlink(missing_ok=True)
+
+        member["sha256"] = hashlib.sha256(raw).hexdigest()
+        manifest.write_text(json.dumps(doc))
+        proc = _run_python(*argv)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"data error: {manifest}: hash mismatch for member {edited}"]
+        assert not (tmp_path / "pred.tsv").exists()
+
+    def test_predict_restores_the_blas_thread_count(self, run_dir, corpus_dir, tmp_path,
+                                                     monkeypatch):
+        threads = cli._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's OpenBLAS does not export its thread count")
+        get, set_count = threads
+        stacks = tmp_path / "stacks"
+        assert run_cli("stack", "--run", run_dir, "--top-k", "1", "--out", stacks) == 0
+        emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
+        during = []
+        real = cli.stacked_predict
+        monkeypatch.setattr(cli, "stacked_predict",
+                            lambda *args: during.append(get()) or real(*args))
+        before = get()
+        try:
+            set_count(2)
+            for test, code in ((corpus_dir / "test.tsv", 0), (tmp_path / "absent.tsv", 2)):
+                assert run_cli("predict", "--manifest", stacks / "stack_top1.json",
+                               "--test", test, "--embeddings", emb,
+                               "--out", tmp_path / "pred.tsv") == code
+                assert get() == 2  # after a command that returned, and one that failed
+        finally:
+            set_count(before)
+        assert during == [1]
+
     @pytest.mark.parametrize("edit,named", [
         (lambda run: _replace_in(run / "trials" / "0" / "oof.tsv", "\t", "\tx", 1),
          "oof.tsv: malformed number at line 1"),
@@ -800,10 +864,11 @@ class TestGradcheckCommand:
         assert run_cli("gradcheck", "--seed", 7, "--cases", 1) == 3
 
 
-def _run_python(*args):
-    """A fresh interpreter that imports scnn from this source tree."""
+def _run_python(*args, env=None):
+    """A fresh interpreter that imports scnn from this source tree, in
+    ``env`` (default: this process's environment)."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
@@ -813,6 +878,36 @@ def test_module_entry_point(corpus_dir):
     proc = _run_python("-m", "scnn", "gradcheck", "--seed", "3", "--cases", "1")
     assert proc.returncode == 0, proc.stderr
     assert "max relative gradient error" in proc.stdout
+
+
+def test_predict_bytes_do_not_depend_on_blas_threading(tmp_path):
+    # at 400 dims OpenBLAS rounds some products differently on one thread
+    # than on two (400 tweets of one random member: 26 rows of 6-decimal
+    # probabilities), so predict runs BLAS on one thread whatever the
+    # environment says
+    corpus = tmp_path / "corpus"
+    assert run_cli("synth", "--out", corpus, "--seed", 7, "--dim", 400,
+                   "--train-size", 0, "--test-size", 400) == 0
+    hp = HyperParams(adam_b2=0.999, n_dense_output=100, keep_prob=0.5, batch_size=50,
+                     learning_rate=0.001, word_embedding="godin", n_filters=400,
+                     filter_sizes=(3, 4, 5, 6, 7))
+    member = tmp_path / "member.scnn"
+    save_net(build_model(hp, 400, seed=0), member)
+    manifest = tmp_path / "stack.json"
+    save_ensemble([Trial(0, hp, 0.5, members=[ModelFile(str(member))])], manifest,
+                  fold_seed=0, space_descriptor="paper shape")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    written = {}
+    for threads in (None, "1", "2"):
+        out = tmp_path / f"pred-{threads}.tsv"
+        proc = _run_python("-m", "scnn", "predict", "--manifest", str(manifest),
+                           "--test", str(corpus / "test.tsv"),
+                           "--embeddings", f"godin={corpus}/embeddings.txt", "--out", str(out),
+                           env=env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        written[threads] = out.read_bytes()
+    assert written["1"] == written[None] == written["2"]
 
 
 def test_cli_loads_search_synth_and_gradcheck_only_when_used():

@@ -402,11 +402,13 @@ class TestStreaming:
         real_load = E.load_model
         refs, most_alive = [], []
 
-        def tracking_load(path, sha256=None):
-            loaded_model = real_load(path, sha256)
-            refs.append(weakref.ref(loaded_model))
-            most_alive.append(sum(ref() is not None for ref in refs))
-            return loaded_model
+        def tracking_load(path, sha256, then):
+            def tracked(net):
+                refs.append(weakref.ref(net))
+                most_alive.append(sum(ref() is not None for ref in refs))
+                return then(net)
+
+            return real_load(path, sha256, then=tracked)
 
         monkeypatch.setattr(E, "load_model", tracking_load)
         streamed = E.stacked_predict(loaded, {"godin": docs})

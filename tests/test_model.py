@@ -4,6 +4,8 @@ import math
 import os
 import struct
 import tempfile
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -548,6 +550,97 @@ class TestSaveLoad:
         raw = path.read_bytes()
         path.write_bytes(raw[:-10])  # the tensors are not read
         assert M.load_model_hp(path) == toy_hp()
+
+
+class _GatedSha256:
+    """A sha256 whose updates off the main thread wait for ``gate``; ``done``
+    is set once such an update has hashed its bytes."""
+
+    def __init__(self, real, gate):
+        self._hash, self._gate, self.done = real(), gate, False
+
+    def update(self, data):
+        off_main = threading.current_thread() is not threading.main_thread()
+        if off_main:
+            self._gate.wait(10)
+        self._hash.update(data)
+        self.done = self.done or off_main
+
+    def hexdigest(self):
+        return self._hash.hexdigest()
+
+
+class TestOverlappedHash:
+    """With a digest, load_model hashes the arena on a second thread while
+    ``then`` runs on the loaded model, and keeps nothing of ``then`` unless
+    the digest matches."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "m.scnn"
+        save_net(build_model(toy_hp(), 8, seed=0), path)
+        digest = file_sha256(path)
+        return path, digest, format(int(digest, 16) ^ 1, "064x")
+
+    def test_then_runs_while_the_arena_is_hashed(self, saved, monkeypatch):
+        path, digest, _ = saved
+        gate, made, pending = threading.Event(), [], []
+        real = hashlib.sha256
+        monkeypatch.setattr(M.hashlib, "sha256",
+                            lambda: made.append(_GatedSha256(real, gate)) or made[-1])
+
+        def then(net):
+            pending.append(not made[0].done)  # the hash waits for this call
+            gate.set()
+            return net.arena.copy()
+
+        arena = load_model(path, digest, then=then)
+        assert pending == [True] and made[0].done
+        np.testing.assert_array_equal(arena, load_model(path).arena)
+
+    def test_a_raising_then_gives_way_to_the_mismatch(self, saved):
+        path, digest, wrong = saved
+
+        def then(net):
+            raise NumericError("forward on unchecked weights")
+
+        with pytest.raises(DataError, match="hash mismatch for member .*m.scnn") as info:
+            load_model(path, wrong, then=then)
+        assert info.value.__context__ is None and info.value.__cause__ is None
+        with pytest.raises(NumericError, match="unchecked weights"):
+            load_model(path, digest, then=then)  # the digest matches
+
+    def test_warnings_of_then_show_only_after_a_match(self, saved):
+        path, digest, wrong = saved
+
+        def then(net):
+            np.float32(3e38) * np.float32(10)  # overflow: a RuntimeWarning
+            return "probs"
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match="hash mismatch"):
+                load_model(path, wrong, then=then)
+            assert caught == []
+            assert load_model(path, digest, then=then) == "probs"
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "overflow" in str(caught[0].message)
+
+    @pytest.mark.parametrize("outcome", ["match", "mismatch", "then raises"])
+    def test_no_hashing_thread_outlives_the_load(self, saved, outcome):
+        path, digest, wrong = saved
+        before = set(threading.enumerate())
+
+        def then(net):
+            if outcome == "then raises":
+                raise ValueError("boom")
+            return net
+
+        try:
+            load_model(path, wrong if outcome == "mismatch" else digest, then=then)
+        except (DataError, ValueError):
+            assert outcome != "match"
+        assert set(threading.enumerate()) == before
 
 
 # --------------------------------------------------------------------------
