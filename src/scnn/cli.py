@@ -199,7 +199,7 @@ def _cmd_search(args, outputs: _Outputs) -> int:
     search.run_search(
         [ex.id for ex in examples], [ex.label for ex in examples], docs_by_name,
         space, args.trials, folds, _schedule_from_args(args), args.seed, args.out,
-        parallelism=args.parallelism, dataset_info=info,
+        parallelism=args.parallelism or search.usable_cpus(), dataset_info=info,
     )
     logger.info("search complete: %s", os.path.join(args.out, "leaderboard.csv"))
     return 0
@@ -307,10 +307,6 @@ def _one_blas_thread():
         set_count(before)
 
 
-# One BLAS thread computes the same bits whatever OPENBLAS_NUM_THREADS says,
-# and leaves the second core to hash each member's file while the member
-# predicts (model.load_model).
-@_one_blas_thread()
 def _cmd_predict(args, outputs: _Outputs) -> int:
     registry = _parse_embeddings_flag(args.embeddings)
     stack = load_ensemble(args.manifest)
@@ -433,9 +429,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", help="JSON file overriding search-space domains")
     p.add_argument("--unrestricted-space", action="store_true",
                    help="allow domains outside the standard search space")
-    p.add_argument("--parallelism", type=_bounded(int, 1), default=1,
-                   help="processes that train folds, this one included "
-                        "(capped at trials x folds and the usable CPUs)")
+    p.add_argument("--parallelism", type=_bounded(int, 1),
+                   help="processes that train folds, this one included (default: "
+                        "the usable CPUs; capped at trials x folds and the usable CPUs)")
     add_schedule(p)
     p.set_defaults(func=_cmd_search)
 
@@ -488,7 +484,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "stack" and args.test and not args.embeddings:
             raise UsageError("stack --test requires --embeddings")
-        return args.func(args, outputs)
+        # One BLAS thread computes the same bits whatever OPENBLAS_NUM_THREADS
+        # says, as in every search worker. It leaves the other cores to the
+        # workers, and to hashing each member's file while the member
+        # predicts (model.load_model).
+        with _one_blas_thread():
+            return args.func(args, outputs)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         outputs.discard_all()

@@ -7,12 +7,14 @@ the calling process, which takes the longest unit of each round and starts
 at once, and n - 1 spawned workers (``--parallelism n``, capped at the unit
 count and the CPUs this process may use; n = 1 starts no pool). A fixed plan
 keeps each process's work the same from run to run. A worker gets the
-training inputs once, with its share, through the pool's queue, and pins
-its BLAS to one thread. Each process keeps one set of training buffers for
-consecutive units of one shape. A unit (train_unit) saves its fold model
-and returns its held-out rows; once a trial's last unit is in, the caller
-merges the rows and writes its oof.tsv (write_oof). ``scnn train`` runs the
-same two functions on the k folds of one config, serially, into its --out.
+training inputs once, with its share, through the pool's queue, pins its
+BLAS to one thread and sends each unit's result back as the unit ends. When
+the caller fails, each worker stops after its current unit. Each process
+keeps one set of training buffers for consecutive units of one shape. A
+unit (train_unit) saves its fold model and returns its held-out rows; once a
+trial's last unit is in, the caller merges the rows and writes its oof.tsv
+(write_oof). ``scnn train`` runs the same two functions on the k folds of
+one config, serially, into its --out.
 
 A leaderboard row is an ensemble.Trial without members; load_trial_ensemble
 adds its fold models. ensemble.rank orders the leaderboard, the report and
@@ -26,8 +28,9 @@ labels and folds, as write_oof writes them for every trial.
 Every fold's random streams derive from (seed, trial_id, fold) and configs
 are sampled up front from a dedicated substream, which makes the
 leaderboard and all trial artifacts byte-identical regardless of the
-process count, as long as BLAS gives the same bits on one thread as on
-several (true at desk shape, not at paper shape with OpenBLAS). At 400
+process count, as long as the caller runs BLAS on one thread like the
+workers (cli.main pins it for every command; at paper shape OpenBLAS gives
+other last bits on several threads). At 400
 dims the conv forward picks its path, and so its last bits, by the distinct
 rows of each batch (kernels.py); the seed fixes the batches, so reruns
 still repeat byte for byte.
@@ -54,6 +57,7 @@ import io
 import json
 import logging
 import os
+import queue
 import shutil
 import time
 from contextlib import ExitStack, contextmanager
@@ -375,16 +379,21 @@ def plan_units(planned: list, k: int) -> list:
     return sorted(units, key=lambda u: (-u[1].n_filters * sum(u[1].filter_sizes), u[0], u[2]))
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask's, or the CPU
+    count where the OS has no masks."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this OS
+        return os.cpu_count() or 1
+
+
 def process_count(parallelism: int, n_units: int) -> int:
     """Processes a search uses, the caller included: ``parallelism`` capped
-    at the unit count and the CPUs this process may run on."""
+    at the unit count and the usable CPUs."""
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this OS
-        cpus = os.cpu_count() or 1
-    return min(parallelism, n_units, cpus)
+    return min(parallelism, n_units, usable_cpus())
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -407,39 +416,87 @@ def single_thread_blas_env():
                 os.environ[name] = value
 
 
-def _run_units(inputs: TrialInputs, units: list) -> list:
+def _run_units(inputs: TrialInputs, units: list, stop=None):
     """Results of ``units``, (trial id, hp, fold) each, run in turn in one
-    set of training buffers: a worker's share."""
+    set of training buffers and yielded as each ends: a process's share.
+    No unit starts once the event ``stop`` is set."""
     buffers = SharedBuffers()
-    return [run_unit(inputs, tid, hp, fold, buffers) for tid, hp, fold in units]
+    for tid, hp, fold in units:
+        if stop is not None and stop.is_set():
+            return
+        yield run_unit(inputs, tid, hp, fold, buffers)
 
 
-def _submit_shares(stack: ExitStack, inputs: TrialInputs, shares: list) -> list:
-    """Futures of ``shares``, one spawned worker each, on a pool that
-    ``stack`` shuts down. No shares start no pool."""
-    if not shares:
-        return []
-    # imported here: loading multiprocessing costs every other command
-    # ~0.07 s of start-up and ~1 MB of RSS
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+_WORKER = {}  # in a spawned worker: the caller's stop event and results queue
 
-    pool = stack.enter_context(ProcessPoolExecutor(
-        max_workers=len(shares), mp_context=multiprocessing.get_context("spawn")))
-    # a worker starts inside submit; the inputs go with its share through
-    # the pool's queue, written by a background thread. Passed as initargs,
-    # spawn would write them into the child's pipe inside submit, which
-    # blocks until the child has imported numpy, and for good if the child
-    # dies first.
-    with single_thread_blas_env():
-        return [pool.submit(_run_units, inputs, share) for share in shares]
+
+def _start_worker(stop, results) -> None:
+    """Pool initializer. A worker that exits drops the results it has not
+    yet sent instead of waiting for the caller to read them, which a
+    failing caller never does."""
+    results.cancel_join_thread()
+    _WORKER.update(stop=stop, results=results)
+
+
+def _run_share(inputs: TrialInputs, share: list) -> None:
+    """A worker's task: its share, each result sent to the caller as its
+    unit ends."""
+    for result in _run_units(inputs, share, _WORKER["stop"]):
+        _WORKER["results"].put(result)
+
+
+class _Workers:
+    """Spawned workers, one per share, on a pool that ``stack`` shuts down;
+    no shares start no pool. Once ``stack`` unwinds, a worker starts no
+    further unit, so a failing caller waits only for the units running."""
+
+    def __init__(self, stack: ExitStack, inputs: TrialInputs, shares: list):
+        self.due = sum(len(share) for share in shares)
+        self.futures = []
+        if not shares:
+            return
+        # imported here: loading multiprocessing costs every other command
+        # ~0.07 s of start-up and ~1 MB of RSS
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("spawn")
+        stop, self.results = context.Event(), context.Queue()
+        pool = stack.enter_context(ProcessPoolExecutor(
+            max_workers=len(shares), mp_context=context,
+            initializer=_start_worker, initargs=(stop, self.results)))
+        stack.callback(stop.set)  # unwinds before the pool's exit joins the workers
+        # a worker starts inside submit; the inputs go with its share through
+        # the pool's queue, written by a background thread. Passed as initargs,
+        # like the small event and queue, spawn would write them into the
+        # child's pipe inside submit, which blocks until the child has
+        # imported numpy, and for good if the child dies first.
+        with single_thread_blas_env():
+            self.futures = [pool.submit(_run_share, inputs, share) for share in shares]
+
+    def received(self, wait: bool):
+        """Yield the results the workers have sent; with ``wait``, until
+        every unit's is in. A worker's error, or its death, is raised."""
+        while self.due:
+            try:
+                result = self.results.get(timeout=0.05) if wait else self.results.get_nowait()
+            except queue.Empty:
+                for future in self.futures:
+                    if future.done():
+                        future.result()
+                if not wait:
+                    return
+                continue
+            self.due -= 1
+            yield result
 
 
 def _run_trials(inputs: TrialInputs, planned: list, n_procs: int) -> list:
     """Records of every planned trial, in trial order. Unit j of the plan
     runs on process j % n_procs: the calling process runs share 0, starting
-    at once, while spawned workers run the others. A trial is finished as
-    soon as its last unit's result is in."""
+    at once, while spawned workers run the others and send each result as
+    its unit ends. A trial is finished as soon as its last unit's result is
+    in."""
     k = inputs.folds.k
     units = plan_units(planned, k)
     shares = [units[w::n_procs] for w in range(n_procs)]
@@ -454,13 +511,13 @@ def _run_trials(inputs: TrialInputs, planned: list, n_procs: int) -> list:
             records[tid] = finish_trial(inputs, tid, hp_of[tid], pending.pop(tid))
 
     with ExitStack() as stack:
-        futures = _submit_shares(stack, inputs, shares[1:])
-        buffers = SharedBuffers()
-        for tid, hp, fold in shares[0]:
-            collect(run_unit(inputs, tid, hp, fold, buffers))
-        for future in futures:
-            for result in future.result():
-                collect(result)
+        workers = _Workers(stack, inputs, shares[1:])
+        for result in _run_units(inputs, shares[0]):
+            collect(result)
+            for sent in workers.received(wait=False):
+                collect(sent)
+        for sent in workers.received(wait=True):
+            collect(sent)
     return [records[tid] for tid, _ in planned]
 
 

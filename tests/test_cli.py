@@ -319,6 +319,37 @@ def test_not_utf8_input_exits_2(run_dir, corpus_dir, tmp_path, capsys, case):
     assert not out.exists()
 
 
+_PAPER_HP = {"adam_b2": 0.999, "n_dense_output": 100, "keep_prob": 0.5, "batch_size": 50,
+             "learning_rate": 0.001, "word_embedding": "godin", "n_filters": 400,
+             "filter_sizes": [3, 4, 5, 6, 7]}
+
+
+def _assert_train_is_trial_0(tmp_path, hp, dim, train_size, folds, max_epochs, parallelisms):
+    """train with ``hp`` writes the fold files, oof.tsv and cv score of trial
+    0 of a search over the one-point space of ``hp`` with the same seed, at
+    each of ``parallelisms``."""
+    assert run_cli("synth", "--out", tmp_path / "c", "--seed", 11, "--dim", dim,
+                   "--train-size", train_size, "--test-size", 0) == 0
+    config, space = tmp_path / "hp.json", tmp_path / "space.json"
+    config.write_text(json.dumps(hp))
+    space.write_text(json.dumps({name: [v] for name, v in hp.items()}))
+    common = ["--train", tmp_path / "c" / "train.tsv", "--embeddings",
+              f"godin={tmp_path}/c/embeddings.txt", "--seed", 3,
+              "--folds", folds, "--max-epochs", max_epochs, "--unrestricted-space"]
+    assert run_cli("train", "--config", config, "--out", tmp_path / "one", *common) == 0
+    names = [f"fold{i}.scnn" for i in range(folds)] + ["oof.tsv"]
+    trained = {name: (tmp_path / "one" / name).read_bytes() for name in names}
+    cv_score = json.loads((tmp_path / "one" / "result.json").read_text())["cv_score"]
+    for parallelism in parallelisms:
+        run = tmp_path / f"run{parallelism}"
+        assert run_cli("search", "--config", space, "--trials", 1, "--out", run,
+                       "--parallelism", parallelism, *common) == 0
+        assert {name: (run / "trials" / "0" / name).read_bytes()
+                for name in names} == trained
+        row = (run / "leaderboard.csv").read_text().splitlines()[1].split(",")
+        assert (row[0], float(row[1])) == ("0", cv_score)
+
+
 class TestTrainCommand:
     def test_train_single_config(self, tmp_path, corpus_dir):
         hp = {
@@ -343,26 +374,12 @@ class TestTrainCommand:
     def test_train_equals_trial_0_of_a_search(self, tmp_path):
         # one-point space, one trial, same seed: the search's trial 0 trains
         # the config train trains, with the same fold code
-        assert run_cli("synth", "--out", tmp_path / "c", "--seed", 11,
-                       "--train-size", 200, "--test-size", 0) == 0
-        config, space = tmp_path / "hp.json", tmp_path / "space.json"
-        config.write_text(json.dumps(_TRAIN_HP))
-        space.write_text(json.dumps({name: [v] for name, v in _TRAIN_HP.items()}))
-        common = ["--train", tmp_path / "c" / "train.tsv", "--embeddings",
-                  f"godin={tmp_path}/c/embeddings.txt", "--seed", 3,
-                  "--unrestricted-space", "--max-epochs", 4]
-        assert run_cli("train", "--config", config, "--out", tmp_path / "one", *common) == 0
-        names = [f"fold{i}.scnn" for i in range(5)] + ["oof.tsv"]
-        trained = {name: (tmp_path / "one" / name).read_bytes() for name in names}
-        cv_score = json.loads((tmp_path / "one" / "result.json").read_text())["cv_score"]
-        for parallelism in (1, 2):
-            run = tmp_path / f"run{parallelism}"
-            assert run_cli("search", "--config", space, "--trials", 1, "--out", run,
-                           "--parallelism", parallelism, *common) == 0
-            assert {name: (run / "trials" / "0" / name).read_bytes()
-                    for name in names} == trained
-            row = (run / "leaderboard.csv").read_text().splitlines()[1].split(",")
-            assert (row[0], float(row[1])) == ("0", cv_score)
+        _assert_train_is_trial_0(tmp_path, _TRAIN_HP, 16, 200, 5, 4, (1, 2))
+
+    def test_train_equals_trial_0_of_a_search_at_paper_shape(self, tmp_path):
+        # every process runs BLAS on one thread: train in this one, and the
+        # search in its scnn process and its worker
+        _assert_train_is_trial_0(tmp_path, _PAPER_HP, 400, 60, 2, 1, (2,))
 
     def test_numeric_failure_exits_3(self, tmp_path, corpus_dir):
         hp = {
@@ -605,6 +622,9 @@ class TestStackPredictEvaluate:
 
     def test_predict_restores_the_blas_thread_count(self, run_dir, corpus_dir, tmp_path,
                                                      monkeypatch):
+        # cli.main runs every command on one BLAS thread: predict and search here
+        import scnn.search
+
         threads = cli._openblas_threads()
         if threads is None:
             pytest.skip("numpy's OpenBLAS does not export its thread count")
@@ -613,20 +633,27 @@ class TestStackPredictEvaluate:
         assert run_cli("stack", "--run", run_dir, "--top-k", "1", "--out", stacks) == 0
         emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
         during = []
-        real = cli.stacked_predict
-        monkeypatch.setattr(cli, "stacked_predict",
-                            lambda *args: during.append(get()) or real(*args))
+        for module, name in ((cli, "stacked_predict"), (scnn.search, "run_search")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, **kwargs:
+                                during.append(get()) or real(*args, **kwargs))
+        predict = ["predict", "--manifest", stacks / "stack_top1.json", "--embeddings", emb,
+                   "--out", tmp_path / "pred.tsv", "--test"]
+        search = ["search", "--embeddings", emb, "--trials", 1, "--folds", 2, "--seed", 1,
+                  "--out", tmp_path / "run", "--config", corpus_dir / "space.json",
+                  "--unrestricted-space", "--max-epochs", 1, "--parallelism", 1, "--train"]
         before = get()
         try:
             set_count(2)
-            for test, code in ((corpus_dir / "test.tsv", 0), (tmp_path / "absent.tsv", 2)):
-                assert run_cli("predict", "--manifest", stacks / "stack_top1.json",
-                               "--test", test, "--embeddings", emb,
-                               "--out", tmp_path / "pred.tsv") == code
+            for argv, code in ((predict + [corpus_dir / "test.tsv"], 0),
+                               (predict + [tmp_path / "absent.tsv"], 2),
+                               (search + [corpus_dir / "train.tsv"], 0),
+                               (search + [tmp_path / "absent.tsv"], 2)):
+                assert run_cli(*argv) == code
                 assert get() == 2  # after a command that returned, and one that failed
         finally:
             set_count(before)
-        assert during == [1]
+        assert during == [1, 1]
 
     @pytest.mark.parametrize("edit,named", [
         (lambda run: _replace_in(run / "trials" / "0" / "oof.tsv", "\t", "\tx", 1),
@@ -908,6 +935,89 @@ def test_predict_bytes_do_not_depend_on_blas_threading(tmp_path):
         assert proc.returncode == 0, proc.stderr
         written[threads] = out.read_bytes()
     assert written["1"] == written[None] == written["2"]
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_search_bytes_do_not_depend_on_parallelism_or_blas_threading(tmp_path):
+    # at 400 dims OpenBLAS gives other last bits on two threads than on one,
+    # so every scnn process runs BLAS on one thread, as every worker does
+    assert run_cli("synth", "--out", tmp_path / "c", "--seed", 7, "--dim", 400,
+                   "--train-size", 60, "--test-size", 0) == 0
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({**{name: [v] for name, v in _PAPER_HP.items()},
+                                 "learning_rate": [0.001, 0.0001]}))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    runs = {}
+    for parallelism, threads in ((1, None), (2, None), (4, None), (1, "1"), (1, "2")):
+        out = tmp_path / f"run-p{parallelism}-{threads}"
+        proc = _run_python("-m", "scnn", "search", "--train", str(tmp_path / "c" / "train.tsv"),
+                           "--embeddings", f"godin={tmp_path}/c/embeddings.txt",
+                           "--trials", "2", "--folds", "2", "--seed", "1", "--out", str(out),
+                           "--config", str(space), "--unrestricted-space", "--max-epochs", "1",
+                           "--parallelism", str(parallelism),
+                           env=env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        runs[parallelism, threads] = _tree(out)
+    first = runs[1, None]
+    assert len(first) == 2 * 3 + 2  # two trials' folds and oof.tsv, leaderboard, manifest
+    assert all(run == first for run in runs.values())
+
+
+_FAILING_SEARCH = """
+import os, sys
+from scnn import cli, search
+
+real_run_unit = search.run_unit
+
+
+def run_unit(inputs, tid, hp, fold, buffers):
+    with open(os.environ["UNIT_LOG"], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    return real_run_unit(inputs, tid, hp, fold, buffers)
+
+
+def write_oof(inputs, trial_dir, rows):
+    raise RuntimeError("oof writer broke")
+
+
+search.run_unit = run_unit  # spawned workers import this file as __mp_main__
+if __name__ == "__main__":
+    search.write_oof = write_oof
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_search_failure_stops_workers_after_their_current_unit(corpus_dir, tmp_path):
+    # the scnn process fails on the first trial it finishes, while its
+    # worker has units left: the worker starts none of them, and the command
+    # exits as any failure does, with no process left behind
+    script, log, out = tmp_path / "failing_search.py", tmp_path / "units.log", tmp_path / "run"
+    script.write_text(_FAILING_SEARCH)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "UNIT_LOG": str(log),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
+    proc = subprocess.Popen(
+        [sys.executable, str(script), "search", "--train", str(corpus_dir / "train.tsv"),
+         "--embeddings", emb, "--trials", "8", "--folds", "2", "--seed", "1", "--out", str(out),
+         "--config", str(corpus_dir / "space.json"), "--unrestricted-space",
+         "--max-epochs", "2", "--parallelism", "2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate(timeout=120)  # a worker left running holds the pipe open
+    assert proc.returncode == 4, err
+    assert "internal error: RuntimeError: oof writer broke" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    pids = log.read_text().split()
+    worker_units = [pid for pid in pids if pid != str(proc.pid)]
+    assert 1 <= len(worker_units) < 8  # its share is 8 of the 16 units
+    for pid in set(worker_units):
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid), 0)
 
 
 def test_cli_loads_search_synth_and_gradcheck_only_when_used():

@@ -544,7 +544,7 @@ class TestUnits:
         made = []
         real = M.train_buffers
         monkeypatch.setattr(M, "train_buffers", lambda model: made.append(1) or real(model))
-        shared = S._run_units(inputs, units)
+        shared = list(S._run_units(inputs, units))
         assert len(made) == 2  # one set for the first three units, one for the last
         for (tid, _, fold), result in zip(units, shared):
             model = tmp_path / "trials" / str(tid) / f"fold{fold}.scnn"
