@@ -15,7 +15,10 @@ For each case it prints the batch's distinct rows V (pad included) against
 its live windows (those that touch a word) and their share of all windows,
 the path the forward takes there, the forward time of each of the three
 paths forced (every window, the ragged GEMM over the live windows, and the
-projection of the distinct rows), and the backward time.
+projection of the distinct rows), the U windows some filter selected, the
+path the backward takes there, and the backward time of each of its two
+paths forced (the GEMM over the selected windows, and the one over the
+distinct rows).
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_kernels.py [--iters 20]
@@ -99,25 +102,30 @@ def time_fn(fn, iters):
     return (time.perf_counter() - start) / iters
 
 
-FORCED = {  # (RAGGED_MIN_WINDOW_COST, SMALL_GEMM_MAX, PROJECTION_MIN_WINDOWS_PER_ROW)
-    "full": (float("inf"), kernels.SMALL_GEMM_MAX, kernels.PROJECTION_MIN_WINDOWS_PER_ROW),
-    "ragged": (0, 0, float("inf")),
-    "projection": (0, 0, 0),
+FORCED = {  # the kernels' settings that force each path at any shape
+    "full": {"RAGGED_MIN_WINDOW_COST": float("inf")},
+    "ragged": {"RAGGED_MIN_WINDOW_COST": 0, "SMALL_GEMM_MAX": 0,
+               "PROJECTION_MIN_WINDOWS_PER_ROW": float("inf")},
+    "projection": {"RAGGED_MIN_WINDOW_COST": 0, "SMALL_GEMM_MAX": 0,
+                   "PROJECTION_MIN_WINDOWS_PER_ROW": 0},
+    "window": {"BACKWARD_MIN_WINDOWS_PER_ROW": float("inf")},
+    "distinct": {"RAGGED_MIN_WINDOW_COST": 0, "BACKWARD_MIN_WINDOWS_PER_ROW": 0},
 }
 
 
-def forward_on(path, docs, W, b):
-    """The forward forced onto one path at any shape: "full" computes every
-    window, "ragged" GEMMs each document's windows up to its last word, and
-    "projection" sums those windows from the projected distinct rows."""
-    names = ("RAGGED_MIN_WINDOW_COST", "SMALL_GEMM_MAX", "PROJECTION_MIN_WINDOWS_PER_ROW")
-    saved = [getattr(kernels, name) for name in names]
-    for name, value in zip(names, FORCED[path]):
+def forced(path, kernel, *args):
+    """``kernel`` forced onto one path at any shape. Forward: "full" computes
+    every window, "ragged" GEMMs each document's windows up to its last word,
+    and "projection" sums those windows from the projected distinct rows.
+    Backward: "window" GEMMs the selected windows, and "distinct" the
+    distinct rows."""
+    saved = {name: getattr(kernels, name) for name in FORCED[path]}
+    for name, value in FORCED[path].items():
         setattr(kernels, name, value)
     try:
-        return kernels.conv_pool_forward(docs, W, b)
+        return kernel(*args)
     finally:
-        for name, value in zip(names, saved):
+        for name, value in saved.items():
             setattr(kernels, name, value)
 
 
@@ -130,6 +138,14 @@ def chosen_path(docs, W, n_distinct, n_live):
     return "ragged"
 
 
+def chosen_backward(W, n_distinct, n_selected):
+    h, dim, f = W.shape
+    if (h * dim * f >= kernels.RAGGED_MIN_WINDOW_COST
+            and n_selected >= kernels.BACKWARD_MIN_WINDOWS_PER_ROW * n_distinct):
+        return "distinct"
+    return "window"
+
+
 def bench_case(name, lengths, vocab, B, dim, h, f, iters):
     docs, W, b, d_pooled = make_case(lengths, vocab, B, dim, h, f)
     P = docs.shape[1] - h + 1
@@ -137,16 +153,23 @@ def bench_case(name, lengths, vocab, B, dim, h, f, iters):
     n_live = int(live.sum())
     n_distinct = len({row.tobytes() for row in docs.reshape(-1, dim)})
     pooled, argmax = kernels.conv_pool_forward(docs, W, b)
-    times = {path: time_fn(lambda: forward_on(path, docs, W, b), iters) for path in FORCED}
-    bwd = time_fn(lambda: kernels.conv_pool_backward(docs, argmax, pooled, d_pooled, h), iters)
+    gated = (pooled > 0) & (d_pooled != 0)
+    n_selected = len(np.unique(np.nonzero(gated)[0] * docs.shape[1] + argmax[gated]))
+    fwd = {path: time_fn(lambda: forced(path, kernels.conv_pool_forward, docs, W, b), iters)
+           for path in ("full", "ragged", "projection")}
+    bwd = {path: time_fn(lambda: forced(path, kernels.conv_pool_backward, docs, argmax, pooled,
+                                        d_pooled, h), iters)
+           for path in ("window", "distinct")}
     print(f"{name:9s} {lengths:5s} {vocab:8s} B={B:3d} L={docs.shape[1]:2d} dim={dim:3d}"
           f" h={h} f={f:3d}  h*dim*f={h * dim * f:7d}  V={n_distinct:5d}"
           f" live={n_live:5d} (computed {live.mean():5.1%},"
           f" {chosen_path(docs, W, n_distinct, n_live):10s})"
-          f"  forward full {times['full'] * 1e3:7.3f} ms"
-          f"  ragged {times['ragged'] * 1e3:7.3f} ms"
-          f"  projection {times['projection'] * 1e3:7.3f} ms"
-          f"  backward {bwd * 1e3:7.3f} ms")
+          f"  forward full {fwd['full'] * 1e3:7.3f} ms"
+          f"  ragged {fwd['ragged'] * 1e3:7.3f} ms"
+          f"  projection {fwd['projection'] * 1e3:7.3f} ms"
+          f"  U={n_selected:5d} ({chosen_backward(W, n_distinct, n_selected):8s})"
+          f"  backward window {bwd['window'] * 1e3:7.3f} ms"
+          f"  distinct rows {bwd['distinct'] * 1e3:7.3f} ms")
 
 
 def main():

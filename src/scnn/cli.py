@@ -6,8 +6,9 @@ with identical inputs and seed produces byte-identical artifacts.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
 4 internal error (any other exception, such as a search worker process that
-died; it prints ``internal error: <type>: <message>``). Partial outputs are
-removed when a command fails.
+died; it prints ``internal error: <type>: <message>``), 130 interrupted
+(Ctrl-C; it prints ``interrupted``). Partial outputs are removed when a
+command fails or is interrupted.
 """
 
 from __future__ import annotations
@@ -506,6 +507,10 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         outputs.discard_all()
         return 4
+    except KeyboardInterrupt:  # not an Exception
+        print("interrupted", file=sys.stderr)
+        outputs.discard_all()
+        return 130
 
 
 if __name__ == "__main__":

@@ -14,10 +14,18 @@ Both kernels are plain numpy over BLAS. The forward has three paths:
   filters once, and a window sums h of those projected rows.
 
 On the last two, every window after a document's last word, all pad, gets
-the value ``relu(b)`` without a product. The backward is a GEMM over only
-the windows some filter selected. Both kernels are deterministic run to run
-and keep the input dtype (float32 in training, float64 in the gradient
-checker).
+the value ``relu(b)`` without a product. The backward has two paths:
+
+- **window**: a GEMM over only the windows some filter selected. Every desk
+  shape takes it.
+- **distinct rows**: from ``RAGGED_MIN_WINDOW_COST`` up, a batch with enough
+  selected windows per distinct row (``BACKWARD_MIN_WINDOWS_PER_ROW``), the
+  transpose of the projection. Each distinct row's gradient at each offset
+  is summed first, and a GEMM then runs over the distinct rows.
+
+Both kernels find a batch's distinct rows with ``_distinct_rows``. Both are
+deterministic run to run and keep the input dtype (float32 in training,
+float64 in the gradient checker).
 
 ``benchmarks/bench_kernels.py`` times them on desk and paper shapes.
 """
@@ -50,6 +58,13 @@ SMALL_GEMM_MAX = 100 ** 3
 # live windows; synth's batches have ~13 windows per row, Zipf tweet-like
 # ones ~1.7 and all-distinct ones 1.0.
 PROJECTION_MIN_WINDOWS_PER_ROW = 1.5
+# From RAGGED_MIN_WINDOW_COST up, the backward goes through the distinct rows
+# when the batch has at least this many selected windows per distinct row.
+# On a 2-core VM, in batches of 50 synth- or tweet-length documents from
+# uniform vocabularies, the two backward paths take equal time at 1.1-1.2
+# selected windows per row (h = 7, f = 400 to h = 3, f = 100). With as many
+# distinct rows as windows, the distinct rows take 1.05-1.55x the time.
+BACKWARD_MIN_WINDOWS_PER_ROW = 1.25
 
 
 def conv_pool_forward(docs: np.ndarray, W: np.ndarray, b: np.ndarray):
@@ -76,12 +91,9 @@ def conv_pool_forward(docs: np.ndarray, W: np.ndarray, b: np.ndarray):
         real = keys != 0
         n_live = np.count_nonzero(_live_windows(real, P))
         if n_live >= PROJECTION_MIN_WINDOWS_PER_ROW * _n_distinct(keys):
-            _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
-            ids = ids.reshape(B, L)
-            distinct = docs[np.divmod(first, L)]
-            # no NaN or inf (an embeddings file may hold them), and every row
-            # equal to its distinct row
-            if np.isfinite(distinct).all() and _rows_equal(docs, distinct, ids):
+            rows = _distinct_rows(docs, keys)
+            if rows is not None:
+                distinct, ids = rows
                 projected = np.matmul(distinct, W)  # (h, V, f)
                 live = _live_windows(distinct.any(axis=1)[ids], P)
         if projected is None:
@@ -133,6 +145,19 @@ def _n_distinct(keys: np.ndarray) -> int:
     return int(keys.size and 1 + np.count_nonzero(keys[1:] != keys[:-1]))
 
 
+def _distinct_rows(docs: np.ndarray, keys: np.ndarray):
+    """(distinct (V, dim), ids (B, L)) such that docs[n, i] equals
+    distinct[ids[n, i]], found from the row keys; or None where two unequal
+    rows share a key or a row holds NaN or inf (an embeddings file may hold
+    them)."""
+    _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+    ids = ids.reshape(keys.shape)
+    distinct = docs[np.divmod(first, keys.shape[1])]
+    if np.isfinite(distinct).all() and _rows_equal(docs, distinct, ids):
+        return distinct, ids
+    return None
+
+
 def _rows_equal(docs: np.ndarray, distinct: np.ndarray, ids: np.ndarray) -> bool:
     """Whether every row docs[n, i] equals distinct[ids[n, i]], compared
     eight documents at a time so that each block stays in cache."""
@@ -167,21 +192,45 @@ def conv_pool_backward(docs, argmax, pooled, d_pooled, h: int):
     the pooled value is positive (the ReLU gate at the selected position).
     Only the U distinct (document, position) windows that carry gradient
     are gathered; dW is their rows' transpose times the (U, f) gradient
-    those windows receive.
+    those windows receive. From ``RAGGED_MIN_WINDOW_COST`` up, a batch with
+    at least ``BACKWARD_MIN_WINDOWS_PER_ROW`` selected windows per distinct
+    row goes through its V distinct rows instead: offset r of a window holds
+    one of them, so dW[r] is their transpose times the (V, f) gradient each
+    receives at offset r. Those sums run in the input dtype in (document,
+    filter) order, so the last bits differ from the window GEMM's.
     """
     B, L, dim = docs.shape
     f = argmax.shape[1]
     gate = np.where(pooled > 0, d_pooled, 0).astype(docs.dtype, copy=False)
     n_idx, j_idx = np.nonzero(gate)
-    windows, row = np.unique(n_idx * L + argmax[n_idx, j_idx], return_inverse=True)
+    g = gate[n_idx, j_idx]
+    start = n_idx * L + argmax[n_idx, j_idx]  # a gated pair's window, by its first row
+    selected = np.zeros(B * L, dtype=bool)
+    selected[start] = True
+    dW = np.empty((h, dim, f), dtype=docs.dtype)
+    rows = None
+    if h * dim * f >= RAGGED_MIN_WINDOW_COST:
+        keys = _row_keys(docs)
+        if np.count_nonzero(selected) >= BACKWARD_MIN_WINDOWS_PER_ROW * _n_distinct(keys):
+            rows = _distinct_rows(docs, keys)
+    if rows is not None:
+        distinct, ids = rows
+        flat = ids.ravel()
+        for r in range(h):
+            # (V, f): cell (v, j) sums the gradient of every pair of filter j
+            # whose window holds distinct row v at offset r
+            S = np.zeros((len(distinct), f), dtype=docs.dtype)
+            np.add.at(S.ravel(), flat[start + r] * f + j_idx, g)
+            np.matmul(distinct.T, S, out=dW[r])
+        return dW, gate.sum(axis=0)
+    windows = np.flatnonzero(selected)
     # A window lies in one document, so each (window, filter) cell receives
     # at most one gradient and plain assignment scatters without collisions.
     G = np.zeros((len(windows), f), dtype=docs.dtype)
-    G[row, j_idx] = gate[n_idx, j_idx]
+    G[np.cumsum(selected)[start] - 1, j_idx] = g
     n_sel, p_sel = np.divmod(windows, L)
     # One (dim, U) @ (U, f) product per window offset: the same sums as a
     # single (h*dim, U) product, without holding all h*dim window columns.
-    dW = np.empty((h, dim, f), dtype=docs.dtype)
     for r in range(h):
         np.matmul(docs[n_sel, p_sel + r].T, G, out=dW[r])
     return dW, gate.sum(axis=0)

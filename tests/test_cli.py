@@ -9,8 +9,10 @@ import json
 import os
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +172,70 @@ class TestInternalErrors:
         assert "internal error: RuntimeError: leaderboard writer broke" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def _files_under(root):
+    return sorted(str(p.relative_to(root)) for p in Path(root).rglob("*"))
+
+
+class TestInterrupts:
+    @pytest.mark.parametrize("command", ["search", "predict"])
+    def test_keyboard_interrupt_exits_130_and_discards(self, run_dir, corpus_dir, tmp_path,
+                                                       capsys, monkeypatch, command):
+        import scnn.kernels
+
+        emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
+        if command == "predict":
+            assert run_cli("stack", "--run", run_dir, "--top-k", 1, "--out", tmp_path / "s") == 0
+        before = _files_under(tmp_path)
+        out = tmp_path / ("run" if command == "search" else "pred.tsv")
+        forward = scnn.kernels.conv_pool_forward
+
+        def interrupted(*args):
+            # search: once the first fold model is saved; predict: at once
+            if command == "predict" or any(out.glob("trials/*/fold*.scnn")):
+                raise KeyboardInterrupt
+            return forward(*args)
+
+        monkeypatch.setattr(scnn.kernels, "conv_pool_forward", interrupted)
+        if command == "search":
+            code = run_cli("search", "--train", corpus_dir / "train.tsv", "--embeddings", emb,
+                           "--trials", 2, "--seed", 1, "--out", out, "--parallelism", 1,
+                           "--config", corpus_dir / "space.json", "--unrestricted-space",
+                           "--max-epochs", 2)
+        else:
+            code = run_cli("predict", "--manifest", tmp_path / "s" / "stack_top1.json",
+                           "--test", corpus_dir / "test.tsv", "--embeddings", emb,
+                           "--out", out)
+        err = capsys.readouterr().err
+        assert code == 130
+        assert err.rstrip().endswith("interrupted") and "Traceback" not in err
+        assert _files_under(tmp_path) == before  # no output and no .tmp
+
+    def test_sigint_during_search_exits_130_and_discards(self, corpus_dir, tmp_path):
+        out = tmp_path / "run"
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "scnn", "search", "--train", str(corpus_dir / "train.tsv"),
+             "--embeddings", emb, "--trials", "4", "--seed", "1", "--out", str(out),
+             "--config", str(corpus_dir / "space.json"), "--unrestricted-space",
+             "--max-epochs", "30", "--patience", "30", "--parallelism", "1"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            while proc.poll() is None and not any(out.glob("trials/*/fold*.scnn")):
+                time.sleep(0.01)  # poll for the first fold model, then interrupt at once
+            assert proc.poll() is None, "the search ended before its first fold model"
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130, err
+        assert err.rstrip().endswith("interrupted") and "Traceback" not in err
+        assert not out.exists()
+        assert _files_under(tmp_path) == []
 
 
 class TestDataErrors:

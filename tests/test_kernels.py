@@ -161,18 +161,25 @@ class TestBackward:
 
 
 @st.composite
-def backward_cases(draw):
+def backward_cases(draw, repeated=False):
     """Random small kernels, plus the corner cases the backward must keep
     exact: all-zero docs, an empty ReLU gate, filters that all select the
-    same window, and a filter as wide as the document."""
-    kind = draw(st.sampled_from(["random", "zero_docs", "gate_empty", "shared_window"]))
+    same window, and a filter as wide as the document. With ``repeated``,
+    each document's words come from a table of one to four rows, so rows
+    repeat, and a tie case makes every window of every document equal."""
+    kinds = ["random", "zero_docs", "gate_empty", "shared_window"] + ["tie"] * repeated
+    kind = draw(st.sampled_from(kinds))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     B, L = draw(st.integers(1, 4)), draw(st.integers(1, 9))
     dim, f = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     h = L if draw(st.booleans()) else draw(st.integers(1, L))
     rng = Rng(draw(st.integers(0, 2**32 - 1)))
-    docs = rng.uniform(-1, 1, (B, L, dim)).astype(dtype)
-    docs[:, L - draw(st.integers(0, L)):] = 0  # pad tail
+    if repeated:
+        table = rng.uniform(-1, 1, (draw(st.integers(1, 4)), dim))
+        docs = word_batch(rng, [draw(st.integers(0, L)) for _ in range(B)], table, dtype, L=L)
+    else:
+        docs = rng.uniform(-1, 1, (B, L, dim)).astype(dtype)
+        docs[:, L - draw(st.integers(0, L)):] = 0  # pad tail
     W = rng.uniform(-1, 1, (h, dim, f)).astype(dtype)
     b = rng.uniform(-0.5, 0.5, f).astype(dtype)
     if kind == "zero_docs":
@@ -181,17 +188,22 @@ def backward_cases(draw):
         b[:] = -2.0 * h * dim  # below any window sum of |x|, |w| <= 1
     elif kind == "shared_window":
         W[:], b[:] = W[:, :, :1], b[0]
+    elif kind == "tie":
+        docs[:] = table[0]
     d_pooled = rng.uniform(-1, 1, (B, f)).astype(dtype)
     return kind, docs, W, b, d_pooled
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(backward_cases())
-def test_backward_matches_bruteforce(case):
+def assert_backward_matches_bruteforce(case, path=None):
+    """The backward of ``case`` (on one forced backward path, if given) against
+    the loop reference; returns whether each call of the distinct-row helper
+    found the rows."""
     kind, docs, W, b, d_pooled = case
     h = W.shape[0]
     pooled, argmax = kernels.conv_pool_forward(docs, W, b)
-    dW, db = kernels.conv_pool_backward(docs, argmax, pooled, d_pooled, h)
+    with forced_path(path) if path else contextlib.nullcontext(), \
+            distinct_rows_found() as found:
+        dW, db = kernels.conv_pool_backward(docs, argmax, pooled, d_pooled, h)
     assert dW.shape == W.shape and db.shape == b.shape
     assert dW.dtype == docs.dtype and db.dtype == docs.dtype
     exp_dW, exp_db = conv_pool_backward_bruteforce(docs, argmax, pooled, d_pooled, h)
@@ -204,6 +216,67 @@ def test_backward_matches_bruteforce(case):
         assert not dW.any()
     if kind == "shared_window":
         assert (argmax == argmax[:, :1]).all()
+    if kind == "tie":
+        assert (argmax == 0).all()
+    return found
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(backward_cases())
+def test_backward_matches_bruteforce(case):
+    assert_backward_matches_bruteforce(case)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(backward_cases(repeated=True))
+def test_distinct_row_backward_matches_bruteforce(case):
+    assert assert_backward_matches_bruteforce(case, "distinct") == [True]
+
+
+def fallback_case(kind):
+    """A float64 batch of repeated words, 40 dims wide so that a row has
+    entries past its key's first 32, whose distinct rows the backward cannot
+    use ("nan", "inf", and "shared_key": two unequal rows with one key) or
+    does not take ("all_distinct": fewer selected windows than rows)."""
+    rng = Rng(8)
+    table = rng.uniform(-1, 1, (3, 40))
+    docs = word_batch(rng, [7, 5, 9], table, np.float64, L=10)
+    W = rng.uniform(-1, 1, (2, 40, 5))
+    b = rng.uniform(-0.5, 0.5, 5)
+    d_pooled = rng.uniform(-1, 1, (3, 5))
+    if kind == "nan":
+        docs[1, 2, 35] = np.nan
+    elif kind == "inf":
+        # every window that holds it has the value relu(-inf) = 0, so no
+        # gradient reaches an inf, which a GEMM would multiply by zeros
+        docs[1, 2, 35] = -np.inf
+        W[:, 35] = np.abs(W[:, 35])
+    elif kind == "shared_key":
+        docs[2, 0] = docs[0, 0]
+        docs[2, 0, 32:] += 0.5
+    else:
+        docs[:, :9] = rng.uniform(-1, 1, (3, 9, 40))
+    return docs, W, b, d_pooled
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "shared_key", "all_distinct"])
+def test_backward_falls_back_to_the_window_gemm(kind):
+    docs, W, b, d_pooled = fallback_case(kind)
+    with np.errstate(invalid="ignore"):  # BLAS may multiply the -inf by a padding zero
+        pooled, argmax = kernels.conv_pool_forward(docs, W, b)
+    args = (docs, argmax, pooled, d_pooled, W.shape[0])
+    with forced_path("window"):
+        window = kernels.conv_pool_backward(*args)
+    # forced, the backward tries the distinct rows whatever V and U are; the
+    # all-distinct batch takes the default rule past the gate
+    with forced_path("gated" if kind == "all_distinct" else "distinct"), \
+            distinct_rows_found() as found:
+        dW, db = kernels.conv_pool_backward(*args)
+    assert found == ([] if kind == "all_distinct" else [False])
+    assert dW.tobytes() == window[0].tobytes() and db.tobytes() == window[1].tobytes()
+    exp_dW, exp_db = conv_pool_backward_bruteforce(*args)
+    np.testing.assert_allclose(dW, exp_dW, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(db, exp_db, rtol=1e-12, atol=1e-12)
 
 
 def test_backend_selection_matches_env():
@@ -224,31 +297,55 @@ def takes_ragged_path(docs, W):
             and rows < kernels.PROJECTION_MIN_WINDOWS_PER_ROW * distinct)
 
 
-# (RAGGED_MIN_WINDOW_COST, SMALL_GEMM_MAX, PROJECTION_MIN_WINDOWS_PER_ROW) that
-# force each forward path at every shape. The ragged path keeps its fallback
-# to the full path for products that BLAS computes with another kernel.
+# The kernels' settings that force each path at every shape: the forward's
+# "full", "ragged" and "projection", and the backward's "window" GEMM and
+# "distinct" rows. "gated" takes both kernels past the cost gate and leaves
+# them their rules. The ragged path keeps its fallback to the full path for
+# products that BLAS computes with another kernel.
 FORCED = {
-    "full": (float("inf"), kernels.SMALL_GEMM_MAX, kernels.PROJECTION_MIN_WINDOWS_PER_ROW),
-    "ragged": (0, kernels.SMALL_GEMM_MAX, float("inf")),
-    "projection": (0, kernels.SMALL_GEMM_MAX, 0),
+    "full": {"RAGGED_MIN_WINDOW_COST": float("inf")},
+    "ragged": {"RAGGED_MIN_WINDOW_COST": 0, "PROJECTION_MIN_WINDOWS_PER_ROW": float("inf")},
+    "projection": {"RAGGED_MIN_WINDOW_COST": 0, "PROJECTION_MIN_WINDOWS_PER_ROW": 0},
+    "window": {"BACKWARD_MIN_WINDOWS_PER_ROW": float("inf")},
+    "distinct": {"RAGGED_MIN_WINDOW_COST": 0, "BACKWARD_MIN_WINDOWS_PER_ROW": 0},
+    "gated": {"RAGGED_MIN_WINDOW_COST": 0},
 }
 
 
 @contextlib.contextmanager
 def forced_path(path):
-    """Run the forward on one path: "full" computes every window, "ragged"
+    """Run the kernels on one path: "full" computes every window, "ragged"
     GEMMs each document's windows up to its last word, and "projection" sums
     those windows from the projected distinct rows (where every row checks
-    out against its distinct row and has a finite key)."""
-    names = ("RAGGED_MIN_WINDOW_COST", "SMALL_GEMM_MAX", "PROJECTION_MIN_WINDOWS_PER_ROW")
-    saved = [getattr(kernels, name) for name in names]
-    for name, value in zip(names, FORCED[path]):
+    out against its distinct row and has a finite key); "window" GEMMs the
+    selected windows in the backward, and "distinct" the distinct rows
+    (where they check out)."""
+    saved = {name: getattr(kernels, name) for name in FORCED[path]}
+    for name, value in FORCED[path].items():
         setattr(kernels, name, value)
     try:
         yield
     finally:
-        for name, value in zip(names, saved):
+        for name, value in saved.items():
             setattr(kernels, name, value)
+
+
+@contextlib.contextmanager
+def distinct_rows_found():
+    """Record, per call of the kernels' distinct-row helper, whether it found
+    the rows."""
+    found, helper = [], kernels._distinct_rows
+
+    def spy(docs, keys):
+        rows = helper(docs, keys)
+        found.append(rows is not None)
+        return rows
+
+    kernels._distinct_rows = spy
+    try:
+        yield found
+    finally:
+        kernels._distinct_rows = helper
 
 
 def forward_on(path, docs, W, b):
@@ -550,7 +647,9 @@ def test_projection_reruns_give_the_same_bits():
         assert run(env) == run(env)
 
 
-def test_projection_gradients_match_finite_differences():
+def finite_difference_error(path):
+    """check_model's error on a tiny float64 model and a batch of words from
+    a three-row table, with the kernels on ``path``."""
     rng = Rng(5)
     net = build_model(HyperParams(adam_b2=0.999, keep_prob=0.7, **TINY_ARCH), 8, seed=3,
                       dtype=np.float64)
@@ -559,8 +658,18 @@ def test_projection_gradients_match_finite_differences():
             p[:] = rng.uniform(0.05, 0.3, p.shape) * np.where(rng.random(p.shape) < 0.5, -1, 1)
     docs = word_batch(rng, [9, 4, 7], rng.uniform(-1, 1, (3, 8)), np.float64, L=12)
     labels = np.array([1, 3, 2])
-    with forced_path("projection"):
-        assert check_model(net, docs, labels, rng.substream("dropout")) <= TOLERANCE
+    with forced_path(path):
+        return check_model(net, docs, labels, rng.substream("dropout"))
+
+
+def test_projection_gradients_match_finite_differences():
+    assert finite_difference_error("projection") <= TOLERANCE
+
+
+def test_distinct_row_gradients_match_finite_differences():
+    with distinct_rows_found() as found:
+        assert finite_difference_error("distinct") <= TOLERANCE
+    assert found and all(found)
 
 
 def test_threshold_splits_desk_and_paper_shapes():
@@ -582,4 +691,5 @@ def test_bench_kernels_smoke():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().split("\n")
     assert lines and all("computed" in line and "ragged" in line and "projection" in line
+                         and "backward window" in line and "distinct rows" in line
                          for line in lines)
