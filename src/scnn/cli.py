@@ -486,9 +486,9 @@ def main(argv=None) -> int:
         if args.command == "stack" and args.test and not args.embeddings:
             raise UsageError("stack --test requires --embeddings")
         # One BLAS thread computes the same bits whatever OPENBLAS_NUM_THREADS
-        # says, as in every search worker. It leaves the other cores to the
-        # workers, and to hashing each member's file while the member
-        # predicts (model.load_model).
+        # says, and every search worker, forked from this process, inherits
+        # it. It leaves the other cores to the workers, and to hashing each
+        # member's file while the member predicts (model.load_model).
         with _one_blas_thread():
             return args.func(args, outputs)
     except UsageError as exc:

@@ -202,9 +202,10 @@ def conv_pool_backward(docs, argmax, pooled, d_pooled, h: int):
     B, L, dim = docs.shape
     f = argmax.shape[1]
     gate = np.where(pooled > 0, d_pooled, 0).astype(docs.dtype, copy=False)
-    n_idx, j_idx = np.nonzero(gate)
-    g = gate[n_idx, j_idx]
-    start = n_idx * L + argmax[n_idx, j_idx]  # a gated pair's window, by its first row
+    pairs = np.flatnonzero(gate)  # the gated (document, filter) pairs, as np.nonzero orders them
+    n_idx, j_idx = np.divmod(pairs, f)
+    g = gate.ravel().take(pairs)
+    start = n_idx * L + argmax.ravel().take(pairs)  # a gated pair's window, by its first row
     selected = np.zeros(B * L, dtype=bool)
     selected[start] = True
     dW = np.empty((h, dim, f), dtype=docs.dtype)

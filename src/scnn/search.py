@@ -4,12 +4,14 @@ Each trial trains a fold ensemble for one sampled configuration, one unit
 per fold. The units are planned longest first by n_filters x
 sum(filter_sizes), ties by (trial, fold), and unit j runs on process j % n:
 the calling process, which takes the longest unit of each round and starts
-at once, and n - 1 spawned workers (``--parallelism n``, capped at the unit
-count and the CPUs this process may use; n = 1 starts no pool). A fixed plan
-keeps each process's work the same from run to run. A worker gets the
-training inputs once, with its share, through the pool's queue, pins its
-BLAS to one thread and sends each unit's result back as the unit ends. When
-the caller fails, each worker stops after its current unit. Each process
+at once, and n - 1 workers forked from it (``--parallelism n``, capped at
+the unit count and the CPUs this process may use, and at 1 off Linux; n = 1
+starts no pool). A fixed plan keeps each process's work the same from run
+to run. A worker inherits the training inputs and the caller's BLAS thread
+count from the fork, without a copy, and sends each unit's result back as
+the unit ends. When the caller fails or is interrupted, each worker stops
+after its current unit; a worker whose caller has died starts no further
+unit of its share and exits. Each process
 keeps one set of training buffers for consecutive units of one shape. A
 unit (train_unit) saves its fold model and returns its held-out rows; once a
 trial's last unit is in, the caller merges the rows and writes its oof.tsv
@@ -28,9 +30,9 @@ labels and folds, as write_oof writes them for every trial.
 Every fold's random streams derive from (seed, trial_id, fold) and configs
 are sampled up front from a dedicated substream, which makes the
 leaderboard and all trial artifacts byte-identical regardless of the
-process count, as long as the caller runs BLAS on one thread like the
-workers (cli.main pins it for every command; at paper shape OpenBLAS gives
-other last bits on several threads). At 400
+process count, as long as the caller runs BLAS on one thread, which the
+workers inherit (cli.main pins it for every command; at paper shape
+OpenBLAS gives other last bits on several threads). At 400
 dims the conv forward picks its path, and so its last bits, by the distinct
 rows of each batch (kernels.py); the seed fixes the batches, so reruns
 still repeat byte for byte.
@@ -59,8 +61,10 @@ import logging
 import os
 import queue
 import shutil
+import signal
+import sys
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -276,8 +280,8 @@ def parse_oof_tsv(path):
 
 @dataclass(frozen=True)
 class TrialInputs:
-    """Everything a trial reads besides its id and config; sent to each
-    worker process once."""
+    """Everything a trial reads besides its id and config; each worker
+    inherits it from the caller when it is forked."""
 
     ids: Sequence[str]
     labels: np.ndarray
@@ -390,65 +394,59 @@ def usable_cpus() -> int:
 
 def process_count(parallelism: int, n_units: int) -> int:
     """Processes a search uses, the caller included: ``parallelism`` capped
-    at the unit count and the usable CPUs."""
+    at the unit count and the usable CPUs, and at 1 off Linux, the one
+    platform where the workers are forked."""
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    return min(parallelism, n_units, usable_cpus())
+    return min(parallelism, n_units, usable_cpus() if sys.platform == "linux" else 1)
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@contextmanager
-def single_thread_blas_env():
-    """Set the BLAS thread variables to 1 for processes started inside the
-    block, then restore this process's values. A worker reads them when it
-    imports numpy, before it runs any task."""
-    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
-def _run_units(inputs: TrialInputs, units: list, stop=None):
+def _run_units(inputs: TrialInputs, units: list, stopped=lambda: False):
     """Results of ``units``, (trial id, hp, fold) each, run in turn in one
     set of training buffers and yielded as each ends: a process's share.
-    No unit starts once the event ``stop`` is set."""
+    No unit starts once ``stopped()`` is true."""
     buffers = SharedBuffers()
     for tid, hp, fold in units:
-        if stop is not None and stop.is_set():
+        if stopped():
             return
         yield run_unit(inputs, tid, hp, fold, buffers)
 
 
-_WORKER = {}  # in a spawned worker: the caller's stop event and results queue
+_WORKER = {}  # in a forked worker: the arguments of its _start_worker
 
 
-def _start_worker(stop, results) -> None:
-    """Pool initializer. A worker that exits drops the results it has not
-    yet sent instead of waiting for the caller to read them, which a
-    failing caller never does."""
+def _start_worker(inputs: TrialInputs, caller: int, stop, results) -> None:
+    """Pool initializer, run in each worker as it is forked from the
+    process ``caller``: the arguments are the caller's own objects, not
+    copies. The worker ignores Ctrl-C, which reaches the caller too, and the
+    caller then stops it through ``stop``; it takes SIGTERM's default action
+    whatever handler the caller set. A worker that exits drops the results
+    it has not yet sent instead of waiting for the caller to read them,
+    which a failing caller never does."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     results.cancel_join_thread()
-    _WORKER.update(stop=stop, results=results)
+    _WORKER.update(inputs=inputs, caller=caller, stop=stop, results=results)
 
 
-def _run_share(inputs: TrialInputs, share: list) -> None:
+def _run_share(share: list) -> None:
     """A worker's task: its share, each result sent to the caller as its
-    unit ends."""
-    for result in _run_units(inputs, share, _WORKER["stop"]):
+    unit ends. No unit starts once the caller has set the stop event or has
+    died; a worker whose caller has died then exits, as nothing is left to
+    shut its pool down."""
+    stop = _WORKER["stop"]
+    orphaned = lambda: os.getppid() != _WORKER["caller"]
+    for result in _run_units(_WORKER["inputs"], share, lambda: stop.is_set() or orphaned()):
         _WORKER["results"].put(result)
+    if orphaned():
+        os._exit(1)
 
 
 class _Workers:
-    """Spawned workers, one per share, on a pool that ``stack`` shuts down;
-    no shares start no pool. Once ``stack`` unwinds, a worker starts no
-    further unit, so a failing caller waits only for the units running."""
+    """Workers forked from the caller, one per share, on a pool that
+    ``stack`` shuts down; no shares start no pool. Once ``stack`` unwinds, a
+    worker starts no further unit, so a failing caller waits only for the
+    units running."""
 
     def __init__(self, stack: ExitStack, inputs: TrialInputs, shares: list):
         self.due = sum(len(share) for share in shares)
@@ -460,19 +458,17 @@ class _Workers:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        context = multiprocessing.get_context("spawn")
+        # The pool forks every worker inside the first submit, before it
+        # starts its manager thread, so no Python thread runs at the fork
+        # (OpenBLAS's own fork handler stops its threads). A worker inherits
+        # the inputs, and the caller's BLAS thread count, without a copy.
+        context = multiprocessing.get_context("fork")
         stop, self.results = context.Event(), context.Queue()
         pool = stack.enter_context(ProcessPoolExecutor(
-            max_workers=len(shares), mp_context=context,
-            initializer=_start_worker, initargs=(stop, self.results)))
+            max_workers=len(shares), mp_context=context, initializer=_start_worker,
+            initargs=(inputs, os.getpid(), stop, self.results)))
         stack.callback(stop.set)  # unwinds before the pool's exit joins the workers
-        # a worker starts inside submit; the inputs go with its share through
-        # the pool's queue, written by a background thread. Passed as initargs,
-        # like the small event and queue, spawn would write them into the
-        # child's pipe inside submit, which blocks until the child has
-        # imported numpy, and for good if the child dies first.
-        with single_thread_blas_env():
-            self.futures = [pool.submit(_run_share, inputs, share) for share in shares]
+        self.futures = [pool.submit(_run_share, share) for share in shares]
 
     def received(self, wait: bool):
         """Yield the results the workers have sent; with ``wait``, until
@@ -494,7 +490,7 @@ class _Workers:
 def _run_trials(inputs: TrialInputs, planned: list, n_procs: int) -> list:
     """Records of every planned trial, in trial order. Unit j of the plan
     runs on process j % n_procs: the calling process runs share 0, starting
-    at once, while spawned workers run the others and send each result as
+    at once, while forked workers run the others and send each result as
     its unit ends. A trial is finished as soon as its last unit's result is
     in."""
     k = inputs.folds.k

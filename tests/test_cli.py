@@ -237,6 +237,48 @@ class TestInterrupts:
         assert not out.exists()
         assert _files_under(tmp_path) == []
 
+    def test_ctrl_c_during_parallel_search_exits_130_and_leaves_no_process(self, corpus_dir,
+                                                                           tmp_path):
+        # Ctrl-C in a terminal signals the whole process group: the worker
+        # ignores it and stops after its current unit, as the scnn process asks
+        out = tmp_path / "run"
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "scnn", "search", "--train", str(corpus_dir / "train.tsv"),
+             "--embeddings", emb, "--trials", "4", "--seed", "1", "--out", str(out),
+             "--config", str(corpus_dir / "space.json"), "--unrestricted-space",
+             "--max-epochs", "30", "--patience", "30", "--parallelism", "2"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        pgid = proc.pid  # the leader of its own session and process group
+        try:
+            while proc.poll() is None and not any(out.glob("trials/*/fold*.scnn")):
+                time.sleep(0.01)  # poll for the first fold model, then interrupt at once
+            assert proc.poll() is None, "the search ended before its first fold model"
+            os.killpg(pgid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                try:
+                    os.killpg(pgid, 0)
+                except ProcessLookupError:
+                    break
+                time.sleep(0.01)
+            else:
+                pytest.fail("a process of the search outlived it")
+        finally:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        assert proc.returncode == 130, err
+        assert err.rstrip().endswith("interrupted") and "Traceback" not in err
+        assert not out.exists()
+        assert _files_under(tmp_path) == []
+
 
 class TestDataErrors:
     def test_missing_train_file(self, corpus_dir, tmp_path):
@@ -1050,8 +1092,8 @@ def write_oof(inputs, trial_dir, rows):
     raise RuntimeError("oof writer broke")
 
 
-search.run_unit = run_unit  # spawned workers import this file as __mp_main__
 if __name__ == "__main__":
+    search.run_unit = run_unit  # forked workers inherit it
     search.write_oof = write_oof
     sys.exit(cli.main(sys.argv[1:]))
 """

@@ -1,9 +1,11 @@
 import concurrent.futures
 import json
 import os
+import queue
 import subprocess
 import sys
 import textwrap
+import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -373,6 +375,11 @@ class TestProcessCount:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
         assert S.process_count(4, 15) == expected
 
+    def test_one_process_off_linux(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert S.process_count(4, 10) == 1
+
     @pytest.mark.parametrize("bad", [0, -1])
     def test_rejects_below_one(self, bad):
         with pytest.raises(ValueError, match="parallelism"):
@@ -380,17 +387,13 @@ class TestProcessCount:
 
 
 class _RecordingPool(ProcessPoolExecutor):
-    """Counts pools and records the BLAS variables each submit sees."""
+    """Records the worker count of each pool."""
 
     started = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         _RecordingPool.started.append(kwargs["max_workers"])
-
-    def submit(self, *args, **kwargs):
-        _RecordingPool.env_at_submit = {k: os.environ.get(k) for k in S.BLAS_THREAD_VARS}
-        return super().submit(*args, **kwargs)
 
 
 def _failing_lr_search(out_dir, parallelism):
@@ -449,6 +452,11 @@ class TestProcessPool:
     def test_one_trial_uses_two_processes(self, tmp_path, monkeypatch):
         _cpus(monkeypatch, 4)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+
+        def refuse(inputs):  # a forked worker inherits the inputs: nothing pickles them
+            raise AssertionError("TrialInputs pickled")
+
+        monkeypatch.setattr(S.TrialInputs, "__reduce__", refuse)
         _RecordingPool.started.clear()
         runs = {p: _one_trial_search(tmp_path / f"p{p}", p) for p in (1, 2)}
         assert _RecordingPool.started == [1]  # five fold units, one worker
@@ -474,8 +482,8 @@ class TestProcessPool:
         assert _tree_bytes(tmp_path / "p1") == _tree_bytes(tmp_path / "p2")
 
     def test_worker_dying_at_start_fails_the_search(self, tmp_path):
-        # a worker whose interpreter cannot start dies before reading anything;
-        # the search must fail with BrokenProcessPool, not wait on it for good
+        # a worker that dies before it reads anything must fail the search
+        # with BrokenProcessPool, not leave the caller waiting on it for good
         script = textwrap.dedent(f"""
             import os, sys
             sys.path[:0] = [{str(Path(__file__).parent)!r},
@@ -486,9 +494,9 @@ class TestProcessPool:
             from scnn.corpus import stratified_kfold
             from scnn.model import TrainSchedule
 
-            examples, docs, labels = synth_arrays(306, 600)  # ~1.8 MB of documents
+            examples, docs, labels = synth_arrays(306, 60)
             os.sched_getaffinity, os.cpu_count = (lambda pid: {{0, 1}}), (lambda: 2)
-            os.environ["PYTHONHOME"] = os.path.join({str(tmp_path)!r}, "missing")
+            S._start_worker = lambda *args: os._exit(1)  # the forked worker runs it
             try:
                 S.run_search([ex.id for ex in examples], labels,
                              {{"godin": docs, "shin": docs}},
@@ -504,26 +512,58 @@ class TestProcessPool:
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr[-2000:]
 
-    def test_environment_restored_after_pool_starts(self, tmp_path, monkeypatch):
-        _cpus(monkeypatch, 4)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setenv("OMP_NUM_THREADS", "3")
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        monkeypatch.setenv("MKL_NUM_THREADS", "2")
-        before = dict(os.environ)
-        _failing_lr_search(tmp_path / "run", 2)
-        assert _RecordingPool.env_at_submit == dict.fromkeys(S.BLAS_THREAD_VARS, "1")
-        assert dict(os.environ) == before
+    def test_worker_units_run_on_the_callers_blas_thread_count(self, tmp_path, monkeypatch):
+        from scnn.cli import _openblas_threads
 
-    def test_environment_restored_on_error(self, monkeypatch):
-        monkeypatch.setenv("OMP_NUM_THREADS", "3")
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        before = dict(os.environ)
-        with pytest.raises(RuntimeError):
-            with S.single_thread_blas_env():
-                assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-                raise RuntimeError("spawn failed")
-        assert dict(os.environ) == before
+        if _openblas_threads() is None:
+            pytest.skip("numpy's BLAS exports no thread count")
+        get, set_count = _openblas_threads()
+        _cpus(monkeypatch, 4)
+        log = tmp_path / "units.log"
+        run_unit = S.run_unit
+
+        def logged(*args):  # a forked worker inherits this patch
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {get()}\n")
+            return run_unit(*args)
+
+        monkeypatch.setattr(S, "run_unit", logged)
+        before = get()
+        try:
+            for threads in (1, 2):
+                set_count(threads)
+                log.write_text("")
+                _one_trial_search(tmp_path / f"t{threads}", 2)
+                units = [line.split() for line in log.read_text().splitlines()]
+                assert {pid for pid, _ in units} - {str(os.getpid())}, "no unit ran in a worker"
+                assert {int(count) for _, count in units} == {threads}
+        finally:
+            set_count(before)
+
+    def test_orphaned_worker_starts_no_unit_and_exits(self, tmp_path, monkeypatch):
+        examples, docs, labels = synth_arrays(307, 60)
+        inputs = S.TrialInputs(
+            ids=[ex.id for ex in examples], labels=labels, docs_by_name={"godin": docs},
+            folds=stratified_kfold(labels, k=5, seed=307), sched=TrainSchedule(max_epochs=1),
+            seed=7, out_dir=str(tmp_path),
+        )
+        results = queue.SimpleQueue()
+        monkeypatch.setattr(S, "_WORKER", {"inputs": inputs, "caller": 100,
+                                           "stop": threading.Event(), "results": results})
+        # the caller dies while the worker trains its first unit
+        monkeypatch.setattr(os, "getppid", lambda: 100 if results.empty() else 1)
+
+        class Exited(Exception):
+            pass
+
+        def exit_(code):
+            raise Exited(code)
+
+        monkeypatch.setattr(os, "_exit", exit_)
+        with pytest.raises(Exited):
+            S._run_share([(0, toy_hp(), fold) for fold in range(3)])
+        assert results.get_nowait().fold == 0 and results.empty()
+        assert sorted(os.listdir(tmp_path / "trials" / "0")) == ["fold0.scnn"]
 
 
 class TestUnits:
