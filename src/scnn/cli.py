@@ -7,8 +7,9 @@ with identical inputs and seed produces byte-identical artifacts.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
 4 internal error (any other exception, such as a search worker process that
 died; it prints ``internal error: <type>: <message>``), 130 interrupted
-(Ctrl-C; it prints ``interrupted``). Partial outputs are removed when a
-command fails or is interrupted.
+(Ctrl-C; it prints ``interrupted``), 143 terminated (SIGTERM; it prints
+``terminated``). Partial outputs are removed when a command fails, is
+interrupted or is terminated.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ import json
 import logging
 import os
 import shutil
+import signal
 import sys
 
 import numpy as np
 
 from . import corpus, embeddings, metrics
-from .ensemble import load_ensemble, save_ensemble, stack_top_k, stacked_predict
+from .ensemble import load_ensemble, save_ensemble, stack_top_k, stacked_predict, usable_cpus
 from .errors import DataError, NumericError
 from .fileio import atomic_write, file_sha256, read_json, read_tsv
 from .model import HyperParams, SharedBuffers, TrainSchedule, validate_hyperparams
@@ -38,6 +40,15 @@ logger = logging.getLogger(__name__)
 
 class UsageError(Exception):
     pass
+
+
+class _Terminated(BaseException):
+    """Raised by main's SIGTERM handler; like KeyboardInterrupt, no
+    ``except Exception`` stops it on its way out."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,7 +211,7 @@ def _cmd_search(args, outputs: _Outputs) -> int:
     search.run_search(
         [ex.id for ex in examples], [ex.label for ex in examples], docs_by_name,
         space, args.trials, folds, _schedule_from_args(args), args.seed, args.out,
-        parallelism=args.parallelism or search.usable_cpus(), dataset_info=info,
+        parallelism=args.parallelism or usable_cpus(), dataset_info=info,
     )
     logger.info("search complete: %s", os.path.join(args.out, "leaderboard.csv"))
     return 0
@@ -481,13 +492,15 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(message)s")
     parser = _build_parser()
     outputs = _Outputs()
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         args = parser.parse_args(argv)
         if args.command == "stack" and args.test and not args.embeddings:
             raise UsageError("stack --test requires --embeddings")
         # One BLAS thread computes the same bits whatever OPENBLAS_NUM_THREADS
         # says, and every search worker, forked from this process, inherits
-        # it. It leaves the other cores to the workers, and to hashing each
+        # it. It leaves the other cores to the workers, to the threads that
+        # run a member's chunks (model.predict_proba), and to hashing each
         # member's file while the member predicts (model.load_model).
         with _one_blas_thread():
             return args.func(args, outputs)
@@ -511,6 +524,12 @@ def main(argv=None) -> int:
         print("interrupted", file=sys.stderr)
         outputs.discard_all()
         return 130
+    except _Terminated:
+        print("terminated", file=sys.stderr)
+        outputs.discard_all()
+        return 143
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

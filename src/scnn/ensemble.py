@@ -12,8 +12,9 @@ arithmetic in probability space, summed in float64 in a fixed order.
 A member is a ModelFile on disk, loaded only while ensemble_predict uses
 it, so predicting with a stack of any size holds one member's tensors at a
 time; tests may pass any object with predict_proba(docs) instead. A
-member's sha256 is checked on a second thread while the member predicts,
-and its probabilities count only once the digest matches.
+member predicts its 512-document chunks on one thread per usable CPU
+(usable_cpus), while its sha256 is checked on one more thread, and its
+probabilities count only once the digest matches.
 save_ensemble writes a stack's JSON manifest; load_ensemble checks it and
 each member with fileio.check_fields tables, as search.load_run checks a
 run manifest, so format_version is a required integer no newer than the
@@ -42,6 +43,7 @@ from .model import (
     build_model,
     load_model,
     load_model_hp,
+    map_on_threads,
     train,
 )
 from .rng import Rng
@@ -109,6 +111,15 @@ def train_fold_ensemble(hp: HyperParams, docs: np.ndarray, labels: np.ndarray,
         raise NumericError(f"fold {fold}: {exc}") from exc
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask's, or the CPU
+    count where the OS has no masks."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this OS
+        return os.cpu_count() or 1
+
+
 def mean_probs(parts: list) -> np.ndarray:
     """Mean of (N, 3) probability arrays, summed in float64 in list order."""
     acc = np.zeros((len(parts[0]), 3), dtype=np.float64)
@@ -120,7 +131,8 @@ def mean_probs(parts: list) -> np.ndarray:
 def _member_probs(trial: Trial, member, docs: np.ndarray) -> np.ndarray:
     """One member's probabilities. A ModelFile is loaded for this call only
     and must match the trial's hyperparameters and the documents' dimension;
-    it predicts while load_model checks its sha256."""
+    it predicts, its chunks on one thread per usable CPU, while load_model
+    checks its sha256."""
     if not isinstance(member, ModelFile):
         return member.predict_proba(docs)
 
@@ -131,7 +143,7 @@ def _member_probs(trial: Trial, member, docs: np.ndarray) -> np.ndarray:
         if net.embedding_dim != docs.shape[2]:
             raise DataError(f"{member.path}: takes {net.embedding_dim}-dim embeddings, "
                             f"the {trial.hp.word_embedding} table has {docs.shape[2]}")
-        return model.predict_proba(net, docs)
+        return model.predict_proba(net, docs, usable_cpus())
 
     return load_model(member.path, member.sha256, then=checked_probs)
 
@@ -174,14 +186,17 @@ MANIFEST_FORMAT_VERSION = 1
 def save_ensemble(stack: Sequence[Trial], manifest_path, fold_seed: int,
                   space_descriptor: str) -> None:
     """Write the manifest of ``stack``, whose trials' members are ModelFiles
-    (fold order); each entry takes its member's path and the file's sha256."""
+    (fold order); each entry takes its member's path and the file's sha256.
+    The files are hashed on one thread per usable CPU (map_on_threads)."""
     manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
+    paths = [member.path for trial in stack for member in trial.members]
+    digests = iter(map_on_threads(file_sha256, paths, usable_cpus()))
     members = []
     for trial in stack:
         for member in trial.members:
             members.append({
                 "path": os.path.relpath(os.path.abspath(member.path), manifest_dir),
-                "sha256": file_sha256(member.path),
+                "sha256": next(digests),
                 "trial_id": trial.trial_id,
                 "cv_score": round(trial.cv_score, 6),
             })

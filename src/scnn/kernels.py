@@ -107,6 +107,7 @@ def conv_pool_forward(docs: np.ndarray, W: np.ndarray, b: np.ndarray):
         z += b
         act = np.maximum(z, 0, out=z).reshape(B, P, f)
         argmax = act.argmax(axis=1)
+        pooled = np.take_along_axis(act, argmax[:, None, :], axis=1)[:, 0, :]
     else:
         if projected is None:
             z = wins[live].reshape(-1, h * dim) @ W2
@@ -123,8 +124,7 @@ def conv_pool_forward(docs: np.ndarray, W: np.ndarray, b: np.ndarray):
         # an all-pad window's value: relu(b), or NaN where W holds inf or NaN
         act[...] = np.maximum(np.zeros(h * dim, dtype=z.dtype) @ W2 + b, 0)
         act[live] = np.maximum(z, 0, out=z)
-        argmax = _first_max(act)
-    pooled = np.take_along_axis(act, argmax[:, None, :], axis=1)[:, 0, :]
+        pooled, argmax = _first_max(act)
     return pooled, argmax
 
 
@@ -171,18 +171,21 @@ def _live_windows(real: np.ndarray, P: int) -> np.ndarray:
     return np.logical_or.accumulate(real[:, ::-1], axis=1)[:, ::-1][:, :P]
 
 
-def _first_max(act: np.ndarray) -> np.ndarray:
-    """``act.argmax(axis=1)`` of a (B, P, f) array, in two reductions along
-    the contiguous f axis instead of one strided pass per (B, f) column."""
+def _first_max(act: np.ndarray) -> tuple:
+    """(max, argmax) over axis 1 of a (B, P, f) array, the argmax as
+    ``act.argmax(axis=1)`` gives it, in two reductions along the contiguous
+    f axis instead of one strided pass per (B, f) column. The max is the
+    value at its first position, so it is returned as it is."""
     top = act.max(axis=1)
     if np.isnan(top).any():  # argmax takes the first NaN, which equals nothing
-        return act.argmax(axis=1)
+        argmax = act.argmax(axis=1)
+        return np.take_along_axis(act, argmax[:, None, :], axis=1)[:, 0, :], argmax
     P = act.shape[1]
     # P for the first position down to 1 for the last: the largest rank among
     # the positions equal to the max is the first of them
     rank = np.arange(P, 0, -1, dtype=np.min_scalar_type(P))
     key = np.multiply(act == top[:, None, :], rank[:, None], dtype=rank.dtype)
-    return np.subtract(P, key.max(axis=1), dtype=np.intp)
+    return top, np.subtract(P, key.max(axis=1), dtype=np.intp)
 
 
 def conv_pool_backward(docs, argmax, pooled, d_pooled, h: int):

@@ -296,16 +296,74 @@ def backward_batch(model: ShallowCNN, caches: dict, gold, out: Optional[dict] = 
     return grads
 
 
+def map_on_threads(fn: Callable, items, threads: int) -> list:
+    """``[fn(item) for item in items]``, on min(len(items), threads) threads
+    while the calling thread waits, or on the calling thread when that is
+    fewer than two. Each thread takes the next item not yet started. Once
+    an item raises, or the caller is interrupted, no further item starts;
+    the running ones end, and then the first failed item's error, or the
+    interrupt, is raised: no thread outlives the call."""
+    items = list(items)
+    n_threads = min(len(items), threads)
+    if n_threads < 2:
+        return [fn(item) for item in items]
+    results, failed = [None] * len(items), {}  # item index -> its error
+    pending, lock = iter(range(len(items))), threading.Lock()
+    go, stop, ended = threading.Event(), threading.Event(), threading.Semaphore(0)
+
+    def work():
+        go.wait()  # items start once every thread has, so each thread is joined
+        while not stop.is_set():
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                break
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                failed[i] = exc
+                stop.set()
+        ended.release()
+
+    started = []
+    try:
+        for k in range(n_threads):
+            worker = threading.Thread(target=work, name=f"scnn-{k}")
+            worker.start()
+            started.append(worker)
+        go.set()
+        for _ in started:
+            # not join(): in Python 3.11 a join that Ctrl-C cuts short marks
+            # its still running thread as stopped, and no later join waits
+            ended.acquire()
+    finally:
+        stop.set()
+        go.set()
+        for worker in started:
+            worker.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
 _PREDICT_CHUNK = 512
 
 
-def predict_proba(model: ShallowCNN, docs: np.ndarray) -> np.ndarray:
-    """Inference-mode probabilities, one row per document; rows sum to 1."""
-    n = len(docs)
-    out = np.zeros((n, N_CLASSES), dtype=model.arena.dtype)
-    for start in range(0, n, _PREDICT_CHUNK):
-        chunk = docs[start:start + _PREDICT_CHUNK]
-        out[start:start + len(chunk)] = forward_batch(model, chunk, training=False)[0]
+def predict_proba(model: ShallowCNN, docs: np.ndarray, threads: int = 1) -> np.ndarray:
+    """Inference-mode probabilities, one row per document; rows sum to 1.
+
+    The documents go through forward_batch in chunks of _PREDICT_CHUNK, on
+    up to ``threads`` threads (map_on_threads); numpy and BLAS release the
+    GIL, so the chunks overlap. Each chunk writes its own rows from its own
+    slice, so the bytes do not depend on ``threads``.
+    """
+    out = np.zeros((len(docs), N_CLASSES), dtype=model.arena.dtype)
+
+    def run_chunk(start: int) -> None:
+        rows = slice(start, start + _PREDICT_CHUNK)
+        out[rows] = forward_batch(model, docs[rows], training=False)[0]
+
+    map_on_threads(run_chunk, range(0, len(docs), _PREDICT_CHUNK), threads)
     return out
 
 

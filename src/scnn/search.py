@@ -5,13 +5,13 @@ per fold. The units are planned longest first by n_filters x
 sum(filter_sizes), ties by (trial, fold), and unit j runs on process j % n:
 the calling process, which takes the longest unit of each round and starts
 at once, and n - 1 workers forked from it (``--parallelism n``, capped at
-the unit count and the CPUs this process may use, and at 1 off Linux; n = 1
-starts no pool). A fixed plan keeps each process's work the same from run
-to run. A worker inherits the training inputs and the caller's BLAS thread
-count from the fork, without a copy, and sends each unit's result back as
-the unit ends. When the caller fails or is interrupted, each worker stops
-after its current unit; a worker whose caller has died starts no further
-unit of its share and exits. Each process
+the unit count and the CPUs this process may use, ensemble.usable_cpus, and
+at 1 off Linux; n = 1 starts no pool). A fixed plan keeps each process's
+work the same from run to run. A worker inherits the training inputs and
+the caller's BLAS thread count from the fork, without a copy, and sends
+each unit's result back as the unit ends. When the caller fails or is
+interrupted, each worker stops after its current unit; when the caller
+dies, the kernel ends its workers with SIGTERM. Each process
 keeps one set of training buffers for consecutive units of one shape. A
 unit (train_unit) saves its fold model and returns its held-out rows; once a
 trial's last unit is in, the caller merges the rows and writes its oof.tsv
@@ -54,6 +54,7 @@ bit-reproducible, so the leaderboard's wall_time_s column is left empty.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import io
 import json
@@ -79,6 +80,7 @@ from .ensemble import (
     mean_probs,
     rank,
     train_fold_ensemble,
+    usable_cpus,
 )
 from .errors import DataError, ScnnError
 from .fileio import atomic_write, check_fields, is_int, open_text, read_json, read_tsv
@@ -383,15 +385,6 @@ def plan_units(planned: list, k: int) -> list:
     return sorted(units, key=lambda u: (-u[1].n_filters * sum(u[1].filter_sizes), u[0], u[2]))
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask's, or the CPU
-    count where the OS has no masks."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this OS
-        return os.cpu_count() or 1
-
-
 def process_count(parallelism: int, n_units: int) -> int:
     """Processes a search uses, the caller included: ``parallelism`` capped
     at the unit count and the usable CPUs, and at 1 off Linux, the one
@@ -413,6 +406,7 @@ def _run_units(inputs: TrialInputs, units: list, stopped=lambda: False):
 
 
 _WORKER = {}  # in a forked worker: the arguments of its _start_worker
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
 def _start_worker(inputs: TrialInputs, caller: int, stop, results) -> None:
@@ -420,26 +414,28 @@ def _start_worker(inputs: TrialInputs, caller: int, stop, results) -> None:
     process ``caller``: the arguments are the caller's own objects, not
     copies. The worker ignores Ctrl-C, which reaches the caller too, and the
     caller then stops it through ``stop``; it takes SIGTERM's default action
-    whatever handler the caller set. A worker that exits drops the results
+    whatever handler the caller set. The kernel sends it SIGTERM when the
+    caller's forking thread, its main thread, ends, so a worker never
+    outlives a caller that dies, wherever it waits; one whose caller died
+    before this call exits at once. A worker that exits drops the results
     it has not yet sent instead of waiting for the caller to read them,
     which a failing caller never does."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = [ctypes.c_int] + [ctypes.c_ulong] * 4, ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGTERM, 0, 0, 0)
+    if os.getppid() != caller:
+        os._exit(1)
     results.cancel_join_thread()
-    _WORKER.update(inputs=inputs, caller=caller, stop=stop, results=results)
+    _WORKER.update(inputs=inputs, stop=stop, results=results)
 
 
 def _run_share(share: list) -> None:
     """A worker's task: its share, each result sent to the caller as its
-    unit ends. No unit starts once the caller has set the stop event or has
-    died; a worker whose caller has died then exits, as nothing is left to
-    shut its pool down."""
-    stop = _WORKER["stop"]
-    orphaned = lambda: os.getppid() != _WORKER["caller"]
-    for result in _run_units(_WORKER["inputs"], share, lambda: stop.is_set() or orphaned()):
+    unit ends. No unit starts once the caller has set the stop event."""
+    for result in _run_units(_WORKER["inputs"], share, _WORKER["stop"].is_set):
         _WORKER["results"].put(result)
-    if orphaned():
-        os._exit(1)
 
 
 class _Workers:

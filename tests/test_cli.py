@@ -4,7 +4,9 @@ The desk-scale end-to-end pipeline lives in test_acceptance.py; these tests
 exercise the command surface with the smallest corpora that still train.
 """
 
+import contextlib
 import hashlib
+import itertools
 import json
 import os
 import shlex
@@ -12,6 +14,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -212,26 +215,42 @@ class TestInterrupts:
         assert err.rstrip().endswith("interrupted") and "Traceback" not in err
         assert _files_under(tmp_path) == before  # no output and no .tmp
 
+    def test_ctrl_c_during_threaded_predict_exits_130(self, run_dir, corpus_dir, tmp_path,
+                                                      capsys, monkeypatch):
+        import scnn.ensemble
+        from scnn import model as M
+
+        emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
+        assert run_cli("stack", "--run", run_dir, "--top-k", 1, "--out", tmp_path / "s") == 0
+        before = _files_under(tmp_path)
+        monkeypatch.setattr(M, "_PREDICT_CHUNK", 8)  # 30 tweets: 4 chunks
+        monkeypatch.setattr(scnn.ensemble, "usable_cpus", lambda: 2)
+        started = itertools.count()
+        forward = M.forward_batch
+
+        def interrupting(*args, **kwargs):
+            if next(started) == 0:  # Ctrl-C while the caller waits for its chunks
+                os.kill(os.getpid(), signal.SIGINT)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(M, "forward_batch", interrupting)
+        threads = set(threading.enumerate())
+        code = run_cli("predict", "--manifest", tmp_path / "s" / "stack_top1.json",
+                       "--test", corpus_dir / "test.tsv", "--embeddings", emb,
+                       "--out", tmp_path / "pred.tsv")
+        err = capsys.readouterr().err
+        assert code == 130
+        assert err.rstrip().endswith("interrupted") and "Traceback" not in err
+        assert next(started) < 20  # of 5 members x 4 chunks
+        assert set(threading.enumerate()) == threads
+        assert _files_under(tmp_path) == before
+
     def test_sigint_during_search_exits_130_and_discards(self, corpus_dir, tmp_path):
         out = tmp_path / "run"
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "scnn", "search", "--train", str(corpus_dir / "train.tsv"),
-             "--embeddings", emb, "--trials", "4", "--seed", "1", "--out", str(out),
-             "--config", str(corpus_dir / "space.json"), "--unrestricted-space",
-             "--max-epochs", "30", "--patience", "30", "--parallelism", "1"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        try:
-            while proc.poll() is None and not any(out.glob("trials/*/fold*.scnn")):
-                time.sleep(0.01)  # poll for the first fold model, then interrupt at once
-            assert proc.poll() is None, "the search ended before its first fold model"
+        with _search_process(corpus_dir, out, parallelism=1) as proc:
+            _wait_for_folds(proc, out, lambda names: names)
             proc.send_signal(signal.SIGINT)
             _, err = proc.communicate(timeout=60)
-        finally:
-            proc.kill()
         assert proc.returncode == 130, err
         assert err.rstrip().endswith("interrupted") and "Traceback" not in err
         assert not out.exists()
@@ -242,42 +261,87 @@ class TestInterrupts:
         # Ctrl-C in a terminal signals the whole process group: the worker
         # ignores it and stops after its current unit, as the scnn process asks
         out = tmp_path / "run"
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "scnn", "search", "--train", str(corpus_dir / "train.tsv"),
-             "--embeddings", emb, "--trials", "4", "--seed", "1", "--out", str(out),
-             "--config", str(corpus_dir / "space.json"), "--unrestricted-space",
-             "--max-epochs", "30", "--patience", "30", "--parallelism", "2"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            start_new_session=True)
-        pgid = proc.pid  # the leader of its own session and process group
-        try:
-            while proc.poll() is None and not any(out.glob("trials/*/fold*.scnn")):
-                time.sleep(0.01)  # poll for the first fold model, then interrupt at once
-            assert proc.poll() is None, "the search ended before its first fold model"
-            os.killpg(pgid, signal.SIGINT)
+        with _search_process(corpus_dir, out, parallelism=2) as proc:
+            _wait_for_folds(proc, out, lambda names: names)
+            os.killpg(proc.pid, signal.SIGINT)
             _, err = proc.communicate(timeout=60)
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                try:
-                    os.killpg(pgid, 0)
-                except ProcessLookupError:
-                    break
-                time.sleep(0.01)
-            else:
-                pytest.fail("a process of the search outlived it")
-        finally:
-            try:
-                os.killpg(pgid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+            _assert_group_ends(proc.pid)
         assert proc.returncode == 130, err
         assert err.rstrip().endswith("interrupted") and "Traceback" not in err
         assert not out.exists()
         assert _files_under(tmp_path) == []
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_sigterm_during_search_exits_143_and_leaves_no_process(self, corpus_dir, tmp_path,
+                                                                   parallelism):
+        out = tmp_path / "run"
+        with _search_process(corpus_dir, out, parallelism) as proc:
+            _wait_for_folds(proc, out, lambda names: names)
+            proc.terminate()  # the scnn process alone, which stops its worker
+            _, err = proc.communicate(timeout=60)
+            _assert_group_ends(proc.pid)
+        assert proc.returncode == 143, err
+        assert err.rstrip().endswith("terminated") and "Traceback" not in err
+        assert not out.exists()
+        assert _files_under(tmp_path) == []
+
+    def test_killed_search_leaves_no_idle_worker(self, corpus_dir, tmp_path):
+        # one trial of five folds at --parallelism 2: the scnn process trains
+        # folds 0, 2 and 4, its worker 1 and 3 and then waits for work
+        out = tmp_path / "run"
+        with _search_process(corpus_dir, out, 2, trials=1, epochs=500) as proc:
+            _wait_for_folds(proc, out, lambda names: {"fold1.scnn", "fold3.scnn"} <= names)
+            proc.kill()
+            proc.communicate(timeout=60)  # the worker holds the pipes until it ends
+            _assert_group_ends(proc.pid)
+        assert proc.returncode == -signal.SIGKILL
+
+
+@contextlib.contextmanager
+def _search_process(corpus_dir, out, parallelism, trials=4, epochs=30):
+    """A running ``scnn search`` of ``trials`` trials of 5 folds on the
+    module's corpus, in a session of its own, so that its pid is its
+    process group's id; the group is killed when the block exits."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scnn", "search", "--train", str(corpus_dir / "train.tsv"),
+         "--embeddings", emb, "--trials", str(trials), "--seed", "1", "--out", str(out),
+         "--config", str(corpus_dir / "space.json"), "--unrestricted-space",
+         "--max-epochs", str(epochs), "--patience", str(epochs),
+         "--parallelism", str(parallelism)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        yield proc
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate(timeout=60)
+
+
+def _wait_for_folds(proc, out, ready):
+    """Poll, without sleeping past it, until ``ready`` holds for the names
+    of the fold models saved under ``out``; the search must still run."""
+    while proc.poll() is None and not ready({p.name for p in out.glob("trials/*/fold*.scnn")}):
+        time.sleep(0.01)
+    assert proc.poll() is None, "the search ended before the signal"
+
+
+def _assert_group_ends(pgid, seconds=30):
+    """Every process of the group ``pgid`` ends within ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.01)
+    pytest.fail("a process of the search outlived it")
 
 
 class TestDataErrors:
@@ -1043,6 +1107,44 @@ def test_predict_bytes_do_not_depend_on_blas_threading(tmp_path):
         assert proc.returncode == 0, proc.stderr
         written[threads] = out.read_bytes()
     assert written["1"] == written[None] == written["2"]
+
+
+def test_stack_and_predict_bytes_do_not_depend_on_the_usable_cpus(run_dir, corpus_dir,
+                                                                 tmp_path, monkeypatch):
+    import scnn.ensemble
+    from scnn import model as M
+
+    monkeypatch.setattr(M, "_PREDICT_CHUNK", 8)  # 30 tweets: 4 chunks
+    ran, running, lock = [], [0], threading.Lock()
+    forward = M.forward_batch
+
+    def counted(*args, **kwargs):
+        with lock:
+            running[0] += 1
+            ran.append((threading.get_ident(), running[0]))
+        try:
+            return forward(*args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(M, "forward_batch", counted)
+    emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
+    written = {}
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(scnn.ensemble, "usable_cpus", lambda: cpus)
+        out = tmp_path / str(cpus)
+        ran.clear()
+        assert run_cli("stack", "--run", run_dir, "--top-k", "1,3", "--out", out / "stacks",
+                       "--test", corpus_dir / "test.tsv", "--embeddings", emb) == 0
+        assert run_cli("predict", "--manifest", out / "stacks" / "stack_top3.json",
+                       "--test", corpus_dir / "test.tsv", "--embeddings", emb,
+                       "--out", out / "pred.tsv") == 0
+        # 3 trials x 5 folds x 4 chunks for the report, and again for predict
+        assert len(ran) == 120 and max(at_once for _, at_once in ran) <= cpus
+        assert (threading.get_ident() in {ident for ident, _ in ran}) == (cpus == 1)
+        written[cpus] = _tree(out)
+    assert written[1] == written[2] == written[4]
 
 
 def _tree(root):

@@ -1,3 +1,5 @@
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -5,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NetMember, save_net, toy_hp
+from conftest import NetMember, save_net, synth_arrays, toy_hp
 from scnn import ensemble as E
 from scnn import metrics
 from scnn import search as S
 from scnn.corpus import FoldAssignment, stratified_kfold
 from scnn.errors import DataError
+from scnn.fileio import file_sha256
 from scnn.model import SharedBuffers, TrainSchedule, predict_proba
 from scnn.rng import Rng
 
@@ -429,3 +432,40 @@ class TestStreaming:
         fe.members[1] = E.ModelFile(fe.members[1].path)
         with pytest.raises(DataError, match="t0_f1.scnn: hyperparameters differ"):
             E.ensemble_predict(fe, docs)
+
+    def test_manifest_does_not_depend_on_the_usable_cpus(self, tmp_path, monkeypatch):
+        written = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(E, "usable_cpus", lambda: cpus)
+            before = set(threading.enumerate())
+            _, manifest = self._saved_stack(tmp_path)
+            assert set(threading.enumerate()) == before
+            written.append(manifest.read_bytes())
+        assert written[0] == written[1] == written[2]
+
+    def test_chunk_thread_warnings_wait_for_the_digest(self, tmp_path, monkeypatch):
+        from scnn import model as M
+
+        _, docs, _ = synth_arrays(12, 20)
+        path = tmp_path / "m.scnn"
+        save_net(M.build_model(toy_hp(), docs.shape[2], seed=0), path)
+        digest = file_sha256(path)
+        wrong = format(int(digest, 16) ^ 1, "064x")
+        monkeypatch.setattr(M, "_PREDICT_CHUNK", 8)  # 3 chunks
+        monkeypatch.setattr(E, "usable_cpus", lambda: 2)
+        forward = M.forward_batch
+
+        def warning_off_the_main_thread(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                warnings.warn("chunk warning", RuntimeWarning)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(M, "forward_batch", warning_off_the_main_thread)
+        trial = E.Trial(0, toy_hp(), 0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match="hash mismatch"):
+                E._member_probs(trial, E.ModelFile(str(path), wrong), docs)
+            assert caught == []
+            E._member_probs(trial, E.ModelFile(str(path), digest), docs)
+        assert [str(w.message) for w in caught] == ["chunk warning"] * 3

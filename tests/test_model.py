@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 import json
 import math
 import os
 import struct
+import sys
 import tempfile
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rewrite_model_header, save_net, toy_hp
+from conftest import rewrite_model_header, save_net, synth_arrays, toy_hp
 from scnn import model as M
 from scnn import kernels, nn_core
 from scnn.errors import DataError, NumericError
@@ -640,6 +643,73 @@ class TestOverlappedHash:
             load_model(path, wrong if outcome == "mismatch" else digest, then=then)
         except (DataError, ValueError):
             assert outcome != "match"
+        assert set(threading.enumerate()) == before
+
+
+class TestPredictThreads:
+    """predict_proba runs its chunks on up to ``threads`` threads while the
+    calling thread waits; the bytes do not depend on how many."""
+
+    @pytest.fixture
+    def chunked(self, monkeypatch):
+        _, docs, _ = synth_arrays(11, 50)
+        monkeypatch.setattr(M, "_PREDICT_CHUNK", 8)  # 7 chunks
+        ran = []
+        forward = M.forward_batch
+
+        def recorded(*args, **kwargs):
+            ran.append(threading.get_ident())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(M, "forward_batch", recorded)
+        return build_model(toy_hp(), docs.shape[2], seed=4), docs, ran
+
+    def test_bytes_do_not_depend_on_threads(self, chunked):
+        net, docs, ran = chunked
+        before = set(threading.enumerate())
+        serial = M.predict_proba(net, docs)
+        assert set(ran) == {threading.get_ident()} and len(ran) == 7
+        for threads in (2, 4, 16):
+            ran.clear()
+            probs = M.predict_proba(net, docs, threads)
+            assert probs.tobytes() == serial.tobytes()
+            assert len(ran) == 7 and threading.get_ident() not in ran
+            assert len(set(ran)) <= threads
+            assert set(threading.enumerate()) == before
+
+    def test_one_chunk_runs_on_the_calling_thread(self, chunked):
+        net, docs, ran = chunked
+        M.predict_proba(net, docs[:8], threads=4)
+        assert ran == [threading.get_ident()]
+
+    def test_each_item_runs_once_under_frequent_switches(self):
+        ran = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = M.map_on_threads(lambda i: ran.append(i) or -i, range(2000), threads=8)
+        finally:
+            sys.setswitchinterval(switch)
+        assert results == [-i for i in range(2000)]
+        assert sorted(ran) == list(range(2000))
+
+    def test_a_raising_chunk_cancels_the_rest(self, chunked, monkeypatch):
+        net, docs, _ = chunked
+        docs = np.concatenate([docs] * 4)  # 25 chunks
+        started = itertools.count()
+        forward = M.forward_batch
+
+        def second_fails(model, batch, **kwargs):
+            if next(started) == 1:
+                raise NumericError("chunk 2 failed")
+            time.sleep(0.02)
+            return forward(model, batch, **kwargs)
+
+        monkeypatch.setattr(M, "forward_batch", second_fails)
+        before = set(threading.enumerate())
+        with pytest.raises(NumericError, match="chunk 2 failed"):
+            M.predict_proba(net, docs, threads=2)
+        assert next(started) < 25  # the chunks not yet started never ran
         assert set(threading.enumerate()) == before
 
 

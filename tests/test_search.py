@@ -1,11 +1,9 @@
 import concurrent.futures
 import json
 import os
-import queue
 import subprocess
 import sys
 import textwrap
-import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -540,30 +538,27 @@ class TestProcessPool:
         finally:
             set_count(before)
 
-    def test_orphaned_worker_starts_no_unit_and_exits(self, tmp_path, monkeypatch):
-        examples, docs, labels = synth_arrays(307, 60)
-        inputs = S.TrialInputs(
-            ids=[ex.id for ex in examples], labels=labels, docs_by_name={"godin": docs},
-            folds=stratified_kfold(labels, k=5, seed=307), sched=TrainSchedule(max_epochs=1),
-            seed=7, out_dir=str(tmp_path),
-        )
-        results = queue.SimpleQueue()
-        monkeypatch.setattr(S, "_WORKER", {"inputs": inputs, "caller": 100,
-                                           "stop": threading.Event(), "results": results})
-        # the caller dies while the worker trains its first unit
-        monkeypatch.setattr(os, "getppid", lambda: 100 if results.empty() else 1)
+    @pytest.mark.parametrize("caller_alive", [True, False], ids=["alive", "dead"])
+    def test_worker_ends_with_its_caller(self, caller_alive):
+        # run in a child of this process, as the pool runs it in each worker
+        script = textwrap.dedent(f"""
+            import ctypes, os, signal, sys
+            sys.path[:0] = [{str(Path(__file__).parent.parent / "src")!r}]
+            from scnn import search as S
 
-        class Exited(Exception):
-            pass
+            class Results:
+                def cancel_join_thread(self):
+                    pass
 
-        def exit_(code):
-            raise Exited(code)
-
-        monkeypatch.setattr(os, "_exit", exit_)
-        with pytest.raises(Exited):
-            S._run_share([(0, toy_hp(), fold) for fold in range(3)])
-        assert results.get_nowait().fold == 0 and results.empty()
-        assert sorted(os.listdir(tmp_path / "trials" / "0")) == ["fold0.scnn"]
+            S._start_worker(None, int(sys.argv[1]), None, Results())
+            got = ctypes.c_int()
+            ctypes.CDLL(None).prctl(2, ctypes.byref(got), 0, 0, 0)  # PR_GET_PDEATHSIG
+            sys.exit(0 if got.value == signal.SIGTERM else 5)
+        """)
+        caller = os.getpid() if caller_alive else 1  # one that died before the call
+        proc = subprocess.run([sys.executable, "-c", script, str(caller)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == (0 if caller_alive else 1), proc.stderr
 
 
 class TestUnits:
