@@ -5,11 +5,13 @@ Every randomized command requires an explicit --seed; re-running any command
 with identical inputs and seed produces byte-identical artifacts.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
-4 internal error (any other exception, such as a search worker process that
-died; it prints ``internal error: <type>: <message>``), 130 interrupted
-(Ctrl-C; it prints ``interrupted``), 143 terminated (SIGTERM; it prints
+4 internal error (any other exception, such as a worker process that died;
+it prints ``internal error: <type>: <message>``), 130 interrupted (Ctrl-C;
+it prints ``interrupted``), 143 terminated (SIGTERM; it prints
 ``terminated``). Partial outputs are removed when a command fails, is
-interrupted or is terminated.
+interrupted or is terminated. When several members of a stack fail,
+predict and stack --test report the first in stack order (rank, then
+fold), whatever the process count.
 """
 
 from __future__ import annotations
@@ -498,10 +500,11 @@ def main(argv=None) -> int:
         if args.command == "stack" and args.test and not args.embeddings:
             raise UsageError("stack --test requires --embeddings")
         # One BLAS thread computes the same bits whatever OPENBLAS_NUM_THREADS
-        # says, and every search worker, forked from this process, inherits
-        # it. It leaves the other cores to the workers, to the threads that
-        # run a member's chunks (model.predict_proba), and to hashing each
-        # member's file while the member predicts (model.load_model).
+        # says, and every worker forked from this process (workers.run_plan:
+        # search's fold units, predict's and stack's members) inherits it. It
+        # leaves the other cores to those workers, to the threads that run a
+        # member's chunks (model.predict_proba), and to hashing each member's
+        # file while the member predicts (model.load_model).
         with _one_blas_thread():
             return args.func(args, outputs)
     except UsageError as exc:

@@ -10,11 +10,15 @@ trials in that order and predicts the mean of theirs. All means are plain
 arithmetic in probability space, summed in float64 in a fixed order.
 
 A member is a ModelFile on disk, loaded only while ensemble_predict uses
-it, so predicting with a stack of any size holds one member's tensors at a
-time; tests may pass any object with predict_proba(docs) instead. A
-member predicts its 512-document chunks on one thread per usable CPU
-(usable_cpus), while its sha256 is checked on one more thread, and its
-probabilities count only once the digest matches.
+it, so a process predicting with a stack of any size holds one member's
+tensors at a time; tests may pass any object with predict_proba(docs)
+instead. ensemble_predict runs the members of all the trials it is given
+on one process per usable CPU (workers.run_plan, the runner search trains
+on), one member per process at a time, and averages their probabilities
+in the caller in member order, so the bytes do not depend on the process
+count. A member predicts its 512-document chunks on the usable CPUs its
+process has to itself, while its sha256 is checked on one more thread,
+and its probabilities count only once the digest matches.
 save_ensemble writes a stack's JSON manifest; load_ensemble checks it and
 each member with fileio.check_fields tables, as search.load_run checks a
 run manifest, so format_version is a required integer no newer than the
@@ -26,6 +30,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -120,6 +125,15 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def process_count(parallelism: int, n_items: int) -> int:
+    """Processes that workers.run_plan runs ``n_items`` on, the caller
+    included: ``parallelism`` capped at the item count and the usable CPUs,
+    and at 1 off Linux, the one platform where the workers are forked."""
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    return min(parallelism, n_items, usable_cpus() if sys.platform == "linux" else 1)
+
+
 def mean_probs(parts: list) -> np.ndarray:
     """Mean of (N, 3) probability arrays, summed in float64 in list order."""
     acc = np.zeros((len(parts[0]), 3), dtype=np.float64)
@@ -128,10 +142,10 @@ def mean_probs(parts: list) -> np.ndarray:
     return acc / len(parts)
 
 
-def _member_probs(trial: Trial, member, docs: np.ndarray) -> np.ndarray:
+def _member_probs(trial: Trial, member, docs: np.ndarray, threads: int) -> np.ndarray:
     """One member's probabilities. A ModelFile is loaded for this call only
     and must match the trial's hyperparameters and the documents' dimension;
-    it predicts, its chunks on one thread per usable CPU, while load_model
+    it predicts, its chunks on up to ``threads`` threads, while load_model
     checks its sha256."""
     if not isinstance(member, ModelFile):
         return member.predict_proba(docs)
@@ -143,14 +157,55 @@ def _member_probs(trial: Trial, member, docs: np.ndarray) -> np.ndarray:
         if net.embedding_dim != docs.shape[2]:
             raise DataError(f"{member.path}: takes {net.embedding_dim}-dim embeddings, "
                             f"the {trial.hp.word_embedding} table has {docs.shape[2]}")
-        return model.predict_proba(net, docs, usable_cpus())
+        return model.predict_proba(net, docs, threads)
 
     return load_model(member.path, member.sha256, then=checked_probs)
 
 
-def ensemble_predict(trial: Trial, docs: np.ndarray) -> np.ndarray:
-    """Mean of the members' probabilities, in fixed member order."""
-    return mean_probs([_member_probs(trial, member, docs) for member in trial.members])
+def ensemble_predict(trials: Sequence[Trial], docs_by_name: dict) -> list:
+    """Each trial's mean of its members' probabilities, in trial order.
+
+    Member j, counted in trial order and then member order, runs on
+    process j % n of workers.run_plan, with n the usable CPUs capped at the
+    member count, and predicts on usable CPUs // n threads. A process stops
+    its share at its first failing member; once every process is done, the
+    lowest failing member's error is raised, so the error does not depend
+    on n. ``docs_by_name`` maps each trial's word_embedding name to the
+    documents embedded with that table."""
+    from .workers import run_plan  # here, so that synth and evaluate do not load it
+
+    jobs = [(trial, member) for trial in trials for member in trial.members]
+    cpus = usable_cpus()
+    n = process_count(cpus, len(jobs))
+    probs, errors = [None] * len(jobs), {}
+
+    def run_share(share, stopped):
+        for j in share:
+            if stopped():
+                return
+            trial, member = jobs[j]
+            try:
+                docs = docs_by_name[trial.hp.word_embedding]
+                yield j, _member_probs(trial, member, docs, cpus // n), None
+            except Exception as exc:
+                yield j, None, exc
+                return
+
+    def collect(result) -> None:
+        j, member_probs, error = result
+        if error is None:
+            probs[j] = member_probs
+        else:
+            errors[j] = error
+
+    run_plan(run_share, list(range(len(jobs))), n, collect)
+    if errors:
+        raise errors[min(errors)]
+    means, start = [], 0
+    for trial in trials:
+        means.append(mean_probs(probs[start:start + len(trial.members)]))
+        start += len(trial.members)
+    return means
 
 
 def stack_top_k(trials: Sequence[Trial], k: int) -> list:
@@ -167,8 +222,7 @@ def stacked_predict(stack: Sequence[Trial], docs_by_name: dict) -> np.ndarray:
     embedded with that table. Because every trial has the same member
     count, this equals the flat mean over all underlying models.
     """
-    return mean_probs([ensemble_predict(trial, docs_by_name[trial.hp.word_embedding])
-                       for trial in stack])
+    return mean_probs(ensemble_predict(stack, docs_by_name))
 
 
 # --------------------------------------------------------------------------

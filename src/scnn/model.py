@@ -698,14 +698,26 @@ def load_model(path, sha256: Optional[str] = None, then: Callable = _loaded):
     if digest is None:
         return then(net)
     # hashlib releases the GIL on large buffers, so the two overlap
-    hasher = threading.Thread(target=digest.update, args=(raw,), name="scnn-sha256")
+    hashed = threading.Event()
+
+    def hash_arena():
+        try:
+            digest.update(raw)
+        finally:
+            hashed.set()
+
+    hasher = threading.Thread(target=hash_arena, name="scnn-sha256")
     hasher.start()
     failure = None
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            result = then(net)
-    except Exception as exc:
-        failure = exc
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                result = then(net)
+        except Exception as exc:
+            failure = exc
+        # not join(): in Python 3.11 a join that Ctrl-C cuts short marks the
+        # still running thread as stopped, and no later join waits for it
+        hashed.wait()
     finally:
         hasher.join()  # when interrupted too, so no thread outlives the call
     if digest.hexdigest() != sha256:

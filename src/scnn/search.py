@@ -2,14 +2,14 @@
 
 Each trial trains a fold ensemble for one sampled configuration, one unit
 per fold. The units are planned longest first by n_filters x
-sum(filter_sizes), ties by (trial, fold), and unit j runs on process j % n:
-the calling process, which takes the longest unit of each round and starts
-at once, and n - 1 workers forked from it (``--parallelism n``, capped at
-the unit count and the CPUs this process may use, ensemble.usable_cpus, and
-at 1 off Linux; n = 1 starts no pool). A fixed plan keeps each process's
-work the same from run to run. A worker inherits the training inputs and
-the caller's BLAS thread count from the fork, without a copy, and sends
-each unit's result back as the unit ends. When the caller fails or is
+sum(filter_sizes), ties by (trial, fold), and run by workers.run_plan, the
+runner that ensemble_predict uses for a stack's members: unit j runs on
+process j % n, the calling process, which takes the longest unit of each
+round and starts at once, or one of n - 1 workers forked from it
+(``--parallelism n``, capped by ensemble.process_count at the unit count
+and the CPUs this process may use, and at 1 off Linux; n = 1 starts no
+pool). A worker inherits the training inputs from the fork and sends each
+unit's result back as the unit ends. When the caller fails or is
 interrupted, each worker stops after its current unit; when the caller
 dies, the kernel ends its workers with SIGTERM. Each process
 keeps one set of training buffers for consecutive units of one shape. A
@@ -54,19 +54,15 @@ bit-reproducible, so the leaderboard's wall_time_s column is left empty.
 from __future__ import annotations
 
 import csv
-import ctypes
 import hashlib
 import io
 import json
 import logging
 import os
-import queue
 import shutil
-import signal
-import sys
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,9 +74,9 @@ from .ensemble import (
     Trial,
     ensemble_predict,
     mean_probs,
+    process_count,
     rank,
     train_fold_ensemble,
-    usable_cpus,
 )
 from .errors import DataError, ScnnError
 from .fileio import atomic_write, check_fields, is_int, open_text, read_json, read_tsv
@@ -97,6 +93,7 @@ from .model import (
     save_model,
 )
 from .rng import Rng
+from .workers import run_plan
 
 logger = logging.getLogger(__name__)
 
@@ -385,15 +382,6 @@ def plan_units(planned: list, k: int) -> list:
     return sorted(units, key=lambda u: (-u[1].n_filters * sum(u[1].filter_sizes), u[0], u[2]))
 
 
-def process_count(parallelism: int, n_units: int) -> int:
-    """Processes a search uses, the caller included: ``parallelism`` capped
-    at the unit count and the usable CPUs, and at 1 off Linux, the one
-    platform where the workers are forked."""
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    return min(parallelism, n_units, usable_cpus() if sys.platform == "linux" else 1)
-
-
 def _run_units(inputs: TrialInputs, units: list, stopped=lambda: False):
     """Results of ``units``, (trial id, hp, fold) each, run in turn in one
     set of training buffers and yielded as each ends: a process's share.
@@ -405,93 +393,11 @@ def _run_units(inputs: TrialInputs, units: list, stopped=lambda: False):
         yield run_unit(inputs, tid, hp, fold, buffers)
 
 
-_WORKER = {}  # in a forked worker: the arguments of its _start_worker
-_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
-
-
-def _start_worker(inputs: TrialInputs, caller: int, stop, results) -> None:
-    """Pool initializer, run in each worker as it is forked from the
-    process ``caller``: the arguments are the caller's own objects, not
-    copies. The worker ignores Ctrl-C, which reaches the caller too, and the
-    caller then stops it through ``stop``; it takes SIGTERM's default action
-    whatever handler the caller set. The kernel sends it SIGTERM when the
-    caller's forking thread, its main thread, ends, so a worker never
-    outlives a caller that dies, wherever it waits; one whose caller died
-    before this call exits at once. A worker that exits drops the results
-    it has not yet sent instead of waiting for the caller to read them,
-    which a failing caller never does."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    prctl = ctypes.CDLL(None).prctl
-    prctl.argtypes, prctl.restype = [ctypes.c_int] + [ctypes.c_ulong] * 4, ctypes.c_int
-    prctl(_PR_SET_PDEATHSIG, signal.SIGTERM, 0, 0, 0)
-    if os.getppid() != caller:
-        os._exit(1)
-    results.cancel_join_thread()
-    _WORKER.update(inputs=inputs, stop=stop, results=results)
-
-
-def _run_share(share: list) -> None:
-    """A worker's task: its share, each result sent to the caller as its
-    unit ends. No unit starts once the caller has set the stop event."""
-    for result in _run_units(_WORKER["inputs"], share, _WORKER["stop"].is_set):
-        _WORKER["results"].put(result)
-
-
-class _Workers:
-    """Workers forked from the caller, one per share, on a pool that
-    ``stack`` shuts down; no shares start no pool. Once ``stack`` unwinds, a
-    worker starts no further unit, so a failing caller waits only for the
-    units running."""
-
-    def __init__(self, stack: ExitStack, inputs: TrialInputs, shares: list):
-        self.due = sum(len(share) for share in shares)
-        self.futures = []
-        if not shares:
-            return
-        # imported here: loading multiprocessing costs every other command
-        # ~0.07 s of start-up and ~1 MB of RSS
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # The pool forks every worker inside the first submit, before it
-        # starts its manager thread, so no Python thread runs at the fork
-        # (OpenBLAS's own fork handler stops its threads). A worker inherits
-        # the inputs, and the caller's BLAS thread count, without a copy.
-        context = multiprocessing.get_context("fork")
-        stop, self.results = context.Event(), context.Queue()
-        pool = stack.enter_context(ProcessPoolExecutor(
-            max_workers=len(shares), mp_context=context, initializer=_start_worker,
-            initargs=(inputs, os.getpid(), stop, self.results)))
-        stack.callback(stop.set)  # unwinds before the pool's exit joins the workers
-        self.futures = [pool.submit(_run_share, share) for share in shares]
-
-    def received(self, wait: bool):
-        """Yield the results the workers have sent; with ``wait``, until
-        every unit's is in. A worker's error, or its death, is raised."""
-        while self.due:
-            try:
-                result = self.results.get(timeout=0.05) if wait else self.results.get_nowait()
-            except queue.Empty:
-                for future in self.futures:
-                    if future.done():
-                        future.result()
-                if not wait:
-                    return
-                continue
-            self.due -= 1
-            yield result
-
-
 def _run_trials(inputs: TrialInputs, planned: list, n_procs: int) -> list:
-    """Records of every planned trial, in trial order. Unit j of the plan
-    runs on process j % n_procs: the calling process runs share 0, starting
-    at once, while forked workers run the others and send each result as
-    its unit ends. A trial is finished as soon as its last unit's result is
-    in."""
+    """Records of every planned trial, in trial order, its units run on
+    ``n_procs`` processes by workers.run_plan. A trial is finished as soon
+    as its last unit's result is in."""
     k = inputs.folds.k
-    units = plan_units(planned, k)
-    shares = [units[w::n_procs] for w in range(n_procs)]
     hp_of = dict(planned)
     pending = {tid: [] for tid, _ in planned}
     records = {}
@@ -502,14 +408,7 @@ def _run_trials(inputs: TrialInputs, planned: list, n_procs: int) -> list:
         if len(pending[tid]) == k:
             records[tid] = finish_trial(inputs, tid, hp_of[tid], pending.pop(tid))
 
-    with ExitStack() as stack:
-        workers = _Workers(stack, inputs, shares[1:])
-        for result in _run_units(inputs, shares[0]):
-            collect(result)
-            for sent in workers.received(wait=False):
-                collect(sent)
-        for sent in workers.received(wait=True):
-            collect(sent)
+    run_plan(partial(_run_units, inputs), plan_units(planned, k), n_procs, collect)
     return [records[tid] for tid, _ in planned]
 
 
@@ -672,11 +571,11 @@ def top_k_report(trials: Sequence[Trial], k_values: Sequence[int],
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["series", "key", "cv_score", "test_micro_f1_12"])
-    probs = []  # each trial predicts once, in rank order; stacked rows average these
-    for trial in ranked:
-        probs.append(ensemble_predict(trial, test_docs_by_name[trial.hp.word_embedding]))
+    # each trial predicts once, in rank order; stacked rows average these
+    probs = ensemble_predict(ranked, test_docs_by_name)
+    for trial, trial_probs in zip(ranked, probs):
         writer.writerow(["individual", trial.trial_id, f"{trial.cv_score:.6f}",
-                         f"{metrics.micro_f1_12(test_labels, probs[-1]):.6f}"])
+                         f"{metrics.micro_f1_12(test_labels, trial_probs):.6f}"])
     for k in sorted(k_values):
         stacked = mean_probs(probs[:k])
         writer.writerow(["stacked", k, "", f"{metrics.micro_f1_12(test_labels, stacked):.6f}"])

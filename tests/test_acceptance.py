@@ -208,7 +208,7 @@ def test_06_ensemble_algebra_randomized():
             top1 = E.stack_top_k(trials, 1)
             np.testing.assert_array_equal(
                 E.stacked_predict(top1, {"godin": docs}),
-                E.ensemble_predict(top1[0], docs),
+                E.ensemble_predict(top1, {"godin": docs})[0],
             )
 
             # mean-of-means == flat mean over all underlying models
@@ -224,7 +224,7 @@ def test_06_ensemble_algebra_randomized():
             ce = E.stack_top_k(clones, 3)
             np.testing.assert_allclose(
                 E.stacked_predict(ce, {"godin": docs}),
-                E.ensemble_predict(clones[0], docs), atol=1e-12,
+                E.ensemble_predict(clones[:1], {"godin": docs})[0], atol=1e-12,
             )
 
             # ties broken by ascending trial_id

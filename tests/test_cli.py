@@ -8,6 +8,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import shlex
 import shutil
@@ -217,20 +218,30 @@ class TestInterrupts:
 
     def test_ctrl_c_during_threaded_predict_exits_130(self, run_dir, corpus_dir, tmp_path,
                                                       capsys, monkeypatch):
-        import scnn.ensemble
         from scnn import model as M
 
         emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
         assert run_cli("stack", "--run", run_dir, "--top-k", 1, "--out", tmp_path / "s") == 0
+        log = tmp_path / "forwards.log"
+        log.write_text("")
         before = _files_under(tmp_path)
         monkeypatch.setattr(M, "_PREDICT_CHUNK", 8)  # 30 tweets: 4 chunks
-        monkeypatch.setattr(scnn.ensemble, "usable_cpus", lambda: 2)
+        # 10 usable CPUs: each of the 5 members on a process of its own, its
+        # chunks on 2 threads
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(10)),
+                            raising=False)
+        caller, forward = os.getpid(), M.forward_batch
         started = itertools.count()
-        forward = M.forward_batch
 
-        def interrupting(*args, **kwargs):
-            if next(started) == 0:  # Ctrl-C while the caller waits for its chunks
-                os.kill(os.getpid(), signal.SIGINT)
+        def interrupting(*args, **kwargs):  # the forked workers inherit it
+            _log_forward(log)
+            if os.getpid() == caller:
+                if next(started) == 0:  # Ctrl-C while the caller waits for its chunks
+                    # a SIGINT that lands before the caller's wait starts is
+                    # handled only when that wait ends
+                    time.sleep(0.02)
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                time.sleep(0.1)  # the caller's chunks outlast its signal handler
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(M, "forward_batch", interrupting)
@@ -241,7 +252,9 @@ class TestInterrupts:
         err = capsys.readouterr().err
         assert code == 130
         assert err.rstrip().endswith("interrupted") and "Traceback" not in err
-        assert next(started) < 20  # of 5 members x 4 chunks
+        ran = _logged_forwards(log)
+        assert sum(pid == str(caller) for pid, _ in ran) < 4  # its member stopped its chunks
+        assert multiprocessing.active_children() == []  # its 4 workers ended with it
         assert set(threading.enumerate()) == threads
         assert _files_under(tmp_path) == before
 
@@ -296,22 +309,49 @@ class TestInterrupts:
             _assert_group_ends(proc.pid)
         assert proc.returncode == -signal.SIGKILL
 
+    def test_ctrl_c_during_parallel_predict_exits_130_and_leaves_no_process(
+            self, run_dir, corpus_dir, tmp_path):
+        # the worker ignores the group's SIGINT and ends its current member
+        with _predict_process(run_dir, corpus_dir, tmp_path, sleep=0.5) as (proc, out):
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+            _assert_group_ends(proc.pid)
+        assert proc.returncode == 130, err
+        assert err.rstrip().endswith("interrupted") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_sigterm_during_parallel_predict_exits_143_and_leaves_no_process(
+            self, run_dir, corpus_dir, tmp_path):
+        with _predict_process(run_dir, corpus_dir, tmp_path, sleep=0.5) as (proc, out):
+            proc.terminate()  # the scnn process alone, which stops its worker
+            _, err = proc.communicate(timeout=60)
+            _assert_group_ends(proc.pid)
+        assert proc.returncode == 143, err
+        assert err.rstrip().endswith("terminated") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_killed_predict_leaves_no_worker(self, run_dir, corpus_dir, tmp_path):
+        # the worker's member would take a minute: the kernel ends it instead
+        with _predict_process(run_dir, corpus_dir, tmp_path, sleep=60) as (proc, out):
+            proc.kill()
+            proc.communicate(timeout=60)  # the worker holds the pipes until it ends
+            _assert_group_ends(proc.pid)
+        assert proc.returncode == -signal.SIGKILL
+        assert not out.exists()
+
 
 @contextlib.contextmanager
-def _search_process(corpus_dir, out, parallelism, trials=4, epochs=30):
-    """A running ``scnn search`` of ``trials`` trials of 5 folds on the
-    module's corpus, in a session of its own, so that its pid is its
-    process group's id; the group is killed when the block exits."""
+def _scnn_process(*argv, script=None, env=None):
+    """A running ``scnn`` with ``argv``, or ``script`` with them, which calls
+    cli.main, in ``env`` added to this process's environment. It runs in a
+    session of its own, so that its pid is its process group's id; the
+    group is killed when the block exits."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
+    entry = [str(script)] if script else ["-m", "scnn"]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "scnn", "search", "--train", str(corpus_dir / "train.tsv"),
-         "--embeddings", emb, "--trials", str(trials), "--seed", "1", "--out", str(out),
-         "--config", str(corpus_dir / "space.json"), "--unrestricted-space",
-         "--max-epochs", str(epochs), "--patience", str(epochs),
-         "--parallelism", str(parallelism)],
+        [sys.executable, *entry, *map(str, argv)],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True)
     try:
@@ -322,6 +362,59 @@ def _search_process(corpus_dir, out, parallelism, trials=4, epochs=30):
         except ProcessLookupError:
             pass
         proc.communicate(timeout=60)
+
+
+def _search_process(corpus_dir, out, parallelism, trials=4, epochs=30):
+    """A running ``scnn search`` of ``trials`` trials of 5 folds on the
+    module's corpus (_scnn_process)."""
+    emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
+    return _scnn_process(
+        "search", "--train", corpus_dir / "train.tsv", "--embeddings", emb,
+        "--trials", trials, "--seed", 1, "--out", out, "--config", corpus_dir / "space.json",
+        "--unrestricted-space", "--max-epochs", epochs, "--patience", epochs,
+        "--parallelism", parallelism)
+
+
+_SLOW_PREDICT = """
+import os, sys, time
+from scnn import cli, model
+
+forward = model.forward_batch
+
+
+def slow_forward(*args, **kwargs):
+    with open(os.environ["FORWARD_LOG"], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    time.sleep(float(os.environ["FORWARD_SLEEP"]))
+    return forward(*args, **kwargs)
+
+
+if __name__ == "__main__":
+    os.sched_getaffinity = lambda pid: {0, 1}  # two processes on any machine
+    model.forward_batch = slow_forward  # the forked worker inherits it
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@contextlib.contextmanager
+def _predict_process(run_dir, corpus_dir, tmp_path, sleep):
+    """A running ``scnn predict`` of a top-1 stack (5 members of one
+    forward each) on 2 processes, each forward ``sleep`` seconds long
+    (_scnn_process); the block starts once both processes are in a forward.
+    Yields the process and its --out."""
+    assert run_cli("stack", "--run", run_dir, "--top-k", 1, "--out", tmp_path / "s") == 0
+    script, log, out = tmp_path / "slow_predict.py", tmp_path / "forwards.log", tmp_path / "p.tsv"
+    script.write_text(_SLOW_PREDICT)
+    log.write_text("")
+    emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
+    with _scnn_process("predict", "--manifest", tmp_path / "s" / "stack_top1.json",
+                       "--test", corpus_dir / "test.tsv", "--embeddings", emb, "--out", out,
+                       script=script, env={"FORWARD_LOG": str(log),
+                                           "FORWARD_SLEEP": str(sleep)}) as proc:
+        while proc.poll() is None and len(set(log.read_text().split())) < 2:
+            time.sleep(0.01)
+        assert proc.poll() is None, "the predict ended before the signal"
+        yield proc, out
 
 
 def _wait_for_folds(proc, out, ready):
@@ -756,6 +849,37 @@ class TestStackPredictEvaluate:
         assert "Traceback" not in err
         assert not pred.exists()
 
+    @pytest.mark.parametrize("broken", [(1, 2), (0, 3)], ids=["worker-first", "caller-first"])
+    def test_predict_names_the_first_broken_member_at_any_process_count(
+            self, run_dir, corpus_dir, tmp_path, capsys, monkeypatch, broken):
+        # on 2 CPUs the scnn process predicts members 0, 2 and 4 and its
+        # worker 1 and 3: the two broken members fail on different processes
+        stacks = tmp_path / "stacks"
+        assert run_cli("stack", "--run", run_dir, "--top-k", "1", "--out", stacks) == 0
+        manifest = stacks / "stack_top1.json"
+        doc = json.loads(manifest.read_text())
+        for j in broken:
+            member = doc["members"][j]
+            raw = bytearray((stacks / member["path"]).read_bytes())
+            raw[-5] ^= 0x10  # a tensor byte
+            flipped = tmp_path / f"flipped{j}.scnn"
+            flipped.write_bytes(raw)
+            member["path"] = os.path.relpath(flipped, stacks)
+        manifest.write_text(json.dumps(doc))
+        pred = tmp_path / "pred.tsv"
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            capsys.readouterr()
+            code = run_cli("predict", "--manifest", manifest, "--test", corpus_dir / "test.tsv",
+                           "--embeddings", f"godin={corpus_dir}/embeddings.txt,"
+                                           f"shin={corpus_dir}/embeddings.txt", "--out", pred)
+            err = capsys.readouterr().err
+            assert code == 2, err
+            assert f"hash mismatch for member {tmp_path / f'flipped{broken[0]}.scnn'}" in err
+            assert f"flipped{broken[1]}" not in err and "Traceback" not in err
+            assert not pred.exists()
+
     @pytest.mark.parametrize("value,unchecked", [
         (np.inf, "RuntimeWarning: invalid value encountered in subtract"),
         (np.nan, "numeric failure: "),
@@ -1109,40 +1233,50 @@ def test_predict_bytes_do_not_depend_on_blas_threading(tmp_path):
     assert written["1"] == written[None] == written["2"]
 
 
+def _log_forward(log):
+    """Append this process's pid, and whether this is its main thread, to
+    ``log``: one line per forward, from every process."""
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()} {threading.current_thread() is threading.main_thread()}\n")
+
+
+def _logged_forwards(log):
+    """(pid, whether on its main thread) of each forward ``log`` holds."""
+    return [(pid, main == "True") for pid, main in map(str.split, log.read_text().splitlines())]
+
+
 def test_stack_and_predict_bytes_do_not_depend_on_the_usable_cpus(run_dir, corpus_dir,
                                                                  tmp_path, monkeypatch):
-    import scnn.ensemble
     from scnn import model as M
 
     monkeypatch.setattr(M, "_PREDICT_CHUNK", 8)  # 30 tweets: 4 chunks
-    ran, running, lock = [], [0], threading.Lock()
-    forward = M.forward_batch
+    log, forward = tmp_path / "forwards.log", M.forward_batch
 
-    def counted(*args, **kwargs):
-        with lock:
-            running[0] += 1
-            ran.append((threading.get_ident(), running[0]))
-        try:
-            return forward(*args, **kwargs)
-        finally:
-            with lock:
-                running[0] -= 1
+    def logged(*args, **kwargs):  # the forked workers inherit it
+        _log_forward(log)
+        return forward(*args, **kwargs)
 
-    monkeypatch.setattr(M, "forward_batch", counted)
+    monkeypatch.setattr(M, "forward_batch", logged)
     emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
     written = {}
     for cpus in (1, 2, 4):
-        monkeypatch.setattr(scnn.ensemble, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         out = tmp_path / str(cpus)
-        ran.clear()
-        assert run_cli("stack", "--run", run_dir, "--top-k", "1,3", "--out", out / "stacks",
-                       "--test", corpus_dir / "test.tsv", "--embeddings", emb) == 0
-        assert run_cli("predict", "--manifest", out / "stacks" / "stack_top3.json",
-                       "--test", corpus_dir / "test.tsv", "--embeddings", emb,
-                       "--out", out / "pred.tsv") == 0
-        # 3 trials x 5 folds x 4 chunks for the report, and again for predict
-        assert len(ran) == 120 and max(at_once for _, at_once in ran) <= cpus
-        assert (threading.get_ident() in {ident for ident, _ in ran}) == (cpus == 1)
+        for argv in (["stack", "--run", run_dir, "--top-k", "1,3", "--out", out / "stacks",
+                      "--test", corpus_dir / "test.tsv", "--embeddings", emb],
+                     ["predict", "--manifest", out / "stacks" / "stack_top3.json",
+                      "--test", corpus_dir / "test.tsv", "--embeddings", emb,
+                      "--out", out / "pred.tsv"]):
+            log.write_text("")
+            assert run_cli(*argv) == 0
+            # 3 trials x 5 folds x 4 chunks, on min(cpus, 15) processes with
+            # cpus // processes = 1 chunk thread each: every process's main
+            ran = _logged_forwards(log)
+            pids = {pid for pid, _ in ran}
+            assert len(ran) == 60 and all(main for _, main in ran)
+            assert str(os.getpid()) in pids and len(pids) <= cpus
+            assert (len(pids) > 1) == (cpus > 1)
         written[cpus] = _tree(out)
     assert written[1] == written[2] == written[4]
 

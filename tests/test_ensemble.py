@@ -46,17 +46,17 @@ class TestEnsemblePredict:
     def test_mean_of_identical_members(self):
         p = _rand_probs(Rng(0), 4)
         fe = _stub_fe([p] * 5)
-        np.testing.assert_allclose(E.ensemble_predict(fe, DOCS), p, atol=1e-7)
+        np.testing.assert_allclose(E.ensemble_predict([fe], DOCS_BY_NAME)[0], p, atol=1e-7)
 
     def test_two_member_mean(self):
         fe = _stub_fe([np.tile([1.0, 0, 0], (4, 1)), np.tile([0, 1.0, 0], (4, 1))])
         np.testing.assert_allclose(
-            E.ensemble_predict(fe, DOCS), np.tile([0.5, 0.5, 0.0], (4, 1))
+            E.ensemble_predict([fe], DOCS_BY_NAME)[0], np.tile([0.5, 0.5, 0.0], (4, 1))
         )
 
     def test_rows_sum_to_one(self):
         fe = _stub_fe([_rand_probs(Rng(i), 4) for i in range(5)])
-        out = E.ensemble_predict(fe, DOCS)
+        (out,) = E.ensemble_predict([fe], DOCS_BY_NAME)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
 
 
@@ -85,7 +85,7 @@ class TestStackTopK:
                   for i, s in enumerate([0.4, 0.9, 0.6])]
         se = E.stack_top_k(trials, 1)
         np.testing.assert_array_equal(
-            E.stacked_predict(se, DOCS_BY_NAME), E.ensemble_predict(trials[1], DOCS)
+            E.stacked_predict(se, DOCS_BY_NAME), E.ensemble_predict(trials[1:2], DOCS_BY_NAME)[0]
         )
 
 
@@ -110,7 +110,8 @@ class TestStackedPredict:
         trials = [_stub_fe(members, cv_score=0.5, trial_id=i) for i in range(3)]
         se = E.stack_top_k(trials, 3)
         np.testing.assert_allclose(
-            E.stacked_predict(se, DOCS_BY_NAME), E.ensemble_predict(trials[0], DOCS), atol=1e-12
+            E.stacked_predict(se, DOCS_BY_NAME), E.ensemble_predict(trials[:1], DOCS_BY_NAME)[0],
+            atol=1e-12,
         )
 
     def test_top20_of_5_model_ensembles_averages_100_models(self):
@@ -414,6 +415,7 @@ class TestStreaming:
             return real_load(path, sha256, then=tracked)
 
         monkeypatch.setattr(E, "load_model", tracking_load)
+        monkeypatch.setattr(E, "usable_cpus", lambda: 1)  # every member in this process
         streamed = E.stacked_predict(loaded, {"godin": docs})
         assert len(refs) == 15 and max(most_alive) == 1
         assert all(ref() is None for ref in refs)
@@ -431,7 +433,7 @@ class TestStreaming:
         fe = loaded[0]
         fe.members[1] = E.ModelFile(fe.members[1].path)
         with pytest.raises(DataError, match="t0_f1.scnn: hyperparameters differ"):
-            E.ensemble_predict(fe, docs)
+            E.ensemble_predict([fe], {"godin": docs})
 
     def test_manifest_does_not_depend_on_the_usable_cpus(self, tmp_path, monkeypatch):
         written = []
@@ -452,7 +454,6 @@ class TestStreaming:
         digest = file_sha256(path)
         wrong = format(int(digest, 16) ^ 1, "064x")
         monkeypatch.setattr(M, "_PREDICT_CHUNK", 8)  # 3 chunks
-        monkeypatch.setattr(E, "usable_cpus", lambda: 2)
         forward = M.forward_batch
 
         def warning_off_the_main_thread(*args, **kwargs):
@@ -465,7 +466,7 @@ class TestStreaming:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(DataError, match="hash mismatch"):
-                E._member_probs(trial, E.ModelFile(str(path), wrong), docs)
+                E._member_probs(trial, E.ModelFile(str(path), wrong), docs, 2)
             assert caught == []
-            E._member_probs(trial, E.ModelFile(str(path), digest), docs)
+            E._member_probs(trial, E.ModelFile(str(path), digest), docs, 2)
         assert [str(w.message) for w in caught] == ["chunk warning"] * 3

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import struct
 import sys
 import tempfile
@@ -644,6 +645,38 @@ class TestOverlappedHash:
         except (DataError, ValueError):
             assert outcome != "match"
         assert set(threading.enumerate()) == before
+
+    def test_ctrl_c_while_waiting_for_the_digest_leaves_no_thread(self, saved, monkeypatch):
+        path, digest, _ = saved
+        real = hashlib.sha256
+
+        class SlowSha256:
+            """A sha256 whose updates off the main thread take 0.5 s."""
+
+            def __init__(self):
+                self._hash = real()
+
+            def update(self, data):
+                if threading.current_thread() is not threading.main_thread():
+                    time.sleep(0.5)
+                self._hash.update(data)
+
+            def hexdigest(self):
+                return self._hash.hexdigest()
+
+        monkeypatch.setattr(M.hashlib, "sha256", SlowSha256)
+        main = threading.main_thread().ident
+        ctrl_c = threading.Thread(target=lambda: time.sleep(0.1)
+                                  or signal.pthread_kill(main, signal.SIGINT))
+
+        def then(net):
+            ctrl_c.start()  # Ctrl-C 0.1 s into the wait for the digest
+            return net
+
+        with pytest.raises(KeyboardInterrupt):
+            load_model(path, digest, then=then)
+        ctrl_c.join()
+        assert not [t for t in threading.enumerate() if t.name == "scnn-sha256"]
 
 
 class TestPredictThreads:

@@ -488,13 +488,13 @@ class TestProcessPool:
                             {str(Path(__file__).parent.parent / "src")!r}]
             from concurrent.futures.process import BrokenProcessPool
             from conftest import synth_arrays
-            from scnn import search as S, synth
+            from scnn import search as S, synth, workers as W
             from scnn.corpus import stratified_kfold
             from scnn.model import TrainSchedule
 
             examples, docs, labels = synth_arrays(306, 60)
             os.sched_getaffinity, os.cpu_count = (lambda pid: {{0, 1}}), (lambda: 2)
-            S._start_worker = lambda *args: os._exit(1)  # the forked worker runs it
+            W._start_worker = lambda *args: os._exit(1)  # the forked worker runs it
             try:
                 S.run_search([ex.id for ex in examples], labels,
                              {{"godin": docs, "shin": docs}},
@@ -544,13 +544,13 @@ class TestProcessPool:
         script = textwrap.dedent(f"""
             import ctypes, os, signal, sys
             sys.path[:0] = [{str(Path(__file__).parent.parent / "src")!r}]
-            from scnn import search as S
+            from scnn import workers as W
 
             class Results:
                 def cancel_join_thread(self):
                     pass
 
-            S._start_worker(None, int(sys.argv[1]), None, Results())
+            W._start_worker(None, int(sys.argv[1]), None, Results())
             got = ctypes.c_int()
             ctypes.CDLL(None).prctl(2, ctypes.byref(got), 0, 0, 0)  # PR_GET_PDEATHSIG
             sys.exit(0 if got.value == signal.SIGTERM else 5)
@@ -758,21 +758,32 @@ class TestStreamingSearch:
         assert len(calls) == 10  # the failing trial's later folds still train
         assert os.listdir(tmp_path / "run" / "trials") == [str(second)]
 
-    def test_report_predicts_each_trial_once(self, small_run, monkeypatch):
+    def test_report_predicts_each_trial_once(self, small_run, tmp_path, monkeypatch):
         from scnn import ensemble as E
 
         records, out, _, _, test_docs, test_labels = small_run
         ensembles = _ensembles(records, out)
         docs_by_name = {"godin": test_docs, "shin": test_docs}
-        calls = Counter()
+        _cpus(monkeypatch, 2)
+        log, member_probs = tmp_path / "members.log", E._member_probs
 
-        def counting_predict(fe, docs):
-            calls[fe.trial_id] += 1
-            return E.ensemble_predict(fe, docs)
+        def logged(trial, member, docs, threads):  # a forked worker inherits it
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {member.path}\n")
+            return member_probs(trial, member, docs, threads)
 
-        monkeypatch.setattr(S, "ensemble_predict", counting_predict)
+        monkeypatch.setattr(E, "_member_probs", logged)
+        calls, predict = [], S.ensemble_predict
+        monkeypatch.setattr(S, "ensemble_predict", lambda *args: calls.append(args) or predict(*args))
         text = S.top_k_report(ensembles, [1, 2, 3], docs_by_name, test_labels)
-        assert set(calls.values()) == {1} and len(calls) == len(ensembles)
+        # one call for every trial, each member predicted once, on the
+        # calling process and one worker
+        assert [[t.trial_id for t in trials] for trials, _ in calls] == [
+            [t.trial_id for t in E.rank(ensembles)]]
+        ran = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(path for _, path in ran) == sorted(
+            m.path for fe in ensembles for m in fe.members)
+        assert {pid for pid, _ in ran} - {str(os.getpid())} and len({pid for pid, _ in ran}) == 2
         for line in text.splitlines()[-3:]:  # the stacked rows
             k = int(line.split(",")[1])
             probs = E.stacked_predict(E.stack_top_k(ensembles, k), docs_by_name)
