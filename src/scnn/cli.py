@@ -110,9 +110,9 @@ def _parse_top_k(spec: str) -> list:
 
 
 def _embed(examples, registry: dict, names) -> dict:
-    """name -> the documents of ``examples`` embedded with the ``registry``
-    table of each of ``names``. Names that alias one file share one load of
-    it and one embedding."""
+    """name -> the embeddings.Documents of ``examples`` embedded with the
+    ``registry`` table of each of ``names``. Names that alias one file share
+    one load of it and one embedding."""
     seqs = corpus.to_token_seqs(examples)
     by_path = {}
     docs_by_name = {}
@@ -183,7 +183,7 @@ def _read_train(args, registry: dict, names):
     except DataError as exc:
         raise DataError(f"{args.train}: {exc}") from None
     docs_by_name = _embed(examples, registry, names)
-    dims = {docs.shape[2] for docs in docs_by_name.values()}
+    dims = {docs.dim for docs in docs_by_name.values()}
     if len(dims) > 1:
         raise DataError(f"embedding tables disagree on dimension: {sorted(dims)}")
     return examples, folds, docs_by_name

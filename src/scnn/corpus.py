@@ -12,7 +12,8 @@ LF. Class meanings: 1 = personal intake, 2 = possible intake, 3 = no intake.
 
 A tweet's document is its token list, as ``tokenize`` returns it; there is
 no pad token. embeddings.lookup_docs keeps the first DOC_LEN tokens and
-turns them into rows.
+turns them into token ids over the rows of the words they use; a batch's
+float rows are gathered from those just before its forward.
 """
 
 from __future__ import annotations

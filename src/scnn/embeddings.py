@@ -4,7 +4,10 @@ Only the word2vec *text* format is supported: a header line
 ``<vocab_size> <dim>`` followed by one ``word v1 ... v_dim`` line per word.
 Vectors are stored as float32. Tables are immutable after load; lookups are
 pure, so everything here is safe to share across threads. A document is a
-tweet's token list (corpus.to_token_seqs); lookup_docs writes its rows.
+tweet's token list (corpus.to_token_seqs) until lookup_docs turns it into
+a row of token ids over the table rows the documents use (Documents);
+model.train and model.predict_proba gather each batch's float rows from
+those just before its forward, so no (N, DOC_LEN, dim) float corpus is made.
 """
 
 from __future__ import annotations
@@ -87,17 +90,62 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
             fh.write(word + " " + " ".join(str(v) for v in row) + "\n")
 
 
-def lookup_docs(table: EmbeddingTable, seqs: Sequence[list]) -> np.ndarray:
-    """Embed token lists as one (N, DOC_LEN, dim) float32 array: row i of
-    document n is the vector of its token i. Tokens past DOC_LEN are cut;
-    unknown tokens and positions past the document are zero rows, so they
-    add nothing to convolution sums. Known rows are gathered from
-    ``table.vectors`` directly; the table is never copied."""
-    ids = np.full((len(seqs), DOC_LEN), -1, dtype=np.intp)
+class Documents:
+    """Embedded documents as token ids over the rows of the words they use.
+
+    ``ids[n, i]`` is the row of document n's token i in ``rows``; row 0 is
+    all zeros and stands for positions past the document and for tokens the
+    table lacks. Indexing picks documents and shares ``rows``, so a subset
+    copies only its ids. ``gather`` makes a batch's float rows, just before
+    its forward. A plain class: every command, synth too, imports this
+    module, and a dataclass would add ~0.25 ms to that import.
+    """
+
+    __slots__ = ("ids", "rows")
+
+    def __init__(self, ids: np.ndarray, rows: np.ndarray):
+        self.ids = ids  # (N, DOC_LEN) int32
+        self.rows = rows  # (1 + words used, dim) float32
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, which) -> "Documents":
+        """The documents ``which`` (a slice or an index array) picks."""
+        return Documents(self.ids[which], self.rows)
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        return self.ids.nbytes + self.rows.nbytes
+
+    def gather(self, which, h_max: int) -> np.ndarray:
+        """The (B, cut, dim) float rows of the documents ``which``, cut after
+        the batch's last word column plus ``h_max`` rows: at least the rows
+        that model.trim_pad_windows keeps for convs of width <= h_max, since
+        a word's row may be zero but a zero id is always a zero row."""
+        ids = self.ids[which]
+        words = np.flatnonzero(ids.any(axis=0))
+        last = int(words[-1]) + 1 if len(words) else 0
+        return self.rows.take(ids[:, :min(ids.shape[1], last + h_max)], axis=0)
+
+
+def lookup_docs(table: EmbeddingTable, seqs: Sequence[list]) -> Documents:
+    """Embed token lists as Documents over the rows of ``table`` they use:
+    token i of document n has id ``ids[n, i]``. Tokens past DOC_LEN are cut;
+    unknown tokens and positions past the document take id 0, the zero row,
+    so they add nothing to convolution sums. The used words' rows are copied
+    from ``table.vectors`` in order of first use; the table is never copied."""
+    ids = np.zeros((len(seqs), DOC_LEN), dtype=np.int32)
+    used = {}  # table row -> its id, from 1 up
+    vocab = table.vocab
     for n, tokens in enumerate(seqs):
-        row = [table.vocab.get(tok, -1) for tok in tokens[:DOC_LEN]]
+        row = [used.setdefault(vocab[tok], len(used) + 1) if tok in vocab else 0
+               for tok in tokens[:DOC_LEN]]
         ids[n, :len(row)] = row
-    docs = np.zeros((len(seqs), DOC_LEN, table.dim), dtype=np.float32)
-    known = ids >= 0
-    docs[known] = table.vectors[ids[known]]
-    return docs
+    rows = np.zeros((len(used) + 1, table.dim), dtype=np.float32)
+    rows[1:] = table.vectors[list(used)]
+    return Documents(ids, rows)

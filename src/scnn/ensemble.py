@@ -16,9 +16,12 @@ instead. ensemble_predict runs the members of all the trials it is given
 on one process per usable CPU (workers.run_plan, the runner search trains
 on), one member per process at a time, and averages their probabilities
 in the caller in member order, so the bytes do not depend on the process
-count. A member predicts its 512-document chunks on the usable CPUs its
-process has to itself, while its sha256 is checked on one more thread,
-and its probabilities count only once the digest matches.
+count. The documents are embeddings.Documents, token ids over the rows of
+the words they use, which the workers inherit from the fork. A member
+predicts its 512-document chunks on the usable CPUs its process has to
+itself, each chunk's float rows gathered just before its forward, while
+its sha256 is checked on one more thread, and its probabilities count
+only once the digest matches.
 save_ensemble writes a stack's JSON manifest; load_ensemble checks it and
 each member with fileio.check_fields tables, as search.load_run checks a
 run manifest, so format_version is a required integer no newer than the
@@ -38,6 +41,7 @@ import numpy as np
 
 from . import model
 from .corpus import FoldAssignment
+from .embeddings import Documents
 from .errors import DataError, NumericError
 from .fileio import atomic_write, check_fields, file_sha256, is_int, is_number, read_json
 from .model import (
@@ -86,7 +90,7 @@ def rank(trials) -> list:
     return sorted(trials, key=lambda t: (-t.cv_score if t.ok else float("inf"), t.trial_id))
 
 
-def train_fold_ensemble(hp: HyperParams, docs: np.ndarray, labels: np.ndarray,
+def train_fold_ensemble(hp: HyperParams, docs: Documents, labels: np.ndarray,
                         folds: FoldAssignment, fold: int, sched: TrainSchedule, rng: Rng,
                         buffers: SharedBuffers) -> TrainedModel:
     """Train fold ``fold`` of a fold ensemble: one model, with the held-out
@@ -95,7 +99,8 @@ def train_fold_ensemble(hp: HyperParams, docs: np.ndarray, labels: np.ndarray,
     The model's init and training streams derive from ``rng`` and the fold
     index, so each fold replays bit-identically, alone or after others. Its
     dev_probs, the held-out fold's probabilities at the best epoch, are that
-    fold's out-of-fold rows, in example order.
+    fold's out-of-fold rows, in example order. The training and held-out
+    sets are id subsets of ``docs`` over its rows, so no float is copied.
     """
     fold_of = np.asarray(folds.fold_of, dtype=np.int64)
     if len(fold_of) != len(docs):
@@ -104,7 +109,7 @@ def train_fold_ensemble(hp: HyperParams, docs: np.ndarray, labels: np.ndarray,
     held_out = np.flatnonzero(fold_of == fold)
     train_idx = np.flatnonzero(fold_of != fold)
     fold_seed = rng.derive_seed("fold", fold)
-    net = build_model(hp, docs.shape[2], seed=fold_seed)
+    net = build_model(hp, docs.dim, seed=fold_seed)
     try:
         return train(
             net, docs[train_idx], labels[train_idx], docs[held_out], labels[held_out],
@@ -142,7 +147,7 @@ def mean_probs(parts: list) -> np.ndarray:
     return acc / len(parts)
 
 
-def _member_probs(trial: Trial, member, docs: np.ndarray, threads: int) -> np.ndarray:
+def _member_probs(trial: Trial, member, docs: Documents, threads: int) -> np.ndarray:
     """One member's probabilities. A ModelFile is loaded for this call only
     and must match the trial's hyperparameters and the documents' dimension;
     it predicts, its chunks on up to ``threads`` threads, while load_model
@@ -154,9 +159,9 @@ def _member_probs(trial: Trial, member, docs: np.ndarray, threads: int) -> np.nd
         if net.hp != trial.hp:
             raise DataError(f"{member.path}: hyperparameters differ from those of "
                             f"trial {trial.trial_id}")
-        if net.embedding_dim != docs.shape[2]:
+        if net.embedding_dim != docs.dim:
             raise DataError(f"{member.path}: takes {net.embedding_dim}-dim embeddings, "
-                            f"the {trial.hp.word_embedding} table has {docs.shape[2]}")
+                            f"the {trial.hp.word_embedding} table has {docs.dim}")
         return model.predict_proba(net, docs, threads)
 
     return load_model(member.path, member.sha256, then=checked_probs)
@@ -171,7 +176,7 @@ def ensemble_predict(trials: Sequence[Trial], docs_by_name: dict) -> list:
     its share at its first failing member; once every process is done, the
     lowest failing member's error is raised, so the error does not depend
     on n. ``docs_by_name`` maps each trial's word_embedding name to the
-    documents embedded with that table."""
+    Documents embedded with that table."""
     from .workers import run_plan  # here, so that synth and evaluate do not load it
 
     jobs = [(trial, member) for trial in trials for member in trial.members]
@@ -218,7 +223,7 @@ def stack_top_k(trials: Sequence[Trial], k: int) -> list:
 def stacked_predict(stack: Sequence[Trial], docs_by_name: dict) -> np.ndarray:
     """Mean over the stack's trials' predictions, in rank order.
 
-    ``docs_by_name`` maps each trial's word_embedding name to the documents
+    ``docs_by_name`` maps each trial's word_embedding name to the Documents
     embedded with that table. Because every trial has the same member
     count, this equals the flat mean over all underlying models.
     """

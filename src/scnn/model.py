@@ -26,6 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels, metrics, nn_core
+from .embeddings import Documents
 from .errors import DataError, NumericError
 from .fileio import atomic_write, check_fields, is_int, is_number
 from .rng import Rng
@@ -334,8 +335,11 @@ def map_on_threads(fn: Callable, items, threads: int) -> list:
         go.set()
         for _ in started:
             # not join(): in Python 3.11 a join that Ctrl-C cuts short marks
-            # its still running thread as stopped, and no later join waits
-            ended.acquire()
+            # its still running thread as stopped, and no later join waits.
+            # A timed wait: a Ctrl-C that lands just before a wait starts is
+            # handled only when that wait ends.
+            while not ended.acquire(timeout=0.02):
+                pass
     finally:
         stop.set()
         go.set()
@@ -349,19 +353,21 @@ def map_on_threads(fn: Callable, items, threads: int) -> list:
 _PREDICT_CHUNK = 512
 
 
-def predict_proba(model: ShallowCNN, docs: np.ndarray, threads: int = 1) -> np.ndarray:
+def predict_proba(model: ShallowCNN, docs: Documents, threads: int = 1) -> np.ndarray:
     """Inference-mode probabilities, one row per document; rows sum to 1.
 
     The documents go through forward_batch in chunks of _PREDICT_CHUNK, on
     up to ``threads`` threads (map_on_threads); numpy and BLAS release the
-    GIL, so the chunks overlap. Each chunk writes its own rows from its own
-    slice, so the bytes do not depend on ``threads``.
+    GIL, so the chunks overlap. A chunk's float rows are gathered just
+    before its forward, so each chunk in flight holds only its own. Each
+    chunk writes its own rows, so the bytes do not depend on ``threads``.
     """
     out = np.zeros((len(docs), N_CLASSES), dtype=model.arena.dtype)
+    h_max = max(model.hp.filter_sizes)
 
     def run_chunk(start: int) -> None:
         rows = slice(start, start + _PREDICT_CHUNK)
-        out[rows] = forward_batch(model, docs[rows], training=False)[0]
+        out[rows] = forward_batch(model, docs.gather(rows, h_max), training=False)[0]
 
     map_on_threads(run_chunk, range(0, len(docs), _PREDICT_CHUNK), threads)
     return out
@@ -428,14 +434,16 @@ class SharedBuffers:
         return self._set
 
 
-def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
-          dev_docs: np.ndarray, dev_labels: np.ndarray, sched: TrainSchedule,
+def train(model: ShallowCNN, train_docs: Documents, train_labels: np.ndarray,
+          dev_docs: Documents, dev_labels: np.ndarray, sched: TrainSchedule,
           rng: Rng, dev_scorer: Optional[Callable] = None, callback: Optional[Callable] = None,
           buffers: Optional[tuple] = None) -> TrainedModel:
     """Mini-batch Adam with per-epoch dev scoring and annealing restarts.
 
-    ``buffers`` come from ``train_buffers`` or ``SharedBuffers.for_model``
-    for a model of the same hyperparameters, or are made for this call.
+    Each batch's float rows are gathered from ``train_docs`` just before
+    its forward, and the dev set is scored by predict_proba. ``buffers``
+    come from ``train_buffers`` or ``SharedBuffers.for_model`` for a model
+    of the same hyperparameters, or are made for this call.
     Epoch shuffles come from ``rng.substream("shuffle", epoch)`` and dropout
     from ``rng.substream("dropout")``, so identical inputs and seeds replay
     bit-identically. The result keeps the best epoch's dev probabilities.
@@ -449,6 +457,7 @@ def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
     if dev_scorer is None and len(dev_docs) == 0:
         raise ValueError("empty dev set")
     train_labels = np.asarray(train_labels, dtype=np.int64)
+    h_max = max(model.hp.filter_sizes)
 
     lr = model.hp.learning_rate
     grads, best, opt = buffers if buffers is not None else train_buffers(model)
@@ -470,7 +479,7 @@ def train(model: ShallowCNN, train_docs: np.ndarray, train_labels: np.ndarray,
         for start in range(0, n, model.hp.batch_size):
             batch = order[start:start + model.hp.batch_size]
             probs, caches = forward_batch(
-                model, train_docs[batch], training=True, rng=drop_rng
+                model, train_docs.gather(batch, h_max), training=True, rng=drop_rng
             )
             loss = nn_core.cross_entropy(probs, train_labels[batch])
             if not np.isfinite(loss):

@@ -280,7 +280,10 @@ def parse_oof_tsv(path):
 @dataclass(frozen=True)
 class TrialInputs:
     """Everything a trial reads besides its id and config; each worker
-    inherits it from the caller when it is forked."""
+    inherits it from the caller when it is forked. ``docs_by_name`` maps
+    each word_embedding name to the training set's embeddings.Documents,
+    token ids over the rows of the words they use; a unit's batches gather
+    their float rows from them."""
 
     ids: Sequence[str]
     labels: np.ndarray

@@ -6,6 +6,7 @@ import pytest
 
 from scnn import corpus, embeddings, synth
 from scnn import model as M
+from scnn.embeddings import Documents
 from scnn.model import HyperParams
 from scnn.rng import Rng
 
@@ -27,8 +28,19 @@ def toy_hp(**overrides) -> HyperParams:
     return replace(TOY_HP, **overrides)
 
 
+def as_documents(floats: np.ndarray) -> Documents:
+    """Documents whose gathered rows are the (N, L, dim) array ``floats``:
+    each nonzero row is a word of its own, each zero row takes id 0."""
+    n, length, dim = floats.shape
+    flat = floats.reshape(n * length, dim)
+    ids = np.arange(1, n * length + 1) * flat.any(axis=1)
+    return Documents(ids.reshape(n, length).astype(np.int32),
+                     np.concatenate([np.zeros((1, dim), floats.dtype), flat]))
+
+
 def synth_arrays(seed: int, n_train: int, n_test: int = 0, dim: int = 16):
-    """Embedded synthetic corpus: (train_ex, docs, labels[, test...])."""
+    """Embedded synthetic corpus: (train_ex, docs, labels[, test...]), the
+    documents as Documents."""
     rng = Rng(seed)
     table = synth.make_embedding_table(rng, dim=dim)
     train_ex = synth.make_examples(rng.substream("train"), n_train, "tr")

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import NetMember, save_net, synth_arrays, toy_hp
+from conftest import NetMember, as_documents, save_net, synth_arrays, toy_hp
 from scnn import ensemble as E
 from scnn import metrics, model as M, search as S
 from scnn.corpus import Example, parse_dataset, stratified_kfold, write_dataset
@@ -309,7 +309,7 @@ def test_08_statistical_suites():
 
 def test_09_annealing_schedule_trace():
     with criterion(9, "stagnant dev metric: exactly 2 restarts then stop"):
-        docs = Rng(901).uniform(-1, 1, (20, 12, 8)).astype(np.float32)
+        docs = as_documents(Rng(901).uniform(-1, 1, (20, 12, 8)).astype(np.float32))
         labels = np.asarray(Rng(902).integers(1, 4, 20))
         hp = toy_hp(batch_size=8)
         net = build_model(hp, 8, seed=9)

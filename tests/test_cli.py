@@ -1097,6 +1097,46 @@ class TestStackPredictEvaluate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @staticmethod
+    def _nan_embeddings(corpus_dir, tmp_path):
+        """The corpus's embeddings file with a NaN in markerone's vector, a
+        word of every class-1 tweet; --embeddings naming it twice."""
+        path = tmp_path / "nan_embeddings.txt"
+        lines = (corpus_dir / "embeddings.txt").read_text().split("\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith("markerone "))
+        fields = lines[at].split(" ")
+        fields[2] = "nan"
+        lines[at] = " ".join(fields)
+        path.write_text("\n".join(lines))
+        return f"godin={path},shin={path}"
+
+    def test_nan_in_a_used_embedding_fails_its_trials(self, corpus_dir, tmp_path, capsys):
+        emb = self._nan_embeddings(corpus_dir, tmp_path)
+        out = tmp_path / "run"
+        code = run_cli("search", "--train", corpus_dir / "train.tsv", "--embeddings", emb,
+                       "--trials", 2, "--seed", 1, "--out", out, "--parallelism", 2,
+                       "--config", corpus_dir / "space.json", "--unrestricted-space",
+                       "--max-epochs", 1)
+        assert code == 0, capsys.readouterr().err
+        rows = (out / "leaderboard.csv").read_text().strip().split("\n")[1:]
+        assert [row.split(",")[2] for row in rows] == [
+            "failed: fold 0: softmax input contains NaN"] * 2
+        assert not (out / "trials" / "0").exists()
+
+    def test_nan_in_a_used_embedding_fails_predict_with_exit_3(self, run_dir, corpus_dir,
+                                                              tmp_path):
+        stacks = tmp_path / "stacks"
+        assert run_cli("stack", "--run", run_dir, "--top-k", 1, "--out", stacks) == 0
+        out = tmp_path / "predictions.tsv"
+        proc = _run_python("-m", "scnn", "predict", "--manifest",
+                           str(stacks / "stack_top1.json"), "--test",
+                           str(corpus_dir / "test.tsv"), "--embeddings",
+                           self._nan_embeddings(corpus_dir, tmp_path), "--out", str(out))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.rstrip().endswith("numeric failure: softmax input contains NaN")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_predict_unlabeled_input(self, run_dir, corpus_dir, tmp_path):
         emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
         stacks = tmp_path / "stacks"

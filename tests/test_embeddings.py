@@ -2,10 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scnn.corpus import DOC_LEN
-from scnn.embeddings import EmbeddingTable, load_embeddings, lookup_docs, write_embeddings
+from scnn.embeddings import (Documents, EmbeddingTable, load_embeddings, lookup_docs,
+                             write_embeddings)
 from scnn.errors import DataError
+from scnn.model import trim_pad_windows
 
 
 @pytest.fixture
@@ -112,20 +116,40 @@ def test_write_round_trip_random_values(tmp_path):
     assert again.vocab == table.vocab
 
 
+def reference_lookup(table, seqs) -> np.ndarray:
+    """The float documents lookup_docs's ids stand for: one (N, DOC_LEN, dim)
+    float32 array, row i of document n the vector of its token i, zero rows
+    for unknown tokens and past the document (the float lookup that
+    lookup_docs replaced)."""
+    ids = np.full((len(seqs), DOC_LEN), -1, dtype=np.intp)
+    for n, tokens in enumerate(seqs):
+        row = [table.vocab.get(tok, -1) for tok in tokens[:DOC_LEN]]
+        ids[n, :len(row)] = row
+    docs = np.zeros((len(seqs), DOC_LEN, table.dim), dtype=np.float32)
+    known = ids >= 0
+    docs[known] = table.vectors[ids[known]]
+    return docs
+
+
 def _lookup_one(table, tokens):
     """lookup_docs on a batch of one document; returns its (47, dim) rows."""
-    return lookup_docs(table, [tokens])[0]
+    docs = lookup_docs(table, [tokens])
+    return docs.rows[docs.ids[0]]
 
 
 class TestLookup:
     def test_present_and_pad(self, small_table):
+        docs = lookup_docs(small_table, [["apple"]])
+        assert docs.ids.shape == (1, 47) and docs.ids.dtype == np.int32
+        assert docs.rows.dtype == np.float32
         doc = _lookup_one(small_table, ["apple"])
-        assert doc.shape == (47, 3) and doc.dtype == np.float32
+        assert doc.shape == (47, 3)
         np.testing.assert_array_equal(doc[0], [1, 0, 0])
         assert np.abs(doc[1:]).max() == 0
 
     def test_all_oov_zero(self, small_table):
         assert np.abs(_lookup_one(small_table, ["kumquat", "lychee"])).max() == 0
+        assert lookup_docs(small_table, [["kumquat"]]).rows.shape == (1, 3)
 
     def test_row_order(self, small_table):
         doc = _lookup_one(small_table, ["banana", "apple"])
@@ -146,6 +170,7 @@ class TestLookup:
         doc = _lookup_one(table, words)
         assert doc.shape == (DOC_LEN, 2)
         np.testing.assert_array_equal(doc, table.vectors[:DOC_LEN])
+        assert len(lookup_docs(table, [words]).rows) == 1 + DOC_LEN  # the cut words have none
 
     def test_pad_rows_zero_even_if_pad_in_vocab(self, tmp_path):
         # "<PAD>" is an ordinary word: only the positions past a document
@@ -155,31 +180,89 @@ class TestLookup:
         table = load_embeddings(path, "weird")
         assert np.abs(_lookup_one(table, ["oov"])).max() == 0
         assert np.abs(_lookup_one(table, [])).max() == 0
+        np.testing.assert_array_equal(_lookup_one(table, ["<PAD>"])[0], [9, 9])
 
     def test_lookup_docs_stacks(self, small_table):
-        docs = [["apple"], ["banana", "kumquat", "apple"], [], ["banana"] * 50]
-        arr = lookup_docs(small_table, docs)
-        assert arr.shape == (4, 47, 3) and arr.dtype == np.float32
-        # reference: one row at a time, zero unless a known token
-        want = np.zeros((4, 47, 3), np.float32)
-        for n, tokens in enumerate(docs):
-            for i, tok in enumerate(tokens[:47]):
-                if tok in small_table.vocab:
-                    want[n, i] = small_table.vectors[small_table.vocab[tok]]
-        np.testing.assert_array_equal(arr, want)
-        assert lookup_docs(small_table, []).shape == (0, 47, 3)
+        seqs = [["apple"], ["banana", "kumquat", "apple"], [], ["banana"] * 50]
+        docs = lookup_docs(small_table, seqs)
+        assert docs.ids.shape == (4, 47) and len(docs) == 4 and docs.dim == 3
+        # one row per word used, in order of first use, after the zero row
+        np.testing.assert_array_equal(docs.rows, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        np.testing.assert_array_equal(docs.ids[1, :4], [2, 0, 1, 0])
+        assert docs.nbytes == docs.ids.nbytes + docs.rows.nbytes
+        np.testing.assert_array_equal(docs.rows[docs.ids], reference_lookup(small_table, seqs))
+        empty = lookup_docs(small_table, [])
+        assert empty.ids.shape == (0, 47) and empty.rows.shape == (1, 3)
 
     def test_does_not_copy_the_table(self):
         # 50k words of 64 dims: 12.8 MB of vectors against 120 KB of rows
         vectors = np.arange(50_000 * 64, dtype=np.float32).reshape(50_000, 64)
         table = EmbeddingTable("big", 64, {f"w{i}": i for i in range(50_000)}, vectors)
-        docs = [[f"w{7 * n + i}" for i in range(5)] + ["oov"] for n in range(10)]
+        seqs = [[f"w{7 * n + i}" for i in range(5)] + ["oov"] for n in range(10)]
         tracemalloc.start()
         try:
-            arr = lookup_docs(table, docs)
+            docs = lookup_docs(table, seqs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < vectors.nbytes / 4
-        np.testing.assert_array_equal(arr[3, :5], vectors[21:26])
-        assert np.abs(arr[:, 5:]).max() == 0
+        assert len(docs.rows) == 1 + 50  # the words used, and the zero row
+        np.testing.assert_array_equal(docs.rows[docs.ids[3, :5]], vectors[21:26])
+        assert (docs.ids[:, 5:] == 0).all()
+
+
+class TestDocuments:
+    @pytest.fixture
+    def docs(self, small_table):
+        return lookup_docs(small_table, [["apple"], ["banana", "x", "banana"], [], ["apple"]])
+
+    def test_a_subset_shares_the_rows(self, docs):
+        sub = docs[np.array([3, 1])]
+        assert isinstance(sub, Documents) and sub.rows is docs.rows
+        np.testing.assert_array_equal(sub.ids, docs.ids[[3, 1]])
+        assert len(docs[1:3]) == 2
+
+    def test_gather_cuts_after_the_last_word_plus_h_max(self, docs):
+        assert docs.gather(slice(None), 2).shape == (4, 3 + 2, 3)
+        assert docs.gather([0, 3], 4).shape == (2, 1 + 4, 3)
+        assert docs.gather([2], 3).shape == (1, 3, 3)  # no word: h_max rows
+        assert docs.gather([1], 50).shape == (1, DOC_LEN, 3)
+        np.testing.assert_array_equal(docs.gather([1], 1)[0, :3],
+                                      [[0, 1, 0], [0, 0, 0], [0, 1, 0]])
+
+
+WORDS = [f"w{i}" for i in range(10)]
+TOKENS = WORDS + ["unknown", "oov"]
+
+
+@st.composite
+def corpora(draw):
+    """(table, token lists): a 10-word table whose w0 is all zeros and
+    whose w1 may hold a NaN, and documents of up to 60 tokens, some of
+    them unknown words."""
+    dim = draw(st.integers(1, 5))
+    vectors = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (len(WORDS), dim)).astype(np.float32)
+    vectors[0] = 0  # a used word whose vector is all zeros
+    if draw(st.booleans()):
+        vectors[1, draw(st.integers(0, dim - 1))] = np.nan
+    table = EmbeddingTable("drawn", dim, {w: i for i, w in enumerate(WORDS)}, vectors)
+    seqs = draw(st.lists(st.lists(st.sampled_from(TOKENS), max_size=60), min_size=1,
+                         max_size=8))
+    return table, seqs
+
+
+@given(corpus=corpora(), data=st.data(), h_max=st.integers(1, 7))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_gathered_batches_equal_the_float_documents(corpus, data, h_max):
+    """A gathered, trimmed batch is the float lookup's trimmed batch, bit
+    for bit: the view forward_batch hands the kernels does not change."""
+    table, seqs = corpus
+    docs, ref = lookup_docs(table, seqs), reference_lookup(table, seqs)
+    assert docs.rows[docs.ids].view(np.uint32).tobytes() == ref.view(np.uint32).tobytes()
+    which = np.asarray(data.draw(st.lists(st.integers(0, len(seqs) - 1), min_size=1,
+                                          max_size=len(seqs), unique=True)))
+    got = trim_pad_windows(docs.gather(which, h_max), h_max)
+    want = trim_pad_windows(ref[which], h_max)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))

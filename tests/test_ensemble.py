@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -11,7 +12,9 @@ from conftest import NetMember, save_net, synth_arrays, toy_hp
 from scnn import ensemble as E
 from scnn import metrics
 from scnn import search as S
-from scnn.corpus import FoldAssignment, stratified_kfold
+from scnn import synth
+from scnn.corpus import DOC_LEN, FoldAssignment, stratified_kfold, to_token_seqs
+from scnn.embeddings import lookup_docs
 from scnn.errors import DataError
 from scnn.fileio import file_sha256
 from scnn.model import SharedBuffers, TrainSchedule, predict_proba
@@ -243,6 +246,31 @@ class TestTrainFoldEnsemble:
         models = _train_folds(toy_hp(batch_size=50), docs, labels, folds, TrainSchedule(), 42)
         assert _cv_score(examples, labels, folds, models, tmp_path) >= 0.9
 
+    def test_documents_and_a_fold_stay_below_the_float_corpus(self):
+        # 4,000 desk tweets as float32 (N, 47, 16) rows would be 12.0 MB;
+        # neither their lookup nor a fold trained on them comes near it
+        float_corpus = 4000 * DOC_LEN * 16 * np.dtype(np.float32).itemsize
+        rng = Rng(6)
+        table = synth.make_embedding_table(rng, dim=16)
+        examples = synth.make_examples(rng.substream("test"), 4000, "te")
+        seqs = to_token_seqs(examples)
+        labels = np.asarray([ex.label for ex in examples], dtype=np.int64)
+        folds = stratified_kfold(labels, k=5, seed=6)
+        tracemalloc.start()
+        try:
+            docs = lookup_docs(table, seqs)
+            lookup_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            trained = E.train_fold_ensemble(
+                toy_hp(batch_size=50, filter_sizes=(1, 2, 3, 4, 5)), docs, labels, folds, 0,
+                TrainSchedule(max_epochs=1), Rng(6), SharedBuffers())
+            fold_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trained.dev_probs) == np.count_nonzero(np.asarray(folds.fold_of) == 0)
+        assert lookup_peak < float_corpus, lookup_peak  # 0.76 MB on numpy 2.4
+        assert fold_peak < float_corpus, fold_peak  # 5.0 MB
+
     def test_fold_mismatch_rejected(self, trained):
         _, _, docs, labels, folds = trained
         bad = FoldAssignment(folds.fold_of[:-1], folds.k, folds.seed)
@@ -450,7 +478,7 @@ class TestStreaming:
 
         _, docs, _ = synth_arrays(12, 20)
         path = tmp_path / "m.scnn"
-        save_net(M.build_model(toy_hp(), docs.shape[2], seed=0), path)
+        save_net(M.build_model(toy_hp(), docs.dim, seed=0), path)
         digest = file_sha256(path)
         wrong = format(int(digest, 16) ^ 1, "064x")
         monkeypatch.setattr(M, "_PREDICT_CHUNK", 8)  # 3 chunks

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rewrite_model_header, save_net, synth_arrays, toy_hp
+from conftest import as_documents, rewrite_model_header, save_net, synth_arrays, toy_hp
 from scnn import model as M
 from scnn import kernels, nn_core
 from scnn.errors import DataError, NumericError
@@ -196,20 +196,20 @@ def test_pad_trim_keeps_width_error_and_zero_batch():
 class TestPredictProba:
     def test_empty(self):
         net = build_model(toy_hp(), 8, seed=0)
-        out = M.predict_proba(net, np.zeros((0, 12, 8), np.float32))
+        out = M.predict_proba(net, as_documents(np.zeros((0, 12, 8), np.float32)))
         assert out.shape == (0, 3)
 
     def test_matches_forward(self):
         net = build_model(toy_hp(), 8, seed=1)
         docs = Rng(2).uniform(-1, 1, (3, 12, 8)).astype(np.float32)
-        out = M.predict_proba(net, docs)
+        out = M.predict_proba(net, as_documents(docs))
         probs, _ = M.forward_batch(net, docs)
         np.testing.assert_array_equal(out, probs)
 
     def test_identical_docs_identical_rows(self):
         net = build_model(toy_hp(), 8, seed=1)
         doc = Rng(3).uniform(-1, 1, (1, 12, 8)).astype(np.float32)
-        docs = np.repeat(doc, 5, axis=0)
+        docs = as_documents(np.repeat(doc, 5, axis=0))
         out = M.predict_proba(net, docs)
         for row in out[1:]:
             np.testing.assert_array_equal(out[0], row)
@@ -218,7 +218,7 @@ class TestPredictProba:
 class TestTrainSchedule:
     def _train(self, scores, patience=2, max_epochs=30, corpus=None):
         if corpus is None:
-            docs = Rng(0).uniform(-1, 1, (20, 12, 8)).astype(np.float32)
+            docs = as_documents(Rng(0).uniform(-1, 1, (20, 12, 8)).astype(np.float32))
             labels = np.asarray(Rng(1).integers(1, 4, 20))
         else:
             docs, labels = corpus
@@ -262,7 +262,7 @@ class TestTrainSchedule:
         assert tm.best_dev_score == 0.12
 
     def test_best_snapshot_returned_and_restored_at_restart(self):
-        docs = Rng(10).uniform(-1, 1, (20, 12, 8)).astype(np.float32)
+        docs = as_documents(Rng(10).uniform(-1, 1, (20, 12, 8)).astype(np.float32))
         labels = np.asarray(Rng(11).integers(1, 4, 20))
         snapshots = []
 
@@ -312,7 +312,7 @@ class TestTrainSchedule:
 
     def test_empty_dev_rejected(self):
         net = build_model(toy_hp(), 8, seed=0)
-        docs = np.zeros((4, 12, 8), np.float32)
+        docs = as_documents(np.zeros((4, 12, 8), np.float32))
         with pytest.raises(ValueError, match="dev"):
             M.train(net, docs, np.array([1, 2, 3, 1]), docs[:0], np.array([]),
                     TrainSchedule(), Rng(0))
@@ -349,7 +349,7 @@ class TestArena:
         np.testing.assert_array_equal(again.arena, net.arena)
 
     def test_views_after_train_with_restarts(self):
-        docs = Rng(10).uniform(-1, 1, (20, 12, 8)).astype(np.float32)
+        docs = as_documents(Rng(10).uniform(-1, 1, (20, 12, 8)).astype(np.float32))
         labels = np.asarray(Rng(11).integers(1, 4, 20))
         net = build_model(toy_hp(batch_size=8), 8, seed=3)
         arena = net.arena
@@ -369,7 +369,7 @@ class TestArena:
         assert_arena_views(tm.weights)
 
     def test_shared_buffers_train_like_fresh_ones(self):
-        docs = Rng(10).uniform(-1, 1, (20, 12, 8)).astype(np.float32)
+        docs = as_documents(Rng(10).uniform(-1, 1, (20, 12, 8)).astype(np.float32))
         labels = np.asarray(Rng(11).integers(1, 4, 20))
         sched = TrainSchedule(max_epochs=6, patience=2)
 
@@ -388,7 +388,7 @@ class TestArena:
         np.testing.assert_array_equal(again.weights.arena, fresh.weights.arena)
 
     def test_dev_probs_are_the_best_epochs_predictions(self):
-        docs = Rng(10).uniform(-1, 1, (20, 12, 8)).astype(np.float32)
+        docs = as_documents(Rng(10).uniform(-1, 1, (20, 12, 8)).astype(np.float32))
         labels = np.asarray(Rng(11).integers(1, 4, 20))
         sched = TrainSchedule(max_epochs=6, patience=2)
         scores, best_epoch_probs = [], []
@@ -695,7 +695,7 @@ class TestPredictThreads:
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(M, "forward_batch", recorded)
-        return build_model(toy_hp(), docs.shape[2], seed=4), docs, ran
+        return build_model(toy_hp(), docs.dim, seed=4), docs, ran
 
     def test_bytes_do_not_depend_on_threads(self, chunked):
         net, docs, ran = chunked
@@ -726,9 +726,36 @@ class TestPredictThreads:
         assert results == [-i for i in range(2000)]
         assert sorted(ran) == list(range(2000))
 
+    def test_ctrl_c_as_the_threads_start_stops_the_items(self):
+        # The first item sends SIGINT at once. On a GIL handoff just before
+        # the caller's wait begins, the handler runs only when that wait
+        # ends; a tiny switch interval makes such handoffs frequent (an
+        # untimed wait then let all 12 items run in 1-3 runs of 100). The
+        # caller's timed wait still ends soon after, so the items not yet
+        # started never run.
+        main = threading.main_thread().ident
+        switch = sys.getswitchinterval()
+        for _ in range(60):
+            ran = []
+
+            def item(i):
+                if i == 0:
+                    signal.pthread_kill(main, signal.SIGINT)
+                ran.append(i)
+                time.sleep(0.01)
+
+            sys.setswitchinterval(1e-6)
+            try:
+                with pytest.raises(KeyboardInterrupt):
+                    M.map_on_threads(item, range(12), threads=2)
+            finally:
+                sys.setswitchinterval(switch)
+            assert len(ran) < 12
+            assert not [t for t in threading.enumerate() if t.name.startswith("scnn-")]
+
     def test_a_raising_chunk_cancels_the_rest(self, chunked, monkeypatch):
         net, docs, _ = chunked
-        docs = np.concatenate([docs] * 4)  # 25 chunks
+        docs = docs[np.tile(np.arange(len(docs)), 4)]  # 25 chunks
         started = itertools.count()
         forward = M.forward_batch
 

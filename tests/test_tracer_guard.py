@@ -4,7 +4,9 @@ perfbench/tracer.py wraps ``scnn`` functions where their callers look them
 up and counts some of them from their arguments, so a renamed function or a
 changed call breaks every traced benchmark run. This runs it on a tiny
 search, stack, predict and train and checks that each wrapped name is
-entered, and that train enters the fold code the search trials run.
+entered, that train enters the fold code the search trials run, and that
+the traced ``embeddings.doc_bytes`` is the size of the documents each step
+embeds.
 """
 
 import json
@@ -12,6 +14,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from scnn.corpus import parse_dataset, to_token_seqs
+from scnn.embeddings import load_embeddings, lookup_docs
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -51,11 +56,20 @@ def test_tracer_enters_every_target(tmp_path):
          "--folds", "2", "--seed", "5", "--out", "one", "--unrestricted-space",
          "--max-epochs", "2"],
     ]
-    entered = []
+    entered, doc_bytes = [], []
     for i, argv in enumerate(steps):
         spans = tmp_path / f"spans{i}.json"
         _run(argv, tmp_path, spans)
-        entered.append(set(json.loads(spans.read_text())["entered"]))
+        traced = json.loads(spans.read_text())
+        entered.append(set(traced["entered"]))
+        doc_bytes.append(traced["counts"].get("embeddings.doc_bytes"))
     assert sorted(set(tracer.TARGET_NAMES) - set().union(*entered)) == []
     # train trains and saves its folds through the functions search's units call
     assert {"scnn.search.train_fold_ensemble", "scnn.search.save_model"} <= entered[-1]
+    # each step embeds its input once (godin and shin name one file): the
+    # nbytes of its Documents, ids and rows
+    table = load_embeddings(tmp_path / "corpus" / "embeddings.txt", "godin")
+    embedded = {name: lookup_docs(table, to_token_seqs(parse_dataset(
+        tmp_path / "corpus" / name))).nbytes for name in ("train.tsv", "test.tsv")}
+    assert doc_bytes == [embedded["train.tsv"], embedded["test.tsv"], embedded["test.tsv"],
+                         embedded["train.tsv"]]
