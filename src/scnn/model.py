@@ -7,8 +7,10 @@ units, dropout again, and a 3-way softmax output. Embeddings are frozen
 inputs; only the tensors created here are trained.
 
 A model's trained tensors lie back to back in one flat buffer, its arena,
-in ``param_shapes`` order (the model file's order). Gradients, Adam moments
-and the best-weights snapshot are arenas of the same layout.
+in ``param_shapes`` order (the model file's order). Adam's moments and the
+best-weights snapshot are arenas of the same layout. Training holds no
+gradient arena: a batch's gradients pass span by span through one window
+(``grad_spans``), each span into Adam before the next is computed.
 """
 
 from __future__ import annotations
@@ -179,6 +181,9 @@ class ShallowCNN:
         return param_shapes(self.hp, self.embedding_dim)
 
 
+# float64 draws per block of a weight's rows in build_model (1 MB)
+_INIT_BLOCK = 1 << 17
+
 
 def build_model(hp: HyperParams, embedding_dim: int, seed: int,
                 dtype=np.float32) -> ShallowCNN:
@@ -186,7 +191,10 @@ def build_model(hp: HyperParams, embedding_dim: int, seed: int,
 
     Groups sharing a width still get independent weights: all draws come
     sequentially from one seed-derived stream in declared tensor order. A
-    weight's fan-in is the product of all but its last dimension.
+    weight's fan-in is the product of all but its last dimension. A weight
+    is drawn in blocks of rows along its first axis, up to _INIT_BLOCK
+    float64 draws each: the same doubles in the same order as one draw of
+    the whole tensor, without a float64 copy of the widest conv bank.
     """
     problems = validate_hyperparams(hp, restricted=False)
     if problems:
@@ -199,8 +207,11 @@ def build_model(hp: HyperParams, embedding_dim: int, seed: int,
     rng = Rng(seed).substream("init")
     for name, shape in shapes:
         if name.endswith("_w"):
-            fan_in = int(np.prod(shape[:-1]))
-            net.params[name][...] = nn_core.xavier_init(fan_in, shape[-1], shape, rng)
+            fan_in, weight = math.prod(shape[:-1]), net.params[name]
+            rows = max(1, _INIT_BLOCK // math.prod(shape[1:]))
+            for lo in range(0, shape[0], rows):
+                block = weight[lo:lo + rows]
+                block[...] = nn_core.xavier_init(fan_in, shape[-1], block.shape, rng)
     return net
 
 
@@ -272,29 +283,87 @@ def forward_batch(model: ShallowCNN, docs: np.ndarray, training: bool = False,
     return probs, caches
 
 
-def backward_batch(model: ShallowCNN, caches: dict, gold, out: Optional[dict] = None) -> dict:
-    """Exact gradients of the mean batch cross-entropy for every parameter,
-    name -> array. They are written into ``out``, the ``arena_views`` of a
-    gradient arena, when it is given, else into a fresh arena."""
+def grad_spans(shapes) -> list:
+    """The arena of the ``param_shapes`` list ``shapes``, cut into the spans
+    a training batch's gradients pass through: (first element, the span's
+    (name, shape) entries) per span, in arena order.
+
+    Cuts fall only between groups, a conv group's weights and bias or the
+    dense and output layers' four tensors, and a span holds at most
+    max(largest group, min(arena size, ADAM_CHUNK)) elements. So an arena of
+    up to ADAM_CHUNK elements, as at desk shapes, is one span: one Adam call
+    per batch. A paper-shape arena (widths 3-7, 400 filters, 400 dims) is
+    six: one per group.
+    """
+    groups = [shapes[i:i + 2] for i in range(0, 2 * N_GROUPS, 2)] + [shapes[2 * N_GROUPS:]]
+    limit = max(max(map(arena_size, groups)),
+                min(arena_size(shapes), nn_core.ADAM_CHUNK))
+    spans, lo = [], 0
+    for group in groups:
+        if spans and arena_size(spans[-1][1]) + arena_size(group) <= limit:
+            spans[-1][1].extend(group)
+        else:
+            spans.append((lo, list(group)))
+        lo += arena_size(group)
+    return spans
+
+
+def backward_batch(model: ShallowCNN, caches: dict, gold,
+                   update: Optional[tuple] = None) -> Optional[dict]:
+    """Exact gradients of the mean batch cross-entropy for every parameter.
+
+    Without ``update`` they are returned in a fresh arena, as name -> view.
+    With ``update`` = (TrainBuffers, lr) they are applied and not returned:
+    the spans are visited from the arena's end, as the backward reaches the
+    dense layers before the convs, and each span's gradients are written
+    into the window and passed to nn_core.adam_step before the next span's
+    are computed; the step count advances once per batch. A non-finite
+    gradient raises NumericError naming the first such tensor in arena
+    order: once one is found, the remaining spans are computed and checked
+    but not applied, and the spans already applied stay updated.
+    """
     if not caches or "probs" not in caches:
         raise ValueError("backward requires the caches of a forward pass")
-    grads = out if out is not None else arena_views(np.empty_like(model.arena), model.shapes)
+    if update is None:
+        arena = np.empty_like(model.arena)
+        spans = [(0, arena, arena_views(arena, model.shapes))]
+    else:
+        buffers, lr = update
+        spans = buffers.spans
     mask1, mask2 = caches["masks"]
-    dlogits = nn_core.softmax_cross_entropy_backward(caches["probs"], gold)
-    dh2 = nn_core.dense_backward(caches["out"], dlogits, out=(grads["out_w"], grads["out_b"]))[0]
-    dh1 = dh2 * mask2 if mask2 is not None else dh2
-    dh0 = nn_core.dense_backward(caches["dense"], dh1,
-                                 out=(grads["dense_w"], grads["dense_b"]))[0]
-    dfeat = dh0 * mask1 if mask1 is not None else dh0
-
     f = model.hp.n_filters
-    for g, (docs, argmax, pooled, h) in enumerate(caches["conv"]):
-        dW, db = kernels.conv_pool_backward(
-            docs, argmax, pooled, dfeat[:, g * f:(g + 1) * f].astype(docs.dtype, copy=False), h
-        )
-        np.copyto(grads[f"conv{g}_w"], dW)
-        np.copyto(grads[f"conv{g}_b"], db)
-    return grads
+    dfeat = failure = None
+    for k, (lo, grads, views) in enumerate(reversed(spans)):
+        if dfeat is None:  # the first span visited ends the arena: the dense layers
+            dlogits = nn_core.softmax_cross_entropy_backward(caches["probs"], gold)
+            dh2 = nn_core.dense_backward(caches["out"], dlogits,
+                                         out=(views["out_w"], views["out_b"]))[0]
+            dh1 = dh2 * mask2 if mask2 is not None else dh2
+            dh0 = nn_core.dense_backward(caches["dense"], dh1,
+                                         out=(views["dense_w"], views["dense_b"]))[0]
+            dfeat = dh0 * mask1 if mask1 is not None else dh0
+        for g in reversed(range(N_GROUPS)):
+            if f"conv{g}_w" not in views:
+                continue
+            docs, argmax, pooled, h = caches["conv"][g]
+            dW, db = kernels.conv_pool_backward(
+                docs, argmax, pooled, dfeat[:, g * f:(g + 1) * f].astype(docs.dtype, copy=False), h
+            )
+            np.copyto(views[f"conv{g}_w"], dW)
+            np.copyto(views[f"conv{g}_b"], db)
+            del dW, db  # before the next kernel call makes its own
+        if update is None:
+            continue
+        try:
+            if failure is None:
+                nn_core.adam_step(model.arena, grads, buffers.opt, lr, lo, advance=k == 0)
+            else:
+                nn_core.check_finite(grads, buffers.opt.layout, lo)
+        except NumericError as exc:
+            failure = exc  # a tensor earlier in the arena may be non-finite too
+    if failure is not None:
+        raise failure
+    return spans[0][2] if update is None else None
 
 
 def map_on_threads(fn: Callable, items, threads: int) -> list:
@@ -411,33 +480,55 @@ class TrainedModel:
     dev_probs: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-def train_buffers(model: ShallowCNN) -> tuple:
-    """(gradient arena, best-weights arena, AdamState) for train()."""
-    return (np.empty_like(model.arena), np.empty_like(model.arena),
-            nn_core.AdamState.for_arena(model.arena, model.shapes, beta2=model.hp.adam_b2))
+@dataclass
+class TrainBuffers:
+    """What train() updates a model's arena with: the gradient window, big
+    enough for the largest of ``grad_spans``; each span as (first element,
+    flat window slice, its tensors' views of that slice); the best-weights
+    snapshot; and the Adam state."""
+
+    window: np.ndarray = field(repr=False)
+    spans: list = field(repr=False)
+    best: np.ndarray = field(repr=False)
+    opt: nn_core.AdamState
+
+
+def train_buffers(model: ShallowCNN) -> TrainBuffers:
+    """The TrainBuffers of train() for ``model``'s layout and dtype. At
+    paper shape the window is one conv group (4.5 MB), not an arena."""
+    spans = grad_spans(model.shapes)
+    window = np.empty(max(arena_size(entries) for _, entries in spans), model.arena.dtype)
+    views = []
+    for lo, entries in spans:
+        flat = window[:arena_size(entries)]
+        views.append((lo, flat, arena_views(flat, entries)))
+    return TrainBuffers(window, views, np.empty_like(model.arena),
+                        nn_core.AdamState.for_arena(model.arena, model.shapes,
+                                                    beta2=model.hp.adam_b2))
 
 
 class SharedBuffers:
-    """One set of training buffers for consecutive train() calls, made anew
-    only when a model's tensor layout or dtype differs from the last one's,
-    so its pages are faulted in once per run of same-shaped models."""
+    """One TrainBuffers (window, snapshot, Adam moments) for consecutive
+    train() calls, made anew only when a model's tensor layout or dtype
+    differs from the last one's, so its pages are faulted in once per run
+    of same-shaped models; its spans are cut once per layout."""
 
     def __init__(self):
         self._key = self._set = None
 
-    def for_model(self, model: ShallowCNN) -> tuple:
+    def for_model(self, model: ShallowCNN) -> TrainBuffers:
         key = (model.shapes, model.arena.dtype)
         if key != self._key:
             self._set = None  # the old set is freed before the new one is made
             self._key, self._set = key, train_buffers(model)
-        self._set[2].beta2 = model.hp.adam_b2
+        self._set.opt.beta2 = model.hp.adam_b2
         return self._set
 
 
 def train(model: ShallowCNN, train_docs: Documents, train_labels: np.ndarray,
           dev_docs: Documents, dev_labels: np.ndarray, sched: TrainSchedule,
           rng: Rng, dev_scorer: Optional[Callable] = None, callback: Optional[Callable] = None,
-          buffers: Optional[tuple] = None) -> TrainedModel:
+          buffers: Optional[TrainBuffers] = None) -> TrainedModel:
     """Mini-batch Adam with per-epoch dev scoring and annealing restarts.
 
     Each batch's float rows are gathered from ``train_docs`` just before
@@ -449,7 +540,10 @@ def train(model: ShallowCNN, train_docs: Documents, train_labels: np.ndarray,
     bit-identically. The result keeps the best epoch's dev probabilities.
     ``dev_scorer(model)`` overrides the dev metric (test hook);
     ``callback(epoch, model, record)`` fires after each epoch, after any
-    restart processing.
+    restart processing. A batch's gradients are applied span by span
+    (backward_batch), so when a non-finite gradient raises NumericError the
+    spans visited before it are already updated: a caller discards the
+    model.
     """
     n = len(train_docs)
     if n == 0:
@@ -460,8 +554,8 @@ def train(model: ShallowCNN, train_docs: Documents, train_labels: np.ndarray,
     h_max = max(model.hp.filter_sizes)
 
     lr = model.hp.learning_rate
-    grads, best, opt = buffers if buffers is not None else train_buffers(model)
-    grad_views = arena_views(grads, model.shapes)
+    buffers = buffers if buffers is not None else train_buffers(model)
+    best, opt = buffers.best, buffers.opt
     opt.reset()
     drop_rng = rng.substream("dropout")
     best_score = -np.inf
@@ -487,8 +581,7 @@ def train(model: ShallowCNN, train_docs: Documents, train_labels: np.ndarray,
                     f"non-finite training loss {loss} at epoch {epoch}, "
                     f"batch starting {start}, lr {lr}"
                 )
-            backward_batch(model, caches, train_labels[batch], grad_views)
-            nn_core.adam_step(model.arena, grads, opt, lr)
+            backward_batch(model, caches, train_labels[batch], (buffers, lr))
             loss_total += loss * len(batch)
         train_loss = loss_total / n
 

@@ -123,6 +123,16 @@ def tensor_at(layout, index: int) -> str:
     return layout[int(np.searchsorted(ends, index, side="right"))][0]
 
 
+def check_finite(grads: np.ndarray, layout, offset: int = 0) -> None:
+    """NumericError naming the tensor of ``layout`` that holds the first
+    non-finite element of ``grads``, the flat gradients of the span of the
+    layout that starts at element ``offset``."""
+    finite = np.isfinite(grads)
+    if not finite.all():
+        name = tensor_at(layout, offset + int(np.argmin(finite)))
+        raise NumericError(f"non-finite gradient for tensor {name!r}")
+
+
 @dataclass
 class AdamState:
     """Adam's moment estimates of a flat parameter buffer and its step count.
@@ -159,37 +169,45 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place on the flat ``params`` and state.
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float,
+              offset: int = 0, advance: bool = True) -> None:
+    """One bias-corrected Adam update of the span of the flat ``params`` that
+    starts at element ``offset`` and holds ``grads.size`` elements, in place
+    on that span of params and of the state's moments.
 
     m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
-    p -= (lr/bc1)*m / (sqrt(v/bc2) + eps). The buffers are updated one
+    p -= (lr/bc1)*m / (sqrt(v/bc2) + eps). The span is updated one
     ADAM_CHUNK slice at a time with the operations in this order, so the
     result has the same bits as the formula evaluated with temporaries.
+    A step may update the buffer in several spans, one call each: the first
+    advances the step count, and each further one passes ``advance=False``
+    to update its span at that count. Non-finite gradients raise
+    NumericError (check_finite) before anything is updated.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     m, v = state.m, state.v
-    for what, a in (("gradient", grads), ("first moment", m), ("second moment", v)):
+    for what, a in (("first moment", m), ("second moment", v)):
         if a.shape != params.shape or a.dtype != params.dtype:
             raise ValueError(f"{what} {a.shape} {a.dtype} does not match parameters "
                              f"{params.shape} {params.dtype}")
+    n = grads.size
+    if grads.ndim != 1 or grads.dtype != params.dtype or not 0 <= offset <= params.size - n:
+        raise ValueError(f"gradient {grads.shape} {grads.dtype} at offset {offset} does not "
+                         f"fit parameters {params.shape} {params.dtype}")
     if not all(a.ndim == 1 and a.flags.c_contiguous for a in (params, grads, m, v)):
         raise ValueError("parameters, gradients and moments must be flat C-contiguous buffers")
-    finite = np.isfinite(grads)
-    if not finite.all():
-        name = tensor_at(state.layout, int(np.argmin(finite)))
-        raise NumericError(f"non-finite gradient for tensor {name!r}")
-    state.t += 1
+    check_finite(grads, state.layout, offset)
+    if advance:
+        state.t += 1
     b1, b2, eps = state.beta1, state.beta2, state.epsilon
     step = lr / (1.0 - b1 ** state.t)
     bc2 = 1.0 - b2 ** state.t
     s_buf, t_buf = state.scratch
-    n = params.size
     for lo in range(0, n, ADAM_CHUNK):
         hi = min(lo + ADAM_CHUNK, n)
-        pc, gc, mc, vc = params[lo:hi], grads[lo:hi], m[lo:hi], v[lo:hi]
-        s, t = s_buf[:hi - lo], t_buf[:hi - lo]
+        pc, mc, vc = (a[offset + lo:offset + hi] for a in (params, m, v))
+        gc, s, t = grads[lo:hi], s_buf[:hi - lo], t_buf[:hi - lo]
         mc *= b1
         np.multiply(1 - b1, gc, out=s)
         mc += s

@@ -65,17 +65,22 @@ class TestBuildModel:
             assert net.params[f"conv{g}_w"].shape == (h, 16, 100)
             assert net.params[f"conv{g}_b"].shape == (100,)
 
-    def test_allocated_from_param_shapes(self):
+    def test_allocated_from_param_shapes(self, monkeypatch):
         hp = toy_hp(filter_sizes=(3, 4, 5, 6, 7))
-        net = build_model(hp, 16, seed=5)
-        assert [(n, p.shape) for n, p in net.params.items()] == M.param_shapes(hp, 16)
-        # weights draw in declared order from one stream, fan-in = all but the last dim
-        rng = Rng(5).substream("init")
-        for name, shape in M.param_shapes(hp, 16):
-            if name.endswith("_w"):
-                fan_in = int(np.prod(shape[:-1]))
-                want = nn_core.xavier_init(fan_in, shape[-1], shape, rng).astype(np.float32)
-                np.testing.assert_array_equal(net.params[name], want, err_msg=name)
+        # the default block holds each toy tensor whole; 1 draws row by row,
+        # 100 takes several rows of dense_w (40, 16) per block
+        for block in (M._INIT_BLOCK, 1, 100):
+            monkeypatch.setattr(M, "_INIT_BLOCK", block)
+            net = build_model(hp, 16, seed=5)
+            assert [(n, p.shape) for n, p in net.params.items()] == M.param_shapes(hp, 16)
+            # weights draw in declared order from one stream, fan-in = all but
+            # the last dim, with the doubles of one draw of the whole tensor
+            rng = Rng(5).substream("init")
+            for name, shape in M.param_shapes(hp, 16):
+                if name.endswith("_w"):
+                    fan_in = int(np.prod(shape[:-1]))
+                    want = nn_core.xavier_init(fan_in, shape[-1], shape, rng).astype(np.float32)
+                    np.testing.assert_array_equal(net.params[name], want, err_msg=name)
 
     def test_param_count_closed_form(self):
         hp = toy_hp()
@@ -382,7 +387,7 @@ class TestArena:
         shared = M.train_buffers(build_model(toy_hp(batch_size=8), 8, seed=0))
         # the first run leaves moments, step count and snapshot behind, after a restart
         first = fit(1, shared, iter([1.0, 0.5, 0.5, 0.5, 0.5, 0.5]))
-        assert first.restart_count >= 1 and shared[2].t > 0
+        assert first.restart_count >= 1 and shared.opt.t > 0
         again, fresh = fit(2, shared), fit(2)
         assert again.history == fresh.history
         np.testing.assert_array_equal(again.weights.arena, fresh.weights.arena)
@@ -425,9 +430,7 @@ class TestArena:
         docs = Rng(6).uniform(-1, 1, (9, 12, 8)).astype(dtype)
         labels = np.asarray(Rng(7).integers(1, 4, 9))
         _, caches = M.forward_batch(net, docs, training=True, rng=Rng(8))
-        grads = np.full_like(net.arena, np.nan)
-        views = M.arena_views(grads, net.shapes)
-        assert M.backward_batch(net, caches, labels, views) is views
+        grads = M.backward_batch(net, caches, labels)
         # the same gradients, each in a freshly allocated array
         fresh = {}
         mask1, mask2 = caches["masks"]
@@ -441,19 +444,150 @@ class TestArena:
         for g, d_pooled in enumerate(np.split(dfeat, M.N_GROUPS, axis=1)):
             fresh[f"conv{g}_w"], fresh[f"conv{g}_b"] = kernels.conv_pool_backward(
                 *caches["conv"][g][:3], d_pooled, caches["conv"][g][3])
+        # the backward returns them as the views of one fresh arena
+        assert [(name, grads[name].shape) for name in grads] == net.shapes
+        flat = grads["conv0_w"].base
+        assert flat.shape == net.arena.shape and flat is not net.arena
         for name, _ in net.shapes:
-            assert views[name].dtype == dtype
-            np.testing.assert_array_equal(views[name], fresh[name], err_msg=name)
-        # without ``out`` the gradients land in a fresh arena of the same layout
-        again = M.backward_batch(net, caches, labels)
-        for name in fresh:
-            np.testing.assert_array_equal(again[name], fresh[name], err_msg=name)
+            assert grads[name].dtype == dtype and grads[name].base is flat
+            np.testing.assert_array_equal(grads[name], fresh[name], err_msg=name)
 
     def test_arena_must_match_layout(self):
         net = build_model(toy_hp(), 8, seed=0)
         for arena in (net.arena[:-1], net.arena.reshape(1, -1)):
             with pytest.raises(ValueError, match="does not hold"):
                 M.ShallowCNN(net.hp, 8, arena, 0)
+
+
+def _paper_hp(n_dense_output=100):
+    """The paper's shape: 400 filters of widths 3-7 (over 400 dims)."""
+    return HyperParams(adam_b2=0.999, n_dense_output=n_dense_output, keep_prob=0.5,
+                       batch_size=50, learning_rate=0.001, word_embedding="godin",
+                       n_filters=400, filter_sizes=(3, 4, 5, 6, 7))
+
+
+class TestGradWindow:
+    def test_desk_layout_is_one_span(self):
+        # synth's search space at its largest, and the toy model
+        for hp in (toy_hp(n_filters=8, n_dense_output=16, filter_sizes=(1, 2, 3, 4, 5)),
+                   toy_hp()):
+            shapes = M.param_shapes(hp, 16)
+            assert M.grad_spans(shapes) == [(0, shapes)]
+            buffers = M.train_buffers(build_model(hp, 16, seed=0))
+            assert buffers.window.size == M.arena_size(shapes)
+            assert buffers.spans[0][1].base is buffers.window
+
+    @pytest.mark.parametrize("n_dense_output", [100, 400])
+    def test_paper_layout_is_six_spans(self, n_dense_output):
+        shapes = M.param_shapes(_paper_hp(n_dense_output), 400)
+        groups = [shapes[i:i + 2] for i in range(0, 10, 2)] + [shapes[10:]]
+        window = max(max(map(M.arena_size, groups)),
+                     min(M.arena_size(shapes), nn_core.ADAM_CHUNK))
+        assert window == 7 * 400 * 400 + 400  # the widest conv group, 4.5 MB of float32
+        spans = M.grad_spans(shapes)
+        assert [entries for _, entries in spans] == groups
+        end = 0  # in order, with no gaps, each at most the window
+        for lo, entries in spans:
+            assert lo == end and M.arena_size(entries) <= window
+            end += M.arena_size(entries)
+        assert end == M.arena_size(shapes)
+        net = M.ShallowCNN(_paper_hp(n_dense_output), 400,
+                           np.zeros(M.arena_size(shapes), np.float32), 0)
+        assert M.train_buffers(net).window.size == window
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_spans_update_like_one_full_arena_step(self, monkeypatch, dtype):
+        # a small ADAM_CHUNK cuts the toy arena into spans of 4 groups, 1
+        # group and the dense layers
+        monkeypatch.setattr(nn_core, "ADAM_CHUNK", 256)
+        hp = toy_hp(filter_sizes=(1, 2, 2, 3, 4))
+        net, ref = (build_model(hp, 8, seed=5, dtype=dtype) for _ in range(2))
+        buffers = M.train_buffers(net)
+        assert [len(entries) for _, entries in M.grad_spans(net.shapes)] == [8, 2, 4]
+        ref_opt = nn_core.AdamState.for_arena(ref.arena, ref.shapes, beta2=hp.adam_b2)
+        docs = Rng(6).uniform(-1, 1, (9, 12, 8)).astype(dtype)
+        labels = np.asarray(Rng(7).integers(1, 4, 9))
+        for step in range(1, 6):
+            lr = 0.01 / step
+            _, caches = M.forward_batch(net, docs, training=True, rng=Rng(step))
+            assert M.backward_batch(net, caches, labels, (buffers, lr)) is None
+            # the full-arena backward and one Adam step over all of it
+            _, caches = M.forward_batch(ref, docs, training=True, rng=Rng(step))
+            grads = M.backward_batch(ref, caches, labels)
+            nn_core.adam_step(ref.arena, grads["conv0_w"].base, ref_opt, lr)
+            assert buffers.opt.t == ref_opt.t == step
+            for got, want in ((net.arena, ref.arena), (buffers.opt.m, ref_opt.m),
+                              (buffers.opt.v, ref_opt.v)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_train_in_spans_like_in_one(self, monkeypatch):
+        docs = as_documents(Rng(10).uniform(-1, 1, (20, 12, 8)).astype(np.float32))
+        labels = np.asarray(Rng(11).integers(1, 4, 20))
+
+        def fit():
+            net = build_model(toy_hp(batch_size=8), 8, seed=2)
+            buffers = M.train_buffers(net)
+            return M.train(net, docs, labels, docs[:6], labels[:6],
+                           TrainSchedule(max_epochs=4, patience=1),
+                           Rng(2).substream("train"), buffers=buffers), buffers
+
+        one, one_buffers = fit()
+        monkeypatch.setattr(nn_core, "ADAM_CHUNK", 1)
+        split, split_buffers = fit()
+        assert len(one_buffers.spans) == 1 and len(split_buffers.spans) == 2
+        assert split.history == one.history
+        for got, want in ((split.weights.arena, one.weights.arena),
+                          (split_buffers.opt.m, one_buffers.opt.m),
+                          (split_buffers.opt.v, one_buffers.opt.v)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_non_finite_gradient_names_the_first_tensor(self, monkeypatch):
+        # spans: conv0 and conv1, conv2, conv3, conv4, the dense layers
+        monkeypatch.setattr(nn_core, "ADAM_CHUNK", 1)
+        net = build_model(toy_hp(n_dense_output=4, filter_sizes=(1, 2, 3, 4, 5)), 8, seed=5)
+        buffers = M.train_buffers(net)
+        assert len(buffers.spans) == 5
+        real = kernels.conv_pool_backward
+
+        def poisoned(docs, argmax, pooled, d_pooled, h):
+            dW, db = real(docs, argmax, pooled, d_pooled, h)
+            if h in (2, 4):  # conv1 and conv3, in two spans
+                dW[0, 0, 0] = np.nan if h == 2 else np.inf
+            return dW, db
+
+        monkeypatch.setattr(kernels, "conv_pool_backward", poisoned)
+        docs = Rng(6).uniform(-1, 1, (9, 12, 8)).astype(np.float32)
+        labels = np.asarray(Rng(7).integers(1, 4, 9))
+        before = M.arena_views(net.arena.copy(), net.shapes)
+        _, caches = M.forward_batch(net, docs, training=True, rng=Rng(8))
+        # conv3's span is visited first, yet conv1 comes first in the arena
+        with pytest.raises(NumericError, match="'conv1_w'"):
+            M.backward_batch(net, caches, labels, (buffers, 0.01))
+        # the spans visited before conv3's were applied, the others were not
+        changed = {name for name, p in net.params.items() if not np.array_equal(p, before[name])}
+        assert {"dense_w", "out_w", "conv4_w"} <= changed
+        assert changed <= {"dense_w", "dense_b", "out_w", "out_b", "conv4_w", "conv4_b"}
+        assert buffers.opt.t == 1
+
+    def test_paper_batch_holds_no_gradient_arena(self):
+        import tracemalloc
+
+        hp = _paper_hp()
+        _, docs, labels = synth_arrays(9, 50, dim=400)
+        arena_bytes = M.arena_size(M.param_shapes(hp, 400)) * 4
+        window_bytes = (7 * 400 * 400 + 400) * 4
+        tracemalloc.start()
+        try:
+            # one batch: the model, the snapshot, Adam's moments and the window
+            # stay; the batch's rows, caches and each kernel's result come and go
+            M.train(build_model(hp, 400, seed=0), docs, labels, docs, labels,
+                    TrainSchedule(max_epochs=1), Rng(0), dev_scorer=lambda m: 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the slack holds the batch's rows and caches (~5 MB) and the widest
+        # kernel result (~5 MB); a gradient arena (16.8 MB) would not fit
+        assert 4 * arena_bytes + window_bytes < peak < 4 * arena_bytes + window_bytes + 12e6
 
 
 class TestSaveLoad:

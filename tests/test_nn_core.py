@@ -193,6 +193,33 @@ class TestAdam:
             g[index] = np.inf if index % 2 else np.nan
             with pytest.raises(NumericError, match=f"'{name}'"):
                 adam_step(params, g, state, lr=0.1)
+            # a span's gradients name the tensor by the span's offset
+            for lo in range(index + 1):
+                with pytest.raises(NumericError, match=f"'{name}'"):
+                    adam_step(params, g[lo:], state, lr=0.1, offset=lo)
+        assert state.t == 0 and not params.any()
+
+    def test_spans_update_like_one_step(self):
+        rng = Rng(3)
+        params = rng.uniform(-1, 1, 40)
+        state = AdamState.for_arena(params, [("w", (40,))], beta2=0.999)
+        whole, whole_state = params.copy(), AdamState.for_arena(params, [("w", (40,))], 0.999)
+        for step in range(1, 4):
+            g = rng.gen.normal(0, 1, 40)
+            adam_step(whole, g, whole_state, lr=0.01)
+            # the spans from the end, as backward_batch visits them
+            for k, (lo, hi) in enumerate([(25, 40), (9, 25), (0, 9)]):
+                adam_step(params, g[lo:hi], state, lr=0.01, offset=lo, advance=k == 0)
+            assert state.t == whole_state.t == step
+            for got, want in ((params, whole), (state.m, whole_state.m),
+                              (state.v, whole_state.v)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_span_must_fit_the_parameters(self):
+        params, state = self._setup(layout=(("w", (4,)),))
+        for g, offset in ((np.ones(2), 3), (np.ones(2), -1), (np.ones(5), 0)):
+            with pytest.raises(ValueError, match="does not fit"):
+                adam_step(params, g, state, lr=0.1, offset=offset)
         assert state.t == 0 and not params.any()
 
     def test_bad_lr(self):
