@@ -501,10 +501,9 @@ def main(argv=None) -> int:
             raise UsageError("stack --test requires --embeddings")
         # One BLAS thread computes the same bits whatever OPENBLAS_NUM_THREADS
         # says, and every worker forked from this process (workers.run_plan:
-        # search's fold units, predict's and stack's members) inherits it. It
-        # leaves the other cores to those workers, to the threads that run a
-        # member's chunks (model.predict_proba), and to hashing each member's
-        # file while the member predicts (model.load_model).
+        # search's fold units, predict's members, stack's member hashes)
+        # inherits it. The other cores are left to those workers, the one
+        # way scnn runs work in parallel.
         with _one_blas_thread():
             return args.func(args, outputs)
     except UsageError as exc:

@@ -13,15 +13,16 @@ A member is a ModelFile on disk, loaded only while ensemble_predict uses
 it, so a process predicting with a stack of any size holds one member's
 tensors at a time; tests may pass any object with predict_proba(docs)
 instead. ensemble_predict runs the members of all the trials it is given
-on one process per usable CPU (workers.run_plan, the runner search trains
-on), one member per process at a time, and averages their probabilities
-in the caller in member order, so the bytes do not depend on the process
-count. The documents are embeddings.Documents, token ids over the rows of
-the words they use, which the workers inherit from the fork. A member
-predicts its 512-document chunks on the usable CPUs its process has to
-itself, each chunk's float rows gathered just before its forward, while
-its sha256 is checked on one more thread, and its probabilities count
-only once the digest matches.
+on one process per usable CPU (workers.map_on_processes, over the runner
+search trains on), one member per process at a time, and averages their
+probabilities in the caller in member order, so the bytes do not depend on
+the process count. The documents are embeddings.Documents, token ids over
+the rows of the words they use, which the workers inherit from the fork.
+A member is checked against its sha256 as it is loaded, before it
+predicts; it then predicts its 512-document chunks in turn on its
+process's one thread, each chunk's float rows gathered just before its
+forward. save_ensemble hashes a stack's member files on the same
+processes.
 save_ensemble writes a stack's JSON manifest; load_ensemble checks it and
 each member with fileio.check_fields tables, as search.load_run checks a
 run manifest, so format_version is a required integer no newer than the
@@ -52,7 +53,6 @@ from .model import (
     build_model,
     load_model,
     load_model_hp,
-    map_on_threads,
     train,
 )
 from .rng import Rng
@@ -147,65 +147,40 @@ def mean_probs(parts: list) -> np.ndarray:
     return acc / len(parts)
 
 
-def _member_probs(trial: Trial, member, docs: Documents, threads: int) -> np.ndarray:
-    """One member's probabilities. A ModelFile is loaded for this call only
-    and must match the trial's hyperparameters and the documents' dimension;
-    it predicts, its chunks on up to ``threads`` threads, while load_model
-    checks its sha256."""
+def _member_probs(trial: Trial, member, docs: Documents) -> np.ndarray:
+    """One member's probabilities. A ModelFile is loaded, and its sha256
+    checked, for this call only, and must match the trial's hyperparameters
+    and the documents' dimension before it predicts."""
     if not isinstance(member, ModelFile):
         return member.predict_proba(docs)
-
-    def checked_probs(net):
-        if net.hp != trial.hp:
-            raise DataError(f"{member.path}: hyperparameters differ from those of "
-                            f"trial {trial.trial_id}")
-        if net.embedding_dim != docs.dim:
-            raise DataError(f"{member.path}: takes {net.embedding_dim}-dim embeddings, "
-                            f"the {trial.hp.word_embedding} table has {docs.dim}")
-        return model.predict_proba(net, docs, threads)
-
-    return load_model(member.path, member.sha256, then=checked_probs)
+    net = load_model(member.path, member.sha256)
+    if net.hp != trial.hp:
+        raise DataError(f"{member.path}: hyperparameters differ from those of "
+                        f"trial {trial.trial_id}")
+    if net.embedding_dim != docs.dim:
+        raise DataError(f"{member.path}: takes {net.embedding_dim}-dim embeddings, "
+                        f"the {trial.hp.word_embedding} table has {docs.dim}")
+    return model.predict_proba(net, docs)
 
 
 def ensemble_predict(trials: Sequence[Trial], docs_by_name: dict) -> list:
     """Each trial's mean of its members' probabilities, in trial order.
 
-    Member j, counted in trial order and then member order, runs on
-    process j % n of workers.run_plan, with n the usable CPUs capped at the
-    member count, and predicts on usable CPUs // n threads. A process stops
-    its share at its first failing member; once every process is done, the
-    lowest failing member's error is raised, so the error does not depend
-    on n. ``docs_by_name`` maps each trial's word_embedding name to the
-    Documents embedded with that table."""
-    from .workers import run_plan  # here, so that synth and evaluate do not load it
+    The members, in trial order and then member order, run on
+    workers.map_on_processes, on the usable CPUs capped at the member count,
+    so a process predicts one member at a time and the error raised, that of
+    the lowest failing member, does not depend on the process count.
+    ``docs_by_name`` maps each trial's word_embedding name to the Documents
+    embedded with that table."""
+    from .workers import map_on_processes  # here, so that synth and evaluate do not load it
 
     jobs = [(trial, member) for trial in trials for member in trial.members]
-    cpus = usable_cpus()
-    n = process_count(cpus, len(jobs))
-    probs, errors = [None] * len(jobs), {}
 
-    def run_share(share, stopped):
-        for j in share:
-            if stopped():
-                return
-            trial, member = jobs[j]
-            try:
-                docs = docs_by_name[trial.hp.word_embedding]
-                yield j, _member_probs(trial, member, docs, cpus // n), None
-            except Exception as exc:
-                yield j, None, exc
-                return
+    def member_probs(job) -> np.ndarray:
+        trial, member = job
+        return _member_probs(trial, member, docs_by_name[trial.hp.word_embedding])
 
-    def collect(result) -> None:
-        j, member_probs, error = result
-        if error is None:
-            probs[j] = member_probs
-        else:
-            errors[j] = error
-
-    run_plan(run_share, list(range(len(jobs))), n, collect)
-    if errors:
-        raise errors[min(errors)]
+    probs = map_on_processes(member_probs, jobs, process_count(usable_cpus(), len(jobs)))
     means, start = [], 0
     for trial in trials:
         means.append(mean_probs(probs[start:start + len(trial.members)]))
@@ -246,10 +221,14 @@ def save_ensemble(stack: Sequence[Trial], manifest_path, fold_seed: int,
                   space_descriptor: str) -> None:
     """Write the manifest of ``stack``, whose trials' members are ModelFiles
     (fold order); each entry takes its member's path and the file's sha256.
-    The files are hashed on one thread per usable CPU (map_on_threads)."""
+    The files are hashed on one process per usable CPU
+    (workers.map_on_processes)."""
+    from .workers import map_on_processes
+
     manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
     paths = [member.path for trial in stack for member in trial.members]
-    digests = iter(map_on_threads(file_sha256, paths, usable_cpus()))
+    digests = iter(map_on_processes(file_sha256, paths,
+                                    process_count(usable_cpus(), len(paths))))
     members = []
     for trial in stack:
         for member in trial.members:

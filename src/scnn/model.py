@@ -11,6 +11,10 @@ in ``param_shapes`` order (the model file's order). Adam's moments and the
 best-weights snapshot are arenas of the same layout. Training holds no
 gradient arena: a batch's gradients pass span by span through one window
 (``grad_spans``), each span into Adam before the next is computed.
+
+Everything here runs on the calling thread: predict_proba runs its
+chunks in turn, and load_model checks a file's sha256 before it returns
+the model. scnn runs work in parallel only on workers' forked processes.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ import json
 import math
 import os
 import struct
-import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -366,79 +368,21 @@ def backward_batch(model: ShallowCNN, caches: dict, gold,
     return spans[0][2] if update is None else None
 
 
-def map_on_threads(fn: Callable, items, threads: int) -> list:
-    """``[fn(item) for item in items]``, on min(len(items), threads) threads
-    while the calling thread waits, or on the calling thread when that is
-    fewer than two. Each thread takes the next item not yet started. Once
-    an item raises, or the caller is interrupted, no further item starts;
-    the running ones end, and then the first failed item's error, or the
-    interrupt, is raised: no thread outlives the call."""
-    items = list(items)
-    n_threads = min(len(items), threads)
-    if n_threads < 2:
-        return [fn(item) for item in items]
-    results, failed = [None] * len(items), {}  # item index -> its error
-    pending, lock = iter(range(len(items))), threading.Lock()
-    go, stop, ended = threading.Event(), threading.Event(), threading.Semaphore(0)
-
-    def work():
-        go.wait()  # items start once every thread has, so each thread is joined
-        while not stop.is_set():
-            with lock:
-                i = next(pending, None)
-            if i is None:
-                break
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:
-                failed[i] = exc
-                stop.set()
-        ended.release()
-
-    started = []
-    try:
-        for k in range(n_threads):
-            worker = threading.Thread(target=work, name=f"scnn-{k}")
-            worker.start()
-            started.append(worker)
-        go.set()
-        for _ in started:
-            # not join(): in Python 3.11 a join that Ctrl-C cuts short marks
-            # its still running thread as stopped, and no later join waits.
-            # A timed wait: a Ctrl-C that lands just before a wait starts is
-            # handled only when that wait ends.
-            while not ended.acquire(timeout=0.02):
-                pass
-    finally:
-        stop.set()
-        go.set()
-        for worker in started:
-            worker.join()
-    if failed:
-        raise failed[min(failed)]
-    return results
-
-
 _PREDICT_CHUNK = 512
 
 
-def predict_proba(model: ShallowCNN, docs: Documents, threads: int = 1) -> np.ndarray:
+def predict_proba(model: ShallowCNN, docs: Documents) -> np.ndarray:
     """Inference-mode probabilities, one row per document; rows sum to 1.
 
-    The documents go through forward_batch in chunks of _PREDICT_CHUNK, on
-    up to ``threads`` threads (map_on_threads); numpy and BLAS release the
-    GIL, so the chunks overlap. A chunk's float rows are gathered just
-    before its forward, so each chunk in flight holds only its own. Each
-    chunk writes its own rows, so the bytes do not depend on ``threads``.
+    The documents go through forward_batch in chunks of _PREDICT_CHUNK, in
+    turn. A chunk's float rows are gathered just before its forward, so
+    only one chunk's rows are held at a time.
     """
     out = np.zeros((len(docs), N_CLASSES), dtype=model.arena.dtype)
     h_max = max(model.hp.filter_sizes)
-
-    def run_chunk(start: int) -> None:
+    for start in range(0, len(docs), _PREDICT_CHUNK):
         rows = slice(start, start + _PREDICT_CHUNK)
         out[rows] = forward_batch(model, docs.gather(rows, h_max), training=False)[0]
-
-    map_on_threads(run_chunk, range(0, len(docs), _PREDICT_CHUNK), threads)
     return out
 
 
@@ -760,24 +704,16 @@ def load_model_hp(path) -> HyperParams:
         return _read_header(fh, path, size, None)[1]
 
 
-def _loaded(net: ShallowCNN) -> ShallowCNN:
-    return net
-
-
-def load_model(path, sha256: Optional[str] = None, then: Callable = _loaded):
-    """``then(model)`` of the model a save_model file holds, bit for bit;
-    by default the model itself.
+def load_model(path, sha256: Optional[str] = None) -> ShallowCNN:
+    """The model a save_model file holds, bit for bit.
 
     The file is read once, its tensors with one read into the model's arena.
     The header must say dtype float32, carry a train_meta object whose
     fields are checked (and not returned), and declare exactly the tensors
     ``param_shapes`` gives for its hyperparameters, names, order and shapes.
-    With ``sha256`` given, the bytes read must have that hex digest. The
-    arena's bytes are hashed on a second thread while ``then`` runs, and
-    nothing of ``then`` counts before the digest matches: on a mismatch its
-    result, its warnings and any exception it raised give way to the hash
-    mismatch; on a match its warnings are shown and its exception raised.
-    Anything else is a DataError naming the file."""
+    With ``sha256`` given, the bytes read must have that hex digest; the
+    arena is hashed after the read, so no model is returned before its
+    digest matches. Anything else is a DataError naming the file."""
     digest = hashlib.sha256() if sha256 is not None else None
     fh, size = _open_model(path)
     with fh:
@@ -795,37 +731,9 @@ def load_model(path, sha256: Optional[str] = None, then: Callable = _loaded):
             raise DataError(f"{path}: truncated model file")
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after declared tensors")
-    net = ShallowCNN(hp=hp, embedding_dim=header["embedding_dim"], arena=arena,
-                     init_seed=header["init_seed"])
-    if digest is None:
-        return then(net)
-    # hashlib releases the GIL on large buffers, so the two overlap
-    hashed = threading.Event()
-
-    def hash_arena():
-        try:
-            digest.update(raw)
-        finally:
-            hashed.set()
-
-    hasher = threading.Thread(target=hash_arena, name="scnn-sha256")
-    hasher.start()
-    failure = None
-    try:
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                result = then(net)
-        except Exception as exc:
-            failure = exc
-        # not join(): in Python 3.11 a join that Ctrl-C cuts short marks the
-        # still running thread as stopped, and no later join waits for it
-        hashed.wait()
-    finally:
-        hasher.join()  # when interrupted too, so no thread outlives the call
-    if digest.hexdigest() != sha256:
-        raise DataError(f"hash mismatch for member {path}")
-    for w in caught:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
-    if failure is not None:
-        raise failure
-    return result
+    if digest is not None:
+        digest.update(raw)
+        if digest.hexdigest() != sha256:
+            raise DataError(f"hash mismatch for member {path}")
+    return ShallowCNN(hp=hp, embedding_dim=header["embedding_dim"], arena=arena,
+                      init_seed=header["init_seed"])

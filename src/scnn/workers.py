@@ -3,11 +3,13 @@
 run_plan runs the items of a plan on n processes, item j on process j % n:
 the calling process runs share 0 itself, starting at once, and n - 1
 workers forked from it run the others. search runs a run's fold units on
-it, ensemble a stack's members. A worker inherits the task and everything
-it reads (the training inputs, the documents and the stack), and the
-caller's BLAS thread count, from the fork, without a copy, and sends each
-result back as it is made. A fixed plan keeps each process's work the same
-from run to run.
+it. map_on_processes, a map over it, runs a stack's members for ensemble's
+predict and hashes their files for its manifest; no scnn module runs work
+in parallel any other way. A worker inherits the task and everything it
+reads (the training inputs, the documents and the stack), and the caller's
+BLAS thread count, from the fork, without a copy, and sends each result
+back as it is made. A fixed plan keeps each process's work the same from
+run to run.
 
 When the caller fails or is interrupted, each worker stops after its
 current item; when the caller dies, the kernel ends its workers with
@@ -119,3 +121,33 @@ def run_plan(task: Callable, items: list, n: int, collect: Callable) -> None:
                 collect(sent)
         for sent in workers.received(wait=True):
             collect(sent)
+
+
+def map_on_processes(fn: Callable, items: list, n: int) -> list:
+    """``[fn(item) for item in items]``, on ``n`` processes by run_plan,
+    item j on process j % n. A process stops its share at its first failing
+    item; once every process is done, the lowest failing item's error is
+    raised, so the error does not depend on ``n``."""
+    results, errors = [None] * len(items), {}
+
+    def run_share(share, stopped):
+        for j in share:
+            if stopped():
+                return
+            try:
+                yield j, fn(items[j]), None
+            except Exception as exc:
+                yield j, None, exc
+                return
+
+    def collect(result) -> None:
+        j, value, error = result
+        if error is None:
+            results[j] = value
+        else:
+            errors[j] = error
+
+    run_plan(run_share, list(range(len(items))), n, collect)
+    if errors:
+        raise errors[min(errors)]
+    return results

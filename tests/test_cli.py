@@ -216,8 +216,8 @@ class TestInterrupts:
         assert err.rstrip().endswith("interrupted") and "Traceback" not in err
         assert _files_under(tmp_path) == before  # no output and no .tmp
 
-    def test_ctrl_c_during_threaded_predict_exits_130(self, run_dir, corpus_dir, tmp_path,
-                                                      capsys, monkeypatch):
+    def test_ctrl_c_during_member_predict_exits_130(self, run_dir, corpus_dir, tmp_path,
+                                                    capsys, monkeypatch):
         from scnn import model as M
 
         emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
@@ -226,8 +226,7 @@ class TestInterrupts:
         log.write_text("")
         before = _files_under(tmp_path)
         monkeypatch.setattr(M, "_PREDICT_CHUNK", 8)  # 30 tweets: 4 chunks
-        # 10 usable CPUs: each of the 5 members on a process of its own, its
-        # chunks on 2 threads
+        # 10 usable CPUs: each of the 5 members on a process of its own
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(10)),
                             raising=False)
         caller, forward = os.getpid(), M.forward_batch
@@ -236,12 +235,9 @@ class TestInterrupts:
         def interrupting(*args, **kwargs):  # the forked workers inherit it
             _log_forward(log)
             if os.getpid() == caller:
-                if next(started) == 0:  # Ctrl-C while the caller waits for its chunks
-                    # a SIGINT that lands before the caller's wait starts is
-                    # handled only when that wait ends
-                    time.sleep(0.02)
+                if next(started) == 0:  # Ctrl-C during the caller's first chunk
                     signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-                time.sleep(0.1)  # the caller's chunks outlast its signal handler
+                time.sleep(0.1)  # slow chunks: the signal lands before the last
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(M, "forward_batch", interrupting)
@@ -886,8 +882,9 @@ class TestStackPredictEvaluate:
     ], ids=["forward-warns", "forward-raises"])
     def test_predict_reports_only_the_hash_mismatch(self, run_dir, corpus_dir, tmp_path,
                                                     value, unchecked):
-        # a member predicts while its sha256 is checked; on a mismatch what
-        # its forward on the edited weights printed or raised is not reported
+        # a member's sha256 is checked before it predicts: on a mismatch its
+        # forward on the edited weights never runs, so nothing it would print
+        # or raise is reported
         stacks = tmp_path / "stacks"
         assert run_cli("stack", "--run", run_dir, "--top-k", "1", "--out", stacks) == 0
         manifest = stacks / "stack_top1.json"

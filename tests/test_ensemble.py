@@ -1,6 +1,5 @@
 import threading
 import tracemalloc
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +15,6 @@ from scnn import synth
 from scnn.corpus import DOC_LEN, FoldAssignment, stratified_kfold, to_token_seqs
 from scnn.embeddings import lookup_docs
 from scnn.errors import DataError
-from scnn.fileio import file_sha256
 from scnn.model import SharedBuffers, TrainSchedule, predict_proba
 from scnn.rng import Rng
 
@@ -434,13 +432,11 @@ class TestStreaming:
         real_load = E.load_model
         refs, most_alive = [], []
 
-        def tracking_load(path, sha256, then):
-            def tracked(net):
-                refs.append(weakref.ref(net))
-                most_alive.append(sum(ref() is not None for ref in refs))
-                return then(net)
-
-            return real_load(path, sha256, then=tracked)
+        def tracking_load(path, sha256):
+            net = real_load(path, sha256)
+            refs.append(weakref.ref(net))
+            most_alive.append(sum(ref() is not None for ref in refs))
+            return net
 
         monkeypatch.setattr(E, "load_model", tracking_load)
         monkeypatch.setattr(E, "usable_cpus", lambda: 1)  # every member in this process
@@ -473,28 +469,43 @@ class TestStreaming:
             written.append(manifest.read_bytes())
         assert written[0] == written[1] == written[2]
 
-    def test_chunk_thread_warnings_wait_for_the_digest(self, tmp_path, monkeypatch):
+    def test_hash_mismatch_beats_changed_hyperparameters(self, tmp_path, toy_corpus,
+                                                         monkeypatch):
+        from scnn import model as M
+        from scnn.model import build_model
+
+        _, docs, _ = toy_corpus
+        _, manifest = self._saved_stack(tmp_path, k=1, folds=2)
+        loaded = E.load_ensemble(manifest)
+        # fold 1 is replaced after the stack is loaded: its hyperparameters
+        # differ, and so does its sha256 from the manifest's
+        save_net(build_model(toy_hp(keep_prob=0.5), 16, seed=0), tmp_path / "t0_f1.scnn")
+        forwards = []
+        forward = M.forward_batch
+        monkeypatch.setattr(M, "forward_batch",
+                            lambda *args, **kwargs: forwards.append(1) or forward(*args, **kwargs))
+        monkeypatch.setattr(E, "usable_cpus", lambda: 1)
+        with pytest.raises(DataError, match="hash mismatch for member .*t0_f1.scnn") as info:
+            E._member_probs(loaded[0], loaded[0].members[1], docs)
+        assert info.value.__context__ is None
+        assert forwards == []  # no forward on unverified weights
+        with pytest.raises(DataError, match="hash mismatch for member .*t0_f1.scnn"):
+            E.ensemble_predict(loaded, {"godin": docs})
+
+    def test_one_member_predicts_on_one_thread(self, tmp_path, toy_corpus, monkeypatch):
         from scnn import model as M
 
-        _, docs, _ = synth_arrays(12, 20)
-        path = tmp_path / "m.scnn"
-        save_net(M.build_model(toy_hp(), docs.dim, seed=0), path)
-        digest = file_sha256(path)
-        wrong = format(int(digest, 16) ^ 1, "064x")
-        monkeypatch.setattr(M, "_PREDICT_CHUNK", 8)  # 3 chunks
+        _, docs, _ = toy_corpus
+        _, manifest = self._saved_stack(tmp_path, k=1, folds=1)
+        monkeypatch.setattr(M, "_PREDICT_CHUNK", 8)  # several chunks
+        monkeypatch.setattr(E, "usable_cpus", lambda: 4)  # more CPUs than members
+        counts = []
         forward = M.forward_batch
 
-        def warning_off_the_main_thread(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                warnings.warn("chunk warning", RuntimeWarning)
+        def counted(*args, **kwargs):
+            counts.append(threading.active_count())
             return forward(*args, **kwargs)
 
-        monkeypatch.setattr(M, "forward_batch", warning_off_the_main_thread)
-        trial = E.Trial(0, toy_hp(), 0.5)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(DataError, match="hash mismatch"):
-                E._member_probs(trial, E.ModelFile(str(path), wrong), docs, 2)
-            assert caught == []
-            E._member_probs(trial, E.ModelFile(str(path), digest), docs, 2)
-        assert [str(w.message) for w in caught] == ["chunk warning"] * 3
+        monkeypatch.setattr(M, "forward_batch", counted)
+        E.ensemble_predict(E.load_ensemble(manifest), {"godin": docs})
+        assert len(counts) > 1 and set(counts) == {1}

@@ -3,13 +3,9 @@ import itertools
 import json
 import math
 import os
-import signal
 import struct
-import sys
 import tempfile
 import threading
-import time
-import warnings
 
 import numpy as np
 import pytest
@@ -690,132 +686,9 @@ class TestSaveLoad:
         assert M.load_model_hp(path) == toy_hp()
 
 
-class _GatedSha256:
-    """A sha256 whose updates off the main thread wait for ``gate``; ``done``
-    is set once such an update has hashed its bytes."""
-
-    def __init__(self, real, gate):
-        self._hash, self._gate, self.done = real(), gate, False
-
-    def update(self, data):
-        off_main = threading.current_thread() is not threading.main_thread()
-        if off_main:
-            self._gate.wait(10)
-        self._hash.update(data)
-        self.done = self.done or off_main
-
-    def hexdigest(self):
-        return self._hash.hexdigest()
-
-
-class TestOverlappedHash:
-    """With a digest, load_model hashes the arena on a second thread while
-    ``then`` runs on the loaded model, and keeps nothing of ``then`` unless
-    the digest matches."""
-
-    @pytest.fixture
-    def saved(self, tmp_path):
-        path = tmp_path / "m.scnn"
-        save_net(build_model(toy_hp(), 8, seed=0), path)
-        digest = file_sha256(path)
-        return path, digest, format(int(digest, 16) ^ 1, "064x")
-
-    def test_then_runs_while_the_arena_is_hashed(self, saved, monkeypatch):
-        path, digest, _ = saved
-        gate, made, pending = threading.Event(), [], []
-        real = hashlib.sha256
-        monkeypatch.setattr(M.hashlib, "sha256",
-                            lambda: made.append(_GatedSha256(real, gate)) or made[-1])
-
-        def then(net):
-            pending.append(not made[0].done)  # the hash waits for this call
-            gate.set()
-            return net.arena.copy()
-
-        arena = load_model(path, digest, then=then)
-        assert pending == [True] and made[0].done
-        np.testing.assert_array_equal(arena, load_model(path).arena)
-
-    def test_a_raising_then_gives_way_to_the_mismatch(self, saved):
-        path, digest, wrong = saved
-
-        def then(net):
-            raise NumericError("forward on unchecked weights")
-
-        with pytest.raises(DataError, match="hash mismatch for member .*m.scnn") as info:
-            load_model(path, wrong, then=then)
-        assert info.value.__context__ is None and info.value.__cause__ is None
-        with pytest.raises(NumericError, match="unchecked weights"):
-            load_model(path, digest, then=then)  # the digest matches
-
-    def test_warnings_of_then_show_only_after_a_match(self, saved):
-        path, digest, wrong = saved
-
-        def then(net):
-            np.float32(3e38) * np.float32(10)  # overflow: a RuntimeWarning
-            return "probs"
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(DataError, match="hash mismatch"):
-                load_model(path, wrong, then=then)
-            assert caught == []
-            assert load_model(path, digest, then=then) == "probs"
-        assert [w.category for w in caught] == [RuntimeWarning]
-        assert "overflow" in str(caught[0].message)
-
-    @pytest.mark.parametrize("outcome", ["match", "mismatch", "then raises"])
-    def test_no_hashing_thread_outlives_the_load(self, saved, outcome):
-        path, digest, wrong = saved
-        before = set(threading.enumerate())
-
-        def then(net):
-            if outcome == "then raises":
-                raise ValueError("boom")
-            return net
-
-        try:
-            load_model(path, wrong if outcome == "mismatch" else digest, then=then)
-        except (DataError, ValueError):
-            assert outcome != "match"
-        assert set(threading.enumerate()) == before
-
-    def test_ctrl_c_while_waiting_for_the_digest_leaves_no_thread(self, saved, monkeypatch):
-        path, digest, _ = saved
-        real = hashlib.sha256
-
-        class SlowSha256:
-            """A sha256 whose updates off the main thread take 0.5 s."""
-
-            def __init__(self):
-                self._hash = real()
-
-            def update(self, data):
-                if threading.current_thread() is not threading.main_thread():
-                    time.sleep(0.5)
-                self._hash.update(data)
-
-            def hexdigest(self):
-                return self._hash.hexdigest()
-
-        monkeypatch.setattr(M.hashlib, "sha256", SlowSha256)
-        main = threading.main_thread().ident
-        ctrl_c = threading.Thread(target=lambda: time.sleep(0.1)
-                                  or signal.pthread_kill(main, signal.SIGINT))
-
-        def then(net):
-            ctrl_c.start()  # Ctrl-C 0.1 s into the wait for the digest
-            return net
-
-        with pytest.raises(KeyboardInterrupt):
-            load_model(path, digest, then=then)
-        ctrl_c.join()
-        assert not [t for t in threading.enumerate() if t.name == "scnn-sha256"]
-
-
 class TestPredictThreads:
-    """predict_proba runs its chunks on up to ``threads`` threads while the
-    calling thread waits; the bytes do not depend on how many."""
+    """predict_proba runs its chunks in turn on the calling thread and
+    starts no thread."""
 
     @pytest.fixture
     def chunked(self, monkeypatch):
@@ -825,86 +698,32 @@ class TestPredictThreads:
         forward = M.forward_batch
 
         def recorded(*args, **kwargs):
-            ran.append(threading.get_ident())
+            ran.append((threading.get_ident(), threading.active_count()))
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(M, "forward_batch", recorded)
         return build_model(toy_hp(), docs.dim, seed=4), docs, ran
 
-    def test_bytes_do_not_depend_on_threads(self, chunked):
-        net, docs, ran = chunked
-        before = set(threading.enumerate())
-        serial = M.predict_proba(net, docs)
-        assert set(ran) == {threading.get_ident()} and len(ran) == 7
-        for threads in (2, 4, 16):
-            ran.clear()
-            probs = M.predict_proba(net, docs, threads)
-            assert probs.tobytes() == serial.tobytes()
-            assert len(ran) == 7 and threading.get_ident() not in ran
-            assert len(set(ran)) <= threads
-            assert set(threading.enumerate()) == before
-
     def test_one_chunk_runs_on_the_calling_thread(self, chunked):
         net, docs, ran = chunked
-        M.predict_proba(net, docs[:8], threads=4)
-        assert ran == [threading.get_ident()]
-
-    def test_each_item_runs_once_under_frequent_switches(self):
-        ran = []
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = M.map_on_threads(lambda i: ran.append(i) or -i, range(2000), threads=8)
-        finally:
-            sys.setswitchinterval(switch)
-        assert results == [-i for i in range(2000)]
-        assert sorted(ran) == list(range(2000))
-
-    def test_ctrl_c_as_the_threads_start_stops_the_items(self):
-        # The first item sends SIGINT at once. On a GIL handoff just before
-        # the caller's wait begins, the handler runs only when that wait
-        # ends; a tiny switch interval makes such handoffs frequent (an
-        # untimed wait then let all 12 items run in 1-3 runs of 100). The
-        # caller's timed wait still ends soon after, so the items not yet
-        # started never run.
-        main = threading.main_thread().ident
-        switch = sys.getswitchinterval()
-        for _ in range(60):
-            ran = []
-
-            def item(i):
-                if i == 0:
-                    signal.pthread_kill(main, signal.SIGINT)
-                ran.append(i)
-                time.sleep(0.01)
-
-            sys.setswitchinterval(1e-6)
-            try:
-                with pytest.raises(KeyboardInterrupt):
-                    M.map_on_threads(item, range(12), threads=2)
-            finally:
-                sys.setswitchinterval(switch)
-            assert len(ran) < 12
-            assert not [t for t in threading.enumerate() if t.name.startswith("scnn-")]
+        before = threading.active_count()
+        M.predict_proba(net, docs)
+        assert ran == [(threading.get_ident(), before)] * 7
 
     def test_a_raising_chunk_cancels_the_rest(self, chunked, monkeypatch):
         net, docs, _ = chunked
-        docs = docs[np.tile(np.arange(len(docs)), 4)]  # 25 chunks
         started = itertools.count()
         forward = M.forward_batch
 
         def second_fails(model, batch, **kwargs):
             if next(started) == 1:
                 raise NumericError("chunk 2 failed")
-            time.sleep(0.02)
             return forward(model, batch, **kwargs)
 
         monkeypatch.setattr(M, "forward_batch", second_fails)
-        before = set(threading.enumerate())
         with pytest.raises(NumericError, match="chunk 2 failed"):
-            M.predict_proba(net, docs, threads=2)
-        assert next(started) < 25  # the chunks not yet started never ran
-        assert set(threading.enumerate()) == before
+            M.predict_proba(net, docs)
+        assert next(started) == 2  # no chunk after the second started
 
 
 # --------------------------------------------------------------------------

@@ -767,10 +767,10 @@ class TestStreamingSearch:
         _cpus(monkeypatch, 2)
         log, member_probs = tmp_path / "members.log", E._member_probs
 
-        def logged(trial, member, docs, threads):  # a forked worker inherits it
+        def logged(trial, member, docs):  # a forked worker inherits it
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {member.path}\n")
-            return member_probs(trial, member, docs, threads)
+            return member_probs(trial, member, docs)
 
         monkeypatch.setattr(E, "_member_probs", logged)
         calls, predict = [], S.ensemble_predict
