@@ -5,13 +5,13 @@ Every randomized command requires an explicit --seed; re-running any command
 with identical inputs and seed produces byte-identical artifacts.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
-4 internal error (any other exception, such as a worker process that died;
-it prints ``internal error: <type>: <message>``), 130 interrupted (Ctrl-C;
-it prints ``interrupted``), 143 terminated (SIGTERM; it prints
-``terminated``). Partial outputs are removed when a command fails, is
-interrupted or is terminated. When several members of a stack fail,
-predict and stack --test report the first in stack order (rank, then
-fold), whatever the process count.
+4 internal error (any other exception, such as workers.WorkerDied for a
+worker process that died; it prints ``internal error: <type>: <message>``),
+130 interrupted (Ctrl-C; it prints ``interrupted``), 143 terminated
+(SIGTERM; it prints ``terminated``). Partial outputs are removed when a
+command fails, is interrupted or is terminated. When several members of a
+stack fail, predict and stack --test report the first in stack order
+(rank, then fold), whatever the process count.
 """
 
 from __future__ import annotations
@@ -111,9 +111,10 @@ def _parse_top_k(spec: str) -> list:
 
 def _embed(examples, registry: dict, names) -> dict:
     """name -> the embeddings.Documents of ``examples`` embedded with the
-    ``registry`` table of each of ``names``. Names that alias one file share
-    one load of it and one embedding."""
-    seqs = corpus.to_token_seqs(examples)
+    ``registry`` table of each of ``names``. The examples are tokenized once,
+    into word ids; names that alias one file share one load of it and one
+    embedding."""
+    tokens = corpus.to_token_seqs(examples)
     by_path = {}
     docs_by_name = {}
     for name in sorted(set(names)):
@@ -125,7 +126,7 @@ def _embed(examples, registry: dict, names) -> dict:
         path = os.path.abspath(registry[name])
         if path not in by_path:
             table = embeddings.load_embeddings(registry[name], name)
-            by_path[path] = embeddings.lookup_docs(table, seqs)
+            by_path[path] = embeddings.lookup_docs(table, tokens)
         docs_by_name[name] = by_path[path]
     return docs_by_name
 

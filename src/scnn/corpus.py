@@ -10,10 +10,11 @@ The first line's field count makes the file labeled or unlabeled, and every
 line must have that count. Text may contain any character except TAB and
 LF. Class meanings: 1 = personal intake, 2 = possible intake, 3 = no intake.
 
-A tweet's document is its token list, as ``tokenize`` returns it; there is
-no pad token. embeddings.lookup_docs keeps the first DOC_LEN tokens and
-turns them into token ids over the rows of the words they use; a batch's
-float rows are gathered from those just before its forward.
+A tweet's document is its first DOC_LEN tokens, as ``tokenize`` makes
+them, held as word ids from tokenization on (to_token_seqs); there is no
+pad token. embeddings.lookup_docs turns the word ids into token ids over
+the rows of the table's words the documents use; a batch's float rows are
+gathered from those just before its forward.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import DataError
 from .fileio import atomic_write, read_tsv
@@ -76,9 +79,27 @@ def tokenize(text: str) -> list:
     return tokens
 
 
-def to_token_seqs(examples: Sequence[Example]) -> list:
-    """Each example's document: the token list of its text."""
-    return [tokenize(ex.text) for ex in examples]
+class TokenIds:
+    """Documents as word ids: ``ids[n, i]`` is k when token i of document n
+    is ``words[k - 1]``, and 0 past the document; ``words`` holds each
+    distinct word once, in order of first use."""
+
+    __slots__ = ("ids", "words")
+
+    def __init__(self, ids: np.ndarray, words: list):
+        self.ids = ids  # (N, DOC_LEN) int32
+        self.words = words
+
+
+def to_token_seqs(examples: Sequence[Example]) -> TokenIds:
+    """Each example's document: the word ids of its text's first DOC_LEN
+    tokens. No example's token list outlives its row."""
+    ids = np.zeros((len(examples), DOC_LEN), dtype=np.int32)
+    index = {}  # word -> its id, from 1 up
+    for n, ex in enumerate(examples):
+        row = [index.setdefault(tok, len(index) + 1) for tok in tokenize(ex.text)[:DOC_LEN]]
+        ids[n, :len(row)] = row
+    return TokenIds(ids, list(index))
 
 
 def parse_dataset(path) -> list:

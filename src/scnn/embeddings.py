@@ -2,10 +2,10 @@
 
 Only the word2vec *text* format is supported: a header line
 ``<vocab_size> <dim>`` followed by one ``word v1 ... v_dim`` line per word.
-Vectors are stored as float32. Tables are immutable after load; lookups are
-pure, so everything here is safe to share across threads. A document is a
-tweet's token list (corpus.to_token_seqs) until lookup_docs turns it into
-a row of token ids over the table rows the documents use (Documents);
+Vectors are stored as float32. Tables are immutable after load, and
+lookups are pure. A document is a row of word ids over the corpus's words
+from tokenization on (corpus.to_token_seqs), until lookup_docs turns it
+into a row of token ids over the table rows the documents use (Documents);
 model.train and model.predict_proba gather each batch's float rows from
 those just before its forward, so no (N, DOC_LEN, dim) float corpus is made.
 """
@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .corpus import DOC_LEN
+from .corpus import TokenIds
 from .errors import DataError
 from .fileio import atomic_write, open_text
 
@@ -133,19 +132,17 @@ class Documents:
         return self.rows.take(ids[:, :min(ids.shape[1], last + h_max)], axis=0)
 
 
-def lookup_docs(table: EmbeddingTable, seqs: Sequence[list]) -> Documents:
-    """Embed token lists as Documents over the rows of ``table`` they use:
-    token i of document n has id ``ids[n, i]``. Tokens past DOC_LEN are cut;
-    unknown tokens and positions past the document take id 0, the zero row,
-    so they add nothing to convolution sums. The used words' rows are copied
-    from ``table.vectors`` in order of first use; the table is never copied."""
-    ids = np.zeros((len(seqs), DOC_LEN), dtype=np.int32)
-    used = {}  # table row -> its id, from 1 up
-    vocab = table.vocab
-    for n, tokens in enumerate(seqs):
-        row = [used.setdefault(vocab[tok], len(used) + 1) if tok in vocab else 0
-               for tok in tokens[:DOC_LEN]]
-        ids[n, :len(row)] = row
+def lookup_docs(table: EmbeddingTable, tokens: TokenIds) -> Documents:
+    """Embed word ids as Documents over the rows of ``table`` they use:
+    token i of document n has id ``ids[n, i]``. Unknown words and positions
+    past the document take id 0, the zero row, so they add nothing to
+    convolution sums. Each distinct word is looked up once; the used words'
+    rows are copied from ``table.vectors`` in order of first use, and the
+    table is never copied."""
+    row_of = np.array([table.vocab.get(word, -1) for word in tokens.words], dtype=np.int64)
+    used = row_of[row_of >= 0]  # the known words' table rows, in order of first use
+    token_id = np.zeros(len(row_of) + 1, dtype=np.int32)  # word id -> token id
+    token_id[1:][row_of >= 0] = np.arange(1, len(used) + 1)
     rows = np.zeros((len(used) + 1, table.dim), dtype=np.float32)
-    rows[1:] = table.vectors[list(used)]
-    return Documents(ids, rows)
+    rows[1:] = table.vectors[used]
+    return Documents(token_id[tokens.ids], rows)

@@ -14,10 +14,13 @@ it, so a process predicting with a stack of any size holds one member's
 tensors at a time; tests may pass any object with predict_proba(docs)
 instead. ensemble_predict runs the members of all the trials it is given
 on one process per usable CPU (workers.map_on_processes, over the runner
-search trains on), one member per process at a time, and averages their
-probabilities in the caller in member order, so the bytes do not depend on
-the process count. The documents are embeddings.Documents, token ids over
-the rows of the words they use, which the workers inherit from the fork.
+search trains on: the caller and workers it forks, one per share, which
+send each member's probabilities back on a pipe), one member per process
+at a time, and averages their probabilities in the caller in member order,
+so the bytes do not depend on the process count. A worker that dies
+raises workers.WorkerDied. The documents are embeddings.Documents, token
+ids over the rows of the words they use, which the workers inherit from
+the fork.
 A member is checked against its sha256 as it is loaded, before it
 predicts; it then predicts its 512-document chunks in turn on its
 process's one thread, each chunk's float rows gathered just before its

@@ -7,8 +7,8 @@ runner that ensemble_predict uses for a stack's members: unit j runs on
 process j % n, the calling process, which takes the longest unit of each
 round and starts at once, or one of n - 1 workers forked from it
 (``--parallelism n``, capped by ensemble.process_count at the unit count
-and the CPUs this process may use, and at 1 off Linux; n = 1 starts no
-pool). A worker inherits the training inputs from the fork and sends each
+and the CPUs this process may use, and at 1 off Linux; n = 1 forks
+nothing). A worker inherits the training inputs from the fork and sends each
 unit's result back as the unit ends. When the caller fails or is
 interrupted, each worker stops after its current unit; when the caller
 dies, the kernel ends its workers with SIGTERM. Each process

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -38,6 +39,18 @@ def as_documents(floats: np.ndarray) -> Documents:
                      np.concatenate([np.zeros((1, dim), floats.dtype), flat]))
 
 
+def token_ids(seqs) -> corpus.TokenIds:
+    """The word ids of the token lists ``seqs``, as corpus.to_token_seqs makes
+    them of its examples' tokens: each cut at DOC_LEN, ids from 1 up in
+    order of first use, 0 past a document."""
+    ids = np.zeros((len(seqs), corpus.DOC_LEN), dtype=np.int32)
+    index = {}
+    for n, tokens in enumerate(seqs):
+        for i, tok in enumerate(tokens[:corpus.DOC_LEN]):
+            ids[n, i] = index.setdefault(tok, len(index) + 1)
+    return corpus.TokenIds(ids, list(index))
+
+
 def synth_arrays(seed: int, n_train: int, n_test: int = 0, dim: int = 16):
     """Embedded synthetic corpus: (train_ex, docs, labels[, test...]), the
     documents as Documents."""
@@ -52,6 +65,13 @@ def synth_arrays(seed: int, n_train: int, n_test: int = 0, dim: int = 16):
     test_docs = embeddings.lookup_docs(table, corpus.to_token_seqs(test_ex))
     test_labels = np.asarray([ex.label for ex in test_ex], dtype=np.int64)
     return train_ex, docs, labels, test_ex, test_docs, test_labels
+
+
+def assert_no_child_process() -> None:
+    """This process has no child, running or unreaped, however it was
+    started (multiprocessing.active_children sees only its own)."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def save_net(net, path) -> None:

@@ -8,7 +8,6 @@ import contextlib
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
 import shlex
 import shutil
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import rewrite_model_header, save_net
+from conftest import assert_no_child_process, rewrite_model_header, save_net
 from scnn import cli
 from scnn.cli import _build_parser, main
 from scnn.ensemble import ModelFile, Trial, save_ensemble
@@ -250,7 +249,7 @@ class TestInterrupts:
         assert err.rstrip().endswith("interrupted") and "Traceback" not in err
         ran = _logged_forwards(log)
         assert sum(pid == str(caller) for pid, _ in ran) < 4  # its member stopped its chunks
-        assert multiprocessing.active_children() == []  # its 4 workers ended with it
+        assert_no_child_process()  # its 4 workers ended with it
         assert set(threading.enumerate()) == threads
         assert _files_under(tmp_path) == before
 
@@ -1406,6 +1405,38 @@ def test_cli_loads_search_synth_and_gradcheck_only_when_used():
     proc = _run_python("-c", "import sys, scnn.cli; print(sorted(m for m in sys.modules "
                              "if m in ('scnn.search', 'scnn.synth', 'scnn.gradcheck')))")
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stdout + proc.stderr
+
+
+_MODULES_AFTER = """
+import os, sys
+from scnn import cli
+
+os.sched_getaffinity = lambda pid: {0, 1}  # two processes on any machine
+code = cli.main(sys.argv[1:])
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("multiprocessing", "concurrent")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", ["search", "predict"])
+def test_parallel_commands_load_no_multiprocessing(run_dir, corpus_dir, tmp_path, command):
+    # the workers are forked directly: neither multiprocessing nor
+    # concurrent.futures is loaded, on two processes
+    emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
+    if command == "search":
+        argv = ["search", "--train", corpus_dir / "train.tsv", "--embeddings", emb,
+                "--trials", 1, "--seed", 1, "--out", tmp_path / "run", "--parallelism", 2,
+                "--config", corpus_dir / "space.json", "--unrestricted-space",
+                "--max-epochs", 1]
+    else:
+        assert run_cli("stack", "--run", run_dir, "--top-k", 1, "--out", tmp_path / "s") == 0
+        argv = ["predict", "--manifest", tmp_path / "s" / "stack_top1.json",
+                "--test", corpus_dir / "test.tsv", "--embeddings", emb,
+                "--out", tmp_path / "pred.tsv"]
+    proc = _run_python("-c", _MODULES_AFTER, *map(str, argv))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n", proc.stdout
 
 
 def test_import_scnn_loads_nothing():

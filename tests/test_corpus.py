@@ -1,10 +1,13 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import token_ids
 from scnn.corpus import (
+    DOC_LEN,
     Example,
     parse_dataset,
     stratified_kfold,
@@ -43,10 +46,20 @@ class TestTokenize:
 
 
 def test_to_token_seqs_is_the_token_lists():
-    # a document keeps every token; lookup_docs cuts it at DOC_LEN
+    # a document is the word ids of its first DOC_LEN tokens, over one word
+    # list in order of first use; the cut words are not in it
     long_text = " ".join(f"w{i}" for i in range(60))
-    examples = [Example("a", "Took 2 Advil!"), Example("b", ""), Example("c", long_text)]
-    assert to_token_seqs(examples) == [["took", "2", "advil", "!"], [], long_text.split()]
+    examples = [Example("a", "Took 2 Advil!"), Example("b", ""), Example("c", long_text),
+                Example("d", "w3 took TOOK")]
+    tokens = to_token_seqs(examples)
+    assert tokens.words == ["took", "2", "advil", "!"] + [f"w{i}" for i in range(DOC_LEN)]
+    assert tokens.ids.shape == (4, DOC_LEN) and tokens.ids.dtype == np.int32
+    assert tokens.ids[0].tolist() == [1, 2, 3, 4] + [0] * (DOC_LEN - 4)
+    assert not tokens.ids[1].any()
+    assert tokens.ids[2].tolist() == list(range(5, 5 + DOC_LEN))
+    assert tokens.ids[3].tolist() == [8, 1, 1] + [0] * (DOC_LEN - 3)
+    ref = token_ids([tokenize(ex.text) for ex in examples])
+    assert tokens.words == ref.words and np.array_equal(tokens.ids, ref.ids)
 
 
 class TestParseDataset:

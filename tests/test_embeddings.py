@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import token_ids
 from scnn.corpus import DOC_LEN
 from scnn.embeddings import (Documents, EmbeddingTable, load_embeddings, lookup_docs,
                              write_embeddings)
@@ -131,15 +132,34 @@ def reference_lookup(table, seqs) -> np.ndarray:
     return docs
 
 
+def reference_documents(table, seqs) -> Documents:
+    """The Documents of the token lists ``seqs``, made token by token (the
+    lookup over token lists that lookup_docs over word ids replaced)."""
+    ids = np.zeros((len(seqs), DOC_LEN), dtype=np.int32)
+    used = {}  # table row -> its id, from 1 up
+    for n, tokens in enumerate(seqs):
+        row = [used.setdefault(table.vocab[tok], len(used) + 1) if tok in table.vocab else 0
+               for tok in tokens[:DOC_LEN]]
+        ids[n, :len(row)] = row
+    rows = np.zeros((len(used) + 1, table.dim), dtype=np.float32)
+    rows[1:] = table.vectors[list(used)]
+    return Documents(ids, rows)
+
+
+def _lookup(table, seqs) -> Documents:
+    """lookup_docs on the word ids of the token lists ``seqs``."""
+    return lookup_docs(table, token_ids(seqs))
+
+
 def _lookup_one(table, tokens):
     """lookup_docs on a batch of one document; returns its (47, dim) rows."""
-    docs = lookup_docs(table, [tokens])
+    docs = _lookup(table, [tokens])
     return docs.rows[docs.ids[0]]
 
 
 class TestLookup:
     def test_present_and_pad(self, small_table):
-        docs = lookup_docs(small_table, [["apple"]])
+        docs = _lookup(small_table, [["apple"]])
         assert docs.ids.shape == (1, 47) and docs.ids.dtype == np.int32
         assert docs.rows.dtype == np.float32
         doc = _lookup_one(small_table, ["apple"])
@@ -149,7 +169,7 @@ class TestLookup:
 
     def test_all_oov_zero(self, small_table):
         assert np.abs(_lookup_one(small_table, ["kumquat", "lychee"])).max() == 0
-        assert lookup_docs(small_table, [["kumquat"]]).rows.shape == (1, 3)
+        assert _lookup(small_table, [["kumquat"]]).rows.shape == (1, 3)
 
     def test_row_order(self, small_table):
         doc = _lookup_one(small_table, ["banana", "apple"])
@@ -170,7 +190,7 @@ class TestLookup:
         doc = _lookup_one(table, words)
         assert doc.shape == (DOC_LEN, 2)
         np.testing.assert_array_equal(doc, table.vectors[:DOC_LEN])
-        assert len(lookup_docs(table, [words]).rows) == 1 + DOC_LEN  # the cut words have none
+        assert len(_lookup(table, [words]).rows) == 1 + DOC_LEN  # the cut words have none
 
     def test_pad_rows_zero_even_if_pad_in_vocab(self, tmp_path):
         # "<PAD>" is an ordinary word: only the positions past a document
@@ -184,24 +204,24 @@ class TestLookup:
 
     def test_lookup_docs_stacks(self, small_table):
         seqs = [["apple"], ["banana", "kumquat", "apple"], [], ["banana"] * 50]
-        docs = lookup_docs(small_table, seqs)
+        docs = _lookup(small_table, seqs)
         assert docs.ids.shape == (4, 47) and len(docs) == 4 and docs.dim == 3
         # one row per word used, in order of first use, after the zero row
         np.testing.assert_array_equal(docs.rows, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
         np.testing.assert_array_equal(docs.ids[1, :4], [2, 0, 1, 0])
         assert docs.nbytes == docs.ids.nbytes + docs.rows.nbytes
         np.testing.assert_array_equal(docs.rows[docs.ids], reference_lookup(small_table, seqs))
-        empty = lookup_docs(small_table, [])
+        empty = _lookup(small_table, [])
         assert empty.ids.shape == (0, 47) and empty.rows.shape == (1, 3)
 
     def test_does_not_copy_the_table(self):
         # 50k words of 64 dims: 12.8 MB of vectors against 120 KB of rows
         vectors = np.arange(50_000 * 64, dtype=np.float32).reshape(50_000, 64)
         table = EmbeddingTable("big", 64, {f"w{i}": i for i in range(50_000)}, vectors)
-        seqs = [[f"w{7 * n + i}" for i in range(5)] + ["oov"] for n in range(10)]
+        tokens = token_ids([[f"w{7 * n + i}" for i in range(5)] + ["oov"] for n in range(10)])
         tracemalloc.start()
         try:
-            docs = lookup_docs(table, seqs)
+            docs = lookup_docs(table, tokens)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -214,7 +234,7 @@ class TestLookup:
 class TestDocuments:
     @pytest.fixture
     def docs(self, small_table):
-        return lookup_docs(small_table, [["apple"], ["banana", "x", "banana"], [], ["apple"]])
+        return _lookup(small_table, [["apple"], ["banana", "x", "banana"], [], ["apple"]])
 
     def test_a_subset_shares_the_rows(self, docs):
         sub = docs[np.array([3, 1])]
@@ -255,10 +275,15 @@ def corpora(draw):
 @given(corpus=corpora(), data=st.data(), h_max=st.integers(1, 7))
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_gathered_batches_equal_the_float_documents(corpus, data, h_max):
-    """A gathered, trimmed batch is the float lookup's trimmed batch, bit
-    for bit: the view forward_batch hands the kernels does not change."""
+    """The word ids' Documents are those of the token lists, bit for bit
+    (the same ids, rows and row order), and a gathered, trimmed batch is the
+    float lookup's trimmed batch: the view forward_batch hands the kernels
+    does not change."""
     table, seqs = corpus
-    docs, ref = lookup_docs(table, seqs), reference_lookup(table, seqs)
+    docs, ref = _lookup(table, seqs), reference_lookup(table, seqs)
+    by_token = reference_documents(table, seqs)
+    assert np.array_equal(docs.ids, by_token.ids) and docs.ids.dtype == np.int32
+    assert docs.rows.view(np.uint32).tobytes() == by_token.rows.view(np.uint32).tobytes()
     assert docs.rows[docs.ids].view(np.uint32).tobytes() == ref.view(np.uint32).tobytes()
     which = np.asarray(data.draw(st.lists(st.integers(0, len(seqs) - 1), min_size=1,
                                           max_size=len(seqs), unique=True)))

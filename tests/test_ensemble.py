@@ -251,12 +251,14 @@ class TestTrainFoldEnsemble:
         rng = Rng(6)
         table = synth.make_embedding_table(rng, dim=16)
         examples = synth.make_examples(rng.substream("test"), 4000, "te")
-        seqs = to_token_seqs(examples)
         labels = np.asarray([ex.label for ex in examples], dtype=np.int64)
         folds = stratified_kfold(labels, k=5, seed=6)
         tracemalloc.start()
         try:
-            docs = lookup_docs(table, seqs)
+            tokens = to_token_seqs(examples)
+            token_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            docs = lookup_docs(table, tokens)
             lookup_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             trained = E.train_fold_ensemble(
@@ -266,6 +268,8 @@ class TestTrainFoldEnsemble:
         finally:
             tracemalloc.stop()
         assert len(trained.dev_probs) == np.count_nonzero(np.asarray(folds.fold_of) == 0)
+        # word ids, not token lists (2.7 MB of them): 0.76 MB on numpy 2.4
+        assert token_peak < float_corpus / 8, token_peak
         assert lookup_peak < float_corpus, lookup_peak  # 0.76 MB on numpy 2.4
         assert fold_peak < float_corpus, fold_peak  # 5.0 MB
 

@@ -1,11 +1,9 @@
-import concurrent.futures
 import json
 import os
 import subprocess
 import sys
 import textwrap
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +14,7 @@ from conftest import synth_arrays, toy_hp
 from scnn import metrics
 from scnn import search as S
 from scnn import synth
+from scnn import workers as W
 from scnn.corpus import FoldAssignment, stratified_kfold
 from scnn.errors import DataError
 from scnn.model import DEFAULT_SEARCH_DOMAINS, HP_FIELDS, HyperParams, TrainSchedule
@@ -384,14 +383,16 @@ class TestProcessCount:
             S.process_count(bad, 5)
 
 
-class _RecordingPool(ProcessPoolExecutor):
-    """Records the worker count of each pool."""
+def _record_forks(monkeypatch) -> list:
+    """The list to which each worker run_plan forks adds its share."""
+    forked, fork = [], W._fork
 
-    started = []
+    def recording(task, share, pipes):
+        forked.append(share)
+        return fork(task, share, pipes)
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        _RecordingPool.started.append(kwargs["max_workers"])
+    monkeypatch.setattr(W, "_fork", recording)
+    return forked
 
 
 def _failing_lr_search(out_dir, parallelism):
@@ -428,14 +429,15 @@ def _one_trial_search(out_dir, parallelism, edit_folds=lambda folds: folds):
 
 
 class TestProcessPool:
+    """search's units on workers that run_plan forks, one per share."""
+
     def test_pool_matches_serial_bytes_and_failures(self, tmp_path, monkeypatch):
-        _cpus(monkeypatch, 4)  # a pool even on one core
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-        _RecordingPool.started.clear()
+        _cpus(monkeypatch, 4)  # a worker even on one core
+        forked = _record_forks(monkeypatch)
         serial = _failing_lr_search(tmp_path / "p1", 1)
-        assert _RecordingPool.started == []
+        assert forked == []
         pooled = _failing_lr_search(tmp_path / "p2", 2)
-        assert _RecordingPool.started == [1]
+        assert len(forked) == 1
 
         assert [r.status.split(":")[0] for r in serial] == ["ok", "ok", "failed", "failed"]
         for a, b in zip(serial, pooled):
@@ -449,15 +451,14 @@ class TestProcessPool:
 
     def test_one_trial_uses_two_processes(self, tmp_path, monkeypatch):
         _cpus(monkeypatch, 4)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        forked = _record_forks(monkeypatch)
 
         def refuse(inputs):  # a forked worker inherits the inputs: nothing pickles them
             raise AssertionError("TrialInputs pickled")
 
         monkeypatch.setattr(S.TrialInputs, "__reduce__", refuse)
-        _RecordingPool.started.clear()
         runs = {p: _one_trial_search(tmp_path / f"p{p}", p) for p in (1, 2)}
-        assert _RecordingPool.started == [1]  # five fold units, one worker
+        assert [[fold for _, _, fold in share] for share in forked] == [[1, 3]]  # one worker
         (serial,), (pooled,) = runs[1], runs[2]
         assert serial.ok and (serial.trial_id, serial.hp, serial.status, serial.cv_score) == (
             pooled.trial_id, pooled.hp, pooled.status, pooled.cv_score)
@@ -480,13 +481,13 @@ class TestProcessPool:
         assert _tree_bytes(tmp_path / "p1") == _tree_bytes(tmp_path / "p2")
 
     def test_worker_dying_at_start_fails_the_search(self, tmp_path):
-        # a worker that dies before it reads anything must fail the search
-        # with BrokenProcessPool, not leave the caller waiting on it for good
+        # a worker that dies before it runs a unit must fail the search with
+        # WorkerDied, naming it and its exit status, not leave the caller
+        # waiting on it for good
         script = textwrap.dedent(f"""
             import os, sys
             sys.path[:0] = [{str(Path(__file__).parent)!r},
                             {str(Path(__file__).parent.parent / "src")!r}]
-            from concurrent.futures.process import BrokenProcessPool
             from conftest import synth_arrays
             from scnn import search as S, synth, workers as W
             from scnn.corpus import stratified_kfold
@@ -494,7 +495,7 @@ class TestProcessPool:
 
             examples, docs, labels = synth_arrays(306, 60)
             os.sched_getaffinity, os.cpu_count = (lambda pid: {{0, 1}}), (lambda: 2)
-            W._start_worker = lambda *args: os._exit(1)  # the forked worker runs it
+            W._start_worker = lambda caller: os._exit(1)  # the forked worker runs it
             try:
                 S.run_search([ex.id for ex in examples], labels,
                              {{"godin": docs, "shin": docs}},
@@ -502,8 +503,8 @@ class TestProcessPool:
                              2, stratified_kfold(labels, k=5, seed=306),
                              TrainSchedule(max_epochs=1), seed=1,
                              out_dir=os.path.join({str(tmp_path)!r}, "run"), parallelism=2)
-            except BrokenProcessPool:
-                sys.exit(0)
+            except W.WorkerDied as exc:
+                sys.exit(0 if "exit status 1" in str(exc) else 2)
             sys.exit(1)
         """)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -540,17 +541,13 @@ class TestProcessPool:
 
     @pytest.mark.parametrize("caller_alive", [True, False], ids=["alive", "dead"])
     def test_worker_ends_with_its_caller(self, caller_alive):
-        # run in a child of this process, as the pool runs it in each worker
+        # run in a child of this process, as each worker runs it once forked
         script = textwrap.dedent(f"""
             import ctypes, os, signal, sys
             sys.path[:0] = [{str(Path(__file__).parent.parent / "src")!r}]
             from scnn import workers as W
 
-            class Results:
-                def cancel_join_thread(self):
-                    pass
-
-            W._start_worker(None, int(sys.argv[1]), None, Results())
+            W._start_worker(int(sys.argv[1]))
             got = ctypes.c_int()
             ctypes.CDLL(None).prctl(2, ctypes.byref(got), 0, 0, 0)  # PR_GET_PDEATHSIG
             sys.exit(0 if got.value == signal.SIGTERM else 5)
