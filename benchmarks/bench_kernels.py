@@ -2,23 +2,21 @@
 """Benchmark the conv + max-over-time kernels.
 
 Runs the forward and backward kernels on desk-scale (16-dim) and paper
-(400-dim) shapes, and on shapes around ``kernels.RAGGED_MIN_WINDOW_COST``.
+(400-dim) shapes, and on shapes around ``kernels.DISTINCT_ROWS_MIN_COST``.
 Documents have drawn lengths, as in a real batch: synth-like (6-12 words)
 or tweet-like (around 18, clipped to 3-47), zero-padded to 47 rows. Their
 words come from synth's 33 words, a Zipf draw from 30,000 words
-(tweet-like), 1,500 words drawn uniformly (near the crossover between the
-projection and the ragged GEMM), or a fresh row for every word
-("distinct").
-Each batch first goes through ``model.trim_pad_windows``, as in training.
+(tweet-like), 1,500 words drawn uniformly, or a fresh row for every word
+("distinct"). Each batch is cut after its longest document plus h rows, as
+``Documents.gather`` cuts a training batch.
 
 For each case it prints the batch's distinct rows V (pad included) against
 its live windows (those that touch a word) and their share of all windows,
-the path the forward takes there, the forward time of each of the three
-paths forced (every window, the ragged GEMM over the live windows, and the
-projection of the distinct rows), the U windows some filter selected, the
-path the backward takes there, and the backward time of each of its two
-paths forced (the GEMM over the selected windows, and the one over the
-distinct rows).
+the path the forward takes there, the forward time of each of its two
+paths forced (every window, and the projection of the distinct rows), the
+U windows some filter selected, the path the backward takes there, and the
+backward time of each of its two paths forced (the GEMM over the selected
+windows, and the one over the distinct rows).
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_kernels.py [--iters 20]
@@ -30,7 +28,6 @@ import time
 import numpy as np
 
 from scnn import kernels
-from scnn.model import trim_pad_windows
 from scnn.rng import Rng
 
 L = 47
@@ -45,6 +42,7 @@ CASES = [
     ("crossover", "tweet", "distinct", 50,  64, 4, 64),
     ("paper",     "synth", "synth",    50, 400, 3, 100),
     ("paper",     "synth", "synth",    50, 400, 7, 400),
+    ("paper",     "synth", "synth",     3, 400, 5, 400),
     ("paper",     "synth", "distinct", 50, 400, 3, 100),
     ("paper",     "tweet", "zipf",     50, 400, 3, 100),
     ("paper",     "tweet", "zipf",     50, 400, 5, 400),
@@ -91,7 +89,7 @@ def make_case(lengths, vocab, B, dim, h, f):
     W = rng.uniform(-0.3, 0.3, (h, dim, f)).astype("float32")
     b = rng.uniform(-0.1, 0.1, f).astype("float32")
     d_pooled = rng.uniform(-1, 1, (B, f)).astype("float32")
-    return trim_pad_windows(docs, h), W, b, d_pooled
+    return docs[:, :min(L, lens.max() + h)], W, b, d_pooled
 
 
 def time_fn(fn, iters):
@@ -103,22 +101,18 @@ def time_fn(fn, iters):
 
 
 FORCED = {  # the kernels' settings that force each path at any shape
-    "full": {"RAGGED_MIN_WINDOW_COST": float("inf")},
-    "ragged": {"RAGGED_MIN_WINDOW_COST": 0, "SMALL_GEMM_MAX": 0,
-               "PROJECTION_MIN_WINDOWS_PER_ROW": float("inf")},
-    "projection": {"RAGGED_MIN_WINDOW_COST": 0, "SMALL_GEMM_MAX": 0,
-                   "PROJECTION_MIN_WINDOWS_PER_ROW": 0},
+    "full": {"DISTINCT_ROWS_MIN_COST": float("inf")},
+    "projection": {"DISTINCT_ROWS_MIN_COST": 0},
     "window": {"BACKWARD_MIN_WINDOWS_PER_ROW": float("inf")},
-    "distinct": {"RAGGED_MIN_WINDOW_COST": 0, "BACKWARD_MIN_WINDOWS_PER_ROW": 0},
+    "distinct": {"DISTINCT_ROWS_MIN_COST": 0, "BACKWARD_MIN_WINDOWS_PER_ROW": 0},
 }
 
 
 def forced(path, kernel, *args):
     """``kernel`` forced onto one path at any shape. Forward: "full" computes
-    every window, "ragged" GEMMs each document's windows up to its last word,
-    and "projection" sums those windows from the projected distinct rows.
-    Backward: "window" GEMMs the selected windows, and "distinct" the
-    distinct rows."""
+    every window, and "projection" sums each document's windows up to its
+    last word from the projected distinct rows. Backward: "window" GEMMs the
+    selected windows, and "distinct" the distinct rows."""
     saved = {name: getattr(kernels, name) for name in FORCED[path]}
     for name, value in FORCED[path].items():
         setattr(kernels, name, value)
@@ -129,18 +123,14 @@ def forced(path, kernel, *args):
             setattr(kernels, name, value)
 
 
-def chosen_path(docs, W, n_distinct, n_live):
+def chosen_path(W):
     h, dim, f = W.shape
-    if h * dim * f < kernels.RAGGED_MIN_WINDOW_COST:
-        return "full"
-    if n_live >= kernels.PROJECTION_MIN_WINDOWS_PER_ROW * n_distinct:
-        return "projection"
-    return "ragged"
+    return "full" if h * dim * f < kernels.DISTINCT_ROWS_MIN_COST else "projection"
 
 
 def chosen_backward(W, n_distinct, n_selected):
     h, dim, f = W.shape
-    if (h * dim * f >= kernels.RAGGED_MIN_WINDOW_COST
+    if (h * dim * f >= kernels.DISTINCT_ROWS_MIN_COST
             and n_selected >= kernels.BACKWARD_MIN_WINDOWS_PER_ROW * n_distinct):
         return "distinct"
     return "window"
@@ -156,16 +146,15 @@ def bench_case(name, lengths, vocab, B, dim, h, f, iters):
     gated = (pooled > 0) & (d_pooled != 0)
     n_selected = len(np.unique(np.nonzero(gated)[0] * docs.shape[1] + argmax[gated]))
     fwd = {path: time_fn(lambda: forced(path, kernels.conv_pool_forward, docs, W, b), iters)
-           for path in ("full", "ragged", "projection")}
+           for path in ("full", "projection")}
     bwd = {path: time_fn(lambda: forced(path, kernels.conv_pool_backward, docs, argmax, pooled,
                                         d_pooled, h), iters)
            for path in ("window", "distinct")}
     print(f"{name:9s} {lengths:5s} {vocab:8s} B={B:3d} L={docs.shape[1]:2d} dim={dim:3d}"
           f" h={h} f={f:3d}  h*dim*f={h * dim * f:7d}  V={n_distinct:5d}"
           f" live={n_live:5d} (computed {live.mean():5.1%},"
-          f" {chosen_path(docs, W, n_distinct, n_live):10s})"
+          f" {chosen_path(W):10s})"
           f"  forward full {fwd['full'] * 1e3:7.3f} ms"
-          f"  ragged {fwd['ragged'] * 1e3:7.3f} ms"
           f"  projection {fwd['projection'] * 1e3:7.3f} ms"
           f"  U={n_selected:5d} ({chosen_backward(W, n_distinct, n_selected):8s})"
           f"  backward window {bwd['window'] * 1e3:7.3f} ms"

@@ -123,9 +123,10 @@ class Documents:
 
     def gather(self, which, h_max: int) -> np.ndarray:
         """The (B, cut, dim) float rows of the documents ``which``, cut after
-        the batch's last word column plus ``h_max`` rows: at least the rows
-        that model.trim_pad_windows keeps for convs of width <= h_max, since
-        a word's row may be zero but a zero id is always a zero row."""
+        the batch's last word column plus ``h_max`` rows: the batch
+        model.forward_batch takes. Every window past the cut is all pad, and
+        the cut keeps the first all-pad window of each width <= h_max, so it
+        changes no pooled value or argmax (ties go to the lowest position)."""
         ids = self.ids[which]
         words = np.flatnonzero(ids.any(axis=0))
         last = int(words[-1]) + 1 if len(words) else 0

@@ -1,24 +1,24 @@
 """Convolution + max-over-time pooling kernels, the hot inner loops.
 
-Both kernels are plain numpy over BLAS. The forward has three paths:
+Both kernels are plain numpy over BLAS. The forward has two paths:
 
 - **full**: one GEMM of every window against the filter bank, in the
   im2col formulation of Chellapilla et al. (2006), *High Performance
   Convolutional Neural Networks for Document Processing*. Every desk shape
   takes it.
-- **ragged**: from ``RAGGED_MIN_WINDOW_COST`` up (every 400-dim shape), the
-  GEMM takes only the windows that touch a document's words.
-- **projection**: at the same shapes, a batch whose rows repeat enough
-  (``PROJECTION_MIN_WINDOWS_PER_ROW``). A width-h conv is linear in its
-  window, so each distinct row of the batch goes through each offset's
-  filters once, and a window sums h of those projected rows.
+- **projection**: from ``DISTINCT_ROWS_MIN_COST`` up (every 400-dim shape).
+  A width-h conv is linear in its window, so each distinct row of the batch
+  goes through each offset's filters once, and a window sums h of those
+  projected rows. Every window after a document's last word, all pad, gets
+  the value ``relu(b)`` without a product. A batch whose distinct rows
+  cannot be used (two unequal rows share a key, or a row holds NaN or inf)
+  takes the full path.
 
-On the last two, every window after a document's last word, all pad, gets
-the value ``relu(b)`` without a product. The backward has two paths:
+The backward has two paths:
 
 - **window**: a GEMM over only the windows some filter selected. Every desk
   shape takes it.
-- **distinct rows**: from ``RAGGED_MIN_WINDOW_COST`` up, a batch with enough
+- **distinct rows**: from ``DISTINCT_ROWS_MIN_COST`` up, a batch with enough
   selected windows per distinct row (``BACKWARD_MIN_WINDOWS_PER_ROW``), the
   transpose of the projection. Each distinct row's gradient at each offset
   is summed first, and a GEMM then runs over the distinct rows.
@@ -36,29 +36,16 @@ import numpy as np
 
 BACKEND = "numpy"  # the only backend; benchmark results report it
 
-# Per-window GEMM cost h*dim*f from which the forward computes only the
-# windows that touch a document's words. Below it the extra gather, scatter
-# and pooling cost more than the products they save: on a 2-core VM,
-# benchmarks/bench_kernels.py times the two paths equal between 2,048 and
-# 8,192, by document lengths (batches of 50). Desk shapes cost at most 640,
-# and 400-dim shapes at least 40,000.
-RAGGED_MIN_WINDOW_COST = 2 ** 14
-# OpenBLAS computes a one-row product as a GEMV, and a product of at most
-# this many multiply-adds with its small-matrix kernel. Their last bits
-# differ from those of the GEMM a whole batch takes, so a ragged product
-# that small runs the full path instead.
-SMALL_GEMM_MAX = 100 ** 3
-# From RAGGED_MIN_WINDOW_COST up, a batch with at least this many live
-# windows per distinct row takes the projection instead of the ragged GEMM.
-# On a 2-core VM, in batches of 50 tweet-length documents whose words come
-# from uniform vocabularies (h = 3 to 7, f = 100 or 400), the projection
-# is level with the ragged GEMM at h = 3, f = 100 and 5-17% faster at
-# f = 400 from 1.35 to 1.55 windows per row, and up to 12% slower at 1.16.
-# benchmarks/bench_kernels.py prints both paths beside the batch's V and
-# live windows; synth's batches have ~13 windows per row, Zipf tweet-like
-# ones ~1.7 and all-distinct ones 1.0.
-PROJECTION_MIN_WINDOWS_PER_ROW = 1.5
-# From RAGGED_MIN_WINDOW_COST up, the backward goes through the distinct rows
+# Per-window GEMM cost h*dim*f from which both kernels go through the
+# batch's distinct rows: the forward sums each window from the projected
+# rows instead of running the full GEMM. Below it, finding the distinct rows
+# costs more than the products it saves: on a 2-core VM, in
+# benchmarks/bench_kernels.py's batches of 50, the projection takes ~3x the
+# full GEMM's time at desk shapes and is level with it at 2^14 on
+# all-distinct rows. Desk shapes cost at most 640 and 400-dim shapes at
+# least 40,000, so any value between picks the same paths.
+DISTINCT_ROWS_MIN_COST = 2 ** 14
+# From DISTINCT_ROWS_MIN_COST up, the backward goes through the distinct rows
 # when the batch has at least this many selected windows per distinct row.
 # On a 2-core VM, in batches of 50 synth- or tweet-length documents from
 # uniform vocabularies, the two backward paths take equal time at 1.1-1.2
@@ -72,77 +59,49 @@ def conv_pool_forward(docs: np.ndarray, W: np.ndarray, b: np.ndarray):
 
     docs: (B, L, dim), W: (h, dim, f), b: (f,).
     Returns (pooled (B, f), argmax (B, f) int64). Ties in the max go to the
-    lowest window position. The ragged path gives the full path's bits
-    wherever BLAS computes a GEMM row's value independently of the other
-    rows in the product, as OpenBLAS does at 400-dim float32 shapes. At
-    some float64 shapes on two BLAS threads the last bits differ. The
-    projection sums each window in another order, so its last bits differ
-    from both.
+    lowest window position. The projection sums each window in another
+    order than the full GEMM, so their last bits differ.
     """
     B, L, dim = docs.shape
     h, _, f = W.shape
     P = L - h + 1
-    wins = np.lib.stride_tricks.sliding_window_view(docs, (h, dim), axis=(1, 2))
     W2 = W.reshape(h * dim, f)
-    live = projected = None
-    if h * dim * f >= RAGGED_MIN_WINDOW_COST:
-        keys = _row_keys(docs)
-        # a nonzero key marks a word; rows with key 0 are pad or, rarely, words
-        real = keys != 0
-        n_live = np.count_nonzero(_live_windows(real, P))
-        if n_live >= PROJECTION_MIN_WINDOWS_PER_ROW * _n_distinct(keys):
-            rows = _distinct_rows(docs, keys)
-            if rows is not None:
-                distinct, ids = rows
-                projected = np.matmul(distinct, W)  # (h, V, f)
-                live = _live_windows(distinct.any(axis=1)[ids], P)
-        if projected is None:
-            real[~real] = docs[~real].any(axis=1)  # scan the rows with key 0
-            live = _live_windows(real, P)
-            n_live = np.count_nonzero(live)
-            if n_live < 2 or n_live * h * dim * f <= SMALL_GEMM_MAX:
-                live = None  # another BLAS kernel, whose last bits differ
-    if live is None:
+    rows = None
+    if h * dim * f >= DISTINCT_ROWS_MIN_COST:
+        rows = _distinct_rows(docs, _row_keys(docs))
+    if rows is None:
+        wins = np.lib.stride_tricks.sliding_window_view(docs, (h, dim), axis=(1, 2))
         z = wins.reshape(B * P, h * dim) @ W2
         z += b
         act = np.maximum(z, 0, out=z).reshape(B, P, f)
         argmax = act.argmax(axis=1)
-        pooled = np.take_along_axis(act, argmax[:, None, :], axis=1)[:, 0, :]
-    else:
-        if projected is None:
-            z = wins[live].reshape(-1, h * dim) @ W2
-        else:
-            # window (n, p) sums row ids[n, p + r] of the projection through
-            # offset r, for r = 0 .. h - 1
-            n_idx, p_idx = np.nonzero(live)
-            flat, start = ids.ravel(), n_idx * L + p_idx
-            z = projected[0].take(flat[start], axis=0)
-            for r in range(1, h):
-                z += projected[r].take(flat[start + r], axis=0)
-        z += b
-        act = np.empty((B, P, f), dtype=z.dtype)
-        # an all-pad window's value: relu(b), or NaN where W holds inf or NaN
-        act[...] = np.maximum(np.zeros(h * dim, dtype=z.dtype) @ W2 + b, 0)
-        act[live] = np.maximum(z, 0, out=z)
-        pooled, argmax = _first_max(act)
-    return pooled, argmax
+        return np.take_along_axis(act, argmax[:, None, :], axis=1)[:, 0, :], argmax
+    distinct, ids = rows
+    projected = np.matmul(distinct, W)  # (h, V, f)
+    live = _live_windows(distinct.any(axis=1)[ids], P)
+    # window (n, p) sums row ids[n, p + r] of the projection through offset
+    # r, for r = 0 .. h - 1
+    n_idx, p_idx = np.nonzero(live)
+    flat, start = ids.ravel(), n_idx * L + p_idx
+    z = projected[0].take(flat[start], axis=0)
+    for r in range(1, h):
+        z += projected[r].take(flat[start + r], axis=0)
+    z += b
+    act = np.empty((B, P, f), dtype=z.dtype)
+    # an all-pad window's value: relu(b), or NaN where W holds inf or NaN
+    act[...] = np.maximum(np.zeros(h * dim, dtype=z.dtype) @ W2 + b, 0)
+    act[live] = np.maximum(z, 0, out=z)
+    return _first_max(act)
 
 
 def _row_keys(docs: np.ndarray) -> np.ndarray:
     """(B, L) keys, one per row: the dot product of its first 32 entries with
     fixed weights in [1, 2). A row of zeros has key 0. Unequal rows rarely
     share a key, unless they differ only after their first 32 entries; the
-    row check then sends their batch to the ragged path. Reading one or two
+    row check then sends their batch to the full path. Reading one or two
     cache lines of a row makes the key ~5x cheaper than reading all of it."""
     head = docs[..., :32]
     return head @ (1 + np.arange(head.shape[2]) * 0.6180339887498949 % 1).astype(docs.dtype)
-
-
-def _n_distinct(keys: np.ndarray) -> int:
-    """How many distinct values ``keys`` holds. A sort, because a plain
-    ``np.unique`` imports numpy.ma (~1 MB) the first time it runs."""
-    keys = np.sort(keys, axis=None)
-    return int(keys.size and 1 + np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 def _distinct_rows(docs: np.ndarray, keys: np.ndarray):
@@ -195,7 +154,7 @@ def conv_pool_backward(docs, argmax, pooled, d_pooled, h: int):
     the pooled value is positive (the ReLU gate at the selected position).
     Only the U distinct (document, position) windows that carry gradient
     are gathered; dW is their rows' transpose times the (U, f) gradient
-    those windows receive. From ``RAGGED_MIN_WINDOW_COST`` up, a batch with
+    those windows receive. From ``DISTINCT_ROWS_MIN_COST`` up, a batch with
     at least ``BACKWARD_MIN_WINDOWS_PER_ROW`` selected windows per distinct
     row goes through its V distinct rows instead: offset r of a window holds
     one of them, so dW[r] is their transpose times the (V, f) gradient each
@@ -213,11 +172,10 @@ def conv_pool_backward(docs, argmax, pooled, d_pooled, h: int):
     selected[start] = True
     dW = np.empty((h, dim, f), dtype=docs.dtype)
     rows = None
-    if h * dim * f >= RAGGED_MIN_WINDOW_COST:
-        keys = _row_keys(docs)
-        if np.count_nonzero(selected) >= BACKWARD_MIN_WINDOWS_PER_ROW * _n_distinct(keys):
-            rows = _distinct_rows(docs, keys)
-    if rows is not None:
+    if h * dim * f >= DISTINCT_ROWS_MIN_COST:
+        rows = _distinct_rows(docs, _row_keys(docs))
+    if rows is not None and (np.count_nonzero(selected)
+                             >= BACKWARD_MIN_WINDOWS_PER_ROW * len(rows[0])):
         distinct, ids = rows
         flat = ids.ravel()
         for r in range(h):

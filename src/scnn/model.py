@@ -30,6 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels, metrics, nn_core
+from .corpus import DOC_LEN
 from .embeddings import Documents
 from .errors import DataError, NumericError
 from .fileio import atomic_write, check_fields, is_int, is_number
@@ -76,8 +77,9 @@ HP_RULES = {
     "word_embedding": (lambda v: isinstance(v, str) and v != "", "a non-empty name"),
     "n_filters": (_positive_int, "a positive integer"),
     "filter_sizes": (lambda v: isinstance(v, (list, tuple)) and len(v) == N_GROUPS
-                     and all(_positive_int(w) for w in v),
-                     f"exactly {N_GROUPS} positive integers"),
+                     and all(_positive_int(w) and w <= DOC_LEN for w in v),
+                     f"exactly {N_GROUPS} positive integers of at most {DOC_LEN}, "
+                     f"the document length"),
 }
 
 
@@ -221,19 +223,6 @@ def build_model(hp: HyperParams, embedding_dim: int, seed: int,
 # forward / backward
 # --------------------------------------------------------------------------
 
-def trim_pad_windows(docs: np.ndarray, h_max: int) -> np.ndarray:
-    """The leading rows of a (B, L, dim) batch that convs of width <= h_max
-    need: up to the last row nonzero in any document, plus h_max more.
-
-    Every window past that last row is all-pad with value relu(b). The kept
-    rows still hold the first of them and argmax takes the lowest position,
-    so pooled values and argmaxes equal those of the full batch.
-    """
-    nonzero = np.flatnonzero(docs.any(axis=0).any(axis=1))  # 5x faster than axis=(0, 2)
-    r_max = int(nonzero[-1]) + 1 if len(nonzero) else 0
-    return docs[:, :min(docs.shape[1], r_max + h_max)]
-
-
 def forward_batch(model: ShallowCNN, docs: np.ndarray, training: bool = False,
                   rng: Rng = None):
     """Full pipeline on a (B, L, dim) batch; returns (probs (B, 3), caches).
@@ -241,7 +230,7 @@ def forward_batch(model: ShallowCNN, docs: np.ndarray, training: bool = False,
     Training mode draws its dropout masks from ``rng``, first the features'
     and then the dense layer's; inference mode applies no dropout. The convs
     and their caches, one (docs, argmax, pooled, h) per group, see the batch
-    after ``trim_pad_windows``.
+    as given: ``Documents.gather`` has already cut its trailing pad rows.
     """
     if docs.ndim != 3 or docs.shape[2] != model.embedding_dim:
         raise ValueError(
@@ -251,7 +240,7 @@ def forward_batch(model: ShallowCNN, docs: np.ndarray, training: bool = False,
     h_max = max(hp.filter_sizes)
     if h_max > docs.shape[1]:
         raise ValueError(f"filter width {h_max} exceeds document length {docs.shape[1]}")
-    docs = trim_pad_windows(docs.astype(model.arena.dtype, copy=False), h_max)
+    docs = docs.astype(model.arena.dtype, copy=False)
     pooled_parts = []
     conv_caches = []
     for g, h in enumerate(hp.filter_sizes):

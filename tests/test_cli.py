@@ -505,15 +505,19 @@ class TestDataErrors:
     ("search", {"filter_sizes": [[1, "a", 2, 2, 3]]}, "filter_sizes=(1, 'a', 2, 2, 3)"),
     ("search", {"adam_b2": ["x"]}, "adam_b2='x' must be a number in (0, 1)"),
     ("search", {"n_filters": [4.7]}, "n_filters=4.7 must be a positive integer"),
+    ("search", {"filter_sizes": [[1, 2, 3, 4, 48]]},
+     "filter_sizes=(1, 2, 3, 4, 48) must be exactly 5 positive integers of at most 47"),
     ("train", {**_TRAIN_HP, "n_filters": True}, "n_filters must be a positive integer"),
     ("train", {**_TRAIN_HP, "keep_prob": "x"}, "keep_prob must be a number in (0, 1]"),
     ("train", {**_TRAIN_HP, "filter_sizes": [1, "a", 2, 2, 3]}, "got [1, 'a', 2, 2, 3]"),
     ("train", {**_TRAIN_HP, "filter_sizes": [1.5, 2, 2, 2, 3]}, "got [1.5, 2, 2, 2, 3]"),
     ("train", {**_TRAIN_HP, "learning_rate": float("inf")}, "a positive finite number"),
+    ("train", {**_TRAIN_HP, "filter_sizes": [1, 2, 3, 4, 48]}, "of at most 47, the document "
+     "length, got [1, 2, 3, 4, 48]"),
 ], ids=["search-n_filters-str", "search-filter_sizes-flat", "search-filter_sizes-str",
-        "search-adam_b2-str", "search-n_filters-float", "train-n_filters-bool",
-        "train-keep_prob-str", "train-filter_sizes-str", "train-filter_sizes-float",
-        "train-learning_rate-inf"])
+        "search-adam_b2-str", "search-n_filters-float", "search-filter_sizes-above-47",
+        "train-n_filters-bool", "train-keep_prob-str", "train-filter_sizes-str",
+        "train-filter_sizes-float", "train-learning_rate-inf", "train-filter_sizes-above-47"])
 def test_malformed_hp_config_exits_2(corpus_dir, tmp_path, capsys, command, config, named):
     path = tmp_path / "bad-config.json"
     path.write_text(json.dumps(config))
@@ -772,11 +776,12 @@ class TestStackPredictEvaluate:
         (lambda h: h.update(dtype="float64"), "float64"),
         (lambda h: h.update(train_meta=None), "train_meta"),
         (lambda h: h["tensors"][0][1].reverse(), "conv0_w"),
+        (lambda h: h["hp"].update(filter_sizes=[1, 2, 2, 2, 48]), "at most 47"),
     ] + [
         (lambda h, key=key: h.pop(key), key)
         for key in ("hp", "dtype", "tensors", "embedding_dim", "init_seed", "train_meta")
     ], ids=["dtype-float16", "dtype-float64", "train_meta-null", "conv0_w-transposed",
-            "no-hp", "no-dtype", "no-tensors", "no-embedding_dim", "no-init_seed",
+            "filter_sizes-48", "no-hp", "no-dtype", "no-tensors", "no-embedding_dim", "no-init_seed",
             "no-train_meta"])
     def test_predict_bad_model_header(self, run_dir, corpus_dir, tmp_path, capsys,
                                       edit, named):
@@ -964,6 +969,9 @@ class TestStackPredictEvaluate:
          "leaderboard.csv: malformed row at line 3: hp adam_b2 must be a number in (0, 1)"),
         (lambda run: _duplicate_line(run / "leaderboard.csv", 2),
          "leaderboard.csv: malformed row at line 3: duplicate trial"),
+        (lambda run: _set_cell(run / "leaderboard.csv", 3, 11, "1-2-3-4-48"),
+         "leaderboard.csv: malformed row at line 3: hp filter_sizes must be exactly 5 "
+         "positive integers of at most 47"),
     ] + [
         (lambda run, score=score: _set_cell(run / "leaderboard.csv", 2, 1, score),
          f"leaderboard.csv: malformed row at line 2: cv_score {score} is not in [0, 1]")
@@ -980,8 +988,8 @@ class TestStackPredictEvaluate:
          "failed: <reason>"),
     ], ids=["oof-fold", "oof-missing", "oof-label", "manifest-folds-k",
             "manifest-format-version", "leaderboard-trial-id",
-            "leaderboard-adam_b2", "leaderboard-duplicate", "cv-nan", "cv-inf", "cv-minus-1",
-            "cv-1e309", "leaderboard-missing-trial", "leaderboard-cv-score",
+            "leaderboard-adam_b2", "leaderboard-duplicate", "leaderboard-filter_sizes-48",
+            "cv-nan", "cv-inf", "cv-minus-1", "cv-1e309", "leaderboard-missing-trial", "leaderboard-cv-score",
             "leaderboard-status"])
     def test_stack_bad_run_directory(self, run_dir, tmp_path, capsys, edit, named):
         # every row is checked, not only the top trial that --top-k 1 loads

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import token_ids
+from conftest import token_ids, toy_hp
 from scnn.corpus import DOC_LEN
 from scnn.embeddings import (Documents, EmbeddingTable, load_embeddings, lookup_docs,
                              write_embeddings)
-from scnn.errors import DataError
-from scnn.model import trim_pad_windows
+from scnn.errors import DataError, NumericError
+from scnn.model import build_model, forward_batch
 
 
 @pytest.fixture
@@ -276,9 +276,9 @@ def corpora(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_gathered_batches_equal_the_float_documents(corpus, data, h_max):
     """The word ids' Documents are those of the token lists, bit for bit
-    (the same ids, rows and row order), and a gathered, trimmed batch is the
-    float lookup's trimmed batch: the view forward_batch hands the kernels
-    does not change."""
+    (the same ids, rows and row order), and forward_batch gives a gathered
+    batch, cut after its last word column plus h_max rows, the outputs of
+    the float lookup's full 47-row batch, bit for bit."""
     table, seqs = corpus
     docs, ref = _lookup(table, seqs), reference_lookup(table, seqs)
     by_token = reference_documents(table, seqs)
@@ -287,7 +287,17 @@ def test_gathered_batches_equal_the_float_documents(corpus, data, h_max):
     assert docs.rows[docs.ids].view(np.uint32).tobytes() == ref.view(np.uint32).tobytes()
     which = np.asarray(data.draw(st.lists(st.integers(0, len(seqs) - 1), min_size=1,
                                           max_size=len(seqs), unique=True)))
-    got = trim_pad_windows(docs.gather(which, h_max), h_max)
-    want = trim_pad_windows(ref[which], h_max)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    net = build_model(toy_hp(filter_sizes=(*(min(w, h_max) for w in (1, 2, 3, 4)), h_max)),
+                      table.dim, seed=1)
+    got, want = (_forward_bits(net, batch) for batch in (docs.gather(which, h_max), ref[which]))
+    assert got == want
+
+
+def _forward_bits(net, batch):
+    """forward_batch's probabilities and each conv's pooled values and
+    argmaxes, as bytes; or the message of its NumericError (a NaN row)."""
+    try:
+        probs, caches = forward_batch(net, batch)
+    except NumericError as exc:
+        return str(exc)
+    return probs.tobytes() + b"".join(c[2].tobytes() + c[1].tobytes() for c in caches["conv"])

@@ -109,11 +109,13 @@ class TestForward:
         assert (argmax == 0).all()
         assert pooled.shape == (3, 5)
 
-    def test_ragged_path_matches_bruteforce(self, name, fwd, bwd):
+    def test_distinct_rows_past_the_cost_gate_match_bruteforce(self, name, fwd, bwd):
+        # every row of the batch is distinct but the pad row, and the conv
+        # costs 4 * 64 * 64 = 2^14: the projection of the distinct rows
         docs, W, b = _random_case(4, B=13, dim=64, h=4, f=64, dtype=np.float64, pad_rows=0)
         for n, length in enumerate([0, 2, 6]):  # an empty document and two short ones
             docs[n, length:] = 0
-        assert takes_ragged_path(docs, W)
+        assert W.size >= kernels.DISTINCT_ROWS_MIN_COST
         pooled, argmax = fwd(docs, W, b)
         for n in range(len(docs)):
             exp_pool, exp_arg = conv_pool_bruteforce(docs[n], W, b)
@@ -268,11 +270,12 @@ def test_backward_falls_back_to_the_window_gemm(kind):
     with forced_path("window"):
         window = kernels.conv_pool_backward(*args)
     # forced, the backward tries the distinct rows whatever V and U are; the
-    # all-distinct batch takes the default rule past the gate
-    with forced_path("gated" if kind == "all_distinct" else "distinct"), \
+    # all-distinct batch takes the backward's own rule past the gate
+    with forced_path("projection" if kind == "all_distinct" else "distinct"), \
             distinct_rows_found() as found:
         dW, db = kernels.conv_pool_backward(*args)
-    assert found == ([] if kind == "all_distinct" else [False])
+    if kind != "all_distinct":
+        assert found == [False]
     assert dW.tobytes() == window[0].tobytes() and db.tobytes() == window[1].tobytes()
     exp_dW, exp_db = conv_pool_backward_bruteforce(*args)
     np.testing.assert_allclose(dW, exp_dW, rtol=1e-12, atol=1e-12)
@@ -283,43 +286,25 @@ def test_backend_selection_matches_env():
     assert kernels.BACKEND == "numpy"
 
 
-def takes_ragged_path(docs, W):
-    """Whether conv_pool_forward GEMMs only the live windows (each
-    document's windows up to its last word) of a batch whose rows have
-    distinct keys."""
-    h, dim, f = W.shape
-    P = docs.shape[1] - h + 1
-    real = [np.flatnonzero(doc.any(axis=1)) for doc in docs]
-    rows = sum(min(int(r[-1]) + 1, P) for r in real if len(r))
-    distinct = len(np.unique(docs.reshape(-1, dim), axis=0))
-    return (h * dim * f >= kernels.RAGGED_MIN_WINDOW_COST and rows >= 2
-            and rows * h * dim * f > kernels.SMALL_GEMM_MAX
-            and rows < kernels.PROJECTION_MIN_WINDOWS_PER_ROW * distinct)
-
-
 # The kernels' settings that force each path at every shape: the forward's
-# "full", "ragged" and "projection", and the backward's "window" GEMM and
-# "distinct" rows. "gated" takes both kernels past the cost gate and leaves
-# them their rules. The ragged path keeps its fallback to the full path for
-# products that BLAS computes with another kernel.
+# "full" and "projection", and the backward's "window" GEMM and "distinct"
+# rows. "projection" takes the backward past the cost gate too and leaves it
+# its rule.
 FORCED = {
-    "full": {"RAGGED_MIN_WINDOW_COST": float("inf")},
-    "ragged": {"RAGGED_MIN_WINDOW_COST": 0, "PROJECTION_MIN_WINDOWS_PER_ROW": float("inf")},
-    "projection": {"RAGGED_MIN_WINDOW_COST": 0, "PROJECTION_MIN_WINDOWS_PER_ROW": 0},
+    "full": {"DISTINCT_ROWS_MIN_COST": float("inf")},
+    "projection": {"DISTINCT_ROWS_MIN_COST": 0},
     "window": {"BACKWARD_MIN_WINDOWS_PER_ROW": float("inf")},
-    "distinct": {"RAGGED_MIN_WINDOW_COST": 0, "BACKWARD_MIN_WINDOWS_PER_ROW": 0},
-    "gated": {"RAGGED_MIN_WINDOW_COST": 0},
+    "distinct": {"DISTINCT_ROWS_MIN_COST": 0, "BACKWARD_MIN_WINDOWS_PER_ROW": 0},
 }
 
 
 @contextlib.contextmanager
 def forced_path(path):
-    """Run the kernels on one path: "full" computes every window, "ragged"
-    GEMMs each document's windows up to its last word, and "projection" sums
-    those windows from the projected distinct rows (where every row checks
-    out against its distinct row and has a finite key); "window" GEMMs the
-    selected windows in the backward, and "distinct" the distinct rows
-    (where they check out)."""
+    """Run the kernels on one path: "full" computes every window, and
+    "projection" sums each document's windows up to its last word from the
+    projected distinct rows (where every row checks out against its distinct
+    row and is finite); "window" GEMMs the selected windows in the backward,
+    and "distinct" the distinct rows (where they check out)."""
     saved = {name: getattr(kernels, name) for name in FORCED[path]}
     for name, value in FORCED[path].items():
         setattr(kernels, name, value)
@@ -353,90 +338,6 @@ def forward_on(path, docs, W, b):
         return kernels.conv_pool_forward(docs, W, b)
 
 
-def both_paths(docs, W, b):
-    return forward_on("full", docs, W, b), forward_on("ragged", docs, W, b)
-
-
-@st.composite
-def ragged_cases(draw, dtypes=(np.float32,), dims=(400,), filters=(100, 200, 300, 400)):
-    """A padded (B, 47, dim) batch with drawn document lengths 0-47, some
-    interior all-zero rows (unknown tokens), and a filter bank."""
-    L = 47
-    dtype = draw(st.sampled_from(dtypes))
-    dim, f = draw(st.sampled_from(dims)), draw(st.sampled_from(filters))
-    h = draw(st.integers(1, 7))
-    lengths = draw(st.lists(st.integers(0, L), min_size=1, max_size=6))
-    kind = draw(st.sampled_from(["random", "empty_doc", "no_pad_window", "one_doc"]))
-    if kind == "empty_doc":
-        lengths[0] = 0
-    elif kind == "no_pad_window":
-        lengths[0] = L
-    elif kind == "one_doc":
-        lengths = lengths[:1]
-    rng = Rng(draw(st.integers(0, 2**32 - 1)))
-    docs = rng.uniform(-1, 1, (len(lengths), L, dim)).astype(dtype)
-    for n, length in enumerate(lengths):
-        docs[n, length:] = 0
-        if length and draw(st.booleans()):
-            docs[n, draw(st.integers(0, length - 1))] = 0  # an unknown token
-    W = rng.uniform(-0.3, 0.3, (h, dim, f)).astype(dtype)
-    b = rng.uniform(-0.1, 0.1, f).astype(dtype)
-    return docs, W, b
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(ragged_cases())
-def test_ragged_path_matches_full_bits(case):
-    """At 400-dim float32 shapes the ragged forward gives the full forward's
-    bits, at the default BLAS threading here and (below) at one thread."""
-    docs, W, b = case
-    (full_pool, full_arg), (ragged_pool, ragged_arg) = both_paths(docs, W, b)
-    assert ragged_pool.dtype == full_pool.dtype and ragged_arg.dtype == full_arg.dtype
-    assert ragged_pool.tobytes() == full_pool.tobytes()
-    np.testing.assert_array_equal(ragged_arg, full_arg)
-
-
-def test_ragged_path_matches_full_bits_at_one_blas_thread():
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    test = f"{__file__}::test_ragged_path_matches_full_bits"
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
-                          env=env, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(ragged_cases(dtypes=(np.float32, np.float64), dims=(16, 64, 400), filters=(100, 256, 400)))
-def test_ragged_path_matches_full_within_tolerance(case):
-    """At other shapes a GEMM row's last bits can depend on the rows beside
-    it (float64 (3, 47, 400), h = 6, f = 100 is one), so the two paths agree
-    to the brute-force forward test's tolerance."""
-    docs, W, b = case
-    (full_pool, full_arg), (ragged_pool, ragged_arg) = both_paths(docs, W, b)
-    tol = 1e-5 if docs.dtype == np.float32 else 1e-12
-    np.testing.assert_allclose(ragged_pool, full_pool, rtol=tol, atol=tol)
-    np.testing.assert_array_equal(ragged_arg, full_arg)
-
-
-def test_one_live_window_keeps_the_full_bits():
-    # numpy computes a one-row product as a GEMV, which rounds differently
-    docs, W, b = _random_case(6, B=1, L=47, dim=400, h=7, f=400, pad_rows=46)
-    assert 7 * 400 * 400 > kernels.SMALL_GEMM_MAX and not takes_ragged_path(docs, W)
-    (full_pool, full_arg), (ragged_pool, ragged_arg) = both_paths(docs, W, b)
-    assert ragged_pool.tobytes() == full_pool.tobytes()
-    np.testing.assert_array_equal(ragged_arg, full_arg)
-
-
-def test_ragged_path_takes_the_first_nan_like_argmax():
-    # an embeddings file may hold "nan"; argmax takes a column's first NaN
-    docs, W, b = _random_case(5, L=12, dim=400, h=2, f=100, pad_rows=3)
-    docs[1, 4, 0] = np.nan  # in windows 3 and 4 of document 1
-    assert takes_ragged_path(docs, W)
-    (full_pool, full_arg), (ragged_pool, ragged_arg) = both_paths(docs, W, b)
-    assert (ragged_arg[1] == 3).all() and np.isnan(ragged_pool[1]).all()
-    np.testing.assert_array_equal(ragged_arg, full_arg)
-    assert ragged_pool.tobytes() == full_pool.tobytes()
-
-
 def conv_pool_reference(doc, W, b):
     """Every window of one (L, dim) document as its own float64 product:
     (act (P, f), pooled (f,)). Fast enough at 400 dims, unlike the loops."""
@@ -459,20 +360,33 @@ def word_batch(rng, lengths, table, dtype=np.float32, L=47):
 @st.composite
 def projection_cases(draw):
     """A padded (B, 47, 400) batch of words from a small table (so words
-    repeat), with drawn lengths 0-47, and a filter bank."""
+    repeat), with drawn lengths 0-47, and a filter bank. A "distinct" batch
+    holds at most three documents whose every word is a row of its own, the
+    fewest windows per distinct row a batch can have."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     f, h = draw(st.sampled_from([100, 400])), draw(st.integers(1, 7))
     lengths = draw(st.lists(st.integers(0, 47), min_size=1, max_size=6))
-    kind = draw(st.sampled_from(["random", "empty_doc", "one_doc"]))
+    kind = draw(st.sampled_from(["random", "empty_doc", "no_pad_window", "one_doc",
+                                 "distinct"]))
     if kind == "empty_doc":
         lengths[0] = 0
+    elif kind == "no_pad_window":
+        lengths[0] = 47
     elif kind == "one_doc":
         lengths = lengths[:1]
+    elif kind == "distinct":
+        lengths = lengths[:3]
     rng = Rng(draw(st.integers(0, 2**32 - 1)))
-    table = rng.uniform(-1, 1, (draw(st.integers(1, 40)), 400))
-    if draw(st.booleans()):
-        table[0] = 0  # an unknown token, inside documents
-    docs = word_batch(rng, lengths, table, dtype)
+    if kind == "distinct":
+        table = rng.uniform(-1, 1, (sum(lengths), 400))
+        docs = np.zeros((len(lengths), 47, 400), dtype=dtype)
+        for n, start in enumerate(np.cumsum(lengths) - lengths):
+            docs[n, :lengths[n]] = table[start:start + lengths[n]]
+    else:
+        table = rng.uniform(-1, 1, (draw(st.integers(1, 40)), 400))
+        if draw(st.booleans()):
+            table[0] = 0  # an unknown token, inside documents
+        docs = word_batch(rng, lengths, table, dtype)
     W = rng.uniform(-0.3, 0.3, (h, 400, f)).astype(dtype)
     b = rng.uniform(-0.1, 0.1, f).astype(dtype)
     return docs, W, b
@@ -495,7 +409,7 @@ def test_projection_matches_bruteforce(case):
 
 def paper_word_case(B=6):
     """A 400-dim float32 batch of 8-12 words each from 12 words, which takes
-    the projection at the default rule."""
+    the projection."""
     rng = Rng(0)
     table = rng.uniform(-1, 1, (12, 400))
     docs = word_batch(rng, rng.integers(8, 13, B), table)
@@ -528,12 +442,12 @@ def key_of_first_row(keys, docs):
 
 
 @pytest.mark.parametrize("collide", ["every_row", "last_word_with_pad", "one_row_late"])
-def test_forced_key_collision_gives_the_ragged_bits(monkeypatch, collide):
+def test_forced_key_collision_gives_the_full_bits(monkeypatch, collide):
     docs, W, b = paper_word_case(B=12)
     last = docs[0, docs[0].any(axis=1).nonzero()[0][-1]].copy()
     for n, length in enumerate(docs.any(axis=2).sum(axis=1)):
         docs[n, length - 1] = last  # every document ends with one word
-    ragged_pool, ragged_arg = forward_on("ragged", docs, W, b)
+    full_pool, full_arg = forward_on("full", docs, W, b)
     keys = kernels._row_keys
     if collide == "every_row":
         monkeypatch.setattr(kernels, "_row_keys", lambda d: np.ones(d.shape[:2], d.dtype))
@@ -545,22 +459,24 @@ def test_forced_key_collision_gives_the_ragged_bits(monkeypatch, collide):
     with rows_checked(monkeypatch) as checks:
         pooled, argmax = kernels.conv_pool_forward(docs, W, b)
     assert [ok for _, ok in checks] == [False]  # the check caught the collision
-    assert pooled.tobytes() == ragged_pool.tobytes()
-    np.testing.assert_array_equal(argmax, ragged_arg)
+    assert pooled.tobytes() == full_pool.tobytes()
+    np.testing.assert_array_equal(argmax, full_arg)
 
 
 @pytest.mark.parametrize("column", [7, 300])  # inside and past the key's entries
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_non_finite_row_takes_the_ragged_path(monkeypatch, value, column):
+def test_non_finite_row_takes_the_full_path(monkeypatch, value, column):
     # an embeddings file may hold "nan" or "inf"
     docs, W, b = paper_word_case()
     docs[1, 3, column] = value
-    ragged_pool, ragged_arg = forward_on("ragged", docs, W, b)
+    full_pool, full_arg = forward_on("full", docs, W, b)
     with rows_checked(monkeypatch) as checks:
         pooled, argmax = kernels.conv_pool_forward(docs, W, b)
     assert checks == []
-    assert pooled.tobytes() == ragged_pool.tobytes()
-    np.testing.assert_array_equal(argmax, ragged_arg)
+    assert pooled.tobytes() == full_pool.tobytes()
+    np.testing.assert_array_equal(argmax, full_arg)
+    if value is np.nan:  # argmax takes a column's first NaN, and window 0 holds row 3
+        assert (argmax[1] == 0).all() and np.isnan(pooled[1]).all()
 
 
 def test_words_sharing_a_vector_are_one_distinct_row(monkeypatch):
@@ -674,13 +590,13 @@ def test_distinct_row_gradients_match_finite_differences():
 
 def test_threshold_splits_desk_and_paper_shapes():
     """Every conv of the synth desk space takes the full path, and every conv
-    of the default search domains at 400 dims the ragged one."""
+    of the default search domains at 400 dims the projection."""
     desk_dim = _build_parser().parse_args(["synth", "--out", "x", "--seed", "1"]).dim
     desk = [h * desk_dim * f for f in synth.TOY_SPACE["n_filters"]
             for sizes in synth.TOY_SPACE["filter_sizes"] for h in sizes]
     paper = [h * 400 * f for f in DEFAULT_SEARCH_DOMAINS["n_filters"]
              for sizes in DEFAULT_SEARCH_DOMAINS["filter_sizes"] for h in sizes]
-    assert max(desk) < kernels.RAGGED_MIN_WINDOW_COST <= min(paper)
+    assert max(desk) < kernels.DISTINCT_ROWS_MIN_COST <= min(paper)
 
 
 def test_bench_kernels_smoke():
@@ -690,6 +606,6 @@ def test_bench_kernels_smoke():
                            "--iters", "1"], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().split("\n")
-    assert lines and all("computed" in line and "ragged" in line and "projection" in line
+    assert lines and all("computed" in line and "ragged" not in line and "projection" in line
                          and "backward window" in line and "distinct rows" in line
                          for line in lines)

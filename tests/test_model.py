@@ -40,6 +40,15 @@ class TestHyperParams:
         problems = M.validate_hyperparams(hp, restricted=False)
         assert any("filter_sizes" in p for p in problems)
 
+    @pytest.mark.parametrize("width,ok", [(47, True), (48, False)])
+    def test_filter_widths_up_to_the_document_length(self, width, ok):
+        # a wider filter has no window in a 47-token document
+        problems = M.validate_hyperparams(toy_hp(filter_sizes=(1, 2, 2, 2, width)),
+                                          restricted=False)
+        assert problems == ([] if ok else [
+            f"filter_sizes=(1, 2, 2, 2, {width}) must be exactly 5 positive integers "
+            f"of at most 47, the document length"])
+
     def test_dict_round_trip(self):
         hp = toy_hp()
         assert HyperParams.from_dict(hp.to_dict()) == hp
@@ -155,8 +164,10 @@ class TestForward:
     (16, toy_hp()),  # desk shape
     (64, toy_hp(n_filters=48, n_dense_output=32, batch_size=50, filter_sizes=(3, 4, 5, 6, 7))),
 ])
-def test_pad_trim_is_bitwise_exact(monkeypatch, dim, hp):
-    """Trimming trailing all-pad windows changes no probability or gradient bit."""
+def test_pad_trim_is_bitwise_exact(dim, hp):
+    """A batch that Documents.gather cuts after its last word column plus
+    h_max rows gives the probabilities and gradients of the full 47-row
+    floats, bit for bit."""
     rng = Rng(4)
     docs = rng.uniform(0, 1, (50, 47, dim)).astype(np.float32)
     for n, length in enumerate(rng.integers(1, 13, 50)):  # 1..12 real rows, then pad
@@ -170,15 +181,14 @@ def test_pad_trim_is_bitwise_exact(monkeypatch, dim, hp):
         W[:, :, 0], b[0] = -np.abs(W[:, :, 0]), 0.5
     labels = Rng(5).integers(1, 4, 50)
 
-    def run():
-        probs, caches = M.forward_batch(net, docs, training=True, rng=Rng(6))
+    def run(batch):
+        probs, caches = M.forward_batch(net, batch, training=True, rng=Rng(6))
         return probs, caches, M.backward_batch(net, caches, labels)
 
-    probs, caches, grads = run()
+    probs, caches, grads = run(as_documents(docs).gather(np.arange(50), max(hp.filter_sizes)))
     assert caches["conv"][0][0].shape[1] <= 12 + max(hp.filter_sizes) < 47
     assert all((cache[2][:, 0] == 0.5).all() for cache in caches["conv"])
-    monkeypatch.setattr(M, "trim_pad_windows", lambda docs, h_max: docs)
-    full_probs, full_caches, full_grads = run()
+    full_probs, full_caches, full_grads = run(docs)
     assert full_caches["conv"][0][0].shape[1] == 47
     np.testing.assert_array_equal(probs, full_probs)
     for name in grads:
@@ -189,8 +199,9 @@ def test_pad_trim_keeps_width_error_and_zero_batch():
     net = build_model(toy_hp(filter_sizes=(1, 2, 2, 2, 5)), 8, seed=0)
     with pytest.raises(ValueError, match="filter width 5 exceeds document length 4"):
         M.forward_batch(net, np.zeros((2, 4, 8), np.float32))
-    probs, caches = M.forward_batch(net, np.zeros((2, 47, 8), np.float32))
-    assert caches["conv"][0][0].shape[1] == 5
+    batch = as_documents(np.zeros((2, 47, 8), np.float32)).gather([0, 1], 5)
+    assert batch.shape[1] == 5
+    probs, caches = M.forward_batch(net, batch)
     np.testing.assert_allclose(probs, 1 / 3, atol=1e-6)
 
 
