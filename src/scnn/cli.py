@@ -11,7 +11,10 @@ worker process that died; it prints ``internal error: <type>: <message>``),
 (SIGTERM; it prints ``terminated``). Partial outputs are removed when a
 command fails, is interrupted or is terminated. When several members of a
 stack fail, predict and stack --test report the first in stack order
-(rank, then fold), whatever the process count.
+(rank, then fold), whatever the process count. An --out that exists as
+the wrong kind is a data error (2) before any work: for synth, search,
+train and stack anything but a directory, for predict and evaluate anything
+but a regular file (a symlink, a FIFO, a directory).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import logging
 import os
 import shutil
 import signal
+import stat
 import sys
 
 import numpy as np
@@ -85,6 +89,24 @@ class _Outputs:
                     os.remove(path)
             except OSError:  # best effort; never mask the original error
                 pass
+
+
+# the commands whose --out is a file; every other --out is a directory
+_FILE_OUTPUTS = ("predict", "evaluate")
+
+
+def _check_out(args) -> None:
+    """DataError naming ``args.out`` if it exists as the wrong kind for the
+    command, so the command writes nothing rather than fail halfway or
+    replace what is there."""
+    path = getattr(args, "out", None)
+    if path is None or not os.path.lexists(path):
+        return
+    if args.command in _FILE_OUTPUTS:
+        if not stat.S_ISREG(os.lstat(path).st_mode):
+            raise DataError(f"--out {path} exists and is not a regular file")
+    elif not os.path.isdir(path):
+        raise DataError(f"--out {path} exists and is not a directory")
 
 
 def _parse_embeddings_flag(spec: str) -> dict:
@@ -500,6 +522,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "stack" and args.test and not args.embeddings:
             raise UsageError("stack --test requires --embeddings")
+        _check_out(args)
         # One BLAS thread computes the same bits whatever OPENBLAS_NUM_THREADS
         # says, and every worker forked from this process (workers.run_plan:
         # search's fold units, predict's members, stack's member hashes)

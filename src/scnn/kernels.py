@@ -104,12 +104,16 @@ def _row_keys(docs: np.ndarray) -> np.ndarray:
     return head @ (1 + np.arange(head.shape[2]) * 0.6180339887498949 % 1).astype(docs.dtype)
 
 
-def _distinct_rows(docs: np.ndarray, keys: np.ndarray):
+def _distinct_rows(docs: np.ndarray, keys: np.ndarray, windows: float = np.inf):
     """(distinct (V, dim), ids (B, L)) such that docs[n, i] equals
     distinct[ids[n, i]], found from the row keys; or None where two unequal
     rows share a key or a row holds NaN or inf (an embeddings file may hold
-    them)."""
+    them). The backward passes its selected ``windows``: fewer than
+    BACKWARD_MIN_WINDOWS_PER_ROW per distinct key give None before any row
+    is checked."""
     _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+    if windows < BACKWARD_MIN_WINDOWS_PER_ROW * len(first):
+        return None
     ids = ids.reshape(keys.shape)
     distinct = docs[np.divmod(first, keys.shape[1])]
     if np.isfinite(distinct).all() and _rows_equal(docs, distinct, ids):
@@ -173,9 +177,8 @@ def conv_pool_backward(docs, argmax, pooled, d_pooled, h: int):
     dW = np.empty((h, dim, f), dtype=docs.dtype)
     rows = None
     if h * dim * f >= DISTINCT_ROWS_MIN_COST:
-        rows = _distinct_rows(docs, _row_keys(docs))
-    if rows is not None and (np.count_nonzero(selected)
-                             >= BACKWARD_MIN_WINDOWS_PER_ROW * len(rows[0])):
+        rows = _distinct_rows(docs, _row_keys(docs), np.count_nonzero(selected))
+    if rows is not None:
         distinct, ids = rows
         flat = ids.ravel()
         for r in range(h):

@@ -10,7 +10,9 @@ A model's trained tensors lie back to back in one flat buffer, its arena,
 in ``param_shapes`` order (the model file's order). Adam's moments and the
 best-weights snapshot are arenas of the same layout. Training holds no
 gradient arena: a batch's gradients pass span by span through one window
-(``grad_spans``), each span into Adam before the next is computed.
+(``grad_spans``), each span into Adam before the next is computed. The
+snapshot is made, and written, only when an epoch follows a best one, so a
+training whose last epoch is its best holds three arenas, not four.
 
 Everything here runs on the calling thread: predict_proba runs its
 chunks in turn, and load_model checks a file's sha256 before it returns
@@ -417,13 +419,14 @@ class TrainedModel:
 class TrainBuffers:
     """What train() updates a model's arena with: the gradient window, big
     enough for the largest of ``grad_spans``; each span as (first element,
-    flat window slice, its tensors' views of that slice); the best-weights
-    snapshot; and the Adam state."""
+    flat window slice, its tensors' views of that slice); the Adam state;
+    and the best-weights snapshot, None until the first epoch that follows
+    a best one, which allocates it."""
 
     window: np.ndarray = field(repr=False)
     spans: list = field(repr=False)
-    best: np.ndarray = field(repr=False)
     opt: nn_core.AdamState
+    best: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def train_buffers(model: ShallowCNN) -> TrainBuffers:
@@ -435,16 +438,16 @@ def train_buffers(model: ShallowCNN) -> TrainBuffers:
     for lo, entries in spans:
         flat = window[:arena_size(entries)]
         views.append((lo, flat, arena_views(flat, entries)))
-    return TrainBuffers(window, views, np.empty_like(model.arena),
-                        nn_core.AdamState.for_arena(model.arena, model.shapes,
-                                                    beta2=model.hp.adam_b2))
+    return TrainBuffers(window, views, nn_core.AdamState.for_arena(
+        model.arena, model.shapes, beta2=model.hp.adam_b2))
 
 
 class SharedBuffers:
-    """One TrainBuffers (window, snapshot, Adam moments) for consecutive
-    train() calls, made anew only when a model's tensor layout or dtype
-    differs from the last one's, so its pages are faulted in once per run
-    of same-shaped models; its spans are cut once per layout."""
+    """One TrainBuffers (window, Adam moments, snapshot once one is made)
+    for consecutive train() calls, made anew only when a model's tensor
+    layout or dtype differs from the last one's, so its pages are faulted
+    in once per run of same-shaped models; its spans are cut once per
+    layout."""
 
     def __init__(self):
         self._key = self._set = None
@@ -476,7 +479,14 @@ def train(model: ShallowCNN, train_docs: Documents, train_labels: np.ndarray,
     restart processing. A batch's gradients are applied span by span
     (backward_batch), so when a non-finite gradient raises NumericError the
     spans visited before it are already updated: a caller discards the
-    model.
+    model. A dev score that does not beat -inf (NaN, from a dev_scorer)
+    raises NumericError naming its epoch.
+
+    The best weights are copied into the snapshot at the start of the epoch
+    after a best one, the first moment the arena could lose them, so the
+    last epoch's best weights are never copied. A restart or the final
+    restore reads the snapshot only after an epoch without improvement,
+    which always comes after that copy.
     """
     n = len(train_docs)
     if n == 0:
@@ -488,12 +498,12 @@ def train(model: ShallowCNN, train_docs: Documents, train_labels: np.ndarray,
 
     lr = model.hp.learning_rate
     buffers = buffers if buffers is not None else train_buffers(model)
-    best, opt = buffers.best, buffers.opt
+    opt = buffers.opt
     opt.reset()
     drop_rng = rng.substream("dropout")
     best_score = -np.inf
     best_probs = None
-    np.copyto(best, model.arena)
+    unsaved = False  # the arena holds best weights that the snapshot lacks
     stagnation = 0
     restart_count = 0
     history = []
@@ -501,6 +511,11 @@ def train(model: ShallowCNN, train_docs: Documents, train_labels: np.ndarray,
     epoch = 0
     while epoch < sched.max_epochs:
         epoch += 1
+        if unsaved:
+            if buffers.best is None:
+                buffers.best = np.empty_like(model.arena)
+            np.copyto(buffers.best, model.arena)
+            unsaved = False
         order = rng.substream("shuffle", epoch).permutation(n)
         loss_total = 0.0
         for start in range(0, n, model.hp.batch_size):
@@ -524,12 +539,14 @@ def train(model: ShallowCNN, train_docs: Documents, train_labels: np.ndarray,
         else:
             dev_probs = predict_proba(model, dev_docs)
             dev_score = metrics.micro_f1_12(dev_labels, dev_probs)
+        if not dev_score > -np.inf:
+            raise NumericError(f"dev score {dev_score} at epoch {epoch} does not beat -inf")
         history.append((train_loss, dev_score, lr))
 
         if dev_score > best_score:
             best_score = dev_score
             best_probs = dev_probs
-            np.copyto(best, model.arena)
+            unsaved = True
             stagnation = 0
         else:
             stagnation += 1
@@ -538,7 +555,7 @@ def train(model: ShallowCNN, train_docs: Documents, train_labels: np.ndarray,
         stop = False
         if stagnation >= sched.patience:
             if restart_count < RESTARTS_ALLOWED:
-                np.copyto(model.arena, best)
+                np.copyto(model.arena, buffers.best)
                 opt.reset()
                 lr *= LR_DECAY
                 restart_count += 1
@@ -556,7 +573,7 @@ def train(model: ShallowCNN, train_docs: Documents, train_labels: np.ndarray,
             break
 
     if stagnation:  # else the arena holds the best weights already
-        np.copyto(model.arena, best)
+        np.copyto(model.arena, buffers.best)
     return TrainedModel(
         weights=model,
         best_dev_score=float(best_score),

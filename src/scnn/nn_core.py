@@ -139,7 +139,9 @@ class AdamState:
 
     ``layout`` is the buffer's (name, shape) table, which names the tensor of
     a non-finite gradient; ``scratch`` holds two buffers of up to ADAM_CHUNK
-    elements that every step reuses for its intermediates.
+    elements that every step reuses for its intermediates. The moments stay
+    zero until a step advances ``t``, so fresh moments are untouched zero
+    pages until the first step, and ``reset`` writes them only after one.
     """
 
     m: np.ndarray
@@ -158,14 +160,16 @@ class AdamState:
         if not (0 < beta1 < 1 and 0 < beta2 < 1):
             raise ValueError("beta1 and beta2 must be in (0, 1)")
         n = min(ADAM_CHUNK, params.size)
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params), layout=list(layout),
+        return cls(m=np.zeros(params.shape, params.dtype),
+                   v=np.zeros(params.shape, params.dtype), layout=list(layout),
                    scratch=(np.empty(n, params.dtype), np.empty(n, params.dtype)),
                    beta1=beta1, beta2=beta2, epsilon=epsilon)
 
     def reset(self) -> None:
         """Zero the moments and the step count, as at an annealing restart."""
-        self.m.fill(0)
-        self.v.fill(0)
+        if self.t:
+            self.m.fill(0)
+            self.v.fill(0)
         self.t = 0
 
 
@@ -181,11 +185,14 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
     result has the same bits as the formula evaluated with temporaries.
     A step may update the buffer in several spans, one call each: the first
     advances the step count, and each further one passes ``advance=False``
-    to update its span at that count. Non-finite gradients raise
-    NumericError (check_finite) before anything is updated.
+    to update its span at that count (ValueError before any step has
+    advanced it). Non-finite gradients raise NumericError (check_finite)
+    before anything is updated.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
+    if not (advance or state.t):
+        raise ValueError("the first step must advance the step count")
     m, v = state.m, state.v
     for what, a in (("first moment", m), ("second moment", v)):
         if a.shape != params.shape or a.dtype != params.dtype:

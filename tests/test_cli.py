@@ -499,6 +499,60 @@ class TestDataErrors:
         assert captured.out == "" and not out.exists()
 
 
+def _make_out(tmp_path, kind):
+    """An existing path of ``kind`` under tmp_path, and what its entry holds."""
+    out = tmp_path / "out"
+    if kind == "file":
+        out.write_text("kept\n")
+    elif kind == "dir":
+        out.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(out)
+    else:  # a symlink to a regular file, or one that points nowhere
+        target = tmp_path / "target.txt"
+        if kind == "symlink":
+            target.write_text("kept\n")
+        out.symlink_to(target)
+    return out
+
+
+def _entries(root):
+    return sorted((str(p.relative_to(root)), p.is_symlink(), p.is_fifo(),
+                   p.read_bytes() if p.is_file() else None) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("command,kind", [
+    ("synth", "file"), ("search", "file"), ("train", "file"), ("stack", "fifo"),
+    ("search", "dangling"), ("predict", "dir"), ("predict", "symlink"),
+    ("evaluate", "symlink"), ("evaluate", "fifo"), ("evaluate", "dangling"),
+])
+def test_out_of_the_wrong_kind_exits_2_and_writes_nothing(run_dir, corpus_dir, tmp_path,
+                                                          capsys, command, kind):
+    emb = f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_TRAIN_HP))
+    argv = {
+        "synth": ["--seed", 1],
+        "search": ["--train", corpus_dir / "train.tsv", "--embeddings", emb, "--trials", 1,
+                   "--seed", 1, "--config", corpus_dir / "space.json", "--unrestricted-space"],
+        "train": ["--train", corpus_dir / "train.tsv", "--embeddings", emb, "--config", config,
+                  "--seed", 1, "--unrestricted-space"],
+        "stack": ["--run", run_dir, "--top-k", 1],
+        "predict": ["--manifest", tmp_path / "none.json", "--test", corpus_dir / "test.tsv",
+                    "--embeddings", emb],
+        "evaluate": ["--gold", corpus_dir / "test.tsv", "--pred", tmp_path / "none.tsv"],
+    }[command]
+    out = _make_out(tmp_path, kind)
+    before = _entries(tmp_path)
+    capsys.readouterr()
+    code = run_cli(command, "--out", out, *argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    want = "a directory" if command in ("synth", "search", "train", "stack") else "a regular file"
+    assert err == f"data error: --out {out} exists and is not {want}\n"
+    assert _entries(tmp_path) == before  # the entry, its target and no .tmp
+
+
 @pytest.mark.parametrize("command,config,named", [
     ("search", {"n_filters": ["x"]}, "n_filters='x' must be a positive integer"),
     ("search", {"filter_sizes": [5]}, "filter_sizes=5 must be exactly 5 positive integers"),

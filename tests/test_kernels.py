@@ -262,7 +262,7 @@ def fallback_case(kind):
 
 
 @pytest.mark.parametrize("kind", ["nan", "inf", "shared_key", "all_distinct"])
-def test_backward_falls_back_to_the_window_gemm(kind):
+def test_backward_falls_back_to_the_window_gemm(kind, monkeypatch):
     docs, W, b, d_pooled = fallback_case(kind)
     with np.errstate(invalid="ignore"):  # BLAS may multiply the -inf by a padding zero
         pooled, argmax = kernels.conv_pool_forward(docs, W, b)
@@ -270,12 +270,17 @@ def test_backward_falls_back_to_the_window_gemm(kind):
     with forced_path("window"):
         window = kernels.conv_pool_backward(*args)
     # forced, the backward tries the distinct rows whatever V and U are; the
-    # all-distinct batch takes the backward's own rule past the gate
+    # all-distinct batch takes the backward's own rule past the gate, which
+    # turns it away before any row is checked
+    checked, rows_equal = [], kernels._rows_equal
+    monkeypatch.setattr(kernels, "_rows_equal",
+                        lambda *a: checked.append(True) or rows_equal(*a))
     with forced_path("projection" if kind == "all_distinct" else "distinct"), \
             distinct_rows_found() as found:
         dW, db = kernels.conv_pool_backward(*args)
-    if kind != "all_distinct":
-        assert found == [False]
+    assert found == [False]
+    if kind == "all_distinct":
+        assert checked == []
     assert dW.tobytes() == window[0].tobytes() and db.tobytes() == window[1].tobytes()
     exp_dW, exp_db = conv_pool_backward_bruteforce(*args)
     np.testing.assert_allclose(dW, exp_dW, rtol=1e-12, atol=1e-12)
@@ -321,8 +326,8 @@ def distinct_rows_found():
     the rows."""
     found, helper = [], kernels._distinct_rows
 
-    def spy(docs, keys):
-        rows = helper(docs, keys)
+    def spy(docs, keys, *windows):
+        rows = helper(docs, keys, *windows)
         found.append(rows is not None)
         return rows
 

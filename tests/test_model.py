@@ -322,6 +322,13 @@ class TestTrainSchedule:
         for name in a.weights.params:
             np.testing.assert_array_equal(a.weights.params[name], b.weights.params[name])
 
+    @pytest.mark.parametrize("scores", [[float("nan")], [0.5, 0.7, float("nan")],
+                                        [-np.inf]])
+    def test_dev_score_that_cannot_be_best_raises(self, scores):
+        epoch = len(scores)
+        with pytest.raises(NumericError, match=f"dev score {scores[-1]} at epoch {epoch}"):
+            self._train(scores, patience=1)
+
     def test_empty_dev_rejected(self):
         net = build_model(toy_hp(), 8, seed=0)
         docs = as_documents(np.zeros((4, 12, 8), np.float32))
@@ -576,25 +583,45 @@ class TestGradWindow:
         assert changed <= {"dense_w", "dense_b", "out_w", "out_b", "conv4_w", "conv4_b"}
         assert buffers.opt.t == 1
 
-    def test_paper_batch_holds_no_gradient_arena(self):
+    @staticmethod
+    def _paper_train_peak(scores):
+        """(traced peak bytes, buffers, model) of a paper-shape train of one
+        batch per epoch, one epoch per dev score."""
         import tracemalloc
 
-        hp = _paper_hp()
         _, docs, labels = synth_arrays(9, 50, dim=400)
-        arena_bytes = M.arena_size(M.param_shapes(hp, 400)) * 4
-        window_bytes = (7 * 400 * 400 + 400) * 4
+        it = iter(scores)
         tracemalloc.start()
         try:
-            # one batch: the model, the snapshot, Adam's moments and the window
-            # stay; the batch's rows, caches and each kernel's result come and go
-            M.train(build_model(hp, 400, seed=0), docs, labels, docs, labels,
-                    TrainSchedule(max_epochs=1), Rng(0), dev_scorer=lambda m: 0.0)
-            peak = tracemalloc.get_traced_memory()[1]
+            # the model, Adam's moments and the window stay, and the snapshot
+            # once an epoch follows a best one; the batch's rows, caches and
+            # each kernel's result come and go
+            net = build_model(_paper_hp(), 400, seed=0)
+            buffers = M.train_buffers(net)
+            M.train(net, docs, labels, docs, labels, TrainSchedule(max_epochs=len(scores)),
+                    Rng(0), dev_scorer=lambda m: next(it), buffers=buffers)
+            return tracemalloc.get_traced_memory()[1], buffers, net
         finally:
             tracemalloc.stop()
+
+    @staticmethod
+    def _held(arenas):
+        arena_bytes = M.arena_size(M.param_shapes(_paper_hp(), 400)) * 4
+        return arenas * arena_bytes + (7 * 400 * 400 + 400) * 4  # and the window
+
+    def test_paper_batch_holds_no_gradient_arena(self):
+        # a 1-epoch train holds three arenas and never makes the snapshot
+        peak, buffers, _ = self._paper_train_peak([0.0])
+        assert buffers.best is None
         # the slack holds the batch's rows and caches (~5 MB) and the widest
         # kernel result (~5 MB); a gradient arena (16.8 MB) would not fit
-        assert 4 * arena_bytes + window_bytes < peak < 4 * arena_bytes + window_bytes + 12e6
+        assert self._held(3) < peak < self._held(3) + 12e6
+
+    def test_epoch_after_a_best_one_makes_the_snapshot(self):
+        peak, buffers, net = self._paper_train_peak([1.0, 0.5])
+        # epoch 2 did not improve, so the returned weights are the snapshot
+        np.testing.assert_array_equal(net.arena, buffers.best)
+        assert self._held(4) < peak < self._held(4) + 12e6
 
 
 class TestSaveLoad:

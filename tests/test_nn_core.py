@@ -185,6 +185,19 @@ class TestAdam:
         adam_step(fresh, np.ones(1), fresh_state, lr=0.1)
         np.testing.assert_array_equal(params, fresh)
 
+    def test_reset_writes_no_moment_before_a_step(self):
+        _, state = self._setup(layout=(("w", (4,)),))
+        for moment in (state.m, state.v):
+            moment.flags.writeable = False  # a fill would raise
+        state.reset()
+        assert state.t == 0 and not state.m.any() and not state.v.any()
+
+    def test_first_step_must_advance(self):
+        params, state = self._setup()
+        with pytest.raises(ValueError, match="advance"):
+            adam_step(params, np.ones(1), state, lr=0.1, advance=False)
+        assert state.t == 0 and not params.any() and not state.m.any()
+
     def test_non_finite_gradient_named(self):
         layout = (("a", (2,)), ("w", (2, 3)), ("b", (1,)))
         params, state = self._setup(layout=layout)
