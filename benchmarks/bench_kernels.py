@@ -100,12 +100,9 @@ def time_fn(fn, iters):
     return (time.perf_counter() - start) / iters
 
 
-FORCED = {  # the kernels' settings that force each path at any shape
-    "full": {"DISTINCT_ROWS_MIN_COST": float("inf")},
-    "projection": {"DISTINCT_ROWS_MIN_COST": 0},
-    "window": {"BACKWARD_MIN_WINDOWS_PER_ROW": float("inf")},
-    "distinct": {"DISTINCT_ROWS_MIN_COST": 0, "BACKWARD_MIN_WINDOWS_PER_ROW": 0},
-}
+# the cost gate that forces each path at any shape: below it both kernels
+# take their window GEMMs, past it their distinct rows
+FORCED = {"full": float("inf"), "window": float("inf"), "projection": 0, "distinct": 0}
 
 
 def forced(path, kernel, *args):
@@ -113,27 +110,21 @@ def forced(path, kernel, *args):
     every window, and "projection" sums each document's windows up to its
     last word from the projected distinct rows. Backward: "window" GEMMs the
     selected windows, and "distinct" the distinct rows."""
-    saved = {name: getattr(kernels, name) for name in FORCED[path]}
-    for name, value in FORCED[path].items():
-        setattr(kernels, name, value)
+    saved = kernels.DISTINCT_ROWS_MIN_COST
+    kernels.DISTINCT_ROWS_MIN_COST = FORCED[path]
     try:
         return kernel(*args)
     finally:
-        for name, value in saved.items():
-            setattr(kernels, name, value)
+        kernels.DISTINCT_ROWS_MIN_COST = saved
 
 
-def chosen_path(W):
+def chosen_paths(W):
+    """The forward's and the backward's path for filter bank ``W``, where
+    the batch's distinct rows are found."""
     h, dim, f = W.shape
-    return "full" if h * dim * f < kernels.DISTINCT_ROWS_MIN_COST else "projection"
-
-
-def chosen_backward(W, n_distinct, n_selected):
-    h, dim, f = W.shape
-    if (h * dim * f >= kernels.DISTINCT_ROWS_MIN_COST
-            and n_selected >= kernels.BACKWARD_MIN_WINDOWS_PER_ROW * n_distinct):
-        return "distinct"
-    return "window"
+    if h * dim * f < kernels.DISTINCT_ROWS_MIN_COST:
+        return "full", "window"
+    return "projection", "distinct"
 
 
 def bench_case(name, lengths, vocab, B, dim, h, f, iters):
@@ -150,15 +141,56 @@ def bench_case(name, lengths, vocab, B, dim, h, f, iters):
     bwd = {path: time_fn(lambda: forced(path, kernels.conv_pool_backward, docs, argmax, pooled,
                                         d_pooled, h), iters)
            for path in ("window", "distinct")}
+    forward, backward = chosen_paths(W)
     print(f"{name:9s} {lengths:5s} {vocab:8s} B={B:3d} L={docs.shape[1]:2d} dim={dim:3d}"
           f" h={h} f={f:3d}  h*dim*f={h * dim * f:7d}  V={n_distinct:5d}"
-          f" live={n_live:5d} (computed {live.mean():5.1%},"
-          f" {chosen_path(W):10s})"
+          f" live={n_live:5d} (computed {live.mean():5.1%}, {forward:10s})"
           f"  forward full {fwd['full'] * 1e3:7.3f} ms"
           f"  projection {fwd['projection'] * 1e3:7.3f} ms"
-          f"  U={n_selected:5d} ({chosen_backward(W, n_distinct, n_selected):8s})"
+          f"  U={n_selected:5d} ({backward:8s})"
           f"  backward window {bwd['window'] * 1e3:7.3f} ms"
           f"  distinct rows {bwd['distinct'] * 1e3:7.3f} ms")
+
+
+POOLING_CASES = [
+    # name,    lengths, vocab,     B,  dim, h, f
+    ("desk",  "synth", "synth",  512,  16, 2, 4),
+    ("desk",  "synth", "synth",  512,  16, 2, 8),
+    ("paper", "tweet", "zipf",    50, 400, 5, 400),
+    ("paper", "tweet", "zipf",   100, 400, 5, 400),
+]
+
+
+def pool_batch_major(act, path):
+    """The pooling each forward path ran before window-major pooling, over
+    axis 1 of a (B, P, f) array: the full path's argmax and gather, and the
+    projection's rank reduction."""
+    if path == "full":
+        argmax = act.argmax(axis=1)
+        return np.take_along_axis(act, argmax[:, None, :], axis=1)[:, 0, :], argmax
+    top = act.max(axis=1)
+    P = act.shape[1]
+    rank = np.arange(P, 0, -1, dtype=np.min_scalar_type(P))
+    key = np.multiply(act == top[:, None, :], rank[:, None], dtype=rank.dtype)
+    return top, np.subtract(P, key.max(axis=1), dtype=np.intp)
+
+
+def bench_pooling(name, lengths, vocab, B, dim, h, f, iters):
+    """Max-over-time pooling alone, on a case's ReLU'd window values laid out
+    batch-major (B, P, f) as before and window-major (P, B, f) as now."""
+    docs, W, b, _ = make_case(lengths, vocab, B, dim, h, f)
+    P = docs.shape[1] - h + 1
+    wins = np.lib.stride_tricks.sliding_window_view(docs, (h, dim), axis=(1, 2))
+    act = np.maximum(wins.transpose(1, 0, 2, 3, 4).reshape(P * B, h * dim)
+                     @ W.reshape(h * dim, f) + b, 0).reshape(P, B, f)
+    old_layout = np.ascontiguousarray(act.transpose(1, 0, 2))
+    path = chosen_paths(W)[0]
+    old, new = pool_batch_major(old_layout, path), kernels._first_max(act)
+    assert all(np.array_equal(o, n) for o, n in zip(old, new))
+    t_old = time_fn(lambda: pool_batch_major(old_layout, path), iters)
+    t_new = time_fn(lambda: kernels._first_max(act), iters)
+    print(f"pooling {name:5s} {lengths:5s} {vocab:5s} B={B:3d} P={P:2d} f={f:3d} ({path:10s})"
+          f"  old (B, P, f) {t_old * 1e3:7.3f} ms  new (P, B, f) {t_new * 1e3:7.3f} ms")
 
 
 def main():
@@ -167,6 +199,8 @@ def main():
     args = parser.parse_args()
     for case in CASES:
         bench_case(*case, iters=args.iters)
+    for case in POOLING_CASES:
+        bench_pooling(*case, iters=args.iters)
 
 
 if __name__ == "__main__":

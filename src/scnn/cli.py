@@ -33,7 +33,8 @@ import sys
 import numpy as np
 
 from . import corpus, embeddings, metrics
-from .ensemble import load_ensemble, save_ensemble, stack_top_k, stacked_predict, usable_cpus
+from .ensemble import (hash_members, load_ensemble, save_ensemble, stack_top_k, stacked_predict,
+                       usable_cpus)
 from .errors import DataError, NumericError
 from .fileio import atomic_write, file_sha256, read_json, read_tsv
 from .model import HyperParams, SharedBuffers, TrainSchedule, validate_hyperparams
@@ -97,15 +98,18 @@ _FILE_OUTPUTS = ("predict", "evaluate")
 
 def _check_out(args) -> None:
     """DataError naming ``args.out`` if it exists as the wrong kind for the
-    command, so the command writes nothing rather than fail halfway or
-    replace what is there."""
+    command, or if a file ``--out`` has no directory to go in, so the command
+    writes nothing rather than fail halfway or replace what is there."""
     path = getattr(args, "out", None)
-    if path is None or not os.path.lexists(path):
+    if path is None:
         return
     if args.command in _FILE_OUTPUTS:
-        if not stat.S_ISREG(os.lstat(path).st_mode):
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise DataError(f"--out {path}: {parent} is not a directory")
+        if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
             raise DataError(f"--out {path} exists and is not a regular file")
-    elif not os.path.isdir(path):
+    elif os.path.lexists(path) and not os.path.isdir(path):
         raise DataError(f"--out {path} exists and is not a directory")
 
 
@@ -293,9 +297,10 @@ def _cmd_stack(args, outputs: _Outputs) -> int:
               for r in (records if want_report else records[:max(k_values)])]
 
     out = outputs.claim_dir(args.out)
+    top = hash_members(stack_top_k(loaded, max(k_values)))  # each member file hashed once
     for k in k_values:
         manifest_path = os.path.join(out, f"stack_top{k}.json")
-        save_ensemble(stack_top_k(loaded, k), manifest_path,
+        save_ensemble(top[:k], manifest_path,
                       fold_seed=run_manifest["fold_seed"],
                       space_descriptor=run_manifest["space_descriptor"])
         logger.info("wrote %s", manifest_path)

@@ -24,8 +24,8 @@ the fork.
 A member is checked against its sha256 as it is loaded, before it
 predicts; it then predicts its 512-document chunks in turn on its
 process's one thread, each chunk's float rows gathered just before its
-forward. save_ensemble hashes a stack's member files on the same
-processes.
+forward. hash_members hashes a stack's member files on the same
+processes, so stack hashes each file once for all its K values.
 save_ensemble writes a stack's JSON manifest; load_ensemble checks it and
 each member with fileio.check_fields tables, as search.load_run checks a
 run manifest, so format_version is a required integer no newer than the
@@ -38,7 +38,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -220,24 +220,32 @@ def stacked_predict(stack: Sequence[Trial], docs_by_name: dict) -> np.ndarray:
 MANIFEST_FORMAT_VERSION = 1
 
 
-def save_ensemble(stack: Sequence[Trial], manifest_path, fold_seed: int,
-                  space_descriptor: str) -> None:
-    """Write the manifest of ``stack``, whose trials' members are ModelFiles
-    (fold order); each entry takes its member's path and the file's sha256.
-    The files are hashed on one process per usable CPU
+def hash_members(trials: Sequence[Trial]) -> list:
+    """``trials`` with every member a ModelFile that carries its file's
+    sha256. Members without one are hashed on one process per usable CPU
     (workers.map_on_processes)."""
     from .workers import map_on_processes
 
-    manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
-    paths = [member.path for trial in stack for member in trial.members]
+    paths = [m.path for trial in trials for m in trial.members if not m.sha256]
     digests = iter(map_on_processes(file_sha256, paths,
                                     process_count(usable_cpus(), len(paths))))
+    return [replace(trial, members=[ModelFile(m.path, m.sha256 or next(digests))
+                                    for m in trial.members])
+            for trial in trials]
+
+
+def save_ensemble(stack: Sequence[Trial], manifest_path, fold_seed: int,
+                  space_descriptor: str) -> None:
+    """Write the manifest of ``stack``, whose trials' members are ModelFiles
+    (fold order); each entry takes its member's path and the file's sha256,
+    hashed here (hash_members) where the member carries none."""
+    manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
     members = []
-    for trial in stack:
+    for trial in hash_members(stack):
         for member in trial.members:
             members.append({
                 "path": os.path.relpath(os.path.abspath(member.path), manifest_dir),
-                "sha256": next(digests),
+                "sha256": member.sha256,
                 "trial_id": trial.trial_id,
                 "cv_score": round(trial.cv_score, 6),
             })

@@ -1,31 +1,33 @@
 """Convolution + max-over-time pooling kernels, the hot inner loops.
 
-Both kernels are plain numpy over BLAS. The forward has two paths:
+Both kernels are plain numpy over BLAS. From ``DISTINCT_ROWS_MIN_COST`` up
+(every 400-dim shape) both go through the batch's distinct rows whenever
+``_distinct_rows`` finds them. Below it (every desk shape), or where the
+rows cannot be used (two unequal rows share a key, or a row holds NaN or
+inf), both take their window GEMM.
+
+The forward has two paths:
 
 - **full**: one GEMM of every window against the filter bank, in the
   im2col formulation of Chellapilla et al. (2006), *High Performance
-  Convolutional Neural Networks for Document Processing*. Every desk shape
-  takes it.
-- **projection**: from ``DISTINCT_ROWS_MIN_COST`` up (every 400-dim shape).
-  A width-h conv is linear in its window, so each distinct row of the batch
-  goes through each offset's filters once, and a window sums h of those
-  projected rows. Every window after a document's last word, all pad, gets
-  the value ``relu(b)`` without a product. A batch whose distinct rows
-  cannot be used (two unequal rows share a key, or a row holds NaN or inf)
-  takes the full path.
+  Convolutional Neural Networks for Document Processing*.
+- **projection**: a width-h conv is linear in its window, so each distinct
+  row of the batch goes through each offset's filters once, and a window
+  sums h of those projected rows. Every window after a document's last
+  word, all pad, gets the value ``relu(b)`` without a product.
+
+Both lay out the window values window-major, as a (P, B, f) array, and
+pool it with one ``_first_max`` over axis 0.
 
 The backward has two paths:
 
-- **window**: a GEMM over only the windows some filter selected. Every desk
-  shape takes it.
-- **distinct rows**: from ``DISTINCT_ROWS_MIN_COST`` up, a batch with enough
-  selected windows per distinct row (``BACKWARD_MIN_WINDOWS_PER_ROW``), the
-  transpose of the projection. Each distinct row's gradient at each offset
-  is summed first, and a GEMM then runs over the distinct rows.
+- **window**: a GEMM over only the windows some filter selected.
+- **distinct rows**: the transpose of the projection. Each distinct row's
+  gradient at each offset is summed first, and a GEMM then runs over the
+  distinct rows.
 
-Both kernels find a batch's distinct rows with ``_distinct_rows``. Both are
-deterministic run to run and keep the input dtype (float32 in training,
-float64 in the gradient checker).
+Both kernels are deterministic run to run and keep the input dtype
+(float32 in training, float64 in the gradient checker).
 
 ``benchmarks/bench_kernels.py`` times them on desk and paper shapes.
 """
@@ -45,13 +47,6 @@ BACKEND = "numpy"  # the only backend; benchmark results report it
 # all-distinct rows. Desk shapes cost at most 640 and 400-dim shapes at
 # least 40,000, so any value between picks the same paths.
 DISTINCT_ROWS_MIN_COST = 2 ** 14
-# From DISTINCT_ROWS_MIN_COST up, the backward goes through the distinct rows
-# when the batch has at least this many selected windows per distinct row.
-# On a 2-core VM, in batches of 50 synth- or tweet-length documents from
-# uniform vocabularies, the two backward paths take equal time at 1.1-1.2
-# selected windows per row (h = 7, f = 400 to h = 3, f = 100). With as many
-# distinct rows as windows, the distinct rows take 1.05-1.55x the time.
-BACKWARD_MIN_WINDOWS_PER_ROW = 1.25
 
 
 def conv_pool_forward(docs: np.ndarray, W: np.ndarray, b: np.ndarray):
@@ -66,28 +61,27 @@ def conv_pool_forward(docs: np.ndarray, W: np.ndarray, b: np.ndarray):
     h, _, f = W.shape
     P = L - h + 1
     W2 = W.reshape(h * dim, f)
-    rows = None
-    if h * dim * f >= DISTINCT_ROWS_MIN_COST:
-        rows = _distinct_rows(docs, _row_keys(docs))
+    rows = _distinct_rows(docs) if h * dim * f >= DISTINCT_ROWS_MIN_COST else None
     if rows is None:
         wins = np.lib.stride_tricks.sliding_window_view(docs, (h, dim), axis=(1, 2))
-        z = wins.reshape(B * P, h * dim) @ W2
+        z = wins.transpose(1, 0, 2, 3, 4).reshape(P * B, h * dim) @ W2
         z += b
-        act = np.maximum(z, 0, out=z).reshape(B, P, f)
-        argmax = act.argmax(axis=1)
-        return np.take_along_axis(act, argmax[:, None, :], axis=1)[:, 0, :], argmax
+        return _first_max(np.maximum(z, 0, out=z).reshape(P, B, f))
     distinct, ids = rows
     projected = np.matmul(distinct, W)  # (h, V, f)
-    live = _live_windows(distinct.any(axis=1)[ids], P)
-    # window (n, p) sums row ids[n, p + r] of the projection through offset
+    # (P, B): window p of document n is live when a nonzero row sits at or
+    # after p; every later window is all pad
+    real = distinct.any(axis=1)[ids]
+    live = np.logical_or.accumulate(real[:, ::-1], axis=1)[:, ::-1][:, :P].T
+    # window (p, n) sums row ids[n, p + r] of the projection through offset
     # r, for r = 0 .. h - 1
-    n_idx, p_idx = np.nonzero(live)
+    p_idx, n_idx = np.nonzero(live)
     flat, start = ids.ravel(), n_idx * L + p_idx
     z = projected[0].take(flat[start], axis=0)
     for r in range(1, h):
         z += projected[r].take(flat[start + r], axis=0)
     z += b
-    act = np.empty((B, P, f), dtype=z.dtype)
+    act = np.empty((P, B, f), dtype=z.dtype)
     # an all-pad window's value: relu(b), or NaN where W holds inf or NaN
     act[...] = np.maximum(np.zeros(h * dim, dtype=z.dtype) @ W2 + b, 0)
     act[live] = np.maximum(z, 0, out=z)
@@ -98,22 +92,19 @@ def _row_keys(docs: np.ndarray) -> np.ndarray:
     """(B, L) keys, one per row: the dot product of its first 32 entries with
     fixed weights in [1, 2). A row of zeros has key 0. Unequal rows rarely
     share a key, unless they differ only after their first 32 entries; the
-    row check then sends their batch to the full path. Reading one or two
+    row check then sends their batch to the window GEMM. Reading one or two
     cache lines of a row makes the key ~5x cheaper than reading all of it."""
     head = docs[..., :32]
     return head @ (1 + np.arange(head.shape[2]) * 0.6180339887498949 % 1).astype(docs.dtype)
 
 
-def _distinct_rows(docs: np.ndarray, keys: np.ndarray, windows: float = np.inf):
+def _distinct_rows(docs: np.ndarray):
     """(distinct (V, dim), ids (B, L)) such that docs[n, i] equals
     distinct[ids[n, i]], found from the row keys; or None where two unequal
     rows share a key or a row holds NaN or inf (an embeddings file may hold
-    them). The backward passes its selected ``windows``: fewer than
-    BACKWARD_MIN_WINDOWS_PER_ROW per distinct key give None before any row
-    is checked."""
+    them)."""
+    keys = _row_keys(docs)
     _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
-    if windows < BACKWARD_MIN_WINDOWS_PER_ROW * len(first):
-        return None
     ids = ids.reshape(keys.shape)
     distinct = docs[np.divmod(first, keys.shape[1])]
     if np.isfinite(distinct).all() and _rows_equal(docs, distinct, ids):
@@ -128,27 +119,23 @@ def _rows_equal(docs: np.ndarray, distinct: np.ndarray, ids: np.ndarray) -> bool
                for s in range(0, len(docs), 8))
 
 
-def _live_windows(real: np.ndarray, P: int) -> np.ndarray:
-    """(B, P) bool from the (B, L) mask of nonzero rows: window p is live
-    when a nonzero row sits at or after p. Every later window is all pad."""
-    return np.logical_or.accumulate(real[:, ::-1], axis=1)[:, ::-1][:, :P]
-
-
 def _first_max(act: np.ndarray) -> tuple:
-    """(max, argmax) over axis 1 of a (B, P, f) array, the argmax as
-    ``act.argmax(axis=1)`` gives it, in two reductions along the contiguous
-    f axis instead of one strided pass per (B, f) column. The max is the
-    value at its first position, so it is returned as it is."""
-    top = act.max(axis=1)
+    """(max, argmax) over axis 0 of a window-major (P, B, f) array, the
+    argmax as ``act.argmax(axis=0)`` gives it: the first position of the
+    max, or of the first NaN. Both reductions run elementwise over whole
+    (B, f) planes. The max is the value at its first position, so it is
+    returned as it is."""
+    top = act.max(axis=0)
+    hit = act == top
     if np.isnan(top).any():  # argmax takes the first NaN, which equals nothing
-        argmax = act.argmax(axis=1)
-        return np.take_along_axis(act, argmax[:, None, :], axis=1)[:, 0, :], argmax
-    P = act.shape[1]
+        hit |= np.isnan(act)
+    P = len(act)
     # P for the first position down to 1 for the last: the largest rank among
-    # the positions equal to the max is the first of them
+    # the positions that hit is the first of them
     rank = np.arange(P, 0, -1, dtype=np.min_scalar_type(P))
-    key = np.multiply(act == top[:, None, :], rank[:, None], dtype=rank.dtype)
-    return top, np.subtract(P, key.max(axis=1), dtype=np.intp)
+    key = np.multiply(hit, rank[:, None, None], dtype=rank.dtype)
+    del hit  # kept through the reduction, it raised a paper-shape search's peak RSS 0.7 MB
+    return top, np.subtract(P, key.max(axis=0), dtype=np.intp)
 
 
 def conv_pool_backward(docs, argmax, pooled, d_pooled, h: int):
@@ -158,12 +145,12 @@ def conv_pool_backward(docs, argmax, pooled, d_pooled, h: int):
     the pooled value is positive (the ReLU gate at the selected position).
     Only the U distinct (document, position) windows that carry gradient
     are gathered; dW is their rows' transpose times the (U, f) gradient
-    those windows receive. From ``DISTINCT_ROWS_MIN_COST`` up, a batch with
-    at least ``BACKWARD_MIN_WINDOWS_PER_ROW`` selected windows per distinct
-    row goes through its V distinct rows instead: offset r of a window holds
-    one of them, so dW[r] is their transpose times the (V, f) gradient each
-    receives at offset r. Those sums run in the input dtype in (document,
-    filter) order, so the last bits differ from the window GEMM's.
+    those windows receive. From ``DISTINCT_ROWS_MIN_COST`` up, a batch whose
+    V distinct rows are found goes through them instead: offset r of a
+    window holds one of them, so dW[r] is their transpose times the (V, f)
+    gradient each receives at offset r. Those sums run in the input dtype
+    in (document, filter) order, so the last bits differ from the window
+    GEMM's.
     """
     B, L, dim = docs.shape
     f = argmax.shape[1]
@@ -172,12 +159,8 @@ def conv_pool_backward(docs, argmax, pooled, d_pooled, h: int):
     n_idx, j_idx = np.divmod(pairs, f)
     g = gate.ravel().take(pairs)
     start = n_idx * L + argmax.ravel().take(pairs)  # a gated pair's window, by its first row
-    selected = np.zeros(B * L, dtype=bool)
-    selected[start] = True
     dW = np.empty((h, dim, f), dtype=docs.dtype)
-    rows = None
-    if h * dim * f >= DISTINCT_ROWS_MIN_COST:
-        rows = _distinct_rows(docs, _row_keys(docs), np.count_nonzero(selected))
+    rows = _distinct_rows(docs) if h * dim * f >= DISTINCT_ROWS_MIN_COST else None
     if rows is not None:
         distinct, ids = rows
         flat = ids.ravel()
@@ -188,6 +171,8 @@ def conv_pool_backward(docs, argmax, pooled, d_pooled, h: int):
             np.add.at(S.ravel(), flat[start + r] * f + j_idx, g)
             np.matmul(distinct.T, S, out=dW[r])
         return dW, gate.sum(axis=0)
+    selected = np.zeros(B * L, dtype=bool)
+    selected[start] = True
     windows = np.flatnonzero(selected)
     # A window lies in one document, so each (window, filter) cell receives
     # at most one gradient and plain assignment scatters without collisions.

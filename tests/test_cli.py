@@ -24,7 +24,7 @@ import pytest
 from conftest import assert_no_child_process, rewrite_model_header, save_net
 from scnn import cli
 from scnn.cli import _build_parser, main
-from scnn.ensemble import ModelFile, Trial, save_ensemble
+from scnn.ensemble import ModelFile, Trial, save_ensemble, stack_top_k
 from scnn.model import HyperParams, build_model
 
 
@@ -500,8 +500,14 @@ class TestDataErrors:
 
 
 def _make_out(tmp_path, kind):
-    """An existing path of ``kind`` under tmp_path, and what its entry holds."""
+    """An existing path of ``kind`` under tmp_path, or one whose directory
+    is "missing" or a "file_parent"."""
     out = tmp_path / "out"
+    if kind == "missing":
+        return tmp_path / "missing" / "out"
+    if kind == "file_parent":
+        out.write_text("kept\n")
+        return out / "out"
     if kind == "file":
         out.write_text("kept\n")
     elif kind == "dir":
@@ -525,6 +531,7 @@ def _entries(root):
     ("synth", "file"), ("search", "file"), ("train", "file"), ("stack", "fifo"),
     ("search", "dangling"), ("predict", "dir"), ("predict", "symlink"),
     ("evaluate", "symlink"), ("evaluate", "fifo"), ("evaluate", "dangling"),
+    ("predict", "missing"), ("evaluate", "missing"), ("evaluate", "file_parent"),
 ])
 def test_out_of_the_wrong_kind_exits_2_and_writes_nothing(run_dir, corpus_dir, tmp_path,
                                                           capsys, command, kind):
@@ -549,7 +556,10 @@ def test_out_of_the_wrong_kind_exits_2_and_writes_nothing(run_dir, corpus_dir, t
     err = capsys.readouterr().err
     assert code == 2, err
     want = "a directory" if command in ("synth", "search", "train", "stack") else "a regular file"
-    assert err == f"data error: --out {out} exists and is not {want}\n"
+    if kind in ("missing", "file_parent"):
+        assert err == f"data error: --out {out}: {out.parent} is not a directory\n"
+    else:
+        assert err == f"data error: --out {out} exists and is not {want}\n"
     assert _entries(tmp_path) == before  # the entry, its target and no .tmp
 
 
@@ -744,6 +754,34 @@ class TestStackPredictEvaluate:
         for k in (1, 2):  # one member entry per model file: folds x K
             doc = json.loads((out / f"stack_top{k}.json").read_text())
             assert doc["K"] == k and len(doc["members"]) == 5 * k
+
+    def test_stack_hashes_each_member_once(self, run_dir, tmp_path, monkeypatch):
+        import scnn.ensemble
+        from scnn import search
+
+        log, real = tmp_path / "hashed.log", scnn.ensemble.file_sha256
+
+        def logged(path):  # the forked hashing workers inherit it
+            with open(log, "a") as fh:
+                fh.write(f"{path}\n")
+            return real(path)
+
+        monkeypatch.setattr(scnn.ensemble, "file_sha256", logged)
+        out = tmp_path / "stacks"
+        assert run_cli("stack", "--run", run_dir, "--top-k", "1,2,3", "--out", out) == 0
+        hashed = log.read_text().splitlines()
+        assert len(hashed) == len(set(hashed)) == 3 * 5  # the top 3 trials' fold files
+        # each manifest as save_ensemble writes its own top-K stack, hashing it
+        monkeypatch.undo()
+        run_manifest, records = search.load_run(run_dir)
+        loaded = [search.load_trial_ensemble(run_dir, r, run_manifest["folds_k"])
+                  for r in records[:3]]
+        for k in (1, 2, 3):
+            ref = tmp_path / "ref" / f"stack_top{k}.json"
+            ref.parent.mkdir(exist_ok=True)
+            save_ensemble(stack_top_k(loaded, k), ref, fold_seed=run_manifest["fold_seed"],
+                          space_descriptor=run_manifest["space_descriptor"])
+            assert (out / ref.name).read_bytes() == ref.read_bytes()
 
     def test_stack_top_k_too_big(self, run_dir, tmp_path):
         assert run_cli("stack", "--run", run_dir, "--top-k", "50",

@@ -238,8 +238,9 @@ def test_distinct_row_backward_matches_bruteforce(case):
 def fallback_case(kind):
     """A float64 batch of repeated words, 40 dims wide so that a row has
     entries past its key's first 32, whose distinct rows the backward cannot
-    use ("nan", "inf", and "shared_key": two unequal rows with one key) or
-    does not take ("all_distinct": fewer selected windows than rows)."""
+    use ("nan", "inf", and "shared_key": two unequal rows with one key), or
+    ("all_distinct") whose rows are all distinct, so fewer selected windows
+    than rows share one."""
     rng = Rng(8)
     table = rng.uniform(-1, 1, (3, 40))
     docs = word_batch(rng, [7, 5, 9], table, np.float64, L=10)
@@ -262,26 +263,20 @@ def fallback_case(kind):
 
 
 @pytest.mark.parametrize("kind", ["nan", "inf", "shared_key", "all_distinct"])
-def test_backward_falls_back_to_the_window_gemm(kind, monkeypatch):
+def test_backward_falls_back_to_the_window_gemm(kind):
     docs, W, b, d_pooled = fallback_case(kind)
     with np.errstate(invalid="ignore"):  # BLAS may multiply the -inf by a padding zero
         pooled, argmax = kernels.conv_pool_forward(docs, W, b)
     args = (docs, argmax, pooled, d_pooled, W.shape[0])
     with forced_path("window"):
         window = kernels.conv_pool_backward(*args)
-    # forced, the backward tries the distinct rows whatever V and U are; the
-    # all-distinct batch takes the backward's own rule past the gate, which
-    # turns it away before any row is checked
-    checked, rows_equal = [], kernels._rows_equal
-    monkeypatch.setattr(kernels, "_rows_equal",
-                        lambda *a: checked.append(True) or rows_equal(*a))
-    with forced_path("projection" if kind == "all_distinct" else "distinct"), \
-            distinct_rows_found() as found:
+    # past the cost gate the backward takes the distinct rows wherever they
+    # are found, however few selected windows share one
+    with forced_path("distinct"), distinct_rows_found() as found:
         dW, db = kernels.conv_pool_backward(*args)
-    assert found == [False]
-    if kind == "all_distinct":
-        assert checked == []
-    assert dW.tobytes() == window[0].tobytes() and db.tobytes() == window[1].tobytes()
+    assert found == [kind == "all_distinct"]
+    if kind != "all_distinct":
+        assert dW.tobytes() == window[0].tobytes() and db.tobytes() == window[1].tobytes()
     exp_dW, exp_db = conv_pool_backward_bruteforce(*args)
     np.testing.assert_allclose(dW, exp_dW, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(db, exp_db, rtol=1e-12, atol=1e-12)
@@ -291,16 +286,10 @@ def test_backend_selection_matches_env():
     assert kernels.BACKEND == "numpy"
 
 
-# The kernels' settings that force each path at every shape: the forward's
-# "full" and "projection", and the backward's "window" GEMM and "distinct"
-# rows. "projection" takes the backward past the cost gate too and leaves it
-# its rule.
-FORCED = {
-    "full": {"DISTINCT_ROWS_MIN_COST": float("inf")},
-    "projection": {"DISTINCT_ROWS_MIN_COST": 0},
-    "window": {"BACKWARD_MIN_WINDOWS_PER_ROW": float("inf")},
-    "distinct": {"DISTINCT_ROWS_MIN_COST": 0, "BACKWARD_MIN_WINDOWS_PER_ROW": 0},
-}
+# The cost gate that forces each path at every shape: below it the forward's
+# "full" GEMM and the backward's "window" GEMM, past it the forward's
+# "projection" and the backward's "distinct" rows.
+FORCED = {"full": float("inf"), "window": float("inf"), "projection": 0, "distinct": 0}
 
 
 @contextlib.contextmanager
@@ -310,14 +299,12 @@ def forced_path(path):
     projected distinct rows (where every row checks out against its distinct
     row and is finite); "window" GEMMs the selected windows in the backward,
     and "distinct" the distinct rows (where they check out)."""
-    saved = {name: getattr(kernels, name) for name in FORCED[path]}
-    for name, value in FORCED[path].items():
-        setattr(kernels, name, value)
+    saved = kernels.DISTINCT_ROWS_MIN_COST
+    kernels.DISTINCT_ROWS_MIN_COST = FORCED[path]
     try:
         yield
     finally:
-        for name, value in saved.items():
-            setattr(kernels, name, value)
+        kernels.DISTINCT_ROWS_MIN_COST = saved
 
 
 @contextlib.contextmanager
@@ -326,8 +313,8 @@ def distinct_rows_found():
     the rows."""
     found, helper = [], kernels._distinct_rows
 
-    def spy(docs, keys, *windows):
-        rows = helper(docs, keys, *windows)
+    def spy(docs):
+        rows = helper(docs)
         found.append(rows is not None)
         return rows
 
@@ -532,6 +519,37 @@ def test_projection_ties_take_the_first_position():
     np.testing.assert_array_equal(argmax[1], np.where(act[1] > act[0], 1, 0))
 
 
+@st.composite
+def window_major_cases(draw):
+    """A window-major (P, B, f) array of ReLU'd window values, as both
+    forward paths pool it. Each document's windows after its drawn count of
+    live ones hold one filter's pad value relu(b), so they tie with each
+    other (and all of an empty document's windows tie); NaN may sit at any
+    drawn windows."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    P = draw(st.one_of(st.sampled_from([1, 47]), st.integers(2, 46)))  # 47: uint8 ranks
+    B, f = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 5]))
+    rng = Rng(draw(st.integers(0, 2**32 - 1)))
+    act = np.maximum(rng.uniform(-1, 1, (P, B, f)), 0).astype(dtype)
+    pad = np.maximum(rng.uniform(-0.5, 0.5, f), 0).astype(dtype)
+    for n in range(B):
+        act[draw(st.integers(0, P)):, n] = pad
+    for _ in range(draw(st.integers(0, 3))):
+        act[draw(st.integers(0, P - 1)), draw(st.integers(0, B - 1)),
+            draw(st.integers(0, f - 1))] = np.nan
+    return act
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(window_major_cases())
+def test_first_max_is_the_first_argmax(act):
+    top, argmax = kernels._first_max(act)
+    want = act.argmax(axis=0)  # the first max, or the first NaN
+    assert argmax.dtype == want.dtype and top.dtype == act.dtype
+    np.testing.assert_array_equal(argmax, want)
+    np.testing.assert_array_equal(top, np.take_along_axis(act, want[None], axis=0)[0])
+
+
 RERUN = """
 import hashlib, numpy as np
 from scnn import kernels
@@ -611,6 +629,11 @@ def test_bench_kernels_smoke():
                            "--iters", "1"], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().split("\n")
-    assert lines and all("computed" in line and "ragged" not in line and "projection" in line
+    cases = [line for line in lines if not line.startswith("pooling ")]
+    pooling = [line for line in lines if line.startswith("pooling ")]
+    assert cases and all("computed" in line and "ragged" not in line and "projection" in line
                          and "backward window" in line and "distinct rows" in line
-                         for line in lines)
+                         for line in cases)
+    # pooling alone at desk B = 512 (f = 4, 8) and paper B = 50, 100 (f = 400)
+    assert len(pooling) == 4 and all("old (B, P, f)" in line and "new (P, B, f)" in line
+                                     for line in pooling)
