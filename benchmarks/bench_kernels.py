@@ -152,55 +152,12 @@ def bench_case(name, lengths, vocab, B, dim, h, f, iters):
           f"  distinct rows {bwd['distinct'] * 1e3:7.3f} ms")
 
 
-POOLING_CASES = [
-    # name,    lengths, vocab,     B,  dim, h, f
-    ("desk",  "synth", "synth",  512,  16, 2, 4),
-    ("desk",  "synth", "synth",  512,  16, 2, 8),
-    ("paper", "tweet", "zipf",    50, 400, 5, 400),
-    ("paper", "tweet", "zipf",   100, 400, 5, 400),
-]
-
-
-def pool_batch_major(act, path):
-    """The pooling each forward path ran before window-major pooling, over
-    axis 1 of a (B, P, f) array: the full path's argmax and gather, and the
-    projection's rank reduction."""
-    if path == "full":
-        argmax = act.argmax(axis=1)
-        return np.take_along_axis(act, argmax[:, None, :], axis=1)[:, 0, :], argmax
-    top = act.max(axis=1)
-    P = act.shape[1]
-    rank = np.arange(P, 0, -1, dtype=np.min_scalar_type(P))
-    key = np.multiply(act == top[:, None, :], rank[:, None], dtype=rank.dtype)
-    return top, np.subtract(P, key.max(axis=1), dtype=np.intp)
-
-
-def bench_pooling(name, lengths, vocab, B, dim, h, f, iters):
-    """Max-over-time pooling alone, on a case's ReLU'd window values laid out
-    batch-major (B, P, f) as before and window-major (P, B, f) as now."""
-    docs, W, b, _ = make_case(lengths, vocab, B, dim, h, f)
-    P = docs.shape[1] - h + 1
-    wins = np.lib.stride_tricks.sliding_window_view(docs, (h, dim), axis=(1, 2))
-    act = np.maximum(wins.transpose(1, 0, 2, 3, 4).reshape(P * B, h * dim)
-                     @ W.reshape(h * dim, f) + b, 0).reshape(P, B, f)
-    old_layout = np.ascontiguousarray(act.transpose(1, 0, 2))
-    path = chosen_paths(W)[0]
-    old, new = pool_batch_major(old_layout, path), kernels._first_max(act)
-    assert all(np.array_equal(o, n) for o, n in zip(old, new))
-    t_old = time_fn(lambda: pool_batch_major(old_layout, path), iters)
-    t_new = time_fn(lambda: kernels._first_max(act), iters)
-    print(f"pooling {name:5s} {lengths:5s} {vocab:5s} B={B:3d} P={P:2d} f={f:3d} ({path:10s})"
-          f"  old (B, P, f) {t_old * 1e3:7.3f} ms  new (P, B, f) {t_new * 1e3:7.3f} ms")
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--iters", type=int, default=20)
     args = parser.parse_args()
     for case in CASES:
         bench_case(*case, iters=args.iters)
-    for case in POOLING_CASES:
-        bench_pooling(*case, iters=args.iters)
 
 
 if __name__ == "__main__":

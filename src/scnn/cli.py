@@ -33,14 +33,13 @@ import sys
 import numpy as np
 
 from . import corpus, embeddings, metrics
-from .ensemble import (hash_members, load_ensemble, save_ensemble, stack_top_k, stacked_predict,
-                       usable_cpus)
+from .ensemble import hash_members, load_ensemble, save_ensemble, stack_top_k, stacked_predict
 from .errors import DataError, NumericError
 from .fileio import atomic_write, file_sha256, read_json, read_tsv
 from .model import HyperParams, SharedBuffers, TrainSchedule, validate_hyperparams
 
-# search, synth and gradcheck are imported by the commands that use them, so
-# that predict and evaluate do not load them.
+# search, synth, gradcheck and workers are imported by the commands that use
+# them, so that predict and evaluate do not load them.
 
 logger = logging.getLogger(__name__)
 
@@ -70,10 +69,14 @@ class _Outputs:
     def __init__(self):
         self.created = []
 
-    def claim_dir(self, path) -> str:
+    def claim_dir(self, path, files=()) -> str:
+        """Claim the directory ``path`` and the ``files`` (names) the command
+        writes in it, which a failure removes even if ``path`` existed."""
         if not os.path.exists(path):
             os.makedirs(path)
             self.created.append(path)
+        for name in files:
+            self.claim_file(os.path.join(path, name))
         return path
 
     def claim_file(self, path) -> str:
@@ -167,7 +170,7 @@ def _schedule_from_args(args) -> TrainSchedule:
 
 def _cmd_synth(args, outputs: _Outputs) -> int:
     from . import synth
-    outputs.claim_dir(args.out)
+    outputs.claim_dir(args.out, map(os.path.basename, synth.corpus_paths(args.out).values()))
     paths = synth.write_synth_corpus(
         args.out, args.seed, n_train=args.train_size, n_test=args.test_size,
         dim=args.dim,
@@ -233,21 +236,19 @@ def _cmd_search(args, outputs: _Outputs) -> int:
             for name in sorted(docs_by_name)
         },
     }
-    outputs.claim_dir(args.out)
-    outputs.claim_file(os.path.join(args.out, "leaderboard.csv"))
-    outputs.claim_file(os.path.join(args.out, "manifest.json"))
-    outputs.claim_dir(os.path.join(args.out, "trials"))
+    outputs.claim_dir(args.out, ["leaderboard.csv", "manifest.json"])
+    outputs.claim_dir(os.path.join(args.out, "trials"), map(str, range(args.trials)))
     search.run_search(
         [ex.id for ex in examples], [ex.label for ex in examples], docs_by_name,
         space, args.trials, folds, _schedule_from_args(args), args.seed, args.out,
-        parallelism=args.parallelism or usable_cpus(), dataset_info=info,
+        parallelism=args.parallelism, dataset_info=info,
     )
     logger.info("search complete: %s", os.path.join(args.out, "leaderboard.csv"))
     return 0
 
 
 def _cmd_train(args, outputs: _Outputs) -> int:
-    from . import search
+    from . import search, workers
     hp = _read_config(args.config, HyperParams.from_dict)
     problems = validate_hyperparams(hp, restricted=not args.unrestricted_space)
     if problems:
@@ -255,16 +256,19 @@ def _cmd_train(args, outputs: _Outputs) -> int:
 
     examples, folds, docs_by_name = _read_train(
         args, _parse_embeddings_flag(args.embeddings), [hp.word_embedding])
-    out = outputs.claim_dir(args.out)
+    out = outputs.claim_dir(args.out, [f"fold{fold}.scnn" for fold in range(folds.k)]
+                            + ["oof.tsv", "result.json"])
     inputs = search.TrialInputs(
         ids=[ex.id for ex in examples],
         labels=np.asarray([ex.label for ex in examples], dtype=np.int64),
         docs_by_name=docs_by_name, folds=folds, sched=_schedule_from_args(args),
         seed=args.seed, out_dir=out,
     )
-    # trial 0 of a search with this config and seed, in --out itself
+    # trial 0 of a search with this config and seed, in --out itself, on the
+    # runner search's units run on; each process has its own copy of buffers
     buffers = SharedBuffers()
-    rows = [search.train_unit(inputs, 0, hp, fold, buffers, out) for fold in range(folds.k)]
+    rows = workers.map_on_processes(
+        lambda fold: search.train_unit(inputs, 0, hp, fold, buffers, out), range(folds.k))
     cv_score = search.write_oof(inputs, out, rows)
     result = {
         "cv_score": round(cv_score, 6),
@@ -296,7 +300,8 @@ def _cmd_stack(args, outputs: _Outputs) -> int:
     loaded = [search.load_trial_ensemble(args.run, r, run_manifest["folds_k"])
               for r in (records if want_report else records[:max(k_values)])]
 
-    out = outputs.claim_dir(args.out)
+    out = outputs.claim_dir(args.out, [f"stack_top{k}.json" for k in k_values]
+                            + ["report.csv"] * want_report)
     top = hash_members(stack_top_k(loaded, max(k_values)))  # each member file hashed once
     for k in k_values:
         manifest_path = os.path.join(out, f"stack_top{k}.json")
@@ -530,9 +535,9 @@ def main(argv=None) -> int:
         _check_out(args)
         # One BLAS thread computes the same bits whatever OPENBLAS_NUM_THREADS
         # says, and every worker forked from this process (workers.run_plan:
-        # search's fold units, predict's members, stack's member hashes)
-        # inherits it. The other cores are left to those workers, the one
-        # way scnn runs work in parallel.
+        # fold units, predict's members, stack's member hashes) inherits it.
+        # The other cores are left to those workers, the one way scnn runs
+        # work in parallel.
         with _one_blas_thread():
             return args.func(args, outputs)
     except UsageError as exc:

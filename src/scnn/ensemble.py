@@ -13,14 +13,11 @@ A member is a ModelFile on disk, loaded only while ensemble_predict uses
 it, so a process predicting with a stack of any size holds one member's
 tensors at a time; tests may pass any object with predict_proba(docs)
 instead. ensemble_predict runs the members of all the trials it is given
-on one process per usable CPU (workers.map_on_processes, over the runner
-search trains on: the caller and workers it forks, one per share, which
-send each member's probabilities back on a pipe), one member per process
-at a time, and averages their probabilities in the caller in member order,
-so the bytes do not depend on the process count. A worker that dies
-raises workers.WorkerDied. The documents are embeddings.Documents, token
-ids over the rows of the words they use, which the workers inherit from
-the fork.
+on workers.map_on_processes, one member per process at a time, and
+averages their probabilities in the caller in member order, so the bytes
+do not depend on the process count. The documents are
+embeddings.Documents, token ids over the rows of the words they use,
+which the workers inherit from the fork.
 A member is checked against its sha256 as it is loaded, before it
 predicts; it then predicts its 512-document chunks in turn on its
 process's one thread, each chunk's float rows gathered just before its
@@ -37,7 +34,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -46,7 +42,7 @@ import numpy as np
 from . import model
 from .corpus import FoldAssignment
 from .embeddings import Documents
-from .errors import DataError, NumericError
+from .errors import DataError, ScnnError
 from .fileio import atomic_write, check_fields, file_sha256, is_int, is_number, read_json
 from .model import (
     HyperParams,
@@ -118,28 +114,8 @@ def train_fold_ensemble(hp: HyperParams, docs: Documents, labels: np.ndarray,
             net, docs[train_idx], labels[train_idx], docs[held_out], labels[held_out],
             sched, Rng(fold_seed).substream("train"), buffers=buffers.for_model(net),
         )
-    except (DataError, ValueError, ArithmeticError) as exc:
+    except (ScnnError, ValueError, ArithmeticError) as exc:
         raise type(exc)(f"fold {fold}: {exc}") from exc
-    except NumericError as exc:
-        raise NumericError(f"fold {fold}: {exc}") from exc
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask's, or the CPU
-    count where the OS has no masks."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this OS
-        return os.cpu_count() or 1
-
-
-def process_count(parallelism: int, n_items: int) -> int:
-    """Processes that workers.run_plan runs ``n_items`` on, the caller
-    included: ``parallelism`` capped at the item count and the usable CPUs,
-    and at 1 off Linux, the one platform where the workers are forked."""
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    return min(parallelism, n_items, usable_cpus() if sys.platform == "linux" else 1)
 
 
 def mean_probs(parts: list) -> np.ndarray:
@@ -183,7 +159,7 @@ def ensemble_predict(trials: Sequence[Trial], docs_by_name: dict) -> list:
         trial, member = job
         return _member_probs(trial, member, docs_by_name[trial.hp.word_embedding])
 
-    probs = map_on_processes(member_probs, jobs, process_count(usable_cpus(), len(jobs)))
+    probs = map_on_processes(member_probs, jobs)
     means, start = [], 0
     for trial in trials:
         means.append(mean_probs(probs[start:start + len(trial.members)]))
@@ -227,8 +203,7 @@ def hash_members(trials: Sequence[Trial]) -> list:
     from .workers import map_on_processes
 
     paths = [m.path for trial in trials for m in trial.members if not m.sha256]
-    digests = iter(map_on_processes(file_sha256, paths,
-                                    process_count(usable_cpus(), len(paths))))
+    digests = iter(map_on_processes(file_sha256, paths))
     return [replace(trial, members=[ModelFile(m.path, m.sha256 or next(digests))
                                     for m in trial.members])
             for trial in trials]

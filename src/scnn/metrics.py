@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .corpus import CLASSES
 from .errors import DataError
-
-CLASSES = (1, 2, 3)
 
 
 def argmax_labels(probs: np.ndarray) -> np.ndarray:

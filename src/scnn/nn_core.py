@@ -115,6 +115,8 @@ def dropout(x: np.ndarray, keep_prob: float, rng: Rng):
 # Elements per pass of an Adam update: a pass's slices of p, g, m, v and its
 # two scratch buffers stay in cache, so each element is read and written once.
 ADAM_CHUNK = 1 << 15
+ADAM_BETA1 = 0.9  # Adam's first-moment decay and epsilon; beta2 is a hyperparameter
+ADAM_EPSILON = 1e-8
 
 
 def tensor_at(layout, index: int) -> str:
@@ -149,21 +151,18 @@ class AdamState:
     layout: list
     scratch: tuple = field(repr=False)
     t: int = 0
-    beta1: float = 0.9
     beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def for_arena(cls, params: np.ndarray, layout, beta2: float, beta1: float = 0.9,
-                  epsilon: float = 1e-8) -> "AdamState":
+    def for_arena(cls, params: np.ndarray, layout, beta2: float) -> "AdamState":
         """Zero moments for the flat buffer ``params`` laid out as ``layout``."""
-        if not (0 < beta1 < 1 and 0 < beta2 < 1):
-            raise ValueError("beta1 and beta2 must be in (0, 1)")
+        if not 0 < beta2 < 1:
+            raise ValueError("beta2 must be in (0, 1)")
         n = min(ADAM_CHUNK, params.size)
         return cls(m=np.zeros(params.shape, params.dtype),
                    v=np.zeros(params.shape, params.dtype), layout=list(layout),
                    scratch=(np.empty(n, params.dtype), np.empty(n, params.dtype)),
-                   beta1=beta1, beta2=beta2, epsilon=epsilon)
+                   beta2=beta2)
 
     def reset(self) -> None:
         """Zero the moments and the step count, as at an annealing restart."""
@@ -207,7 +206,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
     check_finite(grads, state.layout, offset)
     if advance:
         state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.epsilon
+    b1, b2, eps = ADAM_BETA1, state.beta2, ADAM_EPSILON
     step = lr / (1.0 - b1 ** state.t)
     bc2 = 1.0 - b2 ** state.t
     s_buf, t_buf = state.scratch

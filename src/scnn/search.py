@@ -5,10 +5,8 @@ per fold. The units are planned longest first by n_filters x
 sum(filter_sizes), ties by (trial, fold), and run by workers.run_plan, the
 runner that ensemble_predict uses for a stack's members: unit j runs on
 process j % n, the calling process, which takes the longest unit of each
-round and starts at once, or one of n - 1 workers forked from it
-(``--parallelism n``, capped by ensemble.process_count at the unit count
-and the CPUs this process may use, and at 1 off Linux; n = 1 forks
-nothing). A worker inherits the training inputs from the fork and sends each
+round and starts at once, or one of n - 1 workers forked from it (n is
+workers.process_count's of ``--parallelism``; n = 1 forks nothing). A worker inherits the training inputs from the fork and sends each
 unit's result back as the unit ends. When the caller fails or is
 interrupted, each worker stops after its current unit; when the caller
 dies, the kernel ends its workers with SIGTERM. Each process
@@ -16,7 +14,7 @@ keeps one set of training buffers for consecutive units of one shape. A
 unit (train_unit) saves its fold model and returns its held-out rows; once a
 trial's last unit is in, the caller merges the rows and writes its oof.tsv
 (write_oof). ``scnn train`` runs the same two functions on the k folds of
-one config, serially, into its --out.
+one config, on the same runner (workers.map_on_processes), into its --out.
 
 A leaderboard row is an ensemble.Trial without members; load_trial_ensemble
 adds its fold models. ensemble.rank orders the leaderboard, the report and
@@ -74,7 +72,6 @@ from .ensemble import (
     Trial,
     ensemble_predict,
     mean_probs,
-    process_count,
     rank,
     train_fold_ensemble,
 )
@@ -396,10 +393,10 @@ def _run_units(inputs: TrialInputs, units: list, stopped=lambda: False):
         yield run_unit(inputs, tid, hp, fold, buffers)
 
 
-def _run_trials(inputs: TrialInputs, planned: list, n_procs: int) -> list:
-    """Records of every planned trial, in trial order, its units run on
-    ``n_procs`` processes by workers.run_plan. A trial is finished as soon
-    as its last unit's result is in."""
+def _run_trials(inputs: TrialInputs, planned: list, parallelism: Optional[int]) -> list:
+    """Records of every planned trial, in trial order, its units run by
+    workers.run_plan at ``parallelism``. A trial is finished as soon as its
+    last unit's result is in."""
     k = inputs.folds.k
     hp_of = dict(planned)
     pending = {tid: [] for tid, _ in planned}
@@ -411,18 +408,19 @@ def _run_trials(inputs: TrialInputs, planned: list, n_procs: int) -> list:
         if len(pending[tid]) == k:
             records[tid] = finish_trial(inputs, tid, hp_of[tid], pending.pop(tid))
 
-    run_plan(partial(_run_units, inputs), plan_units(planned, k), n_procs, collect)
+    run_plan(partial(_run_units, inputs), plan_units(planned, k), collect, parallelism)
     return [records[tid] for tid, _ in planned]
 
 
 def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
                space: SearchSpace, n_trials: int, folds: FoldAssignment,
-               sched: TrainSchedule, seed: int, out_dir, parallelism: int = 1,
+               sched: TrainSchedule, seed: int, out_dir, parallelism: Optional[int] = 1,
                dataset_info: Optional[dict] = None) -> list:
-    """Sample ``n_trials`` distinct configs, train a fold ensemble each and
-    write the run directory described in the module docstring to
-    ``out_dir``. Each fold model is saved as soon as it is trained, so a
-    process holds one trained model at a time.
+    """Sample ``n_trials`` distinct configs, train a fold ensemble each on
+    ``parallelism`` processes (None: the usable CPUs) and write the run
+    directory described in the module docstring to ``out_dir``. Each fold
+    model is saved as soon as it is trained, so a process holds one trained
+    model at a time.
 
     Returns the Trials, without members, in rank order; a trial's members
     are read back with load_trial_ensemble. A failed trial is recorded on the
@@ -430,7 +428,6 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    n_procs = process_count(parallelism, n_trials * folds.k)
     for name in space.domains["word_embedding"]:
         if name not in docs_by_name:
             raise DataError(f"no embedded documents for word_embedding={name!r}")
@@ -445,7 +442,7 @@ def run_search(ids: Sequence[str], labels: np.ndarray, docs_by_name: dict,
         docs_by_name=docs_by_name, folds=folds, sched=sched, seed=seed,
         out_dir=out_dir,
     )
-    ranked = rank(_run_trials(inputs, planned, n_procs))
+    ranked = rank(_run_trials(inputs, planned, parallelism))
     with atomic_write(os.path.join(out_dir, "leaderboard.csv")) as fh:
         fh.write(format_leaderboard_csv(ranked))
     manifest = {

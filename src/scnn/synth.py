@@ -68,18 +68,19 @@ def make_embedding_table(rng: Rng, dim: int = 16, name: str = "synthetic") -> Em
                           vocab={w: i for i, w in enumerate(words)}, vectors=vectors)
 
 
+def corpus_paths(out_dir) -> dict:
+    """role -> path of each file write_synth_corpus writes in ``out_dir``."""
+    return {role: os.path.join(out_dir, f"{role}.{ext}") for role, ext in
+            (("train", "tsv"), ("test", "tsv"), ("embeddings", "txt"), ("space", "json"))}
+
+
 def write_synth_corpus(out_dir, seed: int, n_train: int = 600, n_test: int = 300,
                        dim: int = 16) -> dict:
     """Write train.tsv, test.tsv, embeddings.txt, and space.json; returns
-    the file paths."""
+    the file paths (corpus_paths)."""
     os.makedirs(out_dir, exist_ok=True)
     rng = Rng(seed)
-    paths = {
-        "train": os.path.join(out_dir, "train.tsv"),
-        "test": os.path.join(out_dir, "test.tsv"),
-        "embeddings": os.path.join(out_dir, "embeddings.txt"),
-        "space": os.path.join(out_dir, "space.json"),
-    }
+    paths = corpus_paths(out_dir)
     write_dataset(make_examples(rng.substream("train"), n_train, "tr"), paths["train"])
     write_dataset(make_examples(rng.substream("test"), n_test, "te"), paths["test"])
     write_embeddings(make_embedding_table(rng, dim), paths["embeddings"])

@@ -2,10 +2,10 @@
 
 run_plan runs item j of a plan on process j % n: the caller runs share 0,
 and a worker forked from it runs each other share, inheriting all it reads
-and the caller's BLAS thread count. search trains fold units on it, and
-map_on_processes, over it, runs and hashes a stack's members; scnn runs
-work in parallel no other way, and starts no thread. Workers are forked
-only on Linux: ensemble.process_count caps n at 1 elsewhere.
+and the caller's BLAS thread count. process_count alone sets n. search
+trains fold units on it, and map_on_processes, over it, trains train's
+folds and runs and hashes a stack's members; scnn runs work in parallel
+no other way, and starts no thread.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import os
 import pickle
 import select
 import signal
-from typing import Callable
+import sys
+from typing import Callable, Optional, Sequence
 
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 _RESULT, _ERROR, _END = range(3)  # the kinds of message a worker sends
@@ -23,6 +24,24 @@ _RESULT, _ERROR, _END = range(3)  # the kinds of message a worker sends
 
 class WorkerDied(Exception):
     """A worker process ended without finishing its share."""
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask's, or the CPU
+    count where the OS has no masks."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this OS
+        return os.cpu_count() or 1
+
+
+def process_count(parallelism: int, n_items: int) -> int:
+    """Processes that run_plan runs ``n_items`` (at least 1) on, the caller
+    included: ``parallelism`` capped at the item count and the usable CPUs,
+    and at 1 off Linux, the one platform where workers are forked."""
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    return min(parallelism, n_items, usable_cpus() if sys.platform == "linux" else 1)
 
 
 def _start_worker(caller: int) -> None:
@@ -107,13 +126,16 @@ def _receive(pipes: dict, pids: list, collect: Callable, timeout) -> None:
             raise WorkerDied(f"worker {pid} ended before its share, exit status {status}")
 
 
-def run_plan(task: Callable, items: list, n: int, collect: Callable) -> None:
-    """Run ``items`` on ``n`` processes and ``collect(result)`` each result
-    in the caller as it comes in. ``task(share, stopped)`` yields a share's
-    results, starting no item once ``stopped()``: once the caller unwinds,
-    it waits for the workers' current items only, and reaps them."""
+def run_plan(task: Callable, items: list, collect: Callable,
+             parallelism: Optional[int] = None) -> None:
+    """Run ``items`` on process_count(``parallelism``, or the usable CPUs)
+    processes and ``collect(result)`` each result in the caller as it comes
+    in. ``task(share, stopped)`` yields a share's results, starting no item
+    once ``stopped()``: once the caller unwinds, it waits for the workers'
+    current items only, and reaps them."""
     if not items:
         return
+    n = process_count(usable_cpus() if parallelism is None else parallelism, len(items))
     pipes, pids = {}, []  # read end of a running worker's pipe -> (pid, bytes in)
     try:
         for w in range(1, n):
@@ -130,10 +152,11 @@ def run_plan(task: Callable, items: list, n: int, collect: Callable) -> None:
             os.waitpid(pid, 0)
 
 
-def map_on_processes(fn: Callable, items: list, n: int) -> list:
-    """``[fn(item) for item in items]`` by run_plan. Each process stops at its
-    first failing item; then the lowest failing item's error, as a RuntimeError
-    naming its type if it does not pickle, is raised, whatever ``n`` is."""
+def map_on_processes(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]`` by run_plan, on the usable CPUs. Each
+    process stops at its first failing item; then the lowest failing item's
+    error, as a RuntimeError naming its type if it does not pickle, is
+    raised, whatever the process count."""
     def run_share(share, stopped):
         for j in share:
             if stopped():
@@ -145,7 +168,7 @@ def map_on_processes(fn: Callable, items: list, n: int) -> list:
                 return
 
     outcomes = []
-    run_plan(run_share, list(range(len(items))), n, outcomes.append)
+    run_plan(run_share, list(range(len(items))), outcomes.append)
     outcomes.sort(key=lambda outcome: outcome[0])
     for _, _, error in outcomes:
         if error is not None:

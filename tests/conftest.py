@@ -67,6 +67,12 @@ def synth_arrays(seed: int, n_train: int, n_test: int = 0, dim: int = 16):
     return train_ex, docs, labels, test_ex, test_docs, test_labels
 
 
+def set_usable_cpus(monkeypatch, n) -> None:
+    """Make ``n`` CPUs usable by this process, whichever way it counts them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
 def assert_no_child_process() -> None:
     """This process has no child, running or unreaped, however it was
     started (multiprocessing.active_children sees only its own)."""

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_no_child_process, rewrite_model_header, save_net
+from conftest import assert_no_child_process, rewrite_model_header, save_net, set_usable_cpus
 from scnn import cli
 from scnn.cli import _build_parser, main
 from scnn.ensemble import ModelFile, Trial, save_ensemble, stack_top_k
@@ -432,6 +432,74 @@ def _assert_group_ends(pgid, seconds=30):
     pytest.fail("a process of the search outlived it")
 
 
+class TestFailureInAnExistingOut:
+    """A command that fails leaves an --out directory that existed before it
+    as it was: every file it wrote there is removed, and no .tmp is left."""
+
+    @pytest.fixture
+    def out(self, tmp_path):
+        out = tmp_path / "existing"
+        out.mkdir()
+        (out / "marker").write_text("kept\n")
+        yield out
+        assert _files_under(out) == ["marker"]
+        assert (out / "marker").read_text() == "kept\n"
+
+    def test_train_terminated_after_its_first_fold(self, corpus_dir, tmp_path, out):
+        cfg = tmp_path / "hp.json"
+        cfg.write_text(json.dumps(_TRAIN_HP))
+        with _scnn_process("train", "--train", corpus_dir / "train.tsv",
+                           "--embeddings", f"godin={corpus_dir}/embeddings.txt",
+                           "--config", cfg, "--seed", 5, "--out", out, "--unrestricted-space",
+                           "--max-epochs", 200, "--patience", 200) as proc:
+            while proc.poll() is None and not (out / "fold0.scnn").exists():
+                time.sleep(0.01)
+            assert proc.poll() is None, "the train ended before the signal"
+            proc.terminate()  # the scnn process alone, which stops its worker
+            _, err = proc.communicate(timeout=60)
+            _assert_group_ends(proc.pid)
+        assert proc.returncode == 143, err
+        assert err.rstrip().endswith("terminated") and "Traceback" not in err
+
+    def test_stack_report_without_a_used_embedding(self, run_dir, corpus_dir, capsys, out):
+        # the manifests are written before the report finds that trials use
+        # shin, which --embeddings does not name
+        assert "shin" in (run_dir / "leaderboard.csv").read_text()
+        capsys.readouterr()
+        code = run_cli("stack", "--run", run_dir, "--top-k", "1,3", "--out", out,
+                       "--test", corpus_dir / "test.tsv",
+                       "--embeddings", f"godin={corpus_dir}/embeddings.txt")
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "word_embedding 'shin' is not in the --embeddings registry" in err
+
+    def test_search_failing_after_its_trials(self, corpus_dir, capsys, monkeypatch, out):
+        import scnn.search
+
+        def boom(records):
+            raise RuntimeError("leaderboard writer broke")
+
+        (out / "trials").mkdir()  # so the trials' own directories are the outputs
+        monkeypatch.setattr(scnn.search, "format_leaderboard_csv", boom)
+        code = run_cli("search", "--train", corpus_dir / "train.tsv", "--embeddings",
+                       f"godin={corpus_dir}/embeddings.txt,shin={corpus_dir}/embeddings.txt",
+                       "--trials", 2, "--seed", 1, "--out", out, "--max-epochs", 1,
+                       "--config", corpus_dir / "space.json", "--unrestricted-space")
+        assert code == 4, capsys.readouterr().err
+        (out / "trials").rmdir()  # fails unless the trials' directories were removed
+
+    def test_synth_over_the_file_size_limit(self, out):
+        # train.tsv and test.tsv fit in 60 kB; the 400-dim embeddings.txt does not
+        proc = _run_python(
+            "-c", "import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_FSIZE, (60000, 60000))\n"
+                  "from scnn import cli\n"
+                  "sys.exit(cli.main(sys.argv[1:]))",
+            "synth", "--out", str(out), "--seed", "1", "--train-size", "90",
+            "--test-size", "30", "--dim", "400")
+        assert proc.returncode != 0 and "File too large" in proc.stderr, proc.stderr
+
+
 class TestDataErrors:
     def test_missing_train_file(self, corpus_dir, tmp_path):
         emb = f"godin={corpus_dir}/embeddings.txt"
@@ -652,10 +720,12 @@ _PAPER_HP = {"adam_b2": 0.999, "n_dense_output": 100, "keep_prob": 0.5, "batch_s
              "filter_sizes": [3, 4, 5, 6, 7]}
 
 
-def _assert_train_is_trial_0(tmp_path, hp, dim, train_size, folds, max_epochs, parallelisms):
-    """train with ``hp`` writes the fold files, oof.tsv and cv score of trial
-    0 of a search over the one-point space of ``hp`` with the same seed, at
-    each of ``parallelisms``."""
+def _assert_train_is_trial_0(tmp_path, monkeypatch, hp, dim, train_size, folds, max_epochs,
+                             parallelisms):
+    """train with ``hp`` writes the same bytes on 1 and on 2 usable CPUs:
+    the fold files, oof.tsv and cv score of trial 0 of a search over the
+    one-point space of ``hp`` with the same seed, at each of
+    ``parallelisms``."""
     assert run_cli("synth", "--out", tmp_path / "c", "--seed", 11, "--dim", dim,
                    "--train-size", train_size, "--test-size", 0) == 0
     config, space = tmp_path / "hp.json", tmp_path / "space.json"
@@ -664,10 +734,15 @@ def _assert_train_is_trial_0(tmp_path, hp, dim, train_size, folds, max_epochs, p
     common = ["--train", tmp_path / "c" / "train.tsv", "--embeddings",
               f"godin={tmp_path}/c/embeddings.txt", "--seed", 3,
               "--folds", folds, "--max-epochs", max_epochs, "--unrestricted-space"]
-    assert run_cli("train", "--config", config, "--out", tmp_path / "one", *common) == 0
+    written = []
+    for cpus in (1, 2):
+        set_usable_cpus(monkeypatch, cpus)
+        assert run_cli("train", "--config", config, "--out", tmp_path / f"one{cpus}", *common) == 0
+        written.append(_tree(tmp_path / f"one{cpus}"))
+    assert written[0] == written[1]
     names = [f"fold{i}.scnn" for i in range(folds)] + ["oof.tsv"]
-    trained = {name: (tmp_path / "one" / name).read_bytes() for name in names}
-    cv_score = json.loads((tmp_path / "one" / "result.json").read_text())["cv_score"]
+    trained = {name: written[1][name] for name in names}
+    cv_score = json.loads(written[1]["result.json"])["cv_score"]
     for parallelism in parallelisms:
         run = tmp_path / f"run{parallelism}"
         assert run_cli("search", "--config", space, "--trials", 1, "--out", run,
@@ -699,15 +774,43 @@ class TestTrainCommand:
         result = json.loads((out / "result.json").read_text())
         assert 0.0 <= result["cv_score"] <= 1.0
 
-    def test_train_equals_trial_0_of_a_search(self, tmp_path):
+    def test_train_equals_trial_0_of_a_search(self, tmp_path, monkeypatch):
         # one-point space, one trial, same seed: the search's trial 0 trains
         # the config train trains, with the same fold code
-        _assert_train_is_trial_0(tmp_path, _TRAIN_HP, 16, 200, 5, 4, (1, 2))
+        _assert_train_is_trial_0(tmp_path, monkeypatch, _TRAIN_HP, 16, 200, 5, 4, (1, 2))
 
-    def test_train_equals_trial_0_of_a_search_at_paper_shape(self, tmp_path):
-        # every process runs BLAS on one thread: train in this one, and the
-        # search in its scnn process and its worker
-        _assert_train_is_trial_0(tmp_path, _PAPER_HP, 400, 60, 2, 1, (2,))
+    def test_train_equals_trial_0_of_a_search_at_paper_shape(self, tmp_path, monkeypatch):
+        # every process runs BLAS on one thread: train and the search in
+        # the scnn process and its worker
+        _assert_train_is_trial_0(tmp_path, monkeypatch, _PAPER_HP, 400, 60, 2, 1, (2,))
+
+    def test_train_runs_fold_j_on_process_j_mod_the_usable_cpus(self, tmp_path, corpus_dir,
+                                                               monkeypatch):
+        from scnn import search
+
+        log, train_unit = tmp_path / "folds.log", search.train_unit
+
+        def logged(inputs, tid, hp, fold, buffers, out):  # the forked worker inherits it
+            with open(log, "a") as fh:
+                fh.write(f"{fold} {os.getpid()}\n")
+            return train_unit(inputs, tid, hp, fold, buffers, out)
+
+        monkeypatch.setattr(search, "train_unit", logged)
+        cfg = tmp_path / "hp.json"
+        cfg.write_text(json.dumps(_TRAIN_HP))
+        for cpus in (1, 2):  # the bytes: _assert_train_is_trial_0
+            set_usable_cpus(monkeypatch, cpus)
+            log.write_text("")
+            assert run_cli("train", "--train", corpus_dir / "train.tsv",
+                           "--embeddings", f"godin={corpus_dir}/embeddings.txt",
+                           "--config", cfg, "--seed", 5, "--out", tmp_path / f"cpus{cpus}",
+                           "--unrestricted-space", "--max-epochs", 3) == 0
+            pid_of = dict(line.split() for line in log.read_text().splitlines())
+            assert sorted(pid_of) == ["0", "1", "2", "3", "4"]
+            assert [pid_of[str(j)] == str(os.getpid()) for j in range(5)] == [
+                j % cpus == 0 for j in range(5)]  # fold j on process j % cpus
+            assert len(set(pid_of.values())) == cpus
+            assert_no_child_process()
 
     def test_numeric_failure_exits_3(self, tmp_path, corpus_dir):
         hp = {
@@ -725,6 +828,27 @@ class TestTrainCommand:
                            "--unrestricted-space", "--max-epochs", 2)
         assert code == 3
         assert not out.exists()  # partial outputs removed
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_numeric_failure_names_fold_0_at_any_cpu_count(self, tmp_path, corpus_dir, capsys,
+                                                           monkeypatch, cpus):
+        # every fold fails: the error is fold 0's, the lowest, however many
+        # processes ran the folds
+        set_usable_cpus(monkeypatch, cpus)
+        cfg = tmp_path / "hp.json"
+        cfg.write_text(json.dumps({**_TRAIN_HP, "learning_rate": 1e30}))
+        out = tmp_path / "boom"
+        capsys.readouterr()
+        with np.errstate(all="ignore"):  # the forked worker inherits it
+            code = run_cli("train", "--train", corpus_dir / "train.tsv",
+                           "--embeddings", f"godin={corpus_dir}/embeddings.txt",
+                           "--config", cfg, "--seed", 5, "--out", out,
+                           "--unrestricted-space", "--max-epochs", 2)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert "numeric failure: fold 0: " in err and "Traceback" not in err
+        assert not out.exists()
+        assert_no_child_process()
 
     def test_restricted_space_rejects_toy_config(self, tmp_path, corpus_dir):
         hp = {
@@ -1406,8 +1530,8 @@ def test_stack_and_predict_bytes_do_not_depend_on_the_usable_cpus(run_dir, corpu
                       "--out", out / "pred.tsv"]):
             log.write_text("")
             assert run_cli(*argv) == 0
-            # 3 trials x 5 folds x 4 chunks, on min(cpus, 15) processes with
-            # cpus // processes = 1 chunk thread each: every process's main
+            # 3 trials x 5 folds x 4 chunks, on min(cpus, 15) processes, each
+            # forward on its process's main thread, the one thread scnn runs
             ran = _logged_forwards(log)
             pids = {pid for pid, _ in ran}
             assert len(ran) == 60 and all(main for _, main in ran)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NetMember, save_net, synth_arrays, toy_hp
+from conftest import NetMember, save_net, set_usable_cpus, synth_arrays, toy_hp
 from scnn import ensemble as E
 from scnn import metrics
 from scnn import search as S
@@ -443,7 +443,7 @@ class TestStreaming:
             return net
 
         monkeypatch.setattr(E, "load_model", tracking_load)
-        monkeypatch.setattr(E, "usable_cpus", lambda: 1)  # every member in this process
+        set_usable_cpus(monkeypatch, 1)  # every member in this process
         streamed = E.stacked_predict(loaded, {"godin": docs})
         assert len(refs) == 15 and max(most_alive) == 1
         assert all(ref() is None for ref in refs)
@@ -466,7 +466,7 @@ class TestStreaming:
     def test_manifest_does_not_depend_on_the_usable_cpus(self, tmp_path, monkeypatch):
         written = []
         for cpus in (1, 2, 4):
-            monkeypatch.setattr(E, "usable_cpus", lambda: cpus)
+            set_usable_cpus(monkeypatch, cpus)
             before = set(threading.enumerate())
             _, manifest = self._saved_stack(tmp_path)
             assert set(threading.enumerate()) == before
@@ -488,7 +488,7 @@ class TestStreaming:
         forward = M.forward_batch
         monkeypatch.setattr(M, "forward_batch",
                             lambda *args, **kwargs: forwards.append(1) or forward(*args, **kwargs))
-        monkeypatch.setattr(E, "usable_cpus", lambda: 1)
+        set_usable_cpus(monkeypatch, 1)
         with pytest.raises(DataError, match="hash mismatch for member .*t0_f1.scnn") as info:
             E._member_probs(loaded[0], loaded[0].members[1], docs)
         assert info.value.__context__ is None
@@ -502,7 +502,7 @@ class TestStreaming:
         _, docs, _ = toy_corpus
         _, manifest = self._saved_stack(tmp_path, k=1, folds=1)
         monkeypatch.setattr(M, "_PREDICT_CHUNK", 8)  # several chunks
-        monkeypatch.setattr(E, "usable_cpus", lambda: 4)  # more CPUs than members
+        set_usable_cpus(monkeypatch, 4)  # more CPUs than members
         counts = []
         forward = M.forward_batch
 

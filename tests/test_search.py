@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import synth_arrays, toy_hp
+from conftest import set_usable_cpus, synth_arrays, toy_hp
 from scnn import metrics
 from scnn import search as S
 from scnn import synth
@@ -344,45 +344,6 @@ class TestPlanUnits:
         assert costs == sorted(costs, reverse=True)
 
 
-def _cpus(monkeypatch, n):
-    """Make ``n`` CPUs usable by this process, whichever way it counts them."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: n)
-
-
-class TestProcessCount:
-    """The process-count helper is pure: these tests start no processes."""
-
-    @pytest.mark.parametrize("parallelism,n_units,cpus,expected", [
-        (1, 10, 8, 1),
-        (2, 10, 8, 2),
-        (4, 3, 8, 3),     # never more processes than units
-        (1000, 99, 2, 2),  # never more processes than CPUs
-        (4, 10, None, 1),  # unknown CPU count runs serially
-    ])
-    def test_caps(self, monkeypatch, parallelism, n_units, cpus, expected):
-        # without affinity masks the CPU count is the cap
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert S.process_count(parallelism, n_units) == expected
-
-    @pytest.mark.parametrize("usable,expected", [({3}, 1), ({0, 5}, 2), (set(range(8)), 4)])
-    def test_affinity_caps_below_cpu_count(self, monkeypatch, usable, expected):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
-        assert S.process_count(4, 15) == expected
-
-    def test_one_process_off_linux(self, monkeypatch):
-        _cpus(monkeypatch, 4)
-        monkeypatch.setattr(sys, "platform", "darwin")
-        assert S.process_count(4, 10) == 1
-
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_rejects_below_one(self, bad):
-        with pytest.raises(ValueError, match="parallelism"):
-            S.process_count(bad, 5)
-
-
 def _record_forks(monkeypatch) -> list:
     """The list to which each worker run_plan forks adds its share."""
     forked, fork = [], W._fork
@@ -432,7 +393,7 @@ class TestProcessPool:
     """search's units on workers that run_plan forks, one per share."""
 
     def test_pool_matches_serial_bytes_and_failures(self, tmp_path, monkeypatch):
-        _cpus(monkeypatch, 4)  # a worker even on one core
+        set_usable_cpus(monkeypatch, 4)  # a worker even on one core
         forked = _record_forks(monkeypatch)
         serial = _failing_lr_search(tmp_path / "p1", 1)
         assert forked == []
@@ -450,7 +411,7 @@ class TestProcessPool:
         assert not [p for p in _tree_bytes(tmp_path / "p2") if p.endswith(".tmp")]
 
     def test_one_trial_uses_two_processes(self, tmp_path, monkeypatch):
-        _cpus(monkeypatch, 4)
+        set_usable_cpus(monkeypatch, 4)
         forked = _record_forks(monkeypatch)
 
         def refuse(inputs):  # a forked worker inherits the inputs: nothing pickles them
@@ -467,7 +428,7 @@ class TestProcessPool:
         assert _tree_bytes(tmp_path / "p1") == _tree_bytes(tmp_path / "p2")
 
     def test_middle_fold_failing_in_a_worker_reports_as_serial(self, tmp_path, monkeypatch):
-        _cpus(monkeypatch, 4)
+        set_usable_cpus(monkeypatch, 4)
         # folds 1 and 2 hold no example, so their dev sets are empty; at
         # parallelism 2 the worker runs units 1 and 3 (folds 1 and 3)
         empty = lambda folds: FoldAssignment(
@@ -517,7 +478,7 @@ class TestProcessPool:
         if _openblas_threads() is None:
             pytest.skip("numpy's BLAS exports no thread count")
         get, set_count = _openblas_threads()
-        _cpus(monkeypatch, 4)
+        set_usable_cpus(monkeypatch, 4)
         log = tmp_path / "units.log"
         run_unit = S.run_unit
 
@@ -761,7 +722,7 @@ class TestStreamingSearch:
         records, out, _, _, test_docs, test_labels = small_run
         ensembles = _ensembles(records, out)
         docs_by_name = {"godin": test_docs, "shin": test_docs}
-        _cpus(monkeypatch, 2)
+        set_usable_cpus(monkeypatch, 2)
         log, member_probs = tmp_path / "members.log", E._member_probs
 
         def logged(trial, member, docs):  # a forked worker inherits it
