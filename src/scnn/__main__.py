@@ -1,5 +1,7 @@
+import os
 import sys
 
-from .cli import main
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads, so OpenBLAS starts no threads
+from .cli import main  # noqa: E402
 
 sys.exit(main())

@@ -4,17 +4,17 @@ Subcommands: synth, search, train, stack, predict, evaluate, gradcheck.
 Every randomized command requires an explicit --seed; re-running any command
 with identical inputs and seed produces byte-identical artifacts.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
-4 internal error (any other exception, such as workers.WorkerDied for a
-worker process that died; it prints ``internal error: <type>: <message>``),
-130 interrupted (Ctrl-C; it prints ``interrupted``), 143 terminated
-(SIGTERM; it prints ``terminated``). Partial outputs are removed when a
-command fails, is interrupted or is terminated. When several members of a
-stack fail, predict and stack --test report the first in stack order
-(rank, then fold), whatever the process count. An --out that exists as
-the wrong kind is a data error (2) before any work: for synth, search,
-train and stack anything but a directory, for predict and evaluate anything
-but a regular file (a symlink, a FIFO, a directory).
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure, 4
+internal error (any other exception, such as workers.WorkerDied for a worker
+process that died; it prints ``internal error: <type>: <message>``), 130
+interrupted (Ctrl-C; it prints ``interrupted``), 143 terminated (SIGTERM; it
+prints ``terminated``). A failed, interrupted or terminated command removes
+its partial outputs and puts back what they replaced. When several members
+of a stack fail, predict and stack --test report the first in stack order
+(rank, then fold), whatever the process count. An --out that exists as the
+wrong kind is a data error (2) before any work: for synth, search, train and
+stack anything but a directory, for predict and evaluate anything but a
+regular file (a symlink, a FIFO, a directory).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import shutil
 import signal
 import stat
 import sys
+import tempfile
 
 import numpy as np
 
@@ -63,15 +64,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Outputs:
-    """Tracks artifacts created by the running command so a failure can
-    remove them instead of leaving partial outputs behind."""
+    """Tracks the paths the running command writes, so a failure can remove
+    them instead of leaving partial outputs behind. A claimed file or
+    directory that exists is first moved into a new directory beside it:
+    a failure puts it back, and success (``commit``) deletes it."""
 
     def __init__(self):
-        self.created = []
+        self.created, self.aside = [], []  # aside: (claimed path, its holder)
 
     def claim_dir(self, path, files=()) -> str:
         """Claim the directory ``path`` and the ``files`` (names) the command
-        writes in it, which a failure removes even if ``path`` existed."""
+        writes in it; of a ``path`` that exists, only those files."""
         if not os.path.exists(path):
             os.makedirs(path)
             self.created.append(path)
@@ -80,19 +83,27 @@ class _Outputs:
         return path
 
     def claim_file(self, path) -> str:
-        if not os.path.exists(path):
-            self.created.append(path)
+        if os.path.lexists(path):
+            holder = tempfile.mkdtemp(prefix=".scnn-aside-", dir=os.path.dirname(path) or ".")
+            self.aside.append((path, holder))
+            os.rename(path, os.path.join(holder, "held"))
+        self.created.append(path)
         return path
 
     def discard_all(self):
         for path in reversed(self.created):
-            try:
-                if os.path.isdir(path):
-                    shutil.rmtree(path)
-                elif os.path.exists(path):
-                    os.remove(path)
-            except OSError:  # best effort; never mask the original error
-                pass
+            with contextlib.suppress(OSError):  # best effort; never mask the original error
+                (shutil.rmtree if os.path.isdir(path) else os.remove)(path)
+        for path, holder in reversed(self.aside):
+            with contextlib.suppress(OSError):  # else the holder keeps it
+                os.rename(os.path.join(holder, "held"), path)
+                os.rmdir(holder)
+
+    def commit(self):
+        """Keep the outputs: delete what they replaced."""
+        aside, self.aside, self.created = self.aside, [], []
+        for _, holder in aside:
+            shutil.rmtree(holder, ignore_errors=True)
 
 
 # the commands whose --out is a file; every other --out is a directory
@@ -539,7 +550,9 @@ def main(argv=None) -> int:
         # The other cores are left to those workers, the one way scnn runs
         # work in parallel.
         with _one_blas_thread():
-            return args.func(args, outputs)
+            code = args.func(args, outputs)
+        outputs.commit()
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         outputs.discard_all()

@@ -14,7 +14,7 @@ The forward has two paths:
 - **projection**: a width-h conv is linear in its window, so each distinct
   row of the batch goes through each offset's filters once, and a window
   sums h of those projected rows. Every window after a document's last
-  word, all pad, gets the value ``relu(b)`` without a product.
+  word, all pad, gets ``relu(b)`` from the pad row's projections.
 
 Both lay out the window values window-major, as a (P, B, f) array, and
 pool it with one ``_first_max`` over axis 0.
@@ -60,19 +60,18 @@ def conv_pool_forward(docs: np.ndarray, W: np.ndarray, b: np.ndarray):
     B, L, dim = docs.shape
     h, _, f = W.shape
     P = L - h + 1
-    W2 = W.reshape(h * dim, f)
     rows = _distinct_rows(docs) if h * dim * f >= DISTINCT_ROWS_MIN_COST else None
     if rows is None:
         wins = np.lib.stride_tricks.sliding_window_view(docs, (h, dim), axis=(1, 2))
-        z = wins.transpose(1, 0, 2, 3, 4).reshape(P * B, h * dim) @ W2
+        z = wins.transpose(1, 0, 2, 3, 4).reshape(P * B, h * dim) @ W.reshape(h * dim, f)
         z += b
         return _first_max(np.maximum(z, 0, out=z).reshape(P, B, f))
     distinct, ids = rows
     projected = np.matmul(distinct, W)  # (h, V, f)
     # (P, B): window p of document n is live when a nonzero row sits at or
     # after p; every later window is all pad
-    real = distinct.any(axis=1)[ids]
-    live = np.logical_or.accumulate(real[:, ::-1], axis=1)[:, ::-1][:, :P].T
+    nonzero = distinct.any(axis=1)
+    live = np.logical_or.accumulate(nonzero[ids][:, ::-1], axis=1)[:, ::-1][:, :P].T
     # window (p, n) sums row ids[n, p + r] of the projection through offset
     # r, for r = 0 .. h - 1
     p_idx, n_idx = np.nonzero(live)
@@ -82,8 +81,8 @@ def conv_pool_forward(docs: np.ndarray, W: np.ndarray, b: np.ndarray):
         z += projected[r].take(flat[start + r], axis=0)
     z += b
     act = np.empty((P, B, f), dtype=z.dtype)
-    # an all-pad window's value: relu(b), or NaN where W holds inf or NaN
-    act[...] = np.maximum(np.zeros(h * dim, dtype=z.dtype) @ W2 + b, 0)
+    if not nonzero.all():  # the pad row's projections: relu(b), or NaN where W holds inf or NaN
+        act[...] = np.maximum(projected[:, nonzero.argmin()].sum(axis=0) + b, 0)
     act[live] = np.maximum(z, 0, out=z)
     return _first_max(act)
 

@@ -9,10 +9,11 @@ inputs; only the tensors created here are trained.
 A model's trained tensors lie back to back in one flat buffer, its arena,
 in ``param_shapes`` order (the model file's order). Adam's moments and the
 best-weights snapshot are arenas of the same layout. Training holds no
-gradient arena: a batch's gradients pass span by span through one window
-(``grad_spans``), each span into Adam before the next is computed. The
-snapshot is made, and written, only when an epoch follows a best one, so a
-training whose last epoch is its best holds three arenas, not four.
+gradient arena and no gradient buffer: Adam takes a batch's gradients span
+by span (``grad_spans``) as the arrays their layers return, each span
+before the next layer's are computed. The snapshot is made, and written,
+only when an epoch follows a best one, so a training whose last epoch is
+its best holds three arenas, not four.
 
 Everything here runs on the calling thread: predict_proba runs its
 chunks in turn, and load_model checks a file's sha256 before it returns
@@ -278,27 +279,46 @@ def forward_batch(model: ShallowCNN, docs: np.ndarray, training: bool = False,
 
 def grad_spans(shapes) -> list:
     """The arena of the ``param_shapes`` list ``shapes``, cut into the spans
-    a training batch's gradients pass through: (first element, the span's
-    (name, shape) entries) per span, in arena order.
+    that train() applies a batch's gradients in, one nn_core.adam_step
+    each: (first element, the span's (name, shape) entries) per span, in
+    arena order.
 
-    Cuts fall only between groups, a conv group's weights and bias or the
-    dense and output layers' four tensors, and a span holds at most
-    max(largest group, min(arena size, ADAM_CHUNK)) elements. So an arena of
-    up to ADAM_CHUNK elements, as at desk shapes, is one span: one Adam call
-    per batch. A paper-shape arena (widths 3-7, 400 filters, 400 dims) is
-    six: one per group.
+    A tensor of at least ADAM_CHUNK elements is a span of its own, and each
+    run of smaller tensors between two such is one span. So an arena with
+    no such tensor, as at desk shapes, is one span: one Adam call per batch.
+    A paper-shape arena (widths 3-7, 400 filters, 400 dims) is twelve: each
+    conv weight, each conv bias, dense_w, and dense_b with the output layer.
     """
-    groups = [shapes[i:i + 2] for i in range(0, 2 * N_GROUPS, 2)] + [shapes[2 * N_GROUPS:]]
-    limit = max(max(map(arena_size, groups)),
-                min(arena_size(shapes), nn_core.ADAM_CHUNK))
-    spans, lo = [], 0
-    for group in groups:
-        if spans and arena_size(spans[-1][1]) + arena_size(group) <= limit:
-            spans[-1][1].extend(group)
-        else:
-            spans.append((lo, list(group)))
-        lo += arena_size(group)
+    spans, lo, alone = [], 0, True  # alone: the last tensor is a span of its own
+    for name, shape in shapes:
+        size = math.prod(shape)
+        if alone or size >= nn_core.ADAM_CHUNK:
+            spans.append((lo, []))
+        spans[-1][1].append((name, shape))
+        alone = size >= nn_core.ADAM_CHUNK
+        lo += size
     return spans
+
+
+def _gradients(model: ShallowCNN, caches: dict, gold):
+    """Each trained tensor's gradient, the array its layer returns, from the
+    arena's end, as the backward reaches the dense layers first. A layer's
+    arrays are let go before the next layer's call makes its own."""
+    mask1, mask2 = caches["masks"]
+    dy = nn_core.softmax_cross_entropy_backward(caches["probs"], gold)
+    for layer, mask in (("out", mask2), ("dense", mask1)):
+        dx, dW, db = nn_core.dense_backward(caches[layer], dy)
+        yield from (db, dW)
+        del dW, db
+        dy = dx * mask if mask is not None else dx
+    f = model.hp.n_filters
+    for g in reversed(range(N_GROUPS)):
+        docs, argmax, pooled, h = caches["conv"][g]
+        dW, db = kernels.conv_pool_backward(
+            docs, argmax, pooled, dy[:, g * f:(g + 1) * f].astype(docs.dtype, copy=False), h
+        )
+        yield from (db, dW)
+        del dW, db  # before the next kernel call makes its own
 
 
 def backward_batch(model: ShallowCNN, caches: dict, gold,
@@ -307,56 +327,36 @@ def backward_batch(model: ShallowCNN, caches: dict, gold,
 
     Without ``update`` they are returned in a fresh arena, as name -> view.
     With ``update`` = (TrainBuffers, lr) they are applied and not returned:
-    the spans are visited from the arena's end, as the backward reaches the
-    dense layers before the convs, and each span's gradients are written
-    into the window and passed to nn_core.adam_step before the next span's
-    are computed; the step count advances once per batch. A non-finite
-    gradient raises NumericError naming the first such tensor in arena
-    order: once one is found, the remaining spans are computed and checked
-    but not applied, and the spans already applied stay updated.
+    the buffers' spans are visited from the arena's end, and each goes to
+    nn_core.adam_step at its offset before the next layer's gradients are
+    computed, as the array its layer returned or, for a span of several
+    tensors, their arrays packed into one; the step count advances once per
+    batch. A non-finite gradient raises NumericError naming the first such
+    tensor in arena order: once one is found, the remaining spans are
+    computed and checked but not applied, and the spans already applied
+    stay updated.
     """
     if not caches or "probs" not in caches:
         raise ValueError("backward requires the caches of a forward pass")
+    grads = _gradients(model, caches, gold)
     if update is None:
-        arena = np.empty_like(model.arena)
-        spans = [(0, arena, arena_views(arena, model.shapes))]
-    else:
-        buffers, lr = update
-        spans = buffers.spans
-    mask1, mask2 = caches["masks"]
-    f = model.hp.n_filters
-    dfeat = failure = None
-    for k, (lo, grads, views) in enumerate(reversed(spans)):
-        if dfeat is None:  # the first span visited ends the arena: the dense layers
-            dlogits = nn_core.softmax_cross_entropy_backward(caches["probs"], gold)
-            dh2 = nn_core.dense_backward(caches["out"], dlogits,
-                                         out=(views["out_w"], views["out_b"]))[0]
-            dh1 = dh2 * mask2 if mask2 is not None else dh2
-            dh0 = nn_core.dense_backward(caches["dense"], dh1,
-                                         out=(views["dense_w"], views["dense_b"]))[0]
-            dfeat = dh0 * mask1 if mask1 is not None else dh0
-        for g in reversed(range(N_GROUPS)):
-            if f"conv{g}_w" not in views:
-                continue
-            docs, argmax, pooled, h = caches["conv"][g]
-            dW, db = kernels.conv_pool_backward(
-                docs, argmax, pooled, dfeat[:, g * f:(g + 1) * f].astype(docs.dtype, copy=False), h
-            )
-            np.copyto(views[f"conv{g}_w"], dW)
-            np.copyto(views[f"conv{g}_b"], db)
-            del dW, db  # before the next kernel call makes its own
-        if update is None:
-            continue
+        arena = np.concatenate([g.ravel() for g in reversed(list(grads))])
+        return arena_views(arena, model.shapes)
+    buffers, lr = update
+    failure = None
+    for k, (lo, entries) in enumerate(reversed(buffers.spans)):
+        flat = (next(grads).ravel() if len(entries) == 1
+                else np.concatenate([next(grads).ravel() for _ in entries][::-1]))
         try:
             if failure is None:
-                nn_core.adam_step(model.arena, grads, buffers.opt, lr, lo, advance=k == 0)
+                nn_core.adam_step(model.arena, flat, buffers.opt, lr, lo, advance=k == 0)
             else:
-                nn_core.check_finite(grads, buffers.opt.layout, lo)
+                nn_core.check_finite(flat, buffers.opt.layout, lo)
         except NumericError as exc:
             failure = exc  # a tensor earlier in the arena may be non-finite too
+        del flat  # before the next kernel call makes its own
     if failure is not None:
         raise failure
-    return spans[0][2] if update is None else None
 
 
 _PREDICT_CHUNK = 512
@@ -417,33 +417,24 @@ class TrainedModel:
 
 @dataclass
 class TrainBuffers:
-    """What train() updates a model's arena with: the gradient window, big
-    enough for the largest of ``grad_spans``; each span as (first element,
-    flat window slice, its tensors' views of that slice); the Adam state;
-    and the best-weights snapshot, None until the first epoch that follows
-    a best one, which allocates it."""
+    """What train() updates a model's arena with: its ``grad_spans``, one
+    Adam call each per batch; the Adam state; and the best-weights
+    snapshot, None until the first epoch that follows a best one, which
+    allocates it."""
 
-    window: np.ndarray = field(repr=False)
     spans: list = field(repr=False)
     opt: nn_core.AdamState
     best: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def train_buffers(model: ShallowCNN) -> TrainBuffers:
-    """The TrainBuffers of train() for ``model``'s layout and dtype. At
-    paper shape the window is one conv group (4.5 MB), not an arena."""
-    spans = grad_spans(model.shapes)
-    window = np.empty(max(arena_size(entries) for _, entries in spans), model.arena.dtype)
-    views = []
-    for lo, entries in spans:
-        flat = window[:arena_size(entries)]
-        views.append((lo, flat, arena_views(flat, entries)))
-    return TrainBuffers(window, views, nn_core.AdamState.for_arena(
+    """The TrainBuffers of train() for ``model``'s layout and dtype."""
+    return TrainBuffers(grad_spans(model.shapes), nn_core.AdamState.for_arena(
         model.arena, model.shapes, beta2=model.hp.adam_b2))
 
 
 class SharedBuffers:
-    """One TrainBuffers (window, Adam moments, snapshot once one is made)
+    """One TrainBuffers (spans, Adam moments, snapshot once one is made)
     for consecutive train() calls, made anew only when a model's tensor
     layout or dtype differs from the last one's, so its pages are faulted
     in once per run of same-shaped models; its spans are cut once per

@@ -1,7 +1,7 @@
 """Numerical primitives: init, layer forward/backward, dropout, loss, Adam.
 
 Randomness comes from an explicit Rng, never hidden global state; functions
-write only to buffers passed in (``out=``, Adam's flat buffers). Parameters
+write only to buffers passed in (Adam's flat buffers). Parameters
 and activations are float32 by default; passing float64 arrays flows float64
 end to end (used by the gradient checker). Reductions keep a fixed order so
 repeated runs are bit-identical.
@@ -42,16 +42,11 @@ def dense_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray, activation: str =
     return y, (x, z, W, activation)
 
 
-def dense_backward(cache, dy: np.ndarray, out=None):
-    """Returns (dx, dW, db) for the cached dense forward. With ``out`` a
-    (dW, db) pair of buffers, the weight gradients are written into them."""
+def dense_backward(cache, dy: np.ndarray):
+    """Returns (dx, dW, db) for the cached dense forward."""
     x, z, W, activation = cache
     dz = dy * (z > 0) if activation == "relu" else dy
-    dW, db = out if out is not None else (np.empty(W.shape, x.dtype),
-                                          np.empty(W.shape[1], x.dtype))
-    np.matmul(x.T, dz, out=dW)
-    np.sum(dz, axis=0, out=db)
-    return dz @ W.T, dW, db
+    return dz @ W.T, x.T @ dz, dz.sum(axis=0)
 
 
 # --------------------------------------------------------------------------

@@ -461,6 +461,51 @@ class TestFailureInAnExistingOut:
         assert proc.returncode == 143, err
         assert err.rstrip().endswith("terminated") and "Traceback" not in err
 
+    @staticmethod
+    def _train_args(corpus_dir, tmp_path, out):
+        cfg = tmp_path / "hp.json"
+        cfg.write_text(json.dumps(_TRAIN_HP))
+        return ["train", "--train", corpus_dir / "train.tsv", "--embeddings",
+                f"godin={corpus_dir}/embeddings.txt", "--config", cfg, "--out", out,
+                "--unrestricted-space"]
+
+    @staticmethod
+    def _contents(root):
+        return {name: (root / name).read_bytes() if (root / name).is_file() else None
+                for name in _files_under(root)}
+
+    def test_train_terminated_over_an_earlier_run_leaves_it_as_it_was(self, corpus_dir,
+                                                                       tmp_path):
+        # a seed 6 train into seed 5's directory, terminated once it has
+        # replaced fold0.scnn, puts back every file of seed 5
+        out = tmp_path / "run"
+        args = self._train_args(corpus_dir, tmp_path, out)
+        assert run_cli(*args, "--seed", 5, "--max-epochs", 2) == 0
+        before = self._contents(out)
+        fold0 = out / "fold0.scnn"
+        with _scnn_process(*args, "--seed", 6, "--max-epochs", 200, "--patience", 200) as proc:
+            while proc.poll() is None and not (fold0.exists()
+                                               and fold0.read_bytes() != before["fold0.scnn"]):
+                time.sleep(0.01)
+            assert proc.poll() is None, "the train ended before the signal"
+            proc.terminate()
+            _, err = proc.communicate(timeout=60)
+            _assert_group_ends(proc.pid)
+        assert proc.returncode == 143, err
+        assert self._contents(out) == before
+
+    def test_train_over_an_earlier_run_replaces_it(self, corpus_dir, tmp_path):
+        # success removes what the command set aside: the directory is the
+        # new run's alone
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        args = self._train_args(corpus_dir, tmp_path, out)
+        (out / "fold1.scnn").mkdir(parents=True)  # an earlier output of another kind
+        (out / "oof.tsv").write_text("earlier\n")
+        assert run_cli(*args, "--seed", 5, "--max-epochs", 2) == 0
+        fresh_args = self._train_args(corpus_dir, tmp_path, fresh)
+        assert run_cli(*fresh_args, "--seed", 5, "--max-epochs", 2) == 0
+        assert self._contents(out) == self._contents(fresh)
+
     def test_stack_report_without_a_used_embedding(self, run_dir, corpus_dir, capsys, out):
         # the manifests are written before the report finds that trials use
         # shin, which --embeddings does not name
@@ -1461,6 +1506,20 @@ def test_module_entry_point(corpus_dir):
     proc = _run_python("-m", "scnn", "gradcheck", "--seed", "3", "--cases", "1")
     assert proc.returncode == 0, proc.stderr
     assert "max relative gradient error" in proc.stdout
+
+
+def test_module_entry_point_starts_no_blas_thread():
+    # numpy's OpenBLAS starts its thread pool when it loads unless told one
+    # thread before; every command computes on one thread anyway
+    script = ("import atexit, os, runpy, sys\n"
+              "atexit.register(lambda: print('tasks', len(os.listdir('/proc/self/task'))))\n"
+              "sys.argv = ['scnn', 'gradcheck', '--seed', '3', '--cases', '1']\n"
+              "runpy.run_module('scnn', run_name='__main__', alter_sys=True)\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = _run_python("-c", script, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "tasks 1", proc.stdout
 
 
 def test_predict_bytes_do_not_depend_on_blas_threading(tmp_path):

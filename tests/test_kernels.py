@@ -471,6 +471,44 @@ def test_non_finite_row_takes_the_full_path(monkeypatch, value, column):
         assert (argmax[1] == 0).all() and np.isnan(pooled[1]).all()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_weight_on_the_projection(value):
+    # an all-pad window takes its value from the pad row's projections, so
+    # the filter holding inf or NaN reads NaN there, as 0 * inf in the full
+    # GEMM does; every other filter reads relu(b) with the same bits
+    docs, W, b = paper_word_case()
+    docs[2] = 0  # a document without words: every window is all pad
+    W[1, 5, 7] = value
+    with distinct_rows_found() as found:
+        pooled, argmax = forward_on("projection", docs, W, b)
+    assert found == [True]
+    full_pool, full_arg = forward_on("full", docs, W, b)
+    assert np.isnan(pooled[:, 7]).all() and np.isnan(full_pool[:, 7]).all()
+    np.testing.assert_array_equal(argmax[:, 7], full_arg[:, 7])
+    others = np.arange(W.shape[2]) != 7
+    assert pooled[2, others].tobytes() == np.maximum(b[others], 0).tobytes()
+    assert pooled[2, others].tobytes() == full_pool[2, others].tobytes()
+    np.testing.assert_allclose(pooled[:, others], full_pool[:, others], rtol=1e-5, atol=1e-5)
+
+
+def test_projection_of_a_batch_without_pad_rows():
+    # every row is a word, so no window is all pad
+    rng = Rng(5)
+    table = rng.uniform(-1, 1, (12, 400))
+    docs = word_batch(rng, [12, 12, 12], table, L=12)
+    assert docs.any(axis=2).all()
+    W = rng.uniform(-0.3, 0.3, (3, 400, 100)).astype(np.float32)
+    b = rng.uniform(-0.1, 0.1, 100).astype(np.float32)
+    with distinct_rows_found() as found:
+        pooled, argmax = forward_on("projection", docs, W, b)
+    assert found == [True]
+    for n, doc in enumerate(docs):
+        act, want = conv_pool_reference(doc, W, b)
+        np.testing.assert_allclose(pooled[n], want, rtol=1e-5, atol=1e-5)
+        np.testing.assert_array_equal(argmax[n], act.argmax(axis=0))
+
+
 def test_words_sharing_a_vector_are_one_distinct_row(monkeypatch):
     _, W, b = paper_word_case()
     rng = Rng(4)

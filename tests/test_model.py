@@ -481,43 +481,88 @@ def _paper_hp(n_dense_output=100):
 
 
 class TestGradWindow:
-    def test_desk_layout_is_one_span(self):
+    """Adam takes each span of grad_spans as the array its layer returned,
+    or as one array packing a span's small tensors: there is no gradient
+    buffer."""
+
+    @staticmethod
+    def _adam_calls(monkeypatch):
+        """Record (offset, size, gradient array) of every nn_core.adam_step."""
+        calls, step = [], nn_core.adam_step
+
+        def spy(params, grads, state, lr, offset=0, advance=True):
+            calls.append((offset, grads.size, grads))
+            return step(params, grads, state, lr, offset, advance)
+
+        monkeypatch.setattr(nn_core, "adam_step", spy)
+        return calls
+
+    def test_desk_layout_is_one_span(self, monkeypatch):
+        calls = self._adam_calls(monkeypatch)
         # synth's search space at its largest, and the toy model
         for hp in (toy_hp(n_filters=8, n_dense_output=16, filter_sizes=(1, 2, 3, 4, 5)),
                    toy_hp()):
             shapes = M.param_shapes(hp, 16)
             assert M.grad_spans(shapes) == [(0, shapes)]
-            buffers = M.train_buffers(build_model(hp, 16, seed=0))
-            assert buffers.window.size == M.arena_size(shapes)
-            assert buffers.spans[0][1].base is buffers.window
+            net = build_model(hp, 16, seed=0)
+            buffers = M.train_buffers(net)
+            assert buffers.spans == [(0, shapes)]
+            docs = Rng(6).uniform(-1, 1, (9, 12, 16)).astype(np.float32)
+            _, caches = M.forward_batch(net, docs, training=True, rng=Rng(8))
+            calls.clear()
+            M.backward_batch(net, caches, np.asarray(Rng(7).integers(1, 4, 9)), (buffers, 0.01))
+            # a desk batch is one Adam call over the whole arena
+            assert [(lo, n) for lo, n, _ in calls] == [(0, M.arena_size(shapes))]
 
     @pytest.mark.parametrize("n_dense_output", [100, 400])
-    def test_paper_layout_is_six_spans(self, n_dense_output):
+    def test_paper_layout_is_twelve_spans(self, n_dense_output):
         shapes = M.param_shapes(_paper_hp(n_dense_output), 400)
-        groups = [shapes[i:i + 2] for i in range(0, 10, 2)] + [shapes[10:]]
-        window = max(max(map(M.arena_size, groups)),
-                     min(M.arena_size(shapes), nn_core.ADAM_CHUNK))
-        assert window == 7 * 400 * 400 + 400  # the widest conv group, 4.5 MB of float32
         spans = M.grad_spans(shapes)
-        assert [entries for _, entries in spans] == groups
-        end = 0  # in order, with no gaps, each at most the window
+        # each conv weight, each conv bias, dense_w, and the last three together
+        assert [[name for name, _ in entries] for _, entries in spans] == (
+            [[name] for name, _ in shapes[:11]] + [["dense_b", "out_w", "out_b"]])
+        end = 0  # in order, with no gaps
         for lo, entries in spans:
-            assert lo == end and M.arena_size(entries) <= window
+            assert lo == end
             end += M.arena_size(entries)
         assert end == M.arena_size(shapes)
-        net = M.ShallowCNN(_paper_hp(n_dense_output), 400,
-                           np.zeros(M.arena_size(shapes), np.float32), 0)
-        assert M.train_buffers(net).window.size == window
+        assert M.arena_size(shapes[-3:]) < nn_core.ADAM_CHUNK
+        assert all(M.arena_size([entry]) >= nn_core.ADAM_CHUNK for entry in shapes[:10:2])
+
+    def test_large_tensors_reach_adam_as_their_layers_return_them(self, monkeypatch):
+        # an ADAM_CHUNK of 150 makes conv3_w, conv4_w and dense_w spans of
+        # their own, and so the biases between them
+        monkeypatch.setattr(nn_core, "ADAM_CHUNK", 150)
+        net = build_model(toy_hp(filter_sizes=(1, 2, 2, 3, 4)), 8, seed=5)
+        buffers = M.train_buffers(net)
+        assert [len(entries) for _, entries in buffers.spans] == [6, 1, 1, 1, 1, 1, 3]
+        returned, backward = {}, kernels.conv_pool_backward
+
+        def keep(docs, argmax, pooled, d_pooled, h):
+            dW, db = backward(docs, argmax, pooled, d_pooled, h)
+            returned[h] = dW  # only conv3 and conv4 have widths 3 and 4
+            return dW, db
+
+        monkeypatch.setattr(kernels, "conv_pool_backward", keep)
+        calls = self._adam_calls(monkeypatch)
+        docs = Rng(6).uniform(-1, 1, (9, 12, 8)).astype(np.float32)
+        _, caches = M.forward_batch(net, docs, training=True, rng=Rng(8))
+        M.backward_batch(net, caches, np.asarray(Rng(7).integers(1, 4, 9)), (buffers, 0.01))
+        by_offset = {lo: grads for lo, _, grads in calls}
+        for g, h in ((3, 3), (4, 4)):
+            lo = next(lo for lo, e in buffers.spans if e[0][0] == f"conv{g}_w")
+            assert np.shares_memory(by_offset[lo], returned[h])
+        assert [lo for lo, _, _ in calls] == [lo for lo, _ in reversed(buffers.spans)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_spans_update_like_one_full_arena_step(self, monkeypatch, dtype):
-        # a small ADAM_CHUNK cuts the toy arena into spans of 4 groups, 1
-        # group and the dense layers
+        # a small ADAM_CHUNK cuts the toy arena into spans of the first eight
+        # tensors, conv4_w, conv4_b, dense_w and the last three
         monkeypatch.setattr(nn_core, "ADAM_CHUNK", 256)
         hp = toy_hp(filter_sizes=(1, 2, 2, 3, 4))
         net, ref = (build_model(hp, 8, seed=5, dtype=dtype) for _ in range(2))
         buffers = M.train_buffers(net)
-        assert [len(entries) for _, entries in M.grad_spans(net.shapes)] == [8, 2, 4]
+        assert [len(entries) for _, entries in M.grad_spans(net.shapes)] == [8, 1, 1, 1, 3]
         ref_opt = nn_core.AdamState.for_arena(ref.arena, ref.shapes, beta2=hp.adam_b2)
         docs = Rng(6).uniform(-1, 1, (9, 12, 8)).astype(dtype)
         labels = np.asarray(Rng(7).integers(1, 4, 9))
@@ -532,7 +577,7 @@ class TestGradWindow:
             assert buffers.opt.t == ref_opt.t == step
             for got, want in ((net.arena, ref.arena), (buffers.opt.m, ref_opt.m),
                               (buffers.opt.v, ref_opt.v)):
-                np.testing.assert_array_equal(got, want)
+                assert got.tobytes() == want.tobytes()
 
     def test_train_in_spans_like_in_one(self, monkeypatch):
         docs = as_documents(Rng(10).uniform(-1, 1, (20, 12, 8)).astype(np.float32))
@@ -546,42 +591,48 @@ class TestGradWindow:
                            Rng(2).substream("train"), buffers=buffers), buffers
 
         one, one_buffers = fit()
-        monkeypatch.setattr(nn_core, "ADAM_CHUNK", 1)
+        monkeypatch.setattr(nn_core, "ADAM_CHUNK", 1)  # every tensor a span
         split, split_buffers = fit()
-        assert len(one_buffers.spans) == 1 and len(split_buffers.spans) == 2
+        assert len(one_buffers.spans) == 1 and len(split_buffers.spans) == 14
         assert split.history == one.history
         for got, want in ((split.weights.arena, one.weights.arena),
                           (split_buffers.opt.m, one_buffers.opt.m),
                           (split_buffers.opt.v, one_buffers.opt.v)):
-            np.testing.assert_array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
 
     def test_non_finite_gradient_names_the_first_tensor(self, monkeypatch):
-        # spans: conv0 and conv1, conv2, conv3, conv4, the dense layers
-        monkeypatch.setattr(nn_core, "ADAM_CHUNK", 1)
-        net = build_model(toy_hp(n_dense_output=4, filter_sizes=(1, 2, 3, 4, 5)), 8, seed=5)
-        buffers = M.train_buffers(net)
-        assert len(buffers.spans) == 5
         real = kernels.conv_pool_backward
 
         def poisoned(docs, argmax, pooled, d_pooled, h):
             dW, db = real(docs, argmax, pooled, d_pooled, h)
-            if h in (2, 4):  # conv1 and conv3, in two spans
+            if h in (2, 4):  # conv1 and conv3
                 dW[0, 0, 0] = np.nan if h == 2 else np.inf
             return dW, db
 
         monkeypatch.setattr(kernels, "conv_pool_backward", poisoned)
+        hp = toy_hp(n_dense_output=4, filter_sizes=(1, 2, 3, 4, 5))
         docs = Rng(6).uniform(-1, 1, (9, 12, 8)).astype(np.float32)
         labels = np.asarray(Rng(7).integers(1, 4, 9))
-        before = M.arena_views(net.arena.copy(), net.shapes)
-        _, caches = M.forward_batch(net, docs, training=True, rng=Rng(8))
-        # conv3's span is visited first, yet conv1 comes first in the arena
-        with pytest.raises(NumericError, match="'conv1_w'"):
-            M.backward_batch(net, caches, labels, (buffers, 0.01))
-        # the spans visited before conv3's were applied, the others were not
-        changed = {name for name, p in net.params.items() if not np.array_equal(p, before[name])}
-        assert {"dense_w", "out_w", "conv4_w"} <= changed
-        assert changed <= {"dense_w", "dense_b", "out_w", "out_b", "conv4_w", "conv4_b"}
-        assert buffers.opt.t == 1
+        for chunk, n_spans in ((nn_core.ADAM_CHUNK, 1), (1, 14)):
+            monkeypatch.setattr(nn_core, "ADAM_CHUNK", chunk)
+            net = build_model(hp, 8, seed=5)
+            buffers = M.train_buffers(net)
+            assert len(buffers.spans) == n_spans
+            before = M.arena_views(net.arena.copy(), net.shapes)
+            _, caches = M.forward_batch(net, docs, training=True, rng=Rng(8))
+            # conv3_w is visited first, yet conv1_w comes first in the arena
+            with pytest.raises(NumericError, match="'conv1_w'"):
+                M.backward_batch(net, caches, labels, (buffers, 0.01))
+            changed = {name for name, p in net.params.items()
+                       if not np.array_equal(p, before[name])}
+            if n_spans == 1:  # the one span failed: nothing was applied
+                assert changed == set() and buffers.opt.t == 0
+                continue
+            # the spans visited before conv3_w's were applied, the others were not
+            assert {"dense_w", "out_w", "conv4_w"} <= changed
+            assert changed <= {"dense_w", "dense_b", "out_w", "out_b",
+                               "conv4_w", "conv4_b", "conv3_b"}
+            assert buffers.opt.t == 1
 
     @staticmethod
     def _paper_train_peak(scores):
@@ -593,9 +644,9 @@ class TestGradWindow:
         it = iter(scores)
         tracemalloc.start()
         try:
-            # the model, Adam's moments and the window stay, and the snapshot
-            # once an epoch follows a best one; the batch's rows, caches and
-            # each kernel's result come and go
+            # the model and Adam's moments stay, and the snapshot once an
+            # epoch follows a best one; the batch's rows, caches and each
+            # layer's gradients come and go
             net = build_model(_paper_hp(), 400, seed=0)
             buffers = M.train_buffers(net)
             M.train(net, docs, labels, docs, labels, TrainSchedule(max_epochs=len(scores)),
@@ -607,21 +658,22 @@ class TestGradWindow:
     @staticmethod
     def _held(arenas):
         arena_bytes = M.arena_size(M.param_shapes(_paper_hp(), 400)) * 4
-        return arenas * arena_bytes + (7 * 400 * 400 + 400) * 4  # and the window
+        return arenas * arena_bytes
 
     def test_paper_batch_holds_no_gradient_arena(self):
         # a 1-epoch train holds three arenas and never makes the snapshot
         peak, buffers, _ = self._paper_train_peak([0.0])
         assert buffers.best is None
         # the slack holds the batch's rows and caches (~5 MB) and the widest
-        # kernel result (~5 MB); a gradient arena (16.8 MB) would not fit
-        assert self._held(3) < peak < self._held(3) + 12e6
+        # kernel result (~5 MB); a gradient arena (16.8 MB) would not fit,
+        # nor a buffer for the widest conv group's gradient (4.5 MB)
+        assert self._held(3) < peak < self._held(3) + 11e6
 
     def test_epoch_after_a_best_one_makes_the_snapshot(self):
         peak, buffers, net = self._paper_train_peak([1.0, 0.5])
         # epoch 2 did not improve, so the returned weights are the snapshot
         np.testing.assert_array_equal(net.arena, buffers.best)
-        assert self._held(4) < peak < self._held(4) + 12e6
+        assert self._held(4) < peak < self._held(4) + 11e6
 
 
 class TestSaveLoad:
